@@ -35,7 +35,7 @@ func run() int {
 	proto := flag.String("proto", "adopt-swap", "protocol: wait-all | wait-quorum | adopt-swap")
 	n := flag.Int("n", 2, "number of processes")
 	resilience := flag.Int("resilience", 1, "number of crash events the adversary may inject")
-	parallel := flag.Int("parallel", 0, "exploration worker count (0 = GOMAXPROCS, 1 = sequential); results are identical at any setting")
+	parallel := flag.Int("parallel", 0, "exploration worker count (0 = GOMAXPROCS; see core.ExploreOptions.Parallelism for when 1 runs the sequential explorer); results are identical at any setting")
 	stats := flag.Bool("stats", false, "print exploration engine telemetry")
 	usePOR := flag.Bool("por", false,
 		"analyze under ample-set partial-order reduction (delivery independence + decision visibility); verdicts are identical, configuration counts shrink")
@@ -52,16 +52,8 @@ func run() int {
 		"visited-set backend: mem | spill | bitstate (bitstate is lossy: verdicts downgrade to \"no violation found\")")
 	maxStoreBytes := flag.Int64("max-store-bytes", 0,
 		"spill backend's resident-payload budget in bytes (0 = 256 MiB default)")
-	sched := flag.String("sched", "",
-		"exploration scheduler: barrier (default: per-level fork/join) | steal (persistent work-stealing pool); results are identical either way")
 	flag.Parse()
 
-	switch *sched {
-	case "", "barrier", "steal":
-	default:
-		fmt.Fprintf(os.Stderr, "bivalence: unknown -sched %q (want barrier or steal)\n", *sched)
-		return 2
-	}
 	storeCfg, err := store.ParseFlags(*storeKind, *maxStoreBytes)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -89,7 +81,6 @@ func run() int {
 			"parallel":   strconv.Itoa(*parallel),
 			"por":        strconv.FormatBool(*usePOR),
 			"store":      string(storeCfg.ResolvedKind()),
-			"sched":      *sched,
 		},
 	})
 	if err != nil {
@@ -131,7 +122,7 @@ func run() int {
 	opts := flp.AnalyzeOptions{
 		Resilience: resilience, Parallelism: *parallel, Stats: st,
 		Sink: sink, SnapshotEvery: *snapshotEvery, Store: storeCfg,
-		VerifyAliasing: *verifyAliasing, Sched: *sched,
+		VerifyAliasing: *verifyAliasing,
 	}
 	if *usePOR {
 		opts.Independent = flp.DeliveryIndependence(p)

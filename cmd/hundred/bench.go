@@ -31,12 +31,9 @@ import (
 // across the full-mode exploration, so the zero-alloc hot-path contract is
 // gated by `hundred bench-compare` alongside throughput and determinism.
 // Again omitempty: v3 histories load as-is with the alloc gate inactive on
-// pre-v4 rows. Version 5 adds the scheduler axis: designated workloads
-// carry a full-mode worker-scaling sweep (states/sec under the steal
-// scheduler at 1/2/4/8 workers plus barrier baselines, with parallel
-// efficiency relative to the one-worker steal rate), so scheduler-layer
-// regressions show up as an efficiency drop `hundred bench-compare` warns
-// about. Omitempty again: pre-v5 rows simply carry no scaling points.
+// pre-v4 rows. Version 5 added a worker-scaling sweep for a work-stealing
+// scheduler the engine no longer has; new runs write no scaling points,
+// but the field stays so v5 history survives an append byte for byte.
 // Version 6 adds the attribution axis: per-row phase fractions of the
 // full-mode exploration (expand/barrier/store-I/O/replay shares of the
 // summed worker clock, plus the sampled canon/intern split), so a
@@ -103,12 +100,10 @@ type explorationBench struct {
 	// order of magnitude, which `hundred bench-compare` gates on.
 	AllocsPerState float64 `json:"allocs_per_state,omitempty"`
 	BytesPerState  float64 `json:"bytes_per_state,omitempty"`
-	// Scaling is the schema-v5 worker-scaling sweep of the full-mode
-	// exploration: the steal scheduler at each grid worker count plus
-	// barrier baselines at the endpoints. Only the designated scaling
-	// workloads carry it (sweeping every workload would triple the suite's
-	// runtime for redundant curves).
-	Scaling []schedPoint `json:"scaling,omitempty"`
+	// Scaling is the schema-v5 worker-scaling sweep of a since-removed
+	// scheduler. History only: no run writes it any more, and it is kept
+	// opaque so older runs round-trip unchanged.
+	Scaling json.RawMessage `json:"scaling,omitempty"`
 	// Phases is the schema-v6 phase attribution of the full-mode
 	// exploration (see phaseBench). Absent on pre-v6 rows.
 	Phases *phaseBench `json:"phases,omitempty"`
@@ -124,9 +119,6 @@ type phaseBench struct {
 	Barrier float64 `json:"barrier,omitempty"`
 	StoreIO float64 `json:"store_io,omitempty"`
 	Replay  float64 `json:"replay,omitempty"`
-	Steal   float64 `json:"steal,omitempty"`
-	Handoff float64 `json:"handoff,omitempty"`
-	Idle    float64 `json:"idle,omitempty"`
 	Canon   float64 `json:"canon_frac,omitempty"`
 	Intern  float64 `json:"intern_frac,omitempty"`
 }
@@ -145,9 +137,6 @@ func benchPhases(st engine.Stats) *phaseBench {
 		Barrier: f(p.BarrierWaitNs),
 		StoreIO: f(p.StoreIONs),
 		Replay:  f(p.ReplayNs),
-		Steal:   f(p.StealNs),
-		Handoff: f(p.HandoffNs),
-		Idle:    f(p.IdleNs),
 		Canon:   round4(p.CanonFrac()),
 		Intern:  round4(p.InternFrac()),
 	}
@@ -155,24 +144,6 @@ func benchPhases(st engine.Stats) *phaseBench {
 
 // round4 keeps the committed JSON readable (four decimal places).
 func round4(v float64) float64 { return math.Round(v*1e4) / 1e4 }
-
-// schedPoint is one cell of a worker-scaling sweep. Efficiency is the
-// parallel efficiency of a steal-scheduler point: states/sec divided by
-// workers times the one-worker steal rate (1.0 = perfect linear scaling);
-// barrier baseline points leave it zero. AllocsPerState is the same
-// process-wide runtime.MemStats delta as the v4 row metric, here gating
-// the steal path's steady-state zero-allocation contract.
-type schedPoint struct {
-	Sched          string  `json:"sched"`
-	Workers        int     `json:"workers"`
-	Seconds        float64 `json:"seconds"`
-	StatesPerSec   float64 `json:"states_per_sec"`
-	Efficiency     float64 `json:"efficiency,omitempty"`
-	AllocsPerState float64 `json:"allocs_per_state,omitempty"`
-}
-
-// scalingWorkers is the steal-scheduler worker grid of the v5 sweep.
-var scalingWorkers = []int{1, 2, 4, 8}
 
 type synthBench struct {
 	Search       string  `json:"search"`
@@ -200,9 +171,6 @@ const (
 type benchWorkload struct {
 	name    string
 	explore func(mode exploreMode) (states int, st engine.Stats, err error)
-	// scale, when non-nil, runs the workload's full-mode exploration under
-	// an explicit scheduler and worker count for the v5 scaling sweep.
-	scale func(sc string, workers int) (states int, st engine.Stats, err error)
 }
 
 func benchWorkloads() ([]benchWorkload, error) {
@@ -210,7 +178,7 @@ func benchWorkloads() ([]benchWorkload, error) {
 	shared := func(alg sharedmem.Algorithm) benchWorkload {
 		return benchWorkload{name: alg.Name(), explore: func(mode exploreMode) (int, engine.Stats, error) {
 			var st engine.Stats
-			opts := core.ExploreOptions{Parallelism: parallelism, Stats: &st, Store: storeCfg, Sched: sched}
+			opts := core.ExploreOptions{Parallelism: parallelism, Stats: &st, Store: storeCfg}
 			switch mode {
 			case modeQuotient:
 				opts.Canon = sharedmem.CanonFor(alg)
@@ -249,7 +217,7 @@ func benchWorkloads() ([]benchWorkload, error) {
 			name: fmt.Sprintf("%s(n=%d,r=%d)", p.Name(), cfg.n, cfg.resilience),
 			explore: func(mode exploreMode) (int, engine.Stats, error) {
 				var st engine.Stats
-				opts := core.ExploreOptions{Parallelism: parallelism, Stats: &st, Store: storeCfg, Sched: sched}
+				opts := core.ExploreOptions{Parallelism: parallelism, Stats: &st, Store: storeCfg}
 				switch mode {
 				case modeQuotient:
 					opts.Canon = canonFn
@@ -282,7 +250,7 @@ func benchWorkloads() ([]benchWorkload, error) {
 		name: "crash-space(n=8,t=4,r=16)",
 		explore: func(mode exploreMode) (int, engine.Stats, error) {
 			var st engine.Stats
-			opts := core.ExploreOptions{Parallelism: parallelism, Stats: &st, Store: storeCfg, Sched: sched}
+			opts := core.ExploreOptions{Parallelism: parallelism, Stats: &st, Store: storeCfg}
 			switch mode {
 			case modeQuotient:
 				opts.Canon = crash.Canon()
@@ -306,7 +274,7 @@ func benchWorkloads() ([]benchWorkload, error) {
 		name: "async-lcr(n=7)",
 		explore: func(mode exploreMode) (int, engine.Stats, error) {
 			var st engine.Stats
-			opts := core.ExploreOptions{Parallelism: parallelism, Stats: &st, Store: storeCfg, Sched: sched}
+			opts := core.ExploreOptions{Parallelism: parallelism, Stats: &st, Store: storeCfg}
 			switch mode {
 			case modeQuotient, modePORQuotient:
 				return 0, st, nil
@@ -314,19 +282,6 @@ func benchWorkloads() ([]benchWorkload, error) {
 				opts.Independent = asyncLCR.Independence()
 			}
 			g, err := asyncLCR.CheckElection(opts)
-			if err != nil {
-				return 0, st, err
-			}
-			return g.Len(), st, nil
-		},
-		// The wide workload of the v5 scaling sweep: frontiers in the tens
-		// of thousands, where the barrier scheduler is already near its
-		// best — the sweep gates the steal scheduler against regressing it.
-		scale: func(sc string, workers int) (int, engine.Stats, error) {
-			var st engine.Stats
-			g, err := asyncLCR.CheckElection(core.ExploreOptions{
-				Parallelism: workers, Stats: &st, Store: storeCfg, Sched: sc,
-			})
 			if err != nil {
 				return 0, st, err
 			}
@@ -354,7 +309,7 @@ func benchWorkloads() ([]benchWorkload, error) {
 					return 0, st, nil
 				}
 				g, err := bigLCR.CheckElection(core.ExploreOptions{
-					Parallelism: parallelism, Stats: &st, Store: storeCfg, MaxStates: 200_000_000, Sched: sched,
+					Parallelism: parallelism, Stats: &st, Store: storeCfg, MaxStates: 200_000_000,
 				})
 				if err != nil {
 					return 0, st, err
@@ -371,7 +326,7 @@ func benchWorkloads() ([]benchWorkload, error) {
 					return 0, st, nil
 				}
 				g, err := core.Explore[string](flp.NewSystem(p5, nil, 0), core.ExploreOptions{
-					Parallelism: parallelism, Stats: &st, Store: storeCfg, MaxStates: 200_000_000, Sched: sched,
+					Parallelism: parallelism, Stats: &st, Store: storeCfg, MaxStates: 200_000_000,
 				})
 				if err != nil {
 					return 0, st, err
@@ -385,7 +340,7 @@ func benchWorkloads() ([]benchWorkload, error) {
 		name: "async-abp(m=8)",
 		explore: func(mode exploreMode) (int, engine.Stats, error) {
 			var st engine.Stats
-			opts := core.ExploreOptions{Parallelism: parallelism, Stats: &st, Store: storeCfg, Sched: sched}
+			opts := core.ExploreOptions{Parallelism: parallelism, Stats: &st, Store: storeCfg}
 			switch mode {
 			case modeQuotient, modePORQuotient:
 				return 0, st, nil
@@ -400,41 +355,33 @@ func benchWorkloads() ([]benchWorkload, error) {
 			return g.Len(), st, nil
 		},
 	})
-	braidScale := func(sc string, workers int) (int, engine.Stats, error) {
-		var st engine.Stats
-		res, err := engine.Explore([]braidState{{lane: -1}},
-			braidExpand(braidLanes, braidDepth), engine.Options{
-				Parallelism: workers, Stats: &st, Store: storeCfg, Sched: sc,
-			})
-		if err != nil {
-			return 0, st, err
-		}
-		return len(res.States), st, nil
-	}
 	out = append(out, benchWorkload{
-		// The deep-narrow workload of the v5 scaling sweep: level width
-		// never exceeds braidLanes, so the barrier scheduler pays a
-		// fork/join every handful of states while the steal scheduler
-		// streams the frontier through its shard queues. The chain speedup
-		// headline is this row's steal-vs-barrier ratio at 8 workers.
+		// The deep-narrow workload: level width never exceeds braidLanes,
+		// so the level loop pays a barrier every handful of states. Full
+		// mode only; bench-compare gates its throughput and state count.
 		name: fmt.Sprintf("braid(lanes=%d,depth=%dk)", braidLanes, braidDepth/1000),
 		explore: func(mode exploreMode) (int, engine.Stats, error) {
 			var st engine.Stats
 			if mode != modeFull {
 				return 0, st, nil
 			}
-			return braidScale(sched, parallelism)
+			res, err := engine.Explore([]braidState{{lane: -1}},
+				braidExpand(braidLanes, braidDepth), engine.Options{
+					Parallelism: parallelism, Stats: &st, Store: storeCfg,
+				})
+			if err != nil {
+				return 0, st, err
+			}
+			return len(res.States), st, nil
 		},
-		scale: braidScale,
 	})
 	return out, nil
 }
 
 // braidLanes/braidDepth size the deep-narrow workload: 1 + lanes*depth
-// states whose frontier never exceeds lanes. 64 lanes keep the barrier
-// scheduler in its sequential bailout (frontier < workers*16 up to 8
-// workers) while giving the steal scheduler enough in-flight states to
-// occupy the worker grid.
+// states whose frontier never exceeds lanes, so at 2-4 workers the level
+// loop forks and joins once per 64 states (at more workers every level
+// falls under the frontier < workers*16 sequential bailout).
 const (
 	braidLanes = 64
 	braidDepth = 6_250
@@ -445,8 +392,8 @@ const (
 type braidState struct{ lane, pos int32 }
 
 // braidExpand expands the braid. Every expansion runs braidWork first so
-// the schedulers are measured against a realistic per-state derivation
-// cost rather than a no-op successor function.
+// the row measures a realistic per-state derivation cost rather than a
+// no-op successor function.
 func braidExpand(lanes, depth int32) engine.ExpandFunc[braidState] {
 	return func(s braidState, x *engine.Ctx[braidState]) {
 		if braidWork(s.lane, s.pos) == 0 {
@@ -466,8 +413,7 @@ func braidExpand(lanes, depth int32) engine.ExpandFunc[braidState] {
 
 // braidWork is a fixed dose (~2-3µs) of pure 64-bit mixing, standing in
 // for the guard evaluation and state derivation a real protocol expansion
-// performs per successor; it is what the scheduling layer's handoff cost
-// amortizes against.
+// performs per successor.
 func braidWork(lane, pos int32) uint64 {
 	h := uint64(uint32(lane))<<32 | uint64(uint32(pos)) | 1
 	for i := 0; i < 2000; i++ {
@@ -548,11 +494,6 @@ func runBench() (benchRecord, error) {
 		if both > 0 {
 			row.PORQuotientStates = both
 		}
-		if w.scale != nil {
-			if row.Scaling, err = runScalingSweep(w, full); err != nil {
-				return rec, err
-			}
-		}
 		rec.Explorations = append(rec.Explorations, row)
 	}
 
@@ -598,70 +539,6 @@ func runBench() (benchRecord, error) {
 		})
 	}
 	return rec, nil
-}
-
-// runScalingSweep runs one workload's v5 worker-scaling sweep: the steal
-// scheduler across scalingWorkers, then barrier baselines at the grid's
-// endpoints (the 1-worker barrier run is the legacy sequential reference;
-// the top-worker one is what the steal-vs-barrier speedup is quoted
-// against). Every run must reproduce the full-mode state count — the
-// sweep doubles as one more determinism check on real workloads.
-func runScalingSweep(w benchWorkload, wantStates int) ([]schedPoint, error) {
-	var pts []schedPoint
-	var base float64 // one-worker steal throughput, the efficiency denominator
-	type cell struct {
-		sched   string
-		workers int
-	}
-	grid := make([]cell, 0, len(scalingWorkers)+2)
-	for _, n := range scalingWorkers {
-		grid = append(grid, cell{"steal", n})
-	}
-	grid = append(grid,
-		cell{"barrier", 1},
-		cell{"barrier", scalingWorkers[len(scalingWorkers)-1]})
-	for _, c := range grid {
-		runtime.GC()
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		states, st, err := w.scale(c.sched, c.workers)
-		if err != nil {
-			return nil, fmt.Errorf("%s %s w=%d: %w", w.name, c.sched, c.workers, err)
-		}
-		runtime.ReadMemStats(&after)
-		if states != wantStates {
-			return nil, fmt.Errorf("%s %s w=%d: state count %d != full-mode %d (determinism contract)",
-				w.name, c.sched, c.workers, states, wantStates)
-		}
-		pt := schedPoint{
-			Sched: c.sched, Workers: c.workers,
-			Seconds: st.Elapsed.Seconds(), StatesPerSec: st.StatesPerSec,
-		}
-		if states > 0 {
-			pt.AllocsPerState = float64(after.Mallocs-before.Mallocs) / float64(states)
-		}
-		if c.sched == "steal" {
-			if c.workers == 1 {
-				base = pt.StatesPerSec
-			}
-			if base > 0 {
-				pt.Efficiency = pt.StatesPerSec / (float64(c.workers) * base)
-			}
-		}
-		pts = append(pts, pt)
-	}
-	return pts, nil
-}
-
-// scalingPoint finds one sweep cell; ok is false when the row carries no
-// such point (pre-v5 history, or a non-scaling workload).
-func scalingPoint(pts []schedPoint, sched string, workers int) (schedPoint, bool) {
-	for _, p := range pts {
-		if p.Sched == sched && p.Workers == workers {
-			return p, true
-		}
-	}
-	return schedPoint{}, false
 }
 
 // loadBenchFile reads an existing bench record file, migrating the legacy
@@ -715,6 +592,19 @@ func runBenchJSON(outPath string) error {
 		enc.SetIndent("", "  ")
 		return enc.Encode(benchFile{SchemaVersion: benchSchemaVersion, Runs: []benchRecord{rec}})
 	}
+	prev, n, err := appendBenchRun(outPath, bf, rec)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("appended run %s to %s (%d runs in history)\n", rec.Timestamp, outPath, n)
+	compareBenchRuns(prev, &rec)
+	return nil
+}
+
+// appendBenchRun appends rec to the loaded history bf, keeps the newest
+// benchHistoryCap runs and writes the result to outPath. It returns the
+// run rec follows (nil for an empty history) and the history length.
+func appendBenchRun(outPath string, bf benchFile, rec benchRecord) (*benchRecord, int, error) {
 	var prev *benchRecord
 	if len(bf.Runs) > 0 {
 		prev = &bf.Runs[len(bf.Runs)-1]
@@ -730,14 +620,9 @@ func runBenchJSON(outPath string) error {
 	}
 	data, err := json.MarshalIndent(bf, "", "  ")
 	if err != nil {
-		return err
+		return nil, 0, err
 	}
-	if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("appended run %s to %s (%d runs in history)\n", rec.Timestamp, outPath, len(bf.Runs))
-	compareBenchRuns(prev, &rec)
-	return nil
+	return prev, len(bf.Runs), os.WriteFile(outPath, append(data, '\n'), 0o644)
 }
 
 // compareBenchRuns prints a benchstat-style smoke comparison of the new
@@ -784,18 +669,6 @@ func compareBenchRuns(prev, cur *benchRecord) {
 		if p.AllocsPerState > 0 && r.AllocsPerState > p.AllocsPerState*(1+benchAllocThreshold) {
 			fmt.Printf("  WARN %s: allocs/state grew %.2f -> %.2f (zero-alloc hot-path contract)\n",
 				r.System, p.AllocsPerState, r.AllocsPerState)
-		}
-		topW := scalingWorkers[len(scalingWorkers)-1]
-		if cs, ok := scalingPoint(r.Scaling, "steal", topW); ok {
-			if cb, ok := scalingPoint(r.Scaling, "barrier", topW); ok && cb.StatesPerSec > 0 {
-				fmt.Printf("  scaling %s: steal@%d %.0f states/s (eff %.2f), %.2fx vs barrier@%d\n",
-					r.System, topW, cs.StatesPerSec, cs.Efficiency, cs.StatesPerSec/cb.StatesPerSec, topW)
-			}
-			if ps, ok := scalingPoint(p.Scaling, "steal", topW); ok &&
-				ps.Efficiency > 0 && cs.Efficiency < ps.Efficiency*(1-benchEffThreshold) {
-				fmt.Printf("  WARN %s: %d-worker steal efficiency dropped %.2f -> %.2f\n",
-					r.System, topW, ps.Efficiency, cs.Efficiency)
-			}
 		}
 	}
 }

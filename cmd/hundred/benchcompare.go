@@ -17,13 +17,6 @@ const benchCompareThreshold = 0.30
 // one allocation per successor moves this metric by orders of magnitude.
 const benchAllocThreshold = 0.50
 
-// benchEffThreshold is the relative drop in top-worker steal-scheduler
-// parallel efficiency past which bench-compare warns (schema v5 scaling
-// sweep). Efficiency moves with co-tenancy on shared runners, so the
-// scheduler axis warns instead of failing, and only when the two runs
-// carry the same hardware fingerprint.
-const benchEffThreshold = 0.20
-
 // benchMinGateSeconds is the shortest full-mode run the throughput gate
 // considers measurable. The suite's smallest workloads finish in a
 // couple of milliseconds, where scheduler jitter alone moves states/sec
@@ -63,13 +56,10 @@ func runBenchCompare(args []string) int {
 		return 0
 	}
 	prev, cur := &bf.Runs[len(bf.Runs)-2], &bf.Runs[len(bf.Runs)-1]
-	bad, warns, compared := diffBenchRecords(prev, cur, *threshold, *allocThreshold)
+	bad, compared := diffBenchRecords(prev, cur, *threshold, *allocThreshold)
 	if compared == 0 {
 		fmt.Println("no system appears in both runs; nothing to compare")
 		return 0
-	}
-	for _, msg := range warns {
-		fmt.Printf("WARN %s\n", msg)
 	}
 	if len(bad) > 0 {
 		for _, msg := range bad {
@@ -93,9 +83,8 @@ func runBenchCompare(args []string) int {
 // 30% slower, but it can never legitimately count a different number of
 // states. The alloc gate also needs both runs to carry the v4 metric
 // (pre-v4 rows leave it zero) but ignores the hardware fingerprint:
-// allocation counts do not depend on machine speed. Scaling-sweep
-// efficiency drops (v5) come back as warnings, not failures.
-func diffBenchRecords(prev, cur *benchRecord, threshold, allocThreshold float64) (bad, warns []string, compared int) {
+// allocation counts do not depend on machine speed.
+func diffBenchRecords(prev, cur *benchRecord, threshold, allocThreshold float64) (bad []string, compared int) {
 	sameHW := prev.GOOS == cur.GOOS && prev.GOARCH == cur.GOARCH && prev.GOMAXPROCS == cur.GOMAXPROCS
 	prevRows := make(map[string]explorationBench, len(prev.Explorations))
 	for _, r := range prev.Explorations {
@@ -132,14 +121,6 @@ func diffBenchRecords(prev, cur *benchRecord, threshold, allocThreshold float64)
 					r.System, c.what, c.prev, c.cur))
 			}
 		}
-		topW := scalingWorkers[len(scalingWorkers)-1]
-		ps, pok := scalingPoint(p.Scaling, "steal", topW)
-		cs, cok := scalingPoint(r.Scaling, "steal", topW)
-		if sameHW && pok && cok && ps.Efficiency > 0 &&
-			cs.Efficiency < ps.Efficiency*(1-benchEffThreshold) {
-			warns = append(warns, fmt.Sprintf("%s: %d-worker steal efficiency dropped %.0f%% (%.2f -> %.2f)",
-				r.System, topW, (1-cs.Efficiency/ps.Efficiency)*100, ps.Efficiency, cs.Efficiency))
-		}
 	}
-	return bad, warns, compared
+	return bad, compared
 }

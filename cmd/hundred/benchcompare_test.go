@@ -59,14 +59,14 @@ func TestBenchCompareStateCountDrift(t *testing.T) {
 		{System: "grid", FullStates: 100, FullStatesPerSec: 1000, QuotientStates: 30}}}
 	cur := benchRecord{Explorations: []explorationBench{
 		{System: "grid", FullStates: 101, FullStatesPerSec: 1000, QuotientStates: 30}}}
-	bad, _, compared := diffBenchRecords(&prev, &cur, 0.30, 0.50)
+	bad, compared := diffBenchRecords(&prev, &cur, 0.30, 0.50)
 	if compared != 1 || len(bad) != 1 || !strings.Contains(bad[0], "determinism contract") {
 		t.Fatalf("bad = %v, compared = %d", bad, compared)
 	}
 	// A mode disappearing (count going to zero) is a workload change, not drift.
 	cur.Explorations[0].FullStates = 100
 	cur.Explorations[0].QuotientStates = 0
-	bad, _, _ = diffBenchRecords(&prev, &cur, 0.30, 0.50)
+	bad, _ = diffBenchRecords(&prev, &cur, 0.30, 0.50)
 	if len(bad) != 0 {
 		t.Fatalf("removed mode flagged as drift: %v", bad)
 	}
@@ -77,13 +77,13 @@ func TestBenchCompareCrossHardwareSkipsThroughput(t *testing.T) {
 		{System: "grid", FullStates: 100, FullStatesPerSec: 1000}}}
 	cur := benchRecord{GOARCH: "amd64", GOMAXPROCS: 2, Explorations: []explorationBench{
 		{System: "grid", FullStates: 100, FullStatesPerSec: 100}}}
-	bad, _, compared := diffBenchRecords(&prev, &cur, 0.30, 0.50)
+	bad, compared := diffBenchRecords(&prev, &cur, 0.30, 0.50)
 	if compared != 1 || len(bad) != 0 {
 		t.Fatalf("cross-hardware throughput gated: bad = %v, compared = %d", bad, compared)
 	}
 	// State counts still gate across hardware.
 	cur.Explorations[0].FullStates = 99
-	bad, _, _ = diffBenchRecords(&prev, &cur, 0.30, 0.50)
+	bad, _ = diffBenchRecords(&prev, &cur, 0.30, 0.50)
 	if len(bad) != 1 {
 		t.Fatalf("cross-hardware state drift not gated: %v", bad)
 	}
@@ -95,12 +95,12 @@ func TestBenchCompareAllocRegression(t *testing.T) {
 	cur := benchRecord{Explorations: []explorationBench{
 		{System: "grid", FullStates: 100, FullStatesPerSec: 1000, AllocsPerState: 2.9}}}
 	// +45%: within the 50% gate.
-	bad, _, compared := diffBenchRecords(&prev, &cur, 0.30, 0.50)
+	bad, compared := diffBenchRecords(&prev, &cur, 0.30, 0.50)
 	if compared != 1 || len(bad) != 0 {
 		t.Fatalf("within-gate alloc growth flagged: bad = %v, compared = %d", bad, compared)
 	}
 	cur.Explorations[0].AllocsPerState = 20 // 10x: the hot path started allocating
-	bad, _, _ = diffBenchRecords(&prev, &cur, 0.30, 0.50)
+	bad, _ = diffBenchRecords(&prev, &cur, 0.30, 0.50)
 	if len(bad) != 1 || !strings.Contains(bad[0], "allocs/state") {
 		t.Fatalf("10x alloc growth not gated: %v", bad)
 	}
@@ -108,54 +108,14 @@ func TestBenchCompareAllocRegression(t *testing.T) {
 	// machine-independent), and a pre-v4 row (zero metric) does.
 	cur.GOARCH = "amd64"
 	prev.GOARCH = "arm64"
-	bad, _, _ = diffBenchRecords(&prev, &cur, 0.30, 0.50)
+	bad, _ = diffBenchRecords(&prev, &cur, 0.30, 0.50)
 	if len(bad) != 1 {
 		t.Fatalf("cross-hardware alloc growth not gated: %v", bad)
 	}
 	prev.Explorations[0].AllocsPerState = 0
-	bad, _, _ = diffBenchRecords(&prev, &cur, 0.30, 0.50)
+	bad, _ = diffBenchRecords(&prev, &cur, 0.30, 0.50)
 	if len(bad) != 0 {
 		t.Fatalf("pre-v4 row tripped the alloc gate: %v", bad)
-	}
-}
-
-func TestBenchCompareEfficiencyWarning(t *testing.T) {
-	mk := func(eff float64) benchRecord {
-		return benchRecord{GOMAXPROCS: 8, Explorations: []explorationBench{{
-			System: "braid", FullStates: 100, FullStatesPerSec: 1000,
-			Scaling: []schedPoint{
-				{Sched: "steal", Workers: 8, StatesPerSec: eff * 8000, Efficiency: eff},
-				{Sched: "barrier", Workers: 8, StatesPerSec: 900},
-			},
-		}}}
-	}
-	prev, cur := mk(0.80), mk(0.50) // -37%: past the 20% warn threshold
-	bad, warns, _ := diffBenchRecords(&prev, &cur, 0.30, 0.50)
-	if len(bad) != 0 {
-		t.Fatalf("efficiency drop failed the gate instead of warning: %v", bad)
-	}
-	if len(warns) != 1 || !strings.Contains(warns[0], "steal efficiency") {
-		t.Fatalf("warns = %v, want one efficiency warning", warns)
-	}
-	// A drop inside the threshold is run-to-run noise.
-	cur = mk(0.70)
-	_, warns, _ = diffBenchRecords(&prev, &cur, 0.30, 0.50)
-	if len(warns) != 0 {
-		t.Fatalf("within-threshold efficiency drop warned: %v", warns)
-	}
-	// Efficiency is not comparable across hardware fingerprints.
-	cur = mk(0.50)
-	cur.GOMAXPROCS = 4
-	_, warns, _ = diffBenchRecords(&prev, &cur, 0.30, 0.50)
-	if len(warns) != 0 {
-		t.Fatalf("cross-hardware efficiency warned: %v", warns)
-	}
-	// Pre-v5 rows (no scaling points) never warn.
-	cur = mk(0.50)
-	prev.Explorations[0].Scaling = nil
-	_, warns, _ = diffBenchRecords(&prev, &cur, 0.30, 0.50)
-	if len(warns) != 0 {
-		t.Fatalf("pre-v5 row tripped the efficiency warning: %v", warns)
 	}
 }
 

@@ -71,7 +71,6 @@ var (
 	snapshotEvery  time.Duration
 	storeCfg       store.Config
 	benchBig       bool
-	sched          string
 )
 
 // statsSink returns a fresh telemetry sink when -stats is set (which also
@@ -139,7 +138,7 @@ func run() int {
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile at the end of the run to this file")
 	flag.IntVar(&parallelism, "parallel", 0,
-		"exploration worker count (0 = GOMAXPROCS, 1 = sequential); results are identical at any setting")
+		"exploration worker count (0 = GOMAXPROCS; see core.ExploreOptions.Parallelism for when 1 runs the sequential explorer); results are identical at any setting")
 	flag.BoolVar(&showStats, "stats", false, "print exploration engine telemetry for state-space experiments")
 	flag.BoolVar(&usePOR, "por", false,
 		"apply ample-set partial-order reduction to the state-space experiments that carry independence relations; verdicts are identical either way")
@@ -154,15 +153,7 @@ func run() int {
 		"visited-set backend for state-space experiments: mem | spill | bitstate (bitstate is lossy: verdicts downgrade to \"no violation found\")")
 	maxStoreBytes := flag.Int64("max-store-bytes", 0,
 		"spill backend's resident-payload budget in bytes (0 = 256 MiB default)")
-	flag.StringVar(&sched, "sched", "",
-		"exploration scheduler: barrier (default: per-level fork/join) | steal (persistent work-stealing pool; faster on deep-narrow graphs); results are identical either way")
 	flag.Parse()
-	switch sched {
-	case "", "barrier", "steal":
-	default:
-		fmt.Fprintf(os.Stderr, "hundred: unknown -sched %q (want barrier or steal)\n", sched)
-		return 2
-	}
 	var err error
 	if storeCfg, err = store.ParseFlags(*storeKind, *maxStoreBytes); err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -174,7 +165,6 @@ func run() int {
 			"parallel": strconv.Itoa(parallelism),
 			"por":      strconv.FormatBool(usePOR),
 			"store":    string(storeCfg.ResolvedKind()),
-			"sched":    sched,
 			"args":     strings.Join(flag.Args(), " "),
 		},
 	})
@@ -301,7 +291,7 @@ func e02() error {
 		st := statsSink()
 		rep, err := sharedmem.CheckMutex(a, sharedmem.CheckMutexOptions{
 			Parallelism: parallelism, Stats: st, Sink: obsSink, SnapshotEvery: snapshotEvery,
-			Store: storeCfg, Sched: sched,
+			Store: storeCfg,
 		})
 		if err != nil {
 			return err
@@ -334,7 +324,7 @@ func e04() error {
 		st := statsSink()
 		rep, err := sharedmem.CheckMutex(sharedmem.NewTicketLock(n), sharedmem.CheckMutexOptions{
 			Parallelism: parallelism, Stats: st, Sink: obsSink, SnapshotEvery: snapshotEvery,
-			Store: storeCfg, Sched: sched,
+			Store: storeCfg,
 		})
 		if err != nil {
 			return err
@@ -478,7 +468,7 @@ func e11() error {
 		st := statsSink()
 		opts := flp.AnalyzeOptions{
 			Parallelism: parallelism, Stats: st, Sink: obsSink, SnapshotEvery: snapshotEvery,
-			Store: storeCfg, VerifyAliasing: verifyAliasing, Sched: sched,
+			Store: storeCfg, VerifyAliasing: verifyAliasing,
 		}
 		if usePOR {
 			opts.Independent = flp.DeliveryIndependence(p)
@@ -697,7 +687,7 @@ func e21() error {
 	st := statsSink()
 	opts := core.ExploreOptions{
 		Parallelism: parallelism, Sink: obsSink, SnapshotEvery: snapshotEvery,
-		Store: storeCfg, VerifyAliasing: verifyAliasing, Sched: sched,
+		Store: storeCfg, VerifyAliasing: verifyAliasing,
 	}
 	if st != nil {
 		opts.Stats = st

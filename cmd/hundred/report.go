@@ -123,8 +123,8 @@ func reportExploreRun(w io.Writer, n int, run []obs.Event) {
 	if cfg == nil || final == nil {
 		return
 	}
-	fmt.Fprintf(w, "\n## Run %d: exploration (mode=%s, workers=%d, store=%s, sched=%s)\n\n",
-		n, cfg.Mode(), cfg.Workers, orDefault(cfg.Store, "mem"), orDefault(cfg.Sched, "barrier"))
+	fmt.Fprintf(w, "\n## Run %d: exploration (mode=%s, workers=%d, store=%s)\n\n",
+		n, cfg.Mode(), cfg.Workers, orDefault(cfg.Store, "mem"))
 
 	fmt.Fprintf(w, "### Final totals\n\n")
 	fmt.Fprintf(w, "| states | edges | depth | peak frontier | expansions | dedup hits | elapsed | states/s |\n")
@@ -233,22 +233,20 @@ func reportPhases(w io.Writer, final *obs.ProgressSnapshot) {
 		return fmt.Sprintf("%.1f%%", 100*float64(ns)/float64(total))
 	}
 	if len(final.WorkerPhases) > 0 {
-		fmt.Fprintf(w, "| worker | total | expand | barrier | steal | handoff | idle |\n")
-		fmt.Fprintf(w, "|---|---|---|---|---|---|---|\n")
+		fmt.Fprintf(w, "| worker | total | expand | barrier |\n")
+		fmt.Fprintf(w, "|---|---|---|---|\n")
 		for i, p := range final.WorkerPhases {
 			t := p.TotalNs()
-			fmt.Fprintf(w, "| %d | %s | %s | %s | %s | %s | %s |\n",
+			fmt.Fprintf(w, "| %d | %s | %s | %s |\n",
 				i, time.Duration(t).Round(time.Microsecond),
-				pct(p.ExpandNs, t), pct(p.BarrierWaitNs, t), pct(p.StealNs, t),
-				pct(p.HandoffNs, t), pct(p.IdleNs, t))
+				pct(p.ExpandNs, t), pct(p.BarrierWaitNs, t))
 		}
 		fmt.Fprintln(w)
 	}
 	agg := *final.Phases
 	fmt.Fprintf(w, "Aggregate (all workers + coordinator): expand %s, barrier %s, store I/O %s, "+
-		"replay %s, steal %s, handoff %s, idle %s.\n",
-		fmtNs(agg.ExpandNs), fmtNs(agg.BarrierWaitNs), fmtNs(agg.StoreIONs),
-		fmtNs(agg.ReplayNs), fmtNs(agg.StealNs), fmtNs(agg.HandoffNs), fmtNs(agg.IdleNs))
+		"replay %s.\n",
+		fmtNs(agg.ExpandNs), fmtNs(agg.BarrierWaitNs), fmtNs(agg.StoreIONs), fmtNs(agg.ReplayNs))
 	if agg.SampledStates > 0 {
 		fmt.Fprintf(w, "\nFine sampling (1 in 64 states, n=%d): canonicalization %.1f%% and "+
 			"hash+intern %.1f%% of sampled expansion time.",

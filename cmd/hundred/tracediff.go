@@ -15,7 +15,7 @@ import (
 // are reduced to their digest-line sequences (exactly the
 // worker-count-invariant fields Digest hashes — see obs.DigestLine) and
 // compared in lockstep, so two traces of the same runs at different worker
-// counts, snapshot periods or schedulers compare equal, and a real
+// counts or snapshot periods compare equal, and a real
 // divergence points at the first level/event where the structures part.
 //
 // Exit codes: 0 traces agree, 1 traces diverge, 2 usage or read error.
@@ -44,7 +44,7 @@ func runTraceDiff(args []string) int {
 	}
 
 	// Manifest context first: differing provenance is not a divergence by
-	// itself (worker counts and schedulers are allowed to differ), but it
+	// itself (worker counts are allowed to differ), but it
 	// is the first thing a reader wants to know.
 	if ctx := manifestDelta(a.manifest, b.manifest); len(ctx) > 0 {
 		fmt.Printf("manifest differences (informational):\n")

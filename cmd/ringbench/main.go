@@ -42,7 +42,7 @@ func run() int {
 	maxN := flag.Int("max", 128, "largest ring size (swept in powers of two from 8)")
 	seed := flag.Int64("seed", 42, "seed for randomized election")
 	parallelism := flag.Int("parallel", 0,
-		"exploration worker count (0 = GOMAXPROCS, 1 = sequential); results are identical at any setting")
+		"exploration worker count (0 = GOMAXPROCS; see core.ExploreOptions.Parallelism for when 1 runs the sequential explorer); results are identical at any setting")
 	showStats := flag.Bool("stats", false, "print exploration engine telemetry for the async LCR sweep")
 	usePOR := flag.Bool("por", false,
 		"explore the async LCR sweep under ample-set partial-order reduction (disjoint-links independence); the election verdict is identical either way")
@@ -59,15 +59,7 @@ func run() int {
 		"visited-set backend for the async LCR sweep: mem | spill | bitstate (bitstate is lossy: the schedule check becomes \"no violation found\")")
 	maxStoreBytes := flag.Int64("max-store-bytes", 0,
 		"spill backend's resident-payload budget in bytes (0 = 256 MiB default)")
-	sched := flag.String("sched", "",
-		"exploration scheduler: barrier (default: per-level fork/join) | steal (persistent work-stealing pool); results are identical either way")
 	flag.Parse()
-	switch *sched {
-	case "", "barrier", "steal":
-	default:
-		fmt.Fprintf(os.Stderr, "ringbench: unknown -sched %q (want barrier or steal)\n", *sched)
-		return 2
-	}
 	storeCfg, err := store.ParseFlags(*storeKind, *maxStoreBytes)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -81,7 +73,6 @@ func run() int {
 			"parallel": strconv.Itoa(*parallelism),
 			"por":      strconv.FormatBool(*usePOR),
 			"store":    string(storeCfg.ResolvedKind()),
-			"sched":    *sched,
 		},
 	})
 	if err != nil {
@@ -148,7 +139,7 @@ func run() int {
 		var st engine.Stats
 		opts := core.ExploreOptions{
 			Parallelism: *parallelism, Sink: sink, SnapshotEvery: *snapshotEvery,
-			Store: storeCfg, VerifyAliasing: *verifyAliasing, Sched: *sched,
+			Store: storeCfg, VerifyAliasing: *verifyAliasing,
 		}
 		if *showStats || storeCfg.ResolvedKind() != store.Mem {
 			opts.Stats = &st

@@ -109,11 +109,14 @@ type ExploreOptions struct {
 	// MaxStates caps the number of distinct states explored. Zero means
 	// DefaultMaxStates.
 	MaxStates int
-	// Parallelism is the worker count for the exploration engine: 0 means
-	// runtime.GOMAXPROCS(0), 1 selects the legacy sequential explorer.
-	// Whatever the worker count, the resulting Graph is identical — state
-	// numbering, edge order, parent tree and initials all match the
-	// sequential explorer's, so downstream analyses stay reproducible.
+	// Parallelism is the worker count for the exploration engine; 0 (or
+	// negative) means runtime.GOMAXPROCS(0). A resolved count of 1 runs the
+	// legacy sequential explorer only when Stats, Sink, Store.Kind, Canon,
+	// Independent and VerifyAliasing are all unset; setting any of them
+	// runs the engine instead, with that one worker. Whatever the worker
+	// count and path, the resulting Graph is identical — state numbering,
+	// edge order, parent tree and initials all match the sequential
+	// explorer's, so downstream analyses stay reproducible.
 	// Parallel exploration requires System.Steps to be safe for concurrent
 	// calls and a pure function of its argument (true of every System in
 	// this repository: canonical states in, deterministic steps out).
@@ -182,14 +185,6 @@ type ExploreOptions struct {
 	// must downgrade universally-quantified verdicts — check Stats.Lossy.
 	// See store.Config.
 	Store store.Config
-	// Sched selects the exploration scheduler: "" or "barrier" for the
-	// per-level fork/join loop, "steal" for the persistent work-stealing
-	// pool (barrier-free discovery on low-branching graphs; see
-	// engine.Options.Sched). The Graph is byte-identical either way —
-	// scheduling is a performance knob, never a semantic one. Setting a
-	// non-empty Sched routes exploration through the engine at any
-	// parallelism.
-	Sched string
 }
 
 // DefaultMaxStates bounds exploration when ExploreOptions.MaxStates is zero.
@@ -209,7 +204,7 @@ func Explore[S comparable](sys System[S], opts ExploreOptions) (*Graph[S], error
 	if par <= 0 {
 		par = runtime.GOMAXPROCS(0)
 	}
-	if par > 1 || opts.Stats != nil || opts.Canon != nil || opts.Independent != nil || opts.Sink != nil || opts.Store.Kind != "" || opts.VerifyAliasing > 0 || opts.Sched != "" {
+	if par > 1 || opts.Stats != nil || opts.Canon != nil || opts.Independent != nil || opts.Sink != nil || opts.Store.Kind != "" || opts.VerifyAliasing > 0 {
 		return exploreEngine(sys, limit, par, opts)
 	}
 	return exploreSequential(sys, limit)
@@ -243,7 +238,6 @@ func exploreEngine[S comparable](sys System[S], limit, par int, opts ExploreOpti
 		Sink:           opts.Sink,
 		SnapshotEvery:  opts.SnapshotEvery,
 		Store:          opts.Store,
-		Sched:          opts.Sched,
 	})
 	if err != nil {
 		switch {

@@ -167,7 +167,11 @@ func (e *explorer[S]) noteVerifyErr(err error) {
 		e.verifyErr = err
 	}
 	e.verifyMu.Unlock()
-	// The free-running scheduler has no barriers; its workers poll this
-	// flag per expansion and fail fast.
-	e.verifySet.Store(true)
+}
+
+// takeVerifyErr reads the sticky verify error under its lock.
+func (e *explorer[S]) takeVerifyErr() error {
+	e.verifyMu.Lock()
+	defer e.verifyMu.Unlock()
+	return e.verifyErr
 }

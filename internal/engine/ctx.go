@@ -67,13 +67,6 @@ func (x *Ctx[S]) Emit(to S, label string, actor int) {
 	if e.canon != nil {
 		to = e.canonicalize(to, ws)
 	}
-	if sr := e.steal.Load(); sr != nil {
-		// Free-running discovery: route by shard ownership instead of
-		// interning in place (DedupHits is derived after termination —
-		// the emitter cannot know freshness for forwarded successors).
-		sr.emitState(ws, to, label, actor)
-		return
-	}
 	tid, fresh := e.store.Intern(to)
 	if !fresh {
 		ws.dedup++
@@ -83,7 +76,7 @@ func (x *Ctx[S]) Emit(to S, label string, actor int) {
 
 // emitSampled is Emit's fine-profiled twin (sink already known nil):
 // behaviorally identical — keep the two in sync — with the
-// canonicalization and intern/forward sections timed into the worker's
+// canonicalization and intern sections timed into the worker's
 // sample counters. See profile.go for the sampling design.
 func (x *Ctx[S]) emitSampled(to S, label string, actor int) {
 	e, ws := x.e, x.w
@@ -93,11 +86,6 @@ func (x *Ctx[S]) emitSampled(to S, label string, actor int) {
 		ws.prof.sampleCanon.Add(int64(time.Since(t)))
 	}
 	t := time.Now()
-	if sr := e.steal.Load(); sr != nil {
-		sr.emitState(ws, to, label, actor)
-		ws.prof.sampleIntern.Add(int64(time.Since(t)))
-		return
-	}
 	tid, fresh := e.store.Intern(to)
 	ws.prof.sampleIntern.Add(int64(time.Since(t)))
 	if !fresh {
@@ -130,37 +118,25 @@ func (x *Ctx[S]) EmitBytes(to []byte, label string, actor int) {
 		x.emitBytesSampled(to, label, actor)
 		return
 	}
-	sr := e.steal.Load()
 	if e.canon != nil {
-		// The canon memo is disabled under free-running discovery: it
-		// caches interned ids, and a forwarded successor's id resolves
-		// asynchronously in the owning worker — the emitter never learns
-		// it. Every emission then pays the full canonicalization, which
-		// keeps the per-emission counters (canonHits, rawSeen) exactly as
-		// the memo would have replayed them.
-		if sr == nil {
-			if ent, ok := ws.canonMemo[string(to)]; ok {
-				// Memo hit: this worker already canonicalized these exact raw
-				// bytes, so the id, the remap bit, and the rawSeen entry are all
-				// known — no hashing, no candidate renders. The successor is
-				// necessarily already interned, hence the unconditional dedup.
-				if ent.remapped {
-					ws.canonHits++
-				}
-				ws.dedup++
-				ws.arena = append(ws.arena, rawEdge{to: ent.id, actor: int32(actor), label: label})
-				return
+		if ent, ok := ws.canonMemo[string(to)]; ok {
+			// Memo hit: this worker already canonicalized these exact raw
+			// bytes, so the id, the remap bit, and the rawSeen entry are all
+			// known — no hashing, no candidate renders. The successor is
+			// necessarily already interned, hence the unconditional dedup.
+			if ent.remapped {
+				ws.canonHits++
 			}
+			ws.dedup++
+			ws.arena = append(ws.arena, rawEdge{to: ent.id, actor: int32(actor), label: label})
+			return
 		}
 		h := e.hashB(to)
 		ws.rawSeen[h] = struct{}{}
 		rep := ws.canonB(ws.canonBuf[:0], to)
 		ws.canonBuf = rep
 		remapped := !bytes.Equal(rep, to)
-		var rawKey string
-		if sr == nil {
-			rawKey = string(to) // the one allocation per distinct raw encoding
-		}
+		rawKey := string(to) // the one allocation per distinct raw encoding
 		if remapped {
 			ws.canonHits++
 			if e.verifyMod != 0 && h%e.verifyMod == 0 {
@@ -168,10 +144,6 @@ func (x *Ctx[S]) EmitBytes(to []byte, label string, actor int) {
 			}
 			to = rep
 			h = e.hashB(rep)
-		}
-		if sr != nil {
-			sr.emitBytes(ws, to, h, label, actor)
-			return
 		}
 		// Fixed points are trivially idempotent and step-commuting, and a
 		// byte-identical representative is trivially in agreement with the
@@ -190,10 +162,6 @@ func (x *Ctx[S]) EmitBytes(to []byte, label string, actor int) {
 		return
 	}
 	h := e.hashB(to)
-	if sr != nil {
-		sr.emitBytes(ws, to, h, label, actor)
-		return
-	}
 	tid, fresh := e.bytesIntern.InternBytes(h, to)
 	if !fresh {
 		ws.dedup++
@@ -205,36 +173,30 @@ func (x *Ctx[S]) EmitBytes(to []byte, label string, actor int) {
 // bytesDirect known true) for the 1-in-64 fine-sampled states:
 // behaviorally identical — keep the two in sync — with the
 // canonicalization pipeline (memo lookup, raw fingerprint bookkeeping,
-// representative render) and the hash+intern/forward section timed into
+// representative render) and the hash+intern section timed into
 // the worker's sample counters. A sampled memo hit records its true
 // near-zero cost rather than re-paying the pipeline, so the sampled
 // fractions reflect what the run actually spends.
 func (x *Ctx[S]) emitBytesSampled(to []byte, label string, actor int) {
 	e, ws := x.e, x.w
 	prof := ws.prof
-	sr := e.steal.Load()
 	if e.canon != nil {
 		ct := time.Now()
-		if sr == nil {
-			if ent, ok := ws.canonMemo[string(to)]; ok {
-				prof.sampleCanon.Add(int64(time.Since(ct)))
-				if ent.remapped {
-					ws.canonHits++
-				}
-				ws.dedup++
-				ws.arena = append(ws.arena, rawEdge{to: ent.id, actor: int32(actor), label: label})
-				return
+		if ent, ok := ws.canonMemo[string(to)]; ok {
+			prof.sampleCanon.Add(int64(time.Since(ct)))
+			if ent.remapped {
+				ws.canonHits++
 			}
+			ws.dedup++
+			ws.arena = append(ws.arena, rawEdge{to: ent.id, actor: int32(actor), label: label})
+			return
 		}
 		h := e.hashB(to)
 		ws.rawSeen[h] = struct{}{}
 		rep := ws.canonB(ws.canonBuf[:0], to)
 		ws.canonBuf = rep
 		remapped := !bytes.Equal(rep, to)
-		var rawKey string
-		if sr == nil {
-			rawKey = string(to)
-		}
+		rawKey := string(to)
 		if remapped {
 			ws.canonHits++
 			if e.verifyMod != 0 && h%e.verifyMod == 0 {
@@ -245,11 +207,6 @@ func (x *Ctx[S]) emitBytesSampled(to []byte, label string, actor int) {
 		}
 		it := time.Now()
 		prof.sampleCanon.Add(int64(it.Sub(ct)))
-		if sr != nil {
-			sr.emitBytes(ws, to, h, label, actor)
-			prof.sampleIntern.Add(int64(time.Since(it)))
-			return
-		}
 		tid, fresh := e.bytesIntern.InternBytes(h, to)
 		prof.sampleIntern.Add(int64(time.Since(it)))
 		if !fresh {
@@ -264,11 +221,6 @@ func (x *Ctx[S]) emitBytesSampled(to []byte, label string, actor int) {
 	}
 	it := time.Now()
 	h := e.hashB(to)
-	if sr != nil {
-		sr.emitBytes(ws, to, h, label, actor)
-		prof.sampleIntern.Add(int64(time.Since(it)))
-		return
-	}
 	tid, fresh := e.bytesIntern.InternBytes(h, to)
 	prof.sampleIntern.Add(int64(time.Since(it)))
 	if !fresh {

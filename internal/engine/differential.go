@@ -31,14 +31,6 @@ import (
 //     deterministic telemetry skeleton (obs.Digest over level and run_end
 //     events) is part of the determinism contract.
 //
-//   - scheduler equivalence: every mode re-runs under the work-stealing
-//     scheduler (Options.Sched == "steal") at every worker count, and must
-//     reproduce the barrier reference's Result, invariant telemetry and
-//     trace digest byte for byte — including on truncated runs, where the
-//     steal scheduler's epoch-granular cutoff must land on the identical
-//     canonical prefix. Lossy backends are exempt (as across worker
-//     counts, there is no byte-identical graph to promise).
-//
 // Any violation is reported as an error wrapping ErrDiverged (and the
 // underlying engine error, when there is one), carrying enough context to
 // replay: mode, worker count, the spec name — and, where results diverge,
@@ -191,34 +183,8 @@ func Differential[S comparable](spec DiffSpec[S]) (*DiffReport, error) {
 				return nil, fail(mode, par, "trace digest diverged from workers=%d run: %s vs %s",
 					workers[0], refDig.Sum(), gotDig.Sum())
 			}
-		}
-		// Scheduler sweep: the work-stealing scheduler must reproduce the
-		// barrier reference bit for bit at every worker count (free-running
-		// submode for plain modes, epoch submode under POR or spill).
-		for _, par := range workers {
-			gotDig := obs.NewDigest()
-			o := opts
-			o.Parallelism = par
-			o.Sched = "steal"
-			o.Sink, o.SnapshotEvery = gotDig, -1
-			got, err := Explore(spec.Inits, spec.Expand, o)
-			if err != nil && !errors.Is(err, ErrStateLimit) {
-				return nil, fmt.Errorf("%w: %s [mode=%s workers=%d]: sched=steal: %w",
-					ErrDiverged, spec.Name, mode, par, err)
-			}
-			if msg := diffResults(ref, got); msg != "" {
-				return nil, fail(mode, par, "sched=steal diverged from barrier reference: %s (trace digests %s vs %s)",
-					msg, refDig.Sum(), gotDig.Sum())
-			}
-			if msg := diffStats(ref.Stats, got.Stats); msg != "" {
-				return nil, fail(mode, par, "sched=steal telemetry diverged from barrier reference: %s", msg)
-			}
-			if refDig.Sum() != gotDig.Sum() {
-				return nil, fail(mode, par, "sched=steal trace digest diverged from barrier reference: %s vs %s",
-					refDig.Sum(), gotDig.Sum())
-			}
 			if msg := statsConsistency(got); msg != "" {
-				return nil, fail(mode, par, "sched=steal inconsistent telemetry: %s", msg)
+				return nil, fail(mode, par, "inconsistent telemetry: %s", msg)
 			}
 		}
 		if msg := statsConsistency(ref); msg != "" {
@@ -440,15 +406,7 @@ func statsConsistency[S comparable](res *Result[S]) string {
 	for _, s := range st.WorkerSteps {
 		steps += s
 	}
-	if st.Sched == "steal" && st.Truncated {
-		// Free-running discovery races past the limit by design, and the
-		// sequential completion pass re-expands what stopped workers
-		// abandoned: the live step counters overshoot the canonical
-		// Expansions count (which stays scheduler-invariant).
-		if steps < st.Expansions {
-			return fmt.Sprintf("sum(WorkerSteps) %d < Expansions %d on a truncated steal run", steps, st.Expansions)
-		}
-	} else if steps != st.Expansions {
+	if steps != st.Expansions {
 		return fmt.Sprintf("sum(WorkerSteps) %d != Expansions %d", steps, st.Expansions)
 	}
 	if !st.Truncated && st.Expansions != uint64(st.States) {

@@ -1,0 +1,239 @@
+package engine
+
+import (
+	"errors"
+	"fmt"
+	"strings"
+	"testing"
+
+	"repro/internal/store"
+)
+
+// TestDifferentialGrid runs the oracle in-package over the n×n grid
+// lattice, whose full graph (n² states, one terminal), swap-symmetry
+// quotient (n(n+1)/2 states) and staircase POR reduction are all known in
+// closed form: every mode, the byte-level canon, the aliasing falsifier,
+// and the spill and bitstate backends.
+func TestDifferentialGrid(t *testing.T) {
+	const n = 12
+	last := fmt.Sprintf("%d,%d", n-1, n-1)
+	spec := DiffSpec[string]{
+		Name:           "grid",
+		Inits:          []string{"0,0"},
+		Expand:         gridExpandBytes(n),
+		Canon:          sortCanon,
+		CanonBytes:     sortCanonBytes,
+		VerifyAliasing: 1,
+		Independent:    gridIndep,
+		Decided:        func(s string) bool { return s == last },
+		Truth: &DiffTruth{
+			States: n * n, Terminals: 1, Decided: 1,
+			QuotientStates: n * (n + 1) / 2, QuotientTerminals: 1, QuotientDecided: 1,
+		},
+		Stores: []store.Config{
+			{Kind: store.Spill, MaxBytes: 1 << 10, PageBits: 5},
+			{Kind: store.Bitstate},
+		},
+		AllowLossy: true,
+	}
+	rep, err := Differential(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var modes []string
+	for _, m := range rep.Modes {
+		modes = append(modes, m.Mode)
+		if m.TraceDigest == "" {
+			t.Errorf("mode %s carries no trace digest", m.Mode)
+		}
+	}
+	if got, want := strings.Join(modes, " "), "full full+spill full+bitstate canon por canon+por"; got != want {
+		t.Fatalf("modes = %q, want %q", got, want)
+	}
+	if por := rep.Modes[4].Stats; por.States != 2*n-1 || por.PORReductionFactor() <= 1 {
+		t.Fatalf("POR mode: states=%d branch=%.2f, want the %d-state staircase", por.States, por.PORReductionFactor(), 2*n-1)
+	}
+
+	// A lossy backend is an explicit opt-in.
+	spec.AllowLossy = false
+	if _, err := Differential(spec); !errors.Is(err, ErrLossyStore) || !errors.Is(err, ErrDiverged) {
+		t.Fatalf("bitstate without AllowLossy: err = %v, want ErrLossyStore", err)
+	}
+	// Wrong planted truth is a divergence, in the full graph and in the
+	// quotient.
+	spec.Stores = nil
+	for _, truth := range []DiffTruth{
+		{States: n*n + 1, Terminals: 1, Decided: 1},
+		{States: n * n, Terminals: 2, Decided: 1},
+		{States: n * n, Terminals: 1, Decided: 0},
+		{States: n * n, Terminals: 1, Decided: 1, QuotientStates: n},
+	} {
+		truth := truth
+		spec.Truth = &truth
+		if _, err := Differential(spec); !errors.Is(err, ErrDiverged) {
+			t.Fatalf("truth %+v: err = %v, want ErrDiverged", truth, err)
+		}
+	}
+}
+
+// TestDifferentialCatchesImpureExpand: an expansion that is not a pure
+// function of its state breaks determinism between two runs of the same
+// configuration, and the oracle must say so.
+func TestDifferentialCatchesImpureExpand(t *testing.T) {
+	runs := 0
+	spec := DiffSpec[int]{
+		Name:  "impure",
+		Inits: []int{0},
+		Expand: func(s int, x *Ctx[int]) {
+			if s == 0 {
+				runs++
+			}
+			if s < 20 {
+				x.Emit(s+1, "next", 0)
+				if runs == 1 && s%7 == 3 {
+					x.Emit(s+2, "skip", 0)
+				}
+			}
+		},
+		Workers: []int{1, 1},
+	}
+	if _, err := Differential(spec); !errors.Is(err, ErrDiverged) {
+		t.Fatalf("impure expansion: err = %v, want ErrDiverged", err)
+	}
+}
+
+// TestStatsReportLines pins the report lines the CLIs print: the engine
+// line names canon and POR figures, the phase line appears only with a
+// recorded profile, and the store line only for non-default backends.
+func TestStatsReportLines(t *testing.T) {
+	var st Stats
+	if _, err := Explore([]string{"0,0"}, gridExpandBytes(12), Options{
+		Parallelism: 2, Stats: &st, Canon: sortCanon, CanonBytes: sortCanonBytes, Independent: gridIndep,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if line := st.String(); !strings.Contains(line, "reduction=") || !strings.Contains(line, "por-branch=") {
+		t.Errorf("engine line lacks canon/POR figures: %s", line)
+	}
+	if line := st.PhaseString(); !strings.Contains(line, "expand=") || !strings.Contains(line, "replay=") {
+		t.Errorf("phase line = %q", line)
+	}
+	if line := (Stats{}).PhaseString(); line != "" {
+		t.Errorf("unprofiled phase line = %q, want empty", line)
+	}
+	if line := st.StoreString(); line != "" {
+		t.Errorf("mem store line = %q, want empty", line)
+	}
+
+	for _, tc := range []struct {
+		cfg  store.Config
+		want []string
+	}{
+		{store.Config{Kind: store.Spill, MaxBytes: 1 << 10, PageBits: 5}, []string{"store=spill", "segments="}},
+		{store.Config{Kind: store.Bitstate}, []string{"store=bitstate", "fp-bits=64", "(lossy)"}},
+	} {
+		var st Stats
+		if _, err := Explore([]string{"0,0"}, gridExpandBytes(12), Options{Stats: &st, Store: tc.cfg}); err != nil {
+			t.Fatal(err)
+		}
+		line := st.StoreString()
+		for _, w := range tc.want {
+			if !strings.Contains(line, w) {
+				t.Errorf("%s store line %q lacks %q", tc.cfg.Kind, line, w)
+			}
+		}
+		if tc.cfg.Lossy() && !strings.Contains(st.String(), "LOSSY") {
+			t.Errorf("lossy run's engine line is not flagged: %s", st.String())
+		}
+	}
+
+	for n, want := range map[int64]string{512: "512B", 3 << 10: "3.0KiB", 5 << 20: "5.0MiB"} {
+		if got := byteCount(n); got != want {
+			t.Errorf("byteCount(%d) = %q, want %q", n, got, want)
+		}
+	}
+}
+
+// TestCollectCtx: a standalone collect-mode context routes Emit and
+// EmitBytes to the sink in emission order.
+func TestCollectCtx(t *testing.T) {
+	var got []string
+	x := CollectCtx(func(to, label string, actor int) {
+		got = append(got, fmt.Sprintf("%s/%s/%d", to, label, actor))
+	})
+	gridExpandBytes(3)("0,0", x)
+	if want := "1,0/right/0 0,1/up/1"; strings.Join(got, " ") != want {
+		t.Fatalf("collected %v, want %s", got, want)
+	}
+}
+
+// TestOptionHookTypes: hooks of the wrong type, or CanonBytes without
+// Canon, are errors rather than silently ignored reductions.
+func TestOptionHookTypes(t *testing.T) {
+	expand := gridExpandBytes(3)
+	for name, opts := range map[string]Options{
+		"canon":             {Canon: func(int) int { return 0 }},
+		"independent":       {Independent: func(int) bool { return true }},
+		"visible":           {Visible: 42},
+		"canon-bytes":       {Canon: sortCanon, CanonBytes: "nope"},
+		"canon-bytes-alone": {CanonBytes: sortCanonBytes},
+	} {
+		if _, err := Explore([]string{"0,0"}, expand, opts); err == nil {
+			t.Errorf("%s: mistyped hook accepted", name)
+		}
+	}
+	// The named types and a per-worker factory are all accepted.
+	if _, err := Explore([]string{"0,0"}, expand, Options{
+		Parallelism: 2,
+		Canon:       Canonicalizer[string](sortCanon),
+		CanonBytes:  func() BytesCanonicalizer { return sortCanonBytes },
+		Independent: Independence[string](gridIndep),
+		Visible:     Visibility[string](func(string, Action[string]) bool { return false }),
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFingerprintTypes: every integer width fingerprints deterministically
+// and spreads neighbours apart, and other comparable types fall back to
+// their rendering.
+func TestFingerprintTypes(t *testing.T) {
+	fp := func(v any) uint64 {
+		switch v := v.(type) {
+		case int8:
+			return fingerprint(&v)
+		case int16:
+			return fingerprint(&v)
+		case int32:
+			return fingerprint(&v)
+		case int64:
+			return fingerprint(&v)
+		case uint:
+			return fingerprint(&v)
+		case uint8:
+			return fingerprint(&v)
+		case uint16:
+			return fingerprint(&v)
+		case uint32:
+			return fingerprint(&v)
+		case uint64:
+			return fingerprint(&v)
+		case uintptr:
+			return fingerprint(&v)
+		case [2]int:
+			return fingerprint(&v)
+		}
+		t.Fatalf("no case for %T", v)
+		return 0
+	}
+	for _, pair := range [][2]any{
+		{int8(1), int8(2)}, {int16(1), int16(2)}, {int32(1), int32(2)}, {int64(1), int64(2)},
+		{uint(1), uint(2)}, {uint8(1), uint8(2)}, {uint16(1), uint16(2)}, {uint32(1), uint32(2)},
+		{uint64(1), uint64(2)}, {uintptr(1), uintptr(2)}, {[2]int{1, 2}, [2]int{2, 1}},
+	} {
+		a, a2, b := fp(pair[0]), fp(pair[0]), fp(pair[1])
+		if a != a2 || a == b {
+			t.Errorf("%T: fingerprints %x %x %x not deterministic and spread", pair[0], a, a2, b)
+		}
+	}
+}

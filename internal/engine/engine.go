@@ -151,15 +151,6 @@ type Options struct {
 	// bit; the bitstate backend is lossy and taints the run's Stats with
 	// Lossy=true. See internal/store.
 	Store store.Config
-	// Sched selects the discovery scheduler. "" and "barrier" run the
-	// level-synchronized fork/join loop (the default); "steal" runs the
-	// persistent work-stealing worker pool: shard-owning workers with
-	// private deques, batched frontier handoff, and termination detection
-	// instead of per-level barriers (see sched_steal.go). Both schedulers
-	// produce byte-identical Results, Stats invariants, and trace digests —
-	// discovery order is free because the replay pass renumbers the graph
-	// into sequential BFS order either way. Any other value is an error.
-	Sched string
 
 	// degradeFingerprint collapses the state fingerprint to two bits,
 	// forcing heavy shard collisions. Test-only: it exercises the
@@ -264,10 +255,6 @@ type worker[S comparable] struct {
 	// aliasBuf and aliasActs are the VerifyAliasing re-expansion buffers.
 	aliasBuf  []rawEdge
 	aliasActs []Action[S]
-	// sw is the worker's free-running-scheduler state (deques, chunked
-	// edge arena, handoff channels); nil outside Sched == "steal"
-	// free-running runs. See sched_steal.go.
-	sw *stealWorker[S]
 	// prof is the worker's phase-attribution profile; nil when profiling
 	// is off (no Stats out-param and no Sink). profSampling marks the
 	// current expansion as fine-sampled, so the Ctx emit paths divert to
@@ -334,13 +321,9 @@ type explorer[S comparable] struct {
 	tel *telemetry
 
 	// The first canon/POR safety-check failure lands in verifyErr and
-	// surfaces deterministically at the next level barrier. verifySet
-	// mirrors "verifyErr != nil" as an atomic flag, so the free-running
-	// scheduler's workers can fail fast without taking the mutex per
-	// expansion.
+	// surfaces deterministically at the next level barrier.
 	verifyMu  sync.Mutex
 	verifyErr error
-	verifySet atomic.Bool
 
 	// spans and expanded are indexed by provisional id. They are only
 	// appended to between level barriers; during a level, workers write
@@ -348,13 +331,6 @@ type explorer[S comparable] struct {
 	// payloads live in the store.)
 	spans    []span
 	expanded []bool
-
-	// steal is non-nil while the free-running work-stealing discovery
-	// phase is live (plus its sequential completion pass): the Ctx emit
-	// paths branch to it. pspans then replaces spans/expanded. See
-	// sched_steal.go.
-	steal  atomic.Pointer[stealRun[S]]
-	pspans *pagedSpans
 
 	// profStoreIO and profReplay are the coordinator-only phase counters
 	// (store maintenance between levels, the sequential replay pass);
@@ -395,7 +371,7 @@ func (e *explorer[S]) expandRange(w int32, cursor *atomic.Int64, hi int, chunk i
 	if prof != nil {
 		// One clock read per level entry/exit: all in-level time (expansion
 		// plus chunk claiming and span bookkeeping) is the expand phase.
-		prof.resume(phExpand)
+		prof.start()
 		defer prof.flush()
 	}
 	for {
@@ -468,7 +444,7 @@ func (e *explorer[S]) expandRangePOR(w int32, cursor *atomic.Int64, hi int, chun
 	}
 	prof := ws.prof
 	if prof != nil {
-		prof.resume(phExpand)
+		prof.start()
 		defer prof.flush()
 	}
 	for {
@@ -572,14 +548,6 @@ func Explore[S comparable](inits []S, expand ExpandFunc[S], opts Options) (*Resu
 	if nw <= 0 {
 		nw = runtime.GOMAXPROCS(0)
 	}
-	sched := "barrier"
-	switch opts.Sched {
-	case "", "barrier":
-	case "steal":
-		sched = "steal"
-	default:
-		return nil, fmt.Errorf("engine: unknown scheduler %q (want \"barrier\" or \"steal\")", opts.Sched)
-	}
 
 	e := &explorer[S]{expand: expand, fp: fingerprint[S]}
 	if opts.degradeFingerprint {
@@ -681,7 +649,7 @@ func Explore[S comparable](inits []S, expand ExpandFunc[S], opts Options) (*Resu
 
 	if opts.Sink != nil {
 		e.tel = newTelemetry(opts.Sink, start, limit, nw, len(initIDs),
-			e.canon != nil, e.indep != nil, opts.Store, sched,
+			e.canon != nil, e.indep != nil, opts.Store,
 			func() int { return e.store.Len() },
 			func() []uint64 {
 				steps := make([]uint64, len(e.workers))
@@ -691,21 +659,6 @@ func Explore[S comparable](inits []S, expand ExpandFunc[S], opts Options) (*Resu
 				return steps
 			},
 			e.store.Stats,
-			func() (uint64, uint64, uint64) {
-				sr := e.steal.Load()
-				if sr == nil {
-					return 0, 0, 0
-				}
-				var steals, batches, occ uint64
-				for _, sw := range sr.ws {
-					steals += sw.steals.Load()
-					batches += sw.handoffBatches.Load()
-					if n := sw.dqLen.Load(); n > 0 {
-						occ += uint64(n)
-					}
-				}
-				return steals, batches, occ
-			},
 			e.livePhases)
 		every := opts.SnapshotEvery
 		if every == 0 {
@@ -718,122 +671,99 @@ func Explore[S comparable](inits []S, expand ExpandFunc[S], opts Options) (*Resu
 		defer e.tel.stopMonitor()
 	}
 
-	// Parallel phase. Free-running discovery (work-stealing scheduler
-	// without POR or a spill store) replaces the level loop entirely; the
-	// barrier scheduler — and the steal scheduler's epoch submode, which
-	// only swaps the per-level fan-out for a persistent pool — expand
-	// whole BFS levels between barriers. The level granularity is what
-	// keeps truncation canonical — if the state count crosses the limit,
-	// every state the sequential explorer would have expanded before
-	// failing has already been expanded here (the overshoot is at most one
-	// level of successors); the free-running path re-establishes the same
-	// cutoff with its sequential completion pass.
+	// Parallel phase: expand whole BFS levels between barriers. The level
+	// granularity is what keeps truncation canonical — if the state count
+	// crosses the limit, every state the sequential explorer would have
+	// expanded before failing has already been expanded here (the
+	// overshoot is at most one level of successors).
 	var st Stats
 	st.Workers = nw
-	st.Sched = sched
-	freeMode := sched == "steal" && e.indep == nil && opts.Store.ResolvedKind() != store.Spill
-	if freeMode {
-		if err := e.exploreFree(&st, inits, initIDs, limit, nw); err != nil {
-			return nil, err
+	expandLevel := e.expandRange
+	if e.indep != nil {
+		expandLevel = e.expandRangePOR
+	}
+	lo, hi := 0, e.store.Len()
+	e.spans = growTo(e.spans, hi)
+	e.expanded = growTo(e.expanded, hi)
+	for lo < hi {
+		frontier := hi - lo
+		if frontier > st.PeakFrontier {
+			st.PeakFrontier = frontier
 		}
-		st.POREnabled = false
-	} else {
-		expandLevel := e.expandRange
-		if e.indep != nil {
-			expandLevel = e.expandRangePOR
-		}
-		dispatch := func(cursor *atomic.Int64, hi, chunk int) {
+		st.Depth++
+		var cursor atomic.Int64
+		cursor.Store(int64(lo))
+		chunk := frontier/(nw*4) + 1
+		// Small frontiers are not worth a fan-out: per-level goroutine and
+		// barrier costs would dominate on deep, narrow graphs (chains).
+		if nw == 1 || frontier < nw*16 {
+			expandLevel(0, &cursor, hi, chunk)
+		} else {
 			var wg sync.WaitGroup
 			for w := 1; w < nw; w++ {
 				wg.Add(1)
 				go func(w int32) {
 					defer wg.Done()
-					expandLevel(w, cursor, hi, chunk)
+					expandLevel(w, &cursor, hi, chunk)
 				}(int32(w))
 			}
-			expandLevel(0, cursor, hi, chunk)
+			expandLevel(0, &cursor, hi, chunk)
 			waitBarrier(e.workers[0].prof, &wg)
 		}
-		if sched == "steal" && nw > 1 {
-			d, shutdown := e.epochPool(nw, expandLevel)
-			dispatch = d
-			defer shutdown()
+		// Level barrier: the store already holds every state interned
+		// during this level (the barrier's happens-before makes the
+		// payloads readable by id from any worker next level).
+		total := e.store.Len()
+		e.spans = growTo(e.spans, total)
+		e.expanded = growTo(e.expanded, total)
+		lo, hi = hi, total
+		// Budget maintenance runs at the barrier, while the workers are
+		// quiescent: the store may spill payloads below the next frontier
+		// (ids < lo) and must surface any sticky I/O error here, so the
+		// failure is deterministic per level, never mid-expansion.
+		if err := e.maintainStore(int32(lo)); err != nil {
+			return nil, fmt.Errorf("engine: state store: %w", err)
 		}
-		lo, hi := 0, e.store.Len()
-		e.spans = growTo(e.spans, hi)
-		e.expanded = growTo(e.expanded, hi)
-		for lo < hi {
-			frontier := hi - lo
-			if frontier > st.PeakFrontier {
-				st.PeakFrontier = frontier
+		if e.canon != nil || e.indep != nil || e.aliasMod != 0 {
+			// The barrier makes soundness-check failure deterministic:
+			// every sampled state of the finished level has been checked,
+			// so whether an error exists here depends only on the system
+			// and the installed hooks, never on scheduling.
+			if verr := e.takeVerifyErr(); verr != nil {
+				return nil, verr
 			}
-			st.Depth++
-			var cursor atomic.Int64
-			cursor.Store(int64(lo))
-			chunk := frontier/(nw*4) + 1
-			// Small frontiers are not worth a fan-out: per-level goroutine
-			// and barrier costs would dominate on deep, narrow graphs
-			// (chains).
-			if nw == 1 || frontier < nw*16 {
-				expandLevel(0, &cursor, hi, chunk)
-			} else {
-				dispatch(&cursor, hi, chunk)
-			}
-			// Level barrier: the store already holds every state interned
-			// during this level (the barrier's happens-before makes the
-			// payloads readable by id from any worker next level).
-			total := e.store.Len()
-			e.spans = growTo(e.spans, total)
-			e.expanded = growTo(e.expanded, total)
-			lo, hi = hi, total
-			// Budget maintenance runs at the barrier, while the workers are
-			// quiescent: the store may spill payloads below the next frontier
-			// (ids < lo) and must surface any sticky I/O error here, so the
-			// failure is deterministic per level, never mid-expansion.
-			if err := e.maintainStore(int32(lo)); err != nil {
-				return nil, fmt.Errorf("engine: state store: %w", err)
-			}
-			if e.canon != nil || e.indep != nil || e.aliasMod != 0 {
-				// The barrier makes soundness-check failure deterministic:
-				// every sampled state of the finished level has been checked,
-				// so whether an error exists here depends only on the system
-				// and the installed hooks, never on scheduling.
-				if verr := e.takeVerifyErr(); verr != nil {
-					return nil, verr
-				}
-			}
+		}
+		if e.tel != nil {
+			// The workers are quiescent between barriers, so the level
+			// event's counters are exact — and worker-count-invariant, per
+			// the determinism contract (the trace digest relies on this).
+			publishLevel(e.tel, e, total, st.Depth, hi-lo, st.PeakFrontier)
+		}
+		if total > limit {
 			if e.tel != nil {
-				// The workers are quiescent between barriers, so the level
-				// event's counters are exact — and worker-count-invariant, per
-				// the determinism contract (the trace digest relies on this).
-				publishLevel(e.tel, e, total, st.Depth, hi-lo, st.PeakFrontier)
+				e.tel.truncated(total, st.Depth, st.PeakFrontier)
 			}
-			if total > limit {
-				if e.tel != nil {
-					e.tel.truncated(total, st.Depth, st.PeakFrontier)
-				}
-				break
+			break
+		}
+	}
+	for _, ws := range e.workers {
+		st.WorkerSteps = append(st.WorkerSteps, ws.steps.Load())
+		st.Expansions += ws.steps.Load()
+		st.DedupHits += ws.dedup
+		st.CanonHits += ws.canonHits
+		st.AmpleStates += ws.ampleStates
+		st.DeferredActions += ws.deferred
+	}
+	st.POREnabled = e.indep != nil
+	if e.canon != nil {
+		st.CanonEnabled = true
+		rawAll := e.workers[0].rawSeen
+		for _, ws := range e.workers[1:] {
+			for h := range ws.rawSeen {
+				rawAll[h] = struct{}{}
 			}
 		}
-		for _, ws := range e.workers {
-			st.WorkerSteps = append(st.WorkerSteps, ws.steps.Load())
-			st.Expansions += ws.steps.Load()
-			st.DedupHits += ws.dedup
-			st.CanonHits += ws.canonHits
-			st.AmpleStates += ws.ampleStates
-			st.DeferredActions += ws.deferred
-		}
-		st.POREnabled = e.indep != nil
-		if e.canon != nil {
-			st.CanonEnabled = true
-			rawAll := e.workers[0].rawSeen
-			for _, ws := range e.workers[1:] {
-				for h := range ws.rawSeen {
-					rawAll[h] = struct{}{}
-				}
-			}
-			st.RawStates = len(rawAll)
-		}
+		st.RawStates = len(rawAll)
 	}
 
 	res, err := e.replayTimed(initIDs, limit)
@@ -892,9 +822,6 @@ func (e *explorer[S]) replay(initIDs []int32, limit int) (*Result[S], error) {
 	var rawTotal int
 	for _, ws := range e.workers {
 		rawTotal += len(ws.arena)
-		if ws.sw != nil {
-			rawTotal += int(ws.sw.edges)
-		}
 	}
 	edgeArena := make([]Edge, 0, rawTotal)
 	intern := func(pid int32) (int, bool) {
@@ -915,23 +842,16 @@ func (e *explorer[S]) replay(initIDs []int32, limit int) (*Result[S], error) {
 		res.Inits = append(res.Inits, c)
 		queue = append(queue, pid)
 	}
-	var crossBuf []rawEdge
 	for head := 0; head < len(queue); head++ {
 		pid := queue[head]
 		cid := int(canon[pid])
-		if !e.isExpanded(pid) {
+		if !e.expanded[pid] {
 			// Unreachable: the level-granular cutoff guarantees the limit
 			// fires (below) before any unexpanded state is dequeued.
 			return res, fmt.Errorf("engine: internal error: state %d dequeued without recorded successors", cid)
 		}
-		var raw []rawEdge
-		if e.pspans != nil {
-			sp, _ := e.pspans.get(pid)
-			raw = e.chunkEdges(sp, &crossBuf)
-		} else {
-			sp := e.spans[pid]
-			raw = e.workers[sp.worker].arena[sp.off : sp.off+sp.n]
-		}
+		sp := e.spans[pid]
+		raw := e.workers[sp.worker].arena[sp.off : sp.off+sp.n]
 		start := len(edgeArena)
 		for _, r := range raw {
 			tc, fresh := intern(r.to)

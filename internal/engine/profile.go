@@ -13,10 +13,9 @@ import (
 // worker's prof pointer stays nil and the engine keeps its zero-cost
 // disabled path. The design keeps clock reads off the per-state hot path:
 //
-//   - Coarse counters (expand, barrier-wait, steal, handoff, idle) are a
-//     per-worker *phase clock*: each worker attributes wall time at phase
-//     transitions, which happen per level, per batch, or per steal — never
-//     per state. Consecutive expansions share one running interval.
+//   - Coarse counters (expand, barrier-wait) are read per level, never per
+//     state: a worker times its whole expand loop for the level as one
+//     interval, and the coordinator times its wait at the level barrier.
 //   - The fine canon/intern split inside expansion time is *sampled*: one
 //     state in 64 (by provisional id) is timed end-to-end, with its
 //     canonicalization and hash+intern sections timed individually along
@@ -35,9 +34,6 @@ import (
 const (
 	phExpand = iota
 	phBarrier
-	phSteal
-	phHandoff
-	phIdle
 	phCount
 )
 
@@ -48,11 +44,10 @@ const (
 const profSampleMask = 63
 
 // phaseProf is one worker's phase profile. The counters are atomics so
-// the telemetry monitor can read mid-run; cur/last (the phase clock) are
+// the telemetry monitor can read mid-run; last (the expand-loop clock) is
 // owned by the worker's current goroutine and never read elsewhere.
 type phaseProf struct {
 	counters [phCount]atomic.Int64
-	cur      int
 	last     time.Time
 
 	sampled      atomic.Uint64
@@ -62,20 +57,11 @@ type phaseProf struct {
 	expandLat    obs.Hist
 }
 
-// resume starts the phase clock in phase ph, discarding any un-flushed
-// interval (used at worker-loop entry, once per level or per run).
-func (p *phaseProf) resume(ph int) { p.cur, p.last = ph, time.Now() }
+// start begins timing a worker's expand loop (once per level).
+func (p *phaseProf) start() { p.last = time.Now() }
 
-// to folds the elapsed interval into the current phase and switches to ph.
-func (p *phaseProf) to(ph int) {
-	now := time.Now()
-	p.counters[p.cur].Add(int64(now.Sub(p.last)))
-	p.cur, p.last = ph, now
-}
-
-// flush folds the trailing interval without switching phase (worker-loop
-// exit).
-func (p *phaseProf) flush() { p.to(p.cur) }
+// flush folds the time since start into the expand phase (loop exit).
+func (p *phaseProf) flush() { p.counters[phExpand].Add(int64(time.Since(p.last))) }
 
 // noteSample records one fine-sampled state's end-to-end expansion time.
 func (p *phaseProf) noteSample(d time.Duration) {
@@ -91,9 +77,6 @@ func (p *phaseProf) snapshot() obs.Phases {
 	return obs.Phases{
 		ExpandNs:       p.counters[phExpand].Load(),
 		BarrierWaitNs:  p.counters[phBarrier].Load(),
-		StealNs:        p.counters[phSteal].Load(),
-		HandoffNs:      p.counters[phHandoff].Load(),
-		IdleNs:         p.counters[phIdle].Load(),
 		SampledStates:  p.sampled.Load(),
 		SampleExpandNs: p.sampleExpand.Load(),
 		SampleCanonNs:  p.sampleCanon.Load(),

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 
 	"repro/internal/store"
@@ -10,15 +9,12 @@ import (
 
 // TestRaceMatrix drives the hot path at 8 workers across every reduction
 // stack — full, canon quotient, ample-set POR, and the canon+POR stack —
-// over both the mem and spill store backends and both schedulers, with
-// the aliasing falsifier on, and checks each graph is byte-identical to
-// its sequential twin. On its own it is a determinism test; under `go
-// test -race` (CI runs it that way explicitly) it is the data-race gate
-// for the zero-alloc pipeline: slab arenas, scratch buffers, the label
-// interner, the sharded interning table — and, under sched=steal, the
-// lock-free single-writer interning path, the slot-pointer edge
-// resolution, the handoff batch recycling and the token termination
-// protocol all get concurrent traffic here.
+// over both the mem and spill store backends, with the aliasing falsifier
+// on, and checks each graph is byte-identical to its sequential twin. On
+// its own it is a determinism test; under `go test -race` (CI runs it that
+// way explicitly) it is the data-race gate for the zero-alloc pipeline:
+// slab arenas, scratch buffers, the label interner and the sharded
+// interning table all get concurrent traffic here.
 func TestRaceMatrix(t *testing.T) {
 	const n = 24
 	inits := []string{"0,0"}
@@ -40,48 +36,23 @@ func TestRaceMatrix(t *testing.T) {
 	}
 	for _, m := range modes {
 		for _, sc := range stores {
-			for _, sched := range []string{"barrier", "steal"} {
-				t.Run(m.name+"/"+sc.name+"/"+sched, func(t *testing.T) {
-					seqOpts := m.opts
-					seqOpts.Parallelism = 1
-					seqOpts.Store = sc.cfg
-					seqOpts.VerifyAliasing = 1
-					want, err := Explore(inits, gridExpandBytes(n), seqOpts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					parOpts := seqOpts
-					parOpts.Parallelism = 8
-					parOpts.Sched = sched
-					got, err := Explore(inits, gridExpandBytes(n), parOpts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					mustEqualResults(t, fmt.Sprintf("%s/%s/%s workers=8", m.name, sc.name, sched), want, got)
-				})
-			}
+			t.Run(m.name+"/"+sc.name, func(t *testing.T) {
+				seqOpts := m.opts
+				seqOpts.Parallelism = 1
+				seqOpts.Store = sc.cfg
+				seqOpts.VerifyAliasing = 1
+				want, err := Explore(inits, gridExpandBytes(n), seqOpts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				parOpts := seqOpts
+				parOpts.Parallelism = 8
+				got, err := Explore(inits, gridExpandBytes(n), parOpts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				mustEqualResults(t, fmt.Sprintf("%s/%s workers=8", m.name, sc.name), want, got)
+			})
 		}
-	}
-}
-
-// TestRaceChainSteal is the deep-narrow shape of the race gate: a braid
-// of long chains at GOMAXPROCS=16 under the free-running scheduler, where
-// nearly every emission is a cross-worker handoff and workers spend most
-// of their time in the flush/idle/steal paths rather than expanding.
-func TestRaceChainSteal(t *testing.T) {
-	prev := runtime.GOMAXPROCS(16)
-	defer runtime.GOMAXPROCS(prev)
-	const lanes, depth = 8, 800
-	inits := []braidState{{lane: -1}}
-	want, err := Explore(inits, braidExpand(lanes, depth), Options{Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, nw := range []int{8, 16} {
-		got, err := Explore(inits, braidExpand(lanes, depth), Options{Sched: "steal", Parallelism: nw})
-		if err != nil {
-			t.Fatalf("steal workers=%d: %v", nw, err)
-		}
-		mustEqualResults(t, fmt.Sprintf("chain steal workers=%d", nw), want, got)
 	}
 }

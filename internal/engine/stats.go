@@ -77,23 +77,8 @@ type Stats struct {
 	// PeakRSSBytes is the process's peak resident set size at run end
 	// (process-wide and monotone across runs; 0 if unmeasurable).
 	PeakRSSBytes int64
-	// Sched names the discovery scheduler the run used ("barrier" or
-	// "steal"). Like WorkerSteps, it describes scheduling, not structure,
-	// and is excluded from the determinism comparisons.
-	Sched string
-	// Steals counts work batches one worker took from another's deque
-	// (steal scheduler only). Scheduling-dependent, excluded from
-	// determinism comparisons.
-	Steals uint64
-	// HandoffBatches and HandoffStates count the batched frontier
-	// forwards between shard-owning workers (steal scheduler only):
-	// HandoffStates successor emissions crossed worker boundaries in
-	// HandoffBatches channel sends. Scheduling-dependent, excluded from
-	// determinism comparisons.
-	HandoffBatches uint64
-	HandoffStates  uint64
 	// Phases is the run's aggregate phase-attribution profile (expand,
-	// barrier-wait, store I/O, replay, steal, handoff, idle — plus the
+	// barrier-wait, store I/O, replay — plus the
 	// sampled canon/intern split), summed over workers; WorkerPhases is the
 	// per-worker breakdown and ExpandLat the sampled expansion-latency
 	// histogram. Recorded whenever Options.Stats or Options.Sink is set.
@@ -158,8 +143,6 @@ func (s Stats) Snapshot() obs.ProgressSnapshot {
 		WorkerSteps:     append([]uint64(nil), s.WorkerSteps...),
 		Truncated:       s.Truncated,
 		Final:           true,
-		Steals:          s.Steals,
-		HandoffBatches:  s.HandoffBatches,
 
 		StoreBytesInRAM:        s.Store.BytesInRAM,
 		StoreBytesSpilled:      s.Store.BytesSpilled,
@@ -206,10 +189,6 @@ func (s Stats) PhaseString() string {
 	pct := func(ns int64) float64 { return 100 * float64(ns) / float64(total) }
 	line := fmt.Sprintf("phases: expand=%.1f%% barrier=%.1f%% store-io=%.1f%% replay=%.1f%%",
 		pct(p.ExpandNs), pct(p.BarrierWaitNs), pct(p.StoreIONs), pct(p.ReplayNs))
-	if s.Sched == "steal" {
-		line += fmt.Sprintf(" steal=%.1f%% handoff=%.1f%% idle=%.1f%%",
-			pct(p.StealNs), pct(p.HandoffNs), pct(p.IdleNs))
-	}
 	if p.SampledStates > 0 && p.SampleExpandNs > 0 {
 		line += fmt.Sprintf(" | sampled=%d canon=%.1f%% intern=%.1f%% of expand",
 			p.SampledStates, 100*p.CanonFrac(), 100*p.InternFrac())
@@ -230,9 +209,6 @@ func (s Stats) String() string {
 	}
 	if s.POREnabled {
 		line += fmt.Sprintf(" ample=%d deferred=%d por-branch=%.2fx", s.AmpleStates, s.DeferredActions, s.PORReductionFactor())
-	}
-	if s.Sched == "steal" {
-		line += fmt.Sprintf(" sched=steal steals=%d handoff=%d/%d", s.Steals, s.HandoffStates, s.HandoffBatches)
 	}
 	if s.Truncated {
 		line += " (truncated)"

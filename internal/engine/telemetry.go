@@ -34,12 +34,6 @@ type telemetry struct {
 	states      func() int
 	workerSteps func() []uint64
 	storeStats  func() store.Stats
-	// schedGauges reads the work-stealing scheduler's live counters
-	// (steals, handoff batches, queue occupancy); it returns zeros when no
-	// free-running discovery phase is live. Like WorkerSteps, the gauges
-	// are scheduling-dependent and appear only in snapshots the trace
-	// digest ignores.
-	schedGauges func() (uint64, uint64, uint64)
 	// phases reads the live phase-attribution aggregate (and the sampled
 	// expansion-latency histogram, nil while empty). Pure timing — always
 	// digest-excluded, stamped into every snapshot.
@@ -62,9 +56,8 @@ type telemetry struct {
 // newTelemetry wires a telemetry for one Explore run and publishes its
 // run_start event.
 func newTelemetry(sink obs.Sink, start time.Time, maxStates, workers, inits int,
-	canonOn, porOn bool, storeCfg store.Config, sched string,
+	canonOn, porOn bool, storeCfg store.Config,
 	states func() int, workerSteps func() []uint64, storeStats func() store.Stats,
-	schedGauges func() (uint64, uint64, uint64),
 	phases func() (obs.Phases, *obs.HistSnap)) *telemetry {
 	t := &telemetry{
 		sink:        sink,
@@ -74,7 +67,6 @@ func newTelemetry(sink obs.Sink, start time.Time, maxStates, workers, inits int,
 		states:      states,
 		workerSteps: workerSteps,
 		storeStats:  storeStats,
-		schedGauges: schedGauges,
 		phases:      phases,
 	}
 	cfg := &obs.RunConfig{
@@ -84,7 +76,6 @@ func newTelemetry(sink obs.Sink, start time.Time, maxStates, workers, inits int,
 		Canon:     canonOn,
 		POR:       porOn,
 		Store:     string(storeCfg.ResolvedKind()),
-		Sched:     sched,
 	}
 	if storeCfg.ResolvedKind() == store.Spill {
 		cfg.MaxStoreBytes = storeCfg.MaxBytes
@@ -156,9 +147,6 @@ func (t *telemetry) liveSnapshot() obs.ProgressSnapshot {
 		DeferredActions: t.deferred.Load(),
 		WorkerSteps:     steps,
 		MaxStates:       t.maxStates,
-	}
-	if t.schedGauges != nil {
-		snap.Steals, snap.HandoffBatches, snap.QueueOccupancy = t.schedGauges()
 	}
 	t.stampStore(&snap)
 	return snap
@@ -240,37 +228,6 @@ func publishLevel[S comparable](t *telemetry, e *explorer[S], states, depth, fro
 	t.peakFrontier.Store(int64(peak))
 	snap := t.barrierSnapshot(states, depth, frontier, peak)
 	t.sink.Publish(obs.Event{Kind: obs.KindLevel, Snapshot: &snap})
-}
-
-// synthLevel publishes one synthesized level (or truncated) event for the
-// free-running scheduler, whose discovery has no barriers to publish from:
-// the counters come from the post-discovery levelization instead of live
-// worker state, and reproduce publishLevel's digest-relevant fields
-// exactly (POR never composes with free-running discovery, so ample and
-// deferred are genuinely zero). The barrier-published atomics are
-// refreshed so a trailing monitor snapshot stays coherent.
-func (t *telemetry) synthLevel(kind obs.EventKind, states, depth, frontier, peak int, exp, dedup, canonHits uint64, trunc bool) {
-	t.dedup.Store(dedup)
-	t.canonHits.Store(canonHits)
-	t.depth.Store(int64(depth))
-	t.frontier.Store(int64(frontier))
-	t.peakFrontier.Store(int64(peak))
-	steps := t.workerSteps()
-	snap := obs.ProgressSnapshot{
-		Elapsed:      time.Since(t.start),
-		States:       states,
-		Depth:        depth,
-		Frontier:     frontier,
-		PeakFrontier: peak,
-		Expansions:   exp,
-		DedupHits:    dedup,
-		CanonHits:    canonHits,
-		WorkerSteps:  steps,
-		MaxStates:    t.maxStates,
-		Truncated:    trunc,
-	}
-	t.stampStore(&snap)
-	t.sink.Publish(obs.Event{Kind: kind, Snapshot: &snap})
 }
 
 // truncated publishes the limit-trip event.

@@ -247,8 +247,10 @@ type AnalyzeOptions struct {
 	Resilience *int
 	// MaxStates bounds exploration.
 	MaxStates int
-	// Parallelism is the exploration worker count (0 = GOMAXPROCS,
-	// 1 = sequential); the configuration graph is identical either way.
+	// Parallelism is the exploration worker count; see
+	// core.ExploreOptions.Parallelism for how it resolves and when one
+	// worker means the sequential explorer. The configuration graph is
+	// identical either way.
 	Parallelism int
 	// Stats, when non-nil, receives the telemetry of the main
 	// configuration-graph exploration (the uniform-vector validity
@@ -308,10 +310,6 @@ type AnalyzeOptions struct {
 	// validity). A lossy backend sets Report.Lossy and downgrades the
 	// verdicts — see Report.Lossy. See store.Config.
 	Store store.Config
-	// Sched selects the exploration scheduler for every exploration
-	// ("barrier" or "steal"; "" = barrier). A performance knob only: the
-	// Report is identical either way. See core.ExploreOptions.Sched.
-	Sched string
 }
 
 // NewSystem exposes a protocol's configuration graph (canonical encoded
@@ -342,7 +340,7 @@ func Analyze(p Protocol, opts AnalyzeOptions) (Report, error) {
 	eopts := core.ExploreOptions{
 		MaxStates: opts.MaxStates, Parallelism: opts.Parallelism, Stats: opts.Stats,
 		Sink: opts.Sink, SnapshotEvery: opts.SnapshotEvery, Store: opts.Store,
-		VerifyAliasing: opts.VerifyAliasing, Sched: opts.Sched,
+		VerifyAliasing: opts.VerifyAliasing,
 	}
 	if opts.Canon != nil {
 		eopts.Canon = opts.Canon
@@ -409,7 +407,7 @@ func Analyze(p Protocol, opts AnalyzeOptions) (Report, error) {
 		}
 		guOpts := core.ExploreOptions{
 			MaxStates: opts.MaxStates, Parallelism: opts.Parallelism, Store: opts.Store,
-			VerifyAliasing: opts.VerifyAliasing, Sched: opts.Sched,
+			VerifyAliasing: opts.VerifyAliasing,
 		}
 		if opts.Canon != nil {
 			// Uniform-vector initials are fixed points of any process

@@ -45,6 +45,12 @@ import (
 //     post-hoc tooling like `hundred report` can tell whether a missing
 //     phase block means "profiling off" (v3) or "producer predates
 //     profiling" (v2).
+//
+// Earlier v3 producers also wrote a work-stealing scheduler's fields
+// (run_start sched; snapshot steals/handoff_batches/queue_occupancy;
+// phases steal_ns/handoff_ns/idle_ns). All were omitempty and excluded
+// from digests, so dropping them needs no bump: readers skip them as
+// unknown fields, and such traces still validate, report and diff.
 const SchemaVersion = 3
 
 // EventKind discriminates trace events.
@@ -130,10 +136,6 @@ type RunConfig struct {
 	Store string `json:"store,omitempty"`
 	// MaxStoreBytes is the spill backend's resident-payload budget.
 	MaxStoreBytes int64 `json:"max_store_bytes,omitempty"`
-	// Sched names the discovery scheduler ("barrier" or "steal"; empty in
-	// traces from before the work-stealing scheduler, reads as "barrier").
-	// Scheduling, not structure: excluded from trace digests, like Workers.
-	Sched string `json:"sched,omitempty"`
 }
 
 // Mode names the reduction stack of a run: "full", "canon", "por" or
@@ -192,18 +194,6 @@ type ProgressSnapshot struct {
 	// Final marks the run_end snapshot: totals equal the run's Stats.
 	Final bool `json:"final,omitempty"`
 
-	// Work-stealing scheduler gauges (zero under the barrier scheduler).
-	// Scheduling-dependent, excluded from trace digests.
-
-	// Steals counts work batches taken from another worker's deque.
-	Steals uint64 `json:"steals,omitempty"`
-	// HandoffBatches counts batched frontier forwards between shard-owning
-	// workers.
-	HandoffBatches uint64 `json:"handoff_batches,omitempty"`
-	// QueueOccupancy is the momentary total of states parked in worker
-	// deques (live snapshots only; zero at barriers and run end).
-	QueueOccupancy uint64 `json:"queue_occupancy,omitempty"`
-
 	// State-store telemetry (absent in traces from before the pluggable
 	// store). Spill byte/segment counters depend on page layout, which
 	// depends on scheduling: like WorkerSteps and Elapsed they are NOT
@@ -250,7 +240,7 @@ type ProgressSnapshot struct {
 }
 
 // Phases attributes a run's worker time to coarse engine phases, in
-// nanoseconds. The coarse counters (Expand through Idle) are exact wall
+// nanoseconds. The coarse counters (Expand through Replay) are exact wall
 // time measured at phase transitions; the Sample* counters are a
 // 1-in-64-states sampling profile that splits expansion time into
 // canonicalization and hash+intern without per-emission clock reads —
@@ -263,7 +253,7 @@ type Phases struct {
 	// dedup, canon, intern — the sampled counters below split these out).
 	ExpandNs int64 `json:"expand_ns,omitempty"`
 	// BarrierWaitNs is time waiting at level barriers: the coordinator's
-	// fork/join wait, and epoch-pool workers waiting for the next job.
+	// fork/join wait.
 	BarrierWaitNs int64 `json:"barrier_wait_ns,omitempty"`
 	// StoreIONs is coordinator time in store maintenance (segment spill
 	// between levels). Worker-side segment reads during interning count as
@@ -272,15 +262,6 @@ type Phases struct {
 	// ReplayNs is the sequential deterministic-replay pass that assigns
 	// final IDs and edges.
 	ReplayNs int64 `json:"replay_ns,omitempty"`
-	// StealNs is work-stealing time: probing and claiming other workers'
-	// deques (steal scheduler only).
-	StealNs int64 `json:"steal_ns,omitempty"`
-	// HandoffNs is time processing cross-shard handoff batches (steal
-	// scheduler only).
-	HandoffNs int64 `json:"handoff_ns,omitempty"`
-	// IdleNs is time parked waiting for work or termination (steal
-	// scheduler only).
-	IdleNs int64 `json:"idle_ns,omitempty"`
 
 	// SampledStates counts the states profiled at fine grain (1 in 64).
 	SampledStates uint64 `json:"sampled_states,omitempty"`
@@ -298,9 +279,6 @@ func (p *Phases) Add(o Phases) {
 	p.BarrierWaitNs += o.BarrierWaitNs
 	p.StoreIONs += o.StoreIONs
 	p.ReplayNs += o.ReplayNs
-	p.StealNs += o.StealNs
-	p.HandoffNs += o.HandoffNs
-	p.IdleNs += o.IdleNs
 	p.SampledStates += o.SampledStates
 	p.SampleExpandNs += o.SampleExpandNs
 	p.SampleCanonNs += o.SampleCanonNs
@@ -312,8 +290,7 @@ func (p Phases) Zero() bool { return p == Phases{} }
 
 // TotalNs is the sum of the exact (non-sampled) phase counters.
 func (p Phases) TotalNs() int64 {
-	return p.ExpandNs + p.BarrierWaitNs + p.StoreIONs + p.ReplayNs +
-		p.StealNs + p.HandoffNs + p.IdleNs
+	return p.ExpandNs + p.BarrierWaitNs + p.StoreIONs + p.ReplayNs
 }
 
 // CanonFrac estimates the fraction of expansion time spent canonicalizing,
@@ -351,9 +328,6 @@ func (p Phases) String() string {
 	frac("barrier", p.BarrierWaitNs)
 	frac("store_io", p.StoreIONs)
 	frac("replay", p.ReplayNs)
-	frac("steal", p.StealNs)
-	frac("handoff", p.HandoffNs)
-	frac("idle", p.IdleNs)
 	if p.SampledStates > 0 {
 		fmt.Fprintf(&b, " ~canon=%.0f%% ~intern=%.0f%% (n=%d sampled)",
 			100*p.CanonFrac(), 100*p.InternFrac(), p.SampledStates)

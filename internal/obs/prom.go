@@ -58,9 +58,6 @@ func (l *Live) WritePrometheus(w io.Writer) {
 				{"barrier_wait", ph.BarrierWaitNs},
 				{"store_io", ph.StoreIONs},
 				{"replay", ph.ReplayNs},
-				{"steal", ph.StealNs},
-				{"handoff", ph.HandoffNs},
-				{"idle", ph.IdleNs},
 			} {
 				p.labeled("explore_phase_seconds_total", "phase", kv.name, float64(kv.ns)/1e9)
 			}
@@ -82,9 +79,6 @@ func (l *Live) WritePrometheus(w io.Writer) {
 		if s.StoreWriteLat != nil {
 			p.histogram("explore_store_write_latency_seconds", "Spill segment per-page write latency.", *s.StoreWriteLat)
 		}
-		p.counter("explore_steals_total", "Work batches stolen from other deques.", float64(s.Steals))
-		p.counter("explore_handoff_batches_total", "Cross-shard handoff batches.", float64(s.HandoffBatches))
-		p.gauge("explore_queue_occupancy", "States parked in worker deques.", float64(s.QueueOccupancy))
 		p.gauge("explore_peak_rss_bytes", "Process peak resident set size.", float64(s.PeakRSSBytes))
 	}
 

@@ -153,7 +153,6 @@ func ValidateTrace(r io.Reader) (*TraceSummary, error) {
 			}
 			if p := s.Phases; p != nil {
 				if p.ExpandNs < 0 || p.BarrierWaitNs < 0 || p.StoreIONs < 0 || p.ReplayNs < 0 ||
-					p.StealNs < 0 || p.HandoffNs < 0 || p.IdleNs < 0 ||
 					p.SampleExpandNs < 0 || p.SampleCanonNs < 0 || p.SampleInternNs < 0 {
 					return nil, fail(line, "snapshot phase profile has negative counters: %+v", *p)
 				}

@@ -299,9 +299,9 @@ type CheckMutexOptions struct {
 	Exclusion int
 	// MaxStates bounds exploration (default core.DefaultMaxStates).
 	MaxStates int
-	// Parallelism is the exploration worker count (0 = GOMAXPROCS,
-	// 1 = sequential); the graph — and so the verdict — is identical
-	// either way.
+	// Parallelism is the exploration worker count; see
+	// core.ExploreOptions.Parallelism for how it resolves. The graph — and
+	// so the verdict — is identical at any worker count.
 	Parallelism int
 	// Stats, when non-nil, receives the exploration telemetry.
 	Stats *engine.Stats
@@ -317,10 +317,6 @@ type CheckMutexOptions struct {
 	// universally-quantified verdicts become "no violation found"; check
 	// Stats.Lossy.
 	Store store.Config
-	// Sched selects the exploration scheduler ("barrier" or "steal";
-	// "" = barrier) — see core.ExploreOptions.Sched. The report is
-	// identical either way.
-	Sched string
 }
 
 // CheckMutex model-checks the resource-allocation correctness conditions
@@ -334,7 +330,6 @@ func CheckMutex(alg Algorithm, opts CheckMutexOptions) (MutexReport, error) {
 	g, err := ExploreWith(alg, core.ExploreOptions{
 		MaxStates: opts.MaxStates, Parallelism: opts.Parallelism, Stats: opts.Stats,
 		Sink: opts.Sink, SnapshotEvery: opts.SnapshotEvery, Store: opts.Store,
-		Sched: opts.Sched,
 	})
 	if err != nil {
 		return rep, err

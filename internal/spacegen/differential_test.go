@@ -51,11 +51,10 @@ func TestDifferentialOracle(t *testing.T) {
 }
 
 // TestDifferentialChainOracle covers the deep-narrow chain topology: the
-// regime where the barrier scheduler degenerates to sequential execution
-// and the steal scheduler's handoff/termination machinery carries all the
-// load. Every space runs the full oracle (which sweeps both schedulers at
-// every worker count) against the closed-form chain truth; one deep braid
-// additionally runs the acceptance worker grid 1/2/8/16.
+// regime where the level loop pays a barrier every handful of states and
+// mostly takes its sequential small-frontier bailout. Every space runs the
+// full oracle at every worker count against the closed-form chain truth;
+// one deep braid additionally runs the acceptance worker grid 1/2/8/16.
 func TestDifferentialChainOracle(t *testing.T) {
 	shapes := []Config{
 		{Chain: 900, MaxMult: 1},  // single lane: pure chain, frontier 1

@@ -103,7 +103,7 @@ func FuzzStoreBackends(f *testing.F) {
 }
 
 // FuzzChainDifferential fuzzes the deep-narrow chain topology: every
-// generated braid must pass the full cross-mode, cross-scheduler oracle
+// generated braid must pass the full cross-mode, cross-worker-count oracle
 // against its closed-form truth. The depth mapping keeps one iteration
 // bounded while still reaching depths in the thousands.
 func FuzzChainDifferential(f *testing.F) {

@@ -30,9 +30,9 @@
 // A second topology (Config.Chain) plants the opposite extreme: a
 // deep-narrow "braid" of identical linear chains hanging off one root,
 // with branching ~1 and planted depth in the thousands. Wide products
-// stress per-state throughput; the chains stress the scheduler (the
-// frontier never exceeds the lane count), covering the regime the
-// work-stealing scheduler exists for. Its ground truth, lane-symmetry
+// stress per-state throughput; the chains stress the level loop (the
+// frontier never exceeds the lane count, so every level is a barrier over
+// a handful of states). Its ground truth, lane-symmetry
 // canonicalizer and (all-false) independence relation are closed-form too.
 //
 // Deliberately-poisoned variants of the canonicalizer and independence
@@ -111,8 +111,8 @@ type Config struct {
 	// planted depth drawn in (Chain/2, Chain], hanging off a single root.
 	// Branching factor is 1 everywhere except the root, so BFS frontiers
 	// never exceed the lane count and exploration cost is dominated by
-	// scheduling — the regime the work-stealing scheduler exists for. The
-	// product knobs other than MaxMult are ignored. Ground truth stays
+	// per-level overhead rather than expansion. The product knobs other
+	// than MaxMult are ignored. Ground truth stays
 	// closed-form: 1 + lanes*depth states, one terminal per lane (decided
 	// iff the depth is even, uniformly across lanes so decidedness is
 	// orbit-invariant), and lane symmetry gives a 1 + depth state quotient.
@@ -487,8 +487,8 @@ func (sp *Space) Independence() func(s string, aActor, bActor int) bool {
 		// root, and taking one lane's start disables every other lane's
 		// (the successor state has a single out-edge). The all-false
 		// relation is the strongest sound one — POR degenerates to full
-		// exploration, which still exercises the ample-set machinery (and
-		// the steal scheduler's epoch submode) on the deep-narrow shape.
+		// exploration, which still exercises the ample-set machinery on
+		// the deep-narrow shape.
 		return func(string, int, int) bool { return false }
 	}
 	return func(_ string, aActor, bActor int) bool {

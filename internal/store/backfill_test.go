@@ -56,41 +56,6 @@ func TestErrNilOnHealthyBackends(t *testing.T) {
 	}
 }
 
-// TestMemOwnedInterner covers the single-writer fast path: owned interns
-// must agree with the locked path on ids and freshness.
-func TestMemOwnedInterner(t *testing.T) {
-	st, err := New[string](Config{Kind: Mem}, 4, stringFP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	own, ok := st.(OwnedInterner[string])
-	if !ok || !own.OwnedSupported() {
-		t.Fatal("mem backend does not expose the owned-interner extension")
-	}
-	s := "owned-state"
-	h := stringFP(&s)
-	id, fresh := own.InternOwned(h, s)
-	if !fresh {
-		t.Fatal("first owned intern not fresh")
-	}
-	if id2, fresh2 := st.Intern(s); id2 != id || fresh2 {
-		t.Fatalf("locked re-intern = (%d,%v), want (%d,false)", id2, fresh2, id)
-	}
-	b := "owned-bytes"
-	hb := stringFP(&b)
-	idb, fresh := own.InternBytesOwned(hb, []byte(b))
-	if !fresh {
-		t.Fatal("first owned byte intern not fresh")
-	}
-	if st.State(idb) != b {
-		t.Fatalf("State(%d) = %q, want %q", idb, st.State(idb), b)
-	}
-	if id3, fresh3 := own.InternBytesOwned(hb, []byte(b)); id3 != idb || fresh3 {
-		t.Fatalf("owned byte re-intern = (%d,%v), want (%d,false)", id3, fresh3, idb)
-	}
-}
-
 // TestSpillDefaultDir: an empty Dir selects a temp directory that Close
 // cleans up, and an unset MaxBytes falls back to the default budget.
 func TestSpillDefaultDir(t *testing.T) {

@@ -30,10 +30,8 @@ type memShard struct {
 	fps  []uint64
 	ids  []int32
 	used int
-	// bytes is atomic (not mutex-guarded like the rest): Stats may run from
-	// the telemetry monitor while the shard's owner interns lock-free under
-	// the work-stealing scheduler, so the one field Stats reads must not
-	// rely on the mutex the owner skips.
+	// bytes is atomic (not mutex-guarded like the rest), so Stats can read
+	// it from the telemetry monitor without contending with interning.
 	bytes atomic.Int64
 	arena slab
 }
@@ -106,8 +104,7 @@ func (st *memStore[S]) Intern(s S) (int32, bool) {
 	return id, fresh
 }
 
-// intern is the lock-free core of Intern: the caller either holds sh.mu or
-// is the shard's single writer (see OwnedInterner).
+// intern is the core of Intern. Caller holds sh.mu.
 func (st *memStore[S]) intern(sh *memShard, h uint64, s S) (int32, bool) {
 	mask := len(sh.ids) - 1
 	i := probeAt(h, len(sh.ids))
@@ -159,8 +156,7 @@ func (st *memStore[S]) InternBytes(h uint64, b []byte) (int32, bool) {
 	return id, fresh
 }
 
-// internBytes is the lock-free core of InternBytes; locking discipline as
-// for intern.
+// internBytes is the core of InternBytes. Caller holds sh.mu.
 func (st *memStore[S]) internBytes(sh *memShard, h uint64, b []byte) (int32, bool) {
 	mask := len(sh.ids) - 1
 	i := probeAt(h, len(sh.ids))
@@ -191,24 +187,6 @@ func (st *memStore[S]) internBytes(sh *memShard, h uint64, b []byte) (int32, boo
 	return id, true
 }
 
-// InternOwned interns on behalf of the goroutine owning h's shard,
-// skipping the shard lock. See store.OwnedInterner for the single-writer
-// contract that makes this sound.
-func (st *memStore[S]) InternOwned(h uint64, s S) (int32, bool) {
-	return st.intern(st.shards[h&st.mask], h, s)
-}
-
-// InternBytesOwned is InternOwned over encoded payload bytes. Requires
-// BytesSupported (string states), like InternBytes.
-func (st *memStore[S]) InternBytesOwned(h uint64, b []byte) (int32, bool) {
-	return st.internBytes(st.shards[h&st.mask], h, b)
-}
-
-// OwnedSupported reports that the mem backend implements the single-writer
-// fast path. The shard-selection formula is h & (shards-1), which is what
-// the engine's ownership partition assumes.
-func (st *memStore[S]) OwnedSupported() bool { return true }
-
 func (st *memStore[S]) State(id int32) S { return st.pages.get(id) }
 
 func (st *memStore[S]) Probe(s S) (int32, bool) {
@@ -237,9 +215,6 @@ func (st *memStore[S]) Stats() Stats {
 		ShardBytes: make([]int64, len(st.shards)),
 	}
 	for i, sh := range st.shards {
-		// Atomic read only: under the work-stealing scheduler the shard's
-		// owner writes without the mutex, so taking it here would not
-		// synchronize anything anyway.
 		out.ShardBytes[i] = sh.bytes.Load()
 		out.BytesInRAM += out.ShardBytes[i]
 	}

@@ -198,35 +198,6 @@ type BytesInterner interface {
 	BytesSupported() bool
 }
 
-// OwnedInterner is the optional single-writer extension backing the
-// engine's work-stealing scheduler. The scheduler partitions the store's
-// shards among its workers — shard index h & (shards-1), the same formula
-// the built-in backends use — and routes every intern to the worker owning
-// the successor's shard. Because that makes each shard single-writer for
-// the whole discovery phase, the owner may intern without taking the
-// per-shard lock.
-//
-// Contract (in addition to the Intern/InternBytes contracts):
-//
-//   - h must be the fingerprint fp would assign to the state; the caller
-//     hashes, the store never re-derives it.
-//   - During a concurrent phase, ALL interns and probes touching a given
-//     shard must come from the single goroutine owning it. Mixing
-//     InternOwned with concurrent Intern/Probe on the same shard is a data
-//     race. State/Len/Stats stay safe from any goroutine.
-//   - A quiescent phase (no concurrent access) may freely mix locked and
-//     owned calls; establishing happens-before between phases is the
-//     caller's job.
-//
-// OwnedSupported reports whether the extension is live; when false the
-// caller must fall back to the locked Intern path (which is always
-// correct — ownership routing is then purely a scheduling decision).
-type OwnedInterner[S comparable] interface {
-	InternOwned(h uint64, s S) (id int32, fresh bool)
-	InternBytesOwned(h uint64, b []byte) (id int32, fresh bool)
-	OwnedSupported() bool
-}
-
 // New builds the configured backend. shards is the stripe count (a power
 // of two, chosen by the caller from its worker count) and fp the state
 // fingerprint. The spill backend additionally needs a payload codec for S
