@@ -173,12 +173,17 @@ type benchWorkload struct {
 	explore func(mode exploreMode) (states int, st engine.Stats, err error)
 }
 
-func benchWorkloads() ([]benchWorkload, error) {
+func benchWorkloads(base engine.Options, big bool) ([]benchWorkload, error) {
+	withStats := func(st *engine.Stats) engine.Options {
+		o := base
+		o.Stats = st
+		return o
+	}
 	var out []benchWorkload
 	shared := func(alg sharedmem.Algorithm) benchWorkload {
 		return benchWorkload{name: alg.Name(), explore: func(mode exploreMode) (int, engine.Stats, error) {
 			var st engine.Stats
-			opts := core.ExploreOptions{Parallelism: parallelism, Stats: &st, Store: storeCfg}
+			opts := withStats(&st)
 			switch mode {
 			case modeQuotient:
 				opts.Canon = sharedmem.CanonFor(alg)
@@ -217,7 +222,7 @@ func benchWorkloads() ([]benchWorkload, error) {
 			name: fmt.Sprintf("%s(n=%d,r=%d)", p.Name(), cfg.n, cfg.resilience),
 			explore: func(mode exploreMode) (int, engine.Stats, error) {
 				var st engine.Stats
-				opts := core.ExploreOptions{Parallelism: parallelism, Stats: &st, Store: storeCfg}
+				opts := withStats(&st)
 				switch mode {
 				case modeQuotient:
 					opts.Canon = canonFn
@@ -250,7 +255,7 @@ func benchWorkloads() ([]benchWorkload, error) {
 		name: "crash-space(n=8,t=4,r=16)",
 		explore: func(mode exploreMode) (int, engine.Stats, error) {
 			var st engine.Stats
-			opts := core.ExploreOptions{Parallelism: parallelism, Stats: &st, Store: storeCfg}
+			opts := withStats(&st)
 			switch mode {
 			case modeQuotient:
 				opts.Canon = crash.Canon()
@@ -274,7 +279,7 @@ func benchWorkloads() ([]benchWorkload, error) {
 		name: "async-lcr(n=7)",
 		explore: func(mode exploreMode) (int, engine.Stats, error) {
 			var st engine.Stats
-			opts := core.ExploreOptions{Parallelism: parallelism, Stats: &st, Store: storeCfg}
+			opts := withStats(&st)
 			switch mode {
 			case modeQuotient, modePORQuotient:
 				return 0, st, nil
@@ -292,7 +297,7 @@ func benchWorkloads() ([]benchWorkload, error) {
 	if err != nil {
 		return nil, err
 	}
-	if benchBig {
+	if big {
 		// The budget-bounded big instances (-bench-big): the next n of the
 		// suite's two scaling series, sized past the old all-in-RAM design
 		// point. Full mode only — the point of these rows is the memory
@@ -308,9 +313,9 @@ func benchWorkloads() ([]benchWorkload, error) {
 				if mode != modeFull {
 					return 0, st, nil
 				}
-				g, err := bigLCR.CheckElection(core.ExploreOptions{
-					Parallelism: parallelism, Stats: &st, Store: storeCfg, MaxStates: 200_000_000,
-				})
+				opts := withStats(&st)
+				opts.MaxStates = 200_000_000
+				g, err := bigLCR.CheckElection(opts)
 				if err != nil {
 					return 0, st, err
 				}
@@ -325,9 +330,9 @@ func benchWorkloads() ([]benchWorkload, error) {
 				if mode != modeFull {
 					return 0, st, nil
 				}
-				g, err := core.Explore[string](flp.NewSystem(p5, nil, 0), core.ExploreOptions{
-					Parallelism: parallelism, Stats: &st, Store: storeCfg, MaxStates: 200_000_000,
-				})
+				opts := withStats(&st)
+				opts.MaxStates = 200_000_000
+				g, err := core.Explore[string](flp.NewSystem(p5, nil, 0), opts)
 				if err != nil {
 					return 0, st, err
 				}
@@ -340,7 +345,7 @@ func benchWorkloads() ([]benchWorkload, error) {
 		name: "async-abp(m=8)",
 		explore: func(mode exploreMode) (int, engine.Stats, error) {
 			var st engine.Stats
-			opts := core.ExploreOptions{Parallelism: parallelism, Stats: &st, Store: storeCfg}
+			opts := withStats(&st)
 			switch mode {
 			case modeQuotient, modePORQuotient:
 				return 0, st, nil
@@ -365,10 +370,8 @@ func benchWorkloads() ([]benchWorkload, error) {
 			if mode != modeFull {
 				return 0, st, nil
 			}
-			res, err := engine.Explore([]braidState{{lane: -1}},
-				braidExpand(braidLanes, braidDepth), engine.Options{
-					Parallelism: parallelism, Stats: &st, Store: storeCfg,
-				})
+			opts := withStats(&st)
+			res, err := engine.Explore([]braidState{{lane: -1}}, braidExpand(braidLanes, braidDepth), opts)
 			if err != nil {
 				return 0, st, err
 			}
@@ -424,14 +427,14 @@ func braidWork(lane, pos int32) uint64 {
 }
 
 // runBench executes the benchmark suite and returns the run record.
-func runBench() (benchRecord, error) {
+func runBench(base engine.Options, big bool) (benchRecord, error) {
 	rec := benchRecord{
 		Timestamp:  time.Now().UTC().Format(time.RFC3339),
 		GOOS:       runtime.GOOS,
 		GOARCH:     runtime.GOARCH,
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 	}
-	workloads, err := benchWorkloads()
+	workloads, err := benchWorkloads(base, big)
 	if err != nil {
 		return rec, err
 	}
@@ -573,7 +576,7 @@ func loadBenchFile(path string) (benchFile, error) {
 // layout, capping at benchHistoryCap runs) and prints a warn-only
 // comparison against the previous run; with an empty path it emits the
 // single-run record as JSON on stdout.
-func runBenchJSON(outPath string) error {
+func runBenchJSON(outPath string, base engine.Options, big bool) error {
 	// Validate the history file before spending minutes on the suite: a
 	// malformed file should fail fast, not after the benchmarks ran.
 	var bf benchFile
@@ -583,7 +586,7 @@ func runBenchJSON(outPath string) error {
 			return err
 		}
 	}
-	rec, err := runBench()
+	rec, err := runBench(base, big)
 	if err != nil {
 		return err
 	}

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/cmd/internal/cli"
+	"repro/internal/engine"
 	"repro/internal/obs"
 )
 
@@ -45,10 +47,7 @@ func TestOldStealTraceStillReads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	savedPar, savedSink, savedEvery := parallelism, obsSink, snapshotEvery
-	parallelism, obsSink, snapshotEvery = 2, sink, -1
-	err = e11()
-	parallelism, obsSink, snapshotEvery = savedPar, savedSink, savedEvery
+	err = e11(cli.Exploration{Base: engine.Options{Parallelism: 2, Sink: sink, SnapshotEvery: -1}})
 	cleanup()
 	if err != nil {
 		t.Fatal(err)

@@ -25,21 +25,16 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"runtime"
-	"runtime/pprof"
-	"strconv"
 	"strings"
-	"time"
 
+	"repro/cmd/internal/cli"
 	"repro/internal/async"
 	"repro/internal/clocks"
 	"repro/internal/consensus"
-	"repro/internal/core"
 	"repro/internal/datalink"
 	"repro/internal/engine"
 	"repro/internal/flp"
 	"repro/internal/knowledge"
-	"repro/internal/obs"
 	"repro/internal/registers"
 	"repro/internal/ring"
 	"repro/internal/rounds"
@@ -47,7 +42,6 @@ import (
 	"repro/internal/sessions"
 	"repro/internal/sharedmem"
 	"repro/internal/spec"
-	"repro/internal/store"
 	"repro/internal/synth"
 )
 
@@ -57,40 +51,13 @@ type experiment struct {
 	run   func() error
 }
 
-// parallelism, showStats and usePOR are the exploration knobs shared by
-// every experiment that walks a state space (-parallel / -stats / -por
-// flags); obsSink and snapshotEvery carry the streaming telemetry stack
-// (-progress / -trace / -serve / -snapshot-every) into the same
-// explorations.
-var (
-	parallelism    int
-	showStats      bool
-	usePOR         bool
-	verifyAliasing int
-	obsSink        obs.Sink
-	snapshotEvery  time.Duration
-	storeCfg       store.Config
-	benchBig       bool
-)
-
-// statsSink returns a fresh telemetry sink when -stats is set (which also
-// routes exploration through the engine even at parallelism 1) or when a
-// non-default store backend is selected (its figures are worth a line even
-// without -stats), else nil.
-func statsSink() *engine.Stats {
-	if !showStats && storeCfg.ResolvedKind() == store.Mem {
-		return nil
-	}
-	return new(engine.Stats)
-}
-
 // printStats reports an exploration's telemetry when -stats is set, plus
 // the store backend's figures whenever a non-default backend ran.
-func printStats(st *engine.Stats) {
+func printStats(x cli.Exploration, st *engine.Stats) {
 	if st == nil {
 		return
 	}
-	if showStats {
+	if x.Stats {
 		fmt.Printf("    [engine] %s\n", st)
 		if line := st.PhaseString(); line != "" {
 			fmt.Printf("    [phases] %s\n", line)
@@ -110,105 +77,37 @@ func main() {
 func run() int {
 	// Subcommands dispatch before flag parsing so their flag sets stay
 	// independent of the experiment-runner flags.
-	if len(os.Args) > 1 && os.Args[1] == "fuzz" {
-		return runFuzz(os.Args[2:])
+	subcommands := map[string]func(args []string) int{
+		"fuzz": runFuzz, "trace-lint": runTraceLint, "report": runReport,
+		"trace-diff": runTraceDiff, "run": runLive, "bench-compare": runBenchCompare,
 	}
-	if len(os.Args) > 1 && os.Args[1] == "trace-lint" {
-		return runTraceLint(os.Args[2:])
-	}
-	if len(os.Args) > 1 && os.Args[1] == "report" {
-		return runReport(os.Args[2:])
-	}
-	if len(os.Args) > 1 && os.Args[1] == "trace-diff" {
-		return runTraceDiff(os.Args[2:])
-	}
-	if len(os.Args) > 1 && os.Args[1] == "run" {
-		return runLive(os.Args[2:])
-	}
-	if len(os.Args) > 1 && os.Args[1] == "bench-compare" {
-		return runBenchCompare(os.Args[2:])
+	if len(os.Args) > 1 && subcommands[os.Args[1]] != nil {
+		return subcommands[os.Args[1]](os.Args[2:])
 	}
 	list := flag.Bool("list", false, "list experiments and exit")
 	benchJSON := flag.Bool("bench-json", false,
 		"run the performance suite (full vs quotient vs POR explorations, seq vs parallel synth) and record a JSON run")
 	benchOut := flag.String("bench-out", "BENCH_hundred.json",
 		"bench record file for -bench-json: the run is appended to its history; empty writes a single-run record to stdout")
-	flag.BoolVar(&benchBig, "bench-big", false,
+	benchBig := flag.Bool("bench-big", false,
 		"with -bench-json: also run the budget-bounded big instances (wait-quorum n=5, async-lcr n=8) — minutes of runtime; pair with -store spill -max-store-bytes")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile at the end of the run to this file")
-	flag.IntVar(&parallelism, "parallel", 0,
-		"exploration worker count (0 = GOMAXPROCS; see core.ExploreOptions.Parallelism for when 1 runs the sequential explorer); results are identical at any setting")
-	flag.BoolVar(&showStats, "stats", false, "print exploration engine telemetry for state-space experiments")
-	flag.BoolVar(&usePOR, "por", false,
+	fl := cli.Register(flag.CommandLine, "the state-space experiments",
 		"apply ample-set partial-order reduction to the state-space experiments that carry independence relations; verdicts are identical either way")
-	flag.IntVar(&verifyAliasing, "verify-aliasing", 0,
-		"debug falsifier: re-expand every Nth state over poisoned scratch buffers to catch expansions that retain emitted slices (0 = off)")
-	progress := flag.Bool("progress", false, "stream live exploration progress lines to stderr")
-	tracePath := flag.String("trace", "", "write a JSONL run trace of every exploration to this file (\"-\" for stdout)")
-	serveAddr := flag.String("serve", "", "serve live /metrics and /debug/pprof on this address (e.g. :8080) for the life of the run")
-	flag.DurationVar(&snapshotEvery, "snapshot-every", 0,
-		"timer-driven snapshot period for -progress/-trace/-serve (0 = 1s default, negative = barrier events only)")
-	storeKind := flag.String("store", "mem",
-		"visited-set backend for state-space experiments: mem | spill | bitstate (bitstate is lossy: verdicts downgrade to \"no violation found\")")
-	maxStoreBytes := flag.Int64("max-store-bytes", 0,
-		"spill backend's resident-payload budget in bytes (0 = 256 MiB default)")
 	flag.Parse()
-	var err error
-	if storeCfg, err = store.ParseFlags(*storeKind, *maxStoreBytes); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	sink, obsCleanup, err := obs.SetupCLI(obs.CLIConfig{
-		Tool: "hundred", Progress: *progress, TracePath: *tracePath, ServeAddr: *serveAddr,
-		Options: map[string]string{
-			"parallel": strconv.Itoa(parallelism),
-			"por":      strconv.FormatBool(usePOR),
-			"store":    string(storeCfg.ResolvedKind()),
-			"args":     strings.Join(flag.Args(), " "),
-		},
-	})
+	x, cleanup, err := fl.Setup("hundred", 0, map[string]string{"args": strings.Join(flag.Args(), " ")})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		return 1
+		return cli.ExitCode(err)
 	}
-	obsSink = sink
-	defer obsCleanup()
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if *memprofile != "" {
-		defer func() {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // settle the heap so the profile shows retained allocations
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-			}
-		}()
-	}
+	defer cleanup()
 	if *benchJSON {
-		if err := runBenchJSON(*benchOut); err != nil {
+		if err := runBenchJSON(*benchOut, x.Base, *benchBig); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
 		}
 		return 0
 	}
-	exps := experiments()
+	exps := experiments(x)
 	if *list {
 		for _, e := range exps {
 			fmt.Printf("%s  %s\n", e.id, e.title)
@@ -237,19 +136,20 @@ func run() int {
 	return 0
 }
 
-func experiments() []experiment {
+// experiments lists E01–E21; the state-space ones explore under x.
+func experiments(x cli.Exploration) []experiment {
 	return []experiment{
 		{"E01", "fair mutex through one TAS variable: 2 values impossible (exhaustion)", e01},
-		{"E02", "mutex value requirements across algorithms", e02},
+		{"E02", "mutex value requirements across algorithms", func() error { return e02(x) }},
 		{"E03", "single RW register mutex impossible (exhaustion)", e03},
-		{"E04", "FIFO fairness costs Θ(n²) shared-memory contents", e04},
+		{"E04", "FIFO fairness costs Θ(n²) shared-memory contents", func() error { return e04(x) }},
 		{"E05", "Byzantine agreement: n=3t impossible, n>3t works", e05},
 		{"E06", "low connectivity defeats any agreement protocol", e06},
 		{"E07", "two-faced clock fault defeats 3-process synchronization", e07},
 		{"E08", "t+1 round lower bound (chain argument) and FloodSet", e08},
 		{"E09", "approximate agreement convergence vs bounds", e09},
 		{"E10", "authenticated agreement message growth (Ω(nt) shape)", e10},
-		{"E11", "FLP horns for three asynchronous protocols", e11},
+		{"E11", "FLP horns for three asynchronous protocols", func() error { return e11(x) }},
 		{"E12", "Two Generals chain argument", e12},
 		{"E13", "Ben-Or randomized consensus terminates w.p. 1", e13},
 		{"E14", "2PC commit uses exactly 2n-2 messages (failure-free)", e14},
@@ -259,7 +159,7 @@ func experiments() []experiment {
 		{"E18", "ring election message complexity landscape", e18},
 		{"E19", "Itai–Rodeh randomized anonymous election", e19},
 		{"E20", "consensus numbers: RW register vs RMW object", e20},
-		{"E21", "data link: ABP works; crash/replay break bounded headers", e21},
+		{"E21", "data link: ABP works; crash/replay break bounded headers", func() error { return e21(x) }},
 	}
 }
 
@@ -281,18 +181,15 @@ func e01() error {
 	return nil
 }
 
-func e02() error {
+func e02(x cli.Exploration) error {
 	algs := []sharedmem.Algorithm{
 		sharedmem.NewTASLock(2), sharedmem.NewHandoffLock(),
 		sharedmem.NewPeterson2(), sharedmem.NewTicketLock(3),
 	}
 	fmt.Printf("  %-26s %8s %9s %12s %7s\n", "algorithm", "values", "progress", "lockout-free", "states")
 	for _, a := range algs {
-		st := statsSink()
-		rep, err := sharedmem.CheckMutex(a, sharedmem.CheckMutexOptions{
-			Parallelism: parallelism, Stats: st, Sink: obsSink, SnapshotEvery: snapshotEvery,
-			Store: storeCfg,
-		})
+		opts := cli.MutexOptions(x.Options())
+		rep, err := sharedmem.CheckMutex(a, opts)
 		if err != nil {
 			return err
 		}
@@ -301,7 +198,7 @@ func e02() error {
 			total += v
 		}
 		fmt.Printf("  %-26s %8d %9v %12v %7d\n", rep.Algorithm, total, rep.Progress, rep.LockoutFree, rep.States)
-		printStats(st)
+		printStats(x, opts.Stats)
 	}
 	return nil
 }
@@ -318,19 +215,16 @@ func e03() error {
 	return nil
 }
 
-func e04() error {
+func e04(x cli.Exploration) error {
 	fmt.Printf("  %-4s %18s %12s\n", "n", "combined values", "(n+1)^2")
 	for _, n := range []int{2, 3, 4, 5} {
-		st := statsSink()
-		rep, err := sharedmem.CheckMutex(sharedmem.NewTicketLock(n), sharedmem.CheckMutexOptions{
-			Parallelism: parallelism, Stats: st, Sink: obsSink, SnapshotEvery: snapshotEvery,
-			Store: storeCfg,
-		})
+		opts := cli.MutexOptions(x.Options())
+		rep, err := sharedmem.CheckMutex(sharedmem.NewTicketLock(n), opts)
 		if err != nil {
 			return err
 		}
 		fmt.Printf("  %-4d %18d %12d\n", n, rep.CombinedValues, (n+1)*(n+1))
-		printStats(st)
+		printStats(x, opts.Stats)
 	}
 	return nil
 }
@@ -463,14 +357,10 @@ func e10() error {
 	return nil
 }
 
-func e11() error {
+func e11(x cli.Exploration) error {
 	for _, p := range []flp.Protocol{flp.NewWaitAll(3), flp.NewWaitQuorum(3), flp.NewAdoptSwap(2)} {
-		st := statsSink()
-		opts := flp.AnalyzeOptions{
-			Parallelism: parallelism, Stats: st, Sink: obsSink, SnapshotEvery: snapshotEvery,
-			Store: storeCfg, VerifyAliasing: verifyAliasing,
-		}
-		if usePOR {
+		opts := cli.AnalyzeOptions(x.Options())
+		if x.POR {
 			opts.Independent = flp.DeliveryIndependence(p)
 			opts.Visible = flp.DecisionVisibility(p)
 			opts.VerifyPOR = 64
@@ -480,7 +370,7 @@ func e11() error {
 			return err
 		}
 		fmt.Printf("  %s (states=%d, bivalent=%d)\n", flp.DescribeHorn(rep), rep.States, rep.BivalentConfigs)
-		printStats(st)
+		printStats(x, opts.Stats)
 	}
 	return nil
 }
@@ -656,7 +546,7 @@ func e20() error {
 	return nil
 }
 
-func e21() error {
+func e21(x cli.Exploration) error {
 	msgs := []string{"m1", "m2", "m3", "m4"}
 	res, err := datalink.RunABP(msgs, datalink.Script{
 		DropData: func(step int) bool { return step%3 == 0 },
@@ -684,15 +574,8 @@ func e21() error {
 	if err != nil {
 		return err
 	}
-	st := statsSink()
-	opts := core.ExploreOptions{
-		Parallelism: parallelism, Sink: obsSink, SnapshotEvery: snapshotEvery,
-		Store: storeCfg, VerifyAliasing: verifyAliasing,
-	}
-	if st != nil {
-		opts.Stats = st
-	}
-	if usePOR {
+	opts := x.Options()
+	if x.POR {
 		opts.Independent = abp.Independence()
 		opts.Visible = abp.ProgressVisibility()
 		opts.VerifyPOR = 8
@@ -702,6 +585,6 @@ func e21() error {
 		return err
 	}
 	fmt.Printf("  async ABP m=4: %d states over every loss schedule, delivery exact-once in order\n", g.Len())
-	printStats(st)
+	printStats(x, opts.Stats)
 	return nil
 }

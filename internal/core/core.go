@@ -20,11 +20,8 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"time"
 
 	"repro/internal/engine"
-	"repro/internal/obs"
-	"repro/internal/store"
 )
 
 // EnvironmentActor is the Actor value used for steps taken by the
@@ -104,116 +101,43 @@ type Graph[S comparable] struct {
 	inits      []int
 }
 
-// ExploreOptions bound an exploration.
-type ExploreOptions struct {
-	// MaxStates caps the number of distinct states explored. Zero means
-	// DefaultMaxStates.
-	MaxStates int
-	// Parallelism is the worker count for the exploration engine; 0 (or
-	// negative) means runtime.GOMAXPROCS(0). A resolved count of 1 runs the
-	// legacy sequential explorer only when Stats, Sink, Store.Kind, Canon,
-	// Independent and VerifyAliasing are all unset; setting any of them
-	// runs the engine instead, with that one worker. Whatever the worker
-	// count and path, the resulting Graph is identical — state numbering,
-	// edge order, parent tree and initials all match the sequential
-	// explorer's, so downstream analyses stay reproducible.
-	// Parallel exploration requires System.Steps to be safe for concurrent
-	// calls and a pure function of its argument (true of every System in
-	// this repository: canonical states in, deterministic steps out).
-	Parallelism int
-	// Stats, when non-nil, receives the engine's exploration telemetry.
-	// Setting Stats routes exploration through the engine even when the
-	// resolved parallelism is 1.
-	Stats *engine.Stats
-	// Canon, when non-nil, must be an engine.Canonicalizer[S] (or plain
-	// func(S) S) over the system's state type: exploration then builds the
-	// symmetry-quotient graph, interning only orbit representatives. Setting
-	// Canon routes exploration through the engine at any parallelism. See
-	// engine.Canonicalizer for the soundness contract and for which
-	// predicates survive quotienting (orbit-invariant ones only).
-	Canon any
-	// VerifyCanon, when > 0, spot-checks Canon for idempotence and
-	// step-commutation on every raw state whose fingerprint is ≡ 0 mod
-	// VerifyCanon (1 = check everything); a violation fails the exploration
-	// with engine.ErrCanonUnsound.
-	VerifyCanon int
-	// Independent, when non-nil, must be an engine.Independence[S] (or the
-	// equivalent plain func type) over the system's state type: exploration
-	// then applies ample-set partial-order reduction, expanding at each
-	// state only a dependence-closed subset of the enabled steps. Setting
-	// Independent routes exploration through the engine at any parallelism.
-	// See engine.Independence for the soundness contract; the reduced graph
-	// preserves terminal states and stutter-invariant verdicts, but is NOT
-	// the full interleaving graph — per-interleaving analyses (e.g. decider
-	// counting) must run without it. Composes with Canon.
-	Independent any
-	// Visible, when non-nil, must be an engine.Visibility[S] (or the
-	// equivalent plain func type) marking the steps whose ordering the
-	// downstream predicates can observe; such steps are never placed in a
-	// proper ample set. Only meaningful together with Independent.
-	Visible any
-	// VerifyPOR, when > 0, re-executes declared-independent action pairs in
-	// both orders at every expanded state whose fingerprint is ≡ 0 mod
-	// VerifyPOR (1 = check everything); a broken diamond fails the
-	// exploration with engine.ErrPORUnsound.
-	VerifyPOR int
-	// CanonBytes, when non-nil, must be an engine.BytesCanonicalizer (or a
-	// func() engine.BytesCanonicalizer factory) matching Canon: it lets
-	// the engine canonicalize byte-emitted successors without
-	// materializing strings. Requires Canon. See engine.Options.
-	CanonBytes any
-	// VerifyAliasing, when > 0, re-expands every state whose fingerprint
-	// is ≡ 0 mod VerifyAliasing after poisoning the reusable scratch
-	// buffers (1 = check everything); an expansion that changes fails with
-	// engine.ErrAliasUnsound. The falsifier for the ScratchSystem buffer
-	// contract.
-	VerifyAliasing int
-	// Sink, when non-nil, streams the exploration's telemetry (run_start,
-	// per-level barrier events, timer-driven progress snapshots, run_end)
-	// to the observability layer. Setting Sink routes exploration through
-	// the engine at any parallelism. Observation is passive: the Graph is
-	// byte-identical with and without a sink. See obs.Sink.
-	Sink obs.Sink
-	// SnapshotEvery is the timer-driven snapshot period (only meaningful
-	// with Sink; zero = engine.DefaultSnapshotEvery, negative = barrier
-	// events only).
-	SnapshotEvery time.Duration
-	// Store selects the visited-set backend (zero value = the RAM-resident
-	// mem store). Setting a non-empty Kind routes exploration through the
-	// engine at any parallelism. A lossy backend (bitstate) taints the
-	// exploration: the Graph may undercount the reachable set, so callers
-	// must downgrade universally-quantified verdicts — check Stats.Lossy.
-	// See store.Config.
-	Store store.Config
-}
+// ExploreOptions bound an exploration. They are the engine's options:
+// every field means what engine.Options documents, and Explore resolves
+// MaxStates and Parallelism the way engine.Explore does.
+type ExploreOptions = engine.Options
 
 // DefaultMaxStates bounds exploration when ExploreOptions.MaxStates is zero.
-const DefaultMaxStates = 2_000_000
+const DefaultMaxStates = engine.DefaultMaxStates
 
 // Explore performs breadth-first exhaustive exploration of sys and returns
 // the reachable graph. It returns ErrStateLimit (wrapped) if the state
 // space exceeds the bound; the partial graph built up to the bound — itself
 // canonical, and identical at any parallelism — is returned alongside the
 // error.
+//
+// Routing: a resolved Parallelism of 1 (0 or negative means
+// runtime.GOMAXPROCS(0)) runs the legacy sequential explorer when Stats,
+// Sink, Store.Kind, Canon, CanonBytes, Independent and VerifyAliasing are
+// all unset; anything else runs the engine, which also validates them.
+// Whatever the worker count and path, the Graph is identical — state
+// numbering, edge order, parent tree and initials all match the sequential
+// explorer's, so downstream analyses stay reproducible. Parallel
+// exploration requires System.Steps to be safe for concurrent calls and a
+// pure function of its argument (true of every System in this repository).
+// A lossy store (bitstate) taints the exploration: the Graph may
+// undercount the reachable set, so callers must downgrade
+// universally-quantified verdicts — check Stats.Lossy.
 func Explore[S comparable](sys System[S], opts ExploreOptions) (*Graph[S], error) {
-	limit := opts.MaxStates
-	if limit <= 0 {
-		limit = DefaultMaxStates
+	if opts.MaxStates <= 0 {
+		opts.MaxStates = DefaultMaxStates
 	}
-	par := opts.Parallelism
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
+	if opts.Parallelism <= 0 {
+		opts.Parallelism = runtime.GOMAXPROCS(0)
 	}
-	if par > 1 || opts.Stats != nil || opts.Canon != nil || opts.Independent != nil || opts.Sink != nil || opts.Store.Kind != "" || opts.VerifyAliasing > 0 {
-		return exploreEngine(sys, limit, par, opts)
+	if opts.Parallelism == 1 && opts.Stats == nil && opts.Sink == nil && opts.Store.Kind == "" &&
+		opts.Canon == nil && opts.CanonBytes == nil && opts.Independent == nil && opts.VerifyAliasing <= 0 {
+		return exploreSequential(sys, opts.MaxStates)
 	}
-	return exploreSequential(sys, limit)
-}
-
-// exploreEngine delegates to the parallel exploration engine and adopts its
-// canonical result as a Graph (the engine's edge arrays are shared, not
-// copied; see the edge alias).
-func exploreEngine[S comparable](sys System[S], limit, par int, opts ExploreOptions) (*Graph[S], error) {
 	var expand engine.ExpandFunc[S]
 	if ss, ok := sys.(ScratchSystem[S]); ok {
 		expand = ss.ExpandInto
@@ -224,27 +148,13 @@ func exploreEngine[S comparable](sys System[S], limit, par int, opts ExploreOpti
 			}
 		}
 	}
-	res, err := engine.Explore(sys.Init(), expand, engine.Options{
-		MaxStates:      limit,
-		Parallelism:    par,
-		Stats:          opts.Stats,
-		Canon:          opts.Canon,
-		VerifyCanon:    opts.VerifyCanon,
-		Independent:    opts.Independent,
-		Visible:        opts.Visible,
-		VerifyPOR:      opts.VerifyPOR,
-		CanonBytes:     opts.CanonBytes,
-		VerifyAliasing: opts.VerifyAliasing,
-		Sink:           opts.Sink,
-		SnapshotEvery:  opts.SnapshotEvery,
-		Store:          opts.Store,
-	})
+	res, err := engine.Explore(sys.Init(), expand, opts)
 	if err != nil {
 		switch {
 		case errors.Is(err, engine.ErrNoInitialStates):
 			return nil, errors.New("core: system has no initial states")
 		case errors.Is(err, engine.ErrStateLimit):
-			return adoptResult(res), fmt.Errorf("%w: limit %d", ErrStateLimit, limit)
+			return adoptResult(res), fmt.Errorf("%w: limit %d", ErrStateLimit, opts.MaxStates)
 		default:
 			return nil, err
 		}
@@ -252,9 +162,9 @@ func exploreEngine[S comparable](sys System[S], limit, par int, opts ExploreOpti
 	return adoptResult(res), nil
 }
 
-// adoptResult wraps an engine result as a Graph. The index map is built
-// lazily on the first StateID call rather than eagerly re-interning every
-// state on the hot path.
+// adoptResult wraps an engine result as a Graph, sharing its arrays rather
+// than copying them (see the edge alias). The index map is built lazily on
+// the first StateID call rather than eagerly re-interning every state.
 func adoptResult[S comparable](res *engine.Result[S]) *Graph[S] {
 	return &Graph[S]{
 		states:     res.States,

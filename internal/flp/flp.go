@@ -247,10 +247,9 @@ type AnalyzeOptions struct {
 	Resilience *int
 	// MaxStates bounds exploration.
 	MaxStates int
-	// Parallelism is the exploration worker count; see
-	// core.ExploreOptions.Parallelism for how it resolves and when one
-	// worker means the sequential explorer. The configuration graph is
-	// identical either way.
+	// Parallelism is the exploration worker count; see core.Explore for
+	// how it resolves and when one worker means the sequential explorer.
+	// The configuration graph is identical either way.
 	Parallelism int
 	// Stats, when non-nil, receives the telemetry of the main
 	// configuration-graph exploration (the uniform-vector validity
@@ -271,8 +270,9 @@ type AnalyzeOptions struct {
 	VerifyCanon int
 	// CanonBytes, when non-nil, is the byte-level twin of Canon for the
 	// engine's zero-allocation expansion path — see PermutationCanonBytes
-	// and engine.Options.CanonBytes. Requires Canon; VerifyCanon
-	// additionally cross-checks the two on sampled configurations.
+	// and engine.Options.CanonBytes. Requires Canon (Analyze fails without
+	// it); VerifyCanon additionally cross-checks the two on sampled
+	// configurations.
 	CanonBytes any
 	// VerifyAliasing, when > 0, enables the engine's buffer-aliasing
 	// falsifier on every exploration (every configuration whose
@@ -337,20 +337,19 @@ func Analyze(p Protocol, opts AnalyzeOptions) (Report, error) {
 		resilience = *opts.Resilience
 	}
 	sys := &system{p: p, inputVectors: vectors, resilience: resilience}
-	eopts := core.ExploreOptions{
+	eopts := engine.Options{
 		MaxStates: opts.MaxStates, Parallelism: opts.Parallelism, Stats: opts.Stats,
+		VerifyCanon: opts.VerifyCanon, CanonBytes: opts.CanonBytes, Visible: opts.Visible,
+		VerifyPOR: opts.VerifyPOR, VerifyAliasing: opts.VerifyAliasing,
 		Sink: opts.Sink, SnapshotEvery: opts.SnapshotEvery, Store: opts.Store,
-		VerifyAliasing: opts.VerifyAliasing,
 	}
+	// A nil func stored in an interface field is not a nil interface, and
+	// core.Explore routes a non-nil Canon or Independent to the engine.
 	if opts.Canon != nil {
 		eopts.Canon = opts.Canon
-		eopts.VerifyCanon = opts.VerifyCanon
-		eopts.CanonBytes = opts.CanonBytes
 	}
 	if opts.Independent != nil {
 		eopts.Independent = opts.Independent
-		eopts.Visible = opts.Visible
-		eopts.VerifyPOR = opts.VerifyPOR
 	}
 	g, err := core.Explore[config](sys, eopts)
 	if err != nil {
@@ -399,30 +398,17 @@ func Analyze(p Protocol, opts AnalyzeOptions) (Report, error) {
 
 	// Validity (binary inputs): a decided value must be 0 or 1 here, and
 	// under a uniform input vector it must be that value. Checked by
-	// exploring the uniform vectors separately.
+	// exploring the uniform vectors separately, with the main exploration's
+	// options minus its telemetry. Uniform-vector initials are fixed points
+	// of any process relabeling, so a Canon quotient is sound here too.
+	guOpts := eopts
+	guOpts.Stats, guOpts.Sink = nil, nil
 	for _, v := range []int{0, 1} {
 		uniform := make([]int, n)
 		for i := range uniform {
 			uniform[i] = v
 		}
-		guOpts := core.ExploreOptions{
-			MaxStates: opts.MaxStates, Parallelism: opts.Parallelism, Store: opts.Store,
-			VerifyAliasing: opts.VerifyAliasing,
-		}
-		if opts.Canon != nil {
-			// Uniform-vector initials are fixed points of any process
-			// relabeling, so the quotient is sound here too.
-			guOpts.Canon = opts.Canon
-			guOpts.VerifyCanon = opts.VerifyCanon
-			guOpts.CanonBytes = opts.CanonBytes
-		}
-		if opts.Independent != nil {
-			guOpts.Independent = opts.Independent
-			guOpts.Visible = opts.Visible
-			guOpts.VerifyPOR = opts.VerifyPOR
-		}
-		gu, err := core.Explore[config](&system{p: p, inputVectors: [][]int{uniform}, resilience: resilience},
-			guOpts)
+		gu, err := core.Explore[config](&system{p: p, inputVectors: [][]int{uniform}, resilience: resilience}, guOpts)
 		if err != nil {
 			return rep, fmt.Errorf("flp: validity exploration of %s: %w", p.Name(), err)
 		}

@@ -1,6 +1,7 @@
 package flp
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -155,5 +156,22 @@ func TestDescribeHorn(t *testing.T) {
 func TestCountBits(t *testing.T) {
 	if countBits(0) != 0 || countBits(5) != 2 || countBits(7) != 3 {
 		t.Fatal("countBits broken")
+	}
+}
+
+// TestAnalyzeRejectsCanonBytesWithoutCanon: the byte canonicalizer only
+// accelerates the quotient Canon defines, so Analyze reports the missing
+// Canon at any worker count instead of dropping CanonBytes.
+func TestAnalyzeRejectsCanonBytesWithoutCanon(t *testing.T) {
+	p := NewWaitQuorum(3)
+	canonB, err := PermutationCanonBytes(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, par := range []int{1, 2} {
+		_, err := Analyze(p, AnalyzeOptions{CanonBytes: canonB, Parallelism: par})
+		if err == nil || !strings.Contains(err.Error(), "CanonBytes requires") {
+			t.Errorf("Parallelism %d: Analyze error = %v, want CanonBytes requires Canon", par, err)
+		}
 	}
 }
