@@ -475,11 +475,10 @@ type chainSys struct{ n int }
 
 func (c chainSys) Init() []int { return []int{0} }
 
-func (c chainSys) Steps(s int) []core.Step[int] {
-	if s >= c.n {
-		return nil
+func (c chainSys) ExpandInto(s int, x *engine.Ctx[int]) {
+	if s < c.n {
+		x.Emit(s+1, "inc", 0)
 	}
-	return []core.Step[int]{{To: s + 1, Label: "inc", Actor: 0}}
 }
 
 // stringChainSys is the same system over string-encoded states, to measure
@@ -488,11 +487,10 @@ type stringChainSys struct{ n int }
 
 func (c stringChainSys) Init() []string { return []string{string(make([]byte, 1))} }
 
-func (c stringChainSys) Steps(s string) []core.Step[string] {
-	if len(s) >= c.n {
-		return nil
+func (c stringChainSys) ExpandInto(s string, x *engine.Ctx[string]) {
+	if len(s) < c.n {
+		x.Emit(s+"x", "inc", 0)
 	}
-	return []core.Step[string]{{To: s + "x", Label: "inc", Actor: 0}}
 }
 
 func BenchmarkAblationCanonicalizationInt(b *testing.B) {

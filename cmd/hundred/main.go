@@ -4,7 +4,7 @@
 // Usage:
 //
 //	hundred                    # run every experiment
-//	hundred E05 E11            # run selected experiments
+//	hundred E05 E11            # run selected experiments (unknown ids exit 2)
 //	hundred -list              # list experiment ids and titles
 //	hundred -por E11 E21       # state-space experiments with ample-set POR
 //	hundred -cpuprofile cpu.pb # profile an experiment run
@@ -114,15 +114,13 @@ func run() int {
 		}
 		return 0
 	}
-	want := map[string]bool{}
-	for _, a := range flag.Args() {
-		want[strings.ToUpper(a)] = true
+	exps, err = selectExperiments(exps, flag.Args())
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 2
 	}
 	failed := 0
 	for _, e := range exps {
-		if len(want) > 0 && !want[e.id] {
-			continue
-		}
 		fmt.Printf("== %s: %s ==\n", e.id, e.title)
 		if err := e.run(); err != nil {
 			fmt.Printf("  ERROR: %v\n", err)
@@ -134,6 +132,38 @@ func run() int {
 		return 1
 	}
 	return 0
+}
+
+// selectExperiments returns the experiments named by ids (case-insensitive),
+// in suite order, or all of them when ids is empty. Any id that names no
+// experiment is an error, so a typo never silently runs nothing.
+func selectExperiments(exps []experiment, ids []string) ([]experiment, error) {
+	if len(ids) == 0 {
+		return exps, nil
+	}
+	known := map[string]bool{}
+	for _, e := range exps {
+		known[e.id] = true
+	}
+	want := map[string]bool{}
+	var unknown []string
+	for _, a := range ids {
+		id := strings.ToUpper(a)
+		if !known[id] {
+			unknown = append(unknown, a)
+		}
+		want[id] = true
+	}
+	if len(unknown) > 0 {
+		return nil, fmt.Errorf("unknown experiment %s (hundred -list shows the ids)", strings.Join(unknown, ", "))
+	}
+	var out []experiment
+	for _, e := range exps {
+		if want[e.id] {
+			out = append(out, e)
+		}
+	}
+	return out, nil
 }
 
 // experiments lists E01–E21; the state-space ones explore under x.

@@ -15,9 +15,13 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/consensus"
 	"repro/internal/core"
+	"repro/internal/datalink"
 	"repro/internal/engine"
 	"repro/internal/flp"
+	"repro/internal/ring"
+	"repro/internal/rounds"
 	"repro/internal/sharedmem"
 )
 
@@ -38,18 +42,17 @@ type lockstepSys struct{ rounds int }
 
 func (l lockstepSys) Init() []lockstepState { return []lockstepState{{}} }
 
-func (l lockstepSys) Steps(s lockstepState) []core.Step[lockstepState] {
+func (l lockstepSys) ExpandInto(s lockstepState, x *engine.Ctx[lockstepState]) {
 	if s.round >= l.rounds {
-		return nil
+		return
 	}
-	var out []core.Step[lockstepState]
 	for p := 0; p < 3; p++ {
 		if s.crashed[p] {
 			continue
 		}
 		ns := s
 		ns.crashed[p] = true
-		out = append(out, core.Step[lockstepState]{To: ns, Label: "crash", Actor: p})
+		x.Emit(ns, "crash", p)
 	}
 	adv := s
 	adv.round++
@@ -58,8 +61,7 @@ func (l lockstepSys) Steps(s lockstepState) []core.Step[lockstepState] {
 			adv.sum += (p + 1) * (s.round + 1)
 		}
 	}
-	out = append(out, core.Step[lockstepState]{To: adv, Label: "tick", Actor: core.EnvironmentActor})
-	return out
+	x.Emit(adv, "tick", core.EnvironmentActor)
 }
 
 // requireIdenticalGraphs fails unless got is state-for-state, edge-for-edge
@@ -134,6 +136,34 @@ func TestParallelExplorationIsDeterministic(t *testing.T) {
 	})
 	t.Run("lockstep-rounds", func(t *testing.T) {
 		checkDeterminism(t, "lockstep-rounds", lockstepSys{rounds: 8})
+	})
+	t.Run("async-lcr", func(t *testing.T) {
+		a, err := ring.NewAsyncLCR(ring.DescendingIDs(5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkDeterminism(t, "async-lcr", a.System())
+	})
+	t.Run("crash-space", func(t *testing.T) {
+		sys, err := rounds.CrashSpace{Procs: 5, MaxFaults: 2, Rounds: 4}.System()
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkDeterminism(t, "crash-space", sys)
+	})
+	t.Run("ben-or", func(t *testing.T) {
+		b, err := consensus.NewBenOrSpace(3, 1, 1, []int{0, 1, 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkDeterminism(t, "ben-or", b.System())
+	})
+	t.Run("async-abp", func(t *testing.T) {
+		a, err := datalink.NewAsyncABP(3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkDeterminism(t, "async-abp", a.System())
 	})
 }
 

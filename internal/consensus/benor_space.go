@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 )
 
 // BenOrSpace is Ben-Or's randomized binary consensus (§2.2.4) recast as a
@@ -240,9 +241,8 @@ func (s benOrSystem) Init() []string {
 	return []string{string(st)}
 }
 
-func (s benOrSystem) Steps(st string) []core.Step[string] {
+func (s benOrSystem) ExpandInto(st string, x *engine.Ctx[string]) {
 	b := s.b
-	var out []core.Step[string]
 	for snd := 0; snd < b.Procs; snd++ {
 		for ph := 1; ph <= b.Phases; ph++ {
 			for kind := 0; kind < 2; kind++ {
@@ -258,18 +258,16 @@ func (s benOrSystem) Steps(st string) []core.Step[string] {
 					if int(st[b.procOff(q)+1]) > b.Phases {
 						continue // halted receivers no longer consume
 					}
-					out = append(out, b.deliveries(st, snd, ph, kind, val, q)...)
+					b.deliveries(st, snd, ph, kind, val, q, x)
 				}
 			}
 		}
 	}
-	return out
 }
 
-// deliveries enumerates the branches of delivering (snd, ph, kind, val)
-// to q: one successor per coin-outcome sequence of q's advance cascade.
-func (b *BenOrSpace) deliveries(st string, snd, ph, kind int, val byte, q int) []core.Step[string] {
-	var out []core.Step[string]
+// deliveries emits the branches of delivering (snd, ph, kind, val) to q:
+// one successor per coin-outcome sequence of q's advance cascade.
+func (b *BenOrSpace) deliveries(st string, snd, ph, kind int, val byte, q int, x *engine.Ctx[string]) {
 	var expand func(tape []byte)
 	expand = func(tape []byte) {
 		next := []byte(st)
@@ -290,14 +288,9 @@ func (b *BenOrSpace) deliveries(st string, snd, ph, kind int, val byte, q int) [
 			expand(append(append([]byte(nil), tape...), 1))
 			return
 		}
-		out = append(out, core.Step[string]{
-			To:    string(next),
-			Label: benOrLabel(kind, ph, val, snd, q, tape),
-			Actor: q,
-		})
+		x.Emit(string(next), benOrLabel(kind, ph, val, snd, q, tape), q)
 	}
 	expand(nil)
-	return out
 }
 
 // benOrModelView implements benOrView over the packed global state.

@@ -49,28 +49,27 @@ type Step[S comparable] struct {
 type System[S comparable] interface {
 	// Init returns the initial states.
 	Init() []S
-	// Steps returns every enabled transition from s. An empty result
-	// marks s as terminal.
-	Steps(s S) []Step[S]
+	// ExpandInto is the transition relation: it emits every enabled
+	// transition from s into x (Emit, or EmitBytes for string states
+	// rendered into x.Scratch), in a deterministic order. Emitting nothing
+	// marks s as terminal. It must be a pure function of s, safe for
+	// concurrent calls on distinct contexts, and follow engine.Ctx's
+	// buffer-ownership rules: emitted byte slices are consumed by the time
+	// the emit call returns and must not be retained across expansions.
+	// engine.Differential and Options.VerifyAliasing hold implementations
+	// to these rules; StepsOf materializes one state's transitions.
+	ExpandInto(s S, x *engine.Ctx[S])
 }
 
-// ScratchSystem is the zero-allocation extension of System: a system that
-// can enumerate successors directly into the engine's expansion context —
-// reusing per-worker scratch buffers and emitting encoded states as raw
-// bytes — instead of materializing a fresh []Step per state. When a system
-// implements it, engine-routed exploration calls ExpandInto on the hot
-// path and never calls Steps (the sequential fallback still does).
-//
-// The contract: ExpandInto(s, x) must emit exactly the transitions
-// Steps(s) returns, in the same order, with byte-identical labels and
-// successor encodings — Steps stays the executable specification, and the
-// equivalence tests (plus engine.Differential and Options.VerifyAliasing)
-// hold implementations to it. Buffer ownership follows engine.Ctx: emitted
-// byte slices are consumed by the time the emit call returns and must not
-// be retained by the system across expansions.
-type ScratchSystem[S comparable] interface {
-	System[S]
-	ExpandInto(s S, x *engine.Ctx[S])
+// StepsOf returns the transitions sys.ExpandInto emits from s, in emission
+// order — the materialized form for one-off callers and tests. The
+// explorers never call it.
+func StepsOf[S comparable](sys System[S], s S) []Step[S] {
+	var out []Step[S]
+	sys.ExpandInto(s, engine.CollectCtx(func(to S, label string, actor int) {
+		out = append(out, Step[S]{To: to, Label: label, Actor: actor})
+	}))
+	return out
 }
 
 // ErrStateLimit is returned by Explore when the reachable state space
@@ -116,17 +115,18 @@ const DefaultMaxStates = engine.DefaultMaxStates
 // error.
 //
 // Routing: a resolved Parallelism of 1 (0 or negative means
-// runtime.GOMAXPROCS(0)) runs the legacy sequential explorer when Stats,
-// Sink, Store.Kind, Canon, CanonBytes, Independent and VerifyAliasing are
-// all unset; anything else runs the engine, which also validates them.
-// Whatever the worker count and path, the Graph is identical — state
+// runtime.GOMAXPROCS(0)) runs the sequential explorer when Stats, Sink,
+// Store.Kind, Canon, CanonBytes, Independent and VerifyAliasing are all
+// unset; anything else runs the engine, which also validates them. Both
+// paths expand through sys.ExpandInto — the one transition relation — and
+// whatever the worker count and path, the Graph is identical: state
 // numbering, edge order, parent tree and initials all match the sequential
 // explorer's, so downstream analyses stay reproducible. Parallel
-// exploration requires System.Steps to be safe for concurrent calls and a
-// pure function of its argument (true of every System in this repository).
-// A lossy store (bitstate) taints the exploration: the Graph may
-// undercount the reachable set, so callers must downgrade
-// universally-quantified verdicts — check Stats.Lossy.
+// exploration relies on ExpandInto being safe for concurrent calls on
+// distinct contexts and a pure function of its state (true of every
+// System in this repository). A lossy store (bitstate) taints the
+// exploration: the Graph may undercount the reachable set, so callers must
+// downgrade universally-quantified verdicts — check Stats.Lossy.
 func Explore[S comparable](sys System[S], opts ExploreOptions) (*Graph[S], error) {
 	if opts.MaxStates <= 0 {
 		opts.MaxStates = DefaultMaxStates
@@ -138,17 +138,7 @@ func Explore[S comparable](sys System[S], opts ExploreOptions) (*Graph[S], error
 		opts.Canon == nil && opts.CanonBytes == nil && opts.Independent == nil && opts.VerifyAliasing <= 0 {
 		return exploreSequential(sys, opts.MaxStates)
 	}
-	var expand engine.ExpandFunc[S]
-	if ss, ok := sys.(ScratchSystem[S]); ok {
-		expand = ss.ExpandInto
-	} else {
-		expand = func(s S, x *engine.Ctx[S]) {
-			for _, st := range sys.Steps(s) {
-				x.Emit(st.To, st.Label, st.Actor)
-			}
-		}
-	}
-	res, err := engine.Explore(sys.Init(), expand, opts)
+	res, err := engine.Explore(sys.Init(), sys.ExpandInto, opts)
 	if err != nil {
 		switch {
 		case errors.Is(err, engine.ErrNoInitialStates):
@@ -175,10 +165,13 @@ func adoptResult[S comparable](res *engine.Result[S]) *Graph[S] {
 	}
 }
 
-// exploreSequential is the legacy single-threaded explorer, kept both as
-// the Parallelism == 1 fast path (no level barriers, no canonicalization
-// pass) and as the executable specification of the canonical order the
-// engine must reproduce.
+// exploreSequential is the single-threaded explorer, kept both as the
+// Parallelism == 1 fast path (no level barriers, no canonicalization pass,
+// no per-exploration engine set-up) and as the executable specification of
+// the canonical order the engine must reproduce. It expands every state
+// through one collect-mode context, so the system's scratch (Ctx.Scratch,
+// Ctx.Sys, the label interner) is reused across the whole exploration and
+// the emitted transitions land in one reused buffer.
 func exploreSequential[S comparable](sys System[S], limit int) (*Graph[S], error) {
 	g := &Graph[S]{index: make(map[S]int)}
 	intern := func(s S) (int, bool) {
@@ -194,6 +187,10 @@ func exploreSequential[S comparable](sys System[S], limit int) (*Graph[S], error
 		return id, true
 	}
 	queue := make([]int, 0, 1024)
+	var steps []Step[S]
+	x := engine.CollectCtx(func(to S, label string, actor int) {
+		steps = append(steps, Step[S]{To: to, Label: label, Actor: actor})
+	})
 	for _, s := range sys.Init() {
 		id, fresh := intern(s)
 		if fresh {
@@ -206,7 +203,8 @@ func exploreSequential[S comparable](sys System[S], limit int) (*Graph[S], error
 	}
 	for head := 0; head < len(queue); head++ {
 		id := queue[head]
-		steps := sys.Steps(g.states[id])
+		steps = steps[:0]
+		sys.ExpandInto(g.states[id], x)
 		out := make([]edge, 0, len(steps))
 		for _, st := range steps {
 			tid, fresh := intern(st.To)

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -14,11 +15,10 @@ type chainSys struct{ n int }
 
 func (c chainSys) Init() []int { return []int{0} }
 
-func (c chainSys) Steps(s int) []Step[int] {
-	if s >= c.n {
-		return nil
+func (c chainSys) ExpandInto(s int, x *engine.Ctx[int]) {
+	if s < c.n {
+		x.Emit(s+1, "inc", 0)
 	}
-	return []Step[int]{{To: s + 1, Label: "inc", Actor: 0}}
 }
 
 func TestExploreChain(t *testing.T) {
@@ -85,26 +85,33 @@ func TestCheckInvariant(t *testing.T) {
 	}
 }
 
+// TestStepsOf checks the materialized form of ExpandInto: every emitted
+// transition in emission order, and nothing for a terminal state.
+func TestStepsOf(t *testing.T) {
+	got := StepsOf[string](diamondSys{}, "root")
+	want := []Step[string]{{To: "d0", Label: "left", Actor: 0}, {To: "mid", Label: "right", Actor: 1}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("StepsOf(root) = %v, want %v", got, want)
+	}
+	if got := StepsOf[string](diamondSys{}, "d1"); len(got) != 0 {
+		t.Fatalf("StepsOf(d1) = %v, want none", got)
+	}
+}
+
 // diamondSys branches from 0 to terminal decisions: 0 -> 1 (decides 0),
 // 0 -> 2 -> {3 decides 0, 4 decides 1}.
 type diamondSys struct{}
 
 func (diamondSys) Init() []string { return []string{"root"} }
 
-func (diamondSys) Steps(s string) []Step[string] {
+func (diamondSys) ExpandInto(s string, x *engine.Ctx[string]) {
 	switch s {
 	case "root":
-		return []Step[string]{
-			{To: "d0", Label: "left", Actor: 0},
-			{To: "mid", Label: "right", Actor: 1},
-		}
+		x.Emit("d0", "left", 0)
+		x.Emit("mid", "right", 1)
 	case "mid":
-		return []Step[string]{
-			{To: "d0b", Label: "down0", Actor: 0},
-			{To: "d1", Label: "down1", Actor: 1},
-		}
-	default:
-		return nil
+		x.Emit("d0b", "down0", 0)
+		x.Emit("d1", "down1", 1)
 	}
 }
 
@@ -176,17 +183,13 @@ type loopSys struct{}
 
 func (loopSys) Init() []string { return []string{"spin"} }
 
-func (loopSys) Steps(s string) []Step[string] {
+func (loopSys) ExpandInto(s string, x *engine.Ctx[string]) {
 	switch s {
 	case "spin":
-		return []Step[string]{
-			{To: "spin", Label: "spin", Actor: 0},
-			{To: "goal", Label: "exit", Actor: 1},
-		}
+		x.Emit("spin", "spin", 0)
+		x.Emit("goal", "exit", 1)
 	case "goal":
-		return []Step[string]{{To: "goal", Label: "stay", Actor: 1}}
-	default:
-		return nil
+		x.Emit("goal", "stay", 1)
 	}
 }
 
@@ -220,11 +223,10 @@ type stuckSys struct{}
 
 func (stuckSys) Init() []string { return []string{"a"} }
 
-func (stuckSys) Steps(s string) []Step[string] {
+func (stuckSys) ExpandInto(s string, x *engine.Ctx[string]) {
 	if s == "a" {
-		return []Step[string]{{To: "dead", Label: "step", Actor: 0}}
+		x.Emit("dead", "step", 0)
 	}
-	return nil
 }
 
 func TestLeadsToDeadlock(t *testing.T) {
@@ -253,11 +255,12 @@ type pingpong struct{}
 
 func (pingpong) Init() []string { return []string{"ping"} }
 
-func (pingpong) Steps(s string) []Step[string] {
+func (pingpong) ExpandInto(s string, x *engine.Ctx[string]) {
 	if s == "ping" {
-		return []Step[string]{{To: "pong", Label: "p0", Actor: 0}}
+		x.Emit("pong", "p0", 0)
+		return
 	}
-	return []Step[string]{{To: "ping", Label: "p1", Actor: 1}}
+	x.Emit("ping", "p1", 1)
 }
 
 func TestFairLassoWithin(t *testing.T) {
@@ -370,7 +373,7 @@ func graphsIdentical[S comparable](t *testing.T, label string, a, b *Graph[S]) {
 }
 
 // TestParallelExploreMatchesSequential: the engine-backed path must yield a
-// graph identical to the legacy sequential explorer, worker count
+// graph identical to the sequential explorer, worker count
 // notwithstanding.
 func TestParallelExploreMatchesSequential(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {

@@ -3,6 +3,8 @@ package core
 import (
 	"reflect"
 	"testing"
+
+	"repro/internal/engine"
 )
 
 // embedSys is a small hand-built system for embedding tests:
@@ -16,19 +18,16 @@ import (
 type embedSys struct{}
 
 func (embedSys) Init() []string { return []string{"A"} }
-func (embedSys) Steps(s string) []Step[string] {
+func (embedSys) ExpandInto(s string, x *engine.Ctx[string]) {
 	switch s {
 	case "A":
-		return []Step[string]{
-			{To: "B", Label: "a", Actor: 0},
-			{To: "C", Label: "a", Actor: 0},
-		}
+		x.Emit("B", "a", 0)
+		x.Emit("C", "a", 0)
 	case "B":
-		return []Step[string]{{To: "D", Label: "b", Actor: 1}}
+		x.Emit("D", "b", 1)
 	case "C":
-		return []Step[string]{{To: "D", Label: "c", Actor: 1}}
+		x.Emit("D", "c", 1)
 	}
-	return nil
 }
 
 func exploreEmbed(t *testing.T) *Graph[string] {

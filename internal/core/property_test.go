@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/engine"
 )
 
 // randomSys is a seeded random finite transition system over integer
@@ -32,8 +34,13 @@ func newRandomSys(seed int64) *randomSys {
 	return s
 }
 
-func (s *randomSys) Init() []int             { return []int{0} }
-func (s *randomSys) Steps(v int) []Step[int] { return s.edges[v] }
+func (s *randomSys) Init() []int { return []int{0} }
+
+func (s *randomSys) ExpandInto(v int, x *engine.Ctx[int]) {
+	for _, e := range s.edges[v] {
+		x.Emit(e.To, e.Label, e.Actor)
+	}
+}
 
 // TestValenceMonotoneProperty: a state's attainable-decision set is the
 // union of its successors' sets (plus its own decision) — the defining

@@ -15,15 +15,13 @@ type twinSys struct{ max byte }
 
 func (c twinSys) Init() []string { return []string{"00"} }
 
-func (c twinSys) Steps(s string) []Step[string] {
-	var out []Step[string]
+func (c twinSys) ExpandInto(s string, x *engine.Ctx[string]) {
 	if s[0] < c.max {
-		out = append(out, Step[string]{To: string([]byte{s[0] + 1, s[1]}), Label: "inc0", Actor: 0})
+		x.Emit(string([]byte{s[0] + 1, s[1]}), "inc0", 0)
 	}
 	if s[1] < c.max {
-		out = append(out, Step[string]{To: string([]byte{s[0], s[1] + 1}), Label: "inc1", Actor: 1})
+		x.Emit(string([]byte{s[0], s[1] + 1}), "inc1", 1)
 	}
-	return out
 }
 
 // twinCanon sorts the two counters: the representative of {xy, yx}.

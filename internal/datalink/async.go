@@ -106,17 +106,12 @@ func (a *AsyncABP) Done(st string) bool { return int(st[offNext]) == a.Messages 
 // Delivered reports how many messages the receiver has handed up in st.
 func (a *AsyncABP) Delivered(st string) int { return int(st[offDelivered]) }
 
-func (s asyncABPSystem) Steps(st string) []core.Step[string] {
+func (s asyncABPSystem) ExpandInto(st string, x *engine.Ctx[string]) {
 	if s.a.Done(st) {
-		return nil // all acknowledged: terminal
+		return // all acknowledged: terminal
 	}
-	var out []core.Step[string]
 	emit := func(next []byte, kind, actor int, detail string) {
-		out = append(out, core.Step[string]{
-			To:    string(next),
-			Label: kindLabels[kind] + detail,
-			Actor: actor,
-		})
+		x.Emit(string(next), kindLabels[kind]+detail, actor)
 	}
 	if st[offDataSlot] == slotEmpty {
 		// The sender (re)transmits its current packet into the empty
@@ -163,7 +158,6 @@ func (s asyncABPSystem) Steps(st string) []core.Step[string] {
 		drop[offAckSlot] = slotEmpty
 		emit(drop, kindDropAck, core.EnvironmentActor, "")
 	}
-	return out
 }
 
 // Independence returns the ample-set independence relation of the async

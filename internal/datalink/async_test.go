@@ -60,11 +60,11 @@ func TestAsyncABPHasRetransmissionCycles(t *testing.T) {
 	sys := a.System()
 	for i := 0; i < g.Len(); i++ {
 		s := g.State(i)
-		for _, step := range sys.Steps(s) {
+		for _, step := range core.StepsOf(sys, s) {
 			if !strings.HasPrefix(step.Label, "send data") {
 				continue
 			}
-			for _, back := range sys.Steps(step.To) {
+			for _, back := range core.StepsOf(sys, step.To) {
 				if strings.HasPrefix(back.Label, "drop data") && back.To == s {
 					return // found a send/drop self-loop
 				}

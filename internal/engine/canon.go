@@ -107,7 +107,7 @@ func canonFor[S comparable](v any) (Canonicalizer[S], error) {
 // exploration path never materializes successor slices.
 func (e *explorer[S]) canonSuccessors(s S) map[S]int {
 	out := make(map[S]int)
-	e.expand(s, e.collectCtx(func(to S, _ string, _ int) {
+	e.expand(s, CollectCtx(func(to S, _ string, _ int) {
 		out[e.canon(to)]++
 	}))
 	return out
@@ -118,8 +118,8 @@ func (e *explorer[S]) canonSuccessors(s S) map[S]int {
 // string canonicalizers agree, and then runs the regular soundness check
 // on the raw state. Errors land in verifyErr like every sampled check.
 func (e *explorer[S]) checkCanonBytes(src, rep []byte) {
-	raw := e.fromBytes(src)
-	bytesRep := e.fromBytes(rep)
+	raw := fromBytes[S](src)
+	bytesRep := fromBytes[S](rep)
 	if stringRep := e.canon(raw); stringRep != bytesRep {
 		e.noteVerifyErr(fmt.Errorf("%w: CanonBytes disagrees with Canon at %v: bytes form gives %v, string form gives %v",
 			ErrCanonUnsound, raw, bytesRep, stringRep))

@@ -42,8 +42,8 @@ type Ctx[S comparable] struct {
 	w *worker[S]
 	// sink, when non-nil, switches the context to collect mode: Emit
 	// routes transitions to it instead of interning, and EmitBytes
-	// materializes. Used by the POR action-collection pass and the sampled
-	// soundness checks.
+	// materializes. Used by the POR action-collection pass, the sampled
+	// soundness checks, and CollectCtx (where e and w stay nil).
 	sink func(to S, label string, actor int)
 	// labels is the per-context label interner backing Label.
 	labels map[string]string
@@ -105,15 +105,11 @@ func (x *Ctx[S]) emitSampled(to S, label string, actor int) {
 // otherwise EmitBytes transparently falls back to materializing the
 // string and calling Emit, so systems can use it unconditionally.
 func (x *Ctx[S]) EmitBytes(to []byte, label string, actor int) {
-	e := x.e
-	if x.sink != nil || !e.bytesDirect {
-		if e.fromBytes == nil {
-			panic("engine: EmitBytes on a non-string state type")
-		}
-		x.Emit(e.fromBytes(to), label, actor)
+	if x.sink != nil || !x.e.bytesDirect {
+		x.Emit(fromBytes[S](to), label, actor)
 		return
 	}
-	ws := x.w
+	e, ws := x.e, x.w
 	if ws.profSampling {
 		x.emitBytesSampled(to, label, actor)
 		return
@@ -246,18 +242,14 @@ func (x *Ctx[S]) Label(b []byte) string {
 	return s
 }
 
-// collectCtx builds a transient collect-mode context: Emit routes to sink,
-// EmitBytes materializes. Used by the sampled soundness checks — never on
-// the hot path, so the closure and map allocations here are irrelevant.
-func (e *explorer[S]) collectCtx(sink func(to S, label string, actor int)) *Ctx[S] {
-	return &Ctx[S]{e: e, sink: sink}
-}
-
 // CollectCtx builds a standalone collect-mode context outside any run:
 // Emit and EmitBytes route every transition to sink (EmitBytes by
 // materializing the state), and Scratch, Sys and Label behave as on a
-// real context. Intended for equivalence tests that compare a scratch
-// expansion's emissions against a reference — not for exploration.
+// real context, so reusing one CollectCtx across expansions reuses the
+// system's scratch exactly as an engine worker does. It allocates only the
+// Ctx itself. core's sequential explorer expands every state through one;
+// core.StepsOf and the equivalence tests use it to materialize a single
+// state's transitions.
 func CollectCtx[S comparable](sink func(to S, label string, actor int)) *Ctx[S] {
-	return &Ctx[S]{sink: sink, e: &explorer[S]{fromBytes: fromBytesFunc[S]()}}
+	return &Ctx[S]{sink: sink}
 }

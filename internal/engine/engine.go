@@ -294,15 +294,13 @@ type explorer[S comparable] struct {
 
 	// The EmitBytes direct path: bytesIntern is the store's zero-copy
 	// extension (nil when absent or unsupported), hashB the byte-level
-	// fingerprint mirroring fp on string states, fromBytes the
-	// materializer for the fallback paths. bytesDirect gates the whole
+	// fingerprint mirroring fp on string states. bytesDirect gates the whole
 	// path: it additionally requires CanonBytes whenever a canonicalizer
 	// is installed, so the bytes and string paths can never disagree
 	// silently.
 	bytesIntern store.BytesInterner
 	bytesDirect bool
 	hashB       func([]byte) uint64
-	fromBytes   func([]byte) S
 
 	// aliasMod != 0 samples expanded states (by fingerprint) for the
 	// buffer-aliasing falsifier.
@@ -594,8 +592,7 @@ func Explore[S comparable](inits []S, expand ExpandFunc[S], opts Options) (*Resu
 	// backend, and (under a canonicalizer) a byte-level canonicalizer.
 	// Every precondition failure degrades to the materializing fallback,
 	// never to wrong behavior.
-	e.fromBytes = fromBytesFunc[S]()
-	if e.fromBytes != nil {
+	if isStringState[S]() {
 		e.hashB = hashBytes
 		if opts.degradeFingerprint {
 			e.hashB = func(b []byte) uint64 { return hashBytes(b) & 3 }

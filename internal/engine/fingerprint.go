@@ -73,18 +73,21 @@ func hashBytes(b []byte) uint64 {
 	return mix64(h)
 }
 
-// fromBytesFunc resolves the []byte -> S materializer for string state
-// types (nil for every other type; EmitBytes is a string-state API).
-func fromBytesFunc[S comparable]() func([]byte) S {
-	var zero S
-	if _, ok := any(zero).(string); !ok {
-		return nil
+// fromBytes materializes an EmitBytes successor as the state type, which
+// must be string (EmitBytes is a string-state API).
+func fromBytes[S comparable](b []byte) S {
+	s, ok := any(string(b)).(S)
+	if !ok {
+		panic("engine: EmitBytes on a non-string state type")
 	}
-	return func(b []byte) S {
-		var s S
-		*any(&s).(*string) = string(b)
-		return s
-	}
+	return s
+}
+
+// isStringState reports whether S is string, the precondition of the
+// EmitBytes direct path.
+func isStringState[S comparable]() bool {
+	_, ok := any(*new(S)).(string)
+	return ok
 }
 
 // mix64 is the splitmix64 finalizer: a cheap bijective scrambler that

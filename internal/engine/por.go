@@ -258,7 +258,7 @@ func (e *explorer[S]) checkPOR(s S, acts []porAction[S]) error {
 	succ := func(i int) map[key][]S {
 		if cache[i] == nil {
 			m := make(map[key][]S)
-			e.expand(acts[i].act.To, e.collectCtx(func(to S, label string, actor int) {
+			e.expand(acts[i].act.To, CollectCtx(func(to S, label string, actor int) {
 				if e.canon != nil {
 					to = e.canon(to)
 				}

@@ -2,6 +2,7 @@ package flp
 
 import (
 	"bytes"
+	"fmt"
 	"strconv"
 	"strings"
 
@@ -9,16 +10,17 @@ import (
 	"repro/internal/engine"
 )
 
-// This file is the zero-allocation expansion path: ExpandInto re-derives
-// Steps' successors directly from the encoded configuration, rendering each
-// one into the worker's scratch buffer instead of materializing envelope
-// slices, a dedup map, and joined strings per successor. The encoding
-// invariants it leans on (canonical decimal fields, sorted message
-// section) are established by encodeConfig; any configuration that
-// violates them — which encodeConfig never emits — is handed to the
-// allocating Steps path, so the two are extensionally identical on every
-// input. Equivalence is pinned three ways: TestExpandIntoMatchesSteps,
-// engine.Differential in the package tests, and Options.VerifyAliasing.
+// This file is the configuration graph's transition relation: ExpandInto
+// derives every successor directly from the encoded configuration,
+// rendering each one into the worker's scratch buffer instead of
+// materializing envelope slices, a dedup map, and joined strings per
+// successor. The encoding invariants it leans on (canonical decimal
+// fields, sorted message section) are established by encodeConfig; a
+// configuration that violates them was not produced by this system, and
+// ExpandInto panics naming it. The relation is pinned three ways:
+// TestExpandIntoMatchesSteps (against a hand-written reference over the
+// protocols' independent string transition functions), engine.Differential
+// in the package tests, and Options.VerifyAliasing.
 //
 // Contract recap (engine.Ctx): the bytes passed to EmitBytes and Label are
 // consumed before the call returns, and nothing emitted may be retained
@@ -35,22 +37,8 @@ type expandScratch struct {
 	sendOff  [][2]int    // rendered new-send spans in sendBuf, sorted
 	sendBuf  []byte      // rendered new sends
 	lbl      []byte      // label render buffer
-	sends    []Send      // reusable send slice for ScratchProtocol calls
+	sends    []Send      // reusable send slice for the Protocol calls
 	stateBuf []byte      // successor local-state render buffer
-}
-
-// ScratchProtocol is the optional allocation-free twin of Protocol's
-// transition functions. AppendStep renders the successor local state into
-// dst (append-style, returning the grown slice) and appends any sends to
-// the reusable slice instead of allocating fresh ones; AppendInitialSends
-// does the same for the wake-up broadcast. Both must be extensionally
-// identical to Step/InitialSends — same successor bytes, same sends in the
-// same order — and the returned Send payloads must be immutable strings
-// (constants or substrings of the inputs), never views over dst.
-type ScratchProtocol interface {
-	Protocol
-	AppendStep(dst []byte, p int, state string, from int, payload string, sends []Send) ([]byte, []Send)
-	AppendInitialSends(p int, state string, sends []Send) []Send
 }
 
 // parsedEnv is one strictly parsed envelope; payload aliases the
@@ -60,12 +48,11 @@ type parsedEnv struct {
 	payload  string
 }
 
-var _ core.ScratchSystem[config] = (*system)(nil)
+var _ core.System[config] = (*system)(nil)
 
-// ExpandInto implements core.ScratchSystem: it emits exactly the
-// transitions of Steps, in the same order (deliveries in sorted flight
-// order, then crashes p0..pn-1), with byte-identical successor encodings
-// and labels.
+// ExpandInto implements core.System: deliveries in sorted flight order
+// (one per distinct envelope whose receiver is alive), then — while the
+// crash budget lasts — crashes p0..pn-1.
 func (s *system) ExpandInto(c config, x *engine.Ctx[config]) {
 	sc, _ := x.Sys.(*expandScratch)
 	if sc == nil {
@@ -74,19 +61,16 @@ func (s *system) ExpandInto(c config, x *engine.Ctx[config]) {
 	}
 	i1 := strings.IndexByte(c, '\x1d')
 	if i1 < 0 {
-		s.expandSlow(c, x)
-		return
+		notProduced(c)
 	}
 	rest := c[i1+1:]
 	i2 := strings.IndexByte(rest, '\x1d')
 	if i2 < 0 {
-		s.expandSlow(c, x)
-		return
+		notProduced(c)
 	}
 	crashed, ok := parseCanonInt(c[:i1])
 	if !ok {
-		s.expandSlow(c, x)
-		return
+		notProduced(c)
 	}
 	statesStr := rest[:i2]
 	msgsStr := rest[i2+1:]
@@ -94,33 +78,26 @@ func (s *system) ExpandInto(c config, x *engine.Ctx[config]) {
 
 	sc.states = splitByte(sc.states[:0], statesStr, '\x1e')
 	if len(sc.states) != n {
-		s.expandSlow(c, x)
-		return
+		notProduced(c)
 	}
 	sc.msgs = sc.msgs[:0]
 	if msgsStr != "" {
 		sc.msgs = splitByte(sc.msgs, msgsStr, '\x1f')
 	}
 
-	// Validation pre-pass: everything that can force the fallback must be
-	// detected before the first emission (an emission cannot be retracted,
-	// so a mid-loop fallback would double-emit).
+	// Validation pre-pass: a malformed configuration is rejected before
+	// the first emission, so it never yields a partial expansion.
 	sc.parsed = sc.parsed[:0]
 	for i, m := range sc.msgs {
 		if i > 0 && m < sc.msgs[i-1] {
-			// Unsorted message section: not an encodeConfig output.
-			s.expandSlow(c, x)
-			return
+			notProduced(c) // unsorted message section
 		}
 		from, to, payload, ok := parseMsg(m)
 		if !ok || from >= n || to >= n {
-			s.expandSlow(c, x)
-			return
+			notProduced(c)
 		}
 		sc.parsed = append(sc.parsed, parsedEnv{from: from, to: to, payload: payload})
 	}
-
-	sp, scratchOK := s.p.(ScratchProtocol)
 
 	for i, m := range sc.msgs {
 		if i > 0 && m == sc.msgs[i-1] {
@@ -130,27 +107,15 @@ func (s *system) ExpandInto(c config, x *engine.Ctx[config]) {
 		if crashed&(1<<uint(to)) != 0 {
 			continue // receiver is dead; the message is never delivered
 		}
-		var newState string
-		var sends []Send
-		useB := false
 		if payload == wakePayload && from == to {
-			newState = sc.states[to]
-			if scratchOK {
-				sc.sends = sp.AppendInitialSends(to, newState, sc.sends[:0])
-				sends = sc.sends
-			} else {
-				sends = s.p.InitialSends(to, newState)
-			}
-		} else if scratchOK {
-			sc.stateBuf, sc.sends = sp.AppendStep(sc.stateBuf[:0], to, sc.states[to], from, payload, sc.sends[:0])
-			sends = sc.sends
-			useB = true
+			sc.stateBuf = append(sc.stateBuf[:0], sc.states[to]...)
+			sc.sends = s.p.AppendInitialSends(to, sc.states[to], sc.sends[:0])
 		} else {
-			newState, sends = s.p.Step(to, sc.states[to], from, payload)
+			sc.stateBuf, sc.sends = s.p.AppendStep(sc.stateBuf[:0], to, sc.states[to], from, payload, sc.sends[:0])
 		}
 		sc.sendBuf = sc.sendBuf[:0]
 		sc.sendOff = sc.sendOff[:0]
-		for _, snd := range sends {
+		for _, snd := range sc.sends {
 			start := len(sc.sendBuf)
 			sc.sendBuf = appendMsg(sc.sendBuf, to, snd.To, snd.Payload)
 			sc.sendOff = append(sc.sendOff, [2]int{start, len(sc.sendBuf)})
@@ -165,11 +130,7 @@ func (s *system) ExpandInto(c config, x *engine.Ctx[config]) {
 				buf = append(buf, '\x1e')
 			}
 			if q == to {
-				if useB {
-					buf = append(buf, sc.stateBuf...)
-				} else {
-					buf = append(buf, newState...)
-				}
+				buf = append(buf, sc.stateBuf...)
 			} else {
 				buf = append(buf, st...)
 			}
@@ -204,11 +165,11 @@ func (s *system) ExpandInto(c config, x *engine.Ctx[config]) {
 	}
 }
 
-// expandSlow is the fallback onto the allocating executable spec.
-func (s *system) expandSlow(c config, x *engine.Ctx[config]) {
-	for _, st := range s.Steps(c) {
-		x.Emit(st.To, st.Label, st.Actor)
-	}
+// notProduced rejects a configuration that fails ExpandInto's strict
+// parse: encodeConfig never renders one, so it did not come from this
+// system.
+func notProduced(c config) {
+	panic(fmt.Sprintf("flp: configuration %q was not produced by this system", c))
 }
 
 // splitByte appends the sep-separated substrings of s to dst. Unlike

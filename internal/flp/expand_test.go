@@ -1,7 +1,10 @@
 package flp
 
 import (
+	"fmt"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -79,32 +82,38 @@ func TestExpandIntoMatchesSteps(t *testing.T) {
 	}
 }
 
-// TestExpandIntoFallsBackOnAnomalies feeds encodings that encodeConfig
-// never produces; the fast path must hand them to Steps rather than
-// mis-parse them, so the two stay extensionally identical even off the
-// reachable set.
-func TestExpandIntoFallsBackOnAnomalies(t *testing.T) {
+// TestExpandIntoPanicsOnAnomalies feeds encodings that encodeConfig never
+// produces: each one fails the strict parse, so ExpandInto must panic
+// naming it — before emitting anything — rather than mis-parse it.
+func TestExpandIntoPanicsOnAnomalies(t *testing.T) {
 	s := &system{p: NewWaitQuorum(3), inputVectors: allBinaryVectors(3), resilience: 1}
-	// Configurations missing the section separators entirely make
-	// decodeConfig itself panic, in fast path and fallback alike (the
-	// fallback IS Steps); the anomalies here are the parseable-but-
-	// non-canonical ones, where the fast path could plausibly diverge.
-	anomalies := []config{
+	for _, c := range []config{
+		"0-0--:-",                                        // no section separators
+		"0\x1d0--:-\x1e-0-:-\x1e--1:-",                   // no message section
 		"00\x1d0--:-\x1e-0-:-\x1e--1:-\x1d",              // non-canonical crash mask
 		"0\x1d0--:-\x1e-0-:-\x1d",                        // wrong process count
 		"0\x1d0--:-\x1e-0-:-\x1e--1:-\x1d1>0:1\x1f0>1:0", // unsorted messages
 		"0\x1d0--:-\x1e-0-:-\x1e--1:-\x1dx>0:1",          // malformed sender
 		"0\x1d0--:-\x1e-0-:-\x1e--1:-\x1d01>0:1",         // non-canonical sender
 		"0\x1d0--:-\x1e-0-:-\x1e--1:-\x1d0:1",            // no '>' separator
-	}
-	for _, c := range anomalies {
-		want := s.Steps(c)
-		got := collectInto(s, c)
-		if len(want) == 0 && len(got) == 0 {
-			continue
-		}
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("anomalous config %q:\nSteps      = %v\nExpandInto = %v", c, want, got)
+		"0\x1d0--:-\x1e-0-:-\x1e--1:-\x1d0>3:1",          // receiver out of range
+	} {
+		emitted := 0
+		x := engine.CollectCtx(func(config, string, int) { emitted++ })
+		func() {
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Fatalf("anomalous config %q: ExpandInto did not panic", c)
+				}
+				if msg := fmt.Sprint(r); !strings.Contains(msg, strconv.Quote(c)) {
+					t.Fatalf("anomalous config %q: panic %q does not name it", c, msg)
+				}
+			}()
+			s.ExpandInto(c, x)
+		}()
+		if emitted != 0 {
+			t.Fatalf("anomalous config %q: %d transitions emitted before the panic", c, emitted)
 		}
 	}
 }

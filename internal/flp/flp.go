@@ -35,8 +35,15 @@ type Send struct {
 // Protocol is a deterministic asynchronous message-passing protocol in the
 // FLP style: every step is the receipt of one in-flight message, which
 // updates the local state and emits messages. Initial messages are
-// declared by InitialSends. Local states are canonical strings so the
-// explorer can deduplicate configurations.
+// declared by AppendInitialSends. Local states are canonical strings so
+// the explorer can deduplicate configurations.
+//
+// The transition functions are append-style, so the explorer's expansion
+// allocates nothing per successor: AppendStep renders the successor local
+// state into dst and appends the emitted messages to the reusable sends
+// slice, returning both grown slices. Returned Send payloads must be
+// immutable strings (constants or substrings of the inputs), never views
+// over dst.
 type Protocol interface {
 	// Name identifies the protocol.
 	Name() string
@@ -44,11 +51,12 @@ type Protocol interface {
 	NumProcs() int
 	// Init returns process p's initial local state for an input value.
 	Init(p, input int) string
-	// InitialSends returns the messages p emits before receiving anything.
-	InitialSends(p int, state string) []Send
-	// Step handles delivery of a message from a peer and returns the new
-	// state plus emitted messages.
-	Step(p int, state string, from int, payload string) (string, []Send)
+	// AppendInitialSends appends the messages p emits before receiving
+	// anything to sends.
+	AppendInitialSends(p int, state string, sends []Send) []Send
+	// AppendStep handles delivery of a message from a peer: it appends p's
+	// new local state to dst and the emitted messages to sends.
+	AppendStep(dst []byte, p int, state string, from int, payload string, sends []Send) ([]byte, []Send)
 	// Decide reports p's decision, if any, from its state.
 	Decide(p int, state string) (int, bool)
 }
@@ -133,59 +141,6 @@ func (s *system) Init() []config {
 		out = append(out, s.initialFor(in))
 	}
 	return out
-}
-
-// Steps implements core.System.
-func (s *system) Steps(c config) []core.Step[config] {
-	n := s.p.NumProcs()
-	crashed, states, flight := decodeConfig(c)
-	steps := make([]core.Step[config], 0, len(flight)+n)
-	seen := map[string]bool{}
-	for i, env := range flight {
-		if crashed&(1<<uint(env.to)) != 0 {
-			continue // receiver is dead; the message is never delivered
-		}
-		key := env.String()
-		if seen[key] {
-			continue // identical envelopes lead to identical successors
-		}
-		seen[key] = true
-		var newState string
-		var sends []Send
-		if env.payload == wakePayload && env.from == env.to {
-			newState = states[env.to]
-			sends = s.p.InitialSends(env.to, newState)
-		} else {
-			newState, sends = s.p.Step(env.to, states[env.to], env.from, env.payload)
-		}
-		newStates := make([]string, n)
-		copy(newStates, states)
-		newStates[env.to] = newState
-		newFlight := make([]envelope, 0, len(flight)+len(sends)-1)
-		newFlight = append(newFlight, flight[:i]...)
-		newFlight = append(newFlight, flight[i+1:]...)
-		for _, snd := range sends {
-			newFlight = append(newFlight, envelope{from: env.to, to: snd.To, payload: snd.Payload})
-		}
-		steps = append(steps, core.Step[config]{
-			To:    encodeConfig(crashed, newStates, newFlight),
-			Label: "deliver " + key,
-			Actor: env.to,
-		})
-	}
-	if countBits(crashed) < s.resilience {
-		for p := 0; p < n; p++ {
-			if crashed&(1<<uint(p)) != 0 {
-				continue
-			}
-			steps = append(steps, core.Step[config]{
-				To:    encodeConfig(crashed|1<<uint(p), states, flight),
-				Label: "crash p" + strconv.Itoa(p),
-				Actor: core.EnvironmentActor,
-			})
-		}
-	}
-	return steps
 }
 
 func countBits(x int) int {

@@ -99,12 +99,12 @@ func TestEveryProtocolFallsOnAHorn(t *testing.T) {
 // regardless of inputs trips the validity check.
 type constProto struct{ n int }
 
-func (c constProto) Name() string                    { return "const-0" }
-func (c constProto) NumProcs() int                   { return c.n }
-func (c constProto) Init(int, int) string            { return "s" }
-func (c constProto) InitialSends(int, string) []Send { return nil }
-func (c constProto) Step(_ int, s string, _ int, _ string) (string, []Send) {
-	return s, nil
+func (c constProto) Name() string                                        { return "const-0" }
+func (c constProto) NumProcs() int                                       { return c.n }
+func (c constProto) Init(int, int) string                                { return "s" }
+func (c constProto) AppendInitialSends(_ int, _ string, s []Send) []Send { return s }
+func (c constProto) AppendStep(dst []byte, _ int, s string, _ int, _ string, sends []Send) ([]byte, []Send) {
+	return append(dst, s...), sends
 }
 func (c constProto) Decide(int, string) (int, bool) { return 0, true }
 

@@ -12,7 +12,7 @@ import (
 // actions, so the independence relation can be probed directly.
 func stepActions(sys core.System[config], c config) []engine.Action[string] {
 	var out []engine.Action[string]
-	for _, st := range sys.Steps(c) {
+	for _, st := range core.StepsOf(sys, c) {
 		out = append(out, engine.Action[string]{To: st.To, Label: st.Label, Actor: st.Actor})
 	}
 	return out

@@ -31,8 +31,6 @@ func NewWaitAll(n int) Protocol { return &waitProto{n: n, need: n, name: "wait-a
 // NewWaitQuorum returns the wait-for-(n-1) protocol.
 func NewWaitQuorum(n int) Protocol { return &waitProto{n: n, need: n - 1, name: "wait-quorum"} }
 
-var _ ScratchProtocol = (*waitProto)(nil)
-
 // Name implements Protocol.
 func (w *waitProto) Name() string { return w.name }
 
@@ -51,36 +49,12 @@ func (w *waitProto) Init(p, input int) string {
 	return w.maybeDecide(s)
 }
 
-// InitialSends implements Protocol: broadcast own value.
-func (w *waitProto) InitialSends(p int, state string) []Send {
-	out := make([]Send, 0, w.n-1)
-	for q := 0; q < w.n; q++ {
-		if q != p {
-			out = append(out, Send{To: q, Payload: string(state[p])})
-		}
-	}
-	return out
-}
-
-// Step implements Protocol. The two early returns are allocation-free
-// fast paths for deliveries that cannot change the state: every reachable
-// state is a fixed point of maybeDecide (Init and Step both apply it
-// before returning), so an unchanged value vector means an unchanged
-// state.
-func (w *waitProto) Step(_ int, state string, from int, payload string) (string, []Send) {
-	if payload != "0" && payload != "1" {
-		return state, nil // junk payload: absorbed without recording
-	}
-	if state[from] == payload[0] {
-		return state, nil // redelivery of an already-recorded value
-	}
-	vals := []byte(state[:w.n])
-	vals[from] = payload[0]
-	return w.maybeDecide(string(vals) + state[w.n:]), nil
-}
-
-// AppendStep implements ScratchProtocol: Step with the successor rendered
-// into dst and maybeDecide applied in place over the rendered bytes.
+// AppendStep implements Protocol: record a fresh value and apply
+// maybeDecide in place over the rendered bytes. Junk payloads and
+// redeliveries of an already-recorded value leave the state unchanged:
+// every reachable state is a fixed point of maybeDecide (Init and
+// AppendStep both apply it), so an unchanged value vector means an
+// unchanged state.
 func (w *waitProto) AppendStep(dst []byte, _ int, state string, from int, payload string, sends []Send) ([]byte, []Send) {
 	if (payload != "0" && payload != "1") || state[from] == payload[0] {
 		return append(dst, state...), sends // absorbed: successor == state
@@ -107,9 +81,8 @@ func (w *waitProto) AppendStep(dst []byte, _ int, state string, from int, payloa
 	return dst, sends
 }
 
-// AppendInitialSends implements ScratchProtocol: the same broadcast as
-// InitialSends, with constant payload strings instead of per-send
-// string(byte) conversions.
+// AppendInitialSends implements Protocol: broadcast own value, with
+// constant payload strings instead of per-send string(byte) conversions.
 func (w *waitProto) AppendInitialSends(p int, state string, sends []Send) []Send {
 	pay := valuePayload(state[p])
 	for q := 0; q < w.n; q++ {
@@ -178,8 +151,6 @@ type adoptSwap struct {
 // NewAdoptSwap returns the adopt-and-rebroadcast protocol.
 func NewAdoptSwap(n int) Protocol { return &adoptSwap{n: n} }
 
-var _ ScratchProtocol = (*adoptSwap)(nil)
-
 // Name implements Protocol.
 func (a *adoptSwap) Name() string { return "adopt-swap" }
 
@@ -191,24 +162,8 @@ func (a *adoptSwap) Init(_, input int) string {
 	return strconv.Itoa(input) + "-"
 }
 
-// InitialSends implements Protocol: send own value to the ring successor.
-func (a *adoptSwap) InitialSends(p int, state string) []Send {
-	return []Send{{To: (p + 1) % a.n, Payload: state[:1]}}
-}
-
-// Step implements Protocol.
-func (a *adoptSwap) Step(p int, state string, _ int, payload string) (string, []Send) {
-	if state[1] != '-' || (payload != "0" && payload != "1") {
-		return state, nil // decided or junk: absorb
-	}
-	if payload == state[:1] {
-		return state[:1] + payload, nil // match: decide
-	}
-	// Mismatch: adopt and forward around the ring.
-	return payload + "-", []Send{{To: (p + 1) % a.n, Payload: payload}}
-}
-
-// AppendStep implements ScratchProtocol.
+// AppendStep implements Protocol: on a matching value decide it, on a
+// mismatch adopt it and forward it to the ring successor.
 func (a *adoptSwap) AppendStep(dst []byte, p int, state string, _ int, payload string, sends []Send) ([]byte, []Send) {
 	if state[1] != '-' || (payload != "0" && payload != "1") {
 		return append(dst, state...), sends // decided or junk: absorb
@@ -223,7 +178,8 @@ func (a *adoptSwap) AppendStep(dst []byte, p int, state string, _ int, payload s
 	return dst, append(sends, Send{To: (p + 1) % a.n, Payload: payload})
 }
 
-// AppendInitialSends implements ScratchProtocol.
+// AppendInitialSends implements Protocol: send own value to the ring
+// successor.
 func (a *adoptSwap) AppendInitialSends(p int, state string, sends []Send) []Send {
 	return append(sends, Send{To: (p + 1) % a.n, Payload: state[:1]})
 }

@@ -36,15 +36,16 @@ import (
 // removing, or changing the meaning of an existing field also bumps.
 // Validators reject traces written by a newer schema than they understand.
 //
-// v1: exploration runs (run_start/level/snapshot/truncated/run_end).
-// v2: adds live-runtime runs (rt_start/rt_event/rt_end) — see RuntimeConfig.
-// v3: phase-attribution profiling — snapshot phases/worker_phases/expand_lat,
-//     store page-cache + segment-latency fields, rt batch_lat, and per-event
-//     elapsed_ns. Purely additive, so v2 readers still parse v3 traces; the
-//     version is bumped deliberately (an exception to the additive rule) so
-//     post-hoc tooling like `hundred report` can tell whether a missing
-//     phase block means "profiling off" (v3) or "producer predates
-//     profiling" (v2).
+//   - v1: exploration runs (run_start/level/snapshot/truncated/run_end).
+//   - v2: adds live-runtime runs (rt_start/rt_event/rt_end) — see
+//     RuntimeConfig.
+//   - v3: phase-attribution profiling — snapshot
+//     phases/worker_phases/expand_lat, store page-cache + segment-latency
+//     fields, rt batch_lat, and per-event elapsed_ns. Purely additive, so
+//     v2 readers still parse v3 traces; the version is bumped deliberately
+//     (an exception to the additive rule) so post-hoc tooling like
+//     `hundred report` can tell whether a missing phase block means
+//     "profiling off" (v3) or "producer predates profiling" (v2).
 //
 // Earlier v3 producers also wrote a work-stealing scheduler's fields
 // (run_start sched; snapshot steals/handoff_batches/queue_occupancy;

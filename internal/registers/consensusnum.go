@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 )
 
 // This file mechanizes Herlihy's consensus-number separation (§2.3, [65],
@@ -186,12 +187,11 @@ func (ps *pairSys) decode(s int) (l0, l1, v int) {
 // Init implements core.System.
 func (ps *pairSys) Init() []int { return []int{ps.idx(ps.a, ps.b, 0)} }
 
-// Steps implements core.System: each undecided process may take its one
-// atomic access next.
-func (ps *pairSys) Steps(s int) []core.Step[int] {
+// ExpandInto implements core.System: each undecided process may take its
+// one atomic access next.
+func (ps *pairSys) ExpandInto(s int, x *engine.Ctx[int]) {
 	l0, l1, v := ps.decode(s)
 	ls := [2]int{l0, l1}
-	var out []core.Step[int]
 	for p := 0; p < 2; p++ {
 		if ls[p] >= ps.locals { // decided: takes no further steps
 			continue
@@ -199,9 +199,8 @@ func (ps *pairSys) Steps(s int) []core.Step[int] {
 		c := ps.tables[p][ls[p]][v]
 		nl := ls
 		nl[p] = c.Next
-		out = append(out, core.Step[int]{To: ps.idx(nl[0], nl[1], c.NewVal), Label: "access", Actor: p})
+		x.Emit(ps.idx(nl[0], nl[1], c.NewVal), "access", p)
 	}
-	return out
 }
 
 // checkPair verifies wait-free consensus for one table pair over all four

@@ -1,12 +1,49 @@
 package ring
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/engine"
 )
+
+// Steps is the hand-written reference transition relation of the async
+// election space: every successor materialized as a fresh string, labels
+// built with fmt. TestAsyncLCRExpandIntoMatchesSteps holds ExpandInto to it.
+func (s asyncLCRSystem) Steps(st string) []core.Step[string] {
+	n := len(s.a.ids)
+	if st[n] != noLeader {
+		return nil // election decided; the space is a DAG to the leaders
+	}
+	var out []core.Step[string]
+	for link := 0; link < n; link++ {
+		mask := st[link]
+		for id := 0; id < 8; id++ {
+			if mask&(1<<uint(id)) == 0 {
+				continue
+			}
+			dst := (link + 1) % n
+			next := []byte(st)
+			next[link] &^= 1 << uint(id)
+			switch {
+			case id == s.a.ids[dst]:
+				next[n] = byte(dst) // token came home: dst wins
+			case id > s.a.ids[dst]:
+				next[dst] |= 1 << uint(id) // forward
+			}
+			// Smaller ids are swallowed: the token just disappears.
+			out = append(out, core.Step[string]{
+				To:    string(next),
+				Label: fmt.Sprintf("deliver id %d to p%d", id, dst),
+				Actor: dst,
+			})
+		}
+	}
+	return out
+}
 
 // TestAsyncLCRExpandIntoMatchesSteps checks, state by state over the whole
 // reachable election space, that the zero-allocation expansion emits
@@ -53,7 +90,7 @@ func TestAsyncLCRExpandIntoMatchesSteps(t *testing.T) {
 
 // TestAsyncLCRAliasingClean runs the election exploration with the
 // aliasing falsifier checking every state and compares against the
-// sequential Steps-driven graph.
+// sequential explorer's graph.
 func TestAsyncLCRAliasingClean(t *testing.T) {
 	a, err := NewAsyncLCR(DescendingIDs(5))
 	if err != nil {
@@ -77,4 +114,24 @@ func TestAsyncLCRAliasingClean(t *testing.T) {
 			t.Fatalf("graphs diverge at state %d", i)
 		}
 	}
+}
+
+// TestAsyncLCRExpandIntoPanicsOnForeignState feeds a state of the wrong length:
+// it was not produced by the system, so ExpandInto must panic naming it
+// rather than mis-parse it.
+func TestAsyncLCRExpandIntoPanicsOnForeignState(t *testing.T) {
+	a, err := NewAsyncLCR(DescendingIDs(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := asyncLCRSystem{a}
+	const bad = "\x07\x07\x07\x07\x07\x07\x07\x07\x07\x07\x07"
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), fmt.Sprintf("%q", bad)) {
+			t.Fatalf("recovered %v, want a panic naming %q", r, bad)
+		}
+	}()
+	sys.ExpandInto(bad, engine.CollectCtx(func(string, string, int) {
+		t.Fatal("emitted a transition from a foreign state")
+	}))
 }

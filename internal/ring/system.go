@@ -78,56 +78,17 @@ func (s asyncLCRSystem) Init() []string {
 	return []string{string(st)}
 }
 
-func (s asyncLCRSystem) Steps(st string) []core.Step[string] {
-	n := len(s.a.ids)
-	if st[n] != noLeader {
-		return nil // election decided; the space is a DAG to the leaders
-	}
-	var out []core.Step[string]
-	for link := 0; link < n; link++ {
-		mask := st[link]
-		for id := 0; id < 8; id++ {
-			if mask&(1<<uint(id)) == 0 {
-				continue
-			}
-			dst := (link + 1) % n
-			next := []byte(st)
-			next[link] &^= 1 << uint(id)
-			switch {
-			case id == s.a.ids[dst]:
-				next[n] = byte(dst) // token came home: dst wins
-			case id > s.a.ids[dst]:
-				next[dst] |= 1 << uint(id) // forward
-			}
-			// Smaller ids are swallowed: the token just disappears.
-			out = append(out, core.Step[string]{
-				To:    string(next),
-				Label: fmt.Sprintf("deliver id %d to p%d", id, dst),
-				Actor: dst,
-			})
-		}
-	}
-	return out
-}
-
-var _ core.ScratchSystem[string] = asyncLCRSystem{}
-
 // lcrScratch is ExpandInto's per-worker label render buffer.
 type lcrScratch struct {
 	lbl []byte
 }
 
-// ExpandInto implements core.ScratchSystem: the same deliveries as Steps,
-// in the same link-then-id order with byte-identical labels, rendered into
-// the worker's scratch buffer instead of a fresh []byte per successor.
+// ExpandInto implements core.System: one delivery per in-flight token, in
+// link-then-id order, each rendered into the worker's scratch buffer.
 func (s asyncLCRSystem) ExpandInto(st string, x *engine.Ctx[string]) {
 	n := len(s.a.ids)
 	if len(st) != n+1 {
-		// Not an encoding this system produced: defer to the spec path.
-		for _, e := range s.Steps(st) {
-			x.Emit(e.To, e.Label, e.Actor)
-		}
-		return
+		panic(fmt.Sprintf("ring: AsyncLCR state %q was not produced by this system", st))
 	}
 	if st[n] != noLeader {
 		return // election decided; the space is a DAG to the leaders

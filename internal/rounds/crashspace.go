@@ -51,47 +51,17 @@ var _ core.System[string] = crashSpaceSystem{}
 
 func (s crashSpaceSystem) Init() []string { return []string{crashSpaceState(0, 0)} }
 
-func (s crashSpaceSystem) Steps(st string) []core.Step[string] {
-	round, mask := int(st[0]), st[1]
-	var out []core.Step[string]
-	if bits.OnesCount8(mask) < s.c.MaxFaults {
-		for p := 0; p < s.c.Procs; p++ {
-			if mask&(1<<p) != 0 {
-				continue
-			}
-			out = append(out, core.Step[string]{
-				To:    crashSpaceState(round, mask|1<<p),
-				Label: fmt.Sprintf("crash p%d", p),
-				Actor: core.EnvironmentActor,
-			})
-		}
-	}
-	if round < s.c.Rounds {
-		out = append(out, core.Step[string]{
-			To:    crashSpaceState(round+1, mask),
-			Label: fmt.Sprintf("round %d", round+1),
-			Actor: core.EnvironmentActor,
-		})
-	}
-	return out
-}
-
-var _ core.ScratchSystem[string] = crashSpaceSystem{}
-
 // csScratch is ExpandInto's per-worker label render buffer.
 type csScratch struct {
 	lbl []byte
 }
 
-// ExpandInto implements core.ScratchSystem: Steps' crash and round-advance
-// transitions, rendered into the worker's scratch buffer.
+// ExpandInto implements core.System: the adversary's crash choices (p0
+// upward, while the fault budget lasts), then the round advance (below the
+// horizon), each rendered into the worker's scratch buffer.
 func (s crashSpaceSystem) ExpandInto(st string, x *engine.Ctx[string]) {
 	if len(st) != 2 {
-		// Not an encoding this system produced: defer to the spec path.
-		for _, e := range s.Steps(st) {
-			x.Emit(e.To, e.Label, e.Actor)
-		}
-		return
+		panic(fmt.Sprintf("rounds: CrashSpace state %q was not produced by this system", st))
 	}
 	sc, _ := x.Sys.(*csScratch)
 	if sc == nil {

@@ -1,12 +1,44 @@
 package sharedmem
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/spec"
 )
+
+// Steps is the hand-written reference transition relation of an
+// algorithm's state space: decoded int slices, a fresh encoding per
+// successor, fmt labels. TestExpandIntoMatchesSteps holds ExpandInto to it.
+func (sys system) Steps(s state) []core.Step[state] {
+	n := sys.alg.NumProcs()
+	vs := sys.alg.Vars()
+	locals, vars := decode(s, n, len(vs))
+	steps := make([]core.Step[state], 0, n)
+	for p := 0; p < n; p++ {
+		l := locals[p]
+		v := sys.alg.Access(p, l)
+		nl, nv := sys.alg.Step(p, l, vars[v])
+		newLocals := make([]int, n)
+		copy(newLocals, locals)
+		newLocals[p] = nl
+		newVars := make([]int, len(vars))
+		copy(newVars, vars)
+		newVars[v] = nv
+		actor := p
+		label := fmt.Sprintf("p%d: v%d %d->%d", p, v, vars[v], nv)
+		if sys.alg.Region(p, l) == spec.Remainder {
+			actor = core.EnvironmentActor
+			label = fmt.Sprintf("p%d requests", p)
+		}
+		steps = append(steps, core.Step[state]{To: encode(newLocals, newVars), Label: label, Actor: actor})
+	}
+	return steps
+}
 
 // TestExpandIntoMatchesSteps checks, state by state over the whole
 // reachable space, that the zero-allocation expansion emits exactly Steps'
@@ -76,4 +108,20 @@ func TestExpandIntoAliasingClean(t *testing.T) {
 				i, seq.Successors(i), par.Successors(i))
 		}
 	}
+}
+
+// TestMutexExpandIntoPanicsOnForeignState feeds a state of the wrong length:
+// it was not produced by the system, so ExpandInto must panic naming it
+// rather than mis-parse it.
+func TestMutexExpandIntoPanicsOnForeignState(t *testing.T) {
+	sys := system{alg: NewPeterson2()}
+	const bad = "\x07\x07\x07\x07\x07\x07\x07\x07\x07\x07\x07"
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), fmt.Sprintf("%q", bad)) {
+			t.Fatalf("recovered %v, want a panic naming %q", r, bad)
+		}
+	}()
+	sys.ExpandInto(bad, engine.CollectCtx(func(string, string, int) {
+		t.Fatal("emitted a transition from a foreign state")
+	}))
 }

@@ -132,53 +132,20 @@ func (sys system) Init() []state {
 	return []state{encode(locals, vars)}
 }
 
-func (sys system) Steps(s state) []core.Step[state] {
-	n := sys.alg.NumProcs()
-	vs := sys.alg.Vars()
-	locals, vars := decode(s, n, len(vs))
-	steps := make([]core.Step[state], 0, n)
-	for p := 0; p < n; p++ {
-		l := locals[p]
-		v := sys.alg.Access(p, l)
-		nl, nv := sys.alg.Step(p, l, vars[v])
-		newLocals := make([]int, n)
-		copy(newLocals, locals)
-		newLocals[p] = nl
-		newVars := make([]int, len(vars))
-		copy(newVars, vars)
-		newVars[v] = nv
-		actor := p
-		label := fmt.Sprintf("p%d: v%d %d->%d", p, v, vars[v], nv)
-		if sys.alg.Region(p, l) == spec.Remainder {
-			actor = core.EnvironmentActor
-			label = fmt.Sprintf("p%d requests", p)
-		}
-		steps = append(steps, core.Step[state]{To: encode(newLocals, newVars), Label: label, Actor: actor})
-	}
-	return steps
-}
-
-var _ core.ScratchSystem[state] = system{}
-
 // smScratch is the per-worker label render buffer of ExpandInto, carried
 // in Ctx.Sys.
 type smScratch struct {
 	lbl []byte
 }
 
-// ExpandInto implements core.ScratchSystem: the same n successors as
-// Steps, in the same order with byte-identical labels, but each one
-// rendered into the worker's scratch buffer (two patched bytes over the
-// current encoding) instead of materializing int slices and fmt labels.
+// ExpandInto implements core.System: one atomic access per process, p0
+// upward, each successor rendered into the worker's scratch buffer as two
+// patched bytes over the current encoding.
 func (sys system) ExpandInto(s state, x *engine.Ctx[state]) {
 	n := sys.alg.NumProcs()
 	vs := sys.alg.Vars()
 	if len(s) != n+len(vs) {
-		// Not an encoding this system produced: defer to the spec path.
-		for _, st := range sys.Steps(s) {
-			x.Emit(st.To, st.Label, st.Actor)
-		}
-		return
+		panic(fmt.Sprintf("sharedmem: %s state %q was not produced by this system", sys.alg.Name(), s))
 	}
 	sc, _ := x.Sys.(*smScratch)
 	if sc == nil {
@@ -455,15 +422,17 @@ func (b bypassSystem) Init() []state {
 	return out
 }
 
-func (b bypassSystem) Steps(s state) []core.Step[state] {
+// ExpandInto implements core.System: the inner system's transitions, each
+// with the bypass counters updated. Bounded-bypass checking is a one-off
+// exploration, so it materializes the inner steps with core.StepsOf.
+func (b bypassSystem) ExpandInto(s state, x *engine.Ctx[state]) {
 	alg := b.inner.alg
 	n := alg.NumProcs()
 	nv := len(alg.Vars())
 	baseLen := n + nv
 	base := s[:baseLen]
 	counters := []byte(s[baseLen:])
-	out := b.inner.Steps(base)
-	for i, st := range out {
+	for _, st := range core.StepsOf[state](b.inner, base) {
 		preRegions := regionsOf(alg, base)
 		postRegions := regionsOf(alg, st.To)
 		next := make([]byte, n)
@@ -486,9 +455,8 @@ func (b bypassSystem) Steps(s state) []core.Step[state] {
 				}
 			}
 		}
-		out[i] = core.Step[state]{To: st.To + string(next), Label: st.Label, Actor: st.Actor}
+		x.Emit(st.To+string(next), st.Label, st.Actor)
 	}
-	return out
 }
 
 // CheckBoundedBypass verifies that while a process is continuously trying,
