@@ -50,7 +50,7 @@ type Flags struct {
 func Register(fs *flag.FlagSet, scope, porHelp string) *Flags {
 	f := &Flags{}
 	fs.IntVar(&f.x.Base.Parallelism, "parallel", 0,
-		"exploration worker count (0 = GOMAXPROCS; see core.Explore for when 1 runs the sequential explorer); results are identical at any setting")
+		"exploration worker count (0 = GOMAXPROCS); results are identical at any setting")
 	fs.BoolVar(&f.x.Stats, "stats", false, "print exploration engine telemetry for "+scope)
 	fs.BoolVar(&f.x.POR, "por", false, porHelp)
 	fs.IntVar(&f.x.Base.VerifyAliasing, "verify-aliasing", 0,
@@ -84,8 +84,7 @@ type Exploration struct {
 
 // Options returns a copy of Base for one exploration. It carries a fresh
 // Stats when -stats is set or the backend is not mem, whose figures are
-// worth a line even without -stats; a Stats also routes core.Explore
-// through the engine at one worker.
+// worth a line even without -stats.
 func (x Exploration) Options() engine.Options {
 	o := x.Base
 	if x.Stats || o.Store.ResolvedKind() != store.Mem {

@@ -60,9 +60,8 @@ import (
 type (
 	// EngineStats is the exploration telemetry sink accepted by the
 	// checkers' options types (states/sec, frontier depth, dedup rate,
-	// per-worker step counts). A non-nil sink routes exploration through
-	// the parallel engine; the resulting graph is identical at any worker
-	// count.
+	// per-worker step counts). The explored graph is identical with or
+	// without it, at any worker count.
 	EngineStats = engine.Stats
 
 	// ObsSink receives streaming exploration telemetry (run boundaries,

@@ -18,7 +18,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 
 	"repro/internal/engine"
@@ -77,8 +76,8 @@ func StepsOf[S comparable](sys System[S], s S) []Step[S] {
 var ErrStateLimit = errors.New("core: state limit exceeded during exploration")
 
 // edge is the interned form of a Step. It is the engine's canonical edge
-// type, aliased so that parallel exploration results are adopted into a
-// Graph without copying.
+// type, aliased so that exploration results are adopted into a Graph
+// without copying.
 type edge = engine.Edge
 
 // Graph is the explored reachable state graph of a System. It supports the
@@ -87,9 +86,8 @@ type edge = engine.Edge
 // and fair-cycle (livelock) detection.
 type Graph[S comparable] struct {
 	states []S
-	// index is built eagerly by the sequential explorer and lazily (under
-	// indexOnce) on the first StateID call for engine-built graphs, so
-	// concurrent readers race neither on construction nor on lookup.
+	// index is built lazily, under indexOnce, on the first StateID call,
+	// so concurrent readers race neither on construction nor on lookup.
 	index     map[S]int
 	indexOnce sync.Once
 	edges     [][]edge
@@ -101,42 +99,30 @@ type Graph[S comparable] struct {
 }
 
 // ExploreOptions bound an exploration. They are the engine's options:
-// every field means what engine.Options documents, and Explore resolves
-// MaxStates and Parallelism the way engine.Explore does.
+// every field means what engine.Options documents.
 type ExploreOptions = engine.Options
 
 // DefaultMaxStates bounds exploration when ExploreOptions.MaxStates is zero.
 const DefaultMaxStates = engine.DefaultMaxStates
 
-// Explore performs breadth-first exhaustive exploration of sys and returns
-// the reachable graph. It returns ErrStateLimit (wrapped) if the state
-// space exceeds the bound; the partial graph built up to the bound — itself
-// canonical, and identical at any parallelism — is returned alongside the
-// error.
+// Explore performs breadth-first exhaustive exploration of sys through
+// engine.Explore and returns the reachable graph. It returns ErrStateLimit
+// (wrapped) if the state space exceeds the bound; the partial graph built
+// up to the bound — itself canonical, and identical at any parallelism — is
+// returned alongside the error.
 //
-// Routing: a resolved Parallelism of 1 (0 or negative means
-// runtime.GOMAXPROCS(0)) runs the sequential explorer when Stats, Sink,
-// Store.Kind, Canon, CanonBytes, Independent and VerifyAliasing are all
-// unset; anything else runs the engine, which also validates them. Both
-// paths expand through sys.ExpandInto — the one transition relation — and
-// whatever the worker count and path, the Graph is identical: state
-// numbering, edge order, parent tree and initials all match the sequential
-// explorer's, so downstream analyses stay reproducible. Parallel
-// exploration relies on ExpandInto being safe for concurrent calls on
-// distinct contexts and a pure function of its state (true of every
-// System in this repository). A lossy store (bitstate) taints the
-// exploration: the Graph may undercount the reachable set, so callers must
-// downgrade universally-quantified verdicts — check Stats.Lossy.
+// Whatever the worker count, the Graph is identical: state numbering, edge
+// order, parent tree and initials all match a sequential breadth-first
+// search (engine.Differential holds the engine to that reference), so
+// downstream analyses stay reproducible. Parallel exploration relies on
+// ExpandInto being safe for concurrent calls on distinct contexts and a
+// pure function of its state (true of every System in this repository). A
+// lossy store (bitstate) taints the exploration: the Graph may undercount
+// the reachable set, so callers must downgrade universally-quantified
+// verdicts — check Stats.Lossy.
 func Explore[S comparable](sys System[S], opts ExploreOptions) (*Graph[S], error) {
 	if opts.MaxStates <= 0 {
 		opts.MaxStates = DefaultMaxStates
-	}
-	if opts.Parallelism <= 0 {
-		opts.Parallelism = runtime.GOMAXPROCS(0)
-	}
-	if opts.Parallelism == 1 && opts.Stats == nil && opts.Sink == nil && opts.Store.Kind == "" &&
-		opts.Canon == nil && opts.CanonBytes == nil && opts.Independent == nil && opts.VerifyAliasing <= 0 {
-		return exploreSequential(sys, opts.MaxStates)
 	}
 	res, err := engine.Explore(sys.Init(), sys.ExpandInto, opts)
 	if err != nil {
@@ -165,64 +151,6 @@ func adoptResult[S comparable](res *engine.Result[S]) *Graph[S] {
 	}
 }
 
-// exploreSequential is the single-threaded explorer, kept both as the
-// Parallelism == 1 fast path (no level barriers, no canonicalization pass,
-// no per-exploration engine set-up) and as the executable specification of
-// the canonical order the engine must reproduce. It expands every state
-// through one collect-mode context, so the system's scratch (Ctx.Scratch,
-// Ctx.Sys, the label interner) is reused across the whole exploration and
-// the emitted transitions land in one reused buffer.
-func exploreSequential[S comparable](sys System[S], limit int) (*Graph[S], error) {
-	g := &Graph[S]{index: make(map[S]int)}
-	intern := func(s S) (int, bool) {
-		if id, ok := g.index[s]; ok {
-			return id, false
-		}
-		id := len(g.states)
-		g.states = append(g.states, s)
-		g.index[s] = id
-		g.edges = append(g.edges, nil)
-		g.parent = append(g.parent, -1)
-		g.parentEdge = append(g.parentEdge, edge{})
-		return id, true
-	}
-	queue := make([]int, 0, 1024)
-	var steps []Step[S]
-	x := engine.CollectCtx(func(to S, label string, actor int) {
-		steps = append(steps, Step[S]{To: to, Label: label, Actor: actor})
-	})
-	for _, s := range sys.Init() {
-		id, fresh := intern(s)
-		if fresh {
-			g.inits = append(g.inits, id)
-			queue = append(queue, id)
-		}
-	}
-	if len(g.inits) == 0 {
-		return nil, errors.New("core: system has no initial states")
-	}
-	for head := 0; head < len(queue); head++ {
-		id := queue[head]
-		steps = steps[:0]
-		sys.ExpandInto(g.states[id], x)
-		out := make([]edge, 0, len(steps))
-		for _, st := range steps {
-			tid, fresh := intern(st.To)
-			if fresh {
-				if len(g.states) > limit {
-					return g, fmt.Errorf("%w: limit %d", ErrStateLimit, limit)
-				}
-				g.parent[tid] = id
-				g.parentEdge[tid] = edge{To: tid, Label: st.Label, Actor: st.Actor}
-				queue = append(queue, tid)
-			}
-			out = append(out, edge{To: tid, Label: st.Label, Actor: st.Actor})
-		}
-		g.edges[id] = out
-	}
-	return g, nil
-}
-
 // Len returns the number of reachable states.
 func (g *Graph[S]) Len() int { return len(g.states) }
 
@@ -239,16 +167,12 @@ func (g *Graph[S]) NumEdges() int {
 // of the graph and densely numbered from 0.
 func (g *Graph[S]) State(i int) S { return g.states[i] }
 
-// StateID returns the id of state s, if it is reachable. Graphs built by
-// the parallel engine materialize the state index on the first call, under
-// a sync.Once so that concurrent readers are safe: after exploration the
-// graph is immutable and StateID may be called from multiple goroutines.
+// StateID returns the id of state s, if it is reachable. The state index
+// is materialized on the first call, under a sync.Once so that concurrent
+// readers are safe: after exploration the graph is immutable and StateID
+// may be called from multiple goroutines.
 func (g *Graph[S]) StateID(s S) (int, bool) {
 	g.indexOnce.Do(func() {
-		if g.index != nil {
-			// Built eagerly by the sequential explorer.
-			return
-		}
 		idx := make(map[S]int, len(g.states))
 		for i, st := range g.states {
 			idx[st] = i

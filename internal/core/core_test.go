@@ -333,82 +333,121 @@ func TestNullvalent(t *testing.T) {
 	}
 }
 
-// graphsIdentical compares every canonical facet of two graphs: state
-// numbering, initials, edge lists (with order), parent tree and parent
-// steps.
-func graphsIdentical[S comparable](t *testing.T, label string, a, b *Graph[S]) {
+// graphMatchesResult checks that g exposes exactly the engine Result it
+// was built from: state numbering, initials, edge lists (with order),
+// parent tree and parent steps.
+func graphMatchesResult[S comparable](t *testing.T, label string, g *Graph[S], res *engine.Result[S]) {
 	t.Helper()
-	if a.Len() != b.Len() {
-		t.Fatalf("%s: Len %d vs %d", label, a.Len(), b.Len())
+	if g.Len() != len(res.States) {
+		t.Fatalf("%s: Len %d, result has %d states", label, g.Len(), len(res.States))
 	}
-	ai, bi := a.Initials(), b.Initials()
-	if len(ai) != len(bi) {
-		t.Fatalf("%s: initials %v vs %v", label, ai, bi)
+	if gi := g.Initials(); !reflect.DeepEqual(gi, res.Inits) {
+		t.Fatalf("%s: initials %v, result has %v", label, gi, res.Inits)
 	}
-	for k := range ai {
-		if ai[k] != bi[k] {
-			t.Fatalf("%s: initials %v vs %v", label, ai, bi)
+	for i := 0; i < g.Len(); i++ {
+		if g.State(i) != res.States[i] {
+			t.Fatalf("%s: state %d differs: %v vs %v", label, i, g.State(i), res.States[i])
 		}
-	}
-	for i := 0; i < a.Len(); i++ {
-		if a.State(i) != b.State(i) {
-			t.Fatalf("%s: state %d differs: %v vs %v", label, i, a.State(i), b.State(i))
+		if g.Parent(i) != res.Parents[i] {
+			t.Fatalf("%s: parent[%d] = %d, result has %d", label, i, g.Parent(i), res.Parents[i])
 		}
-		if a.Parent(i) != b.Parent(i) {
-			t.Fatalf("%s: parent[%d] = %d vs %d", label, i, a.Parent(i), b.Parent(i))
-		}
-		if a.ParentStep(i) != b.ParentStep(i) {
+		if pe := res.ParentEdges[i]; g.Parent(i) >= 0 && g.ParentStep(i) != (Step[S]{To: res.States[pe.To], Label: pe.Label, Actor: pe.Actor}) {
 			t.Fatalf("%s: parent step %d differs", label, i)
 		}
-		as, bs := a.Successors(i), b.Successors(i)
-		if len(as) != len(bs) {
-			t.Fatalf("%s: successors of %d: %d vs %d", label, i, len(as), len(bs))
+		succ := g.Successors(i)
+		if len(succ) != len(res.Edges[i]) {
+			t.Fatalf("%s: successors of %d: %d, result has %d", label, i, len(succ), len(res.Edges[i]))
 		}
-		for k := range as {
-			if as[k] != bs[k] {
-				t.Fatalf("%s: successor %d/%d differs: %+v vs %+v", label, i, k, as[k], bs[k])
+		for k, e := range res.Edges[i] {
+			if want := (Step[S]{To: res.States[e.To], Label: e.Label, Actor: e.Actor}); succ[k] != want {
+				t.Fatalf("%s: successor %d/%d differs: %+v vs %+v", label, i, k, succ[k], want)
 			}
 		}
 	}
 }
 
-// TestParallelExploreMatchesSequential: the engine-backed path must yield a
-// graph identical to the sequential explorer, worker count
-// notwithstanding.
+// TestParallelExploreMatchesSequential: Differential holds the engine to
+// the reference breadth-first search at 1, 2 and 8 workers, and Explore's
+// Graph must expose exactly the engine's Result at each of them.
 func TestParallelExploreMatchesSequential(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		sys := newRandomSys(seed)
-		seq, err := Explore[int](sys, ExploreOptions{Parallelism: 1})
-		if err != nil {
-			t.Fatalf("seed %d sequential: %v", seed, err)
+		if _, err := engine.Differential(engine.DiffSpec[int]{
+			Name: fmt.Sprintf("seed %d", seed), Inits: sys.Init(), Expand: sys.ExpandInto,
+		}); err != nil {
+			t.Fatal(err)
 		}
 		for _, par := range []int{1, 2, 8} {
-			var st engine.Stats
-			got, err := Explore[int](sys, ExploreOptions{Parallelism: par, Stats: &st})
+			res, err := engine.Explore(sys.Init(), sys.ExpandInto, engine.Options{Parallelism: par})
+			if err != nil {
+				t.Fatalf("seed %d par %d: engine: %v", seed, par, err)
+			}
+			got, err := Explore[int](sys, ExploreOptions{Parallelism: par})
 			if err != nil {
 				t.Fatalf("seed %d par %d: %v", seed, par, err)
 			}
-			graphsIdentical(t, fmt.Sprintf("seed %d par %d", seed, par), seq, got)
-			if st.States != seq.Len() {
-				t.Fatalf("seed %d par %d: stats states %d, want %d", seed, par, st.States, seq.Len())
-			}
+			graphMatchesResult(t, fmt.Sprintf("seed %d par %d", seed, par), got, res)
 		}
 	}
 }
 
-// TestTruncationReturnsPartialGraph: both explorer paths return the same
-// canonical partial graph alongside ErrStateLimit.
+// TestTruncationReturnsPartialGraph: the canonical partial graph comes back
+// alongside ErrStateLimit at every worker count, and equals the reference
+// breadth-first search's.
 func TestTruncationReturnsPartialGraph(t *testing.T) {
-	seq, err := Explore[int](chainSys{n: 100}, ExploreOptions{MaxStates: 5, Parallelism: 1})
-	if !errors.Is(err, ErrStateLimit) {
-		t.Fatalf("sequential err = %v, want ErrStateLimit", err)
+	if _, err := engine.Differential(engine.DiffSpec[int]{
+		Name: "chain", Inits: chainSys{n: 100}.Init(), Expand: chainSys{n: 100}.ExpandInto, MaxStates: 5,
+	}); err != nil {
+		t.Fatal(err)
 	}
-	if seq == nil || seq.Len() != 6 {
-		t.Fatalf("sequential partial graph missing or wrong size: %v", seq)
+	for _, par := range []int{1, 4} {
+		res, _ := engine.Explore(chainSys{n: 100}.Init(), chainSys{n: 100}.ExpandInto, engine.Options{MaxStates: 5, Parallelism: par})
+		g, err := Explore[int](chainSys{n: 100}, ExploreOptions{MaxStates: 5, Parallelism: par})
+		if !errors.Is(err, ErrStateLimit) {
+			t.Fatalf("par %d: err = %v, want ErrStateLimit", par, err)
+		}
+		if g == nil || g.Len() != 6 {
+			t.Fatalf("par %d: partial graph missing or wrong size: %v", par, g)
+		}
+		graphMatchesResult(t, fmt.Sprintf("truncated par %d", par), g, res)
 	}
-	par, err := Explore[int](chainSys{n: 100}, ExploreOptions{MaxStates: 5, Parallelism: 4})
-	if !errors.Is(err, ErrStateLimit) {
-		t.Fatalf("parallel err = %v, want ErrStateLimit", err)
+}
+
+// gridSys is the n×n grid walked right (actor 0) and down (actor 1) from
+// the corner: n² int states, 2n(n-1) edges.
+type gridSys struct{ n int }
+
+func (g gridSys) Init() []int { return []int{0} }
+
+func (g gridSys) ExpandInto(s int, x *engine.Ctx[int]) {
+	if s%g.n+1 < g.n {
+		x.Emit(s+1, "right", 0)
 	}
-	graphsIdentical(t, "truncated", seq, par)
+	if s/g.n+1 < g.n {
+		x.Emit(s+g.n, "down", 1)
+	}
+}
+
+// TestExploreTinyGraphAllocs bounds what one small exploration allocates:
+// callers such as the consensus-number search run over a hundred thousand
+// of them, so the engine's per-run set-up must stay within the 79
+// allocations the single-threaded explorer it replaced made on this grid.
+func TestExploreTinyGraphAllocs(t *testing.T) {
+	sys := gridSys{n: 6}
+	g, err := Explore[int](sys, ExploreOptions{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.Len() != 36 || g.NumEdges() != 60 {
+		t.Fatalf("grid has %d states, %d edges; want 36, 60", g.Len(), g.NumEdges())
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := Explore[int](sys, ExploreOptions{Parallelism: 1}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("allocs %v", allocs)
+	if allocs > 79 {
+		t.Fatalf("Explore of a 6x6 grid allocates %v times, want <= 79", allocs)
+	}
 }

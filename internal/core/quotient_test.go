@@ -41,7 +41,6 @@ func TestExploreQuotient(t *testing.T) {
 	if full.Len() != 16 {
 		t.Fatalf("full states = %d, want 16", full.Len())
 	}
-	// Canon alone must route through the engine even at Parallelism 1.
 	var st engine.Stats
 	quo, err := Explore[string](sys, ExploreOptions{
 		Parallelism: 1,

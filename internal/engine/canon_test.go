@@ -74,7 +74,7 @@ func TestQuotientDeterminismAcrossWorkerCounts(t *testing.T) {
 		ref, err := run(1, maxStates)
 		wantTrunc := maxStates != 0
 		if wantTrunc != errors.Is(err, ErrStateLimit) {
-			t.Fatalf("max=%d: sequential err = %v", maxStates, err)
+			t.Fatalf("max=%d: one-worker err = %v", maxStates, err)
 		}
 		for _, par := range []int{2, 8} {
 			got, err := run(par, maxStates)

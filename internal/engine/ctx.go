@@ -247,9 +247,9 @@ func (x *Ctx[S]) Label(b []byte) string {
 // materializing the state), and Scratch, Sys and Label behave as on a
 // real context, so reusing one CollectCtx across expansions reuses the
 // system's scratch exactly as an engine worker does. It allocates only the
-// Ctx itself. core's sequential explorer expands every state through one;
-// core.StepsOf and the equivalence tests use it to materialize a single
-// state's transitions.
+// Ctx itself. Differential's reference BFS expands every state through
+// one; core.StepsOf and the equivalence tests use it to materialize a
+// single state's transitions.
 func CollectCtx[S comparable](sink func(to S, label string, actor int)) *Ctx[S] {
 	return &Ctx[S]{sink: sink}
 }

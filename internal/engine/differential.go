@@ -18,6 +18,8 @@ import (
 // determinism and soundness contracts promise:
 //
 //   - byte-identical Results and telemetry at every worker count per mode;
+//   - full-mode Results (no canon, no POR, every exact store) equal to
+//     referenceExplore's: states, initials, edges, parents and truncation;
 //   - planted state/terminal/decided counts for the full graph and the
 //     quotient;
 //   - POR reduction soundness: the reduced graph is a subgraph of the full
@@ -83,6 +85,9 @@ type DiffSpec[S comparable] struct {
 	// Independent, when non-nil, enables the POR modes (run under
 	// VerifyPOR=1, same reasoning).
 	Independent func(S, Action[S], Action[S]) bool
+	// Visible, when non-nil, is threaded as Options.Visible into the POR
+	// modes.
+	Visible func(S, Action[S]) bool
 	// Decided, when non-nil, classifies terminal states for the decided
 	// counts.
 	Decided func(S) bool
@@ -196,9 +201,16 @@ func Differential[S comparable](spec DiffSpec[S]) (*DiffReport, error) {
 
 	base := Options{MaxStates: spec.MaxStates, Parallelism: workers[0], VerifyAliasing: spec.VerifyAliasing}
 
+	bfs, err := referenceExplore(spec.Inits, spec.Expand, spec.MaxStates)
+	if err != nil && !errors.Is(err, ErrStateLimit) {
+		return nil, fmt.Errorf("%w: %s [reference]: %w", ErrDiverged, spec.Name, err)
+	}
 	full, err := run("full", base)
 	if err != nil {
 		return nil, err
+	}
+	if msg := diffResults(bfs, full); msg != "" {
+		return nil, fail("full", workers[0], "diverged from the reference BFS: %s", msg)
 	}
 	fullDigest := rep.Modes[len(rep.Modes)-1].TraceDigest
 	fullTerm := terminalSet(full)
@@ -257,8 +269,8 @@ func Differential[S comparable](spec DiffSpec[S]) (*DiffReport, error) {
 		if err != nil {
 			return nil, err
 		}
-		if msg := diffResults(full, alt); msg != "" {
-			return nil, fail(mode, workers[0], "diverged from mem backend: %s", msg)
+		if msg := diffResults(bfs, alt); msg != "" {
+			return nil, fail(mode, workers[0], "diverged from the reference BFS: %s", msg)
 		}
 		if msg := diffStats(full.Stats, alt.Stats); msg != "" {
 			return nil, fail(mode, workers[0], "telemetry diverged from mem backend: %s", msg)
@@ -309,6 +321,9 @@ func Differential[S comparable](spec DiffSpec[S]) (*DiffReport, error) {
 	if spec.Independent != nil {
 		opts := base
 		opts.Independent = spec.Independent
+		if spec.Visible != nil { // a nil func stored in an any is not nil
+			opts.Visible = spec.Visible
+		}
 		opts.VerifyPOR = 1
 		por, err := run("por", opts)
 		if err != nil {
@@ -338,10 +353,70 @@ func Differential[S comparable](spec DiffSpec[S]) (*DiffReport, error) {
 	return rep, nil
 }
 
+// referenceExplore is the executable specification of the canonical order
+// every full-mode Explore result must reproduce: a plain single-threaded
+// breadth-first search that numbers states in discovery order, records
+// each state's transitions in emission order, and stops — leaving the
+// expanding state's edges nil — on discovering the state past limit
+// (0 means DefaultMaxStates). It shares nothing with the engine but the
+// collect-mode Ctx, so comparing against it checks the engine's levels,
+// store and replay together rather than the engine against itself.
+func referenceExplore[S comparable](inits []S, expand ExpandFunc[S], limit int) (*Result[S], error) {
+	if limit <= 0 {
+		limit = DefaultMaxStates
+	}
+	res := &Result[S]{}
+	index := make(map[S]int)
+	intern := func(s S) (int, bool) {
+		if id, ok := index[s]; ok {
+			return id, false
+		}
+		id := len(res.States)
+		index[s] = id
+		res.States = append(res.States, s)
+		res.Edges = append(res.Edges, nil)
+		res.Parents = append(res.Parents, -1)
+		res.ParentEdges = append(res.ParentEdges, Edge{})
+		return id, true
+	}
+	for _, s := range inits {
+		if id, fresh := intern(s); fresh {
+			res.Inits = append(res.Inits, id)
+		}
+	}
+	if len(res.Inits) == 0 {
+		return nil, ErrNoInitialStates
+	}
+	var acts []Action[S]
+	x := CollectCtx(func(to S, label string, actor int) {
+		acts = append(acts, Action[S]{To: to, Label: label, Actor: actor})
+	})
+	// Ids are assigned in discovery order, so walking them in order is the
+	// BFS queue.
+	for id := 0; id < len(res.States); id++ {
+		acts = acts[:0]
+		expand(res.States[id], x)
+		out := make([]Edge, 0, len(acts))
+		for _, a := range acts {
+			to, fresh := intern(a.To)
+			e := Edge{To: to, Label: a.Label, Actor: a.Actor}
+			if fresh {
+				if len(res.States) > limit {
+					res.Truncated = true
+					return res, fmt.Errorf("%w: limit %d", ErrStateLimit, limit)
+				}
+				res.Parents[to] = id
+				res.ParentEdges[to] = e
+			}
+			out = append(out, e)
+		}
+		res.Edges[id] = out
+	}
+	return res, nil
+}
+
 // diffResults compares two Results field by field and describes the first
-// difference ("" when byte-identical). It is mustEqualResults in error
-// form, shared by the oracle so divergences carry a message instead of a
-// test failure.
+// difference ("" when byte-identical).
 func diffResults[S comparable](a, b *Result[S]) string {
 	switch {
 	case !reflect.DeepEqual(a.States, b.States):

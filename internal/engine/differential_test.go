@@ -201,27 +201,27 @@ func TestFingerprintTypes(t *testing.T) {
 	fp := func(v any) uint64 {
 		switch v := v.(type) {
 		case int8:
-			return fingerprint(&v)
+			return fingerprint(v)
 		case int16:
-			return fingerprint(&v)
+			return fingerprint(v)
 		case int32:
-			return fingerprint(&v)
+			return fingerprint(v)
 		case int64:
-			return fingerprint(&v)
+			return fingerprint(v)
 		case uint:
-			return fingerprint(&v)
+			return fingerprint(v)
 		case uint8:
-			return fingerprint(&v)
+			return fingerprint(v)
 		case uint16:
-			return fingerprint(&v)
+			return fingerprint(v)
 		case uint32:
-			return fingerprint(&v)
+			return fingerprint(v)
 		case uint64:
-			return fingerprint(&v)
+			return fingerprint(v)
 		case uintptr:
-			return fingerprint(&v)
+			return fingerprint(v)
 		case [2]int:
-			return fingerprint(&v)
+			return fingerprint(v)
 		}
 		t.Fatalf("no case for %T", v)
 		return 0

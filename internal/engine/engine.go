@@ -284,7 +284,7 @@ type explorer[S comparable] struct {
 	// the fingerprint the store shards by, kept here too for the sampled
 	// soundness checks.
 	store store.StateStore[S]
-	fp    func(*S) uint64
+	fp    func(S) uint64
 
 	// canon, when non-nil, maps every generated state to its orbit
 	// representative before interning. verifyMod != 0 samples raw states
@@ -323,12 +323,10 @@ type explorer[S comparable] struct {
 	verifyMu  sync.Mutex
 	verifyErr error
 
-	// spans and expanded are indexed by provisional id. They are only
-	// appended to between level barriers; during a level, workers write
-	// spans/expanded at the distinct indices they own. (The id -> state
-	// payloads live in the store.)
-	spans    []span
-	expanded []bool
+	// spans is indexed by provisional id. It is only appended to between
+	// level barriers; during a level, workers write spans at the distinct
+	// indices they own. (The id -> state payloads live in the store.)
+	spans []span
 
 	// profStoreIO and profReplay are the coordinator-only phase counters
 	// (store maintenance between levels, the sequential replay pass);
@@ -343,7 +341,7 @@ type explorer[S comparable] struct {
 // fingerprint and remap count in ws and running the sampled soundness check.
 // Callers guard on e.canon != nil to keep the no-symmetry path branch-cheap.
 func (e *explorer[S]) canonicalize(raw S, ws *worker[S]) S {
-	h := e.fp(&raw)
+	h := e.fp(raw)
 	ws.rawSeen[h] = struct{}{}
 	rep := e.canon(raw)
 	if rep == raw {
@@ -363,6 +361,10 @@ func (e *explorer[S]) canonicalize(raw S, ws *worker[S]) S {
 // expandRange expands provisional ids [lo, hi) claimed in chunks from
 // cursor, writing successors into worker w's arena.
 func (e *explorer[S]) expandRange(w int32, cursor *atomic.Int64, hi int, chunk int) {
+	if e.indep != nil {
+		e.expandRangePOR(w, cursor, hi, chunk)
+		return
+	}
 	ws := e.workers[w]
 	x := &ws.ctx
 	prof := ws.prof
@@ -395,26 +397,12 @@ func (e *explorer[S]) expandRange(w int32, cursor *atomic.Int64, hi int, chunk i
 			}
 			sp := span{worker: w, off: off, n: int32(len(ws.arena)) - off}
 			e.spans[id] = sp
-			e.expanded[id] = true
 			ws.steps.Add(1)
-			// fpOfID re-fetches the state off the hot path: fp(&s) inline
-			// would make escape analysis heap-box s on every iteration,
-			// falsifier enabled or not.
-			if e.aliasMod != 0 && e.fpOfID(int32(id))%e.aliasMod == 0 {
+			if e.aliasMod != 0 && e.fp(s)%e.aliasMod == 0 {
 				e.checkAliasing(s, ws, sp)
 			}
 		}
 	}
-}
-
-// fpOfID fingerprints the state behind id. Kept out of line so hot loops
-// never take the address of their loop-local state copy (which would force
-// it to escape); the extra State fetch only runs on sampled states.
-//
-//go:noinline
-func (e *explorer[S]) fpOfID(id int32) uint64 {
-	s := e.store.State(id)
-	return e.fp(&s)
 }
 
 // expandRangePOR is expandRange's partial-order-reduced twin: instead of
@@ -466,11 +454,10 @@ func (e *explorer[S]) expandRangePOR(w int32, cursor *atomic.Int64, hi int, chun
 			e.expand(s, x)
 			x.sink = nil
 			acts := ws.acts
-			// fpOfID instead of fp(&s): see expandRange.
-			if e.aliasMod != 0 && e.fpOfID(int32(id))%e.aliasMod == 0 {
+			if e.aliasMod != 0 && e.fp(s)%e.aliasMod == 0 {
 				e.checkAliasingPOR(s, ws)
 			}
-			if e.porVerifyMod != 0 && e.fpOfID(int32(id))%e.porVerifyMod == 0 {
+			if e.porVerifyMod != 0 && e.fp(s)%e.porVerifyMod == 0 {
 				if err := e.checkPOR(s, acts); err != nil {
 					e.noteVerifyErr(err)
 				}
@@ -508,7 +495,6 @@ func (e *explorer[S]) expandRangePOR(w int32, cursor *atomic.Int64, hi int, chun
 				}
 			}
 			e.spans[id] = span{worker: w, off: off, n: int32(len(ws.arena)) - off}
-			e.expanded[id] = true
 			ws.steps.Add(1)
 			if ws.profSampling {
 				prof.noteSample(time.Since(sampleT))
@@ -549,7 +535,7 @@ func Explore[S comparable](inits []S, expand ExpandFunc[S], opts Options) (*Resu
 
 	e := &explorer[S]{expand: expand, fp: fingerprint[S]}
 	if opts.degradeFingerprint {
-		e.fp = func(s *S) uint64 { return fingerprint(s) & 3 }
+		e.fp = func(s S) uint64 { return fingerprint(s) & 3 }
 	}
 	canon, err := canonFor[S](opts.Canon)
 	if err != nil {
@@ -670,41 +656,36 @@ func Explore[S comparable](inits []S, expand ExpandFunc[S], opts Options) (*Resu
 
 	// Parallel phase: expand whole BFS levels between barriers. The level
 	// granularity is what keeps truncation canonical — if the state count
-	// crosses the limit, every state the sequential explorer would have
+	// crosses the limit, every state a sequential BFS would have
 	// expanded before failing has already been expanded here (the
 	// overshoot is at most one level of successors).
 	var st Stats
 	st.Workers = nw
-	expandLevel := e.expandRange
-	if e.indep != nil {
-		expandLevel = e.expandRangePOR
-	}
 	lo, hi := 0, e.store.Len()
 	e.spans = growTo(e.spans, hi)
-	e.expanded = growTo(e.expanded, hi)
+	var cursor atomic.Int64
 	for lo < hi {
 		frontier := hi - lo
 		if frontier > st.PeakFrontier {
 			st.PeakFrontier = frontier
 		}
 		st.Depth++
-		var cursor atomic.Int64
 		cursor.Store(int64(lo))
 		chunk := frontier/(nw*4) + 1
 		// Small frontiers are not worth a fan-out: per-level goroutine and
 		// barrier costs would dominate on deep, narrow graphs (chains).
 		if nw == 1 || frontier < nw*16 {
-			expandLevel(0, &cursor, hi, chunk)
+			e.expandRange(0, &cursor, hi, chunk)
 		} else {
 			var wg sync.WaitGroup
 			for w := 1; w < nw; w++ {
 				wg.Add(1)
-				go func(w int32) {
+				go func(w int32, hi, chunk int) {
 					defer wg.Done()
-					expandLevel(w, &cursor, hi, chunk)
-				}(int32(w))
+					e.expandRange(w, &cursor, hi, chunk)
+				}(int32(w), hi, chunk)
 			}
-			expandLevel(0, &cursor, hi, chunk)
+			e.expandRange(0, &cursor, hi, chunk)
 			waitBarrier(e.workers[0].prof, &wg)
 		}
 		// Level barrier: the store already holds every state interned
@@ -712,7 +693,6 @@ func Explore[S comparable](inits []S, expand ExpandFunc[S], opts Options) (*Resu
 		// payloads readable by id from any worker next level).
 		total := e.store.Len()
 		e.spans = growTo(e.spans, total)
-		e.expanded = growTo(e.expanded, total)
 		lo, hi = hi, total
 		// Budget maintenance runs at the barrier, while the workers are
 		// quiescent: the store may spill payloads below the next frontier
@@ -763,7 +743,9 @@ func Explore[S comparable](inits []S, expand ExpandFunc[S], opts Options) (*Resu
 		st.RawStates = len(rawAll)
 	}
 
-	res, err := e.replayTimed(initIDs, limit)
+	// Whole levels are expanded, so every id below lo has recorded
+	// successors and none at or above it has.
+	res, err := e.replayTimed(initIDs, limit, lo)
 	if err == nil || errors.Is(err, ErrStateLimit) {
 		// Replay reads spilled payloads back; surface a read failure as
 		// the run's error rather than a silently wrong graph.
@@ -779,7 +761,9 @@ func Explore[S comparable](inits []S, expand ExpandFunc[S], opts Options) (*Resu
 	st.Store = e.store.Stats()
 	st.Lossy = st.Store.Lossy
 	e.collectPhases(&st)
-	st.PeakRSSBytes = obs.PeakRSS()
+	if opts.Stats != nil || opts.Sink != nil {
+		st.PeakRSSBytes = obs.PeakRSS()
+	}
 	st.Elapsed = time.Since(start)
 	if secs := st.Elapsed.Seconds(); secs > 0 {
 		st.StatesPerSec = float64(st.States) / secs
@@ -796,11 +780,12 @@ func Explore[S comparable](inits []S, expand ExpandFunc[S], opts Options) (*Resu
 
 // replay is the canonicalization pass: a sequential BFS over the recorded
 // successor lists, renumbering provisional ids into canonical (discovery
-// order) ids. It mirrors the sequential explorer's loop exactly — including
+// order) ids. It mirrors referenceExplore's loop exactly — including
 // where the state limit fires — so its output is byte-identical to a
 // single-threaded exploration, and its truncated output is byte-identical
-// to a truncated single-threaded exploration.
-func (e *explorer[S]) replay(initIDs []int32, limit int) (*Result[S], error) {
+// to a truncated single-threaded exploration. Ids below expanded are the
+// ones with recorded successors.
+func (e *explorer[S]) replay(initIDs []int32, limit, expanded int) (*Result[S], error) {
 	n := e.store.Len()
 	canon := make([]int32, n)
 	for i := range canon {
@@ -842,7 +827,7 @@ func (e *explorer[S]) replay(initIDs []int32, limit int) (*Result[S], error) {
 	for head := 0; head < len(queue); head++ {
 		pid := queue[head]
 		cid := int(canon[pid])
-		if !e.expanded[pid] {
+		if int(pid) >= expanded {
 			// Unreachable: the level-granular cutoff guarantees the limit
 			// fires (below) before any unexpanded state is dequeued.
 			return res, fmt.Errorf("engine: internal error: state %d dequeued without recorded successors", cid)

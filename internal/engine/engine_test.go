@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"reflect"
 	"testing"
 )
 
@@ -50,23 +49,8 @@ func randomExpand(seed int64, n int) ExpandFunc[int] {
 // every canonical field.
 func mustEqualResults[S comparable](t *testing.T, label string, a, b *Result[S]) {
 	t.Helper()
-	if !reflect.DeepEqual(a.States, b.States) {
-		t.Fatalf("%s: state orderings differ", label)
-	}
-	if !reflect.DeepEqual(a.Inits, b.Inits) {
-		t.Fatalf("%s: initial ids differ: %v vs %v", label, a.Inits, b.Inits)
-	}
-	if !reflect.DeepEqual(a.Edges, b.Edges) {
-		t.Fatalf("%s: edge lists differ", label)
-	}
-	if !reflect.DeepEqual(a.Parents, b.Parents) {
-		t.Fatalf("%s: parent trees differ", label)
-	}
-	if !reflect.DeepEqual(a.ParentEdges, b.ParentEdges) {
-		t.Fatalf("%s: parent edges differ", label)
-	}
-	if a.Truncated != b.Truncated {
-		t.Fatalf("%s: truncation flags differ: %v vs %v", label, a.Truncated, b.Truncated)
+	if msg := diffResults(a, b); msg != "" {
+		t.Fatalf("%s: %s", label, msg)
 	}
 }
 
@@ -96,26 +80,33 @@ func TestExploreChain(t *testing.T) {
 func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 	type tc struct {
 		name string
+		ref  func() (any, error)
 		run  func(par int) (any, error)
 	}
 	cases := []tc{
-		{"grid", func(par int) (any, error) {
+		{"grid", func() (any, error) {
+			return referenceExplore([]string{"0,0"}, gridExpand(40), 0)
+		}, func(par int) (any, error) {
 			return Explore([]string{"0,0"}, gridExpand(40), Options{Parallelism: par})
 		}},
-		{"random", func(par int) (any, error) {
+		{"random", func() (any, error) {
+			return referenceExplore([]int{0, 1, 0}, randomExpand(42, 5000), 0)
+		}, func(par int) (any, error) {
 			return Explore([]int{0, 1, 0}, randomExpand(42, 5000), Options{Parallelism: par})
 		}},
-		{"chain", func(par int) (any, error) {
+		{"chain", func() (any, error) {
+			return referenceExplore([]int{0}, chainExpand(300), 0)
+		}, func(par int) (any, error) {
 			return Explore([]int{0}, chainExpand(300), Options{Parallelism: par})
 		}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			ref, err := c.run(1)
+			ref, err := c.ref()
 			if err != nil {
-				t.Fatalf("sequential run: %v", err)
+				t.Fatalf("reference BFS: %v", err)
 			}
-			for _, par := range []int{2, 3, 8} {
+			for _, par := range []int{1, 2, 3, 8} {
 				got, err := c.run(par)
 				if err != nil {
 					t.Fatalf("parallelism %d: %v", par, err)
@@ -132,16 +123,16 @@ func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 }
 
 func TestTruncationIsCanonical(t *testing.T) {
-	// The partial result at any worker count must equal the sequential
-	// partial result, state for state.
-	ref, err := Explore([]string{"0,0"}, gridExpand(60), Options{Parallelism: 1, MaxStates: 500})
+	// The partial result at any worker count must equal the reference
+	// BFS's partial result, state for state.
+	ref, err := referenceExplore([]string{"0,0"}, gridExpand(60), 500)
 	if !errors.Is(err, ErrStateLimit) {
 		t.Fatalf("err = %v, want ErrStateLimit", err)
 	}
 	if !ref.Truncated || len(ref.States) != 501 {
 		t.Fatalf("partial result: truncated=%v states=%d, want truncated with 501 states", ref.Truncated, len(ref.States))
 	}
-	for _, par := range []int{2, 8} {
+	for _, par := range []int{1, 2, 8} {
 		got, err := Explore([]string{"0,0"}, gridExpand(60), Options{Parallelism: par, MaxStates: 500})
 		if !errors.Is(err, ErrStateLimit) {
 			t.Fatalf("parallelism %d: err = %v, want ErrStateLimit", par, err)
@@ -233,9 +224,9 @@ func TestSelfLoopsAndReconvergence(t *testing.T) {
 			x.Emit(3, "sink", 0)
 		}
 	}
-	ref, err := Explore([]int{0}, expand, Options{Parallelism: 1})
+	ref, err := referenceExplore([]int{0}, expand, 0)
 	if err != nil {
-		t.Fatalf("Explore: %v", err)
+		t.Fatalf("reference BFS: %v", err)
 	}
 	if len(ref.States) != 4 {
 		t.Fatalf("states = %d, want 4", len(ref.States))
@@ -243,7 +234,7 @@ func TestSelfLoopsAndReconvergence(t *testing.T) {
 	if got := ref.Edges[0][0]; got.To != 0 || got.Label != "self" {
 		t.Fatalf("self loop edge = %+v", got)
 	}
-	for _, par := range []int{2, 4} {
+	for _, par := range []int{1, 2, 4} {
 		got, err := Explore([]int{0}, expand, Options{Parallelism: par})
 		if err != nil {
 			t.Fatalf("par %d: %v", par, err)

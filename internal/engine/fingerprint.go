@@ -7,39 +7,41 @@ import "fmt"
 // confirmed against the full state), so the only requirements are
 // determinism and reasonable spread.
 //
-// The switch is over *S rather than S: boxing a pointer into an interface
-// stores it directly in the interface word, so the common string/int paths
-// stay allocation-free. Exotic comparable state types fall back to their
-// fmt rendering — slow but correct, and unused by any system in this
-// repository (whose canonical states are strings and small ints).
-func fingerprint[S comparable](s *S) uint64 {
+// The state is taken by value: callers reach it through a func value
+// (the store's fp), and a pointer argument there would heap-box every
+// caller's state. The interface conversion of the type switch does not
+// escape, so the string and integer paths stay allocation-free. Exotic
+// comparable state types fall back to their fmt rendering — slow but
+// correct, and unused by any system in this repository (whose canonical
+// states are strings and small ints).
+func fingerprint[S comparable](s S) uint64 {
 	switch p := any(s).(type) {
-	case *string:
-		return hashString(*p)
-	case *int:
-		return mix64(uint64(*p))
-	case *int8:
-		return mix64(uint64(*p))
-	case *int16:
-		return mix64(uint64(*p))
-	case *int32:
-		return mix64(uint64(*p))
-	case *int64:
-		return mix64(uint64(*p))
-	case *uint:
-		return mix64(uint64(*p))
-	case *uint8:
-		return mix64(uint64(*p))
-	case *uint16:
-		return mix64(uint64(*p))
-	case *uint32:
-		return mix64(uint64(*p))
-	case *uint64:
-		return mix64(*p)
-	case *uintptr:
-		return mix64(uint64(*p))
+	case string:
+		return hashString(p)
+	case int:
+		return mix64(uint64(p))
+	case int8:
+		return mix64(uint64(p))
+	case int16:
+		return mix64(uint64(p))
+	case int32:
+		return mix64(uint64(p))
+	case int64:
+		return mix64(uint64(p))
+	case uint:
+		return mix64(uint64(p))
+	case uint8:
+		return mix64(uint64(p))
+	case uint16:
+		return mix64(uint64(p))
+	case uint32:
+		return mix64(uint64(p))
+	case uint64:
+		return mix64(p)
+	case uintptr:
+		return mix64(uint64(p))
 	default:
-		return hashString(fmt.Sprint(*s))
+		return hashString(fmt.Sprint(s))
 	}
 }
 

@@ -58,7 +58,7 @@ func TestPORDeterminismAcrossWorkerCounts(t *testing.T) {
 		ref, err := run(1, maxStates)
 		wantTrunc := maxStates != 0
 		if wantTrunc != errors.Is(err, ErrStateLimit) {
-			t.Fatalf("max=%d: sequential err = %v", maxStates, err)
+			t.Fatalf("max=%d: one-worker err = %v", maxStates, err)
 		}
 		for _, par := range []int{2, 8} {
 			got, err := run(par, maxStates)
@@ -69,9 +69,9 @@ func TestPORDeterminismAcrossWorkerCounts(t *testing.T) {
 		}
 	}
 	// An all-dependent relation must reproduce the unreduced graph exactly.
-	full, err := Explore([]string{"0,0"}, gridExpand(40), Options{})
+	full, err := referenceExplore([]string{"0,0"}, gridExpand(40), 0)
 	if err != nil {
-		t.Fatalf("full explore: %v", err)
+		t.Fatalf("reference BFS: %v", err)
 	}
 	porFull, err := run(1, 0)
 	if err != nil {

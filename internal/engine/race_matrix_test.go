@@ -10,7 +10,7 @@ import (
 // TestRaceMatrix drives the hot path at 8 workers across every reduction
 // stack — full, canon quotient, ample-set POR, and the canon+POR stack —
 // over both the mem and spill store backends, with the aliasing falsifier
-// on, and checks each graph is byte-identical to its sequential twin. On
+// on, and checks each graph is byte-identical to its one-worker twin. On
 // its own it is a determinism test; under `go test -race` (CI runs it that
 // way explicitly) it is the data-race gate for the zero-alloc pipeline:
 // slab arenas, scratch buffers, the label interner and the sharded
@@ -52,6 +52,13 @@ func TestRaceMatrix(t *testing.T) {
 					t.Fatal(err)
 				}
 				mustEqualResults(t, fmt.Sprintf("%s/%s workers=8", m.name, sc.name), want, got)
+				if m.opts.Canon == nil && m.opts.Independent == nil {
+					ref, err := referenceExplore(inits, gridExpandBytes(n), 0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					mustEqualResults(t, fmt.Sprintf("%s/%s vs reference BFS", m.name, sc.name), ref, want)
+				}
 			})
 		}
 	}

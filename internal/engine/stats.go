@@ -75,7 +75,9 @@ type Stats struct {
 	// found", never "none exists". Checkers must downgrade their verdicts.
 	Lossy bool
 	// PeakRSSBytes is the process's peak resident set size at run end
-	// (process-wide and monotone across runs; 0 if unmeasurable).
+	// (process-wide and monotone across runs; 0 if unmeasurable, or if
+	// neither Options.Stats nor Options.Sink is set: getrusage would cost
+	// a tiny exploration more than its search).
 	PeakRSSBytes int64
 	// Phases is the run's aggregate phase-attribution profile (expand,
 	// barrier-wait, store I/O, replay — plus the

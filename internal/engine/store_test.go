@@ -30,9 +30,9 @@ func storeBackends(t *testing.T) map[string]store.Config {
 // backend — and across backends, since none of these configurations
 // actually loses states.
 func TestStoreBackendDeterminism(t *testing.T) {
-	ref, err := Explore([]string{"0,0"}, gridExpand(40), Options{Parallelism: 1})
+	ref, err := referenceExplore([]string{"0,0"}, gridExpand(40), 0)
 	if err != nil {
-		t.Fatalf("reference run: %v", err)
+		t.Fatalf("reference BFS: %v", err)
 	}
 	for name, cfg := range storeBackends(t) {
 		t.Run(name, func(t *testing.T) {
@@ -82,9 +82,9 @@ func TestSpillExplorationSpills(t *testing.T) {
 // the segment read-back really distinguishes states. Small pages
 // (PageBits) let the 625-state grid span many spillable pages.
 func TestSpillWithDegradedFingerprint(t *testing.T) {
-	ref, err := Explore([]string{"0,0"}, gridExpand(25), Options{Parallelism: 1})
+	ref, err := referenceExplore([]string{"0,0"}, gridExpand(25), 0)
 	if err != nil {
-		t.Fatalf("reference run: %v", err)
+		t.Fatalf("reference BFS: %v", err)
 	}
 	for _, par := range []int{1, 4} {
 		var st Stats

@@ -202,9 +202,8 @@ type AnalyzeOptions struct {
 	Resilience *int
 	// MaxStates bounds exploration.
 	MaxStates int
-	// Parallelism is the exploration worker count; see core.Explore for
-	// how it resolves and when one worker means the sequential explorer.
-	// The configuration graph is identical either way.
+	// Parallelism is the exploration worker count (0 = GOMAXPROCS). The
+	// configuration graph is identical at any worker count.
 	Parallelism int
 	// Stats, when non-nil, receives the telemetry of the main
 	// configuration-graph exploration (the uniform-vector validity
@@ -298,8 +297,7 @@ func Analyze(p Protocol, opts AnalyzeOptions) (Report, error) {
 		VerifyPOR: opts.VerifyPOR, VerifyAliasing: opts.VerifyAliasing,
 		Sink: opts.Sink, SnapshotEvery: opts.SnapshotEvery, Store: opts.Store,
 	}
-	// A nil func stored in an interface field is not a nil interface, and
-	// core.Explore routes a non-nil Canon or Independent to the engine.
+	// A nil func stored in an interface field is not a nil interface.
 	if opts.Canon != nil {
 		eopts.Canon = opts.Canon
 	}

@@ -227,7 +227,7 @@ func checkInputs(t0, t1 ConsTable, locals, values, a, b, maxStates int) (bool, e
 	sys := &pairSys{tables: [2]ConsTable{t0, t1}, locals: locals, values: values, a: a, b: b}
 	// The per-pair graphs are tiny (at most (locals+2)^2 * values states);
 	// parallelism lives in the outer pair enumeration, so each exploration
-	// runs sequentially.
+	// runs on one worker.
 	g, err := core.Explore[int](sys, core.ExploreOptions{MaxStates: maxStates, Parallelism: 1})
 	if err != nil {
 		return false, err

@@ -88,31 +88,20 @@ func TestAsyncLCRExpandIntoMatchesSteps(t *testing.T) {
 	}
 }
 
-// TestAsyncLCRAliasingClean runs the election exploration with the
-// aliasing falsifier checking every state and compares against the
-// sequential explorer's graph.
+// TestAsyncLCRAliasingClean runs the election exploration through
+// engine.Differential with the aliasing falsifier checking every state; the
+// graph must match the reference breadth-first search at 1 and 2 workers.
 func TestAsyncLCRAliasingClean(t *testing.T) {
 	a, err := NewAsyncLCR(DescendingIDs(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := core.Explore[string](a.System(), core.ExploreOptions{Parallelism: 1})
-	if err != nil {
+	sys := a.System()
+	if _, err := engine.Differential(engine.DiffSpec[string]{
+		Name: "async-lcr", Inits: sys.Init(), Expand: sys.ExpandInto,
+		VerifyAliasing: 1, Workers: []int{1, 2},
+	}); err != nil {
 		t.Fatal(err)
-	}
-	par, err := core.Explore[string](a.System(), core.ExploreOptions{
-		Parallelism: 2, VerifyAliasing: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.Len() != par.Len() {
-		t.Fatalf("state counts differ: %d vs %d", seq.Len(), par.Len())
-	}
-	for i := 0; i < seq.Len(); i++ {
-		if seq.State(i) != par.State(i) || !reflect.DeepEqual(seq.Successors(i), par.Successors(i)) {
-			t.Fatalf("graphs diverge at state %d", i)
-		}
 	}
 }
 

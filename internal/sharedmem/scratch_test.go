@@ -81,32 +81,17 @@ func TestExpandIntoMatchesSteps(t *testing.T) {
 	}
 }
 
-// TestExpandIntoAliasingClean runs a full engine exploration with the
-// aliasing falsifier checking every state: the scratch expansion must not
-// retain emitted buffers, and the graph must match the sequential path.
+// TestExpandIntoAliasingClean runs the exploration through
+// engine.Differential with the aliasing falsifier checking every state: the
+// scratch expansion must not retain emitted buffers, and the graph must
+// match the reference breadth-first search at 1 and 2 workers.
 func TestExpandIntoAliasingClean(t *testing.T) {
-	alg := NewTicketLock(3)
-	seq, err := core.Explore[state](NewSystem(alg), core.ExploreOptions{Parallelism: 1})
-	if err != nil {
+	sys := NewSystem(NewTicketLock(3))
+	if _, err := engine.Differential(engine.DiffSpec[state]{
+		Name: "ticket-lock", Inits: sys.Init(), Expand: sys.ExpandInto,
+		VerifyAliasing: 1, Workers: []int{1, 2},
+	}); err != nil {
 		t.Fatal(err)
-	}
-	par, err := core.Explore[state](NewSystem(alg), core.ExploreOptions{
-		Parallelism: 2, VerifyAliasing: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.Len() != par.Len() {
-		t.Fatalf("state counts differ: %d vs %d", seq.Len(), par.Len())
-	}
-	for i := 0; i < seq.Len(); i++ {
-		if seq.State(i) != par.State(i) {
-			t.Fatalf("state %d differs: %q vs %q", i, seq.State(i), par.State(i))
-		}
-		if !reflect.DeepEqual(seq.Successors(i), par.Successors(i)) {
-			t.Fatalf("successors of state %d differ:\nseq = %v\npar = %v",
-				i, seq.Successors(i), par.Successors(i))
-		}
 	}
 }
 

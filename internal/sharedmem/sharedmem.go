@@ -266,9 +266,8 @@ type CheckMutexOptions struct {
 	Exclusion int
 	// MaxStates bounds exploration (default core.DefaultMaxStates).
 	MaxStates int
-	// Parallelism is the exploration worker count; see core.Explore for
-	// how it resolves. The graph — and so the verdict — is identical at
-	// any worker count.
+	// Parallelism is the exploration worker count (0 = GOMAXPROCS). The
+	// graph — and so the verdict — is identical at any worker count.
 	Parallelism int
 	// Stats, when non-nil, receives the exploration telemetry.
 	Stats *engine.Stats

@@ -94,10 +94,9 @@ func codecRoundTrip[S comparable](t *testing.T, vals []S) {
 	if cdc == nil {
 		t.Fatalf("codecFor[%T] = nil", vals[0])
 	}
-	size := sizeOfFunc[S]()
 	for _, v := range vals {
 		v := v
-		if size(&v) <= 0 {
+		if sizeOf(v) <= 0 {
 			t.Fatalf("sizeOf(%v) not positive", v)
 		}
 		enc := cdc.enc(nil, &v)

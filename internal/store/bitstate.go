@@ -37,15 +37,14 @@ type bitStore[S comparable] struct {
 	mask     uint64
 	fpMask   uint64
 	fpBits   int
-	fp       func(*S) uint64
-	sizeOf   func(*S) int64
+	fp       func(S) uint64
 	isString bool
 	counter  atomic.Int64
 	pages    pagetab[S]
 	bytes    atomic.Int64
 }
 
-func newBitStore[S comparable](cfg Config, shards int, fp func(*S) uint64) *bitStore[S] {
+func newBitStore[S comparable](cfg Config, shards int, fp func(S) uint64) *bitStore[S] {
 	var zero S
 	_, isString := any(zero).(string)
 	st := &bitStore[S]{
@@ -53,10 +52,9 @@ func newBitStore[S comparable](cfg Config, shards int, fp func(*S) uint64) *bitS
 		mask:     uint64(shards - 1),
 		fpMask:   ^uint64(0),
 		fp:       fp,
-		sizeOf:   sizeOfFunc[S](),
 		isString: isString,
 	}
-	st.pages.init(0)
+	st.pages.init(firstPageBits, defaultPageBits)
 	if cfg.FingerprintBits > 0 && cfg.FingerprintBits < 64 {
 		st.fpBits = cfg.FingerprintBits
 		st.fpMask = 1<<uint(cfg.FingerprintBits) - 1
@@ -68,7 +66,7 @@ func newBitStore[S comparable](cfg Config, shards int, fp func(*S) uint64) *bitS
 }
 
 func (st *bitStore[S]) Intern(s S) (int32, bool) {
-	h := st.fp(&s) & st.fpMask
+	h := st.fp(s) & st.fpMask
 	sh := st.shards[h&st.mask]
 	sh.mu.Lock()
 	if id, ok := sh.m[h]; ok {
@@ -78,7 +76,7 @@ func (st *bitStore[S]) Intern(s S) (int32, bool) {
 	id := int32(st.counter.Add(1) - 1)
 	sh.m[h] = id
 	st.pages.set(id, s)
-	st.bytes.Add(st.sizeOf(&s) + bitEntryOverhead)
+	st.bytes.Add(sizeOf(s) + bitEntryOverhead)
 	sh.mu.Unlock()
 	return id, true
 }
@@ -100,10 +98,9 @@ func (st *bitStore[S]) InternBytes(h uint64, b []byte) (int32, bool) {
 	}
 	id := int32(st.counter.Add(1) - 1)
 	sh.m[h] = id
-	var s S
-	*any(&s).(*string) = string(b)
+	s := any(string(b)).(S)
 	st.pages.set(id, s)
-	st.bytes.Add(st.sizeOf(&s) + bitEntryOverhead)
+	st.bytes.Add(sizeOf(s) + bitEntryOverhead)
 	sh.mu.Unlock()
 	return id, true
 }
@@ -111,7 +108,7 @@ func (st *bitStore[S]) InternBytes(h uint64, b []byte) (int32, bool) {
 func (st *bitStore[S]) State(id int32) S { return st.pages.get(id) }
 
 func (st *bitStore[S]) Probe(s S) (int32, bool) {
-	h := st.fp(&s) & st.fpMask
+	h := st.fp(s) & st.fpMask
 	sh := st.shards[h&st.mask]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()

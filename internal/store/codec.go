@@ -5,10 +5,13 @@ import "encoding/binary"
 // codec serializes state payloads for segment files. enc appends the
 // encoding of s to dst and returns the grown slice — the append form is
 // what lets the spill path reuse one scratch buffer per page instead of
-// allocating per state. dec must tolerate b aliasing a larger buffer.
+// allocating per state. dec must tolerate b aliasing a larger buffer; it
+// may assume len(b) == width when width is nonzero (fixed-width codecs),
+// which the page decoder checks before calling it.
 type codec[S comparable] struct {
-	enc func(dst []byte, s *S) []byte
-	dec func(b []byte) S
+	enc   func(dst []byte, s *S) []byte
+	dec   func(b []byte) S
+	width int
 }
 
 // codecFor resolves the payload codec for S: strings encode as their raw
@@ -22,11 +25,7 @@ func codecFor[S comparable]() *codec[S] {
 	case string:
 		return &codec[S]{
 			enc: func(dst []byte, s *S) []byte { return append(dst, *any(s).(*string)...) },
-			dec: func(b []byte) S {
-				var s S
-				*any(&s).(*string) = string(b)
-				return s
-			},
+			dec: func(b []byte) S { return any(string(b)).(S) },
 		}
 	case int:
 		return intCodec(func(s *S) uint64 { return uint64(*any(s).(*int)) },
@@ -78,6 +77,7 @@ func intCodec[S comparable](get func(*S) uint64, set func(uint64, *S)) *codec[S]
 			set(binary.LittleEndian.Uint64(b), &s)
 			return s
 		},
+		width: 8,
 	}
 }
 
@@ -91,21 +91,20 @@ const stringHeaderBytes = 16
 // BytesInRAM, never correctness.
 const fallbackStateBytes = 32
 
-// sizeOfFunc resolves the per-state resident-byte estimator for S.
-func sizeOfFunc[S comparable]() func(*S) int64 {
-	var zero S
-	switch any(zero).(type) {
+// sizeOf is the per-state resident-byte estimate.
+func sizeOf[S comparable](s S) int64 {
+	switch v := any(s).(type) {
 	case string:
-		return func(s *S) int64 { return int64(len(*any(s).(*string))) + stringHeaderBytes }
+		return int64(len(v)) + stringHeaderBytes
 	case int8, uint8:
-		return func(*S) int64 { return 1 }
+		return 1
 	case int16, uint16:
-		return func(*S) int64 { return 2 }
+		return 2
 	case int32, uint32:
-		return func(*S) int64 { return 4 }
+		return 4
 	case int, int64, uint, uint64, uintptr:
-		return func(*S) int64 { return 8 }
+		return 8
 	default:
-		return func(*S) int64 { return fallbackStateBytes }
+		return fallbackStateBytes
 	}
 }

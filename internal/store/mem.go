@@ -10,8 +10,9 @@ import (
 // plus the paged-table slot. Accounting only — never correctness.
 const memEntryOverhead = 48
 
-// memShardInitSlots is the initial open-addressing table size per shard.
-const memShardInitSlots = 64
+// memShardInitSlots is the initial open-addressing table size per shard:
+// small, because most explorations are tiny and a table doubles cheaply.
+const memShardInitSlots = 16
 
 // memShard is one stripe of the visited set: an open-addressing
 // fingerprint → id table (linear probing, no deletion) with resident-byte
@@ -66,38 +67,34 @@ func (sh *memShard) grow() {
 // copied into per-shard slab arenas and stored as zero-copy views, so the
 // hot intern path allocates only on chunk turnover and table growth.
 type memStore[S comparable] struct {
-	shards   []*memShard
+	shards   []memShard
 	mask     uint64
-	fp       func(*S) uint64
-	sizeOf   func(*S) int64
+	fp       func(S) uint64
 	isString bool
 	counter  atomic.Int64
 	pages    pagetab[S]
 }
 
-func newMemStore[S comparable](shards int, fp func(*S) uint64) *memStore[S] {
+func newMemStore[S comparable](shards int, fp func(S) uint64) *memStore[S] {
 	var zero S
 	_, isString := any(zero).(string)
 	st := &memStore[S]{
-		shards:   make([]*memShard, shards),
+		shards:   make([]memShard, shards),
 		mask:     uint64(shards - 1),
 		fp:       fp,
-		sizeOf:   sizeOfFunc[S](),
 		isString: isString,
 	}
-	st.pages.init(0)
+	st.pages.init(firstPageBits, defaultPageBits)
 	for i := range st.shards {
-		st.shards[i] = &memShard{
-			fps: make([]uint64, memShardInitSlots),
-			ids: make([]int32, memShardInitSlots),
-		}
+		st.shards[i].fps = make([]uint64, memShardInitSlots)
+		st.shards[i].ids = make([]int32, memShardInitSlots)
 	}
 	return st
 }
 
 func (st *memStore[S]) Intern(s S) (int32, bool) {
-	h := st.fp(&s)
-	sh := st.shards[h&st.mask]
+	h := st.fp(s)
+	sh := &st.shards[h&st.mask]
 	sh.mu.Lock()
 	id, fresh := st.intern(sh, h, s)
 	sh.mu.Unlock()
@@ -124,14 +121,12 @@ func (st *memStore[S]) intern(sh *memShard, h uint64, s S) (int32, bool) {
 	if st.isString {
 		// Copy the payload into the shard's slab so the store owns dense,
 		// stable bytes regardless of where the caller's string came from.
-		view := sh.arena.addString(*any(&s).(*string))
-		var owned S
-		*any(&owned).(*string) = view
-		st.pages.set(id, owned)
+		view := sh.arena.addString(any(s).(string))
+		st.pages.set(id, any(view).(S))
 	} else {
 		st.pages.set(id, s)
 	}
-	sh.bytes.Add(st.sizeOf(&s) + memEntryOverhead)
+	sh.bytes.Add(sizeOf(s) + memEntryOverhead)
 	sh.used++
 	if sh.used*16 >= len(sh.ids)*13 {
 		sh.grow()
@@ -149,7 +144,7 @@ func (st *memStore[S]) BytesSupported() bool { return st.isString }
 // fresh intern the bytes are slab-copied and published as a zero-copy
 // string view.
 func (st *memStore[S]) InternBytes(h uint64, b []byte) (int32, bool) {
-	sh := st.shards[h&st.mask]
+	sh := &st.shards[h&st.mask]
 	sh.mu.Lock()
 	id, fresh := st.internBytes(sh, h, b)
 	sh.mu.Unlock()
@@ -176,9 +171,7 @@ func (st *memStore[S]) internBytes(sh *memShard, h uint64, b []byte) (int32, boo
 	id := int32(st.counter.Add(1) - 1)
 	sh.fps[i] = h
 	sh.ids[i] = id + 1
-	var owned S
-	*any(&owned).(*string) = sh.arena.addBytes(b)
-	st.pages.set(id, owned)
+	st.pages.set(id, any(sh.arena.addBytes(b)).(S))
 	sh.bytes.Add(int64(len(b)) + stringHeaderBytes + memEntryOverhead)
 	sh.used++
 	if sh.used*16 >= len(sh.ids)*13 {
@@ -190,8 +183,8 @@ func (st *memStore[S]) internBytes(sh *memShard, h uint64, b []byte) (int32, boo
 func (st *memStore[S]) State(id int32) S { return st.pages.get(id) }
 
 func (st *memStore[S]) Probe(s S) (int32, bool) {
-	h := st.fp(&s)
-	sh := st.shards[h&st.mask]
+	h := st.fp(s)
+	sh := &st.shards[h&st.mask]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	mask := len(sh.ids) - 1
@@ -214,8 +207,8 @@ func (st *memStore[S]) Stats() Stats {
 		States:     st.Len(),
 		ShardBytes: make([]int64, len(st.shards)),
 	}
-	for i, sh := range st.shards {
-		out.ShardBytes[i] = sh.bytes.Load()
+	for i := range st.shards {
+		out.ShardBytes[i] = st.shards[i].bytes.Load()
 		out.BytesInRAM += out.ShardBytes[i]
 	}
 	return out

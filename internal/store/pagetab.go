@@ -1,115 +1,118 @@
 package store
 
 import (
+	"math/bits"
 	"sync"
 	"sync/atomic"
 )
 
-// pagetab is the id -> payload table shared by every backend: a two-level
-// paged array that grows without ever moving a published page, so readers
-// need no lock.
+// pagetab is the id -> payload table shared by every backend: a spine of
+// pages that grows without ever moving a published page's slots, so
+// readers need no lock. Pages hold 2^maxBits states, except that a table
+// built with minBits < maxBits starts with a ramp of smaller pages —
+// 2^minBits states, doubling up to 2^maxBits — so a tiny exploration
+// allocates a page its size rather than a full one, while a large one
+// still allocates once per 2^maxBits states.
 //
-// Synchronization contract (matching StateStore's): the page spine and the
-// page pointers are atomic, so concurrent set calls may create pages
-// freely; a *slot* write is only visible to a reader ordered after it by
-// some external happens-before edge — the owning shard's mutex within a
-// level, or a level barrier across levels. Distinct slots may be written
-// concurrently. page and drop require quiescence (Maintain-time only).
+// Synchronization contract (matching StateStore's): the spine is an
+// append-only slice published through an atomic pointer. Growing it under
+// mu writes the new pages past every published length — in place when the
+// backing array has room — before publishing the longer slice, so no
+// reader ever sees a spine slot change. A *slot* write is only visible to
+// a reader ordered after it by some external happens-before edge — the
+// owning shard's mutex within a level, or a level barrier across levels.
+// Distinct slots may be written concurrently. page and drop require
+// quiescence (Maintain-time only).
 const (
-	// defaultPageBits sets the default page granularity: 2^10 states.
+	// defaultPageBits is the page granularity of a full page, and the
+	// spill backend's default: 2^10 states, the unit it compresses,
+	// writes and caches.
 	defaultPageBits = 10
-	chunkBits       = 6
-	chunkPages      = 1 << chunkBits
+	// firstPageBits starts the mem and bitstate backends' ramp, which
+	// never move a page: their first page holds 2^4 states.
+	firstPageBits = 4
 )
 
 // page holds the payloads of one aligned block of consecutive ids.
 type page[S any] struct{ slots []S }
 
-// chunk is a fixed block of page pointers; chunks never move once
-// published, so a page pointer load needs no spine lock.
-type chunk[S any] struct {
-	pages [chunkPages]atomic.Pointer[page[S]]
-}
-
 type pagetab[S any] struct {
-	bits  uint
-	size  int
-	mask  int
-	mu    sync.Mutex // guards spine growth only
-	spine atomic.Pointer[[]*chunk[S]]
+	// bits, size and mask describe the full pages; the ramp before them
+	// starts at 2^minBits states.
+	bits    uint
+	size    int
+	mask    int
+	minBits uint
+	mu      sync.Mutex // serializes spine growth
+	spine   atomic.Pointer[[]page[S]]
 }
 
-// init fixes the page granularity (0 selects defaultPageBits). Must be
-// called before any other method.
-func (t *pagetab[S]) init(bits int) {
-	if bits <= 0 {
-		bits = defaultPageBits
-	}
-	t.bits = uint(bits)
-	t.size = 1 << bits
+// init sets full pages to 2^maxBits states, ramping up from 2^minBits.
+// Must be called before any other method.
+func (t *pagetab[S]) init(minBits, maxBits int) {
+	t.bits = uint(maxBits)
+	t.size = 1 << maxBits
 	t.mask = t.size - 1
+	t.minBits = uint(minBits)
+}
+
+// locate returns the page holding id and id's slot in it.
+func (t *pagetab[S]) locate(id int32) (pno, slot int) {
+	// Shifted up by 2^minBits, the ids of page k (2^(minBits+k) states)
+	// are those of bit length minBits+k+1, up to the first full page;
+	// full pages after it follow at a fixed stride.
+	x := int(id) + 1<<t.minBits
+	if x >= 2*t.size {
+		x -= 2 * t.size
+		return int(t.bits-t.minBits) + 1 + x>>t.bits, x & t.mask
+	}
+	k := bits.Len(uint(x)) - 1
+	return k - int(t.minBits), x - 1<<k
+}
+
+// pages returns the published spine.
+func (t *pagetab[S]) pages() []page[S] {
+	if p := t.spine.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
 
 // set records the payload of id. Safe concurrently with other set/get
 // calls on distinct ids (see the synchronization contract above).
 func (t *pagetab[S]) set(id int32, s S) {
-	pno := int(id) >> t.bits
-	ci, pi := pno>>chunkBits, pno&(chunkPages-1)
-	chunks := t.spine.Load()
-	if chunks == nil || ci >= len(*chunks) {
-		t.grow(ci)
-		chunks = t.spine.Load()
+	pno, slot := t.locate(id)
+	pages := t.pages()
+	if pno >= len(pages) {
+		pages = t.grow(pno)
 	}
-	c := (*chunks)[ci]
-	pg := c.pages[pi].Load()
-	if pg == nil {
-		fresh := &page[S]{slots: make([]S, t.size)}
-		if c.pages[pi].CompareAndSwap(nil, fresh) {
-			pg = fresh
-		} else {
-			pg = c.pages[pi].Load()
-		}
-	}
-	pg.slots[int(id)&t.mask] = s
+	pages[pno].slots[slot] = s
 }
 
 // get returns the payload of id. The page must be resident (not dropped).
 func (t *pagetab[S]) get(id int32) S {
-	pno := int(id) >> t.bits
-	chunks := *t.spine.Load()
-	return chunks[pno>>chunkBits].pages[pno&(chunkPages-1)].Load().slots[int(id)&t.mask]
+	pno, slot := t.locate(id)
+	return t.pages()[pno].slots[slot]
 }
 
 // page returns the full page pno for bulk encoding (quiescent use).
-func (t *pagetab[S]) page(pno int) *page[S] {
-	chunks := *t.spine.Load()
-	return chunks[pno>>chunkBits].pages[pno&(chunkPages-1)].Load()
-}
+func (t *pagetab[S]) page(pno int) *page[S] { return &t.pages()[pno] }
 
 // drop releases page pno after its payloads were spilled (quiescent use).
-func (t *pagetab[S]) drop(pno int) {
-	chunks := *t.spine.Load()
-	chunks[pno>>chunkBits].pages[pno&(chunkPages-1)].Store(nil)
-}
+func (t *pagetab[S]) drop(pno int) { t.pages()[pno] = page[S]{} }
 
-// grow extends the spine to cover chunk index ci.
-func (t *pagetab[S]) grow(ci int) {
+// grow extends the spine to cover page pno and returns it.
+func (t *pagetab[S]) grow(pno int) []page[S] {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	cur := t.spine.Load()
-	n := 0
-	if cur != nil {
-		n = len(*cur)
+	pages := t.pages()
+	for len(pages) <= pno {
+		size := t.size
+		if k := uint(len(pages)); k < t.bits-t.minBits {
+			size = 1 << (t.minBits + k)
+		}
+		pages = append(pages, page[S]{slots: make([]S, size)})
 	}
-	if ci < n {
-		return
-	}
-	next := make([]*chunk[S], ci+1)
-	if cur != nil {
-		copy(next, *cur)
-	}
-	for i := n; i <= ci; i++ {
-		next[i] = new(chunk[S])
-	}
-	t.spine.Store(&next)
+	t.spine.Store(&pages)
+	return pages
 }

@@ -2,10 +2,15 @@ package store
 
 import "unsafe"
 
-// slabChunkSize is the slab arena's allocation unit: big enough that chunk
-// turnover is rare, small enough that a mostly-dead chunk pinned by one
-// surviving view is cheap.
-const slabChunkSize = 64 << 10
+// slabChunkSize is the slab arena's largest allocation unit: big enough
+// that chunk turnover is rare, small enough that a mostly-dead chunk pinned
+// by one surviving view is cheap. Chunks start at slabFirstChunk and double
+// up to it, so a shard of a tiny exploration allocates a few hundred bytes,
+// not 64 KiB.
+const (
+	slabChunkSize  = 64 << 10
+	slabFirstChunk = 256
+)
 
 // slab is an append-only byte arena handing out immutable string views of
 // the bytes copied into it. It exists so the mem backend can intern a
@@ -57,9 +62,6 @@ func (a *slab) addString(s string) string {
 // grow starts a fresh chunk with room for at least n bytes. The old chunk
 // is abandoned to whatever views still reference it.
 func (a *slab) grow(n int) {
-	size := slabChunkSize
-	if n > size {
-		size = n
-	}
-	a.cur = make([]byte, 0, size)
+	size := min(max(2*cap(a.cur), slabFirstChunk), slabChunkSize)
+	a.cur = make([]byte, 0, max(size, n))
 }

@@ -71,8 +71,7 @@ type cacheEnt[S comparable] struct {
 type spillStore[S comparable] struct {
 	shards   []*spillShard
 	mask     uint64
-	fp       func(*S) uint64
-	sizeOf   func(*S) int64
+	fp       func(S) uint64
 	isString bool
 	codec    *codec[S]
 	maxBytes int64
@@ -120,7 +119,7 @@ type spillStore[S comparable] struct {
 	flateW      *flate.Writer
 }
 
-func newSpillStore[S comparable](cfg Config, shards int, fp func(*S) uint64) (*spillStore[S], error) {
+func newSpillStore[S comparable](cfg Config, shards int, fp func(S) uint64) (*spillStore[S], error) {
 	cdc := codecFor[S]()
 	if cdc == nil {
 		return nil, fmt.Errorf("%w: %T", ErrNoCodec, *new(S))
@@ -131,13 +130,16 @@ func newSpillStore[S comparable](cfg Config, shards int, fp func(*S) uint64) (*s
 		shards:   make([]*spillShard, shards),
 		mask:     uint64(shards - 1),
 		fp:       fp,
-		sizeOf:   sizeOfFunc[S](),
 		isString: isString,
 		codec:    cdc,
 		maxBytes: cfg.MaxBytes,
 		cache:    make(map[int32]*cacheEnt[S], pageCacheSize),
 	}
-	st.pages.init(cfg.PageBits)
+	bits := cfg.PageBits
+	if bits <= 0 {
+		bits = defaultPageBits
+	}
+	st.pages.init(bits, bits)
 	if st.maxBytes <= 0 {
 		st.maxBytes = DefaultMaxBytes
 	}
@@ -160,7 +162,7 @@ func newSpillStore[S comparable](cfg Config, shards int, fp func(*S) uint64) (*s
 }
 
 func (st *spillStore[S]) Intern(s S) (int32, bool) {
-	h := st.fp(&s)
+	h := st.fp(s)
 	sh := st.shards[h&st.mask]
 	sh.mu.Lock()
 	for _, id := range sh.m[h] {
@@ -172,7 +174,7 @@ func (st *spillStore[S]) Intern(s S) (int32, bool) {
 	id := int32(st.counter.Add(1) - 1)
 	sh.m[h] = append(sh.m[h], id)
 	st.pages.set(id, s)
-	st.resident.Add(st.sizeOf(&s))
+	st.resident.Add(sizeOf(s))
 	sh.mu.Unlock()
 	return id, true
 }
@@ -197,10 +199,9 @@ func (st *spillStore[S]) InternBytes(h uint64, b []byte) (int32, bool) {
 	}
 	id := int32(st.counter.Add(1) - 1)
 	sh.m[h] = append(sh.m[h], id)
-	var s S
-	*any(&s).(*string) = string(b)
+	s := any(string(b)).(S)
 	st.pages.set(id, s)
-	st.resident.Add(st.sizeOf(&s))
+	st.resident.Add(sizeOf(s))
 	sh.mu.Unlock()
 	return id, true
 }
@@ -240,7 +241,7 @@ func (st *spillStore[S]) State(id int32) S {
 }
 
 func (st *spillStore[S]) Probe(s S) (int32, bool) {
-	h := st.fp(&s)
+	h := st.fp(s)
 	sh := st.shards[h&st.mask]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -307,21 +308,31 @@ func (st *spillStore[S]) readPage(pno int32) (*page[S], error) {
 	if _, err := io.ReadFull(fr, raw); err != nil {
 		return nil, err
 	}
+	return st.decodePage(raw)
+}
+
+// decodePage parses one raw page image (layout above). The image is
+// untrusted input: a count, offset or fixed-width payload the layout cannot
+// hold fails with ErrCorruptPage, never a panic.
+func (st *spillStore[S]) decodePage(raw []byte) (*page[S], error) {
 	if len(raw) < 4 {
-		return nil, fmt.Errorf("short page image (%d bytes)", len(raw))
+		return nil, fmt.Errorf("%w: %d-byte image", ErrCorruptPage, len(raw))
 	}
 	count := int(binary.LittleEndian.Uint32(raw))
 	if count < 1 || count > st.pages.size {
-		return nil, fmt.Errorf("corrupt page count %d", count)
+		return nil, fmt.Errorf("%w: count %d", ErrCorruptPage, count)
 	}
-	offTab := raw[4 : 4+4*(count+1)]
-	payload := raw[4+4*(count+1):]
+	base := 4 + 4*(count+1)
+	if len(raw) < base {
+		return nil, fmt.Errorf("%w: %d-state offset table overruns a %d-byte image", ErrCorruptPage, count, len(raw))
+	}
+	offTab, payload := raw[4:base], raw[base:]
 	pg := &page[S]{slots: make([]S, st.pages.size)}
 	for i := 0; i < count; i++ {
 		lo := binary.LittleEndian.Uint32(offTab[4*i:])
 		hi := binary.LittleEndian.Uint32(offTab[4*i+4:])
-		if lo > hi || int(hi) > len(payload) {
-			return nil, fmt.Errorf("corrupt page offsets %d..%d", lo, hi)
+		if lo > hi || int(hi) > len(payload) || (st.codec.width > 0 && int(hi-lo) != st.codec.width) {
+			return nil, fmt.Errorf("%w: state %d at offsets %d..%d", ErrCorruptPage, i, lo, hi)
 		}
 		pg.slots[i] = st.codec.dec(payload[lo:hi])
 	}
@@ -423,7 +434,7 @@ func (st *spillStore[S]) encodePage(pg *page[S], count int) ([]byte, int64) {
 	for i := 0; i < count; i++ {
 		raw = st.codec.enc(raw, &pg.slots[i])
 		binary.LittleEndian.PutUint32(raw[offPos+4*(i+1):], uint32(len(raw)-base))
-		pageBytes += st.sizeOf(&pg.slots[i])
+		pageBytes += sizeOf(pg.slots[i])
 	}
 	st.encScratch = raw
 	return raw, pageBytes

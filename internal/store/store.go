@@ -57,6 +57,11 @@ var ErrUnknownKind = errors.New("store: unknown backend kind")
 // state type it cannot serialize (see codecFor).
 var ErrNoCodec = errors.New("store: state type has no spill codec")
 
+// ErrCorruptPage is wrapped by the spill backend's read error when a page
+// image read back from a segment file does not parse: a state count,
+// offset table or payload the page layout cannot hold.
+var ErrCorruptPage = errors.New("store: corrupt spill page")
+
 // Config selects and parameterizes a backend.
 type Config struct {
 	// Kind picks the backend; "" means Mem.
@@ -202,7 +207,7 @@ type BytesInterner interface {
 // of two, chosen by the caller from its worker count) and fp the state
 // fingerprint. The spill backend additionally needs a payload codec for S
 // and fails with ErrNoCodec when none exists.
-func New[S comparable](cfg Config, shards int, fp func(*S) uint64) (StateStore[S], error) {
+func New[S comparable](cfg Config, shards int, fp func(S) uint64) (StateStore[S], error) {
 	if shards <= 0 || shards&(shards-1) != 0 {
 		return nil, fmt.Errorf("store: shard count %d is not a positive power of two", shards)
 	}

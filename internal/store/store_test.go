@@ -10,11 +10,11 @@ import (
 // stringFP mirrors the engine's string fingerprint shape: deterministic,
 // well spread. Tests that need collisions use the bitstate mask knob
 // instead of degrading this.
-func stringFP(s *string) uint64 {
+func stringFP(s string) uint64 {
 	const prime64 = 1099511628211
 	h := uint64(14695981039346656037)
-	for i := 0; i < len(*s); i++ {
-		h ^= uint64((*s)[i])
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
 		h *= prime64
 	}
 	h ^= h >> 30
@@ -222,10 +222,10 @@ func TestSpillBudget(t *testing.T) {
 // reject state types it cannot serialize instead of guessing.
 func TestSpillRefusesExoticTypes(t *testing.T) {
 	type odd struct{ A, B int }
-	if _, err := New[odd](Config{Kind: Spill}, 1, func(*odd) uint64 { return 0 }); !errors.Is(err, ErrNoCodec) {
+	if _, err := New[odd](Config{Kind: Spill}, 1, func(odd) uint64 { return 0 }); !errors.Is(err, ErrNoCodec) {
 		t.Fatalf("New[odd](spill) = %v, want ErrNoCodec", err)
 	}
-	if _, err := New[odd](Config{Kind: Mem}, 1, func(*odd) uint64 { return 0 }); err != nil {
+	if _, err := New[odd](Config{Kind: Mem}, 1, func(odd) uint64 { return 0 }); err != nil {
 		t.Fatalf("New[odd](mem) = %v, want nil (mem needs no codec)", err)
 	}
 }
@@ -276,7 +276,7 @@ func TestBitstateLossiness(t *testing.T) {
 // round-trip (ints are the engine's toy-system state type).
 func TestIntCodecRoundTrip(t *testing.T) {
 	st, err := New[int](Config{Kind: Spill, MaxBytes: 1, Dir: t.TempDir()},
-		1, func(v *int) uint64 { return uint64(*v) * 0x9e3779b97f4a7c15 })
+		1, func(v int) uint64 { return uint64(v) * 0x9e3779b97f4a7c15 })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,10 +354,7 @@ func TestStatsByteAccounting(t *testing.T) {
 func TestConformanceInternBytes(t *testing.T) {
 	const n = 4096
 	states := testStates(n)
-	fpBytes := func(b []byte) uint64 {
-		s := string(b)
-		return stringFP(&s)
-	}
+	fpBytes := func(b []byte) uint64 { return stringFP(string(b)) }
 	for name, cfg := range backendConfigs(t) {
 		t.Run(name, func(t *testing.T) {
 			st, err := New[string](cfg, 4, stringFP)
@@ -417,7 +414,7 @@ func TestConformanceInternBytes(t *testing.T) {
 // TestInternBytesUnsupported checks that non-string stores report the
 // extension as unavailable rather than mis-serializing.
 func TestInternBytesUnsupported(t *testing.T) {
-	st, err := New[int](Config{}, 1, func(p *int) uint64 { return uint64(*p) })
+	st, err := New[int](Config{}, 1, func(p int) uint64 { return uint64(p) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -428,5 +425,53 @@ func TestInternBytesUnsupported(t *testing.T) {
 	}
 	if bi.BytesSupported() {
 		t.Fatal("BytesSupported() = true for int states")
+	}
+}
+
+// TestMemInternHitAllocsNothing: a dedup hit on the mem store — the
+// overwhelmingly common Intern outcome — must not heap-box the state,
+// which an address-taking fingerprint call through a func value would.
+func TestMemInternHitAllocsNothing(t *testing.T) {
+	st := newMemStore[int](1, func(v int) uint64 { return uint64(v) * 0x9e3779b97f4a7c15 })
+	for v := 0; v < 100; v++ {
+		st.Intern(v)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, fresh := st.Intern(42); fresh {
+			t.Fatal("re-interned state reported fresh")
+		}
+	}); allocs != 0 {
+		t.Fatalf("dedup-hit Intern allocates %v times, want 0", allocs)
+	}
+}
+
+// TestPagetabRampCoversIDsOnce: with a ramp, pages grow 16, 32, ... up to
+// full pages, and every id lands in its own slot of a page that holds it.
+func TestPagetabRampCoversIDsOnce(t *testing.T) {
+	var tab pagetab[int]
+	tab.init(firstPageBits, defaultPageBits)
+	const n = 3 << defaultPageBits
+	for id := int32(0); id < n; id++ {
+		tab.set(id, int(id))
+	}
+	for id := int32(0); id < n; id++ {
+		if got := tab.get(id); got != int(id) {
+			t.Fatalf("get(%d) = %d", id, got)
+		}
+	}
+	pages := tab.pages()
+	total := 0
+	for k, pg := range pages {
+		want := 1 << defaultPageBits
+		if k < defaultPageBits-firstPageBits {
+			want = 1 << (firstPageBits + k)
+		}
+		if len(pg.slots) != want {
+			t.Fatalf("page %d holds %d slots, want %d", k, len(pg.slots), want)
+		}
+		total += want
+	}
+	if total < n || total-len(pages[len(pages)-1].slots) >= n {
+		t.Fatalf("%d pages with %d slots for %d ids", len(pages), total, n)
 	}
 }

@@ -11,6 +11,7 @@ package impossible
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -84,10 +85,12 @@ func TestPORAgreesWithFullAnalysis(t *testing.T) {
 }
 
 // TestPORExplorationIsDeterministic extends the engine's determinism
-// contract to reduced runs: at 1, 2, and 8 workers the reduced graph must
-// be byte-identical — state numbering, parent tree, edge lists — for a
-// leveled DAG (FLP), a cyclic space where the C3 proviso fires (async ABP),
-// and the ring election space.
+// contract to reduced runs through engine.Differential: at 1, 2, and 8
+// workers the reduced graph must be byte-identical — state numbering,
+// parent tree, edge lists — and a sound reduction of the full graph, which
+// itself must equal the reference breadth-first search. The cases are a
+// leveled DAG (FLP) and a cyclic space where the C3 proviso fires (async
+// ABP); the ring election space follows.
 func TestPORExplorationIsDeterministic(t *testing.T) {
 	abp, err := datalink.NewAsyncABP(3)
 	if err != nil {
@@ -101,37 +104,63 @@ func TestPORExplorationIsDeterministic(t *testing.T) {
 	cases := []struct {
 		name        string
 		sys         core.System[string]
-		independent any
-		visible     any
+		independent func(string, engine.Action[string], engine.Action[string]) bool
+		visible     func(string, engine.Action[string]) bool
 	}{
 		{"flp-wait-quorum", flp.NewSystem(wq, nil, 0), flp.DeliveryIndependence(wq), flp.DecisionVisibility(wq)},
 		{"async-abp", abp.System(), abp.Independence(), abp.ProgressVisibility()},
-		{"async-lcr", lcr.System(), lcr.Independence(), nil},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			ref, err := core.Explore[string](c.sys, core.ExploreOptions{
-				Parallelism: 1, Independent: c.independent, Visible: c.visible,
+			rep, err := engine.Differential(engine.DiffSpec[string]{
+				Name: c.name, Inits: c.sys.Init(), Expand: c.sys.ExpandInto,
+				Independent: c.independent, Visible: c.visible,
 			})
 			if err != nil {
-				t.Fatalf("reference reduced exploration: %v", err)
+				t.Fatal(err)
 			}
-			for _, par := range []int{1, 2, 8} {
-				var st engine.Stats
-				g, err := core.Explore[string](c.sys, core.ExploreOptions{
-					Parallelism: par, Stats: &st,
-					Independent: c.independent, Visible: c.visible, VerifyPOR: 2,
-				})
-				if err != nil {
-					t.Fatalf("parallelism %d: %v", par, err)
-				}
-				requireIdenticalGraphs(t, fmt.Sprintf("%s por par=%d", c.name, par), ref, g)
-				if !st.POREnabled {
-					t.Fatalf("par=%d: stats do not report POR enabled", par)
+			for _, m := range rep.Modes {
+				if m.Mode == "por" && !m.Stats.POREnabled {
+					t.Fatal("stats do not report POR enabled")
 				}
 			}
 		})
 	}
+	// The ring relation preserves election reachability, not the terminal
+	// set: a declared leader strands different in-flight tokens under
+	// different schedules, so Differential's deadlock-preservation check
+	// does not apply. Its full graph is held to the reference BFS and its
+	// reduced graph to cross-worker identity.
+	t.Run("async-lcr", func(t *testing.T) {
+		sys := lcr.System()
+		if _, err := engine.Differential(engine.DiffSpec[string]{
+			Name: "async-lcr", Inits: sys.Init(), Expand: sys.ExpandInto,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		var want *engine.Result[string]
+		for _, par := range []int{1, 2, 8} {
+			res, err := engine.Explore(sys.Init(), sys.ExpandInto, engine.Options{
+				Parallelism: par, Independent: lcr.Independence(), VerifyPOR: 2,
+			})
+			if err != nil {
+				t.Fatalf("par=%d: %v", par, err)
+			}
+			if !res.Stats.POREnabled {
+				t.Fatalf("par=%d: stats do not report POR enabled", par)
+			}
+			// Everything but the telemetry: states, initials, edges,
+			// parents, parent edges and truncation.
+			res.Stats = engine.Stats{}
+			if want == nil {
+				want = res
+				continue
+			}
+			if !reflect.DeepEqual(res, want) {
+				t.Fatalf("par=%d: reduced Result differs from the one-worker run", par)
+			}
+		}
+	})
 }
 
 // TestWaitQuorum4PORAcceptance is the PR's headline perf criterion: on the

@@ -8,10 +8,10 @@ package impossible
 
 import (
 	"errors"
-	"fmt"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/flp"
 	"repro/internal/ring"
 	"repro/internal/rounds"
@@ -47,21 +47,18 @@ func quotientWorkloads(t *testing.T) []quotientWorkload {
 }
 
 // TestQuotientExplorationIsDeterministic extends the engine's determinism
-// contract to quotient runs: at 1, 2, and 8 workers the quotient graph must
-// be byte-identical — state numbering, parent tree, edge lists.
+// contract to quotient runs through engine.Differential: at 1, 2, and 8
+// workers the quotient graph must be byte-identical — state numbering,
+// parent tree, edge lists — with every state checked by the canon
+// falsifier, and the full graph must equal the reference breadth-first
+// search.
 func TestQuotientExplorationIsDeterministic(t *testing.T) {
 	for _, w := range quotientWorkloads(t) {
 		t.Run(w.name, func(t *testing.T) {
-			ref, err := core.Explore[string](w.sys, core.ExploreOptions{Parallelism: 1, Canon: w.canon})
-			if err != nil {
-				t.Fatalf("sequential quotient exploration: %v", err)
-			}
-			for _, par := range []int{1, 2, 8} {
-				g, err := core.Explore[string](w.sys, core.ExploreOptions{Parallelism: par, Canon: w.canon, VerifyCanon: 4})
-				if err != nil {
-					t.Fatalf("parallelism %d: %v", par, err)
-				}
-				requireIdenticalGraphs(t, fmt.Sprintf("%s quotient par=%d", w.name, par), ref, g)
+			if _, err := engine.Differential(engine.DiffSpec[string]{
+				Name: w.name, Inits: w.sys.Init(), Expand: w.sys.ExpandInto, Canon: w.canon,
+			}); err != nil {
+				t.Fatal(err)
 			}
 		})
 	}
@@ -79,19 +76,19 @@ func TestQuotientTruncationIsDeterministic(t *testing.T) {
 		t.Fatalf("PermutationCanon: %v", err)
 	}
 	sys := flp.NewSystem(wq, nil, 1)
-	ref, err := core.Explore[string](sys, core.ExploreOptions{Parallelism: 1, MaxStates: 300, Canon: canon})
-	if !errors.Is(err, core.ErrStateLimit) {
-		t.Fatalf("sequential: err = %v, want ErrStateLimit", err)
+	if _, err := engine.Differential(engine.DiffSpec[string]{
+		Name: "truncated quotient", Inits: sys.Init(), Expand: sys.ExpandInto, Canon: canon, MaxStates: 300,
+	}); err != nil {
+		t.Fatal(err)
 	}
-	if ref.Len() != 301 {
-		t.Fatalf("sequential partial quotient has %d states, want 301", ref.Len())
-	}
-	for _, par := range []int{2, 8} {
+	for _, par := range []int{1, 2, 8} {
 		g, err := core.Explore[string](sys, core.ExploreOptions{Parallelism: par, MaxStates: 300, Canon: canon})
 		if !errors.Is(err, core.ErrStateLimit) {
 			t.Fatalf("par=%d: err = %v, want ErrStateLimit", par, err)
 		}
-		requireIdenticalGraphs(t, fmt.Sprintf("truncated quotient par=%d", par), ref, g)
+		if g.Len() != 301 {
+			t.Fatalf("par=%d: partial quotient has %d states, want 301", par, g.Len())
+		}
 	}
 }
 
