@@ -6,7 +6,9 @@ package impossible
 // `go test -bench=. -benchmem` reprints the whole evaluation.
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/async"
@@ -431,6 +433,56 @@ func benchExplorePOR(b *testing.B, sys core.System[string], opts core.ExploreOpt
 	b.ReportMetric(float64(st.States), "states")
 	if st.POREnabled {
 		b.ReportMetric(st.PORReductionFactor(), "por-branch")
+	}
+}
+
+// Worker-count pairs behind bench-compare's allocs/state rows: the
+// crash-space and async-lcr explorations `hundred -bench-json` records,
+// with Stats attached as there, at one and two workers and at two sizes
+// each. Run with -benchmem. allocs/state is heap allocations per
+// exploration over its state count; a cost that is fixed per worker or
+// per level shows as a two-worker excess that does not grow with the
+// state count.
+
+func BenchmarkExploreWorkers(b *testing.B) {
+	type sized struct {
+		name string
+		sys  core.System[string]
+	}
+	var systems []sized
+	for _, r := range []int{8, 16} {
+		c := rounds.CrashSpace{Procs: 8, MaxFaults: 4, Rounds: r}
+		sys, err := c.System()
+		if err != nil {
+			b.Fatal(err)
+		}
+		systems = append(systems, sized{fmt.Sprintf("crash-space(r=%d)", r), sys})
+	}
+	for _, n := range []int{6, 7} {
+		a, err := ring.NewAsyncLCR(ring.DescendingIDs(n))
+		if err != nil {
+			b.Fatal(err)
+		}
+		systems = append(systems, sized{fmt.Sprintf("async-lcr(n=%d)", n), a.System()})
+	}
+	for _, sys := range systems {
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/w%d", sys.name, workers), func(b *testing.B) {
+				var st engine.Stats
+				var before, after runtime.MemStats
+				runtime.GC()
+				runtime.ReadMemStats(&before)
+				for i := 0; i < b.N; i++ {
+					if _, err := core.Explore[string](sys.sys, core.ExploreOptions{Parallelism: workers, Stats: &st}); err != nil {
+						b.Fatal(err)
+					}
+				}
+				runtime.ReadMemStats(&after)
+				b.ReportMetric(float64(st.States), "states")
+				b.ReportMetric(float64(st.Depth), "levels")
+				b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N)/float64(st.States), "allocs/state")
+			})
+		}
 	}
 }
 

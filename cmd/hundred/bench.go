@@ -669,7 +669,7 @@ func compareBenchRuns(prev, cur *benchRecord) {
 		if delta < -30 && p.FullSeconds >= benchMinGateSeconds && r.FullSeconds >= benchMinGateSeconds {
 			fmt.Printf("  WARN %s: full-graph throughput regressed %.1f%%\n", r.System, -delta)
 		}
-		if p.AllocsPerState > 0 && r.AllocsPerState > p.AllocsPerState*(1+benchAllocThreshold) {
+		if prev.GOMAXPROCS == cur.GOMAXPROCS && p.AllocsPerState > 0 && r.AllocsPerState > p.AllocsPerState*(1+benchAllocThreshold) {
 			fmt.Printf("  WARN %s: allocs/state grew %.2f -> %.2f (zero-alloc hot-path contract)\n",
 				r.System, p.AllocsPerState, r.AllocsPerState)
 		}

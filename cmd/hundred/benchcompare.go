@@ -56,7 +56,10 @@ func runBenchCompare(args []string) int {
 		return 0
 	}
 	prev, cur := &bf.Runs[len(bf.Runs)-2], &bf.Runs[len(bf.Runs)-1]
-	bad, compared := diffBenchRecords(prev, cur, *threshold, *allocThreshold)
+	bad, skipped, compared := diffBenchRecords(prev, cur, *threshold, *allocThreshold)
+	for _, msg := range skipped {
+		fmt.Printf("skip %s\n", msg)
+	}
 	if compared == 0 {
 		fmt.Println("no system appears in both runs; nothing to compare")
 		return 0
@@ -67,8 +70,8 @@ func runBenchCompare(args []string) int {
 		}
 		return 1
 	}
-	fmt.Printf("ok: %d systems within %.0f%% of the previous run (%s vs %s)\n",
-		compared, *threshold*100, prev.Timestamp, cur.Timestamp)
+	fmt.Printf("ok: %d systems compared, none past the gates (%s vs %s)\n",
+		compared, prev.Timestamp, cur.Timestamp)
 	return 0
 }
 
@@ -81,11 +84,16 @@ func runBenchCompare(args []string) int {
 // the same goos/goarch/gomaxprocs fingerprint: a CI runner comparing
 // against a record committed from different hardware can legitimately be
 // 30% slower, but it can never legitimately count a different number of
-// states. The alloc gate also needs both runs to carry the v4 metric
-// (pre-v4 rows leave it zero) but ignores the hardware fingerprint:
-// allocation counts do not depend on machine speed.
-func diffBenchRecords(prev, cur *benchRecord, threshold, allocThreshold float64) (bad []string, compared int) {
+// states. The alloc gate needs both runs to carry the v4 metric (pre-v4
+// rows leave it zero) and the same gomaxprocs, which is the worker count
+// the rows ran at: allocation counts do not depend on machine speed, but
+// each extra worker adds a fixed per-level cost (EXPERIMENTS.md "One
+// expansion pipeline") that dominates allocs/state on small spaces. Each
+// row whose throughput or alloc gate was skipped for a fingerprint
+// mismatch gets one message in skipped, naming the reason.
+func diffBenchRecords(prev, cur *benchRecord, threshold, allocThreshold float64) (bad, skipped []string, compared int) {
 	sameHW := prev.GOOS == cur.GOOS && prev.GOARCH == cur.GOARCH && prev.GOMAXPROCS == cur.GOMAXPROCS
+	sameWorkers := prev.GOMAXPROCS == cur.GOMAXPROCS
 	prevRows := make(map[string]explorationBench, len(prev.Explorations))
 	for _, r := range prev.Explorations {
 		prevRows[r.System] = r
@@ -96,12 +104,20 @@ func diffBenchRecords(prev, cur *benchRecord, threshold, allocThreshold float64)
 			continue
 		}
 		compared++
+		if !sameHW {
+			skipped = append(skipped, fmt.Sprintf("%s: throughput not gated (hardware %s/%s/%d -> %s/%s/%d)",
+				r.System, prev.GOOS, prev.GOARCH, prev.GOMAXPROCS, cur.GOOS, cur.GOARCH, cur.GOMAXPROCS))
+		}
+		if !sameWorkers {
+			skipped = append(skipped, fmt.Sprintf("%s: allocs/state not gated (gomaxprocs %d -> %d; the worker count sets a fixed allocation cost)",
+				r.System, prev.GOMAXPROCS, cur.GOMAXPROCS))
+		}
 		if sameHW && p.FullStatesPerSec > 0 && r.FullStatesPerSec < p.FullStatesPerSec*(1-threshold) &&
 			p.FullSeconds >= benchMinGateSeconds && r.FullSeconds >= benchMinGateSeconds {
 			bad = append(bad, fmt.Sprintf("%s: full-mode throughput regressed %.1f%% (%.0f -> %.0f states/sec)",
 				r.System, (1-r.FullStatesPerSec/p.FullStatesPerSec)*100, p.FullStatesPerSec, r.FullStatesPerSec))
 		}
-		if p.AllocsPerState > 0 && r.AllocsPerState > p.AllocsPerState*(1+allocThreshold) {
+		if sameWorkers && p.AllocsPerState > 0 && r.AllocsPerState > p.AllocsPerState*(1+allocThreshold) {
 			bad = append(bad, fmt.Sprintf("%s: full-mode allocations grew %.1f%% (%.2f -> %.2f allocs/state; zero-alloc hot-path contract)",
 				r.System, (r.AllocsPerState/p.AllocsPerState-1)*100, p.AllocsPerState, r.AllocsPerState))
 		}
@@ -122,5 +138,5 @@ func diffBenchRecords(prev, cur *benchRecord, threshold, allocThreshold float64)
 			}
 		}
 	}
-	return bad, compared
+	return bad, skipped, compared
 }

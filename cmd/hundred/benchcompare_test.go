@@ -59,14 +59,14 @@ func TestBenchCompareStateCountDrift(t *testing.T) {
 		{System: "grid", FullStates: 100, FullStatesPerSec: 1000, QuotientStates: 30}}}
 	cur := benchRecord{Explorations: []explorationBench{
 		{System: "grid", FullStates: 101, FullStatesPerSec: 1000, QuotientStates: 30}}}
-	bad, compared := diffBenchRecords(&prev, &cur, 0.30, 0.50)
+	bad, _, compared := diffBenchRecords(&prev, &cur, 0.30, 0.50)
 	if compared != 1 || len(bad) != 1 || !strings.Contains(bad[0], "determinism contract") {
 		t.Fatalf("bad = %v, compared = %d", bad, compared)
 	}
 	// A mode disappearing (count going to zero) is a workload change, not drift.
 	cur.Explorations[0].FullStates = 100
 	cur.Explorations[0].QuotientStates = 0
-	bad, _ = diffBenchRecords(&prev, &cur, 0.30, 0.50)
+	bad, _, _ = diffBenchRecords(&prev, &cur, 0.30, 0.50)
 	if len(bad) != 0 {
 		t.Fatalf("removed mode flagged as drift: %v", bad)
 	}
@@ -77,13 +77,13 @@ func TestBenchCompareCrossHardwareSkipsThroughput(t *testing.T) {
 		{System: "grid", FullStates: 100, FullStatesPerSec: 1000}}}
 	cur := benchRecord{GOARCH: "amd64", GOMAXPROCS: 2, Explorations: []explorationBench{
 		{System: "grid", FullStates: 100, FullStatesPerSec: 100}}}
-	bad, compared := diffBenchRecords(&prev, &cur, 0.30, 0.50)
+	bad, _, compared := diffBenchRecords(&prev, &cur, 0.30, 0.50)
 	if compared != 1 || len(bad) != 0 {
 		t.Fatalf("cross-hardware throughput gated: bad = %v, compared = %d", bad, compared)
 	}
 	// State counts still gate across hardware.
 	cur.Explorations[0].FullStates = 99
-	bad, _ = diffBenchRecords(&prev, &cur, 0.30, 0.50)
+	bad, _, _ = diffBenchRecords(&prev, &cur, 0.30, 0.50)
 	if len(bad) != 1 {
 		t.Fatalf("cross-hardware state drift not gated: %v", bad)
 	}
@@ -95,12 +95,12 @@ func TestBenchCompareAllocRegression(t *testing.T) {
 	cur := benchRecord{Explorations: []explorationBench{
 		{System: "grid", FullStates: 100, FullStatesPerSec: 1000, AllocsPerState: 2.9}}}
 	// +45%: within the 50% gate.
-	bad, compared := diffBenchRecords(&prev, &cur, 0.30, 0.50)
+	bad, _, compared := diffBenchRecords(&prev, &cur, 0.30, 0.50)
 	if compared != 1 || len(bad) != 0 {
 		t.Fatalf("within-gate alloc growth flagged: bad = %v, compared = %d", bad, compared)
 	}
 	cur.Explorations[0].AllocsPerState = 20 // 10x: the hot path started allocating
-	bad, _ = diffBenchRecords(&prev, &cur, 0.30, 0.50)
+	bad, _, _ = diffBenchRecords(&prev, &cur, 0.30, 0.50)
 	if len(bad) != 1 || !strings.Contains(bad[0], "allocs/state") {
 		t.Fatalf("10x alloc growth not gated: %v", bad)
 	}
@@ -108,14 +108,62 @@ func TestBenchCompareAllocRegression(t *testing.T) {
 	// machine-independent), and a pre-v4 row (zero metric) does.
 	cur.GOARCH = "amd64"
 	prev.GOARCH = "arm64"
-	bad, _ = diffBenchRecords(&prev, &cur, 0.30, 0.50)
+	bad, _, _ = diffBenchRecords(&prev, &cur, 0.30, 0.50)
 	if len(bad) != 1 {
 		t.Fatalf("cross-hardware alloc growth not gated: %v", bad)
 	}
 	prev.Explorations[0].AllocsPerState = 0
-	bad, _ = diffBenchRecords(&prev, &cur, 0.30, 0.50)
+	bad, _, _ = diffBenchRecords(&prev, &cur, 0.30, 0.50)
 	if len(bad) != 0 {
 		t.Fatalf("pre-v4 row tripped the alloc gate: %v", bad)
+	}
+}
+
+// TestBenchCompareAllocGateNeedsEqualWorkers: allocs/state is gated only
+// between runs at the same gomaxprocs (the worker count), and every row a
+// mismatch leaves ungated is reported as skipped with its reason.
+func TestBenchCompareAllocGateNeedsEqualWorkers(t *testing.T) {
+	prev := benchRecord{GOMAXPROCS: 1, Explorations: []explorationBench{
+		{System: "crash-space", FullStates: 2771, AllocsPerState: 0.05},
+		{System: "async-lcr", FullStates: 40320, AllocsPerState: 0.007}}}
+	cur := benchRecord{GOMAXPROCS: 2, Explorations: []explorationBench{
+		{System: "crash-space", FullStates: 2771, AllocsPerState: 0.18},
+		{System: "async-lcr", FullStates: 40320, AllocsPerState: 0.027}}}
+	bad, skipped, compared := diffBenchRecords(&prev, &cur, 0.30, 0.50)
+	if compared != 2 || len(bad) != 0 {
+		t.Fatalf("mismatched worker counts gated: bad = %v, compared = %d", bad, compared)
+	}
+	var allocSkips int
+	for _, msg := range skipped {
+		if strings.Contains(msg, "allocs/state not gated") && strings.Contains(msg, "gomaxprocs 1 -> 2") {
+			allocSkips++
+		}
+	}
+	if allocSkips != 2 {
+		t.Fatalf("skipped = %v, want one allocs/state skip per row naming the gomaxprocs change", skipped)
+	}
+	// State counts still gate across worker counts.
+	cur.Explorations[0].FullStates = 2770
+	if bad, _, _ = diffBenchRecords(&prev, &cur, 0.30, 0.50); len(bad) != 1 {
+		t.Fatalf("state drift across worker counts not gated: %v", bad)
+	}
+
+	// At equal worker counts the same growth fails the gate, and nothing
+	// is skipped.
+	cur.Explorations[0].FullStates = 2771
+	prev.GOMAXPROCS = 2
+	bad, skipped, _ = diffBenchRecords(&prev, &cur, 0.30, 0.50)
+	if len(bad) != 2 || len(skipped) != 0 {
+		t.Fatalf("matched worker counts: bad = %v, skipped = %v; want both rows gated", bad, skipped)
+	}
+	path := benchFixture(t, prev, cur)
+	if code := runBenchCompare([]string{"-file", path}); code != 1 {
+		t.Fatalf("alloc growth at equal worker counts: exit = %d, want 1", code)
+	}
+	prev.GOMAXPROCS = 1
+	path = benchFixture(t, prev, cur)
+	if code := runBenchCompare([]string{"-file", path}); code != 0 {
+		t.Fatalf("alloc growth across worker counts: exit = %d, want 0", code)
 	}
 }
 

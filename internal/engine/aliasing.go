@@ -31,33 +31,62 @@ func poisonScratch[S comparable](ws *worker[S]) {
 	}
 }
 
+// aliasEdge is one transition as the aliasing check compares it. On the
+// full path that is the recorded edge, with the successor as its store id
+// (id); under POR it is the collected action, with the raw successor
+// itself (to), because the arena holds only the ample subset and deferred
+// successors need not be interned.
+type aliasEdge[S comparable] struct {
+	id    int32
+	to    S
+	label string
+	actor int32
+}
+
 // checkAliasing re-expands s after poisoning the reusable scratch buffers
 // and compares the emitted (successor, label, actor) sequence against the
-// transitions just recorded in the worker's arena at sp. Successors are
-// resolved by Probe — the recorded pass interned every one of them, so a
-// missing probe is itself a divergence. Runs on the worker's own Ctx so
-// the system's retained scratch (Ctx.Sys) is reused, exactly as it will be
-// on the next real expansion.
+// transitions just recorded for s: the arena span sp on the full path
+// (successors resolved by Probe — the recorded pass interned every one of
+// them, so a missing probe is itself a divergence), or the whole collected
+// action set ws.acts under POR. Runs on the worker's own Ctx so the
+// system's retained scratch (Ctx.Sys) is reused, exactly as it will be on
+// the next real expansion.
 func (e *explorer[S]) checkAliasing(s S, ws *worker[S], sp span) {
+	por := e.indep != nil
+	want := ws.aliasWant[:0]
+	if por {
+		for _, pa := range ws.acts {
+			want = append(want, aliasEdge[S]{to: pa.act.To, label: pa.act.Label, actor: int32(pa.act.Actor)})
+		}
+	} else {
+		for _, r := range ws.arena[sp.off : sp.off+sp.n] {
+			want = append(want, aliasEdge[S]{id: r.to, label: r.label, actor: r.actor})
+		}
+	}
+	ws.aliasWant = want
 	poisonScratch(ws)
-	got := ws.aliasBuf[:0]
+	got := ws.aliasGot[:0]
 	missing := false
 	x := &ws.ctx
 	x.sink = func(to S, label string, actor int) {
-		if e.canon != nil {
-			to = e.canon(to)
+		a := aliasEdge[S]{label: label, actor: int32(actor)}
+		if por {
+			a.to = to
+		} else {
+			if e.canon != nil {
+				to = e.canon(to)
+			}
+			var ok bool
+			if a.id, ok = e.store.Probe(to); !ok {
+				missing = true
+				a.id = -1
+			}
 		}
-		tid, ok := e.store.Probe(to)
-		if !ok {
-			missing = true
-			tid = -1
-		}
-		got = append(got, rawEdge{to: tid, actor: int32(actor), label: label})
+		got = append(got, a)
 	}
 	e.expand(s, x)
 	x.sink = nil
-	ws.aliasBuf = got
-	want := ws.arena[sp.off : sp.off+sp.n]
+	ws.aliasGot = got
 	if missing || len(got) != len(want) {
 		e.noteVerifyErr(fmt.Errorf("%w: state %v emitted %d transitions on poisoned re-expansion, want %d (system retains emitted or scratch buffers?)",
 			ErrAliasUnsound, s, len(got), len(want)))
@@ -65,38 +94,18 @@ func (e *explorer[S]) checkAliasing(s S, ws *worker[S], sp span) {
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			e.noteVerifyErr(fmt.Errorf("%w: state %v transition %d diverged on poisoned re-expansion: got (to=%d label=%q actor=%d), want (to=%d label=%q actor=%d)",
-				ErrAliasUnsound, s, i, got[i].to, got[i].label, got[i].actor, want[i].to, want[i].label, want[i].actor))
+			e.noteVerifyErr(fmt.Errorf("%w: state %v transition %d diverged on poisoned re-expansion: got %s, want %s",
+				ErrAliasUnsound, s, i, got[i].describe(por), want[i].describe(por)))
 			return
 		}
 	}
 }
 
-// checkAliasingPOR is checkAliasing for the partial-order-reduced path: it
-// compares against the full collected action set (ws.acts, before ample
-// selection), since the arena only records the ample subset.
-func (e *explorer[S]) checkAliasingPOR(s S, ws *worker[S]) {
-	poisonScratch(ws)
-	got := ws.aliasActs[:0]
-	x := &ws.ctx
-	old := x.sink
-	x.sink = func(to S, label string, actor int) {
-		got = append(got, Action[S]{To: to, Label: label, Actor: actor})
+// describe renders a for a divergence report: the successor as its store
+// id on the full path, as the raw state under POR.
+func (a aliasEdge[S]) describe(por bool) string {
+	if por {
+		return fmt.Sprintf("(to=%v label=%q actor=%d)", a.to, a.label, a.actor)
 	}
-	e.expand(s, x)
-	x.sink = old
-	ws.aliasActs = got
-	want := ws.acts
-	if len(got) != len(want) {
-		e.noteVerifyErr(fmt.Errorf("%w: state %v emitted %d transitions on poisoned re-expansion, want %d (system retains emitted or scratch buffers?)",
-			ErrAliasUnsound, s, len(got), len(want)))
-		return
-	}
-	for i := range want {
-		if got[i] != want[i].act {
-			e.noteVerifyErr(fmt.Errorf("%w: state %v transition %d diverged on poisoned re-expansion: got (to=%v label=%q actor=%d), want (to=%v label=%q actor=%d)",
-				ErrAliasUnsound, s, i, got[i].To, got[i].Label, got[i].Actor, want[i].act.To, want[i].act.Label, want[i].act.Actor))
-			return
-		}
-	}
+	return fmt.Sprintf("(to=%d label=%q actor=%d)", a.id, a.label, a.actor)
 }

@@ -1,9 +1,6 @@
 package engine
 
-import (
-	"bytes"
-	"time"
-)
+import "bytes"
 
 // Ctx is the expansion context the engine hands to an ExpandFunc: the
 // revised expand API that makes the hot path allocation-free. A worker
@@ -58,40 +55,10 @@ func (x *Ctx[S]) Emit(to S, label string, actor int) {
 		return
 	}
 	e, ws := x.e, x.w
-	if ws.profSampling {
-		// Fine-profiled twin for the 1-in-64 sampled states; one
-		// predictable always-false branch when profiling is off.
-		x.emitSampled(to, label, actor)
-		return
-	}
 	if e.canon != nil {
 		to = e.canonicalize(to, ws)
 	}
-	tid, fresh := e.store.Intern(to)
-	if !fresh {
-		ws.dedup++
-	}
-	ws.arena = append(ws.arena, rawEdge{to: tid, actor: int32(actor), label: label})
-}
-
-// emitSampled is Emit's fine-profiled twin (sink already known nil):
-// behaviorally identical — keep the two in sync — with the
-// canonicalization and intern sections timed into the worker's
-// sample counters. See profile.go for the sampling design.
-func (x *Ctx[S]) emitSampled(to S, label string, actor int) {
-	e, ws := x.e, x.w
-	if e.canon != nil {
-		t := time.Now()
-		to = e.canonicalize(to, ws)
-		ws.prof.sampleCanon.Add(int64(time.Since(t)))
-	}
-	t := time.Now()
-	tid, fresh := e.store.Intern(to)
-	ws.prof.sampleIntern.Add(int64(time.Since(t)))
-	if !fresh {
-		ws.dedup++
-	}
-	ws.arena = append(ws.arena, rawEdge{to: tid, actor: int32(actor), label: label})
+	e.intern(ws, to, label, actor)
 }
 
 // EmitBytes is Emit for string-typed states handed over as raw encoded
@@ -104,125 +71,64 @@ func (x *Ctx[S]) emitSampled(to S, label string, actor int) {
 // store.BytesInterner, and — under a canonicalizer — Options.CanonBytes;
 // otherwise EmitBytes transparently falls back to materializing the
 // string and calling Emit, so systems can use it unconditionally.
+//
+// On a fine-sampled state the canonicalization section (memo lookup, raw
+// fingerprint bookkeeping, representative render) and the hash+intern
+// section are timed separately; a memo hit records its true near-zero
+// canon cost rather than re-paying the pipeline.
 func (x *Ctx[S]) EmitBytes(to []byte, label string, actor int) {
 	if x.sink != nil || !x.e.bytesDirect {
 		x.Emit(fromBytes[S](to), label, actor)
 		return
 	}
 	e, ws := x.e, x.w
-	if ws.profSampling {
-		x.emitBytesSampled(to, label, actor)
+	t := ws.clock()
+	if e.canon == nil {
+		h := e.hashB(to)
+		tid, fresh := e.bytesIntern.InternBytes(h, to)
+		ws.lap(sampleIntern, t)
+		ws.record(tid, fresh, label, actor)
 		return
 	}
-	if e.canon != nil {
-		if ent, ok := ws.canonMemo[string(to)]; ok {
-			// Memo hit: this worker already canonicalized these exact raw
-			// bytes, so the id, the remap bit, and the rawSeen entry are all
-			// known — no hashing, no candidate renders. The successor is
-			// necessarily already interned, hence the unconditional dedup.
-			if ent.remapped {
-				ws.canonHits++
-			}
-			ws.dedup++
-			ws.arena = append(ws.arena, rawEdge{to: ent.id, actor: int32(actor), label: label})
-			return
-		}
-		h := e.hashB(to)
-		ws.rawSeen[h] = struct{}{}
-		rep := ws.canonB(ws.canonBuf[:0], to)
-		ws.canonBuf = rep
-		remapped := !bytes.Equal(rep, to)
-		rawKey := string(to) // the one allocation per distinct raw encoding
-		if remapped {
+	if ent, ok := ws.canonMemo[string(to)]; ok {
+		// Memo hit: this worker already canonicalized these exact raw
+		// bytes, so the id, the remap bit, and the rawSeen entry are all
+		// known — no hashing, no candidate renders. The successor is
+		// necessarily already interned, hence the unconditional dedup.
+		ws.lap(sampleCanon, t)
+		if ent.remapped {
 			ws.canonHits++
-			if e.verifyMod != 0 && h%e.verifyMod == 0 {
-				e.checkCanonBytes(to, rep)
-			}
-			to = rep
-			h = e.hashB(rep)
 		}
+		ws.record(ent.id, false, label, actor)
+		return
+	}
+	h := e.hashB(to)
+	ws.rawSeen[h] = struct{}{}
+	rep := ws.canonB(ws.canonBuf[:0], to)
+	ws.canonBuf = rep
+	remapped := !bytes.Equal(rep, to)
+	rawKey := string(to) // the one allocation per distinct raw encoding
+	if remapped {
+		ws.canonHits++
 		// Fixed points are trivially idempotent and step-commuting, and a
 		// byte-identical representative is trivially in agreement with the
 		// string canonicalizer, so (mirroring canonicalize) the sampled
 		// check only runs on remapped states — and, with the memo, on each
 		// worker's first emission of a given raw encoding.
-		tid, fresh := e.bytesIntern.InternBytes(h, to)
-		if !fresh {
-			ws.dedup++
+		if e.verifyMod != 0 && h%e.verifyMod == 0 {
+			e.checkCanonBytes(to, rep)
 		}
-		if len(ws.canonMemo) >= canonMemoCap || ws.canonMemo == nil {
-			ws.canonMemo = make(map[string]canonMemoEntry)
-		}
-		ws.canonMemo[rawKey] = canonMemoEntry{id: tid, remapped: remapped}
-		ws.arena = append(ws.arena, rawEdge{to: tid, actor: int32(actor), label: label})
-		return
+		to = rep
+		h = e.hashB(rep)
 	}
-	h := e.hashB(to)
+	t = ws.lap(sampleCanon, t)
 	tid, fresh := e.bytesIntern.InternBytes(h, to)
-	if !fresh {
-		ws.dedup++
+	ws.lap(sampleIntern, t)
+	if len(ws.canonMemo) >= canonMemoCap || ws.canonMemo == nil {
+		ws.canonMemo = make(map[string]canonMemoEntry)
 	}
-	ws.arena = append(ws.arena, rawEdge{to: tid, actor: int32(actor), label: label})
-}
-
-// emitBytesSampled is the direct path of EmitBytes (sink known nil,
-// bytesDirect known true) for the 1-in-64 fine-sampled states:
-// behaviorally identical — keep the two in sync — with the
-// canonicalization pipeline (memo lookup, raw fingerprint bookkeeping,
-// representative render) and the hash+intern section timed into
-// the worker's sample counters. A sampled memo hit records its true
-// near-zero cost rather than re-paying the pipeline, so the sampled
-// fractions reflect what the run actually spends.
-func (x *Ctx[S]) emitBytesSampled(to []byte, label string, actor int) {
-	e, ws := x.e, x.w
-	prof := ws.prof
-	if e.canon != nil {
-		ct := time.Now()
-		if ent, ok := ws.canonMemo[string(to)]; ok {
-			prof.sampleCanon.Add(int64(time.Since(ct)))
-			if ent.remapped {
-				ws.canonHits++
-			}
-			ws.dedup++
-			ws.arena = append(ws.arena, rawEdge{to: ent.id, actor: int32(actor), label: label})
-			return
-		}
-		h := e.hashB(to)
-		ws.rawSeen[h] = struct{}{}
-		rep := ws.canonB(ws.canonBuf[:0], to)
-		ws.canonBuf = rep
-		remapped := !bytes.Equal(rep, to)
-		rawKey := string(to)
-		if remapped {
-			ws.canonHits++
-			if e.verifyMod != 0 && h%e.verifyMod == 0 {
-				e.checkCanonBytes(to, rep)
-			}
-			to = rep
-			h = e.hashB(rep)
-		}
-		it := time.Now()
-		prof.sampleCanon.Add(int64(it.Sub(ct)))
-		tid, fresh := e.bytesIntern.InternBytes(h, to)
-		prof.sampleIntern.Add(int64(time.Since(it)))
-		if !fresh {
-			ws.dedup++
-		}
-		if len(ws.canonMemo) >= canonMemoCap || ws.canonMemo == nil {
-			ws.canonMemo = make(map[string]canonMemoEntry)
-		}
-		ws.canonMemo[rawKey] = canonMemoEntry{id: tid, remapped: remapped}
-		ws.arena = append(ws.arena, rawEdge{to: tid, actor: int32(actor), label: label})
-		return
-	}
-	it := time.Now()
-	h := e.hashB(to)
-	tid, fresh := e.bytesIntern.InternBytes(h, to)
-	prof.sampleIntern.Add(int64(time.Since(it)))
-	if !fresh {
-		ws.dedup++
-	}
-	ws.arena = append(ws.arena, rawEdge{to: tid, actor: int32(actor), label: label})
+	ws.canonMemo[rawKey] = canonMemoEntry{id: tid, remapped: remapped}
+	ws.record(tid, fresh, label, actor)
 }
 
 // Label interns a label string built in a scratch buffer: the first

@@ -185,11 +185,14 @@ func (r *retainingExpand) expand(s string, x *Ctx[string]) {
 
 func TestVerifyAliasingCatchesRetainedBuffer(t *testing.T) {
 	// One worker so the stashed slice aliases the scratch buffer of the
-	// worker whose re-expansion reads it back.
-	r := &retainingExpand{}
-	_, err := Explore([]string{"a"}, r.expand, Options{Parallelism: 1, VerifyAliasing: 1, MaxStates: 100})
-	if !errors.Is(err, ErrAliasUnsound) {
-		t.Fatalf("buffer-retaining system: err = %v, want ErrAliasUnsound", err)
+	// worker whose re-expansion reads it back. The POR arm checks the
+	// collected actions instead of the arena.
+	for name, indep := range map[string]any{"full": nil, "por": Independence[string](gridIndep)} {
+		r := &retainingExpand{}
+		_, err := Explore([]string{"a"}, r.expand, Options{Parallelism: 1, VerifyAliasing: 1, MaxStates: 100, Independent: indep})
+		if !errors.Is(err, ErrAliasUnsound) {
+			t.Fatalf("%s: buffer-retaining system: err = %v, want ErrAliasUnsound", name, err)
+		}
 	}
 }
 

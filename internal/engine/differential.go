@@ -17,7 +17,8 @@ import (
 // stack — at several worker counts, and cross-checks everything the
 // determinism and soundness contracts promise:
 //
-//   - byte-identical Results and telemetry at every worker count per mode;
+//   - byte-identical Results and telemetry at every worker count per mode,
+//     and between the profiled reference run and an unprofiled one;
 //   - full-mode Results (no canon, no POR, every exact store) equal to
 //     referenceExplore's: states, initials, edges, parents and truncation;
 //   - planted state/terminal/decided counts for the full graph and the
@@ -194,6 +195,21 @@ func Differential[S comparable](spec DiffSpec[S]) (*DiffReport, error) {
 		}
 		if msg := statsConsistency(ref); msg != "" {
 			return nil, fail(mode, workers[0], "inconsistent telemetry: %s", msg)
+		}
+		// The sink above switches phase profiling on, so every run so far
+		// took the profiled path. One more run with neither Sink nor Stats
+		// takes the unprofiled path untraced callers get, and must match
+		// the profiled reference result and counters exactly.
+		plain, err := Explore(spec.Inits, spec.Expand, opts)
+		if err != nil && !errors.Is(err, ErrStateLimit) {
+			return nil, fmt.Errorf("%w: %s [mode=%s workers=%d unprofiled]: %w",
+				ErrDiverged, spec.Name, mode, opts.Parallelism, err)
+		}
+		if msg := diffResults(ref, plain); msg != "" {
+			return nil, fail(mode, workers[0], "unprofiled run diverged from the profiled one: %s", msg)
+		}
+		if msg := diffStats(ref.Stats, plain.Stats); msg != "" {
+			return nil, fail(mode, workers[0], "unprofiled run's telemetry diverged from the profiled one: %s", msg)
 		}
 		rep.Modes = append(rep.Modes, DiffMode{Mode: mode, Stats: ref.Stats, TraceDigest: refDig.Sum()})
 		return ref, nil

@@ -252,14 +252,15 @@ type worker[S comparable] struct {
 	// to re-running the pipeline. Per-worker, so no synchronization; capped
 	// at canonMemoCap entries and cleared when full.
 	canonMemo map[string]canonMemoEntry
-	// aliasBuf and aliasActs are the VerifyAliasing re-expansion buffers.
-	aliasBuf  []rawEdge
-	aliasActs []Action[S]
+	// aliasGot and aliasWant are the VerifyAliasing comparison buffers.
+	aliasGot, aliasWant []aliasEdge[S]
 	// prof is the worker's phase-attribution profile; nil when profiling
 	// is off (no Stats out-param and no Sink). profSampling marks the
-	// current expansion as fine-sampled, so the Ctx emit paths divert to
-	// their timed twins — one predictable always-false branch when
-	// profiling is off. See profile.go.
+	// current expansion as fine-sampled: the timed sections (canonicalize,
+	// EmitBytes' canon/memo step, intern) read the clock only while it is
+	// set. It is never set on an unprofiled worker, so with profiling off
+	// each timed section pays one predictable branch and no clock read.
+	// See profile.go.
 	prof         *phaseProf
 	profSampling bool
 }
@@ -340,33 +341,65 @@ type explorer[S comparable] struct {
 // canonicalize maps raw to its orbit representative, recording the raw
 // fingerprint and remap count in ws and running the sampled soundness check.
 // Callers guard on e.canon != nil to keep the no-symmetry path branch-cheap.
+// It is the timed canon section of the Emit and POR routes.
 func (e *explorer[S]) canonicalize(raw S, ws *worker[S]) S {
+	t := ws.clock()
 	h := e.fp(raw)
 	ws.rawSeen[h] = struct{}{}
-	rep := e.canon(raw)
-	if rep == raw {
-		// Fixed points are trivially idempotent and step-commuting, so the
-		// soundness check has nothing to test here.
-		return raw
-	}
-	ws.canonHits++
-	if e.verifyMod != 0 && h%e.verifyMod == 0 {
-		if err := e.checkCanon(raw); err != nil {
-			e.noteVerifyErr(err)
+	// Fixed points are trivially idempotent and step-commuting, so the
+	// soundness check has nothing to test there.
+	if rep := e.canon(raw); rep != raw {
+		ws.canonHits++
+		if e.verifyMod != 0 && h%e.verifyMod == 0 {
+			if err := e.checkCanon(raw); err != nil {
+				e.noteVerifyErr(err)
+			}
 		}
+		raw = rep
 	}
-	return rep
+	ws.lap(sampleCanon, t)
+	return raw
+}
+
+// intern interns one canonical successor and records its edge in the
+// worker's arena: the timed hash+intern section of the Emit and POR
+// routes.
+func (e *explorer[S]) intern(ws *worker[S], to S, label string, actor int) {
+	t := ws.clock()
+	tid, fresh := e.store.Intern(to)
+	ws.lap(sampleIntern, t)
+	ws.record(tid, fresh, label, actor)
+}
+
+// record appends one interned successor's edge to the worker's arena,
+// counting a dedup hit when the successor was already known.
+func (ws *worker[S]) record(tid int32, fresh bool, label string, actor int) {
+	if !fresh {
+		ws.dedup++
+	}
+	ws.arena = append(ws.arena, rawEdge{to: tid, actor: int32(actor), label: label})
 }
 
 // expandRange expands provisional ids [lo, hi) claimed in chunks from
-// cursor, writing successors into worker w's arena.
+// cursor, writing successors into worker w's arena. It is the engine's
+// one expand loop: chunk claiming, the level's expand-phase clock, the
+// 1-in-64 fine sample, span and step bookkeeping and the sampled
+// aliasing check live here, and each state goes through one per-state
+// step — e.expand straight into the arena, or expandPOR when an
+// independence relation is installed.
 func (e *explorer[S]) expandRange(w int32, cursor *atomic.Int64, hi int, chunk int) {
-	if e.indep != nil {
-		e.expandRangePOR(w, cursor, hi, chunk)
-		return
-	}
 	ws := e.workers[w]
 	x := &ws.ctx
+	var collect func(to S, label string, actor int)
+	if e.indep != nil {
+		collect = func(to S, label string, actor int) {
+			pa := porAction[S]{act: Action[S]{To: to, Label: label, Actor: actor}, to: to}
+			if e.canon != nil {
+				pa.to = e.canonicalize(to, ws)
+			}
+			ws.acts = append(ws.acts, pa)
+		}
+	}
 	prof := ws.prof
 	if prof != nil {
 		// One clock read per level entry/exit: all in-level time (expansion
@@ -386,14 +419,19 @@ func (e *explorer[S]) expandRange(w int32, cursor *atomic.Int64, hi int, chunk i
 		for id := lo; id < end; id++ {
 			off := int32(len(ws.arena))
 			s := e.store.State(int32(id))
+			var t time.Time
 			if prof != nil && id&profSampleMask == 0 {
 				ws.profSampling = true
-				t := time.Now()
-				e.expand(s, x)
-				prof.noteSample(time.Since(t))
-				ws.profSampling = false
+				t = time.Now()
+			}
+			if collect != nil {
+				e.expandPOR(s, ws, collect, hi)
 			} else {
 				e.expand(s, x)
+			}
+			if ws.profSampling {
+				prof.noteSample(time.Since(t))
+				ws.profSampling = false
 			}
 			sp := span{worker: w, off: off, n: int32(len(ws.arena)) - off}
 			e.spans[id] = sp
@@ -405,102 +443,41 @@ func (e *explorer[S]) expandRange(w int32, cursor *atomic.Int64, hi int, chunk i
 	}
 }
 
-// expandRangePOR is expandRange's partial-order-reduced twin: instead of
+// expandPOR is the partial-order-reduced per-state step: instead of
 // interning successors as they are emitted, it first collects the full
-// enabled-action set of each state, asks ampleSet for a sufficient proper
-// subset, and interns only the selected actions (in emission order, so the
-// reduced graph is as deterministic as the full one). States where no
-// proper ample set exists — or where the cycle proviso vetoes every
-// candidate — are expanded fully.
-func (e *explorer[S]) expandRangePOR(w int32, cursor *atomic.Int64, hi int, chunk int) {
-	ws := e.workers[w]
+// enabled-action set of s into ws.acts (collect canonicalizes each
+// successor), asks ampleSet for a sufficient proper subset, and interns
+// only the selected actions (in emission order, so the reduced graph is
+// as deterministic as the full one). States where no proper ample set
+// exists — or where the cycle proviso vetoes every candidate — are
+// expanded fully.
+func (e *explorer[S]) expandPOR(s S, ws *worker[S], collect func(S, string, int), hi int) {
 	x := &ws.ctx
-	collect := func(to S, label string, actor int) {
-		pa := porAction[S]{act: Action[S]{To: to, Label: label, Actor: actor}, to: to}
-		if e.canon != nil {
-			if ws.profSampling {
-				t := time.Now()
-				pa.to = e.canonicalize(to, ws)
-				ws.prof.sampleCanon.Add(int64(time.Since(t)))
-			} else {
-				pa.to = e.canonicalize(to, ws)
-			}
+	ws.acts = ws.acts[:0]
+	x.sink = collect
+	e.expand(s, x)
+	x.sink = nil
+	acts := ws.acts
+	if e.porVerifyMod != 0 && e.fp(s)%e.porVerifyMod == 0 {
+		if err := e.checkPOR(s, acts); err != nil {
+			e.noteVerifyErr(err)
 		}
-		ws.acts = append(ws.acts, pa)
 	}
-	prof := ws.prof
-	if prof != nil {
-		prof.start()
-		defer prof.flush()
+	var ample []int32
+	if len(acts) > 1 {
+		ws.uf = growTo(ws.uf[:0], len(acts))
+		ample = e.ampleSet(s, acts, ws.uf, hi)
 	}
-	for {
-		lo := int(cursor.Add(int64(chunk))) - chunk
-		if lo >= hi {
-			return
+	if ample == nil {
+		for _, pa := range acts {
+			e.intern(ws, pa.to, pa.act.Label, pa.act.Actor)
 		}
-		end := lo + chunk
-		if end > hi {
-			end = hi
-		}
-		for id := lo; id < end; id++ {
-			s := e.store.State(int32(id))
-			var sampleT time.Time
-			if prof != nil && id&profSampleMask == 0 {
-				ws.profSampling = true
-				sampleT = time.Now()
-			}
-			ws.acts = ws.acts[:0]
-			x.sink = collect
-			e.expand(s, x)
-			x.sink = nil
-			acts := ws.acts
-			if e.aliasMod != 0 && e.fp(s)%e.aliasMod == 0 {
-				e.checkAliasingPOR(s, ws)
-			}
-			if e.porVerifyMod != 0 && e.fp(s)%e.porVerifyMod == 0 {
-				if err := e.checkPOR(s, acts); err != nil {
-					e.noteVerifyErr(err)
-				}
-			}
-			var ample []int32
-			if len(acts) > 1 {
-				ws.uf = growTo(ws.uf[:0], len(acts))
-				ample = e.ampleSet(s, acts, ws.uf, hi)
-			}
-			off := int32(len(ws.arena))
-			record := func(pa porAction[S]) {
-				var tid int32
-				var fresh bool
-				if ws.profSampling {
-					t := time.Now()
-					tid, fresh = e.store.Intern(pa.to)
-					ws.prof.sampleIntern.Add(int64(time.Since(t)))
-				} else {
-					tid, fresh = e.store.Intern(pa.to)
-				}
-				if !fresh {
-					ws.dedup++
-				}
-				ws.arena = append(ws.arena, rawEdge{to: tid, actor: int32(pa.act.Actor), label: pa.act.Label})
-			}
-			if ample != nil {
-				ws.ampleStates++
-				ws.deferred += uint64(len(acts) - len(ample))
-				for _, m := range ample {
-					record(acts[m])
-				}
-			} else {
-				for _, pa := range acts {
-					record(pa)
-				}
-			}
-			e.spans[id] = span{worker: w, off: off, n: int32(len(ws.arena)) - off}
-			ws.steps.Add(1)
-			if ws.profSampling {
-				prof.noteSample(time.Since(sampleT))
-				ws.profSampling = false
-			}
-		}
+		return
+	}
+	ws.ampleStates++
+	ws.deferred += uint64(len(acts) - len(ample))
+	for _, m := range ample {
+		e.intern(ws, acts[m].to, acts[m].act.Label, acts[m].act.Actor)
 	}
 }
 

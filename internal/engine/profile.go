@@ -10,17 +10,19 @@ import (
 
 // Phase-attribution profiling. Enabled whenever the caller can observe the
 // result (Options.Stats or Options.Sink installed); with neither, every
-// worker's prof pointer stays nil and the engine keeps its zero-cost
-// disabled path. The design keeps clock reads off the per-state hot path:
+// worker's prof pointer stays nil and no clock is read. The design keeps
+// clock reads off the per-state hot path:
 //
 //   - Coarse counters (expand, barrier-wait) are read per level, never per
 //     state: a worker times its whole expand loop for the level as one
 //     interval, and the coordinator times its wait at the level barrier.
 //   - The fine canon/intern split inside expansion time is *sampled*: one
-//     state in 64 (by provisional id) is timed end-to-end, with its
-//     canonicalization and hash+intern sections timed individually along
-//     the Ctx emit paths. Sample counters are reported raw
-//     (obs.Phases.Sample*) so consumers scale them against each other.
+//     state in 64 (by provisional id) is timed end-to-end, and its
+//     canonicalization and hash+intern sections time themselves through
+//     the worker's clock/lap helpers. Every emit route runs those same
+//     sections; off a sampled state each costs one predictable branch and
+//     no clock read. Sample counters are reported raw (obs.Phases.Sample*)
+//     so consumers scale them against each other.
 //   - Coordinator-only phases (store maintenance, replay) are timed
 //     directly around their calls.
 //
@@ -35,6 +37,15 @@ const (
 	phExpand = iota
 	phBarrier
 	phCount
+)
+
+// Fine-sampled section indices (phaseProf.sections): the two sections of
+// a successor's route into the store that the sampled fractions split out
+// of the sampled expansion time.
+const (
+	sampleCanon = iota
+	sampleIntern
+	sampleSections
 )
 
 // profSampleMask selects 1 state in 64 (provisional id & mask == 0) for
@@ -52,8 +63,7 @@ type phaseProf struct {
 
 	sampled      atomic.Uint64
 	sampleExpand atomic.Int64
-	sampleCanon  atomic.Int64
-	sampleIntern atomic.Int64
+	sections     [sampleSections]atomic.Int64
 	expandLat    obs.Hist
 }
 
@@ -71,6 +81,34 @@ func (p *phaseProf) noteSample(d time.Duration) {
 	p.expandLat.Observe(ns)
 }
 
+// clock reads the sample clock: the current time while the worker's
+// current expansion is fine-sampled, the zero Time (and no clock read)
+// otherwise. Safe on unprofiled workers, which never sample.
+func (ws *worker[S]) clock() time.Time {
+	if !ws.profSampling {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+// lap closes one timed section that began at t (a clock reading), adding
+// its duration to the worker's sample counter for section, and returns
+// the reading that starts the next section. Outside a fine-sampled
+// expansion it reads no clock and records nothing.
+func (ws *worker[S]) lap(section int, t time.Time) time.Time {
+	if !ws.profSampling {
+		return t
+	}
+	return ws.prof.lap(section, t)
+}
+
+// lap is worker.lap's sampled half, kept out of line so the guard inlines.
+func (p *phaseProf) lap(section int, t time.Time) time.Time {
+	now := time.Now()
+	p.sections[section].Add(int64(now.Sub(t)))
+	return now
+}
+
 // snapshot renders the worker's counters as an obs.Phases (coordinator
 // phases excluded; collectPhases adds those to the aggregate only).
 func (p *phaseProf) snapshot() obs.Phases {
@@ -79,8 +117,8 @@ func (p *phaseProf) snapshot() obs.Phases {
 		BarrierWaitNs:  p.counters[phBarrier].Load(),
 		SampledStates:  p.sampled.Load(),
 		SampleExpandNs: p.sampleExpand.Load(),
-		SampleCanonNs:  p.sampleCanon.Load(),
-		SampleInternNs: p.sampleIntern.Load(),
+		SampleCanonNs:  p.sections[sampleCanon].Load(),
+		SampleInternNs: p.sections[sampleIntern].Load(),
 	}
 }
 

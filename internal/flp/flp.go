@@ -84,6 +84,14 @@ func encodeConfig(crashed int, states []string, flight []envelope) config {
 	return strconv.Itoa(crashed) + "\x1d" + strings.Join(states, "\x1e") + "\x1d" + strings.Join(msgs, "\x1f")
 }
 
+// configStates returns c's process-state section, the per-process states
+// still joined by \x1e, without parsing the in-flight multiset.
+func configStates(c config) string {
+	_, rest, _ := strings.Cut(c, "\x1d")
+	states, _, _ := strings.Cut(rest, "\x1d")
+	return states
+}
+
 func decodeConfig(c config) (crashed int, states []string, flight []envelope) {
 	parts := strings.SplitN(c, "\x1d", 3)
 	crashed, _ = strconv.Atoi(parts[0])
@@ -310,10 +318,14 @@ func Analyze(p Protocol, opts AnalyzeOptions) (Report, error) {
 	}
 	rep := Report{Protocol: p.Name(), States: g.Len(), Edges: g.NumEdges(), Lossy: opts.Store.Lossy()}
 
+	// decideConfig reads only the process-state section: the in-flight
+	// multiset never bears on a decision.
 	decideConfig := func(c config) (int, bool) {
-		_, states, _ := decodeConfig(c)
+		states := configStates(c)
 		for q := 0; q < n; q++ {
-			if v, ok := p.Decide(q, states[q]); ok {
+			var st string
+			st, states, _ = strings.Cut(states, "\x1e")
+			if v, ok := p.Decide(q, st); ok {
 				return v, true
 			}
 		}
@@ -333,10 +345,12 @@ func Analyze(p Protocol, opts AnalyzeOptions) (Report, error) {
 
 	// Agreement: no reachable configuration with contradictory decisions.
 	if _, tr, ok := g.CheckInvariant(func(c config) bool {
-		_, states, _ := decodeConfig(c)
+		states := configStates(c)
 		seen := -1
 		for q := 0; q < n; q++ {
-			if v, ok := p.Decide(q, states[q]); ok {
+			var st string
+			st, states, _ = strings.Cut(states, "\x1e")
+			if v, ok := p.Decide(q, st); ok {
 				if seen >= 0 && v != seen {
 					return false
 				}
@@ -374,15 +388,18 @@ func Analyze(p Protocol, opts AnalyzeOptions) (Report, error) {
 	}
 
 	// Liveness horns: a fair undecided lasso, or an undecided deadlock.
-	undecided := func(i int) bool {
+	// Each configuration is decoded once here, not on every edge the
+	// lasso search visits.
+	undecided := make([]bool, g.Len())
+	for i := range undecided {
 		_, decided := decideConfig(g.State(i))
-		return !decided
+		undecided[i] = !decided
 	}
-	if lasso, ok := g.FairLassoWithin(undecided, core.WeakFairness, n); ok {
+	if lasso, ok := g.FairLassoWithin(func(i int) bool { return undecided[i] }, core.WeakFairness, n); ok {
 		rep.NondecidingLasso = &lasso
 	}
 	for _, i := range g.Terminals() {
-		if undecided(i) {
+		if undecided[i] {
 			rep.HasDeadlock = true
 			rep.UndecidedDeadlock = g.PathTo(i)
 			break

@@ -140,6 +140,11 @@ func TestConfigCodecRoundTrip(t *testing.T) {
 	if gotFlight[0].payload != "mv" && gotFlight[1].payload != "mv" {
 		t.Fatal("payload lost in round trip")
 	}
+	for _, fl := range [][]envelope{flight, nil} {
+		if got := configStates(encodeConfig(5, states, fl)); got != strings.Join(states, "\x1e") {
+			t.Fatalf("configStates = %q, want the joined states", got)
+		}
+	}
 }
 
 func TestDescribeHorn(t *testing.T) {
