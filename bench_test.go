@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/async"
@@ -618,4 +619,65 @@ func BenchmarkE08KnowledgeLevels(b *testing.B) {
 		}
 	}
 	b.ReportMetric(ck, "common-knowledge-at-t+1")
+}
+
+// Layer benchmarks for the verdict path. BenchmarkVerdictFull is the
+// whole FLP verdict on wait-quorum n=4 at resilience 1 (exploration,
+// validity re-explorations and analysis passes); BenchmarkGraphPasses
+// times the analysis passes alone on one prebuilt graph of the same
+// system. Both report allocations, so `-benchmem` reads off B/op for the
+// graph layout and the passes that index it.
+
+func BenchmarkVerdictFull(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		rep, err := flp.Analyze(flp.NewWaitQuorum(4), flp.AnalyzeOptions{Parallelism: 2})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportMetric(float64(rep.States), "states")
+	}
+}
+
+func BenchmarkGraphPasses(b *testing.B) {
+	const n = 4
+	p := flp.NewWaitQuorum(n)
+	g, err := core.Explore[string](flp.NewSystem(p, nil, 1), core.ExploreOptions{Parallelism: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	// A configuration is "crashed\x1dstate\x1e…\x1estate\x1dflight"; a
+	// process state decides through the protocol.
+	decide := func(c string) (int, bool) {
+		_, rest, _ := strings.Cut(c, "\x1d")
+		states, _, _ := strings.Cut(rest, "\x1d")
+		for q := 0; q < n; q++ {
+			var st string
+			st, states, _ = strings.Cut(states, "\x1e")
+			if v, ok := p.Decide(q, st); ok {
+				return v, true
+			}
+		}
+		return 0, false
+	}
+	undecided := make([]bool, g.Len())
+	for i := range undecided {
+		_, decided := decide(g.State(i))
+		undecided[i] = !decided
+	}
+	// The deepest state's BFS path is the trace to embed, as Refine
+	// embeds an observed run.
+	tr := g.PathTo(g.Len() - 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := g.Valence(decide); err != nil {
+			b.Fatal(err)
+		}
+		g.FairLassoWithin(func(i int) bool { return undecided[i] }, core.WeakFairness, n)
+		if emb := g.EmbedTrace(tr); !emb.Ok {
+			b.Fatalf("the graph's own path fails to embed at event %d", emb.FailAt)
+		}
+	}
+	b.ReportMetric(float64(g.Len()), "states")
 }

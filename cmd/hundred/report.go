@@ -146,6 +146,12 @@ func reportExploreRun(w io.Writer, n int, run []obs.Event) {
 			"with %d states, below the %d-state limit.\n\n", final.Depth, final.States, cfg.MaxStates)
 	}
 
+	if final.GraphBytes > 0 {
+		fmt.Fprintf(w, "**Graph memory:** %s in the graph layout (%.0f B/state: row offsets, edges, "+
+			"labels, parent tree; state payloads excluded), %s of raw-edge arenas at replay.\n\n",
+			fmtBytes(final.GraphBytes), float64(final.GraphBytes)/float64(max(final.States, 1)), fmtBytes(final.ArenaBytes))
+	}
+
 	reportThroughput(w, run)
 	reportReduction(w, cfg, final)
 	reportPhases(w, final)

@@ -57,11 +57,24 @@ type ValenceInfo struct {
 func (g *Graph[S]) Valence(decide func(S) (int, bool)) (*ValenceInfo, error) {
 	n := len(g.states)
 	masks := make([]uint64, n)
-	// Reverse adjacency for backward propagation.
-	preds := make([][]int32, n)
-	for i := range g.states {
-		for _, e := range g.edges[i] {
-			preds[e.To] = append(preds[e.To], int32(i))
+	// Reverse adjacency for backward propagation, in compressed sparse
+	// rows built by counting sort: state t's predecessors are
+	// preds[predOff[t]:predOff[t+1]], in ascending id order.
+	predOff := make([]uint32, n+1)
+	for i := 0; g.expanded(i); i++ {
+		for _, e := range g.out(i) {
+			predOff[e.To+1]++
+		}
+	}
+	for t := 0; t < n; t++ {
+		predOff[t+1] += predOff[t]
+	}
+	preds := make([]int32, predOff[n])
+	next := append([]uint32(nil), predOff[:n]...)
+	for i := 0; g.expanded(i); i++ {
+		for _, e := range g.out(i) {
+			preds[next[e.To]] = int32(i)
+			next[e.To]++
 		}
 	}
 	queue := make([]int, 0, n)
@@ -80,7 +93,7 @@ func (g *Graph[S]) Valence(decide func(S) (int, bool)) (*ValenceInfo, error) {
 		i := queue[head]
 		inQueue[i] = false
 		m := masks[i]
-		for _, p := range preds[i] {
+		for _, p := range preds[predOff[i]:predOff[i+1]] {
 			if masks[p]|m != masks[p] {
 				masks[p] |= m
 				if !inQueue[p] {
@@ -135,13 +148,14 @@ func (g *Graph[S]) BivalentInitial(v *ValenceInfo) (int, bool) {
 // the step structure around it is exactly the "hook" of the FLP-style
 // case analyses.
 func (g *Graph[S]) Decider(v *ValenceInfo) (int, bool) {
-	for i := range g.states {
-		if !v.IsBivalent(i) || len(g.edges[i]) == 0 {
+	for i := 0; g.expanded(i); i++ {
+		es := g.out(i)
+		if !v.IsBivalent(i) || len(es) == 0 {
 			continue
 		}
 		all := true
-		for _, e := range g.edges[i] {
-			if !v.IsUnivalent(e.To) {
+		for _, e := range es {
+			if !v.IsUnivalent(int(e.To)) {
 				all = false
 				break
 			}
@@ -202,16 +216,17 @@ func (g *Graph[S]) CheckLeadsTo(premise, goal func(S) bool, fair Fairness, numAc
 	for len(stack) > 0 {
 		i := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, e := range g.edges[i] {
+		for _, e := range g.out(i) {
 			if !goalSet[e.To] && !inH[e.To] {
 				inH[e.To] = true
-				stack = append(stack, e.To)
+				stack = append(stack, int(e.To))
 			}
 		}
 	}
-	// Deadlock: terminal state inside H.
+	// Deadlock: terminal state inside H (a truncated graph's cut-off
+	// states are not terminal).
 	for i := range g.states {
-		if inH[i] && len(g.edges[i]) == 0 {
+		if inH[i] && g.IsTerminal(i) {
 			return LivenessResult{Kind: "deadlock", Witness: g.PathTo(i), StateID: i}
 		}
 	}
@@ -239,10 +254,10 @@ func (g *Graph[S]) FairLassoWithin(allowed func(int) bool, fair Fairness, numAct
 	for len(stack) > 0 {
 		i := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, e := range g.edges[i] {
-			if allowed(e.To) && !inH[e.To] {
+		for _, e := range g.out(i) {
+			if allowed(int(e.To)) && !inH[e.To] {
 				inH[e.To] = true
-				stack = append(stack, e.To)
+				stack = append(stack, int(e.To))
 			}
 		}
 	}
@@ -273,14 +288,14 @@ func (g *Graph[S]) fairCycleWithin(inH []bool, fair Fairness, numActors int) (La
 func (g *Graph[S]) sccsWithin(inH []bool) [][]int {
 	n := len(g.states)
 	const unvisited = -1
-	index := make([]int, n)
-	low := make([]int, n)
+	index := make([]int32, n)
+	low := make([]int32, n)
 	onStack := make([]bool, n)
 	for i := range index {
 		index[i] = unvisited
 	}
 	var (
-		counter  int
+		counter  int32
 		stack    []int
 		comps    [][]int
 		callFrom []int // DFS stack of states
@@ -301,8 +316,9 @@ func (g *Graph[S]) sccsWithin(inH []bool) [][]int {
 			v := callFrom[len(callFrom)-1]
 			ei := callEdge[len(callEdge)-1]
 			advanced := false
-			for ; ei < len(g.edges[v]); ei++ {
-				w := g.edges[v][ei].To
+			es := g.out(v)
+			for ; ei < len(es); ei++ {
+				w := int(es[ei].To)
 				if !inH[w] {
 					continue
 				}
@@ -359,8 +375,8 @@ func (g *Graph[S]) sccHasInternalEdge(comp []int, inH []bool) bool {
 		inComp[i] = true
 	}
 	for _, i := range comp {
-		for _, e := range g.edges[i] {
-			if inH[e.To] && inComp[e.To] {
+		for _, e := range g.out(i) {
+			if inH[e.To] && inComp[int(e.To)] {
 				return true
 			}
 		}
@@ -380,12 +396,12 @@ func (g *Graph[S]) sccIsWeaklyFair(comp []int, inH []bool, numActors int) bool {
 		satisfied := false
 		for _, i := range comp {
 			enabledHere := false
-			for _, e := range g.edges[i] {
-				if e.Actor != a {
+			for _, e := range g.out(i) {
+				if int(e.Actor) != a {
 					continue
 				}
 				enabledHere = true
-				if inH[e.To] && inComp[e.To] {
+				if inH[e.To] && inComp[int(e.To)] {
 					satisfied = true // actor a takes a step inside the SCC
 					break
 				}
@@ -413,7 +429,7 @@ func (g *Graph[S]) buildFairCycle(comp []int, inH []bool, fair Fairness, numActo
 	for _, i := range comp {
 		inComp[i] = true
 	}
-	internal := func(from int, e edge) bool { return inH[e.To] && inComp[e.To] }
+	internal := func(e edge) bool { return inH[e.To] && inComp[int(e.To)] }
 
 	// Choose must-visit edges: one internal edge per actor that takes
 	// internal steps in the component (under weak fairness only).
@@ -426,8 +442,8 @@ func (g *Graph[S]) buildFairCycle(comp []int, inH []bool, fair Fairness, numActo
 		for a := 0; a < numActors; a++ {
 			found := false
 			for _, i := range comp {
-				for _, e := range g.edges[i] {
-					if e.Actor == a && internal(i, e) {
+				for _, e := range g.out(i) {
+					if int(e.Actor) == a && internal(e) {
 						musts = append(musts, mustEdge{from: i, e: e})
 						found = true
 						break
@@ -469,8 +485,8 @@ func (g *Graph[S]) buildFairCycle(comp []int, inH []bool, fair Fairness, numActo
 			continue
 		}
 		cycle = append(cycle, seg...)
-		cycle = append(cycle, TraceEvent{Label: m.e.Label, Actor: m.e.Actor})
-		cur = m.e.To
+		cycle = append(cycle, g.event(m.e))
+		cur = int(m.e.To)
 	}
 	seg, ok := g.pathWithin(cur, entry, inComp, inH, cur == entry)
 	if ok {
@@ -492,30 +508,32 @@ func (g *Graph[S]) pathWithin(src, dst int, inComp map[int]bool, inH []bool, for
 	visited := map[int]pv{}
 	queue := []int{}
 	// Seed with successors of src so that cycles of length >= 1 are found.
-	for _, e := range g.edges[src] {
-		if inH[e.To] && inComp[e.To] {
-			if e.To == dst {
-				return Trace{{Label: e.Label, Actor: e.Actor}}, true
+	for _, e := range g.out(src) {
+		to := int(e.To)
+		if inH[to] && inComp[to] {
+			if to == dst {
+				return Trace{g.event(e)}, true
 			}
-			if _, seen := visited[e.To]; !seen {
-				visited[e.To] = pv{prev: src, e: e}
-				queue = append(queue, e.To)
+			if _, seen := visited[to]; !seen {
+				visited[to] = pv{prev: src, e: e}
+				queue = append(queue, to)
 			}
 		}
 	}
 	for head := 0; head < len(queue); head++ {
 		i := queue[head]
-		for _, e := range g.edges[i] {
-			if !inH[e.To] || !inComp[e.To] {
+		for _, e := range g.out(i) {
+			to := int(e.To)
+			if !inH[to] || !inComp[to] {
 				continue
 			}
-			if e.To == dst {
+			if to == dst {
 				var rev []TraceEvent
-				rev = append(rev, TraceEvent{Label: e.Label, Actor: e.Actor})
+				rev = append(rev, g.event(e))
 				cur := i
 				for cur != src {
 					p := visited[cur]
-					rev = append(rev, TraceEvent{Label: p.e.Label, Actor: p.e.Actor})
+					rev = append(rev, g.event(p.e))
 					cur = p.prev
 				}
 				out := make(Trace, len(rev))
@@ -524,9 +542,9 @@ func (g *Graph[S]) pathWithin(src, dst int, inComp map[int]bool, inH []bool, for
 				}
 				return out, true
 			}
-			if _, seen := visited[e.To]; !seen {
-				visited[e.To] = pv{prev: i, e: e}
-				queue = append(queue, e.To)
+			if _, seen := visited[to]; !seen {
+				visited[to] = pv{prev: i, e: e}
+				queue = append(queue, to)
 			}
 		}
 	}

@@ -75,27 +75,54 @@ func StepsOf[S comparable](sys System[S], s S) []Step[S] {
 // exceeds the configured bound before exploration completes.
 var ErrStateLimit = errors.New("core: state limit exceeded during exploration")
 
-// edge is the interned form of a Step. It is the engine's canonical edge
-// type, aliased so that exploration results are adopted into a Graph
-// without copying.
+// edge is the stored form of a Step: successor id, actor and label id. It
+// is the engine's canonical edge type, aliased so that exploration results
+// are adopted into a Graph without copying.
 type edge = engine.Edge
 
 // Graph is the explored reachable state graph of a System. It supports the
 // analyses every impossibility engine needs: invariant checking with
 // counterexample paths, terminal/deadlock detection, valence computation,
 // and fair-cycle (livelock) detection.
+//
+// The graph is the engine's compressed sparse rows, adopted as is: state
+// i's transitions are edges[off[i]:off[i+1]], labels are ids into a label
+// table, and the passes walk ids, looking a label string up only when they
+// build a Trace.
 type Graph[S comparable] struct {
 	states []S
-	// index is built lazily, under indexOnce, on the first StateID call,
-	// so concurrent readers race neither on construction nor on lookup.
-	index     map[S]int
-	indexOnce sync.Once
-	edges     [][]edge
+	// index and labelIndex are built lazily, under their sync.Once, on the
+	// first StateID and EmbedTrace call, so concurrent readers race neither
+	// on construction nor on lookup.
+	index          map[S]int
+	indexOnce      sync.Once
+	labelIndex     map[string]uint32
+	labelIndexOnce sync.Once
+	// off has one entry per expanded state plus the end offset; states
+	// from len(off)-1 on (a truncated graph's cut-off frontier) have no
+	// row.
+	off    []uint32
+	edges  []edge
+	labels []string
 	// parent[i] is the state that first reached state i during BFS, used
 	// to reconstruct shortest witness paths; -1 for initial states.
-	parent     []int
-	parentEdge []edge
+	// parentEdge[i] indexes the edge it took; -1 for initial states.
+	parent     []int32
+	parentEdge []int32
 	inits      []int
+}
+
+// out returns the stored transitions of state i: nil when i has no row.
+func (g *Graph[S]) out(i int) []edge {
+	if i+1 >= len(g.off) {
+		return nil
+	}
+	return g.edges[g.off[i]:g.off[i+1]]
+}
+
+// event renders e as a trace event, looking up its label.
+func (g *Graph[S]) event(e edge) TraceEvent {
+	return TraceEvent{Label: g.labels[e.Label], Actor: int(e.Actor)}
 }
 
 // ExploreOptions bound an exploration. They are the engine's options:
@@ -144,7 +171,9 @@ func Explore[S comparable](sys System[S], opts ExploreOptions) (*Graph[S], error
 func adoptResult[S comparable](res *engine.Result[S]) *Graph[S] {
 	return &Graph[S]{
 		states:     res.States,
+		off:        res.Off,
 		edges:      res.Edges,
+		labels:     res.Labels,
 		parent:     res.Parents,
 		parentEdge: res.ParentEdges,
 		inits:      res.Inits,
@@ -155,13 +184,7 @@ func adoptResult[S comparable](res *engine.Result[S]) *Graph[S] {
 func (g *Graph[S]) Len() int { return len(g.states) }
 
 // NumEdges returns the number of transitions in the reachable graph.
-func (g *Graph[S]) NumEdges() int {
-	n := 0
-	for _, es := range g.edges {
-		n += len(es)
-	}
-	return n
-}
+func (g *Graph[S]) NumEdges() int { return int(g.off[len(g.off)-1]) }
 
 // State returns the state with internal id i. Ids are stable for the life
 // of the graph and densely numbered from 0.
@@ -190,22 +213,37 @@ func (g *Graph[S]) Initials() []int {
 	return out
 }
 
-// Successors returns the steps out of state id i.
+// expanded reports whether state id i has a row: always, except on a
+// truncated graph, whose cut-off states were never expanded.
+func (g *Graph[S]) expanded(i int) bool { return i+1 < len(g.off) }
+
+// step renders e as a Step.
+func (g *Graph[S]) step(e edge) Step[S] {
+	return Step[S]{To: g.states[e.To], Label: g.labels[e.Label], Actor: int(e.Actor)}
+}
+
+// Successors returns the steps out of state id i; nil for a state whose
+// expansion a truncated exploration cut off.
 func (g *Graph[S]) Successors(i int) []Step[S] {
-	es := g.edges[i]
+	if !g.expanded(i) {
+		return nil
+	}
+	es := g.out(i)
 	out := make([]Step[S], len(es))
 	for k, e := range es {
-		out[k] = Step[S]{To: g.states[e.To], Label: e.Label, Actor: e.Actor}
+		out[k] = g.step(e)
 	}
 	return out
 }
 
-// IsTerminal reports whether state id i has no outgoing transitions.
-func (g *Graph[S]) IsTerminal(i int) bool { return len(g.edges[i]) == 0 }
+// IsTerminal reports whether state id i was expanded and has no outgoing
+// transitions. A state whose expansion a truncated exploration cut off is
+// not terminal: its successors are unknown.
+func (g *Graph[S]) IsTerminal(i int) bool { return g.expanded(i) && g.off[i] == g.off[i+1] }
 
 // Parent returns the id of the state that first reached state i during
 // BFS, or -1 for initial states.
-func (g *Graph[S]) Parent(i int) int { return g.parent[i] }
+func (g *Graph[S]) Parent(i int) int { return int(g.parent[i]) }
 
 // ParentStep returns the step by which Parent(i) first reached state i.
 // For initial states it returns the zero Step.
@@ -213,8 +251,7 @@ func (g *Graph[S]) ParentStep(i int) Step[S] {
 	if g.parent[i] < 0 {
 		return Step[S]{}
 	}
-	pe := g.parentEdge[i]
-	return Step[S]{To: g.states[pe.To], Label: pe.Label, Actor: pe.Actor}
+	return g.step(g.edges[g.parentEdge[i]])
 }
 
 // TraceEvent is one step of a witness execution.
@@ -248,9 +285,8 @@ func (t Trace) String() string {
 // state id i.
 func (g *Graph[S]) PathTo(i int) Trace {
 	var rev []TraceEvent
-	for cur := i; g.parent[cur] != -1; cur = g.parent[cur] {
-		pe := g.parentEdge[cur]
-		rev = append(rev, TraceEvent{Label: pe.Label, Actor: pe.Actor})
+	for cur := i; g.parent[cur] != -1; cur = int(g.parent[cur]) {
+		rev = append(rev, g.event(g.edges[g.parentEdge[cur]]))
 	}
 	out := make(Trace, len(rev))
 	for k := range rev {
@@ -281,11 +317,12 @@ func (g *Graph[S]) CheckInvariant(inv func(S) bool) (violation int, trace Trace,
 	return 0, nil, true
 }
 
-// Terminals returns the ids of all terminal (deadlocked or decided) states.
+// Terminals returns the ids of all terminal (deadlocked or decided) states;
+// see IsTerminal for truncated graphs.
 func (g *Graph[S]) Terminals() []int {
 	var out []int
-	for i := range g.states {
-		if g.IsTerminal(i) {
+	for i := 0; g.expanded(i); i++ {
+		if g.off[i] == g.off[i+1] {
 			out = append(out, i)
 		}
 	}

@@ -348,18 +348,22 @@ func graphMatchesResult[S comparable](t *testing.T, label string, g *Graph[S], r
 		if g.State(i) != res.States[i] {
 			t.Fatalf("%s: state %d differs: %v vs %v", label, i, g.State(i), res.States[i])
 		}
-		if g.Parent(i) != res.Parents[i] {
+		if g.Parent(i) != int(res.Parents[i]) {
 			t.Fatalf("%s: parent[%d] = %d, result has %d", label, i, g.Parent(i), res.Parents[i])
 		}
-		if pe := res.ParentEdges[i]; g.Parent(i) >= 0 && g.ParentStep(i) != (Step[S]{To: res.States[pe.To], Label: pe.Label, Actor: pe.Actor}) {
-			t.Fatalf("%s: parent step %d differs", label, i)
+		if g.Parent(i) >= 0 {
+			pe := res.Edges[res.ParentEdges[i]]
+			if g.ParentStep(i) != (Step[S]{To: res.States[pe.To], Label: res.Labels[pe.Label], Actor: int(pe.Actor)}) {
+				t.Fatalf("%s: parent step %d differs", label, i)
+			}
 		}
 		succ := g.Successors(i)
-		if len(succ) != len(res.Edges[i]) {
-			t.Fatalf("%s: successors of %d: %d, result has %d", label, i, len(succ), len(res.Edges[i]))
+		row := res.Row(i)
+		if len(succ) != len(row) {
+			t.Fatalf("%s: successors of %d: %d, result has %d", label, i, len(succ), len(row))
 		}
-		for k, e := range res.Edges[i] {
-			if want := (Step[S]{To: res.States[e.To], Label: e.Label, Actor: e.Actor}); succ[k] != want {
+		for k, e := range row {
+			if want := (Step[S]{To: res.States[e.To], Label: res.Labels[e.Label], Actor: int(e.Actor)}); succ[k] != want {
 				t.Fatalf("%s: successor %d/%d differs: %+v vs %+v", label, i, k, succ[k], want)
 			}
 		}
@@ -410,6 +414,24 @@ func TestTruncationReturnsPartialGraph(t *testing.T) {
 			t.Fatalf("par %d: partial graph missing or wrong size: %v", par, g)
 		}
 		graphMatchesResult(t, fmt.Sprintf("truncated par %d", par), g, res)
+		// States 0..3 were expanded; discovering state 5 cut state 4's
+		// expansion off, and state 5 was never expanded. Neither of the
+		// last two is a deadlock: their successors are unknown.
+		if got := g.Terminals(); len(got) != 0 {
+			t.Fatalf("par %d: truncated chain reports terminals %v", par, got)
+		}
+		for i := 0; i < g.Len(); i++ {
+			expanded := i < 4
+			if g.IsTerminal(i) {
+				t.Fatalf("par %d: state %d reported terminal", par, i)
+			}
+			if succ := g.Successors(i); (succ != nil) != expanded || (expanded && len(succ) != 1) {
+				t.Fatalf("par %d: successors of state %d = %v, expanded %v", par, i, succ, expanded)
+			}
+		}
+		if r := g.CheckLeadsTo(func(int) bool { return true }, func(int) bool { return false }, NoFairness, 1); r.Kind == "deadlock" {
+			t.Fatalf("par %d: cut-off state %d reported as a deadlock", par, r.StateID)
+		}
 	}
 }
 

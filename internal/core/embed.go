@@ -28,24 +28,37 @@ type EmbedResult struct {
 
 // EmbedTrace checks that tr embeds as a path in the explored graph,
 // starting from any initial state. Matching is by exact (Label, Actor)
-// equality against graph edges. The search carries the full set of model
-// states consistent with each prefix (a subset construction over the
-// graph), so label-ambiguous systems embed iff any resolution works;
-// frontier sets are deduplicated per step, bounding work by
-// O(len(tr) · states · max-degree).
+// equality against graph edges: each event's label is resolved to its id
+// in the graph's label table once, and edges are compared as integers. The
+// search carries the full set of model states consistent with each prefix
+// (a subset construction over the graph), so label-ambiguous systems embed
+// iff any resolution works; frontier sets are deduplicated per step,
+// bounding work by O(len(tr) · states · max-degree).
 func (g *Graph[S]) EmbedTrace(tr Trace) EmbedResult {
+	g.labelIndexOnce.Do(func() {
+		idx := make(map[string]uint32, len(g.labels))
+		for i, l := range g.labels {
+			idx[l] = uint32(i)
+		}
+		g.labelIndex = idx
+	})
 	frontier := append([]int(nil), g.inits...)
-	seen := make(map[int]bool, len(frontier))
+	seen := make(map[int32]bool, len(frontier))
 	for i, ev := range tr {
 		next := frontier[:0:0] // fresh backing array; frontier is still read below
 		for k := range seen {
 			delete(seen, k)
 		}
-		for _, id := range frontier {
-			for _, e := range g.edges[id] {
-				if e.Label == ev.Label && e.Actor == ev.Actor && !seen[e.To] {
-					seen[e.To] = true
-					next = append(next, e.To)
+		// A label the graph never produced (or an actor outside int32)
+		// matches no edge.
+		label, ok := g.labelIndex[ev.Label]
+		if actor := int32(ev.Actor); ok && int(actor) == ev.Actor {
+			for _, id := range frontier {
+				for _, e := range g.out(id) {
+					if e.Label == label && e.Actor == actor && !seen[e.To] {
+						seen[e.To] = true
+						next = append(next, int(e.To))
+					}
 				}
 			}
 		}

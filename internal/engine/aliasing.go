@@ -60,7 +60,7 @@ func (e *explorer[S]) checkAliasing(s S, ws *worker[S], sp span) {
 		}
 	} else {
 		for _, r := range ws.arena[sp.off : sp.off+sp.n] {
-			want = append(want, aliasEdge[S]{id: r.to, label: r.label, actor: r.actor})
+			want = append(want, aliasEdge[S]{id: r.to, label: ws.labels[r.label], actor: r.actor})
 		}
 	}
 	ws.aliasWant = want

@@ -19,9 +19,11 @@ import "bytes"
 //     returns; the system may overwrite them immediately afterwards.
 //     Conversely the system must NOT retain them either — the engine may
 //     hand the same backing array back as Scratch later.
-//   - Strings passed to Emit/Label are immutable Go strings and may be
-//     retained by the engine indefinitely (they land in Result.Edges), so
-//     systems must not build them over reused backing arrays via unsafe.
+//   - Label strings passed to Emit/EmitBytes/Label are immutable Go
+//     strings and may be retained by the engine indefinitely (each
+//     distinct label lands once in Result.Labels; edges refer to it by
+//     id), so systems must not build them over reused backing arrays via
+//     unsafe.
 type Ctx[S comparable] struct {
 	// Scratch is a reusable byte buffer owned by the expanding worker.
 	// Systems may slice, grow and overwrite it freely during one expansion
@@ -47,8 +49,9 @@ type Ctx[S comparable] struct {
 }
 
 // Emit records one successor of the state being expanded. The label
-// string is retained by the engine (it appears in Result.Edges verbatim);
-// use Label to build it allocation-free from scratch bytes.
+// string is retained by the engine (its first occurrence becomes an entry
+// of Result.Labels, which the edge then refers to by id); use Label to
+// build it allocation-free from scratch bytes.
 func (x *Ctx[S]) Emit(to S, label string, actor int) {
 	if x.sink != nil {
 		x.sink(to, label, actor)

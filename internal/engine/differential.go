@@ -3,7 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"reflect"
+	"slices"
 
 	"repro/internal/obs"
 	"repro/internal/store"
@@ -20,7 +20,8 @@ import (
 //   - byte-identical Results and telemetry at every worker count per mode,
 //     and between the profiled reference run and an unprofiled one;
 //   - full-mode Results (no canon, no POR, every exact store) equal to
-//     referenceExplore's: states, initials, edges, parents and truncation;
+//     referenceExplore's: states, initials, row offsets, edges, label
+//     table, parents, parent edges and truncation;
 //   - planted state/terminal/decided counts for the full graph and the
 //     quotient;
 //   - POR reduction soundness: the reduced graph is a subgraph of the full
@@ -372,37 +373,38 @@ func Differential[S comparable](spec DiffSpec[S]) (*DiffReport, error) {
 // referenceExplore is the executable specification of the canonical order
 // every full-mode Explore result must reproduce: a plain single-threaded
 // breadth-first search that numbers states in discovery order, records
-// each state's transitions in emission order, and stops — leaving the
-// expanding state's edges nil — on discovering the state past limit
-// (0 means DefaultMaxStates). It shares nothing with the engine but the
+// each state's transitions in emission order, numbers labels on first
+// sight in that edge order, and stops — leaving the expanding state
+// without a row — on discovering the state past limit (0 means
+// DefaultMaxStates). It shares nothing with the engine but the
 // collect-mode Ctx, so comparing against it checks the engine's levels,
 // store and replay together rather than the engine against itself.
 func referenceExplore[S comparable](inits []S, expand ExpandFunc[S], limit int) (*Result[S], error) {
 	if limit <= 0 {
 		limit = DefaultMaxStates
 	}
-	res := &Result[S]{}
-	index := make(map[S]int)
-	intern := func(s S) (int, bool) {
+	res := &Result[S]{Off: []uint32{0}}
+	index := make(map[S]int32)
+	intern := func(s S) (int32, bool) {
 		if id, ok := index[s]; ok {
 			return id, false
 		}
-		id := len(res.States)
+		id := int32(len(res.States))
 		index[s] = id
 		res.States = append(res.States, s)
-		res.Edges = append(res.Edges, nil)
 		res.Parents = append(res.Parents, -1)
-		res.ParentEdges = append(res.ParentEdges, Edge{})
+		res.ParentEdges = append(res.ParentEdges, -1)
 		return id, true
 	}
 	for _, s := range inits {
 		if id, fresh := intern(s); fresh {
-			res.Inits = append(res.Inits, id)
+			res.Inits = append(res.Inits, int(id))
 		}
 	}
 	if len(res.Inits) == 0 {
 		return nil, ErrNoInitialStates
 	}
+	labelIDs := make(map[string]uint32)
 	var acts []Action[S]
 	x := CollectCtx(func(to S, label string, actor int) {
 		acts = append(acts, Action[S]{To: to, Label: label, Actor: actor})
@@ -412,38 +414,46 @@ func referenceExplore[S comparable](inits []S, expand ExpandFunc[S], limit int) 
 	for id := 0; id < len(res.States); id++ {
 		acts = acts[:0]
 		expand(res.States[id], x)
-		out := make([]Edge, 0, len(acts))
 		for _, a := range acts {
 			to, fresh := intern(a.To)
-			e := Edge{To: to, Label: a.Label, Actor: a.Actor}
 			if fresh {
 				if len(res.States) > limit {
 					res.Truncated = true
 					return res, fmt.Errorf("%w: limit %d", ErrStateLimit, limit)
 				}
-				res.Parents[to] = id
-				res.ParentEdges[to] = e
+				res.Parents[to] = int32(id)
+				res.ParentEdges[to] = int32(len(res.Edges))
 			}
-			out = append(out, e)
+			l, ok := labelIDs[a.Label]
+			if !ok {
+				l = uint32(len(res.Labels))
+				labelIDs[a.Label] = l
+				res.Labels = append(res.Labels, a.Label)
+			}
+			res.Edges = append(res.Edges, Edge{To: to, Actor: int32(a.Actor), Label: l})
 		}
-		res.Edges[id] = out
+		res.Off = append(res.Off, uint32(len(res.Edges)))
 	}
 	return res, nil
 }
 
 // diffResults compares two Results field by field and describes the first
-// difference ("" when byte-identical).
+// difference ("" when byte-identical). Empty and nil slices compare equal.
 func diffResults[S comparable](a, b *Result[S]) string {
 	switch {
-	case !reflect.DeepEqual(a.States, b.States):
+	case !slices.Equal(a.States, b.States):
 		return fmt.Sprintf("state orderings differ (%d vs %d states)", len(a.States), len(b.States))
-	case !reflect.DeepEqual(a.Inits, b.Inits):
+	case !slices.Equal(a.Inits, b.Inits):
 		return fmt.Sprintf("initial ids differ: %v vs %v", a.Inits, b.Inits)
-	case !reflect.DeepEqual(a.Edges, b.Edges):
+	case !slices.Equal(a.Off, b.Off):
+		return fmt.Sprintf("row offsets differ (%d vs %d rows)", len(a.Off)-1, len(b.Off)-1)
+	case !slices.Equal(a.Edges, b.Edges):
 		return "edge lists differ"
-	case !reflect.DeepEqual(a.Parents, b.Parents):
+	case !slices.Equal(a.Labels, b.Labels):
+		return fmt.Sprintf("label tables differ: %q vs %q", a.Labels, b.Labels)
+	case !slices.Equal(a.Parents, b.Parents):
 		return "parent trees differ"
-	case !reflect.DeepEqual(a.ParentEdges, b.ParentEdges):
+	case !slices.Equal(a.ParentEdges, b.ParentEdges):
 		return "parent edges differ"
 	case a.Truncated != b.Truncated:
 		return fmt.Sprintf("truncation flags differ: %v vs %v", a.Truncated, b.Truncated)
@@ -483,11 +493,7 @@ func statsConsistency[S comparable](res *Result[S]) string {
 	if st.States != len(res.States) {
 		return fmt.Sprintf("Stats.States %d != len(States) %d", st.States, len(res.States))
 	}
-	edges := 0
-	for _, es := range res.Edges {
-		edges += len(es)
-	}
-	if st.Edges != edges {
+	if edges := res.NumEdges(); st.Edges != edges {
 		return fmt.Sprintf("Stats.Edges %d != recorded edges %d", st.Edges, edges)
 	}
 	if len(st.WorkerSteps) != st.Workers {
@@ -572,11 +578,10 @@ func porSoundVsFull[S comparable](por, full *Result[S], fullTerm map[S]bool) str
 // terminalSet collects the terminal states of a Result.
 func terminalSet[S comparable](res *Result[S]) map[S]bool {
 	out := make(map[S]bool)
-	for i, es := range res.Edges {
-		if es == nil {
-			continue // truncated result: expansion cut off, not terminal
-		}
-		if len(es) == 0 {
+	// Only expanded states have rows: on a truncated result the states
+	// past them were cut off, not terminal.
+	for i := 0; i+1 < len(res.Off); i++ {
+		if res.Off[i] == res.Off[i+1] {
 			out[res.States[i]] = true
 		}
 	}

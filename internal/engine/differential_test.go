@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -79,6 +80,36 @@ func TestDifferentialGrid(t *testing.T) {
 // TestDifferentialCatchesImpureExpand: an expansion that is not a pure
 // function of its state breaks determinism between two runs of the same
 // configuration, and the oracle must say so.
+// TestDifferentialLabelTable holds the label table to canonical order: a
+// root fans out to fanout states, each of which reaches one sink by a label
+// of its own. That level is wide enough to be split between workers, each
+// recording the labels it meets in its own table, so a replay that numbered
+// labels by worker instead of by first sight in canonical edge order would
+// diverge from the one-worker run.
+func TestDifferentialLabelTable(t *testing.T) {
+	const fanout = 1 << 16
+	expand := func(s int, x *Ctx[int]) {
+		switch {
+		case s == 0:
+			for c := 1; c <= fanout; c++ {
+				x.Emit(c, "fan", 0)
+			}
+		case s <= fanout:
+			x.Emit(fanout+1, "l"+strconv.Itoa(s), s)
+		}
+	}
+	rep, err := Differential(DiffSpec[int]{
+		Name: "fan", Inits: []int{0}, Expand: expand, Workers: []int{1, 2},
+		Truth: &DiffTruth{States: fanout + 2, Terminals: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rep.Modes[0].Stats.Edges; got != 2*fanout {
+		t.Fatalf("edges = %d, want %d", got, 2*fanout)
+	}
+}
+
 func TestDifferentialCatchesImpureExpand(t *testing.T) {
 	runs := 0
 	spec := DiffSpec[int]{

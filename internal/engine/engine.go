@@ -34,6 +34,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"repro/internal/obs"
 	"repro/internal/store"
@@ -47,6 +48,10 @@ var ErrStateLimit = errors.New("engine: state limit exceeded during exploration"
 
 // ErrNoInitialStates is returned when the system declares no initial states.
 var ErrNoInitialStates = errors.New("engine: system has no initial states")
+
+// ErrEdgeOverflow is returned when the explored graph has more transitions
+// than its edge indices can address (ParentEdges is int32, Off uint32).
+var ErrEdgeOverflow = errors.New("engine: edge count overflows the graph's 32-bit edge indices")
 
 // DefaultMaxStates bounds exploration when Options.MaxStates is zero.
 const DefaultMaxStates = 2_000_000
@@ -156,45 +161,89 @@ type Options struct {
 	// forcing heavy shard collisions. Test-only: it exercises the
 	// full-state confirmation path that rules out fingerprint collisions.
 	degradeFingerprint bool
+	// maxEdges, when positive, lowers the edge-count bound replay enforces.
+	// Test-only: it exercises the ErrEdgeOverflow path without four
+	// billion edges.
+	maxEdges int
 }
 
-// Edge is one canonical transition: To is the canonical id of the successor
-// state.
+// Edge is one canonical transition out of the state whose row holds it:
+// To is the canonical id of the successor, Actor the acting process, and
+// Label an index into Result.Labels. It holds no pointers, so the
+// garbage collector never scans the edge array.
 type Edge struct {
-	To    int
-	Label string
-	Actor int
+	To, Actor int32
+	Label     uint32
 }
 
 // Result is the canonicalized exploration outcome. Ids are dense from 0 in
-// sequential-BFS discovery order.
+// sequential-BFS discovery order. The graph is stored once, in compressed
+// sparse rows: state i's outgoing transitions, in expansion order, are
+// Edges[Off[i]:Off[i+1]].
 type Result[S comparable] struct {
 	// States maps canonical id to state.
 	States []S
 	// Inits are the canonical ids of the (deduplicated) initial states, in
 	// declaration order.
 	Inits []int
-	// Edges[i] are the outgoing transitions of state i, in expansion order.
-	// A nil entry on a truncated Result marks a state whose expansion was
-	// cut off by the state limit.
-	Edges [][]Edge
+	// Off holds one row offset per expanded state plus the end offset, so
+	// the expanded states are ids [0, len(Off)-1). On a complete Result that
+	// is every state; on a truncated one the states from len(Off)-1 on had
+	// their expansion cut off by the state limit and have no row.
+	Off []uint32
+	// Edges are the rows of every expanded state, back to back. On a
+	// truncated Result Edges may run past Off[len(Off)-1]: that tail is the
+	// cut-off state's partial row, kept only so the ParentEdges of the
+	// states it discovered stay valid.
+	Edges []Edge
+	// Labels is the label table Edge.Label indexes. Ids are assigned on
+	// first sight in canonical edge order, so the table is the same at any
+	// worker count.
+	Labels []string
 	// Parents[i] is the canonical id of the state that first reached state
 	// i in BFS order; -1 for initial states.
-	Parents []int
-	// ParentEdges[i] is the transition by which Parents[i] first reached i.
-	ParentEdges []Edge
+	Parents []int32
+	// ParentEdges[i] is the index in Edges of the transition by which
+	// Parents[i] first reached i; -1 for initial states.
+	ParentEdges []int32
 	// Truncated reports that the state limit cut the exploration short.
 	Truncated bool
 	// Stats is the exploration telemetry.
 	Stats Stats
 }
 
+// Row returns the outgoing transitions of state i, or nil when i has no
+// row (its expansion was cut off on a truncated Result).
+func (r *Result[S]) Row(i int) []Edge {
+	if i+1 >= len(r.Off) {
+		return nil
+	}
+	return r.Edges[r.Off[i]:r.Off[i+1]:r.Off[i+1]]
+}
+
+// NumEdges returns the number of transitions in the expanded rows.
+func (r *Result[S]) NumEdges() int { return int(r.Off[len(r.Off)-1]) }
+
+// graphBytes is the memory the graph layout holds: the row offsets, the
+// edge array, the label table and the parent tree. State payloads are
+// excluded.
+func (r *Result[S]) graphBytes() int64 {
+	b := int64(cap(r.Off))*4 + int64(cap(r.Edges))*int64(unsafe.Sizeof(Edge{})) +
+		int64(cap(r.Parents))*4 + int64(cap(r.ParentEdges))*4 +
+		int64(cap(r.Labels))*int64(unsafe.Sizeof(""))
+	for _, l := range r.Labels {
+		b += int64(len(l))
+	}
+	return b
+}
+
 // rawEdge is the provisional-id form of a transition, recorded by workers
 // during the parallel phase and rewritten by the canonicalization replay.
+// label indexes the recording worker's label table (worker.labels). Like
+// Edge it holds no pointers.
 type rawEdge struct {
-	to    int32
-	actor int32
-	label string
+	to, actor int32
+	label     uint32
 }
 
 // span locates one state's recorded successors inside its expanding
@@ -212,6 +261,11 @@ type worker[S comparable] struct {
 	// arena accumulates rawEdges; spans index into it by offset, so append
 	// growth is safe.
 	arena []rawEdge
+	// labels is the worker's label table, indexed by rawEdge.label, and
+	// labelIDs its inverse. Replay maps these worker-local ids onto the
+	// canonical Result.Labels.
+	labels   []string
+	labelIDs map[string]uint32
 	// steps counts states expanded by this worker over the whole run. It
 	// is atomic — single-writer (the owner), read live by the telemetry
 	// monitor goroutine for per-worker utilization snapshots.
@@ -377,7 +431,22 @@ func (ws *worker[S]) record(tid int32, fresh bool, label string, actor int) {
 	if !fresh {
 		ws.dedup++
 	}
-	ws.arena = append(ws.arena, rawEdge{to: tid, actor: int32(actor), label: label})
+	ws.arena = append(ws.arena, rawEdge{to: tid, actor: int32(actor), label: ws.labelID(label)})
+}
+
+// labelID returns label's index in the worker's label table, adding it on
+// first sight.
+func (ws *worker[S]) labelID(label string) uint32 {
+	if id, ok := ws.labelIDs[label]; ok {
+		return id
+	}
+	if ws.labelIDs == nil {
+		ws.labelIDs = make(map[string]uint32)
+	}
+	id := uint32(len(ws.labels))
+	ws.labelIDs[label] = id
+	ws.labels = append(ws.labels, label)
+	return id
 }
 
 // expandRange expands provisional ids [lo, hi) claimed in chunks from
@@ -722,17 +791,24 @@ func Explore[S comparable](inits []S, expand ExpandFunc[S], opts Options) (*Resu
 
 	// Whole levels are expanded, so every id below lo has recorded
 	// successors and none at or above it has.
-	res, err := e.replayTimed(initIDs, limit, lo)
-	if err == nil || errors.Is(err, ErrStateLimit) {
-		// Replay reads spilled payloads back; surface a read failure as
-		// the run's error rather than a silently wrong graph.
-		if serr := e.store.Err(); serr != nil {
-			return nil, fmt.Errorf("engine: state store: %w", serr)
-		}
+	maxEdges := math.MaxInt32
+	if opts.maxEdges > 0 {
+		maxEdges = opts.maxEdges
+	}
+	res, err := e.replayTimed(initIDs, limit, lo, maxEdges)
+	if err != nil && !errors.Is(err, ErrStateLimit) {
+		return nil, err
+	}
+	// Replay reads spilled payloads back; surface a read failure as the
+	// run's error rather than a silently wrong graph.
+	if serr := e.store.Err(); serr != nil {
+		return nil, fmt.Errorf("engine: state store: %w", serr)
 	}
 	st.States = len(res.States)
-	for _, es := range res.Edges {
-		st.Edges += len(es)
+	st.Edges = res.NumEdges()
+	st.GraphBytes = res.graphBytes()
+	for _, ws := range e.workers {
+		st.ArenaBytes += int64(cap(ws.arena)) * int64(unsafe.Sizeof(rawEdge{}))
 	}
 	st.Truncated = res.Truncated
 	st.Store = e.store.Stats()
@@ -757,78 +833,107 @@ func Explore[S comparable](inits []S, expand ExpandFunc[S], opts Options) (*Resu
 
 // replay is the canonicalization pass: a sequential BFS over the recorded
 // successor lists, renumbering provisional ids into canonical (discovery
-// order) ids. It mirrors referenceExplore's loop exactly — including
-// where the state limit fires — so its output is byte-identical to a
-// single-threaded exploration, and its truncated output is byte-identical
-// to a truncated single-threaded exploration. Ids below expanded are the
-// ones with recorded successors.
-func (e *explorer[S]) replay(initIDs []int32, limit, expanded int) (*Result[S], error) {
+// order) ids and worker-local label ids into canonical ones (first sight in
+// canonical edge order). It mirrors referenceExplore's loop exactly —
+// including where the state limit fires — so its output is byte-identical
+// to a single-threaded exploration, and its truncated output is
+// byte-identical to a truncated single-threaded exploration. Ids below
+// expanded are the ones with recorded successors. More than maxEdges
+// recorded edges is ErrEdgeOverflow.
+func (e *explorer[S]) replay(initIDs []int32, limit, expanded, maxEdges int) (*Result[S], error) {
 	n := e.store.Len()
 	canon := make([]int32, n)
 	for i := range canon {
 		canon[i] = -1
 	}
+	// Every recorded rawEdge is replayed at most once, so the arena total
+	// bounds the edge count and is the edge array's exact capacity.
+	var rawTotal int
+	labelMap := make([][]uint32, len(e.workers))
+	for w, ws := range e.workers {
+		rawTotal += len(ws.arena)
+		labelMap[w] = make([]uint32, len(ws.labels))
+		for i := range labelMap[w] {
+			labelMap[w][i] = noLabel
+		}
+	}
+	if rawTotal > maxEdges {
+		return nil, fmt.Errorf("%w: %d recorded edges, at most %d", ErrEdgeOverflow, rawTotal, maxEdges)
+	}
 	res := &Result[S]{
 		States:      make([]S, 0, n),
-		Edges:       make([][]Edge, 0, n),
-		Parents:     make([]int, 0, n),
-		ParentEdges: make([]Edge, 0, n),
+		Off:         make([]uint32, 1, n+1),
+		Edges:       make([]Edge, 0, rawTotal),
+		Parents:     make([]int32, 0, n),
+		ParentEdges: make([]int32, 0, n),
 	}
-	// One arena holds every canonical edge: the per-state Edges slices are
-	// carved out of it sequentially, replacing n per-state allocations with
-	// one. Its capacity is exact (each recorded rawEdge is replayed at most
-	// once), so append never reallocates and the carved views stay valid.
-	var rawTotal int
-	for _, ws := range e.workers {
-		rawTotal += len(ws.arena)
-	}
-	edgeArena := make([]Edge, 0, rawTotal)
-	intern := func(pid int32) (int, bool) {
-		if c := canon[pid]; c >= 0 {
-			return int(c), false
+	// labelMap caches each worker-local label's canonical id; labelIDs
+	// dedups label strings across workers.
+	labelIDs := make(map[string]uint32)
+	globalLabel := func(label string) uint32 {
+		l, ok := labelIDs[label]
+		if !ok {
+			l = uint32(len(res.Labels))
+			labelIDs[label] = l
+			res.Labels = append(res.Labels, label)
 		}
-		c := len(res.States)
-		canon[pid] = int32(c)
+		return l
+	}
+	intern := func(pid int32) (int32, bool) {
+		if c := canon[pid]; c >= 0 {
+			return c, false
+		}
+		c := int32(len(res.States))
+		canon[pid] = c
 		res.States = append(res.States, e.store.State(pid))
-		res.Edges = append(res.Edges, nil)
 		res.Parents = append(res.Parents, -1)
-		res.ParentEdges = append(res.ParentEdges, Edge{})
+		res.ParentEdges = append(res.ParentEdges, -1)
 		return c, true
 	}
 	queue := make([]int32, 0, n)
 	for _, pid := range initIDs {
 		c, _ := intern(pid)
-		res.Inits = append(res.Inits, c)
+		res.Inits = append(res.Inits, int(c))
 		queue = append(queue, pid)
 	}
 	for head := 0; head < len(queue); head++ {
 		pid := queue[head]
-		cid := int(canon[pid])
+		cid := canon[pid]
 		if int(pid) >= expanded {
 			// Unreachable: the level-granular cutoff guarantees the limit
 			// fires (below) before any unexpanded state is dequeued.
 			return res, fmt.Errorf("engine: internal error: state %d dequeued without recorded successors", cid)
 		}
 		sp := e.spans[pid]
-		raw := e.workers[sp.worker].arena[sp.off : sp.off+sp.n]
-		start := len(edgeArena)
-		for _, r := range raw {
+		ws := e.workers[sp.worker]
+		labels := labelMap[sp.worker]
+		for _, r := range ws.arena[sp.off : sp.off+sp.n] {
 			tc, fresh := intern(r.to)
 			if fresh {
 				if len(res.States) > limit {
+					// The row stays without an Off entry: cid counts as
+					// unexpanded.
 					res.Truncated = true
 					return res, fmt.Errorf("%w: limit %d", ErrStateLimit, limit)
 				}
 				res.Parents[tc] = cid
-				res.ParentEdges[tc] = Edge{To: tc, Label: r.label, Actor: int(r.actor)}
+				res.ParentEdges[tc] = int32(len(res.Edges))
 				queue = append(queue, r.to)
 			}
-			edgeArena = append(edgeArena, Edge{To: tc, Label: r.label, Actor: int(r.actor)})
+			l := labels[r.label]
+			if l == noLabel {
+				l = globalLabel(ws.labels[r.label])
+				labels[r.label] = l
+			}
+			res.Edges = append(res.Edges, Edge{To: tc, Actor: r.actor, Label: l})
 		}
-		res.Edges[cid] = edgeArena[start:len(edgeArena):len(edgeArena)]
+		res.Off = append(res.Off, uint32(len(res.Edges)))
 	}
 	return res, nil
 }
+
+// noLabel marks a worker-local label replay has not mapped yet.
+const noLabel = ^uint32(0)
 
 // shardCount picks a power-of-two stripe count for the visited set: one
 // stripe for a lone worker (no contention to spread), otherwise enough

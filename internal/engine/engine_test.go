@@ -71,7 +71,7 @@ func TestExploreChain(t *testing.T) {
 		t.Fatalf("depth = %d, want 11", res.Stats.Depth)
 	}
 	for i := 1; i < len(res.States); i++ {
-		if res.Parents[i] != i-1 {
+		if int(res.Parents[i]) != i-1 {
 			t.Fatalf("parent[%d] = %d, want %d", i, res.Parents[i], i-1)
 		}
 	}
@@ -231,7 +231,7 @@ func TestSelfLoopsAndReconvergence(t *testing.T) {
 	if len(ref.States) != 4 {
 		t.Fatalf("states = %d, want 4", len(ref.States))
 	}
-	if got := ref.Edges[0][0]; got.To != 0 || got.Label != "self" {
+	if got := ref.Row(0)[0]; got.To != 0 || ref.Labels[got.Label] != "self" {
 		t.Fatalf("self loop edge = %+v", got)
 	}
 	for _, par := range []int{1, 2, 4} {

@@ -149,12 +149,12 @@ func (e *explorer[S]) maintainStore(keepFrom int32) error {
 }
 
 // replayTimed wraps the sequential replay pass with its attribution.
-func (e *explorer[S]) replayTimed(initIDs []int32, limit, expanded int) (*Result[S], error) {
+func (e *explorer[S]) replayTimed(initIDs []int32, limit, expanded, maxEdges int) (*Result[S], error) {
 	if !e.profiled() {
-		return e.replay(initIDs, limit, expanded)
+		return e.replay(initIDs, limit, expanded, maxEdges)
 	}
 	t := time.Now()
-	res, err := e.replay(initIDs, limit, expanded)
+	res, err := e.replay(initIDs, limit, expanded, maxEdges)
 	e.profReplay.Add(int64(time.Since(t)))
 	return res, err
 }

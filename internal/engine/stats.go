@@ -79,6 +79,13 @@ type Stats struct {
 	// neither Options.Stats nor Options.Sink is set: getrusage would cost
 	// a tiny exploration more than its search).
 	PeakRSSBytes int64
+	// GraphBytes is the memory the Result's graph layout holds: row
+	// offsets, edge array, label table and parent tree (state payloads
+	// excluded). ArenaBytes is the workers' raw-edge arena capacity at
+	// replay, summed. Both are byte accounting, not part of the
+	// determinism comparisons or trace digests.
+	GraphBytes int64
+	ArenaBytes int64
 	// Phases is the run's aggregate phase-attribution profile (expand,
 	// barrier-wait, store I/O, replay — plus the
 	// sampled canon/intern split), summed over workers; WorkerPhases is the
@@ -154,6 +161,8 @@ func (s Stats) Snapshot() obs.ProgressSnapshot {
 		StorePageCacheHits:     s.Store.PageCacheHits,
 		StoreLossy:             s.Lossy,
 		PeakRSSBytes:           s.PeakRSSBytes,
+		GraphBytes:             s.GraphBytes,
+		ArenaBytes:             s.ArenaBytes,
 	}
 	if s.Store.ReadLat.Count > 0 {
 		rl := s.Store.ReadLat

@@ -1,7 +1,12 @@
 package engine
 
 import (
+	"bytes"
+	"compress/flate"
 	"errors"
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -187,5 +192,72 @@ func TestStoreErrorSurfacesAtBarrier(t *testing.T) {
 		Options{Store: store.Config{Kind: store.Spill, MaxBytes: 1 << 10, Dir: dir}})
 	if err == nil || !strings.Contains(err.Error(), "state store") {
 		t.Fatalf("missing spill dir produced %v, want a state store error", err)
+	}
+}
+
+// TestTamperedSpillPageFailsTheRun rewrites the first spilled page, as soon
+// as it reaches disk, with a valid flate stream of a tampered but
+// well-formed image: one state's bytes change. The run reads that page
+// back (collision confirms, replay) and must fail with ErrCorruptPage, not
+// return a graph built from the wrong payload.
+func TestTamperedSpillPageFailsTheRun(t *testing.T) {
+	dir := t.TempDir()
+	seg := filepath.Join(dir, "seg-00000.dat")
+	grid := gridExpand(40)
+	tampered := false
+	expand := func(s string, x *Ctx[string]) {
+		// One worker: expansions run one at a time, so the first one
+		// after the spill barrier tampers before any read-back.
+		if !tampered {
+			if info, err := os.Stat(seg); err == nil && info.Size() > 0 {
+				tamperFirstPage(t, seg)
+				tampered = true
+			}
+		}
+		grid(s, x)
+	}
+	res, err := Explore([]string{"0,0"}, expand,
+		Options{Parallelism: 1, Store: store.Config{Kind: store.Spill, MaxBytes: 1 << 10, Dir: dir}})
+	if !tampered {
+		t.Fatal("the run never spilled, so nothing was tampered")
+	}
+	if !errors.Is(err, store.ErrCorruptPage) || res != nil {
+		t.Fatalf("run over a tampered page: err = %v, graph returned %v; want ErrCorruptPage and no graph", err, res != nil)
+	}
+}
+
+// tamperFirstPage decompresses the flate stream at the start of a segment
+// file, flips the low bit of its last byte (a digit of the page's last grid
+// state, so the image still parses) and writes the recompressed stream back
+// in place.
+func tamperFirstPage(t *testing.T, path string) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A bytes.Reader is an io.ByteReader, so flate reads exactly the first
+	// stream and the remainder tells how long it was.
+	r := bytes.NewReader(data)
+	raw, err := io.ReadAll(flate.NewReader(r))
+	if err != nil {
+		t.Fatal(err)
+	}
+	streamLen := len(data) - r.Len()
+	raw[len(raw)-1] ^= 1
+	var buf bytes.Buffer
+	fw, _ := flate.NewWriter(&buf, flate.BestCompression)
+	fw.Write(raw)
+	fw.Close()
+	if buf.Len() > streamLen {
+		t.Fatalf("tampered page recompresses to %d bytes, more than the %d-byte original", buf.Len(), streamLen)
+	}
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.WriteAt(buf.Bytes(), 0); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -226,6 +226,13 @@ type ProgressSnapshot struct {
 	// publish time. Process-wide and monotone, so it bounds every run in a
 	// multi-run trace from above; zero on platforms without rusage.
 	PeakRSSBytes int64 `json:"peak_rss_bytes,omitempty"`
+	// GraphBytes is the memory the explored graph's layout holds (row
+	// offsets, edge array, label table, parent tree; state payloads
+	// excluded), and ArenaBytes the workers' raw-edge arena capacity at
+	// replay. Final snapshots only; byte accounting, excluded from trace
+	// digests.
+	GraphBytes int64 `json:"graph_bytes,omitempty"`
+	ArenaBytes int64 `json:"arena_bytes,omitempty"`
 
 	// Phase-attribution profile (schema v3, present when the engine runs
 	// with profiling enabled — any Stats or Sink installed). Pure timing:

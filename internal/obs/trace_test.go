@@ -171,6 +171,7 @@ func TestDigestLineExcludesProfiling(t *testing.T) {
 	prof.ExpandLat = &hs
 	prof.StorePageCacheHits = 42
 	prof.StoreReadLat, prof.StoreWriteLat = &hs, &hs
+	prof.GraphBytes, prof.ArenaBytes = 1<<20, 1<<19
 	got, ok := DigestLine(Event{Kind: KindLevel, Run: 1, Seq: 2, ElapsedNs: 1 << 40, Snapshot: &prof})
 	if !ok || got != base {
 		t.Fatalf("profiling fields leaked into the digest line:\n base %q\n prof %q", base, got)
@@ -230,6 +231,10 @@ func TestValidateTraceRejects(t *testing.T) {
 			ls[2] = strings.Replace(ls[2], `"expansions":1`, `"expansions":9`, 1)
 			return ls
 		}, "worker-step sum"},
+		{"negative graph bytes", func(ls []string) []string {
+			ls[len(ls)-1] = strings.Replace(ls[len(ls)-1], `"final":true`, `"final":true,"graph_bytes":-5`, 1)
+			return ls
+		}, "negative graph/arena"},
 		{"states regression", func(ls []string) []string {
 			ls[4] = strings.Replace(ls[4], `"states":7`, `"states":1`, 1)
 			return ls

@@ -151,6 +151,9 @@ func ValidateTrace(r io.Reader) (*TraceSummary, error) {
 			if s.StoreBytesInRAM < 0 || s.StoreBytesSpilled < 0 || s.StoreSegments < 0 || s.PeakRSSBytes < 0 {
 				return nil, fail(line, "snapshot has negative store/RSS counters: %+v", *s)
 			}
+			if s.GraphBytes < 0 || s.ArenaBytes < 0 {
+				return nil, fail(line, "snapshot has negative graph/arena byte counts: %+v", *s)
+			}
 			if p := s.Phases; p != nil {
 				if p.ExpandNs < 0 || p.BarrierWaitNs < 0 || p.StoreIONs < 0 || p.ReplayNs < 0 ||
 					p.SampleExpandNs < 0 || p.SampleCanonNs < 0 || p.SampleInternNs < 0 {

@@ -2,8 +2,10 @@ package store
 
 import (
 	"bytes"
+	"compress/flate"
 	"encoding/binary"
 	"errors"
+	"io"
 	"testing"
 )
 
@@ -101,5 +103,64 @@ func roundTrip[S comparable](t *testing.T, st *spillStore[S], vals []S) {
 		if v != pg.slots[i] {
 			t.Fatalf("slot %d = %v after the round trip, want %v", i, v, pg.slots[i])
 		}
+	}
+}
+
+// TestSpillPageChecksum rewrites a spilled page as a valid flate stream of
+// a tampered image that still parses. Nothing but the checksum recorded at
+// spill time can tell the difference, so the read-back must fail with
+// ErrCorruptPage (and the store's sticky error wrap it) instead of handing
+// a wrong payload to the collision confirm.
+func TestSpillPageChecksum(t *testing.T) {
+	states := testStates(4096)
+	s, err := New[string](Config{Kind: Spill, MaxBytes: 4 << 10, Dir: t.TempDir()}, 4, stringFP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for _, v := range states {
+		s.Intern(v)
+	}
+	if err := s.Maintain(int32(len(states))); err != nil {
+		t.Fatal(err)
+	}
+	st := s.(*spillStore[string])
+	if len(st.meta) == 0 {
+		t.Fatal("nothing spilled")
+	}
+	m := st.meta[0]
+	seg := st.segs[m.seg]
+	comp := make([]byte, m.compLen)
+	if _, err := seg.ReadAt(comp, m.off); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(flate.NewReader(bytes.NewReader(comp)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Flip the last payload byte: the final state's trailing letter becomes
+	// another letter, so the image stays well-formed.
+	raw[len(raw)-1] ^= 1
+	if _, err := st.decodePage(raw); err != nil {
+		t.Fatalf("tampered image no longer parses, so it does not test the checksum: %v", err)
+	}
+	var buf bytes.Buffer
+	fw, _ := flate.NewWriter(&buf, flate.BestSpeed)
+	fw.Write(raw)
+	fw.Close()
+	info, err := seg.Stat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := seg.WriteAt(buf.Bytes(), info.Size()); err != nil {
+		t.Fatal(err)
+	}
+	st.meta[0].off, st.meta[0].compLen = info.Size(), int32(buf.Len())
+
+	if got := s.State(0); got == states[0] {
+		t.Fatalf("State(0) read the tampered page back as %q", got)
+	}
+	if err := s.Err(); !errors.Is(err, ErrCorruptPage) {
+		t.Fatalf("store error after reading a tampered page = %v, want ErrCorruptPage", err)
 	}
 }

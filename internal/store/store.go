@@ -58,8 +58,10 @@ var ErrUnknownKind = errors.New("store: unknown backend kind")
 var ErrNoCodec = errors.New("store: state type has no spill codec")
 
 // ErrCorruptPage is wrapped by the spill backend's read error when a page
-// image read back from a segment file does not parse: a state count,
-// offset table or payload the page layout cannot hold.
+// read back from a segment file is not the page written: a flate stream
+// that does not decompress, a raw image whose CRC-32C differs from the one
+// recorded at spill time, or an image that does not parse (a state count,
+// offset table or payload the page layout cannot hold).
 var ErrCorruptPage = errors.New("store: corrupt spill page")
 
 // Config selects and parameterizes a backend.
