@@ -506,8 +506,13 @@ func BenchmarkExplorePORQuotientFLPCrashFree(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	canonB, err := flp.PermutationCanonBytes(p)
+	if err != nil {
+		b.Fatal(err)
+	}
 	benchExplorePOR(b, flp.NewSystem(p, nil, 0), core.ExploreOptions{
 		Canon:       canon,
+		CanonBytes:  canonB,
 		Independent: flp.DeliveryIndependence(p),
 		Visible:     flp.DecisionVisibility(p),
 	})
@@ -637,6 +642,85 @@ func BenchmarkVerdictFull(b *testing.B) {
 		}
 		b.ReportMetric(float64(rep.States), "states")
 	}
+}
+
+// BenchmarkVerdictReduced is the symmetric verdict: wait-quorum n=5 at
+// resilience 0 under the permutation canon (string and byte forms) and
+// ample-set POR, where canonicalization is nearly all of the work.
+func BenchmarkVerdictReduced(b *testing.B) {
+	p := flp.NewWaitQuorum(5)
+	canon, err := flp.PermutationCanon(p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	canonB, err := flp.PermutationCanonBytes(p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	res := 0
+	opts := flp.AnalyzeOptions{
+		Resilience: &res, Parallelism: 2,
+		Canon: canon, CanonBytes: canonB,
+		Independent: flp.DeliveryIndependence(p), Visible: flp.DecisionVisibility(p),
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		rep, err := flp.Analyze(p, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportMetric(float64(rep.States), "states")
+	}
+}
+
+// BenchmarkPermutationCanon times one canonicalization in each form of the
+// wait-quorum n=5 permutation canon. The inputs are the raw successors of
+// the first representatives of the reduced crash-free exploration, so
+// most of them are remapped, as on the exploration path; ns/op is per
+// configuration.
+func BenchmarkPermutationCanon(b *testing.B) {
+	const n, inputs = 5, 4096
+	p := flp.NewWaitQuorum(n)
+	canon, err := flp.PermutationCanon(p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	canonB, err := flp.PermutationCanonBytes(p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sys := flp.NewSystem(p, nil, 0)
+	g, err := core.Explore[string](sys, core.ExploreOptions{
+		Canon: canon, CanonBytes: canonB,
+		Independent: flp.DeliveryIndependence(p), Visible: flp.DecisionVisibility(p),
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var raw []string
+	for i := 0; i < g.Len() && len(raw) < inputs; i++ {
+		for _, st := range core.StepsOf(sys, g.State(i)) {
+			raw = append(raw, st.To)
+		}
+	}
+	b.Run("string", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			canon(raw[i%len(raw)])
+		}
+	})
+	b.Run("bytes", func(b *testing.B) {
+		rawB := make([][]byte, len(raw))
+		for i, s := range raw {
+			rawB[i] = []byte(s)
+		}
+		f := canonB()
+		var dst []byte
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			dst = f(dst[:0], rawB[i%len(rawB)])
+		}
+	})
 }
 
 func BenchmarkGraphPasses(b *testing.B) {

@@ -82,6 +82,11 @@ type explorationBench struct {
 	PORStatesPerSec    float64 `json:"por_states_per_sec,omitempty"`
 	PORReductionFactor float64 `json:"por_reduction_factor,omitempty"`
 	PORQuotientStates  int     `json:"por_quotient_states,omitempty"`
+	// PORQuotientSeconds and PORQuotientStatesPerSec time the POR+quotient
+	// stack. They joined schema v6 later, omitempty and ungated by
+	// bench-compare, so earlier v6 rows simply lack them.
+	PORQuotientSeconds      float64 `json:"por_quotient_seconds,omitempty"`
+	PORQuotientStatesPerSec float64 `json:"por_quotient_states_per_sec,omitempty"`
 	// Store-backend figures of the full-mode exploration (schema v3; zero
 	// for the default mem backend on pre-v3 rows).
 	StoreKind         string `json:"store,omitempty"`
@@ -439,63 +444,9 @@ func runBench(base engine.Options, big bool) (benchRecord, error) {
 		return rec, err
 	}
 	for _, w := range workloads {
-		// Bracket the full-mode exploration with MemStats reads for the
-		// v4 allocation axis. GC first so the delta measures this
-		// workload's allocations, not a collection boundary.
-		runtime.GC()
-		var msBefore, msAfter runtime.MemStats
-		runtime.ReadMemStats(&msBefore)
-		full, fullStats, err := w.explore(modeFull)
+		row, err := benchRow(w)
 		if err != nil {
-			return rec, fmt.Errorf("%s full: %w", w.name, err)
-		}
-		runtime.ReadMemStats(&msAfter)
-		row := explorationBench{
-			System:           w.name,
-			FullStates:       full,
-			FullSeconds:      fullStats.Elapsed.Seconds(),
-			FullStatesPerSec: fullStats.StatesPerSec,
-
-			StoreKind:         string(fullStats.Store.Kind),
-			MaxStoreBytes:     fullStats.Store.MaxBytes,
-			StoreBytesSpilled: fullStats.Store.BytesSpilled,
-			StoreSegments:     fullStats.Store.Segments,
-			PeakRSSBytes:      fullStats.PeakRSSBytes,
-		}
-		if full > 0 {
-			row.AllocsPerState = float64(msAfter.Mallocs-msBefore.Mallocs) / float64(full)
-			row.BytesPerState = float64(msAfter.TotalAlloc-msBefore.TotalAlloc) / float64(full)
-		}
-		row.Phases = benchPhases(fullStats)
-		quo, quoStats, err := w.explore(modeQuotient)
-		if err != nil {
-			return rec, fmt.Errorf("%s quotient: %w", w.name, err)
-		}
-		if quo > 0 {
-			row.QuotientStates = quo
-			row.QuotientSeconds = quoStats.Elapsed.Seconds()
-			row.QuotientStatesPerSec = quoStats.StatesPerSec
-			row.RawStates = quoStats.RawStates
-			// Report the end-to-end reduction (full vs quotient), not the
-			// engine's sampled lower bound.
-			row.ReductionFactor = float64(full) / float64(quo)
-		}
-		por, porStats, err := w.explore(modePOR)
-		if err != nil {
-			return rec, fmt.Errorf("%s por: %w", w.name, err)
-		}
-		if por > 0 {
-			row.PORStates = por
-			row.PORSeconds = porStats.Elapsed.Seconds()
-			row.PORStatesPerSec = porStats.StatesPerSec
-			row.PORReductionFactor = float64(full) / float64(por)
-		}
-		both, _, err := w.explore(modePORQuotient)
-		if err != nil {
-			return rec, fmt.Errorf("%s por+quotient: %w", w.name, err)
-		}
-		if both > 0 {
-			row.PORQuotientStates = both
+			return rec, err
 		}
 		rec.Explorations = append(rec.Explorations, row)
 	}
@@ -542,6 +493,73 @@ func runBench(base engine.Options, big bool) (benchRecord, error) {
 		})
 	}
 	return rec, nil
+}
+
+// benchRow explores one workload in every reduction mode it supports and
+// assembles its row; the full mode also carries the allocation, store and
+// phase figures.
+func benchRow(w benchWorkload) (explorationBench, error) {
+	// Bracket the full-mode exploration with MemStats reads for the v4
+	// allocation axis. GC first so the delta measures this workload's
+	// allocations, not a collection boundary.
+	runtime.GC()
+	var msBefore, msAfter runtime.MemStats
+	runtime.ReadMemStats(&msBefore)
+	full, fullStats, err := w.explore(modeFull)
+	if err != nil {
+		return explorationBench{}, fmt.Errorf("%s full: %w", w.name, err)
+	}
+	runtime.ReadMemStats(&msAfter)
+	row := explorationBench{
+		System:           w.name,
+		FullStates:       full,
+		FullSeconds:      fullStats.Elapsed.Seconds(),
+		FullStatesPerSec: fullStats.StatesPerSec,
+
+		StoreKind:         string(fullStats.Store.Kind),
+		MaxStoreBytes:     fullStats.Store.MaxBytes,
+		StoreBytesSpilled: fullStats.Store.BytesSpilled,
+		StoreSegments:     fullStats.Store.Segments,
+		PeakRSSBytes:      fullStats.PeakRSSBytes,
+	}
+	if full > 0 {
+		row.AllocsPerState = float64(msAfter.Mallocs-msBefore.Mallocs) / float64(full)
+		row.BytesPerState = float64(msAfter.TotalAlloc-msBefore.TotalAlloc) / float64(full)
+	}
+	row.Phases = benchPhases(fullStats)
+	quo, quoStats, err := w.explore(modeQuotient)
+	if err != nil {
+		return row, fmt.Errorf("%s quotient: %w", w.name, err)
+	}
+	if quo > 0 {
+		row.QuotientStates = quo
+		row.QuotientSeconds = quoStats.Elapsed.Seconds()
+		row.QuotientStatesPerSec = quoStats.StatesPerSec
+		row.RawStates = quoStats.RawStates
+		// Report the end-to-end reduction (full vs quotient), not the
+		// engine's sampled lower bound.
+		row.ReductionFactor = float64(full) / float64(quo)
+	}
+	por, porStats, err := w.explore(modePOR)
+	if err != nil {
+		return row, fmt.Errorf("%s por: %w", w.name, err)
+	}
+	if por > 0 {
+		row.PORStates = por
+		row.PORSeconds = porStats.Elapsed.Seconds()
+		row.PORStatesPerSec = porStats.StatesPerSec
+		row.PORReductionFactor = float64(full) / float64(por)
+	}
+	both, bothStats, err := w.explore(modePORQuotient)
+	if err != nil {
+		return row, fmt.Errorf("%s por+quotient: %w", w.name, err)
+	}
+	if both > 0 {
+		row.PORQuotientStates = both
+		row.PORQuotientSeconds = bothStats.Elapsed.Seconds()
+		row.PORQuotientStatesPerSec = bothStats.StatesPerSec
+	}
+	return row, nil
 }
 
 // loadBenchFile reads an existing bench record file, migrating the legacy

@@ -6,6 +6,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/engine"
 )
 
 func writeTemp(t *testing.T, name, content string) string {
@@ -111,5 +114,49 @@ func TestBenchHistoryCapKeepsNewest(t *testing.T) {
 	}
 	if bf.Runs[len(bf.Runs)-1].GOMAXPROCS != benchHistoryCap+2 {
 		t.Fatal("cap dropped the newest run instead of the oldest")
+	}
+}
+
+// TestBenchRowRecordsPORQuotientTiming: a row times its POR+quotient
+// exploration as it times the other modes, and a workload without that
+// stack leaves the fields out of the JSON.
+func TestBenchRowRecordsPORQuotientTiming(t *testing.T) {
+	stacked := benchWorkload{name: "stacked", explore: func(mode exploreMode) (int, engine.Stats, error) {
+		states := map[exploreMode]int{modeFull: 100, modeQuotient: 40, modePOR: 50, modePORQuotient: 20}[mode]
+		return states, engine.Stats{States: states, Elapsed: 2 * time.Second, StatesPerSec: float64(states) / 2}, nil
+	}}
+	row, err := benchRow(stacked)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if row.PORQuotientStates != 20 || row.PORQuotientSeconds != 2 || row.PORQuotientStatesPerSec != 10 {
+		t.Fatalf("por+quotient figures = %d states, %gs, %g states/s; want 20, 2, 10",
+			row.PORQuotientStates, row.PORQuotientSeconds, row.PORQuotientStatesPerSec)
+	}
+	data, err := json.Marshal(row)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{`"por_quotient_seconds":2`, `"por_quotient_states_per_sec":10`} {
+		if !strings.Contains(string(data), key) {
+			t.Errorf("row JSON lacks %s: %s", key, data)
+		}
+	}
+
+	fullOnly := benchWorkload{name: "full-only", explore: func(mode exploreMode) (int, engine.Stats, error) {
+		if mode != modeFull {
+			return 0, engine.Stats{}, nil
+		}
+		return 10, engine.Stats{States: 10, Elapsed: time.Second, StatesPerSec: 10}, nil
+	}}
+	row, err = benchRow(fullOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if data, err = json.Marshal(row); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(data), "por_quotient") {
+		t.Errorf("full-only row carries POR+quotient fields: %s", data)
 	}
 }

@@ -46,7 +46,7 @@ var ErrCanonUnsound = errors.New("engine: canonicalizer failed soundness check")
 
 // BytesCanonicalizer is the byte-level form of Canonicalizer for
 // string-typed states: it writes the canonical representative's encoding
-// into dst[:0] and returns the grown slice, so the EmitBytes hot path can
+// into dst[:0] and returns the grown slice, so the engine can
 // canonicalize without materializing a string per generated state.
 //
 // Contract, in addition to the Canonicalizer soundness conditions:
@@ -113,10 +113,11 @@ func (e *explorer[S]) canonSuccessors(s S) map[S]int {
 	return out
 }
 
-// checkCanonBytes is the sampled EmitBytes-path check: it materializes the
-// raw state and its byte-level representative, verifies the byte and
-// string canonicalizers agree, and then runs the regular soundness check
-// on the raw state. Errors land in verifyErr like every sampled check.
+// checkCanonBytes is the sampled check of the byte canon step: it
+// materializes the raw state and its byte-level representative, verifies
+// the byte and string canonicalizers agree, and then runs the regular
+// soundness check on the raw state. Errors land in verifyErr like every
+// sampled check.
 func (e *explorer[S]) checkCanonBytes(src, rep []byte) {
 	raw := fromBytes[S](src)
 	bytesRep := fromBytes[S](rep)

@@ -1,7 +1,5 @@
 package engine
 
-import "bytes"
-
 // Ctx is the expansion context the engine hands to an ExpandFunc: the
 // revised expand API that makes the hot path allocation-free. A worker
 // owns one Ctx for the whole run and passes the same pointer to every
@@ -41,8 +39,11 @@ type Ctx[S comparable] struct {
 	w *worker[S]
 	// sink, when non-nil, switches the context to collect mode: Emit
 	// routes transitions to it instead of interning, and EmitBytes
-	// materializes. Used by the POR action-collection pass, the sampled
-	// soundness checks, and CollectCtx (where e and w stay nil).
+	// materializes the raw successor for it (the POR relations read
+	// Action.To). Used by the POR action-collection pass, whose sink
+	// canonicalizes through the worker's byte canonicalizer when one is
+	// installed, the sampled soundness checks, and CollectCtx (where e
+	// and w stay nil).
 	sink func(to S, label string, actor int)
 	// labels is the per-context label interner backing Label.
 	labels map[string]string
@@ -73,7 +74,9 @@ func (x *Ctx[S]) Emit(to S, label string, actor int) {
 // The direct path requires a string state type, a backend supporting
 // store.BytesInterner, and — under a canonicalizer — Options.CanonBytes;
 // otherwise EmitBytes transparently falls back to materializing the
-// string and calling Emit, so systems can use it unconditionally.
+// string and calling Emit, so systems can use it unconditionally. Either
+// way a canonicalizer runs in its byte form when CanonBytes is set; only
+// the direct path keeps the raw→id memo.
 //
 // On a fine-sampled state the canonicalization section (memo lookup, raw
 // fingerprint bookkeeping, representative render) and the hash+intern
@@ -105,27 +108,16 @@ func (x *Ctx[S]) EmitBytes(to []byte, label string, actor int) {
 		ws.record(ent.id, false, label, actor)
 		return
 	}
+	// With the memo, the sampled check inside canonBytes runs on each
+	// worker's first emission of a given raw encoding.
 	h := e.hashB(to)
-	ws.rawSeen[h] = struct{}{}
-	rep := ws.canonB(ws.canonBuf[:0], to)
-	ws.canonBuf = rep
-	remapped := !bytes.Equal(rep, to)
+	rep, remapped := e.canonBytes(ws, to, h)
 	rawKey := string(to) // the one allocation per distinct raw encoding
 	if remapped {
-		ws.canonHits++
-		// Fixed points are trivially idempotent and step-commuting, and a
-		// byte-identical representative is trivially in agreement with the
-		// string canonicalizer, so (mirroring canonicalize) the sampled
-		// check only runs on remapped states — and, with the memo, on each
-		// worker's first emission of a given raw encoding.
-		if e.verifyMod != 0 && h%e.verifyMod == 0 {
-			e.checkCanonBytes(to, rep)
-		}
-		to = rep
 		h = e.hashB(rep)
 	}
 	t = ws.lap(sampleCanon, t)
-	tid, fresh := e.bytesIntern.InternBytes(h, to)
+	tid, fresh := e.bytesIntern.InternBytes(h, rep)
 	ws.lap(sampleIntern, t)
 	if len(ws.canonMemo) >= canonMemoCap || ws.canonMemo == nil {
 		ws.canonMemo = make(map[string]canonMemoEntry)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/store"
@@ -95,28 +96,81 @@ func sortCanonBytes(dst, src []byte) []byte {
 	return append(dst, src[:comma]...)
 }
 
-// TestCanonBytesMatchesCanon checks the byte-level quotient path against
-// the string canonicalizer: identical quotient Results and telemetry, with
+// TestCanonBytesMatchesCanon checks the byte-level quotient against the
+// string canonicalizer on every route (Emit, EmitBytes, each with and
+// without POR): identical quotient Results and telemetry, with
 // VerifyCanon cross-checking agreement on every remapped state.
 func TestCanonBytesMatchesCanon(t *testing.T) {
 	const n = 10
 	inits := []string{"0,0"}
+	expands := map[string]ExpandFunc[string]{"emit": gridExpand(n), "emit-bytes": gridExpandBytes(n)}
 	for _, par := range []int{1, 2, 8} {
-		strOpts := Options{Parallelism: par, Canon: sortCanon, VerifyCanon: 1, VerifyAliasing: 1}
-		want, err := Explore(inits, gridExpand(n), strOpts)
-		if err != nil {
-			t.Fatal(err)
+		for _, indep := range []any{nil, Independence[string](gridIndep)} {
+			strOpts := Options{Parallelism: par, Canon: sortCanon, VerifyCanon: 1, VerifyAliasing: 1, Independent: indep}
+			want, err := Explore(inits, gridExpand(n), strOpts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bytesOpts := strOpts
+			bytesOpts.CanonBytes = sortCanonBytes
+			for name, expand := range expands {
+				got, err := Explore(inits, expand, bytesOpts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				what := fmt.Sprintf("canon-bytes %s por=%t workers=%d", name, indep != nil, par)
+				mustEqualResults(t, what, want, got)
+				if want.Stats.CanonHits != got.Stats.CanonHits || want.Stats.RawStates != got.Stats.RawStates {
+					t.Fatalf("%s: canon telemetry differs: hits %d vs %d, raw %d vs %d", what,
+						want.Stats.CanonHits, got.Stats.CanonHits, want.Stats.RawStates, got.Stats.RawStates)
+				}
+			}
 		}
-		bytesOpts := strOpts
-		bytesOpts.CanonBytes = sortCanonBytes
-		got, err := Explore(inits, gridExpandBytes(n), bytesOpts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mustEqualResults(t, fmt.Sprintf("canon-bytes workers=%d", par), want, got)
-		if want.Stats.CanonHits != got.Stats.CanonHits || want.Stats.RawStates != got.Stats.RawStates {
-			t.Fatalf("workers=%d: canon telemetry differs: hits %d vs %d, raw %d vs %d", par,
-				want.Stats.CanonHits, got.Stats.CanonHits, want.Stats.RawStates, got.Stats.RawStates)
+	}
+}
+
+// TestCanonBytesCoversEveryRoute: with CanonBytes installed the string
+// Canon is only the specification the sampled checks hold the byte form
+// to. No exploration route calls it at VerifyCanon 0 — the Emit route,
+// EmitBytes' direct path, EmitBytes under POR (where collect mode
+// materializes the raw successor) and the initial states — while at
+// VerifyCanon 1 every route does, through the check.
+func TestCanonBytesCoversEveryRoute(t *testing.T) {
+	const n = 10
+	var calls atomic.Int64
+	counted := func(s string) string {
+		calls.Add(1)
+		return sortCanon(s)
+	}
+	noSuccessors := func(string, *Ctx[string]) {}
+	for _, route := range []struct {
+		name   string
+		inits  []string
+		expand ExpandFunc[string]
+		indep  any
+	}{
+		{"emit", []string{"0,0"}, gridExpand(n), nil},
+		{"emit-bytes", []string{"0,0"}, gridExpandBytes(n), nil},
+		{"emit-bytes+por", []string{"0,0"}, gridExpandBytes(n), Independence[string](gridIndep)},
+		{"inits", []string{"3,1", "1,3", "2,0"}, noSuccessors, nil},
+	} {
+		for _, par := range []int{1, 2} {
+			for _, verify := range []int{0, 1} {
+				calls.Store(0)
+				if _, err := Explore(route.inits, route.expand, Options{
+					Parallelism: par, Canon: counted, CanonBytes: sortCanonBytes,
+					VerifyCanon: verify, Independent: route.indep,
+				}); err != nil {
+					t.Fatalf("%s workers=%d verify=%d: %v", route.name, par, verify, err)
+				}
+				got := calls.Load()
+				if verify == 0 && got != 0 {
+					t.Errorf("%s workers=%d: %d string Canon calls outside sampled checks, want 0", route.name, par, got)
+				}
+				if verify == 1 && got == 0 {
+					t.Errorf("%s workers=%d: VerifyCanon 1 never ran the string Canon", route.name, par)
+				}
+			}
 		}
 	}
 }
@@ -127,6 +181,7 @@ func TestCanonBytesMatchesCanon(t *testing.T) {
 // remaps states sortCanon holds fixed (the sampler only cross-checks
 // remapped states — a disagreeing fixed point of the byte canon would
 // also be a remap under it, so unconditional swapping covers the case).
+// It runs on EmitBytes' direct path and on the POR route.
 func TestCanonBytesDisagreementCaught(t *testing.T) {
 	broken := func(dst, src []byte) []byte {
 		comma := 0
@@ -137,13 +192,16 @@ func TestCanonBytesDisagreementCaught(t *testing.T) {
 		dst = append(dst, ',')
 		return append(dst, src[:comma]...)
 	}
-	_, err := Explore([]string{"0,0"}, gridExpandBytes(8), Options{
-		Canon:       sortCanon,
-		CanonBytes:  broken,
-		VerifyCanon: 1,
-	})
-	if !errors.Is(err, ErrCanonUnsound) {
-		t.Fatalf("swapping CanonBytes under sortCanon: err = %v, want ErrCanonUnsound", err)
+	for _, indep := range []any{nil, Independence[string](gridIndep)} {
+		_, err := Explore([]string{"0,0"}, gridExpandBytes(8), Options{
+			Canon:       sortCanon,
+			CanonBytes:  broken,
+			VerifyCanon: 1,
+			Independent: indep,
+		})
+		if !errors.Is(err, ErrCanonUnsound) {
+			t.Fatalf("swapping CanonBytes under sortCanon (por=%t): err = %v, want ErrCanonUnsound", indep != nil, err)
+		}
 	}
 }
 

@@ -198,18 +198,28 @@ func TestCollectCtx(t *testing.T) {
 	}
 }
 
-// TestOptionHookTypes: hooks of the wrong type, or CanonBytes without
-// Canon, are errors rather than silently ignored reductions.
+// TestOptionHookTypes: hooks of the wrong type, CanonBytes without Canon,
+// and CanonBytes on a non-string state type are errors rather than
+// silently ignored reductions.
 func TestOptionHookTypes(t *testing.T) {
 	expand := gridExpandBytes(3)
-	for name, opts := range map[string]Options{
-		"canon":             {Canon: func(int) int { return 0 }},
-		"independent":       {Independent: func(int) bool { return true }},
-		"visible":           {Visible: 42},
-		"canon-bytes":       {Canon: sortCanon, CanonBytes: "nope"},
-		"canon-bytes-alone": {CanonBytes: sortCanonBytes},
+	explore := func(opts Options) error {
+		_, err := Explore([]string{"0,0"}, expand, opts)
+		return err
+	}
+	exploreInts := func(opts Options) error {
+		_, err := Explore([]int{0}, func(int, *Ctx[int]) {}, opts)
+		return err
+	}
+	for name, err := range map[string]error{
+		"canon":             explore(Options{Canon: func(int) int { return 0 }}),
+		"independent":       explore(Options{Independent: func(int) bool { return true }}),
+		"visible":           explore(Options{Visible: 42}),
+		"canon-bytes":       explore(Options{Canon: sortCanon, CanonBytes: "nope"}),
+		"canon-bytes-alone": explore(Options{CanonBytes: sortCanonBytes}),
+		"canon-bytes-ints":  exploreInts(Options{Canon: func(s int) int { return s }, CanonBytes: sortCanonBytes}),
 	} {
-		if _, err := Explore([]string{"0,0"}, expand, opts); err == nil {
+		if err == nil {
 			t.Errorf("%s: mistyped hook accepted", name)
 		}
 	}

@@ -27,6 +27,7 @@
 package engine
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -118,11 +119,13 @@ type Options struct {
 	// CanonBytes, when non-nil, is the byte-level twin of Canon for
 	// string-typed states: a BytesCanonicalizer (or a func()
 	// BytesCanonicalizer factory, called once per worker so stateful
-	// scratch canonicalizers stay single-threaded). With it installed, the
-	// EmitBytes hot path canonicalizes successors without materializing
-	// strings. It must agree with Canon exactly — see BytesCanonicalizer
-	// for the contract; VerifyCanon cross-checks the two on sampled
-	// states. Requires Canon; any other type is an error.
+	// scratch canonicalizers stay single-threaded). With it installed, it
+	// is the one canon step on every route — EmitBytes, Emit, the POR
+	// action collection and the initial states — and the string Canon
+	// runs only inside the sampled checks. It must agree with Canon
+	// exactly — see BytesCanonicalizer for the contract; VerifyCanon
+	// cross-checks the two on sampled states. Requires Canon and a string
+	// state type; any other type is an error.
 	CanonBytes any
 	// VerifyAliasing enables the buffer-aliasing falsifier for the revised
 	// expand API: every expanded state whose fingerprint is ≡ 0 mod
@@ -292,12 +295,16 @@ type worker[S comparable] struct {
 	// handed to every ExpandFunc call this worker makes.
 	ctx Ctx[S]
 	// canonB and canonBuf are the worker's byte-level canonicalizer
-	// instance and its output buffer (EmitBytes path only).
-	canonB   BytesCanonicalizer
-	canonBuf []byte
+	// instance and its output buffer, and rawBuf the input buffer
+	// canonicalize copies a string successor into; nil without CanonBytes.
+	canonB           BytesCanonicalizer
+	canonBuf, rawBuf []byte
 	// canonMemo caches, per distinct raw successor encoding, the interned
 	// id its canonicalization produced, plus whether it was remapped (so
-	// canonHits stays exact). Quotient exploration re-generates the same
+	// canonHits stays exact). It serves EmitBytes' direct path only: the
+	// other routes need the representative state itself, not its id, and
+	// the POR route's raw successors are mostly distinct (a raw→rep memo
+	// there measured no gain). Quotient exploration re-generates the same
 	// raw successors constantly — orbit factor × branch factor times each —
 	// and a hit replaces the full canonicalization (n! candidate renders
 	// for the permutation canon) with one map probe. The cache is exact:
@@ -395,10 +402,23 @@ type explorer[S comparable] struct {
 // canonicalize maps raw to its orbit representative, recording the raw
 // fingerprint and remap count in ws and running the sampled soundness check.
 // Callers guard on e.canon != nil to keep the no-symmetry path branch-cheap.
-// It is the timed canon section of the Emit and POR routes.
+// It is the timed canon section of the Emit and POR routes and of the
+// initial states. Under CanonBytes the raw string is copied into the
+// worker's rawBuf and goes through canonBytes, so the string form runs
+// only inside sampled checks; the representative is materialized only
+// when it differs from raw.
 func (e *explorer[S]) canonicalize(raw S, ws *worker[S]) S {
 	t := ws.clock()
 	h := e.fp(raw)
+	if ws.canonB != nil {
+		str, _ := any(raw).(string)
+		ws.rawBuf = append(ws.rawBuf[:0], str...)
+		if rep, remapped := e.canonBytes(ws, ws.rawBuf, h); remapped {
+			raw = fromBytes[S](rep)
+		}
+		ws.lap(sampleCanon, t)
+		return raw
+	}
 	ws.rawSeen[h] = struct{}{}
 	// Fixed points are trivially idempotent and step-commuting, so the
 	// soundness check has nothing to test there.
@@ -413,6 +433,29 @@ func (e *explorer[S]) canonicalize(raw S, ws *worker[S]) S {
 	}
 	ws.lap(sampleCanon, t)
 	return raw
+}
+
+// canonBytes is the one byte canon step for string states, shared by
+// EmitBytes' direct path and canonicalize: it records raw's fingerprint h
+// in rawSeen, canonicalizes raw with the worker's byte canonicalizer and,
+// when that remaps it, counts the hit and runs the sampled check. It
+// returns raw itself when raw is its own representative, else the
+// representative in ws.canonBuf (valid until the worker's next call).
+func (e *explorer[S]) canonBytes(ws *worker[S], raw []byte, h uint64) (rep []byte, remapped bool) {
+	ws.rawSeen[h] = struct{}{}
+	rep = ws.canonB(ws.canonBuf[:0], raw)
+	ws.canonBuf = rep
+	if bytes.Equal(rep, raw) {
+		return raw, false
+	}
+	ws.canonHits++
+	// Fixed points are trivially idempotent and step-commuting, and a
+	// byte-identical representative trivially agrees with the string
+	// canonicalizer, so the sampled check only runs on remapped states.
+	if e.verifyMod != 0 && h%e.verifyMod == 0 {
+		e.checkCanonBytes(raw, rep)
+	}
+	return rep, true
 }
 
 // intern interns one canonical successor and records its edge in the
@@ -611,6 +654,10 @@ func Explore[S comparable](inits []S, expand ExpandFunc[S], opts Options) (*Resu
 	if canonBFactory != nil && e.canon == nil {
 		return nil, errors.New("engine: Options.CanonBytes requires Options.Canon (the string canonicalizer defines the quotient)")
 	}
+	if canonBFactory != nil && !isStringState[S]() {
+		var zero S
+		return nil, fmt.Errorf("engine: Options.CanonBytes requires string states, not %T", zero)
+	}
 	if opts.VerifyAliasing > 0 {
 		e.aliasMod = uint64(opts.VerifyAliasing)
 	}
@@ -641,7 +688,7 @@ func Explore[S comparable](inits []S, expand ExpandFunc[S], opts Options) (*Resu
 		if e.canon != nil {
 			ws.rawSeen = make(map[uint64]struct{})
 		}
-		if e.bytesDirect && canonBFactory != nil {
+		if canonBFactory != nil {
 			ws.canonB = canonBFactory()
 		}
 		ws.ctx = Ctx[S]{e: e, w: ws}

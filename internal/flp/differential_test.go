@@ -40,3 +40,45 @@ func TestDifferentialWaitQuorum(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestDifferentialWaitQuorumCrashFree runs the oracle's POR arms on the
+// real stack: at resilience 0 wait-quorum n=3 is POR-reducible (at
+// resilience 1 it is not), so the canon+por arm collects each state's
+// actions and canonicalizes them through PermutationCanonBytes, under
+// DeliveryIndependence and DecisionVisibility, with VerifyCanon and
+// VerifyPOR checking every state.
+func TestDifferentialWaitQuorumCrashFree(t *testing.T) {
+	p := NewWaitQuorum(3)
+	s := &system{p: p, inputVectors: allBinaryVectors(3), resilience: 0}
+	canon, err := PermutationCanon(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	canonB, err := PermutationCanonBytes(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := engine.Differential(engine.DiffSpec[config]{
+		Name:  "flp-wait-quorum-n3-crash-free",
+		Inits: s.Init(),
+		Expand: func(c config, x *engine.Ctx[config]) {
+			s.ExpandInto(c, x)
+		},
+		Canon:          canon,
+		CanonBytes:     canonB,
+		VerifyAliasing: 1,
+		Independent:    DeliveryIndependence(p),
+		Visible:        DecisionVisibility(p),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := rep.Modes[len(rep.Modes)-1]
+	if last.Mode != "canon+por" {
+		t.Fatalf("last mode = %s, want canon+por", last.Mode)
+	}
+	if last.Stats.CanonHits == 0 || last.Stats.PORReductionFactor() <= 1 {
+		t.Fatalf("canon+por arm: canon hits %d, POR branch reduction %.2f; want both reductions active",
+			last.Stats.CanonHits, last.Stats.PORReductionFactor())
+	}
+}

@@ -230,11 +230,11 @@ type AnalyzeOptions struct {
 	// with engine.ErrCanonUnsound if Canon is not idempotent and
 	// step-commuting on them.
 	VerifyCanon int
-	// CanonBytes, when non-nil, is the byte-level twin of Canon for the
-	// engine's zero-allocation expansion path — see PermutationCanonBytes
-	// and engine.Options.CanonBytes. Requires Canon (Analyze fails without
-	// it); VerifyCanon additionally cross-checks the two on sampled
-	// configurations.
+	// CanonBytes, when non-nil, is the byte-level twin of Canon, and the
+	// engine then canonicalizes with it on every route, POR included —
+	// see PermutationCanonBytes and engine.Options.CanonBytes. Requires
+	// Canon (Analyze fails without it); VerifyCanon additionally
+	// cross-checks the two on sampled configurations.
 	CanonBytes any
 	// VerifyAliasing, when > 0, enables the engine's buffer-aliasing
 	// falsifier on every exploration (every configuration whose
