@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"runtime"
@@ -618,7 +619,7 @@ func runBenchJSON(outPath string, base engine.Options, big bool) error {
 		return err
 	}
 	fmt.Printf("appended run %s to %s (%d runs in history)\n", rec.Timestamp, outPath, n)
-	compareBenchRuns(prev, &rec)
+	compareBenchRuns(os.Stdout, prev, &rec)
 	return nil
 }
 
@@ -646,50 +647,39 @@ func appendBenchRun(outPath string, bf benchFile, rec benchRecord) (*benchRecord
 	return prev, len(bf.Runs), os.WriteFile(outPath, append(data, '\n'), 0o644)
 }
 
-// compareBenchRuns prints a benchstat-style smoke comparison of the new
-// run against the previous one. It only warns — state counts should never
-// move without a code change, and throughput on shared CI hardware is too
-// noisy to gate on — so it never fails the run.
-func compareBenchRuns(prev, cur *benchRecord) {
+// compareBenchRuns prints a warn-only comparison of the new run against
+// the previous one: the per-system states/s table, then the findings of
+// the bench-compare gate (diffBenchRecords) — each violation as WARN and
+// each gate a hardware mismatch skipped as skip. It never fails the run:
+// this comparison runs before the new record is committed, on hardware the
+// previous record may not share; `hundred bench-compare` is the hard gate.
+func compareBenchRuns(w io.Writer, prev, cur *benchRecord) {
 	if prev == nil {
-		fmt.Println("no previous run to compare against")
+		fmt.Fprintln(w, "no previous run to compare against")
 		return
 	}
 	prevRows := make(map[string]explorationBench, len(prev.Explorations))
 	for _, r := range prev.Explorations {
 		prevRows[r.System] = r
 	}
-	fmt.Printf("%-28s %14s %14s %8s\n", "system", "prev states/s", "cur states/s", "delta")
+	fmt.Fprintf(w, "%-28s %14s %14s %8s\n", "system", "prev states/s", "cur states/s", "delta")
 	for _, r := range cur.Explorations {
 		p, ok := prevRows[r.System]
 		if !ok {
-			fmt.Printf("%-28s %14s %14.0f %8s\n", r.System, "-", r.FullStatesPerSec, "new")
+			fmt.Fprintf(w, "%-28s %14s %14.0f %8s\n", r.System, "-", r.FullStatesPerSec, "new")
 			continue
 		}
 		delta := 0.0
 		if p.FullStatesPerSec > 0 {
 			delta = (r.FullStatesPerSec - p.FullStatesPerSec) / p.FullStatesPerSec * 100
 		}
-		fmt.Printf("%-28s %14.0f %14.0f %+7.1f%%\n", r.System, p.FullStatesPerSec, r.FullStatesPerSec, delta)
-		for what, pair := range map[string][2]int{
-			"full":         {p.FullStates, r.FullStates},
-			"quotient":     {p.QuotientStates, r.QuotientStates},
-			"por":          {p.PORStates, r.PORStates},
-			"por+quotient": {p.PORQuotientStates, r.PORQuotientStates},
-		} {
-			// A zero on either side means the mode was added or removed,
-			// not that the count moved.
-			if pair[0] != pair[1] && pair[0] > 0 && pair[1] > 0 {
-				fmt.Printf("  WARN %s: %s state count moved %d -> %d (determinism contract: investigate)\n",
-					r.System, what, pair[0], pair[1])
-			}
-		}
-		if delta < -30 && p.FullSeconds >= benchMinGateSeconds && r.FullSeconds >= benchMinGateSeconds {
-			fmt.Printf("  WARN %s: full-graph throughput regressed %.1f%%\n", r.System, -delta)
-		}
-		if prev.GOMAXPROCS == cur.GOMAXPROCS && p.AllocsPerState > 0 && r.AllocsPerState > p.AllocsPerState*(1+benchAllocThreshold) {
-			fmt.Printf("  WARN %s: allocs/state grew %.2f -> %.2f (zero-alloc hot-path contract)\n",
-				r.System, p.AllocsPerState, r.AllocsPerState)
-		}
+		fmt.Fprintf(w, "%-28s %14.0f %14.0f %+7.1f%%\n", r.System, p.FullStatesPerSec, r.FullStatesPerSec, delta)
+	}
+	bad, skipped, _ := diffBenchRecords(prev, cur, benchCompareThreshold, benchAllocThreshold)
+	for _, msg := range skipped {
+		fmt.Fprintf(w, "skip %s\n", msg)
+	}
+	for _, msg := range bad {
+		fmt.Fprintf(w, "WARN %s\n", msg)
 	}
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -164,6 +165,53 @@ func TestBenchCompareAllocGateNeedsEqualWorkers(t *testing.T) {
 	path = benchFixture(t, prev, cur)
 	if code := runBenchCompare([]string{"-file", path}); code != 0 {
 		t.Fatalf("alloc growth across worker counts: exit = %d, want 0", code)
+	}
+}
+
+// TestCompareBenchRunsPrintsGateFindings: -bench-json's warn-only
+// comparison prints exactly the bench-compare gate's findings, violations
+// as WARN and skipped gates as skip, in the same order on every call.
+func TestCompareBenchRunsPrintsGateFindings(t *testing.T) {
+	prev := benchRecord{GOOS: "linux", GOARCH: "amd64", GOMAXPROCS: 1, Explorations: []explorationBench{
+		{System: "grid", FullStates: 100, QuotientStates: 30, PORStates: 40, FullStatesPerSec: 1000, FullSeconds: 1},
+		{System: "ring", FullStates: 50, FullStatesPerSec: 1000, FullSeconds: 1}}}
+	cur := benchRecord{GOOS: "linux", GOARCH: "amd64", GOMAXPROCS: 2, Explorations: []explorationBench{
+		// Two moved counts, and a throughput drop the hardware mismatch
+		// leaves ungated.
+		{System: "grid", FullStates: 100, QuotientStates: 31, PORStates: 41, FullStatesPerSec: 100, FullSeconds: 10},
+		{System: "ring", FullStates: 50, FullStatesPerSec: 1000, FullSeconds: 1}}}
+	bad, skipped, _ := diffBenchRecords(&prev, &cur, benchCompareThreshold, benchAllocThreshold)
+	if len(bad) != 2 || len(skipped) != 4 {
+		t.Fatalf("fixture: bad = %v, skipped = %v; want 2 moved counts and 2 skips per row", bad, skipped)
+	}
+	var want []string
+	for _, msg := range skipped {
+		want = append(want, "skip "+msg)
+	}
+	for _, msg := range bad {
+		want = append(want, "WARN "+msg)
+	}
+	var first string
+	for call := 0; call < 20; call++ {
+		var buf bytes.Buffer
+		compareBenchRuns(&buf, &prev, &cur)
+		if call == 0 {
+			first = buf.String()
+		} else if buf.String() != first {
+			t.Fatalf("call %d printed\n%s\nwant, as on the first call,\n%s", call, buf.String(), first)
+		}
+	}
+	var got []string
+	for _, line := range strings.Split(first, "\n") {
+		if strings.HasPrefix(line, "WARN ") || strings.HasPrefix(line, "skip ") {
+			got = append(got, line)
+		}
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("findings printed:\n%s\nwant the gate's:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+	if !strings.Contains(first, "grid") || !strings.Contains(first, "-90.0%") {
+		t.Fatalf("states/s table missing the grid row:\n%s", first)
 	}
 }
 

@@ -71,12 +71,11 @@ func (x *Ctx[S]) Emit(to S, label string, actor int) {
 // materializing that string — a dedup hit (the common case) allocates
 // nothing at all. The bytes are fully consumed before EmitBytes returns.
 //
-// The direct path requires a string state type, a backend supporting
-// store.BytesInterner, and — under a canonicalizer — Options.CanonBytes;
-// otherwise EmitBytes transparently falls back to materializing the
-// string and calling Emit, so systems can use it unconditionally. Either
-// way a canonicalizer runs in its byte form when CanonBytes is set; only
-// the direct path keeps the raw→id memo.
+// The direct path requires a string state type and — under a
+// canonicalizer — Options.CanonBytes; otherwise EmitBytes transparently
+// falls back to materializing the string and calling Emit, so systems can
+// use it unconditionally. Either way a canonicalizer runs in its byte form
+// when CanonBytes is set; only the direct path keeps the raw→id memo.
 //
 // On a fine-sampled state the canonicalization section (memo lookup, raw
 // fingerprint bookkeeping, representative render) and the hash+intern
@@ -91,7 +90,7 @@ func (x *Ctx[S]) EmitBytes(to []byte, label string, actor int) {
 	t := ws.clock()
 	if e.canon == nil {
 		h := e.hashB(to)
-		tid, fresh := e.bytesIntern.InternBytes(h, to)
+		tid, fresh := e.store.InternBytes(h, to)
 		ws.lap(sampleIntern, t)
 		ws.record(tid, fresh, label, actor)
 		return
@@ -117,7 +116,7 @@ func (x *Ctx[S]) EmitBytes(to []byte, label string, actor int) {
 		h = e.hashB(rep)
 	}
 	t = ws.lap(sampleCanon, t)
-	tid, fresh := e.bytesIntern.InternBytes(h, rep)
+	tid, fresh := e.store.InternBytes(h, rep)
 	ws.lap(sampleIntern, t)
 	if len(ws.canonMemo) >= canonMemoCap || ws.canonMemo == nil {
 		ws.canonMemo = make(map[string]canonMemoEntry)

@@ -354,13 +354,10 @@ type explorer[S comparable] struct {
 	canon     Canonicalizer[S]
 	verifyMod uint64
 
-	// The EmitBytes direct path: bytesIntern is the store's zero-copy
-	// extension (nil when absent or unsupported), hashB the byte-level
-	// fingerprint mirroring fp on string states. bytesDirect gates the whole
-	// path: it additionally requires CanonBytes whenever a canonicalizer
-	// is installed, so the bytes and string paths can never disagree
-	// silently.
-	bytesIntern store.BytesInterner
+	// The EmitBytes direct path: hashB is the byte-level fingerprint
+	// mirroring fp on string states, and bytesDirect gates the path on
+	// string states plus CanonBytes whenever a canonicalizer is installed,
+	// so the bytes and string paths can never disagree silently.
 	bytesDirect bool
 	hashB       func([]byte) uint64
 
@@ -667,19 +664,15 @@ func Explore[S comparable](inits []S, expand ExpandFunc[S], opts Options) (*Resu
 	}
 	defer e.store.Close()
 
-	// Resolve the EmitBytes direct path: string states, a bytes-capable
-	// backend, and (under a canonicalizer) a byte-level canonicalizer.
-	// Every precondition failure degrades to the materializing fallback,
-	// never to wrong behavior.
+	// Resolve the EmitBytes direct path: string states and (under a
+	// canonicalizer) a byte-level canonicalizer. Without them EmitBytes
+	// degrades to the materializing fallback, never to wrong behavior.
 	if isStringState[S]() {
 		e.hashB = hashBytes
 		if opts.degradeFingerprint {
 			e.hashB = func(b []byte) uint64 { return hashBytes(b) & 3 }
 		}
-		if bi, ok := e.store.(store.BytesInterner); ok && bi.BytesSupported() {
-			e.bytesIntern = bi
-			e.bytesDirect = e.canon == nil || canonBFactory != nil
-		}
+		e.bytesDirect = e.canon == nil || canonBFactory != nil
 	}
 
 	e.workers = make([]*worker[S], nw)

@@ -5,6 +5,63 @@ import (
 	"testing"
 )
 
+// BenchmarkIntern times one intern per op on every backend: "hit"
+// re-interns a state already in the store, "fresh" interns a new one (on
+// a store restarted, untimed, every internBenchStates ops, so the
+// fingerprint index grows as in a run). Each goes through Intern and
+// through InternBytes with the fingerprint precomputed, as the engine's
+// EmitBytes path hands it over. The spill store keeps every payload
+// resident (no Maintain), so its hits confirm in RAM. Hits allocate
+// nothing; run with -benchmem to see it.
+func BenchmarkIntern(b *testing.B) {
+	const internBenchStates = 1 << 16
+	states := testStates(internBenchStates)
+	bufs := make([][]byte, len(states))
+	hs := make([]uint64, len(states))
+	for i, s := range states {
+		bufs[i], hs[i] = []byte(s), stringFP(s)
+	}
+	for _, kind := range []Kind{Mem, Spill, Bitstate} {
+		for _, mode := range []string{"hit", "fresh"} {
+			for _, path := range []string{"Intern", "InternBytes"} {
+				b.Run(string(kind)+"/"+mode+"/"+path, func(b *testing.B) {
+					fill := func() StateStore[string] {
+						st, err := New[string](Config{Kind: kind, Dir: b.TempDir()}, 32, stringFP)
+						if err != nil {
+							b.Fatal(err)
+						}
+						if mode == "hit" {
+							for _, s := range states {
+								st.Intern(s)
+							}
+						}
+						return st
+					}
+					st := fill()
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						j := i % internBenchStates
+						if mode == "fresh" && j == 0 && i > 0 {
+							b.StopTimer()
+							st.Close()
+							st = fill()
+							b.StartTimer()
+						}
+						if path == "Intern" {
+							st.Intern(states[j])
+						} else {
+							st.InternBytes(hs[j], bufs[j])
+						}
+					}
+					b.StopTimer()
+					st.Close()
+				})
+			}
+		}
+	}
+}
+
 // BenchmarkPageEncode is the satellite-fix evidence: the spill write path
 // encodes a whole page of states into one reused scratch buffer
 // (encodePage), replacing the naive per-state allocation a first cut would

@@ -16,13 +16,14 @@ import (
 	"repro/internal/obs"
 )
 
-// The spill backend keeps the fingerprint index in RAM — buckets hold ids
-// only — while state payloads live in the paged table until the resident
-// budget is exceeded, at which point Maintain moves whole pages of the
-// *oldest* payloads into flate-compressed, append-only segment files. Ids
-// are assigned in interning order, so "oldest" means the earliest BFS
-// levels: exactly the states the frontier's dedup hits target least, which
-// keeps the confirm-read rate low. A fingerprint hit on a spilled id is
+// The spill backend keeps the fingerprint index (the mem store's index:
+// fingerprints and ids only) in RAM, while state payloads live in the
+// paged table until the resident budget is exceeded, at which point
+// Maintain moves whole pages of the *oldest* payloads into
+// flate-compressed, append-only segment files. Ids are assigned in
+// interning order, so "oldest" means the earliest BFS levels: exactly the
+// states the frontier's dedup hits target least, which keeps the
+// confirm-read rate low. A fingerprint hit on a spilled id is
 // confirmed by decompressing its page back (served through a small LRU
 // page cache), so the backend stays exact: no 64-bit collision is ever
 // trusted.
@@ -41,10 +42,6 @@ import (
 // payloads to the collision confirm. Crash safety is an explicit non-goal:
 // segments are deleted on Close; a store never outlives its run.
 
-// spillIndexOverhead approximates the per-state RAM cost of an index entry
-// (bucket share plus id).
-const spillIndexOverhead = 24
-
 // pageCacheSize is the capacity, in pages, of the decompressed-page LRU
 // cache serving confirm and replay reads.
 const pageCacheSize = 64
@@ -55,8 +52,8 @@ const pageCacheSize = 64
 const spillLowWater = 0.75
 
 type spillShard struct {
-	mu sync.Mutex
-	m  map[uint64][]int32
+	mu  sync.Mutex
+	idx index
 }
 
 // pageMeta locates one spilled page inside the segment files; crc is the
@@ -75,10 +72,9 @@ type cacheEnt[S comparable] struct {
 }
 
 type spillStore[S comparable] struct {
-	shards   []*spillShard
+	shards   []spillShard
 	mask     uint64
 	fp       func(S) uint64
-	isString bool
 	codec    *codec[S]
 	maxBytes int64
 	counter  atomic.Int64
@@ -136,13 +132,10 @@ func newSpillStore[S comparable](cfg Config, shards int, fp func(S) uint64) (*sp
 	if cdc == nil {
 		return nil, fmt.Errorf("%w: %T", ErrNoCodec, *new(S))
 	}
-	var zero S
-	_, isString := any(zero).(string)
 	st := &spillStore[S]{
-		shards:   make([]*spillShard, shards),
+		shards:   make([]spillShard, shards),
 		mask:     uint64(shards - 1),
 		fp:       fp,
-		isString: isString,
 		codec:    cdc,
 		maxBytes: cfg.MaxBytes,
 		cache:    make(map[int32]*cacheEnt[S], pageCacheSize),
@@ -157,7 +150,7 @@ func newSpillStore[S comparable](cfg Config, shards int, fp func(S) uint64) (*sp
 		st.maxBytes = DefaultMaxBytes
 	}
 	for i := range st.shards {
-		st.shards[i] = &spillShard{m: make(map[uint64][]int32)}
+		st.shards[i].idx.grow()
 	}
 	st.dir = cfg.Dir
 	if st.dir == "" {
@@ -176,77 +169,93 @@ func newSpillStore[S comparable](cfg Config, shards int, fp func(S) uint64) (*sp
 
 func (st *spillStore[S]) Intern(s S) (int32, bool) {
 	h := st.fp(s)
-	sh := st.shards[h&st.mask]
+	sh := &st.shards[h&st.mask]
 	sh.mu.Lock()
-	for _, id := range sh.m[h] {
-		if st.equals(id, s) {
-			sh.mu.Unlock()
-			return id, false
-		}
+	i, id := st.lookup(sh, h, s)
+	fresh := id < 0
+	if fresh {
+		id = st.add(sh, i, h, s)
 	}
-	id := int32(st.counter.Add(1) - 1)
-	sh.m[h] = append(sh.m[h], id)
-	st.pages.set(id, s)
-	st.resident.Add(sizeOf(s))
 	sh.mu.Unlock()
-	return id, true
+	return id, fresh
 }
 
-// BytesSupported reports whether InternBytes is usable (string states).
-func (st *spillStore[S]) BytesSupported() bool { return st.isString }
-
-// InternBytes is the zero-copy intern path (see store.BytesInterner). A
-// dedup hit — the overwhelmingly common case on the hot path — allocates
-// nothing, including when the confirm reads a spilled page back (the
-// comparison against the decoded payload converts nothing). Only a fresh
-// intern materializes the state, which is unavoidable: the payload must
-// outlive the caller's scratch buffer.
+// InternBytes is the zero-copy intern path (see StateStore). A dedup hit
+// — the overwhelmingly common case on the hot path — allocates nothing,
+// including when the confirm reads a spilled page back (the comparison
+// against the decoded payload converts nothing). Only a fresh intern
+// materializes the state, which is unavoidable: the payload must outlive
+// the caller's scratch buffer.
 func (st *spillStore[S]) InternBytes(h uint64, b []byte) (int32, bool) {
-	sh := st.shards[h&st.mask]
+	sh := &st.shards[h&st.mask]
 	sh.mu.Lock()
-	for _, id := range sh.m[h] {
-		if st.equalsBytes(id, b) {
-			sh.mu.Unlock()
-			return id, false
-		}
+	i, id := sh.idx.first(h)
+	for id >= 0 && !st.equalsBytes(id, b) {
+		i, id = sh.idx.next(h, i)
 	}
+	fresh := id < 0
+	if fresh {
+		id = st.add(sh, i, h, any(string(b)).(S))
+	}
+	sh.mu.Unlock()
+	return id, fresh
+}
+
+// lookup returns s's slot and id in sh, confirming every fingerprint
+// match against the resident or spilled payload, or the empty slot where
+// s belongs and -1. Caller holds sh.mu.
+func (st *spillStore[S]) lookup(sh *spillShard, h uint64, s S) (int, int32) {
+	i, id := sh.idx.first(h)
+	for id >= 0 && !st.equals(id, s) {
+		i, id = sh.idx.next(h, i)
+	}
+	return i, id
+}
+
+// add assigns the next id to payload s and records it in sh's empty slot
+// i. Caller holds sh.mu.
+func (st *spillStore[S]) add(sh *spillShard, i int, h uint64, s S) int32 {
 	id := int32(st.counter.Add(1) - 1)
-	sh.m[h] = append(sh.m[h], id)
-	s := any(string(b)).(S)
 	st.pages.set(id, s)
 	st.resident.Add(sizeOf(s))
-	sh.mu.Unlock()
-	return id, true
+	sh.idx.insert(i, h, id)
+	return id
+}
+
+// confirmed returns the payload a fingerprint hit on id is confirmed
+// against, reading the segment back (and counting the confirm) when it was
+// spilled; !ok means the read failed. Called with the owning shard locked,
+// which orders it after the payload write of any id interned during the
+// current level (same state, same fingerprint, same shard); payloads from
+// earlier levels are ordered by the level barrier.
+func (st *spillStore[S]) confirmed(id int32) (S, bool) {
+	if st.spilled(id) {
+		st.confirms.Add(1)
+		return st.spilledState(id)
+	}
+	return st.pages.get(id), true
+}
+
+// equals confirms a fingerprint hit on id against s.
+func (st *spillStore[S]) equals(id int32, s S) bool {
+	v, ok := st.confirmed(id)
+	return ok && v == s
 }
 
 // equalsBytes is equals against raw payload bytes; the conversion in the
 // comparison does not allocate.
 func (st *spillStore[S]) equalsBytes(id int32, b []byte) bool {
-	if int(id) < int(st.spilledTo.Load())<<st.pages.bits {
-		st.confirms.Add(1)
-		v, ok := st.spilledState(id)
-		return ok && *any(&v).(*string) == string(b)
-	}
-	v := st.pages.get(id)
-	return *any(&v).(*string) == string(b)
+	v, ok := st.confirmed(id)
+	return ok && *any(&v).(*string) == string(b)
 }
 
-// equals confirms a fingerprint hit against the real payload of id,
-// reading the segment back when the payload was spilled. Called with the
-// owning shard locked, which orders it after the payload write of any id
-// interned during the current level (same state, same fingerprint, same
-// shard); payloads from earlier levels are ordered by the level barrier.
-func (st *spillStore[S]) equals(id int32, s S) bool {
-	if int(id) < int(st.spilledTo.Load())<<st.pages.bits {
-		st.confirms.Add(1)
-		v, ok := st.spilledState(id)
-		return ok && v == s
-	}
-	return st.pages.get(id) == s
+// spilled reports whether id's payload lives on disk.
+func (st *spillStore[S]) spilled(id int32) bool {
+	return int(id) < int(st.spilledTo.Load())<<st.pages.bits
 }
 
 func (st *spillStore[S]) State(id int32) S {
-	if int(id) < int(st.spilledTo.Load())<<st.pages.bits {
+	if st.spilled(id) {
 		v, _ := st.spilledState(id)
 		return v
 	}
@@ -255,15 +264,11 @@ func (st *spillStore[S]) State(id int32) S {
 
 func (st *spillStore[S]) Probe(s S) (int32, bool) {
 	h := st.fp(s)
-	sh := st.shards[h&st.mask]
+	sh := &st.shards[h&st.mask]
 	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	for _, id := range sh.m[h] {
-		if st.equals(id, s) {
-			return id, true
-		}
-	}
-	return -1, false
+	_, id := st.lookup(sh, h, s)
+	sh.mu.Unlock()
+	return id, id >= 0
 }
 
 func (st *spillStore[S]) Len() int { return int(st.counter.Load()) }
@@ -468,7 +473,10 @@ func (st *spillStore[S]) Stats() Stats {
 		ReadLat:           st.readLat.Snapshot(),
 		WriteLat:          st.writeLat.Snapshot(),
 	}
-	out.BytesInRAM = st.resident.Load() + int64(out.States)*spillIndexOverhead
+	for i := range st.shards {
+		out.IndexBytes += st.shards[i].idx.bytes.Load()
+	}
+	out.BytesInRAM = st.resident.Load() + out.IndexBytes
 	st.segMu.Lock()
 	out.SpilledStates = st.spilledStates
 	out.BytesSpilled = st.bytesSpilled

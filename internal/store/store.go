@@ -1,28 +1,32 @@
 // Package store is the pluggable visited-set subsystem underneath the
 // exploration engine: the fingerprint-sharded state store that bounds how
 // large an instance of each impossibility proof's finite model the library
-// can certify. It extracts the engine's original in-memory sharded map into
-// a StateStore interface with three backends:
+// can certify. Every backend keys its shards on one index, a pointer-free
+// open-addressing fingerprint -> id table (12 bytes per slot, see index),
+// over a paged id -> payload table. The StateStore interface has three
+// backends:
 //
-//   - mem: the exact hash-sharded map the engine always had, now with
-//     per-shard byte accounting. Sound, RAM-resident, the default.
-//   - spill: memory-budgeted. The fingerprint index stays in RAM; full
-//     state payloads spill to compressed append-only segment files once a
-//     byte budget is exceeded, and fingerprint hits are confirmed by
+//   - mem: exact and RAM-resident, the default. Every fingerprint hit is
+//     confirmed against the stored payload.
+//   - spill: memory-budgeted. The index stays in RAM; full state payloads
+//     spill to compressed append-only segment files once a byte budget is
+//     exceeded, and fingerprint hits on spilled ids are confirmed by
 //     reading the segment back. Sound: no 64-bit collision is ever trusted.
-//   - bitstate: a fingerprint-only lossy sweep (SPIN's bitstate-hashing
-//     analogue). Colliding states are silently merged, so the explored
-//     graph may undercount the reachable set; Stats.Lossy flags every
-//     result so downstream verdicts are downgraded to "no violation
-//     found". Never an impossibility-proof witness.
+//   - bitstate: a lossy sweep (SPIN's bitstate-hashing analogue): the mem
+//     store with payload confirmation off and an optional fingerprint
+//     mask. It keeps the payloads of the states it keeps; colliding states
+//     are silently merged, so the explored graph may undercount the
+//     reachable set. Stats.Lossy flags every result so downstream verdicts
+//     are downgraded to "no violation found". Never an impossibility-proof
+//     witness.
 //
 // The package is near-leaf: its only internal dependency is obs (itself a
 // leaf), for the shared latency-histogram type in Stats — so the engine,
 // core and the CLIs can all select backends without cycles. The
-// concurrency contract mirrors the engine's two-phase BFS: Intern/Probe/
-// State/Len/Stats may be called concurrently during a level; Maintain and
-// Close require quiescence (the engine calls them only at level barriers
-// and after replay).
+// concurrency contract mirrors the engine's two-phase BFS: Intern/
+// InternBytes/Probe/State/Len/Stats may be called concurrently during a
+// level; Maintain and Close require quiescence (the engine calls them only
+// at level barriers and after replay).
 package store
 
 import (
@@ -36,12 +40,13 @@ import (
 type Kind string
 
 const (
-	// Mem is the RAM-resident sharded map (the default; "" resolves to it).
+	// Mem is the exact RAM-resident store (the default; "" resolves to it).
 	Mem Kind = "mem"
 	// Spill keeps the fingerprint index in RAM and spills state payloads
 	// to compressed segment files under a byte budget.
 	Spill Kind = "spill"
-	// Bitstate is the lossy fingerprint-only sweep. Unsound by design.
+	// Bitstate is the lossy sweep that trusts fingerprint matches. Unsound
+	// by design.
 	Bitstate Kind = "bitstate"
 )
 
@@ -111,12 +116,15 @@ type Stats struct {
 	Kind Kind
 	// States is the number of states interned.
 	States int
-	// BytesInRAM is the resident footprint estimate: payload bytes still
-	// in memory plus index overhead.
+	// BytesInRAM is the resident footprint: the payload bytes still in
+	// memory (an estimate per state, see sizeOf) plus IndexBytes.
 	BytesInRAM int64
+	// IndexBytes is the fingerprint index's measured footprint, from its
+	// arrays' capacity: 8 bytes of fingerprint and 4 of id per slot.
+	IndexBytes int64
 	// MaxBytes echoes the configured budget (spill only).
 	MaxBytes int64
-	// ShardBytes is the per-shard resident payload accounting (mem only).
+	// ShardBytes is BytesInRAM per shard (mem and bitstate only).
 	ShardBytes []int64
 	// SpilledStates counts states whose payloads live on disk.
 	SpilledStates int
@@ -149,9 +157,9 @@ type Stats struct {
 }
 
 // StateStore is the visited set of one exploration run. Implementations
-// are safe for concurrent Intern/Probe/State/Len/Stats during a level;
-// Maintain and Close require all workers quiescent (the engine's level
-// barriers provide exactly that).
+// are safe for concurrent Intern/InternBytes/Probe/State/Len/Stats during
+// a level; Maintain and Close require all workers quiescent (the engine's
+// level barriers provide exactly that).
 type StateStore[S comparable] interface {
 	// Intern returns the provisional id of s, assigning a fresh dense id
 	// (in interning order, starting at 0) on first sight. Exact backends
@@ -159,6 +167,16 @@ type StateStore[S comparable] interface {
 	// bitstate backend trusts the fingerprint and may merge distinct
 	// states.
 	Intern(s S) (id int32, fresh bool)
+	// InternBytes is Intern for a string state handed over as its bytes,
+	// the expansion hot path's zero-copy route: a dedup hit materializes
+	// no string. It must be called only when S is string (it panics
+	// otherwise). b must be the exact payload (the state is string(b)),
+	// and h must equal what the fingerprint passed to New returns for
+	// string(b): the caller hashes, the store never re-derives h.
+	// InternBytes(h, b) and Intern(string(b)) are interchangeable — same
+	// id assignment, same dedup, same Stats — and b is fully consumed
+	// before InternBytes returns, so callers may reuse the buffer.
+	InternBytes(h uint64, b []byte) (id int32, fresh bool)
 	// State returns the payload interned under id. The id must have been
 	// returned by Intern, and the read must be ordered after the write
 	// (same-shard mutual exclusion during a level, or a level barrier).
@@ -181,30 +199,6 @@ type StateStore[S comparable] interface {
 	Close() error
 }
 
-// BytesInterner is the optional zero-copy extension every built-in backend
-// implements for string-typed states: the expansion hot path interns a
-// successor directly from its encoded bytes, without materializing a
-// string per generated state. The contract binding it to Intern:
-//
-//   - b must be the exact payload bytes of the state (for string states,
-//     the bytes ARE the state: string(b)).
-//   - h must equal what the fingerprint function passed to New returns
-//     for the materialized state. The caller hashes the bytes; the store
-//     never re-derives h.
-//   - InternBytes(h, b) and Intern(string(b)) are interchangeable: same
-//     id assignment, same dedup, same Stats accounting. b is fully
-//     consumed before InternBytes returns — callers may reuse the buffer
-//     immediately.
-//
-// BytesSupported reports whether the extension is live for the store's
-// state type; when it returns false, InternBytes must not be called. The
-// engine probes with a type assertion and falls back to the materializing
-// Intern path when the extension is absent or unsupported.
-type BytesInterner interface {
-	InternBytes(h uint64, b []byte) (id int32, fresh bool)
-	BytesSupported() bool
-}
-
 // New builds the configured backend. shards is the stripe count (a power
 // of two, chosen by the caller from its worker count) and fp the state
 // fingerprint. The spill backend additionally needs a payload codec for S
@@ -214,12 +208,10 @@ func New[S comparable](cfg Config, shards int, fp func(S) uint64) (StateStore[S]
 		return nil, fmt.Errorf("store: shard count %d is not a positive power of two", shards)
 	}
 	switch cfg.ResolvedKind() {
-	case Mem:
-		return newMemStore[S](shards, fp), nil
+	case Mem, Bitstate:
+		return newMemStore[S](cfg, shards, fp), nil
 	case Spill:
 		return newSpillStore[S](cfg, shards, fp)
-	case Bitstate:
-		return newBitStore[S](cfg, shards, fp), nil
 	default:
 		return nil, fmt.Errorf("%w: %q", ErrUnknownKind, cfg.Kind)
 	}

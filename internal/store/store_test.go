@@ -8,8 +8,8 @@ import (
 )
 
 // stringFP mirrors the engine's string fingerprint shape: deterministic,
-// well spread. Tests that need collisions use the bitstate mask knob
-// instead of degrading this.
+// well spread. Tests that need collisions mask it: the bitstate
+// FingerprintBits knob, or TestConformanceInsertLookup's 2-bit run.
 func stringFP(s string) uint64 {
 	const prime64 = 1099511628211
 	h := uint64(14695981039346656037)
@@ -49,60 +49,73 @@ func testStates(n int) []string {
 // TestConformanceInsertLookup drives the shared insert/lookup/confirm
 // semantics through every backend: dense ids in interning order, stable
 // re-interning, payload round-trips and Probe visibility — including
-// across Maintain-driven spilling.
+// across Maintain-driven spilling. The exact backends run a second time
+// under a 2-bit fingerprint, where every state of a shard shares one
+// fingerprint and each lookup must confirm its way past the others'
+// payloads, resident or (spill-tiny) read back from disk.
 func TestConformanceInsertLookup(t *testing.T) {
+	fp2 := func(s string) uint64 { return stringFP(s) & 3 }
+	cfgs := backendConfigs(t)
+	for name, cfg := range cfgs {
+		t.Run(name, func(t *testing.T) { conformInsertLookup(t, cfg, stringFP) })
+	}
+	for _, name := range []string{"mem", "spill-tiny"} {
+		t.Run(name+"-fp2", func(t *testing.T) { conformInsertLookup(t, cfgs[name], fp2) })
+	}
+}
+
+func conformInsertLookup(t *testing.T, cfg Config, fp func(string) uint64) {
 	const n = 4096 // > 1 page, so spill-tiny moves multiple pages to disk
 	states := testStates(n)
-	for name, cfg := range backendConfigs(t) {
-		t.Run(name, func(t *testing.T) {
-			st, err := New[string](cfg, 4, stringFP)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer st.Close()
-			for i, s := range states {
-				id, fresh := st.Intern(s)
-				if !fresh || id != int32(i) {
-					t.Fatalf("Intern(%q) = (%d, %v), want (%d, true)", s, id, fresh, i)
-				}
-			}
-			if st.Len() != n {
-				t.Fatalf("Len = %d, want %d", st.Len(), n)
-			}
-			// Barrier-equivalent: enforce the budget, then re-check everything.
-			if err := st.Maintain(int32(n)); err != nil {
-				t.Fatal(err)
-			}
-			for i, s := range states {
-				if got := st.State(int32(i)); got != s {
-					t.Fatalf("State(%d) = %q, want %q", i, got, s)
-				}
-				id, fresh := st.Intern(s)
-				if fresh || id != int32(i) {
-					t.Fatalf("re-Intern(%q) = (%d, %v), want (%d, false)", s, id, fresh, i)
-				}
-				pid, ok := st.Probe(s)
-				if !ok || pid != int32(i) {
-					t.Fatalf("Probe(%q) = (%d, %v), want (%d, true)", s, pid, ok, i)
-				}
-			}
-			if _, ok := st.Probe("never-interned"); ok {
-				t.Fatal("Probe of an unknown state reported a hit")
-			}
-			if st.Len() != n {
-				t.Fatalf("Len after re-interning = %d, want %d", st.Len(), n)
-			}
-			ss := st.Stats()
-			if ss.States != n {
-				t.Fatalf("Stats.States = %d, want %d", ss.States, n)
-			}
-			if ss.Lossy != (cfg.Kind == Bitstate) {
-				t.Fatalf("Stats.Lossy = %v for kind %q", ss.Lossy, cfg.ResolvedKind())
-			}
-			if ss.Kind != cfg.ResolvedKind() {
-				t.Fatalf("Stats.Kind = %q, want %q", ss.Kind, cfg.ResolvedKind())
-			}
-		})
+	st, err := New[string](cfg, 4, fp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	for i, s := range states {
+		id, fresh := st.Intern(s)
+		if !fresh || id != int32(i) {
+			t.Fatalf("Intern(%q) = (%d, %v), want (%d, true)", s, id, fresh, i)
+		}
+	}
+	if st.Len() != n {
+		t.Fatalf("Len = %d, want %d", st.Len(), n)
+	}
+	// Barrier-equivalent: enforce the budget, then re-check everything.
+	if err := st.Maintain(int32(n)); err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range states {
+		if got := st.State(int32(i)); got != s {
+			t.Fatalf("State(%d) = %q, want %q", i, got, s)
+		}
+		id, fresh := st.Intern(s)
+		if fresh || id != int32(i) {
+			t.Fatalf("re-Intern(%q) = (%d, %v), want (%d, false)", s, id, fresh, i)
+		}
+		pid, ok := st.Probe(s)
+		if !ok || pid != int32(i) {
+			t.Fatalf("Probe(%q) = (%d, %v), want (%d, true)", s, pid, ok, i)
+		}
+	}
+	if _, ok := st.Probe("never-interned"); ok {
+		t.Fatal("Probe of an unknown state reported a hit")
+	}
+	if st.Len() != n {
+		t.Fatalf("Len after re-interning = %d, want %d", st.Len(), n)
+	}
+	ss := st.Stats()
+	if ss.States != n {
+		t.Fatalf("Stats.States = %d, want %d", ss.States, n)
+	}
+	if ss.Lossy != (cfg.Kind == Bitstate) {
+		t.Fatalf("Stats.Lossy = %v for kind %q", ss.Lossy, cfg.ResolvedKind())
+	}
+	if ss.Kind != cfg.ResolvedKind() {
+		t.Fatalf("Stats.Kind = %q, want %q", ss.Kind, cfg.ResolvedKind())
+	}
+	if ss.SpilledStates > 0 && ss.CollisionConfirms == 0 {
+		t.Fatal("re-interning spilled states confirmed nothing against their segments")
 	}
 }
 
@@ -317,40 +330,70 @@ func TestParseFlags(t *testing.T) {
 	}
 }
 
-// TestStatsByteAccounting sanity-checks the mem backend's per-shard
-// accounting: shard totals are positive where populated and sum to
-// BytesInRAM.
+// TestStatsByteAccounting pins every backend's byte accounting: the
+// index is measured from its arrays (12 bytes a slot, at most 13/16 full),
+// BytesInRAM is the resident payload estimate plus the index, and the mem
+// and bitstate per-shard figures sum to it.
 func TestStatsByteAccounting(t *testing.T) {
-	st, err := New[string](Config{Kind: Mem}, 4, stringFP)
-	if err != nil {
-		t.Fatal(err)
+	const n = 500
+	states := testStates(n)
+	var payload int64
+	for _, s := range states {
+		payload += sizeOf(s)
 	}
-	defer st.Close()
-	for _, s := range testStates(500) {
-		st.Intern(s)
-	}
-	ss := st.Stats()
-	if len(ss.ShardBytes) != 4 {
-		t.Fatalf("ShardBytes has %d entries, want 4", len(ss.ShardBytes))
-	}
-	var sum int64
-	for i, b := range ss.ShardBytes {
-		if b <= 0 {
-			t.Fatalf("shard %d accounts %d bytes over 500 well-spread states", i, b)
-		}
-		sum += b
-	}
-	if sum != ss.BytesInRAM || sum < 500*memEntryOverhead {
-		t.Fatalf("BytesInRAM %d vs shard sum %d", ss.BytesInRAM, sum)
+	for name, cfg := range backendConfigs(t) {
+		t.Run(name, func(t *testing.T) {
+			st, err := New[string](cfg, 4, stringFP)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			for _, s := range states {
+				st.Intern(s)
+			}
+			ss := st.Stats()
+			if ss.IndexBytes%indexSlotBytes != 0 || ss.IndexBytes*13 <= n*16*indexSlotBytes {
+				t.Fatalf("IndexBytes = %d for %d states, want whole 12-byte slots at most 13/16 full", ss.IndexBytes, n)
+			}
+			if ss.BytesInRAM != payload+ss.IndexBytes {
+				t.Fatalf("BytesInRAM = %d, want payload %d + index %d", ss.BytesInRAM, payload, ss.IndexBytes)
+			}
+			if cfg.ResolvedKind() == Spill {
+				if ss.ShardBytes != nil {
+					t.Fatalf("spill reports ShardBytes %v", ss.ShardBytes)
+				}
+				if err := st.Maintain(n); err != nil {
+					t.Fatal(err)
+				}
+				if after := st.Stats(); after.SpilledStates > 0 && after.BytesInRAM-after.IndexBytes >= payload {
+					t.Fatalf("spilling %d states left resident payload at %d of %d bytes",
+						after.SpilledStates, after.BytesInRAM-after.IndexBytes, payload)
+				}
+				return
+			}
+			if len(ss.ShardBytes) != 4 {
+				t.Fatalf("ShardBytes has %d entries, want 4", len(ss.ShardBytes))
+			}
+			var sum int64
+			for i, b := range ss.ShardBytes {
+				if b <= indexInitSlots*indexSlotBytes {
+					t.Fatalf("shard %d accounts %d bytes over %d well-spread states", i, b, n)
+				}
+				sum += b
+			}
+			if sum != ss.BytesInRAM {
+				t.Fatalf("BytesInRAM %d vs shard sum %d", ss.BytesInRAM, sum)
+			}
+		})
 	}
 }
 
-// TestConformanceInternBytes drives the BytesInterner extension through
-// every backend: InternBytes and Intern must be interchangeable — same id
-// assignment, same dedup verdicts, same payload round-trips — whether a
-// state first arrives as a string or as raw bytes, including across
-// Maintain-driven spilling and under the bitstate backend's lossy merge
-// (which InternBytes must reproduce exactly).
+// TestConformanceInternBytes drives InternBytes through every backend:
+// InternBytes and Intern must be interchangeable — same id assignment,
+// same dedup verdicts, same payload round-trips — whether a state first
+// arrives as a string or as raw bytes, including across Maintain-driven
+// spilling and under the bitstate backend's lossy merge (which InternBytes
+// must reproduce exactly).
 func TestConformanceInternBytes(t *testing.T) {
 	const n = 4096
 	states := testStates(n)
@@ -362,17 +405,13 @@ func TestConformanceInternBytes(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer st.Close()
-			bi, ok := any(st).(BytesInterner)
-			if !ok || !bi.BytesSupported() {
-				t.Fatalf("backend %q does not support bytes interning for string states", name)
-			}
 			buf := make([]byte, 0, 64)
 			for i, s := range states {
 				buf = append(buf[:0], s...)
 				var id int32
 				var fresh bool
 				if i%2 == 0 {
-					id, fresh = bi.InternBytes(fpBytes(buf), buf)
+					id, fresh = st.InternBytes(fpBytes(buf), buf)
 				} else {
 					id, fresh = st.Intern(s)
 				}
@@ -395,7 +434,7 @@ func TestConformanceInternBytes(t *testing.T) {
 				if i%2 == 0 {
 					id, fresh = st.Intern(s)
 				} else {
-					id, fresh = bi.InternBytes(fpBytes(buf), buf)
+					id, fresh = st.InternBytes(fpBytes(buf), buf)
 				}
 				if fresh || id != int32(i) {
 					t.Fatalf("re-intern of %q = (%d, %v), want (%d, false)", s, id, fresh, i)
@@ -411,37 +450,52 @@ func TestConformanceInternBytes(t *testing.T) {
 	}
 }
 
-// TestInternBytesUnsupported checks that non-string stores report the
-// extension as unavailable rather than mis-serializing.
-func TestInternBytesUnsupported(t *testing.T) {
-	st, err := New[int](Config{}, 1, func(p int) uint64 { return uint64(p) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	bi, ok := any(st).(BytesInterner)
-	if !ok {
-		t.Fatal("mem store does not implement BytesInterner")
-	}
-	if bi.BytesSupported() {
-		t.Fatal("BytesSupported() = true for int states")
-	}
-}
-
-// TestMemInternHitAllocsNothing: a dedup hit on the mem store — the
-// overwhelmingly common Intern outcome — must not heap-box the state,
-// which an address-taking fingerprint call through a func value would.
+// TestMemInternHitAllocsNothing: a dedup hit — the overwhelmingly common
+// intern outcome — allocates nothing on any backend, through Intern or
+// InternBytes. In particular Intern must not heap-box the state, which an
+// address-taking fingerprint call through a func value would, and the
+// spill hit confirms against the resident payload without a copy.
 func TestMemInternHitAllocsNothing(t *testing.T) {
-	st := newMemStore[int](1, func(v int) uint64 { return uint64(v) * 0x9e3779b97f4a7c15 })
+	states := testStates(100)
+	for name, cfg := range backendConfigs(t) {
+		t.Run(name, func(t *testing.T) {
+			st, err := New[string](cfg, 1, stringFP)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			for _, s := range states {
+				st.Intern(s)
+			}
+			s := states[42]
+			b := []byte(s)
+			h := stringFP(s)
+			if allocs := testing.AllocsPerRun(100, func() {
+				if _, fresh := st.Intern(s); fresh {
+					t.Fatal("re-interned state reported fresh")
+				}
+			}); allocs != 0 {
+				t.Fatalf("dedup-hit Intern allocates %v times, want 0", allocs)
+			}
+			if allocs := testing.AllocsPerRun(100, func() {
+				if _, fresh := st.InternBytes(h, b); fresh {
+					t.Fatal("re-interned bytes reported fresh")
+				}
+			}); allocs != 0 {
+				t.Fatalf("dedup-hit InternBytes allocates %v times, want 0", allocs)
+			}
+		})
+	}
+	ints := newMemStore[int](Config{}, 1, func(v int) uint64 { return uint64(v) * 0x9e3779b97f4a7c15 })
 	for v := 0; v < 100; v++ {
-		st.Intern(v)
+		ints.Intern(v)
 	}
 	if allocs := testing.AllocsPerRun(100, func() {
-		if _, fresh := st.Intern(42); fresh {
+		if _, fresh := ints.Intern(42); fresh {
 			t.Fatal("re-interned state reported fresh")
 		}
 	}); allocs != 0 {
-		t.Fatalf("dedup-hit Intern allocates %v times, want 0", allocs)
+		t.Fatalf("dedup-hit Intern of an int state allocates %v times, want 0", allocs)
 	}
 }
 
