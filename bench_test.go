@@ -627,8 +627,8 @@ func BenchmarkE08KnowledgeLevels(b *testing.B) {
 }
 
 // Layer benchmarks for the verdict path. BenchmarkVerdictFull is the
-// whole FLP verdict on wait-quorum n=4 at resilience 1 (exploration,
-// validity re-explorations and analysis passes); BenchmarkGraphPasses
+// whole FLP verdict on wait-quorum n=4 at resilience 1 (one exploration
+// and the analysis passes over its graph); BenchmarkGraphPasses
 // times the analysis passes alone on one prebuilt graph of the same
 // system. Both report allocations, so `-benchmem` reads off B/op for the
 // graph layout and the passes that index it.
@@ -755,7 +755,7 @@ func BenchmarkGraphPasses(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := g.Valence(decide); err != nil {
+		if _, err := g.Valence(func(i int) (int, bool) { return decide(g.State(i)) }); err != nil {
 			b.Fatal(err)
 		}
 		g.FairLassoWithin(func(i int) bool { return undecided[i] }, core.WeakFairness, n)

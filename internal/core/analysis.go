@@ -50,11 +50,11 @@ type ValenceInfo struct {
 }
 
 // Valence computes attainable-decision sets for every state. decide
-// reports whether a state is a decided state and with which value
-// (0 ≤ value < MaxDecisionValues). Decidedness is usually a property of
-// terminal states, but intermediate decided states are handled too: their
-// own value is included along with everything reachable beyond them.
-func (g *Graph[S]) Valence(decide func(S) (int, bool)) (*ValenceInfo, error) {
+// reports whether the state with id i is a decided state and with which
+// value (0 ≤ value < MaxDecisionValues). Decidedness is usually a property
+// of terminal states, but intermediate decided states are handled too:
+// their own value is included along with everything reachable beyond them.
+func (g *Graph[S]) Valence(decide func(i int) (int, bool)) (*ValenceInfo, error) {
 	n := len(g.states)
 	masks := make([]uint64, n)
 	// Reverse adjacency for backward propagation, in compressed sparse
@@ -79,8 +79,8 @@ func (g *Graph[S]) Valence(decide func(S) (int, bool)) (*ValenceInfo, error) {
 	}
 	queue := make([]int, 0, n)
 	inQueue := make([]bool, n)
-	for i, s := range g.states {
-		if v, ok := decide(s); ok {
+	for i := range g.states {
+		if v, ok := decide(i); ok {
 			if v < 0 || v >= MaxDecisionValues {
 				return nil, fmt.Errorf("core: decision value %d out of range [0,%d)", v, MaxDecisionValues)
 			}
@@ -199,30 +199,16 @@ type LivenessResult struct {
 // a fair-cycle (livelock) lasso. This is the workhorse for progress and
 // lockout-freedom conditions (§2.1).
 func (g *Graph[S]) CheckLeadsTo(premise, goal func(S) bool, fair Fairness, numActors int) LivenessResult {
-	n := len(g.states)
-	goalSet := make([]bool, n)
+	goalSet := make([]bool, len(g.states))
+	var premised []int
 	for i, s := range g.states {
 		goalSet[i] = goal(s)
+		if premise(s) {
+			premised = append(premised, i)
+		}
 	}
 	// H = states reachable from a premise state without entering goal.
-	inH := make([]bool, n)
-	var stack []int
-	for i, s := range g.states {
-		if premise(s) && !goalSet[i] && !inH[i] {
-			inH[i] = true
-			stack = append(stack, i)
-		}
-	}
-	for len(stack) > 0 {
-		i := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, e := range g.out(i) {
-			if !goalSet[e.To] && !inH[e.To] {
-				inH[e.To] = true
-				stack = append(stack, int(e.To))
-			}
-		}
-	}
+	inH := g.ReachableWithin(premised, func(i int) bool { return !goalSet[i] })
 	// Deadlock: terminal state inside H (a truncated graph's cut-off
 	// states are not terminal).
 	for i := range g.states {
@@ -242,12 +228,18 @@ func (g *Graph[S]) CheckLeadsTo(premise, goal func(S) bool, fair Fairness, numAc
 // whole prefix stays inside the set). This is how a bivalence argument
 // exhibits its non-deciding admissible execution: allowed = bivalent.
 func (g *Graph[S]) FairLassoWithin(allowed func(int) bool, fair Fairness, numActors int) (Lasso, bool) {
-	n := len(g.states)
-	inH := make([]bool, n)
+	return g.fairCycleWithin(g.ReachableWithin(g.inits, allowed), fair, numActors)
+}
+
+// ReachableWithin returns the set of states reachable from starts along
+// paths that never leave the allowed set: a start that is not allowed is
+// not in it, and neither is anything reached only through such a state.
+func (g *Graph[S]) ReachableWithin(starts []int, allowed func(int) bool) []bool {
+	in := make([]bool, len(g.states))
 	var stack []int
-	for _, i := range g.inits {
-		if allowed(i) {
-			inH[i] = true
+	for _, i := range starts {
+		if allowed(i) && !in[i] {
+			in[i] = true
 			stack = append(stack, i)
 		}
 	}
@@ -255,13 +247,13 @@ func (g *Graph[S]) FairLassoWithin(allowed func(int) bool, fair Fairness, numAct
 		i := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		for _, e := range g.out(i) {
-			if allowed(int(e.To)) && !inH[e.To] {
-				inH[e.To] = true
+			if !in[e.To] && allowed(int(e.To)) {
+				in[e.To] = true
 				stack = append(stack, int(e.To))
 			}
 		}
 	}
-	return g.fairCycleWithin(inH, fair, numActors)
+	return in
 }
 
 // fairCycleWithin finds a fair cycle entirely inside the state set inH.

@@ -131,7 +131,7 @@ func TestValenceDiamond(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Explore: %v", err)
 	}
-	v, err := g.Valence(diamondDecide)
+	v, err := g.Valence(func(i int) (int, bool) { return diamondDecide(g.State(i)) })
 	if err != nil {
 		t.Fatalf("Valence: %v", err)
 	}
@@ -170,7 +170,7 @@ func TestValenceRejectsOutOfRange(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Explore: %v", err)
 	}
-	if _, err := g.Valence(func(s int) (int, bool) { return 99, s == 1 }); err == nil {
+	if _, err := g.Valence(func(i int) (int, bool) { return 99, g.State(i) == 1 }); err == nil {
 		t.Fatal("expected error for value >= MaxDecisionValues")
 	}
 }

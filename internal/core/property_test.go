@@ -56,11 +56,11 @@ func TestValenceMonotoneProperty(t *testing.T) {
 		decided := make(map[int]int)
 		for i := 0; i < g.Len(); i++ {
 			if rng.Intn(4) == 0 {
-				decided[g.State(i)] = rng.Intn(3)
+				decided[i] = rng.Intn(3)
 			}
 		}
-		decide := func(s int) (int, bool) {
-			v, ok := decided[s]
+		decide := func(i int) (int, bool) {
+			v, ok := decided[i]
 			return v, ok
 		}
 		val, err := g.Valence(decide)
@@ -69,7 +69,7 @@ func TestValenceMonotoneProperty(t *testing.T) {
 		}
 		for i := 0; i < g.Len(); i++ {
 			want := uint64(0)
-			if v, ok := decide(g.State(i)); ok {
+			if v, ok := decide(i); ok {
 				want |= 1 << uint(v)
 			}
 			for _, st := range g.Successors(i) {

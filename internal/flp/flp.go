@@ -13,6 +13,7 @@ package flp
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -175,7 +176,9 @@ type Report struct {
 	// processes decided differently, with a witness execution.
 	AgreementViolated bool
 	AgreementWitness  core.Trace
-	// ValidityViolated reports a decided value that is not any input.
+	// ValidityViolated reports that, from the all-v input for some v, a
+	// configuration in which some process decided a value other than v is
+	// reachable.
 	ValidityViolated bool
 	// NondecidingLasso is a weakly-fair infinite execution confined to
 	// undecided configurations, if one exists.
@@ -201,9 +204,6 @@ type Report struct {
 
 // AnalyzeOptions configures Analyze.
 type AnalyzeOptions struct {
-	// InputVectors are the initial input assignments to explore together
-	// (default: all binary vectors).
-	InputVectors [][]int
 	// Resilience is the number of crash events the adversary may inject
 	// (default 1, per the FLP setting). Set to 0 to analyze the
 	// crash-free graph.
@@ -213,17 +213,16 @@ type AnalyzeOptions struct {
 	// Parallelism is the exploration worker count (0 = GOMAXPROCS). The
 	// configuration graph is identical at any worker count.
 	Parallelism int
-	// Stats, when non-nil, receives the telemetry of the main
-	// configuration-graph exploration (the uniform-vector validity
-	// explorations are not included).
+	// Stats, when non-nil, receives the telemetry of the configuration-graph
+	// exploration.
 	Stats *engine.Stats
-	// Canon, when non-nil, quotients every exploration (main and validity)
-	// by the given configuration symmetry — see PermutationCanon. Only
-	// process-relabeling symmetries are admissible here: the analysis
-	// evaluates per-value predicates (validity pins the decided value), so
-	// a value-relabeling canon would corrupt the verdicts even where it is
-	// sound. Counts in the Report (States, Edges, BivalentConfigs) then
-	// describe the quotient graph; the boolean verdicts are unchanged.
+	// Canon, when non-nil, quotients the exploration by the given
+	// configuration symmetry — see PermutationCanon. Only process-relabeling
+	// symmetries are admissible here: the analysis evaluates per-value
+	// predicates (validity pins the decided value), so a value-relabeling
+	// canon would corrupt the verdicts even where it is sound. Counts in the
+	// Report (States, Edges, BivalentConfigs) then describe the quotient
+	// graph; the boolean verdicts are unchanged.
 	Canon func(string) string
 	// VerifyCanon, when > 0, samples raw configurations (every one whose
 	// fingerprint is ≡ 0 mod VerifyCanon; 1 = all) and fails the analysis
@@ -237,18 +236,18 @@ type AnalyzeOptions struct {
 	// cross-checks the two on sampled configurations.
 	CanonBytes any
 	// VerifyAliasing, when > 0, enables the engine's buffer-aliasing
-	// falsifier on every exploration (every configuration whose
+	// falsifier on the exploration (every configuration whose
 	// fingerprint is ≡ 0 mod VerifyAliasing is re-expanded over poisoned
 	// scratch; 1 = all) and fails the analysis with
 	// engine.ErrAliasUnsound on divergence — see engine.Options.
 	VerifyAliasing int
 	// Independent, when non-nil, applies ample-set partial-order reduction
-	// to every exploration (main and validity) under the given independence
-	// relation — see DeliveryIndependence. The reduced graph preserves the
-	// boolean verdicts (bivalence, agreement, validity, deadlock, fair
-	// lasso) but not per-interleaving structure: States, Edges and
-	// BivalentConfigs then describe the reduced graph, and DeciderFound — a
-	// property of the full branching — is not meaningful under reduction.
+	// to the exploration under the given independence relation — see
+	// DeliveryIndependence. The reduced graph preserves the boolean verdicts
+	// (bivalence, agreement, validity, deadlock, fair lasso) but not
+	// per-interleaving structure: States, Edges and BivalentConfigs then
+	// describe the reduced graph, and DeciderFound — a property of the full
+	// branching — is not meaningful under reduction.
 	Independent func(string, engine.Action[string], engine.Action[string]) bool
 	// Visible marks the deliveries whose ordering the analyzer's predicates
 	// observe, keeping them out of proper ample sets — see
@@ -259,18 +258,17 @@ type AnalyzeOptions struct {
 	// with engine.ErrPORUnsound if a declared-independent pair of events
 	// does not commute there.
 	VerifyPOR int
-	// Sink, when non-nil, streams the telemetry of the main
-	// configuration-graph exploration (like Stats, the uniform-vector
-	// validity explorations are excluded, so a trace carries exactly one
-	// run whose final snapshot equals the exploration's Stats).
+	// Sink, when non-nil, streams the telemetry of the configuration-graph
+	// exploration: a trace carries exactly one run, whose final snapshot
+	// equals the exploration's Stats.
 	Sink obs.Sink
 	// SnapshotEvery is the timer-driven snapshot period (only meaningful
 	// with Sink; zero = engine.DefaultSnapshotEvery, negative = barrier
 	// events only).
 	SnapshotEvery time.Duration
-	// Store selects the visited-set backend for every exploration (main and
-	// validity). A lossy backend sets Report.Lossy and downgrades the
-	// verdicts — see Report.Lossy. See store.Config.
+	// Store selects the visited-set backend of the exploration. A lossy
+	// backend sets Report.Lossy and downgrades the verdicts — see
+	// Report.Lossy. See store.Config.
 	Store store.Config
 }
 
@@ -286,19 +284,16 @@ func NewSystem(p Protocol, inputVectors [][]int, resilience int) core.System[str
 	return &system{p: p, inputVectors: inputVectors, resilience: resilience}
 }
 
-// Analyze explores the protocol's configuration graph and runs the full
-// bivalence analysis.
+// Analyze explores the protocol's configuration graph once and runs the
+// full bivalence analysis on it: valence, agreement, validity and both
+// liveness horns all read one decision column of that graph.
 func Analyze(p Protocol, opts AnalyzeOptions) (Report, error) {
 	n := p.NumProcs()
-	vectors := opts.InputVectors
-	if len(vectors) == 0 {
-		vectors = allBinaryVectors(n)
-	}
 	resilience := 1
 	if opts.Resilience != nil {
 		resilience = *opts.Resilience
 	}
-	sys := &system{p: p, inputVectors: vectors, resilience: resilience}
+	sys := &system{p: p, inputVectors: allBinaryVectors(n), resilience: resilience}
 	eopts := engine.Options{
 		MaxStates: opts.MaxStates, Parallelism: opts.Parallelism, Stats: opts.Stats,
 		VerifyCanon: opts.VerifyCanon, CanonBytes: opts.CanonBytes, Visible: opts.Visible,
@@ -318,20 +313,30 @@ func Analyze(p Protocol, opts AnalyzeOptions) (Report, error) {
 	}
 	rep := Report{Protocol: p.Name(), States: g.Len(), Edges: g.NumEdges(), Lossy: opts.Store.Lossy()}
 
-	// decideConfig reads only the process-state section: the in-flight
-	// multiset never bears on a decision.
-	decideConfig := func(c config) (int, bool) {
-		states := configStates(c)
+	// The decision column: each configuration decoded once, from its
+	// process-state section only (the in-flight multiset never bears on a
+	// decision).
+	dec := make([]int8, g.Len())
+	for i := range dec {
+		dec[i] = undecided
+		states := configStates(g.State(i))
 		for q := 0; q < n; q++ {
 			var st string
 			st, states, _ = strings.Cut(states, "\x1e")
-			if v, ok := p.Decide(q, st); ok {
-				return v, true
+			v, ok := p.Decide(q, st)
+			switch {
+			case !ok:
+			case v != 0 && v != 1:
+				return rep, fmt.Errorf("flp: %s: process %d decides %d, not a binary value", p.Name(), q, v)
+			case dec[i] == undecided:
+				dec[i] = int8(v)
+			case int8(v) != dec[i]&1:
+				dec[i] |= conflict
 			}
 		}
-		return 0, false
 	}
-	val, err := g.Valence(decideConfig)
+
+	val, err := g.Valence(func(i int) (int, bool) { return int(dec[i] & 1), dec[i] != undecided })
 	if err != nil {
 		return rep, fmt.Errorf("flp: valence of %s: %w", p.Name(), err)
 	}
@@ -344,62 +349,50 @@ func Analyze(p Protocol, opts AnalyzeOptions) (Report, error) {
 	_, rep.DeciderFound = g.Decider(val)
 
 	// Agreement: no reachable configuration with contradictory decisions.
-	if _, tr, ok := g.CheckInvariant(func(c config) bool {
-		states := configStates(c)
-		seen := -1
-		for q := 0; q < n; q++ {
-			var st string
-			st, states, _ = strings.Cut(states, "\x1e")
-			if v, ok := p.Decide(q, st); ok {
-				if seen >= 0 && v != seen {
-					return false
-				}
-				seen = v
-			}
+	for i, d := range dec {
+		if d >= conflict {
+			rep.AgreementViolated = true
+			rep.AgreementWitness = g.PathTo(i)
+			break
 		}
-		return true
-	}); !ok {
-		rep.AgreementViolated = true
-		rep.AgreementWitness = tr
 	}
 
-	// Validity (binary inputs): a decided value must be 0 or 1 here, and
-	// under a uniform input vector it must be that value. Checked by
-	// exploring the uniform vectors separately, with the main exploration's
-	// options minus its telemetry. Uniform-vector initials are fixed points
-	// of any process relabeling, so a Canon quotient is sound here too.
-	guOpts := eopts
-	guOpts.Stats, guOpts.Sink = nil, nil
-	for _, v := range []int{0, 1} {
-		uniform := make([]int, n)
-		for i := range uniform {
-			uniform[i] = v
+	// Validity (binary inputs): from the all-v input no process decides
+	// anything but v. That input's initial configuration is one of the
+	// graph's initials, so this is reachability from it. Under Canon the
+	// initial is its own representative: a uniform input is a fixed point
+	// of every process relabeling. Under POR the part of the reduced graph
+	// reached from it is a reduction for that initial alone (its cycles are
+	// cycles of the whole graph, so they met the cycle proviso), and
+	// DecisionVisibility keeps the decisions read here visible.
+	inits := g.Initials()
+	// The all-0 and all-1 inputs are the first and last binary vectors.
+	for v, in := range [][]int{sys.inputVectors[0], sys.inputVectors[len(sys.inputVectors)-1]} {
+		c := sys.initialFor(in)
+		if opts.Canon != nil {
+			c = opts.Canon(c)
 		}
-		gu, err := core.Explore[config](&system{p: p, inputVectors: [][]int{uniform}, resilience: resilience}, guOpts)
-		if err != nil {
-			return rep, fmt.Errorf("flp: validity exploration of %s: %w", p.Name(), err)
+		k := slices.IndexFunc(inits, func(i int) bool { return g.State(i) == c })
+		if k < 0 {
+			if rep.Lossy {
+				continue // a lossy store may have merged it away
+			}
+			return rep, fmt.Errorf("flp: %s: the all-%d initial configuration is not among the graph's initials", p.Name(), v)
 		}
-		if _, _, ok := gu.CheckInvariant(func(c config) bool {
-			d, decided := decideConfig(c)
-			return !decided || d == v
-		}); !ok {
-			rep.ValidityViolated = true
+		for i, r := range g.ReachableWithin(inits[k:k+1], func(int) bool { return true }) {
+			if r && dec[i] != undecided && dec[i] != int8(v) {
+				rep.ValidityViolated = true
+			}
 		}
 	}
 
 	// Liveness horns: a fair undecided lasso, or an undecided deadlock.
-	// Each configuration is decoded once here, not on every edge the
-	// lasso search visits.
-	undecided := make([]bool, g.Len())
-	for i := range undecided {
-		_, decided := decideConfig(g.State(i))
-		undecided[i] = !decided
-	}
-	if lasso, ok := g.FairLassoWithin(func(i int) bool { return undecided[i] }, core.WeakFairness, n); ok {
+	isUndecided := func(i int) bool { return dec[i] == undecided }
+	if lasso, ok := g.FairLassoWithin(isUndecided, core.WeakFairness, n); ok {
 		rep.NondecidingLasso = &lasso
 	}
 	for _, i := range g.Terminals() {
-		if undecided[i] {
+		if isUndecided(i) {
 			rep.HasDeadlock = true
 			rep.UndecidedDeadlock = g.PathTo(i)
 			break
@@ -409,6 +402,11 @@ func Analyze(p Protocol, opts AnalyzeOptions) (Report, error) {
 		rep.NondecidingLasso == nil && !rep.HasDeadlock
 	return rep, nil
 }
+
+// A decision column entry is undecided, a value v (0 or 1) on which every
+// decided process agrees, or v|conflict when some process decided 1-v
+// after the first decider chose v.
+const undecided, conflict int8 = -1, 2
 
 func allBinaryVectors(n int) [][]int {
 	out := make([][]int, 0, 1<<uint(n))

@@ -1,6 +1,7 @@
 package flp
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -118,6 +119,53 @@ func TestValidityViolationDetected(t *testing.T) {
 	}
 	if rep.HasBivalentInitial {
 		t.Error("a constant protocol has no bivalent configuration")
+	}
+}
+
+// flipProto decides at once: p0 its input, every other process the
+// opposite of its input. Under all-zero inputs a later process decides 1,
+// which validity must see although the first decider's value is 0.
+type flipProto struct{ n int }
+
+func (f flipProto) Name() string                                        { return "flip" }
+func (f flipProto) NumProcs() int                                       { return f.n }
+func (f flipProto) Init(_, input int) string                            { return strconv.Itoa(input) }
+func (f flipProto) AppendInitialSends(_ int, _ string, s []Send) []Send { return s }
+func (f flipProto) AppendStep(dst []byte, _ int, s string, _ int, _ string, sends []Send) ([]byte, []Send) {
+	return append(dst, s...), sends
+}
+func (f flipProto) Decide(p int, s string) (int, bool) {
+	v := int(s[0] - '0')
+	if p > 0 {
+		v = 1 - v
+	}
+	return v, true
+}
+
+func TestValidityReadsEveryDecider(t *testing.T) {
+	rep, err := Analyze(flipProto{n: 2}, AnalyzeOptions{Resilience: intPtr(0)})
+	if err != nil {
+		t.Fatalf("Analyze: %v", err)
+	}
+	if !rep.AgreementViolated {
+		t.Error("p0 and p1 decide opposite values: agreement must fail")
+	}
+	if !rep.ValidityViolated {
+		t.Error("p1 decides 1 under all-zero inputs: validity must fail")
+	}
+}
+
+// twoProto decides 2, which is not a binary value.
+type twoProto struct{ constProto }
+
+func (twoProto) Decide(int, string) (int, bool) { return 2, true }
+
+// TestAnalyzeRejectsNonBinaryDecisions: the decision column holds binary
+// values only, so a protocol that decides anything else is an error.
+func TestAnalyzeRejectsNonBinaryDecisions(t *testing.T) {
+	_, err := Analyze(twoProto{constProto{n: 2}}, AnalyzeOptions{Resilience: intPtr(0)})
+	if err == nil || !strings.Contains(err.Error(), "not a binary value") {
+		t.Fatalf("Analyze error = %v, want a non-binary decision error", err)
 	}
 }
 

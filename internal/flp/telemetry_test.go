@@ -100,10 +100,10 @@ func TestWaitQuorumTelemetryAcceptance(t *testing.T) {
 	}
 }
 
-// TestAnalyzeSinkCoversMainExplorationOnly: Analyze's Sink attaches to the
-// main configuration-graph exploration and not to the uniform-vector
-// validity explorations, so a bivalence trace carries exactly one run and
-// its final totals match Report.States.
+// TestAnalyzeSinkCoversMainExplorationOnly: Analyze explores one
+// configuration graph, and its Sink attaches to that exploration, so a
+// bivalence trace carries exactly one run and its final totals match
+// Report.States.
 func TestAnalyzeSinkCoversMainExplorationOnly(t *testing.T) {
 	var trace bytes.Buffer
 	tw, err := obs.NewTraceWriter(&trace, obs.NewManifest("flp-test"))
@@ -122,7 +122,7 @@ func TestAnalyzeSinkCoversMainExplorationOnly(t *testing.T) {
 		t.Fatalf("trace invalid: %v", err)
 	}
 	if sum.Runs != 1 {
-		t.Fatalf("trace has %d runs, want 1 (validity explorations must not be traced)", sum.Runs)
+		t.Fatalf("trace has %d runs, want 1 (Analyze explores one graph)", sum.Runs)
 	}
 	if sum.FinalStates[0] != rep.States {
 		t.Fatalf("trace final states %d != report states %d", sum.FinalStates[0], rep.States)
