@@ -3,11 +3,9 @@ package registers
 import (
 	"fmt"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/core"
-	"repro/internal/engine"
+	"repro/internal/synth"
 )
 
 // This file mechanizes Herlihy's consensus-number separation (§2.3, [65],
@@ -62,7 +60,8 @@ type ConsSearchConfig struct {
 	LocalStates int
 	// Symmetric makes both processes run the same table.
 	Symmetric bool
-	// StopAtFirst ends the search at the first witness.
+	// StopAtFirst ends the search once the first witness in enumeration
+	// order is known, without checking the pairs after it.
 	StopAtFirst bool
 	// Workers is the parallelism degree; zero means GOMAXPROCS.
 	Workers int
@@ -78,9 +77,12 @@ type ConsResult struct {
 	TablesEnumerated uint64
 	// TablesViable counts tables passing the solo-validity prune.
 	TablesViable uint64
-	// PairsChecked counts protocol pairs model-checked.
+	// PairsChecked counts protocol pairs model-checked. Under StopAtFirst
+	// it depends on scheduling: workers may check pairs past the witness
+	// before they learn of it.
 	PairsChecked uint64
-	// Witness is a working protocol pair, if found.
+	// Witness is the working protocol pair with the smallest enumeration
+	// index, if any, whatever the worker count.
 	Witness *[2]ConsTable
 }
 
@@ -141,141 +143,97 @@ func stateOptions(kind ObjKind, values, locals int) [][]ConsCell {
 // must decide its own input (validity forces this — alone, only its input
 // is present in the system) within a bounded number of steps.
 func soloValid(t ConsTable, locals, values int) bool {
-	for input := 0; input <= 1; input++ {
-		l, v := input, 0
-		limit := locals*values + 2
-		decided := -1
-		for step := 0; step < limit; step++ {
-			c := t[l][v]
-			v = c.NewVal
-			if c.Next >= locals {
-				decided = c.Next - locals
-				break
-			}
-			l = c.Next
-		}
-		if decided != input {
-			return false
-		}
-	}
-	return true
+	return soloDecision(t, 0, 0, locals, values) == 0 && soloDecision(t, 1, 0, locals, values) == 1
 }
 
-// pairSys is the 2-process configuration system for one table pair under
-// fixed inputs, encoded as core-explorable int states
-// (l0*L + l1)*values + v with L = locals + 2 (the two extra local states
-// are the decide-0/decide-1 pseudo-states). It replaces the hand-rolled
-// visited-array search this file used to carry, so pair checking goes
-// through the same exploration engine — and the same MaxStates/truncation
-// discipline — as every other checker in the repository.
-type pairSys struct {
-	tables         [2]ConsTable
+// soloDecision is the value a process running t alone from local state l
+// and object value v decides within the solo bound, or -1: the walk over
+// (local, value) pairs is deterministic, so one that has not decided by
+// then never will.
+func soloDecision(t ConsTable, l, v, locals, values int) int {
+	for step := 0; step < locals*values+2; step++ {
+		c := t[l][v]
+		if c.Next >= locals {
+			return c.Next - locals
+		}
+		l, v = c.Next, c.NewVal
+	}
+	return -1
+}
+
+// consChecker is one worker's dense checker for consensus table pairs.
+// A configuration is the dense index (l0*L + l1)*values + v with
+// L = locals + 2 (the two extra local states are the decide-0/decide-1
+// pseudo-states). Reachability is a reused bitset walk and successors
+// come from the two tables on demand, so a warmed checker allocates
+// nothing per pair.
+type consChecker struct {
 	locals, values int
-	a, b           int
+	// maxStates bounds each walk (core.DefaultMaxStates when zero).
+	maxStates int
+	walk      synth.Walk
+	// pairs counts the pairs this checker has seen.
+	pairs uint64
 }
 
-func (ps *pairSys) idx(l0, l1, v int) int {
-	L := ps.locals + 2
-	return (l0*L+l1)*ps.values + v
-}
-
-func (ps *pairSys) decode(s int) (l0, l1, v int) {
-	L := ps.locals + 2
-	return s / ps.values / L, (s / ps.values) % L, s % ps.values
-}
-
-// Init implements core.System.
-func (ps *pairSys) Init() []int { return []int{ps.idx(ps.a, ps.b, 0)} }
-
-// ExpandInto implements core.System: each undecided process may take its
-// one atomic access next.
-func (ps *pairSys) ExpandInto(s int, x *engine.Ctx[int]) {
-	l0, l1, v := ps.decode(s)
-	ls := [2]int{l0, l1}
-	for p := 0; p < 2; p++ {
-		if ls[p] >= ps.locals { // decided: takes no further steps
-			continue
-		}
-		c := ps.tables[p][ls[p]][v]
-		nl := ls
-		nl[p] = c.Next
-		x.Emit(ps.idx(nl[0], nl[1], c.NewVal), "access", p)
+func newConsChecker(locals, values, maxStates int) *consChecker {
+	if maxStates <= 0 {
+		maxStates = core.DefaultMaxStates
 	}
+	return &consChecker{locals: locals, values: values, maxStates: maxStates}
 }
 
 // checkPair verifies wait-free consensus for one table pair over all four
 // input combinations: every reachable configuration must let each
 // undecided process finish solo (wait-freedom), decided values must agree,
-// and validity must hold. A non-nil error means the exploration itself
-// failed (state bound exceeded), not that the pair is a non-protocol.
-func checkPair(t0, t1 ConsTable, locals, values, maxStates int) (bool, error) {
+// and validity must hold. A non-nil error means a walk reached more than
+// maxStates configurations, not that the pair is a non-protocol.
+func (cc *consChecker) checkPair(t0, t1 ConsTable) (bool, error) {
+	cc.pairs++
 	for a := 0; a <= 1; a++ {
 		for b := 0; b <= 1; b++ {
-			ok, err := checkInputs(t0, t1, locals, values, a, b, maxStates)
-			if err != nil {
+			if ok, err := cc.checkInputs(t0, t1, a, b); !ok || err != nil {
 				return false, err
-			}
-			if !ok {
-				return false, nil
 			}
 		}
 	}
 	return true, nil
 }
 
-func checkInputs(t0, t1 ConsTable, locals, values, a, b, maxStates int) (bool, error) {
-	sys := &pairSys{tables: [2]ConsTable{t0, t1}, locals: locals, values: values, a: a, b: b}
-	// The per-pair graphs are tiny (at most (locals+2)^2 * values states);
-	// parallelism lives in the outer pair enumeration, so each exploration
-	// runs on one worker.
-	g, err := core.Explore[int](sys, core.ExploreOptions{MaxStates: maxStates, Parallelism: 1})
-	if err != nil {
-		return false, err
-	}
-	decided := func(l int) (int, bool) {
-		if l >= locals {
-			return l - locals, true
-		}
-		return 0, false
-	}
-	for i := 0; i < g.Len(); i++ {
-		l0, l1, v := sys.decode(g.State(i))
-		ls := [2]int{l0, l1}
-		d0, ok0 := decided(l0)
-		d1, ok1 := decided(l1)
+// checkInputs walks the configurations reachable from inputs (a, b) and
+// checks each one as it is reached, stopping at the first violation.
+func (cc *consChecker) checkInputs(t0, t1 ConsTable, a, b int) (bool, error) {
+	locals, values := cc.locals, cc.values
+	L := locals + 2
+	tables := [2]ConsTable{t0, t1}
+	w := &cc.walk
+	w.Reset(L * L * values)
+	w.Add((a*L + b) * values)
+	for s, ok := w.Next(); ok; s, ok = w.Next() {
+		v := s % values
+		ls := [2]int{s / values / L, (s / values) % L}
 		// Agreement and validity.
-		if ok0 && ok1 && d0 != d1 {
+		if ls[0] >= locals && ls[1] >= locals && ls[0] != ls[1] {
 			return false, nil
 		}
-		for _, dv := range []struct {
-			d  int
-			ok bool
-		}{{d0, ok0}, {d1, ok1}} {
-			if !dv.ok {
-				continue
-			}
-			if dv.d != a && dv.d != b {
+		for p := 0; p < 2; p++ {
+			if l := ls[p]; l >= locals && l-locals != a && l-locals != b {
 				return false, nil
 			}
 		}
-		// Wait-freedom: each undecided process must decide running solo.
 		for p := 0; p < 2; p++ {
-			if _, ok := decided(ls[p]); ok {
+			if ls[p] >= locals { // decided: takes no further steps
 				continue
 			}
-			sl, sv := ls[p], v
-			finished := false
-			for step := 0; step < locals*values+2; step++ {
-				c := sys.tables[p][sl][sv]
-				sv = c.NewVal
-				if c.Next >= locals {
-					finished = true
-					break
-				}
-				sl = c.Next
-			}
-			if !finished {
+			// Wait-freedom: an undecided process must decide running solo.
+			if soloDecision(tables[p], ls[p], v, locals, values) < 0 {
 				return false, nil
+			}
+			c := tables[p][ls[p]][v]
+			nl := ls
+			nl[p] = c.Next
+			if w.Add((nl[0]*L+nl[1])*values+c.NewVal) && w.Reached() > cc.maxStates {
+				return false, fmt.Errorf("%w: limit %d", core.ErrStateLimit, cc.maxStates)
 			}
 		}
 	}
@@ -298,75 +256,59 @@ func SearchConsensus(cfg ConsSearchConfig) (ConsResult, error) {
 		perProc *= uint64(len(opts))
 	}
 	res := ConsResult{TablesEnumerated: perProc}
-	var tables []ConsTable
+	// Candidates are assembled in one reused buffer and only the ids of
+	// the viable ones are kept; their tables share one backing array.
+	var viable []uint64
+	t := make(ConsTable, cfg.LocalStates)
 	for id := uint64(0); id < perProc; id++ {
-		rem := id
-		t := make(ConsTable, cfg.LocalStates)
-		for s := 0; s < cfg.LocalStates; s++ {
-			t[s] = opts[rem%uint64(len(opts))]
-			rem /= uint64(len(opts))
-		}
+		fillTable(t, opts, id)
 		if soloValid(t, cfg.LocalStates, cfg.Values) {
-			tables = append(tables, t)
+			viable = append(viable, id)
 		}
 	}
-	res.TablesViable = uint64(len(tables))
+	res.TablesViable = uint64(len(viable))
+	tables := make([]ConsTable, len(viable))
+	rows := make([][]ConsCell, len(viable)*cfg.LocalStates)
+	for k, id := range viable {
+		tables[k] = rows[k*cfg.LocalStates : (k+1)*cfg.LocalStates : (k+1)*cfg.LocalStates]
+		fillTable(tables[k], opts, id)
+	}
 
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	var pairs atomic.Uint64
-	var mu sync.Mutex // guards res.Witness and firstErr
-	var firstErr error
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < len(tables); i += workers {
-				if stop.Load() {
-					return
-				}
-				jEnd := len(tables)
-				if cfg.Symmetric {
-					jEnd = i + 1
-				}
-				for j := i; j < jEnd; j++ {
-					pairs.Add(1)
-					ok, err := checkPair(tables[i], tables[j], cfg.LocalStates, cfg.Values, cfg.MaxStates)
-					if err != nil {
-						mu.Lock()
-						if firstErr == nil {
-							firstErr = err
-						}
-						mu.Unlock()
-						stop.Store(true)
-						return
-					}
-					if !ok {
-						continue
-					}
-					mu.Lock()
-					if res.Witness == nil {
-						res.Witness = &[2]ConsTable{tables[i], tables[j]}
-					}
-					mu.Unlock()
-					if cfg.StopAtFirst {
-						stop.Store(true)
-						return
-					}
-				}
-			}
-		}(w)
+	checkers := make([]*consChecker, workers)
+	for w := range checkers {
+		checkers[w] = newConsChecker(cfg.LocalStates, cfg.Values, cfg.MaxStates)
 	}
-	wg.Wait()
-	res.PairsChecked = pairs.Load()
-	if firstErr != nil {
-		return res, firstErr
+	cols := func(i int) (int, int) {
+		if cfg.Symmetric {
+			return i, i + 1
+		}
+		return i, len(tables)
+	}
+	check := func(cc *consChecker, i, j int) (bool, error) { return cc.checkPair(tables[i], tables[j]) }
+	i, j, found, err := synth.SearchPairs(checkers, len(tables), cols, cfg.StopAtFirst, check)
+	for _, cc := range checkers {
+		res.PairsChecked += cc.pairs
+	}
+	if err != nil {
+		return res, err
+	}
+	if found {
+		res.Witness = &[2]ConsTable{tables[i], tables[j]}
 	}
 	return res, nil
+}
+
+// fillTable writes table number id of the enumeration into t: digit s of
+// id in base len(opts) picks local state s's row.
+func fillTable(t ConsTable, opts [][]ConsCell, id uint64) {
+	for s := range t {
+		t[s] = opts[id%uint64(len(opts))]
+		id /= uint64(len(opts))
+	}
 }
 
 // CanonicalTASConsensus returns the classic 2-process consensus protocol

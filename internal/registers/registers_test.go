@@ -112,7 +112,7 @@ func TestCanonicalTASConsensusWorks(t *testing.T) {
 	if !soloValid(table, 2, 3) {
 		t.Fatal("canonical protocol fails solo validity")
 	}
-	ok, err := checkPair(table, table, 2, 3, 0)
+	ok, err := newConsChecker(2, 3, 0).checkPair(table, table)
 	if err != nil {
 		t.Fatalf("checkPair: %v", err)
 	}
@@ -164,7 +164,7 @@ func TestRMWObjectSolvesConsensus(t *testing.T) {
 	}
 	// Re-verify the witness independently.
 	w := *res.Witness
-	ok, err := checkPair(w[0], w[1], 2, 3, 0)
+	ok, err := newConsChecker(2, 3, 0).checkPair(w[0], w[1])
 	if err != nil {
 		t.Fatalf("checkPair: %v", err)
 	}
@@ -248,10 +248,9 @@ func randomHistory(rng *rand.Rand) []Op {
 	return out
 }
 
-// TestSearchConsensusHonorsMaxStates verifies that the per-pair
-// explorations go through the shared engine's state bound: an absurdly
-// tight MaxStates makes the search fail with core.ErrStateLimit instead of
-// silently mis-deciding pairs.
+// TestSearchConsensusHonorsMaxStates verifies that the per-pair walks
+// honor the state bound: an absurdly tight MaxStates makes the search fail
+// with core.ErrStateLimit instead of silently mis-deciding pairs.
 func TestSearchConsensusHonorsMaxStates(t *testing.T) {
 	_, err := SearchConsensus(ConsSearchConfig{
 		Kind:        RWRegister,

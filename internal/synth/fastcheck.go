@@ -5,7 +5,8 @@ import "repro/internal/sharedmem"
 // This file implements a dedicated high-throughput checker for the
 // 2-process single-variable skeleton: the exhaustive searches evaluate
 // millions of tables, so instead of the generic core explorer they use a
-// dense integer state encoding (local0, local1, value) and flat arrays.
+// dense integer state encoding (local0, local1, value), successors read
+// off the two tables, and per-worker scratch reused from pair to pair.
 // The semantics are identical to sharedmem's adapter: request steps from
 // the remainder state belong to the environment and are exempt from
 // fairness; all other steps are process steps under weak fairness.
@@ -40,163 +41,152 @@ func (sk tasSkeleton) soloLive(table [][]sharedmem.Cell) bool {
 	return l == crit
 }
 
-// pairChecker holds the dense transition structure for one (t0, t1) pair.
+// pairChecker is one worker's dense checker for 2-process table pairs.
+// A state is the dense index (l0*L + l1)*V + v. Successors are computed
+// from the two tables on demand, reachability is a reused bitset walk, and
+// the arrays of the fairness pass are sized once per search, so a warmed
+// checker allocates nothing per pair.
 type pairChecker struct {
 	sk tasSkeleton
-	// L is the per-process local state count, V the value count.
-	L, V int
-	// succ[s][p] is the successor state when process p steps from s.
-	succ [][2]int32
-	// isEnv[s][p] marks p's step from s as an environment (request) step.
-	isEnv [][2]bool
-	// reach marks states reachable from the initial state.
-	reach []bool
-	// n is the dense state space size L*L*V.
-	n int
+	// L is the per-process local state count, V the value count, n the
+	// dense state space size L*L*V.
+	L, V, n int
+	// dec[s] is state s as (l0, l1, v), saving the divisions per decode.
+	dec [][3]uint16
+	// t holds the tables of the pair being checked.
+	t [2][][]sharedmem.Cell
+	// walk is the reachability walk; after an exclusion-passing explore
+	// its bitset is the reachable set.
+	walk Walk
+	// Scratch of leadsTo and hasFairCycle, indexed by dense state.
+	inH, onStack     []bool
+	index, low, comp []int32
+	sstack, frames   []int32
+	cursors          []int8
+	members          []int32
+	// perm receives process 1's table in the symmetric searches.
+	perm [][]sharedmem.Cell
+	// Verdict counters over the pairs this checker has seen.
+	pairs, passedME, passedProg, passed uint64
 }
 
-func (sk tasSkeleton) newPairChecker(t0, t1 [][]sharedmem.Cell) *pairChecker {
-	L := sk.numLocals()
-	V := sk.values
+func (sk tasSkeleton) newPairChecker() *pairChecker {
+	L, V := sk.numLocals(), sk.values
 	n := L * L * V
-	pc := &pairChecker{sk: sk, L: L, V: V, n: n}
-	pc.succ = make([][2]int32, n)
-	pc.isEnv = make([][2]bool, n)
-	tables := [2][][]sharedmem.Cell{t0, t1}
-	for l0 := 0; l0 < L; l0++ {
-		for l1 := 0; l1 < L; l1++ {
-			for v := 0; v < V; v++ {
-				s := (l0*L+l1)*V + v
-				for p := 0; p < 2; p++ {
-					lp := l0
-					if p == 1 {
-						lp = l1
-					}
-					c := tables[p][lp][v]
-					nl0, nl1 := l0, l1
-					if p == 0 {
-						nl0 = c.NextLocal
-					} else {
-						nl1 = c.NextLocal
-					}
-					pc.succ[s][p] = int32((nl0*L+nl1)*V + c.NewVal)
-					pc.isEnv[s][p] = lp == sk.remainder()
-				}
-			}
-		}
+	pc := &pairChecker{
+		sk: sk, L: L, V: V, n: n,
+		inH: make([]bool, n), onStack: make([]bool, n),
+		index: make([]int32, n), low: make([]int32, n), comp: make([]int32, n),
+		perm: make([][]sharedmem.Cell, L),
 	}
+	for l := range pc.perm {
+		pc.perm[l] = make([]sharedmem.Cell, V)
+	}
+	pc.dec = make([][3]uint16, n)
+	for s := range pc.dec {
+		pc.dec[s] = [3]uint16{uint16(s / V / L), uint16(s / V % L), uint16(s % V)}
+	}
+	pc.walk.Reset(n)
 	return pc
 }
 
-// explore computes reachability from the initial state and reports whether
-// mutual exclusion holds everywhere reachable.
-func (pc *pairChecker) explore() (mutualExclusion bool) {
-	pc.reach = make([]bool, pc.n)
-	init := 0 // (l0=0, l1=0, v=0): remainder, remainder, initial value 0
-	pc.reach[init] = true
-	stack := []int32{int32(init)}
-	crit := pc.sk.critical()
-	ok := true
-	for len(stack) > 0 {
-		s := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		l0, l1, _ := pc.decode(int(s))
-		if l0 == crit && l1 == crit {
-			ok = false // keep exploring: reach set is reused by callers
-		}
-		for p := 0; p < 2; p++ {
-			t := pc.succ[s][p]
-			if !pc.reach[t] {
-				pc.reach[t] = true
-				stack = append(stack, t)
-			}
-		}
-	}
-	return ok
-}
-
 func (pc *pairChecker) decode(s int) (l0, l1, v int) {
-	v = s % pc.V
-	rest := s / pc.V
-	return rest / pc.L, rest % pc.L, v
+	d := pc.dec[s]
+	return int(d[0]), int(d[1]), int(d[2])
 }
 
-// region returns process p's region in dense state s, expressed through
-// the skeleton's state layout.
-func (pc *pairChecker) inTrying(s, p int) bool {
-	l0, l1, _ := pc.decode(s)
-	l := l0
-	if p == 1 {
-		l = l1
+func (pc *pairChecker) encode(l0, l1, v int) int { return (l0*pc.L+l1)*pc.V + v }
+
+// succ is the state process p's step leads to from state s.
+func (pc *pairChecker) succ(s, p int) int {
+	l0, l1, v := pc.decode(s)
+	if p == 0 {
+		c := pc.t[0][l0][v]
+		return pc.encode(c.NextLocal, l1, c.NewVal)
 	}
-	return l >= 1 && l <= pc.sk.try
+	c := pc.t[1][l1][v]
+	return pc.encode(l0, c.NextLocal, c.NewVal)
 }
 
-func (pc *pairChecker) inCritical(s, p int) bool {
+// isEnv reports whether p's step from s is an environment (request) step:
+// p is in its remainder state.
+func (pc *pairChecker) isEnv(s, p int) bool {
 	l0, l1, _ := pc.decode(s)
-	l := l0
 	if p == 1 {
-		l = l1
+		l0 = l1
 	}
-	return l == pc.sk.critical()
+	return l0 == pc.sk.remainder()
 }
 
-func (pc *pairChecker) inRemainder(s, p int) bool {
-	l0, l1, _ := pc.decode(s)
-	l := l0
-	if p == 1 {
-		l = l1
+// explore walks the states reachable from the initial state (both
+// processes in remainder, value 0) and reports whether mutual exclusion
+// holds on all of them. It stops at the first state where it fails.
+func (pc *pairChecker) explore() (mutualExclusion bool) {
+	w := &pc.walk
+	w.Reset(pc.n)
+	w.Add(0)
+	crit := pc.sk.critical()
+	for s, ok := w.Next(); ok; s, ok = w.Next() {
+		l0, l1, v := pc.decode(s)
+		if l0 == crit && l1 == crit {
+			return false
+		}
+		c := pc.t[0][l0][v]
+		w.Add(pc.encode(c.NextLocal, l1, c.NewVal))
+		c = pc.t[1][l1][v]
+		w.Add(pc.encode(l0, c.NextLocal, c.NewVal))
 	}
-	return l == pc.sk.remainder()
+	return true
 }
 
-// leadsTo checks "premise leads to goal" under weak fairness on the dense
-// graph. Transition functions are total, so only livelocks (fair cycles in
-// the goal-avoiding region) can violate the property.
-func (pc *pairChecker) leadsTo(premise, goal func(s int) bool) bool {
-	inH := make([]bool, pc.n)
-	var stack []int32
+// leadsTo checks "premise leads to goal" under weak fairness on the
+// reachable states; premise and goal are predicates on the two local
+// states. Transition functions are total, so only livelocks (fair cycles
+// in the goal-avoiding region) can violate the property.
+func (pc *pairChecker) leadsTo(premise, goal func(l0, l1 int) bool) bool {
+	inGoal := func(s int) bool {
+		l0, l1, _ := pc.decode(s)
+		return goal(l0, l1)
+	}
+	clear(pc.inH)
+	stack := pc.sstack[:0]
 	for s := 0; s < pc.n; s++ {
-		if pc.reach[s] && premise(s) && !goal(s) {
-			inH[s] = true
+		l0, l1, _ := pc.decode(s)
+		if pc.walk.Has(s) && premise(l0, l1) && !goal(l0, l1) {
+			pc.inH[s] = true
 			stack = append(stack, int32(s))
 		}
 	}
 	for len(stack) > 0 {
-		s := stack[len(stack)-1]
+		s := int(stack[len(stack)-1])
 		stack = stack[:len(stack)-1]
 		for p := 0; p < 2; p++ {
-			t := pc.succ[s][p]
-			if !goal(int(t)) && !inH[t] {
-				inH[t] = true
-				stack = append(stack, t)
+			t := pc.succ(s, p)
+			if !pc.inH[t] && !inGoal(t) {
+				pc.inH[t] = true
+				stack = append(stack, int32(t))
 			}
 		}
 	}
-	return !pc.hasFairCycle(inH)
+	pc.sstack = stack
+	return !pc.hasFairCycle()
 }
 
 // hasFairCycle reports whether the subgraph inH contains a cycle that is
 // weakly fair: for each process p, either p takes a step inside the cycle
 // or p is in its remainder region somewhere on the cycle (where its
 // process step does not exist — only the environment's request does).
-func (pc *pairChecker) hasFairCycle(inH []bool) bool {
+func (pc *pairChecker) hasFairCycle() bool {
 	const unvisited = -1
-	index := make([]int32, pc.n)
-	low := make([]int32, pc.n)
-	onStack := make([]bool, pc.n)
-	comp := make([]int32, pc.n)
+	inH, index, low, onStack, comp := pc.inH, pc.index, pc.low, pc.onStack, pc.comp
 	for i := range index {
 		index[i] = unvisited
 		comp[i] = unvisited
 	}
-	var (
-		counter int32
-		nComp   int32
-		sstack  []int32
-		frames  []int32
-		cursors []int8
-	)
+	clear(onStack)
+	var counter, nComp int32
+	sstack, frames, cursors := pc.sstack[:0], pc.frames[:0], pc.cursors[:0]
+	defer func() { pc.sstack, pc.frames, pc.cursors = sstack, frames, cursors }()
 	for root := 0; root < pc.n; root++ {
 		if !inH[root] || index[root] != unvisited {
 			continue
@@ -213,7 +203,7 @@ func (pc *pairChecker) hasFairCycle(inH []bool) bool {
 			ci := cursors[len(cursors)-1]
 			advanced := false
 			for ; ci < 2; ci++ {
-				w := pc.succ[v][ci]
+				w := int32(pc.succ(int(v), int(ci)))
 				if !inH[w] {
 					continue
 				}
@@ -245,7 +235,7 @@ func (pc *pairChecker) hasFairCycle(inH []bool) bool {
 			}
 			if low[v] == index[v] {
 				// Pop one SCC and test fairness inline.
-				var members []int32
+				members := pc.members[:0]
 				for {
 					w := sstack[len(sstack)-1]
 					sstack = sstack[:len(sstack)-1]
@@ -256,8 +246,9 @@ func (pc *pairChecker) hasFairCycle(inH []bool) bool {
 						break
 					}
 				}
+				pc.members = members
 				nComp++
-				if pc.sccFair(members, comp, inH) {
+				if pc.sccFair(members) {
 					return true
 				}
 			}
@@ -268,22 +259,22 @@ func (pc *pairChecker) hasFairCycle(inH []bool) bool {
 
 // sccFair tests one SCC for an internal edge and weak fairness of both
 // processes.
-func (pc *pairChecker) sccFair(members []int32, comp []int32, inH []bool) bool {
-	cid := comp[members[0]]
+func (pc *pairChecker) sccFair(members []int32) bool {
+	cid := pc.comp[members[0]]
 	hasEdge := false
 	var stepTaken [2]bool
 	var disabled [2]bool
 	for _, s := range members {
 		for p := 0; p < 2; p++ {
-			t := pc.succ[s][p]
-			internal := inH[t] && comp[t] == cid
-			if internal {
+			t := pc.succ(int(s), p)
+			env := pc.isEnv(int(s), p)
+			if pc.inH[t] && pc.comp[t] == cid {
 				hasEdge = true
-				if !pc.isEnv[s][p] {
+				if !env {
 					stepTaken[p] = true
 				}
 			}
-			if pc.isEnv[s][p] {
+			if env {
 				// Process p has no process-step here (it is in remainder):
 				// weak fairness for p is dischargeable at this state.
 				disabled[p] = true
@@ -306,37 +297,45 @@ type pairVerdict struct {
 	exclusion   bool
 	progress    bool
 	lockoutFree bool
+	// ok reports that the pair meets the whole specification checked.
+	ok bool
 }
 
-// checkPair runs the full fair-mutex specification on one table pair.
-// Later checks are skipped once an earlier one fails.
-func (sk tasSkeleton) checkPair(t0, t1 [][]sharedmem.Cell, needLockout bool) pairVerdict {
-	pc := sk.newPairChecker(t0, t1)
+// checkPair runs the full fair-mutex specification on one table pair and
+// adds the outcome to the checker's counters. Later checks are skipped
+// once an earlier one fails; progress and lockout-freedom run only on
+// pairs that pass exclusion.
+func (pc *pairChecker) checkPair(t0, t1 [][]sharedmem.Cell, needLockout bool) pairVerdict {
+	pc.t = [2][][]sharedmem.Cell{t0, t1}
+	pc.pairs++
 	var v pairVerdict
-	v.exclusion = pc.explore()
-	if !v.exclusion {
+	if v.exclusion = pc.explore(); !v.exclusion {
 		return v
 	}
+	pc.passedME++
+	try, crit := pc.sk.try, pc.sk.critical()
+	trying := func(l int) bool { return l >= 1 && l <= try }
 	v.progress = pc.leadsTo(
-		func(s int) bool {
-			return (pc.inTrying(s, 0) || pc.inTrying(s, 1)) &&
-				!pc.inCritical(s, 0) && !pc.inCritical(s, 1)
-		},
-		func(s int) bool { return pc.inCritical(s, 0) || pc.inCritical(s, 1) },
+		func(l0, l1 int) bool { return (trying(l0) || trying(l1)) && l0 != crit && l1 != crit },
+		func(l0, l1 int) bool { return l0 == crit || l1 == crit },
 	)
-	if !v.progress || !needLockout {
+	if !v.progress {
 		return v
 	}
-	v.lockoutFree = true
-	for p := 0; p < 2; p++ {
-		pp := p
-		if !pc.leadsTo(
-			func(s int) bool { return pc.inTrying(s, pp) },
-			func(s int) bool { return pc.inCritical(s, pp) },
-		) {
-			v.lockoutFree = false
-			break
+	pc.passedProg++
+	if needLockout {
+		v.lockoutFree = pc.leadsTo(
+			func(l0, _ int) bool { return trying(l0) },
+			func(l0, _ int) bool { return l0 == crit },
+		) && pc.leadsTo(
+			func(_, l1 int) bool { return trying(l1) },
+			func(_, l1 int) bool { return l1 == crit },
+		)
+		if !v.lockoutFree {
+			return v
 		}
 	}
+	pc.passed++
+	v.ok = true
 	return v
 }

@@ -65,6 +65,18 @@ func rwStateOptions(values, try int) [][]sharedmem.Cell {
 	return out
 }
 
+// rwTable builds table number idx of the read/write class: each
+// base-len(stateOpts) digit of idx picks one trying state's row, and what
+// is left picks the exit value.
+func (sk tasSkeleton) rwTable(stateOpts [][]sharedmem.Cell, idx uint64) [][]sharedmem.Cell {
+	cells := make([]sharedmem.Cell, 0, sk.try*sk.values)
+	for s := 0; s < sk.try; s++ {
+		cells = append(cells, stateOpts[idx%uint64(len(stateOpts))]...)
+		idx /= uint64(len(stateOpts))
+	}
+	return sk.buildTable(cells, int(idx%uint64(sk.values)))
+}
+
 // SearchRWMutex exhaustively enumerates 2-process protocols over a single
 // shared read/write register and checks mutual exclusion + progress
 // (+ lockout-freedom if required). An empty result mechanizes Burns–Lynch
@@ -82,22 +94,7 @@ func SearchRWMutex(cfg RWSearchConfig) (Result, error) {
 	}
 
 	res := Result{TablesEnumerated: perProc}
-	tables := make([][][]sharedmem.Cell, 0, 1024)
-	for idx := uint64(0); idx < perProc; idx++ {
-		rem := idx
-		cells := make([]sharedmem.Cell, 0, cfg.TryStates*cfg.Values)
-		for s := 0; s < cfg.TryStates; s++ {
-			cells = append(cells, stateOpts[rem%uint64(len(stateOpts))]...)
-			rem /= uint64(len(stateOpts))
-		}
-		exitVal := int(rem % uint64(cfg.Values))
-		t := sk.buildTable(cells, exitVal)
-		if !sk.criticalReachable(t) || !sk.soloLive(t) {
-			res.TablesPruned++
-			continue
-		}
-		tables = append(tables, t)
-	}
+	tables := sk.viableTables(perProc, func(idx uint64) [][]sharedmem.Cell { return sk.rwTable(stateOpts, idx) }, &res)
 	runPairSearch(sk, tables, cfg.Symmetric, cfg.RequireLockoutFree, cfg.Workers, sharedmem.RW,
 		fmt.Sprintf("synth-rw(v=%d,t=%d)", cfg.Values, cfg.TryStates), &res)
 	return res, nil

@@ -18,8 +18,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/sharedmem"
 	"repro/internal/spec"
@@ -170,14 +168,21 @@ func (sk tasSkeleton) toAlgorithm(name string, kind sharedmem.VarKind, t0, t1 []
 func permuteTable(table [][]sharedmem.Cell, pi []int) [][]sharedmem.Cell {
 	out := make([][]sharedmem.Cell, len(table))
 	for l, row := range table {
-		newRow := make([]sharedmem.Cell, len(row))
+		out[l] = make([]sharedmem.Cell, len(row))
+	}
+	return permuteInto(out, table, pi)
+}
+
+// permuteInto writes permuteTable(table, pi) into dst, which has table's
+// shape, and returns dst.
+func permuteInto(dst, table [][]sharedmem.Cell, pi []int) [][]sharedmem.Cell {
+	for l, row := range table {
 		for v := range row {
 			c := row[pi[v]]
-			newRow[v] = sharedmem.Cell{NextLocal: c.NextLocal, NewVal: pi[c.NewVal]}
+			dst[l][v] = sharedmem.Cell{NextLocal: c.NextLocal, NewVal: pi[c.NewVal]}
 		}
-		out[l] = newRow
 	}
-	return out
+	return dst
 }
 
 // involutions returns all involutions (self-inverse permutations) of
@@ -249,32 +254,43 @@ func SearchTASMutex(cfg TASSearchConfig) (Result, error) {
 	}
 	sk := tasSkeleton{values: cfg.Values, try: cfg.TryStates}
 	opts := sk.cellOptions()
-	numCells := sk.try * sk.values
-	perProc := spaceSize(uint64(len(opts)), numCells, uint64(cfg.Values))
+	perProc := spaceSize(uint64(len(opts)), sk.try*sk.values, uint64(cfg.Values))
 	if err := checkBudget(perProc, cfg.Symmetric, cfg.Values, cfg.MaxCandidates); err != nil {
 		return Result{}, err
 	}
 
 	res := Result{TablesEnumerated: perProc}
+	tables := sk.viableTables(perProc, func(idx uint64) [][]sharedmem.Cell { return sk.tasTable(opts, idx) }, &res)
+	runPairSearch(sk, tables, cfg.Symmetric, cfg.RequireLockoutFree, cfg.Workers, sharedmem.RMW,
+		fmt.Sprintf("synth-tas(v=%d,t=%d)", cfg.Values, cfg.TryStates), &res)
+	return res, nil
+}
+
+// tasTable builds table number idx of the TAS class: each base-len(opts)
+// digit of idx picks one trying cell, and what is left picks the exit
+// value.
+func (sk tasSkeleton) tasTable(opts []sharedmem.Cell, idx uint64) [][]sharedmem.Cell {
+	cells := make([]sharedmem.Cell, sk.try*sk.values)
+	for c := range cells {
+		cells[c] = opts[idx%uint64(len(opts))]
+		idx /= uint64(len(opts))
+	}
+	return sk.buildTable(cells, int(idx%uint64(sk.values)))
+}
+
+// viableTables builds tables 0..perProc-1 and keeps those that pass the
+// static prunes, counting the others in res.TablesPruned.
+func (sk tasSkeleton) viableTables(perProc uint64, table func(idx uint64) [][]sharedmem.Cell, res *Result) [][][]sharedmem.Cell {
 	tables := make([][][]sharedmem.Cell, 0, 1024)
-	cells := make([]sharedmem.Cell, numCells)
 	for idx := uint64(0); idx < perProc; idx++ {
-		rem := idx
-		for c := 0; c < numCells; c++ {
-			cells[c] = opts[rem%uint64(len(opts))]
-			rem /= uint64(len(opts))
-		}
-		exitVal := int(rem % uint64(cfg.Values))
-		t := sk.buildTable(cells, exitVal)
+		t := table(idx)
 		if !sk.criticalReachable(t) || !sk.soloLive(t) {
 			res.TablesPruned++
 			continue
 		}
 		tables = append(tables, t)
 	}
-	runPairSearch(sk, tables, cfg.Symmetric, cfg.RequireLockoutFree, cfg.Workers, sharedmem.RMW,
-		fmt.Sprintf("synth-tas(v=%d,t=%d)", cfg.Values, cfg.TryStates), &res)
-	return res, nil
+	return tables
 }
 
 // spaceSize computes base^cells * extra with overflow saturation.
@@ -305,94 +321,48 @@ func checkBudget(perProc uint64, symmetric bool, values int, budget uint64) erro
 	return nil
 }
 
-// pairSearchChunk is how many table rows a worker claims from the shared
-// cursor at a time: large enough to amortize the atomic add, small enough
-// to balance the wildly uneven row costs (in the asymmetric search row i
-// covers len(tables)-i pairs).
-const pairSearchChunk = 16
-
-// runPairSearch drives the parallel pair-checking phase shared by the TAS
-// and RW searches. The specification is symmetric under process renaming,
-// so the asymmetric search only examines ordered pairs i <= j. Workers
-// claim chunks of the row axis from an atomic cursor, and the result is
-// deterministic at any worker count: the counters are order-independent
-// sums, and Example is resolved by a CAS-min race over the packed (i, j)
-// index, so the witness with the smallest enumeration index always wins no
-// matter which worker found it first.
+// runPairSearch drives the pair-checking phase shared by the TAS and RW
+// searches on SearchPairs, one pairChecker per worker. The specification
+// is symmetric under process renaming, so the asymmetric search only
+// examines ordered pairs i <= j; the symmetric search pairs table i with
+// its image under involution j. The counters are order-independent sums
+// and the witness is SearchPairs's smallest (i, j), so the result is
+// deterministic at any worker count.
 func runPairSearch(sk tasSkeleton, tables [][][]sharedmem.Cell, symmetric, needLockout bool,
 	workers int, kind sharedmem.VarKind, exampleName string, res *Result) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	var pairs, passedME, passedProg, passed atomic.Uint64
 	var pis [][]int
 	if symmetric {
 		pis = involutions(sk.values)
 	}
-
-	const noWitness = ^uint64(0)
-	var bestKey atomic.Uint64
-	bestKey.Store(noWitness)
-
-	// check examines one pair, keyed by its enumeration index (the pair
-	// index in asymmetric mode, the involution index in symmetric mode).
-	check := func(i, j int, t0, t1 [][]sharedmem.Cell) {
-		pairs.Add(1)
-		v := sk.checkPair(t0, t1, needLockout)
-		if !v.exclusion {
-			return
-		}
-		passedME.Add(1)
-		if !v.progress {
-			return
-		}
-		passedProg.Add(1)
-		if needLockout && !v.lockoutFree {
-			return
-		}
-		passed.Add(1)
-		key := uint64(i)<<32 | uint64(j)
-		for {
-			cur := bestKey.Load()
-			if key >= cur || bestKey.CompareAndSwap(cur, key) {
-				return
-			}
-		}
+	checkers := make([]*pairChecker, workers)
+	for w := range checkers {
+		checkers[w] = sk.newPairChecker()
 	}
-
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				lo := int(cursor.Add(pairSearchChunk)) - pairSearchChunk
-				if lo >= len(tables) {
-					return
-				}
-				hi := min(lo+pairSearchChunk, len(tables))
-				for i := lo; i < hi; i++ {
-					if symmetric {
-						for pidx, pi := range pis {
-							check(i, pidx, tables[i], permuteTable(tables[i], pi))
-						}
-						continue
-					}
-					for j := i; j < len(tables); j++ {
-						check(i, j, tables[i], tables[j])
-					}
-				}
-			}
-		}()
+	cols := func(i int) (int, int) {
+		if symmetric {
+			return 0, len(pis)
+		}
+		return i, len(tables)
 	}
-	wg.Wait()
-	res.PairsChecked = pairs.Load()
-	res.PassedExclusion = passedME.Load()
-	res.PassedProgress = passedProg.Load()
-	res.Passed = passed.Load()
-	if key := bestKey.Load(); key != noWitness {
-		i, j := int(key>>32), int(key&0xffffffff)
+	check := func(pc *pairChecker, i, j int) (bool, error) {
+		t1 := tables[j]
+		if symmetric {
+			t1 = permuteInto(pc.perm, tables[i], pis[j])
+		}
+		return pc.checkPair(tables[i], t1, needLockout).ok, nil
+	}
+	// check never returns an error, so neither does SearchPairs.
+	i, j, found, _ := SearchPairs(checkers, len(tables), cols, false, check)
+	for _, pc := range checkers {
+		res.PairsChecked += pc.pairs
+		res.PassedExclusion += pc.passedME
+		res.PassedProgress += pc.passedProg
+		res.Passed += pc.passed
+	}
+	if found {
 		t1 := tables[j]
 		if symmetric {
 			t1 = permuteTable(tables[i], pis[j])
