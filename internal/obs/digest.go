@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"hash"
+	"strconv"
 	"sync"
 )
 
@@ -21,9 +22,10 @@ import (
 // diff, and a digest mismatch across worker counts within one mode is
 // itself a determinism violation.
 type Digest struct {
-	mu sync.Mutex
-	h  hash.Hash
-	n  int
+	mu   sync.Mutex
+	h    hash.Hash
+	n    int
+	line []byte // Publish's reused rendering buffer
 }
 
 // NewDigest returns an empty digest; it implements Sink and can be
@@ -39,15 +41,25 @@ func NewDigest() *Digest {
 // — which is why `hundred trace-diff` can compare two traces line-by-line
 // to localize the first structural divergence behind a digest mismatch.
 func DigestLine(ev Event) (string, bool) {
+	line, ok := AppendDigestLine(nil, ev)
+	return string(line), ok
+}
+
+// AppendDigestLine appends DigestLine(ev) to dst. The rt_event line, one
+// per scheduled live action, is built with strconv so that a warmed
+// buffer takes no allocation; it is byte-identical to the format
+// "rt_event %d %s actor=%d from=%d to=%d label=%q\n". The once-per-run
+// kinds keep their format strings.
+func AppendDigestLine(dst []byte, ev Event) ([]byte, bool) {
 	switch ev.Kind {
 	case KindRunStart:
 		// Workers is scheduling, not structure; hash only the mode shape.
 		if c := ev.Config; c != nil {
-			return fmt.Sprintf("start mode=%s max=%d inits=%d\n", c.Mode(), c.MaxStates, c.Inits), true
+			return fmt.Appendf(dst, "start mode=%s max=%d inits=%d\n", c.Mode(), c.MaxStates, c.Inits), true
 		}
 	case KindLevel, KindTruncated, KindRunEnd:
 		if s := ev.Snapshot; s != nil {
-			return fmt.Sprintf("%s states=%d edges=%d depth=%d frontier=%d peak=%d exp=%d dedup=%d canon=%d raw=%d ample=%d defer=%d trunc=%v\n",
+			return fmt.Appendf(dst, "%s states=%d edges=%d depth=%d frontier=%d peak=%d exp=%d dedup=%d canon=%d raw=%d ample=%d defer=%d trunc=%v\n",
 				ev.Kind, s.States, s.Edges, s.Depth, s.Frontier, s.PeakFrontier,
 				s.Expansions, s.DedupHits, s.CanonHits, s.RawStates,
 				s.AmpleStates, s.DeferredActions, s.Truncated), true
@@ -56,7 +68,7 @@ func DigestLine(ev Event) (string, bool) {
 		// Every config field shapes the adversary's RNG stream, so all of
 		// them are structure.
 		if c := ev.RTConfig; c != nil {
-			return fmt.Sprintf("rt_start workload=%s procs=%d seed=%d max=%d batch=%d drop=%g dup=%g delay=%d crash=%g restart=%d\n",
+			return fmt.Appendf(dst, "rt_start workload=%s procs=%d seed=%d max=%d batch=%d drop=%g dup=%g delay=%d crash=%g restart=%d\n",
 				c.Workload, c.Procs, c.Seed, c.MaxEvents, c.Batch,
 				c.Drop, c.Dup, c.Delay, c.Crash, c.RestartAfter), true
 		}
@@ -65,29 +77,42 @@ func DigestLine(ev Event) (string, bool) {
 		// every field folds in — this is what makes runtime digests the
 		// replay-identity check at any GOMAXPROCS.
 		if e := ev.RT; e != nil {
-			return fmt.Sprintf("rt_event %d %s actor=%d from=%d to=%d label=%q\n",
-				e.Event, e.Kind, e.Actor, e.From, e.To, e.Label), true
+			dst = append(dst, "rt_event "...)
+			dst = strconv.AppendInt(dst, int64(e.Event), 10)
+			dst = append(dst, ' ')
+			dst = append(dst, e.Kind...)
+			dst = append(dst, " actor="...)
+			dst = strconv.AppendInt(dst, int64(e.Actor), 10)
+			dst = append(dst, " from="...)
+			dst = strconv.AppendInt(dst, int64(e.From), 10)
+			dst = append(dst, " to="...)
+			dst = strconv.AppendInt(dst, int64(e.To), 10)
+			dst = append(dst, " label="...)
+			dst = strconv.AppendQuote(dst, e.Label)
+			return append(dst, '\n'), true
 		}
 	case KindRTEnd:
 		if s := ev.RTSummary; s != nil {
-			return fmt.Sprintf("rt_end events=%d deliver=%d local=%d drop=%d dup=%d crash=%d restart=%d pending=%d halted=%d stopped=%v quiesced=%v stalled=%v budget=%v\n",
+			return fmt.Appendf(dst, "rt_end events=%d deliver=%d local=%d drop=%d dup=%d crash=%d restart=%d pending=%d halted=%d stopped=%v quiesced=%v stalled=%v budget=%v\n",
 				s.Events, s.Deliveries, s.LocalSteps, s.Drops, s.Dups,
 				s.Crashes, s.Restarts, s.Pending, s.Halted,
 				s.Stopped, s.Quiesced, s.Stalled, s.Budget), true
 		}
 	}
-	return "", false
+	return dst, false
 }
 
-// Publish implements Sink, folding in the deterministic events.
+// Publish implements Sink, folding in the deterministic events. The line
+// is rendered into a buffer the digest reuses, under its lock.
 func (d *Digest) Publish(ev Event) {
-	line, ok := DigestLine(ev)
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	line, ok := AppendDigestLine(d.line[:0], ev)
+	d.line = line
 	if !ok {
 		return
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.h.Write([]byte(line))
+	d.h.Write(line)
 	d.n++
 }
 

@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
 	"sync"
 	"time"
+	"unicode/utf8"
 )
 
 // Manifest is the first line of every JSONL trace: the provenance record
@@ -60,6 +62,7 @@ type TraceWriter struct {
 	run    int
 	start  time.Time
 	digest *Digest
+	line   []byte // Publish's reused rendering buffer
 	err    error
 }
 
@@ -85,7 +88,9 @@ func NewTraceWriter(w io.Writer, m Manifest) (*TraceWriter, error) {
 	return t, nil
 }
 
-// Publish implements Sink.
+// Publish implements Sink. The rt_event lines, nearly every line of a
+// live run's trace, are rendered by appendRTEventJSON into a reused
+// buffer; every other kind goes through json.Marshal.
 func (t *TraceWriter) Publish(ev Event) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -103,15 +108,112 @@ func (t *TraceWriter) Publish(ev Event) {
 	}
 	ev.Run = t.run
 	t.digest.Publish(ev)
-	line, err := json.Marshal(ev)
-	if err != nil {
-		t.err = fmt.Errorf("obs: marshal event: %w", err)
-		return
+	line, ok := appendRTEventJSON(t.line[:0], ev)
+	if !ok {
+		b, err := json.Marshal(ev)
+		if err != nil {
+			t.err = fmt.Errorf("obs: marshal event: %w", err)
+			return
+		}
+		line = append(line, b...)
 	}
-	line = append(line, '\n')
-	if _, err := t.bw.Write(line); err != nil {
+	t.line = append(line, '\n')
+	if _, err := t.bw.Write(t.line); err != nil {
 		t.err = fmt.Errorf("obs: write event: %w", err)
 	}
+}
+
+// appendRTEventJSON appends the JSON encoding of an rt_event, exactly as
+// json.Marshal(ev) writes it, and reports true. For an event that is not
+// an rt_event carrying only its RT payload it appends nothing and reports
+// false.
+func appendRTEventJSON(dst []byte, ev Event) ([]byte, bool) {
+	e := ev.RT
+	if ev.Kind != KindRTEvent || e == nil || ev.Config != nil || ev.Snapshot != nil ||
+		ev.RTConfig != nil || ev.RTSummary != nil {
+		return dst, false
+	}
+	dst = append(dst, `{"kind":"rt_event"`...)
+	if ev.Run != 0 {
+		dst = append(dst, `,"run":`...)
+		dst = strconv.AppendInt(dst, int64(ev.Run), 10)
+	}
+	if ev.Seq != 0 {
+		dst = append(dst, `,"seq":`...)
+		dst = strconv.AppendUint(dst, ev.Seq, 10)
+	}
+	if ev.ElapsedNs != 0 {
+		dst = append(dst, `,"elapsed_ns":`...)
+		dst = strconv.AppendInt(dst, ev.ElapsedNs, 10)
+	}
+	dst = append(dst, `,"rt":{"kind":`...)
+	dst = appendJSONString(dst, e.Kind)
+	dst = append(dst, `,"event":`...)
+	dst = strconv.AppendInt(dst, int64(e.Event), 10)
+	dst = append(dst, `,"actor":`...)
+	dst = strconv.AppendInt(dst, int64(e.Actor), 10)
+	dst = append(dst, `,"to":`...)
+	dst = strconv.AppendInt(dst, int64(e.To), 10)
+	dst = append(dst, `,"from":`...)
+	dst = strconv.AppendInt(dst, int64(e.From), 10)
+	if e.Label != "" {
+		dst = append(dst, `,"label":`...)
+		dst = appendJSONString(dst, e.Label)
+	}
+	return append(dst, "}}"...), true
+}
+
+// appendJSONString appends s as encoding/json writes a string: quoted,
+// with <, > and & HTML-escaped, control characters escaped, invalid UTF-8
+// replaced by \ufffd, and U+2028 and U+2029 escaped.
+func appendJSONString(dst []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		if b := s[i]; b < utf8.RuneSelf {
+			if b >= 0x20 && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&' {
+				i++
+				continue
+			}
+			dst = append(dst, s[start:i]...)
+			switch b {
+			case '"', '\\':
+				dst = append(dst, '\\', b)
+			case '\b':
+				dst = append(dst, '\\', 'b')
+			case '\f':
+				dst = append(dst, '\\', 'f')
+			case '\n':
+				dst = append(dst, '\\', 'n')
+			case '\r':
+				dst = append(dst, '\\', 'r')
+			case '\t':
+				dst = append(dst, '\\', 't')
+			default:
+				dst = append(dst, '\\', 'u', '0', '0', hex[b>>4], hex[b&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		c, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case c == utf8.RuneError && size == 1:
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, `\ufffd`...)
+		case c == '\u2028' || c == '\u2029':
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, '\\', 'u', '2', '0', '2', hex[c&0xF])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	dst = append(dst, s[start:]...)
+	return append(dst, '"')
 }
 
 // Digest returns the trace's deterministic-event digest so far.

@@ -190,22 +190,22 @@ func Run(w Workload, opts Options) (*Result, error) {
 		}
 	}
 
-	// One goroutine per process; requests arrive over its channel, each
-	// carrying a private reply channel. Channel sends/receives are the
-	// happens-before edges that order all cross-goroutine state access.
-	type request struct {
-		a     Action
-		reply chan Outcome
-	}
-	reqs := make([]chan request, n)
+	// One goroutine per process; actions arrive over its request channel
+	// and each outcome goes back over its reply channel, both made once per
+	// run (a round sends each process at most one action). Channel
+	// sends/receives are the happens-before edges that order all
+	// cross-goroutine state access.
+	reqs := make([]chan Action, n)
+	replies := make([]chan Outcome, n)
 	var wg sync.WaitGroup
 	for p := 0; p < n; p++ {
-		reqs[p] = make(chan request)
+		reqs[p] = make(chan Action)
+		replies[p] = make(chan Outcome, 1)
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
-			for r := range reqs[p] {
-				r.reply <- procs[p].Handle(r.a)
+			for a := range reqs[p] {
+				replies[p] <- procs[p].Handle(a)
 			}
 		}(p)
 	}
@@ -235,8 +235,16 @@ func Run(w Workload, opts Options) (*Result, error) {
 		}
 	}
 
-	stopped := false
-	var runErr error
+	// Per-round buffers, reused across rounds.
+	var (
+		snapshot     []Action
+		cands, picks []int
+		exec, order  []int
+		outs         []Outcome
+		taken        = make([]bool, n)
+		stopped      bool
+		runErr       error
+	)
 loop:
 	for {
 		if res.Events >= opts.MaxEvents {
@@ -263,7 +271,7 @@ loop:
 		}
 
 		// Candidate selection: due, destination alive, guard satisfied.
-		var snapshot []Action
+		snapshot = snapshot[:0]
 		if guarded != nil {
 			for i := range queue {
 				if !queue[i].consumed {
@@ -271,7 +279,7 @@ loop:
 				}
 			}
 		}
-		var cands []int
+		cands = cands[:0]
 		live := 0
 		for i := range queue {
 			pd := &queue[i]
@@ -330,8 +338,8 @@ loop:
 
 		// Adversarial pick: up to batch actions with distinct destinations,
 		// drawn uniformly without replacement.
-		var picks []int
-		taken := make(map[int]bool, batch)
+		picks = picks[:0]
+		clear(taken)
 		for len(picks) < batch && len(cands) > 0 {
 			k := rng.Intn(len(cands))
 			c := cands[k]
@@ -346,7 +354,7 @@ loop:
 
 		// Adversary dice, in pick order: drop removes the delivery, dup
 		// re-enqueues a copy under a fresh delay.
-		var exec []int
+		exec = exec[:0]
 		for _, c := range picks {
 			a := queue[c].a
 			if a.Kind == ActDeliver {
@@ -374,14 +382,12 @@ loop:
 		// (fan-out to last reply) feeds the BatchLat histogram — two clock
 		// reads per round, never per action.
 		batchT := time.Now()
-		replies := make([]chan Outcome, len(exec))
-		for i, c := range exec {
-			replies[i] = make(chan Outcome, 1)
-			reqs[queue[c].a.To] <- request{a: queue[c].a, reply: replies[i]}
+		for _, c := range exec {
+			reqs[queue[c].a.To] <- queue[c].a
 		}
-		outs := make([]Outcome, len(exec))
-		for i := range exec {
-			outs[i] = <-replies[i]
+		outs = outs[:0]
+		for _, c := range exec {
+			outs = append(outs, <-replies[queue[c].a.To])
 		}
 		if len(exec) > 0 {
 			batchLat.Observe(int64(time.Since(batchT)))
@@ -390,7 +396,7 @@ loop:
 		// Record in pick order, any Stop outcome last: a batch's steps
 		// commuted live, so any serialization embeds, and putting the
 		// terminal model step last keeps its batch-mates on the path.
-		order := make([]int, 0, len(exec))
+		order = order[:0]
 		for i := range exec {
 			if !outs[i].Stop {
 				order = append(order, i)

@@ -135,11 +135,13 @@ func (pr *liveMutexProc) Handle(runtime.Action) runtime.Outcome {
 	old := w.vars[v]
 	nl, nv := alg.Step(p, l, old)
 
-	label := fmt.Sprintf("p%d: v%d %d->%d", p, v, old, nv)
+	var label string
 	actor := p
 	if alg.Region(p, l) == spec.Remainder {
 		label = fmt.Sprintf("p%d requests", p)
 		actor = core.EnvironmentActor
+	} else {
+		label = fmt.Sprintf("p%d: v%d %d->%d", p, v, old, nv)
 	}
 
 	preCrit := alg.Region(p, l) == spec.Critical
