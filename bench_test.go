@@ -487,6 +487,30 @@ func BenchmarkExploreWorkers(b *testing.B) {
 	}
 }
 
+// BenchmarkExploreBytes is the engine's allocation per state: one full
+// exploration of wait-quorum n=3 at resilience 1 per iteration, at two
+// workers as the verdicts run. Run with -benchmem; B/state is the heap
+// bytes one exploration allocates over its state count, measured as
+// bench/'s engine.alloc_b_per_state is, so growth copies in the engine's
+// edge and span storage show here first.
+func BenchmarkExploreBytes(b *testing.B) {
+	sys := flp.NewSystem(flp.NewWaitQuorum(3), nil, 1)
+	var states int
+	var before, after runtime.MemStats
+	b.ReportAllocs()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < b.N; i++ {
+		g, err := core.Explore[string](sys, core.ExploreOptions{Parallelism: 2})
+		if err != nil {
+			b.Fatal(err)
+		}
+		states = g.Len()
+	}
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(states), "states")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N)/float64(states), "B/state")
+}
+
 func BenchmarkExploreFullFLPCrashFree(b *testing.B) {
 	p := flp.NewWaitQuorum(4)
 	benchExplorePOR(b, flp.NewSystem(p, nil, 0), core.ExploreOptions{})

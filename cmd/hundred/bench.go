@@ -593,8 +593,9 @@ func loadBenchFile(path string) (benchFile, error) {
 // runBenchJSON executes the suite and records the results. With an output
 // path it appends the run to the file's history (migrating the legacy
 // layout, capping at benchHistoryCap runs) and prints a warn-only
-// comparison against the previous run; with an empty path it emits the
-// single-run record as JSON on stdout.
+// comparison against the run bench-compare will gate it against
+// (benchBaseline); with an empty path it emits the single-run record as
+// JSON on stdout.
 func runBenchJSON(outPath string, base engine.Options, big bool) error {
 	// Validate the history file before spending minutes on the suite: a
 	// malformed file should fail fast, not after the benchmarks ran.
@@ -624,13 +625,11 @@ func runBenchJSON(outPath string, base engine.Options, big bool) error {
 }
 
 // appendBenchRun appends rec to the loaded history bf, keeps the newest
-// benchHistoryCap runs and writes the result to outPath. It returns the
-// run rec follows (nil for an empty history) and the history length.
+// benchHistoryCap runs and writes the result to outPath. It returns rec's
+// baseline in the history (benchBaseline; nil for an empty history) and
+// the history length.
 func appendBenchRun(outPath string, bf benchFile, rec benchRecord) (*benchRecord, int, error) {
-	var prev *benchRecord
-	if len(bf.Runs) > 0 {
-		prev = &bf.Runs[len(bf.Runs)-1]
-	}
+	prev := benchBaseline(bf.Runs, &rec)
 	bf.Runs = append(bf.Runs, rec)
 	// The appended run carries current-schema fields, so the file is now a
 	// current-schema document — stamp it as such (previously the loaded
@@ -648,15 +647,19 @@ func appendBenchRun(outPath string, bf benchFile, rec benchRecord) (*benchRecord
 }
 
 // compareBenchRuns prints a warn-only comparison of the new run against
-// the previous one: the per-system states/s table, then the findings of
-// the bench-compare gate (diffBenchRecords) — each violation as WARN and
-// each gate a hardware mismatch skipped as skip. It never fails the run:
-// this comparison runs before the new record is committed, on hardware the
-// previous record may not share; `hundred bench-compare` is the hard gate.
+// its baseline: the no-baseline note when prev is a fallback from other
+// hardware, the per-system states/s table, then the findings of the
+// bench-compare gate (diffBenchRecords) — each violation as WARN and each
+// gate a hardware mismatch skipped as skip. It never fails the run: this
+// comparison runs before the new record is committed, on hardware the
+// history may not share; `hundred bench-compare` is the hard gate.
 func compareBenchRuns(w io.Writer, prev, cur *benchRecord) {
 	if prev == nil {
 		fmt.Fprintln(w, "no previous run to compare against")
 		return
+	}
+	if note := noBaselineNote(prev, cur); note != "" {
+		fmt.Fprintln(w, note)
 	}
 	prevRows := make(map[string]explorationBench, len(prev.Explorations))
 	for _, r := range prev.Explorations {

@@ -26,12 +26,13 @@ const benchAllocThreshold = 0.50
 const benchMinGateSeconds = 0.05
 
 // runBenchCompare is the `hundred bench-compare` subcommand: it diffs the
-// last two runs recorded in a BENCH_hundred.json history and exits nonzero
-// when any system present in both runs regressed its full-mode throughput
-// by more than the threshold, or moved a deterministic state count. This is
-// the hard CI gate the warn-only comparison inside -bench-json cannot be
-// (that one runs before the new record is committed; this one compares two
-// committed records on the same hardware).
+// newest run recorded in a BENCH_hundred.json history against its baseline
+// (see benchBaseline) and exits nonzero when any system present in both
+// runs regressed its full-mode throughput by more than the threshold, or
+// moved a deterministic state count. This is the hard CI gate the
+// warn-only comparison inside -bench-json cannot be (that one runs before
+// the new record is committed; this one compares two committed records on
+// the same hardware).
 func runBenchCompare(args []string) int {
 	fs := flag.NewFlagSet("hundred bench-compare", flag.ContinueOnError)
 	file := fs.String("file", "BENCH_hundred.json", "bench history file to compare")
@@ -55,7 +56,11 @@ func runBenchCompare(args []string) int {
 		fmt.Printf("%s: %d run(s) in history; nothing to compare\n", *file, len(bf.Runs))
 		return 0
 	}
-	prev, cur := &bf.Runs[len(bf.Runs)-2], &bf.Runs[len(bf.Runs)-1]
+	cur := &bf.Runs[len(bf.Runs)-1]
+	prev := benchBaseline(bf.Runs[:len(bf.Runs)-1], cur)
+	if note := noBaselineNote(prev, cur); note != "" {
+		fmt.Println(note)
+	}
 	bad, skipped, compared := diffBenchRecords(prev, cur, *threshold, *allocThreshold)
 	for _, msg := range skipped {
 		fmt.Printf("skip %s\n", msg)
@@ -75,6 +80,41 @@ func runBenchCompare(args []string) int {
 	return 0
 }
 
+// benchBaseline picks the run cur is gated against from the runs recorded
+// before it: the most recent one with cur's goos/goarch/gomaxprocs, so the
+// throughput and allocs/state gates apply even when runs from other
+// hardware were recorded in between. When there is none it falls back to
+// the most recent run, which still gates state counts (noBaselineNote
+// says so). Nil for no runs.
+func benchBaseline(runs []benchRecord, cur *benchRecord) *benchRecord {
+	for i := len(runs) - 1; i >= 0; i-- {
+		if sameBenchHardware(&runs[i], cur) {
+			return &runs[i]
+		}
+	}
+	if len(runs) == 0 {
+		return nil
+	}
+	return &runs[len(runs)-1]
+}
+
+// noBaselineNote is the line printed ahead of the findings when cur's
+// baseline prev is a fallback from other hardware; "" otherwise.
+func noBaselineNote(prev, cur *benchRecord) string {
+	if sameBenchHardware(prev, cur) {
+		return ""
+	}
+	return fmt.Sprintf("NO BASELINE: no earlier run has this run's hardware (%s/%s, gomaxprocs %d); "+
+		"comparing against the previous run (%s/%s, gomaxprocs %d), so throughput is NOT gated",
+		cur.GOOS, cur.GOARCH, cur.GOMAXPROCS, prev.GOOS, prev.GOARCH, prev.GOMAXPROCS)
+}
+
+// sameBenchHardware reports whether two runs share goos, goarch and
+// gomaxprocs, the fingerprint the throughput gate needs.
+func sameBenchHardware(a, b *benchRecord) bool {
+	return a.GOOS == b.GOOS && a.GOARCH == b.GOARCH && a.GOMAXPROCS == b.GOMAXPROCS
+}
+
 // diffBenchRecords compares the systems present in both runs and returns
 // one message per gate violation: a full-mode throughput regression past
 // threshold, an allocs-per-state growth past allocThreshold, or any moved
@@ -92,7 +132,7 @@ func runBenchCompare(args []string) int {
 // row whose throughput or alloc gate was skipped for a fingerprint
 // mismatch gets one message in skipped, naming the reason.
 func diffBenchRecords(prev, cur *benchRecord, threshold, allocThreshold float64) (bad, skipped []string, compared int) {
-	sameHW := prev.GOOS == cur.GOOS && prev.GOARCH == cur.GOARCH && prev.GOMAXPROCS == cur.GOMAXPROCS
+	sameHW := sameBenchHardware(prev, cur)
 	sameWorkers := prev.GOMAXPROCS == cur.GOMAXPROCS
 	prevRows := make(map[string]explorationBench, len(prev.Explorations))
 	for _, r := range prev.Explorations {

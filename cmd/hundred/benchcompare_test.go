@@ -215,6 +215,54 @@ func TestCompareBenchRunsPrintsGateFindings(t *testing.T) {
 	}
 }
 
+// TestBenchCompareFindsMatchingBaseline: the newest run is gated against
+// the most recent earlier run on its own goos/goarch/gomaxprocs, here two
+// runs back behind a run from other hardware; with no such run it falls
+// back to the previous one, which gates state counts only, and says so.
+func TestBenchCompareFindsMatchingBaseline(t *testing.T) {
+	row := func(perSec float64, secs float64) []explorationBench {
+		return []explorationBench{{System: "grid", FullStates: 100, FullStatesPerSec: perSec, FullSeconds: secs}}
+	}
+	twoCPU := benchRecord{Timestamp: "a", GOOS: "linux", GOARCH: "amd64", GOMAXPROCS: 2, Explorations: row(1000, 1)}
+	oneCPU := benchRecord{Timestamp: "b", GOOS: "linux", GOARCH: "amd64", GOMAXPROCS: 1, Explorations: row(400, 2.5)}
+	cur := benchRecord{Timestamp: "c", GOOS: "linux", GOARCH: "amd64", GOMAXPROCS: 2, Explorations: row(500, 2)}
+
+	runs := []benchRecord{twoCPU, oneCPU}
+	if base := benchBaseline(runs, &cur); base != &runs[0] || noBaselineNote(base, &cur) != "" {
+		t.Fatalf("baseline = run %q, want the matching run two back", base.Timestamp)
+	}
+	// Against the previous run the 50% drop would go ungated.
+	if code := runBenchCompare([]string{"-file", benchFixture(t, twoCPU, oneCPU, cur)}); code != 1 {
+		t.Fatalf("50%% regression against the matching run two back: exit = %d, want 1", code)
+	}
+	cur.Explorations = row(900, 1.1)
+	if code := runBenchCompare([]string{"-file", benchFixture(t, twoCPU, oneCPU, cur)}); code != 0 {
+		t.Fatalf("10%% drop against the matching run two back: exit = %d, want 0", code)
+	}
+
+	cur.GOMAXPROCS = 4
+	base := benchBaseline(runs, &cur)
+	if base != &runs[1] {
+		t.Fatalf("no matching run: baseline = run %q, want the previous run", base.Timestamp)
+	}
+	if note := noBaselineNote(base, &cur); !strings.HasPrefix(note, "NO BASELINE") || !strings.Contains(note, "gomaxprocs 4") {
+		t.Fatalf("no matching run: note = %q, want a loud NO BASELINE line naming the hardware", note)
+	}
+	var buf bytes.Buffer
+	compareBenchRuns(&buf, base, &cur)
+	if !strings.HasPrefix(buf.String(), "NO BASELINE") {
+		t.Fatalf("-bench-json comparison does not open with the note:\n%s", buf.String())
+	}
+	// The fallback still gates state counts.
+	cur.Explorations[0].FullStates = 101
+	if code := runBenchCompare([]string{"-file", benchFixture(t, twoCPU, oneCPU, cur)}); code != 1 {
+		t.Fatalf("state drift without a matching run: exit = %d, want 1", code)
+	}
+	if benchBaseline(nil, &cur) != nil {
+		t.Fatal("baseline in an empty history")
+	}
+}
+
 func TestBenchCompareTooFewRuns(t *testing.T) {
 	path := benchFixture(t, benchRecord{Explorations: []explorationBench{{System: "grid", FullStates: 1}}})
 	if code := runBenchCompare([]string{"-file", path}); code != 0 {

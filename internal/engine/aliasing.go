@@ -59,7 +59,8 @@ func (e *explorer[S]) checkAliasing(s S, ws *worker[S], sp span) {
 			want = append(want, aliasEdge[S]{to: pa.act.To, label: pa.act.Label, actor: int32(pa.act.Actor)})
 		}
 	} else {
-		for _, r := range ws.arena[sp.off : sp.off+sp.n] {
+		_, row := e.row(sp)
+		for _, r := range row {
 			want = append(want, aliasEdge[S]{id: r.to, label: ws.labels[r.label], actor: r.actor})
 		}
 	}

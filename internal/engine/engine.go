@@ -250,20 +250,22 @@ type rawEdge struct {
 }
 
 // span locates one state's recorded successors inside its expanding
-// worker's arena.
+// worker's arena: loc packs the chunk index above the worker (the low
+// explorer.wbits bits), and the row is n edges from off in that chunk.
+// Like rawEdge it holds no pointers; the arena checks the packed limits
+// (ErrEdgeOverflow), so loc never wraps.
 type span struct {
-	worker int32
-	off    int32
-	n      int32
+	loc int32
+	off int32
+	n   int32
 }
 
 // worker holds one worker's private exploration storage. arena is only
 // ever touched by its owner during a level and by the coordinator between
 // levels, so none of it needs locking.
 type worker[S comparable] struct {
-	// arena accumulates rawEdges; spans index into it by offset, so append
-	// growth is safe.
-	arena []rawEdge
+	// arena accumulates the rows of the states this worker expands.
+	arena edgeArena
 	// labels is the worker's label table, indexed by rawEdge.label, and
 	// labelIDs its inverse. Replay maps these worker-local ids onto the
 	// canonical Result.Labels.
@@ -382,10 +384,12 @@ type explorer[S comparable] struct {
 	verifyMu  sync.Mutex
 	verifyErr error
 
-	// spans is indexed by provisional id. It is only appended to between
-	// level barriers; during a level, workers write spans at the distinct
-	// indices they own. (The id -> state payloads live in the store.)
-	spans []span
+	// spans is indexed by provisional id. It grows only between level
+	// barriers; during a level, workers write spans at the distinct ids
+	// they own. (The id -> state payloads live in the store.) wbits is the
+	// width of span.loc's worker field.
+	spans spanTable
+	wbits uint
 
 	// profStoreIO and profReplay are the coordinator-only phase counters
 	// (store maintenance between levels, the sequential replay pass);
@@ -471,7 +475,7 @@ func (ws *worker[S]) record(tid int32, fresh bool, label string, actor int) {
 	if !fresh {
 		ws.dedup++
 	}
-	ws.arena = append(ws.arena, rawEdge{to: tid, actor: int32(actor), label: ws.labelID(label)})
+	ws.arena.add(rawEdge{to: tid, actor: int32(actor), label: ws.labelID(label)})
 }
 
 // labelID returns label's index in the worker's label table, adding it on
@@ -526,7 +530,7 @@ func (e *explorer[S]) expandRange(w int32, cursor *atomic.Int64, hi int, chunk i
 			end = hi
 		}
 		for id := lo; id < end; id++ {
-			off := int32(len(ws.arena))
+			ws.arena.beginRow()
 			s := e.store.State(int32(id))
 			var t time.Time
 			if prof != nil && id&profSampleMask == 0 {
@@ -542,8 +546,11 @@ func (e *explorer[S]) expandRange(w int32, cursor *atomic.Int64, hi int, chunk i
 				prof.noteSample(time.Since(t))
 				ws.profSampling = false
 			}
-			sp := span{worker: w, off: off, n: int32(len(ws.arena)) - off}
-			e.spans[id] = sp
+			if ws.arena.err != nil {
+				return
+			}
+			sp := ws.arena.endRow(w, e.wbits)
+			*e.spans.at(int32(id)) = sp
 			ws.steps.Add(1)
 			if e.aliasMod != 0 && e.fp(s)%e.aliasMod == 0 {
 				e.checkAliasing(s, ws, sp)
@@ -676,8 +683,9 @@ func Explore[S comparable](inits []S, expand ExpandFunc[S], opts Options) (*Resu
 	}
 
 	e.workers = make([]*worker[S], nw)
+	e.wbits = workerBits(nw)
 	for i := range e.workers {
-		ws := &worker[S]{}
+		ws := &worker[S]{arena: edgeArena{lastChunk: math.MaxInt32 >> e.wbits}}
 		if e.canon != nil {
 			ws.rawSeen = make(map[uint64]struct{})
 		}
@@ -748,7 +756,7 @@ func Explore[S comparable](inits []S, expand ExpandFunc[S], opts Options) (*Resu
 	var st Stats
 	st.Workers = nw
 	lo, hi := 0, e.store.Len()
-	e.spans = growTo(e.spans, hi)
+	e.spans.grow(hi)
 	var cursor atomic.Int64
 	for lo < hi {
 		frontier := hi - lo
@@ -778,7 +786,12 @@ func Explore[S comparable](inits []S, expand ExpandFunc[S], opts Options) (*Resu
 		// during this level (the barrier's happens-before makes the
 		// payloads readable by id from any worker next level).
 		total := e.store.Len()
-		e.spans = growTo(e.spans, total)
+		for _, ws := range e.workers {
+			if ws.arena.err != nil {
+				return nil, ws.arena.err
+			}
+		}
+		e.spans.grow(total)
 		lo, hi = hi, total
 		// Budget maintenance runs at the barrier, while the workers are
 		// quiescent: the store may spill payloads below the next frontier
@@ -835,6 +848,9 @@ func Explore[S comparable](inits []S, expand ExpandFunc[S], opts Options) (*Resu
 	if opts.maxEdges > 0 {
 		maxEdges = opts.maxEdges
 	}
+	for _, ws := range e.workers {
+		st.ArenaBytes += ws.arena.bytes()
+	}
 	res, err := e.replayTimed(initIDs, limit, lo, maxEdges)
 	if err != nil && !errors.Is(err, ErrStateLimit) {
 		return nil, err
@@ -847,9 +863,6 @@ func Explore[S comparable](inits []S, expand ExpandFunc[S], opts Options) (*Resu
 	st.States = len(res.States)
 	st.Edges = res.NumEdges()
 	st.GraphBytes = res.graphBytes()
-	for _, ws := range e.workers {
-		st.ArenaBytes += int64(cap(ws.arena)) * int64(unsafe.Sizeof(rawEdge{}))
-	}
 	st.Truncated = res.Truncated
 	st.Store = e.store.Stats()
 	st.Lossy = st.Store.Lossy
@@ -891,7 +904,7 @@ func (e *explorer[S]) replay(initIDs []int32, limit, expanded, maxEdges int) (*R
 	var rawTotal int
 	labelMap := make([][]uint32, len(e.workers))
 	for w, ws := range e.workers {
-		rawTotal += len(ws.arena)
+		rawTotal += ws.arena.edges()
 		labelMap[w] = make([]uint32, len(ws.labels))
 		for i := range labelMap[w] {
 			labelMap[w][i] = noLabel
@@ -944,10 +957,9 @@ func (e *explorer[S]) replay(initIDs []int32, limit, expanded, maxEdges int) (*R
 			// fires (below) before any unexpanded state is dequeued.
 			return res, fmt.Errorf("engine: internal error: state %d dequeued without recorded successors", cid)
 		}
-		sp := e.spans[pid]
-		ws := e.workers[sp.worker]
-		labels := labelMap[sp.worker]
-		for _, r := range ws.arena[sp.off : sp.off+sp.n] {
+		w, row := e.row(*e.spans.at(pid))
+		ws, labels := e.workers[w], labelMap[w]
+		for _, r := range row {
 			tc, fresh := intern(r.to)
 			if fresh {
 				if len(res.States) > limit {

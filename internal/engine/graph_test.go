@@ -30,11 +30,12 @@ func pointerFree(t reflect.Type, path string) string {
 }
 
 // TestEdgeLayoutIsPointerFree: every edge is stored twice during a run,
-// once in a worker arena and once in Result.Edges, so a pointer in either
-// type (a label string, say) makes the garbage collector scan every edge
-// of the graph on every cycle.
+// once in a worker arena and once in Result.Edges, and every state has a
+// span locating its row, so a pointer in any of the three types (a label
+// string, say, or a chunk pointer) makes the garbage collector scan every
+// edge or state of the graph on every cycle.
 func TestEdgeLayoutIsPointerFree(t *testing.T) {
-	for _, typ := range []reflect.Type{reflect.TypeOf(rawEdge{}), reflect.TypeOf(Edge{})} {
+	for _, typ := range []reflect.Type{reflect.TypeOf(rawEdge{}), reflect.TypeOf(Edge{}), reflect.TypeOf(span{})} {
 		if bad := pointerFree(typ, typ.Name()); bad != "" {
 			t.Errorf("%s holds a GC-scanned field: %s", typ.Name(), bad)
 		}

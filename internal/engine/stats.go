@@ -81,9 +81,10 @@ type Stats struct {
 	PeakRSSBytes int64
 	// GraphBytes is the memory the Result's graph layout holds: row
 	// offsets, edge array, label table and parent tree (state payloads
-	// excluded). ArenaBytes is the workers' raw-edge arena capacity at
-	// replay, summed. Both are byte accounting, not part of the
-	// determinism comparisons or trace digests.
+	// excluded). ArenaBytes is the capacity of every raw-edge chunk the
+	// workers allocated, summed, taken before replay. Both are byte
+	// accounting, not part of the determinism comparisons or trace
+	// digests.
 	GraphBytes int64
 	ArenaBytes int64
 	// Phases is the run's aggregate phase-attribution profile (expand,

@@ -1,6 +1,9 @@
 package store
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"unsafe"
+)
 
 // codec serializes state payloads for segment files. enc appends the
 // encoding of s to dst and returns the grown slice — the append form is
@@ -85,26 +88,13 @@ func intCodec[S comparable](get func(*S) uint64, set func(uint64, *S)) *codec[S]
 // plus allocator slack) for the byte accounting.
 const stringHeaderBytes = 16
 
-// fallbackStateBytes is the accounting estimate for state types without a
-// known layout. Only the mem and bitstate backends ever see such types
-// (spill refuses them), and there the estimate only shades the reported
+// sizeOf is the spill backend's per-state resident-byte estimate: a
+// string's bytes plus its overhead, or an integer state's size (spill
+// refuses every other type, see codecFor). It only shades the reported
 // BytesInRAM, never correctness.
-const fallbackStateBytes = 32
-
-// sizeOf is the per-state resident-byte estimate.
 func sizeOf[S comparable](s S) int64 {
-	switch v := any(s).(type) {
-	case string:
+	if v, ok := any(s).(string); ok {
 		return int64(len(v)) + stringHeaderBytes
-	case int8, uint8:
-		return 1
-	case int16, uint16:
-		return 2
-	case int32, uint32:
-		return 4
-	case int, int64, uint, uint64, uintptr:
-		return 8
-	default:
-		return fallbackStateBytes
 	}
+	return int64(unsafe.Sizeof(s))
 }

@@ -94,16 +94,12 @@ func (x *index) grow() {
 	}
 }
 
-// memShard is one stripe of the mem and bitstate visited set: its index,
-// resident payload-byte accounting and, for string states, a slab arena
-// holding the payload bytes.
+// memShard is one stripe of the mem and bitstate visited set: its index
+// and, for string states, a slab arena holding the payload bytes.
 type memShard struct {
-	mu  sync.Mutex
-	idx index
-	// payload is atomic (not mutex-guarded like the rest), so Stats can
-	// read it from the telemetry monitor without contending with interning.
-	payload atomic.Int64
-	arena   slab
+	mu    sync.Mutex
+	idx   index
+	arena slab
 }
 
 // memStore is the RAM-resident backend, exact (mem) or lossy (bitstate):
@@ -212,7 +208,6 @@ func (st *memStore[S]) lookup(sh *memShard, h uint64, s S) (int, int32) {
 func (st *memStore[S]) add(sh *memShard, i int, h uint64, s S) int32 {
 	id := int32(st.counter.Add(1) - 1)
 	st.pages.set(id, s)
-	sh.payload.Add(sizeOf(s))
 	sh.idx.insert(i, h, id)
 	return id
 }
@@ -247,10 +242,11 @@ func (st *memStore[S]) Stats() Stats {
 	if st.lossy {
 		out.Kind = Bitstate
 	}
+	out.BytesInRAM = st.pages.bytes.Load()
 	for i := range st.shards {
 		sh := &st.shards[i]
 		idx := sh.idx.bytes.Load()
-		out.ShardBytes[i] = sh.payload.Load() + idx
+		out.ShardBytes[i] = sh.arena.bytes.Load() + idx
 		out.IndexBytes += idx
 		out.BytesInRAM += out.ShardBytes[i]
 	}

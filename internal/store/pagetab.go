@@ -4,6 +4,7 @@ import (
 	"math/bits"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // pagetab is the id -> payload table shared by every backend: a spine of
@@ -45,6 +46,10 @@ type pagetab[S any] struct {
 	minBits uint
 	mu      sync.Mutex // serializes spine growth
 	spine   atomic.Pointer[[]page[S]]
+	// bytes is the slot bytes of every page grow allocated, read lock-free
+	// by Stats. It counts dropped pages too; only mem and bitstate, which
+	// never drop a page, report it.
+	bytes atomic.Int64
 }
 
 // init sets full pages to 2^maxBits states, ramping up from 2^minBits.
@@ -106,12 +111,14 @@ func (t *pagetab[S]) grow(pno int) []page[S] {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	pages := t.pages()
+	var zero S
 	for len(pages) <= pno {
 		size := t.size
 		if k := uint(len(pages)); k < t.bits-t.minBits {
 			size = 1 << (t.minBits + k)
 		}
 		pages = append(pages, page[S]{slots: make([]S, size)})
+		t.bytes.Add(int64(size) * int64(unsafe.Sizeof(zero)))
 	}
 	t.spine.Store(&pages)
 	return pages

@@ -1,6 +1,9 @@
 package store
 
-import "unsafe"
+import (
+	"sync/atomic"
+	"unsafe"
+)
 
 // slabChunkSize is the slab arena's largest allocation unit: big enough
 // that chunk turnover is rare, small enough that a mostly-dead chunk pinned
@@ -26,8 +29,10 @@ const (
 // concurrent use; each shard owns one and serializes access through its
 // mutex.
 type slab struct {
-	cur   []byte
-	total int64
+	cur []byte
+	// bytes is the capacity of every chunk allocated. It is atomic so
+	// Stats can read it during a level without the shard lock.
+	bytes atomic.Int64
 }
 
 // addBytes copies b into the arena and returns a stable string view of the
@@ -41,7 +46,6 @@ func (a *slab) addBytes(b []byte) string {
 	}
 	off := len(a.cur)
 	a.cur = append(a.cur, b...)
-	a.total += int64(len(b))
 	return unsafe.String(&a.cur[off], len(b))
 }
 
@@ -55,7 +59,6 @@ func (a *slab) addString(s string) string {
 	}
 	off := len(a.cur)
 	a.cur = append(a.cur, s...)
-	a.total += int64(len(s))
 	return unsafe.String(&a.cur[off], len(s))
 }
 
@@ -64,4 +67,5 @@ func (a *slab) addString(s string) string {
 func (a *slab) grow(n int) {
 	size := min(max(2*cap(a.cur), slabFirstChunk), slabChunkSize)
 	a.cur = make([]byte, 0, max(size, n))
+	a.bytes.Add(int64(cap(a.cur)))
 }

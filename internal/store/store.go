@@ -117,14 +117,18 @@ type Stats struct {
 	// States is the number of states interned.
 	States int
 	// BytesInRAM is the resident footprint: the payload bytes still in
-	// memory (an estimate per state, see sizeOf) plus IndexBytes.
+	// memory plus IndexBytes. The mem and bitstate backends measure the
+	// payload half as the page-table and slab-chunk bytes they allocated;
+	// spill estimates it per resident state (see sizeOf).
 	BytesInRAM int64
 	// IndexBytes is the fingerprint index's measured footprint, from its
 	// arrays' capacity: 8 bytes of fingerprint and 4 of id per slot.
 	IndexBytes int64
 	// MaxBytes echoes the configured budget (spill only).
 	MaxBytes int64
-	// ShardBytes is BytesInRAM per shard (mem and bitstate only).
+	// ShardBytes is each shard's slab-chunk and index bytes (mem and
+	// bitstate only); with the shared page table's bytes they sum to
+	// BytesInRAM.
 	ShardBytes []int64
 	// SpilledStates counts states whose payloads live on disk.
 	SpilledStates int

@@ -3,8 +3,10 @@ package store
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 // stringFP mirrors the engine's string fingerprint shape: deterministic,
@@ -331,18 +333,24 @@ func TestParseFlags(t *testing.T) {
 }
 
 // TestStatsByteAccounting pins every backend's byte accounting: the
-// index is measured from its arrays (12 bytes a slot, at most 13/16 full),
-// BytesInRAM is the resident payload estimate plus the index, and the mem
-// and bitstate per-shard figures sum to it.
+// index is measured from its arrays (12 bytes a slot, at most 13/16 full).
+// Spill's BytesInRAM is its resident payload estimate plus the index. The
+// mem and bitstate backends measure their payload as the page-table and
+// slab-chunk bytes they allocated: the page bytes are exactly the pages'
+// slots, the slab chunks hold at least every payload byte, and the whole
+// figure is no more than the heap bytes the interning allocated.
 func TestStatsByteAccounting(t *testing.T) {
 	const n = 500
 	states := testStates(n)
-	var payload int64
+	var payload, payloadBytes int64
 	for _, s := range states {
 		payload += sizeOf(s)
+		payloadBytes += int64(len(s))
 	}
 	for name, cfg := range backendConfigs(t) {
 		t.Run(name, func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
 			st, err := New[string](cfg, 4, stringFP)
 			if err != nil {
 				t.Fatal(err)
@@ -351,14 +359,15 @@ func TestStatsByteAccounting(t *testing.T) {
 			for _, s := range states {
 				st.Intern(s)
 			}
+			runtime.ReadMemStats(&after)
 			ss := st.Stats()
 			if ss.IndexBytes%indexSlotBytes != 0 || ss.IndexBytes*13 <= n*16*indexSlotBytes {
 				t.Fatalf("IndexBytes = %d for %d states, want whole 12-byte slots at most 13/16 full", ss.IndexBytes, n)
 			}
-			if ss.BytesInRAM != payload+ss.IndexBytes {
-				t.Fatalf("BytesInRAM = %d, want payload %d + index %d", ss.BytesInRAM, payload, ss.IndexBytes)
-			}
 			if cfg.ResolvedKind() == Spill {
+				if ss.BytesInRAM != payload+ss.IndexBytes {
+					t.Fatalf("BytesInRAM = %d, want payload %d + index %d", ss.BytesInRAM, payload, ss.IndexBytes)
+				}
 				if ss.ShardBytes != nil {
 					t.Fatalf("spill reports ShardBytes %v", ss.ShardBytes)
 				}
@@ -374,15 +383,32 @@ func TestStatsByteAccounting(t *testing.T) {
 			if len(ss.ShardBytes) != 4 {
 				t.Fatalf("ShardBytes has %d entries, want 4", len(ss.ShardBytes))
 			}
-			var sum int64
+			ms := st.(*memStore[string])
+			var pageBytes, slabBytes, sum int64
+			for _, pg := range ms.pages.pages() {
+				pageBytes += int64(cap(pg.slots)) * int64(unsafe.Sizeof(""))
+			}
 			for i, b := range ss.ShardBytes {
-				if b <= indexInitSlots*indexSlotBytes {
-					t.Fatalf("shard %d accounts %d bytes over %d well-spread states", i, b, n)
+				slab := b - ms.shards[i].idx.bytes.Load()
+				if slab <= 0 {
+					t.Fatalf("shard %d accounts %d slab bytes over %d well-spread states", i, slab, n)
 				}
+				slabBytes += slab
 				sum += b
 			}
-			if sum != ss.BytesInRAM {
-				t.Fatalf("BytesInRAM %d vs shard sum %d", ss.BytesInRAM, sum)
+			if ss.BytesInRAM != pageBytes+sum {
+				t.Fatalf("BytesInRAM = %d, want pages %d + shard sum %d", ss.BytesInRAM, pageBytes, sum)
+			}
+			if slabBytes < payloadBytes {
+				t.Fatalf("slab chunks account %d bytes, under the %d payload bytes they hold", slabBytes, payloadBytes)
+			}
+			// Beside what BytesInRAM counts, interning allocates only the
+			// index arrays its doublings discarded (fewer bytes than the
+			// final index) and a few KiB of spine and shard headers.
+			alloc := int64(after.TotalAlloc - before.TotalAlloc)
+			if ss.BytesInRAM > alloc || alloc-ss.BytesInRAM > ss.IndexBytes+8<<10 {
+				t.Fatalf("BytesInRAM = %d (pages %d, slabs %d, index %d), but interning allocated %d bytes",
+					ss.BytesInRAM, pageBytes, slabBytes, ss.IndexBytes, alloc)
 			}
 		})
 	}
