@@ -110,3 +110,31 @@ func BenchmarkPageEncode(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkSpillReadBack times one read-back of a spilled page the cache
+// does not hold: the segment read, decompression, checksum and decode. It
+// cycles through more pages than the cache holds, so every op misses. The
+// pages are full (2^defaultPageBits states), so besides the slot array and
+// the payload block, allocs/op counts the link tables flate's Huffman
+// decoder makes for every block whose codes are longer than 9 bits.
+func BenchmarkSpillReadBack(b *testing.B) {
+	st, _ := spilledStore(b, defaultPageBits, 4*pageCacheSize<<defaultPageBits)
+	pages := int(st.spilledTo.Load())
+	read := func(k int) { st.State(int32((k % pages) << defaultPageBits)) }
+	for k := 0; k < pages; k++ {
+		read(k)
+	}
+	reads := st.segReads.Load()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		read(i)
+	}
+	b.StopTimer()
+	if got := st.segReads.Load() - reads; got != uint64(b.N) {
+		b.Fatalf("%d segment reads in %d ops, want one per op", got, b.N)
+	}
+	if err := st.Err(); err != nil {
+		b.Fatal(err)
+	}
+}

@@ -8,9 +8,10 @@ import (
 // codec serializes state payloads for segment files. enc appends the
 // encoding of s to dst and returns the grown slice — the append form is
 // what lets the spill path reuse one scratch buffer per page instead of
-// allocating per state. dec must tolerate b aliasing a larger buffer; it
-// may assume len(b) == width when width is nonzero (fixed-width codecs),
-// which the page decoder checks before calling it.
+// allocating per state. dec decodes one fixed-width state: it may assume
+// len(b) == width, which the page decoder checks before calling it. The
+// string codec has no dec; the page decoder slices string states out of
+// one copy of the page's payload section instead of allocating each.
 type codec[S comparable] struct {
 	enc   func(dst []byte, s *S) []byte
 	dec   func(b []byte) S
@@ -28,7 +29,6 @@ func codecFor[S comparable]() *codec[S] {
 	case string:
 		return &codec[S]{
 			enc: func(dst []byte, s *S) []byte { return append(dst, *any(s).(*string)...) },
-			dec: func(b []byte) S { return any(string(b)).(S) },
 		}
 	case int:
 		return intCodec(func(s *S) uint64 { return uint64(*any(s).(*int)) },
@@ -84,14 +84,14 @@ func intCodec[S comparable](get func(*S) uint64, set func(uint64, *S)) *codec[S]
 	}
 }
 
-// stringHeaderBytes approximates a string's fixed in-RAM overhead (header
-// plus allocator slack) for the byte accounting.
+// stringHeaderBytes is a resident string's slot in the page table: its
+// 16-byte header, whose bytes live in the shard's slab.
 const stringHeaderBytes = 16
 
 // sizeOf is the spill backend's per-state resident-byte estimate: a
-// string's bytes plus its overhead, or an integer state's size (spill
-// refuses every other type, see codecFor). It only shades the reported
-// BytesInRAM, never correctness.
+// string's slab bytes plus its page-table slot, or an integer state's size
+// (spill refuses every other type, see codecFor). It only shades the
+// reported BytesInRAM, never correctness.
 func sizeOf[S comparable](s S) int64 {
 	if v, ok := any(s).(string); ok {
 		return int64(len(v)) + stringHeaderBytes

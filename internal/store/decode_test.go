@@ -5,7 +5,10 @@ import (
 	"compress/flate"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
+	"strings"
+	"sync"
 	"testing"
 )
 
@@ -31,6 +34,134 @@ func spillStoreFor[S comparable](t testing.TB, fp func(S) uint64) *spillStore[S]
 
 func intFP(v int) uint64 { return uint64(v) * 0x9e3779b97f4a7c15 }
 
+// spilledStore interns n test states into a 4-shard spill store of
+// 2^pageBits-state pages and spills all but the last page or so of them,
+// so nearly every id reads back from a segment.
+func spilledStore(t testing.TB, pageBits, n int) (*spillStore[string], []string) {
+	t.Helper()
+	states := testStates(n)
+	st, err := newSpillStore[string](Config{MaxBytes: 1 << 10, PageBits: pageBits, Dir: t.TempDir()}, 4, stringFP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	for _, v := range states {
+		st.Intern(v)
+	}
+	if err := st.Maintain(int32(n)); err != nil {
+		t.Fatal(err)
+	}
+	if pages := int(st.spilledTo.Load()); pages <= 2*pageCacheSize {
+		t.Fatalf("%d pages spilled, want more than %d", pages, 2*pageCacheSize)
+	}
+	return st, states
+}
+
+// TestSpillReadBackDoesNotAlias keeps the strings State returns for a
+// spilled page, then reads every other spilled page back, which evicts
+// that page from the LRU cache and overwrites the read-back buffers many
+// times. The kept strings must still be the states interned.
+func TestSpillReadBackDoesNotAlias(t *testing.T) {
+	st, states := spilledStore(t, 4, 4096)
+	per, pages := st.pages.size, int(st.spilledTo.Load())
+	kept := make([]string, per)
+	for i := range kept {
+		kept[i] = st.State(int32(i))
+	}
+	for p := 1; p < pages; p++ {
+		st.State(int32(p * per))
+	}
+	if _, cached := st.cache[0]; cached {
+		t.Fatalf("page 0 still cached after %d further read-backs", pages-1)
+	}
+	if reads := st.segReads.Load(); reads != uint64(pages) {
+		t.Fatalf("%d segment reads, want one per spilled page (%d)", reads, pages)
+	}
+	for i, v := range kept {
+		if v != states[i] {
+			t.Fatalf("kept State(%d) = %q after the read-back buffers were reused, want %q", i, v, states[i])
+		}
+	}
+	if err := st.Err(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSpillReadBackDoesNotAliasConcurrent: 8 goroutines read spilled ids
+// across more pages than the cache holds, each in its own order, and check
+// every string they kept once all are done. Run under -race, it also
+// checks that the shared read-back buffers and page cache are touched
+// only under the segment lock.
+func TestSpillReadBackDoesNotAliasConcurrent(t *testing.T) {
+	st, states := spilledStore(t, 4, 4096)
+	per, pages := st.pages.size, int(st.spilledTo.Load())
+	const workers = 8
+	errs := make(chan error, workers)
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			var kept []int32
+			for r := 0; r < 2; r++ {
+				for k := 0; k < pages; k++ {
+					p := (g*pages/workers + k) % pages
+					if g%2 == 1 {
+						p = pages - 1 - p
+					}
+					kept = append(kept, int32(p*per+(g+r)%per))
+				}
+			}
+			vals := make([]string, len(kept))
+			for i, id := range kept {
+				vals[i] = st.State(id)
+				if vals[i] != states[id] {
+					errs <- fmt.Errorf("State(%d) = %q, want %q", id, vals[i], states[id])
+					return
+				}
+			}
+			for i, id := range kept {
+				if vals[i] != states[id] {
+					errs <- fmt.Errorf("kept State(%d) = %q after later read-backs, want %q", id, vals[i], states[id])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if err := st.Err(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSpillReadBackAllocs pins a warmed read-back of a page the cache does
+// not hold at two allocations: the slot array and the payload block. The
+// pages are 16 states, so flate's Huffman codes stay within the 9 bits
+// its decoder's fixed tables hold; longer codes make it allocate link
+// tables per block (see BenchmarkSpillReadBack).
+func TestSpillReadBackAllocs(t *testing.T) {
+	st, _ := spilledStore(t, 4, 4096)
+	pages := int(st.spilledTo.Load())
+	k := 0
+	read := func() {
+		st.State(int32((k % pages) << st.pages.bits))
+		k++
+	}
+	for i := 0; i < pages; i++ {
+		read()
+	}
+	if allocs := testing.AllocsPerRun(2*pages, read); allocs > 2 {
+		t.Fatalf("a page read-back allocates %v times, want at most 2", allocs)
+	}
+	if hits := st.cacheHits.Load(); hits != 0 {
+		t.Fatalf("%d cache hits cycling through %d pages, want every read to miss", hits, pages)
+	}
+}
+
 // TestDecodePageOffsetTableOverrun: a header claiming 100 states over a
 // 4-byte image used to slice the offset table out of range.
 func TestDecodePageOffsetTableOverrun(t *testing.T) {
@@ -53,7 +184,9 @@ func TestDecodePageShortFixedWidthPayload(t *testing.T) {
 // and an int store, which must fail with ErrCorruptPage or succeed, never
 // panic. It then reads the same bytes as page contents — NUL-separated
 // strings, 8-byte integers — and checks encodePage then decodePage gives
-// the slots back.
+// the slots back. Every decoded page is checked again after its image is
+// overwritten, as the read-back path overwrites its buffer: a decoded
+// string that aliases the image fails.
 func FuzzDecodePage(f *testing.F) {
 	f.Add(pageImage(100, nil, nil))
 	f.Add(pageImage(1, []uint32{0, 3}, []byte{1, 2, 3}))
@@ -62,7 +195,7 @@ func FuzzDecodePage(f *testing.F) {
 	strs := spillStoreFor(f, stringFP)
 	ints := spillStoreFor(f, intFP)
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		for _, err := range []error{decodeErr(strs, raw), decodeErr(ints, raw)} {
+		for _, err := range []error{decodeErr(t, strs, raw), decodeErr(t, ints, raw)} {
 			if err != nil && !errors.Is(err, ErrCorruptPage) {
 				t.Fatalf("decode error %v does not wrap ErrCorruptPage", err)
 			}
@@ -83,13 +216,41 @@ func FuzzDecodePage(f *testing.F) {
 	})
 }
 
-func decodeErr[S comparable](st *spillStore[S], raw []byte) error {
-	_, err := st.decodePage(raw)
-	return err
+// decodeErr decodes a copy of raw and, when that succeeds, requires the
+// slots to survive the copy being poisoned.
+func decodeErr[S comparable](t *testing.T, st *spillStore[S], raw []byte) error {
+	t.Helper()
+	img := bytes.Clone(raw)
+	slots, err := st.decodePage(img)
+	if err != nil {
+		return err
+	}
+	want := make([]S, len(slots))
+	for i, v := range slots {
+		if s, ok := any(v).(string); ok {
+			*any(&want[i]).(*string) = strings.Clone(s)
+		} else {
+			want[i] = v
+		}
+	}
+	poison(img)
+	for i, v := range slots {
+		if v != want[i] {
+			t.Fatalf("slot %d = %v after the image was overwritten, decoded as %v", i, v, want[i])
+		}
+	}
+	return nil
+}
+
+func poison(b []byte) {
+	for i := range b {
+		b[i] = 0xDB
+	}
 }
 
 // roundTrip encodes vals as one page and requires decodePage to return
-// them in the leading slots and zero values after.
+// them in the leading slots and zero values after, also once the encoded
+// image is overwritten.
 func roundTrip[S comparable](t *testing.T, st *spillStore[S], vals []S) {
 	t.Helper()
 	pg := &page[S]{slots: make([]S, st.pages.size)}
@@ -99,7 +260,8 @@ func roundTrip[S comparable](t *testing.T, st *spillStore[S], vals []S) {
 	if err != nil {
 		t.Fatalf("decode of an encoded %d-state page: %v", len(vals), err)
 	}
-	for i, v := range got.slots {
+	poison(raw)
+	for i, v := range got {
 		if v != pg.slots[i] {
 			t.Fatalf("slot %d = %v after the round trip, want %v", i, v, pg.slots[i])
 		}

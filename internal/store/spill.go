@@ -9,6 +9,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,6 +28,11 @@ import (
 // confirmed by decompressing its page back (served through a small LRU
 // page cache), so the backend stays exact: no 64-bit collision is ever
 // trusted.
+//
+// Resident string payloads live in the shard's slab, as in the mem store.
+// Pages spill oldest-id first and each shard's slab fills in id order, so
+// a slab chunk is garbage once every page it backs has been dropped; at
+// most one chunk per shard straddles the watermark.
 //
 // Layout of one spilled page (before compression):
 //
@@ -51,11 +57,6 @@ const pageCacheSize = 64
 // instead of shaving single pages every barrier.
 const spillLowWater = 0.75
 
-type spillShard struct {
-	mu  sync.Mutex
-	idx index
-}
-
 // pageMeta locates one spilled page inside the segment files; crc is the
 // CRC-32C of its raw (uncompressed) image.
 type pageMeta struct {
@@ -67,15 +68,16 @@ type pageMeta struct {
 }
 
 type cacheEnt[S comparable] struct {
-	pg      *page[S]
+	slots   []S
 	lastUse uint64
 }
 
 type spillStore[S comparable] struct {
-	shards   []spillShard
+	shards   []memShard
 	mask     uint64
 	fp       func(S) uint64
 	codec    *codec[S]
+	isString bool
 	maxBytes int64
 	counter  atomic.Int64
 	pages    pagetab[S]
@@ -89,15 +91,24 @@ type spillStore[S comparable] struct {
 	ownDir bool
 
 	// segMu guards everything below: segment files, page metadata, the
-	// decompressed-page cache and the sticky I/O error. Readers holding a
-	// shard lock may take segMu (never the reverse), so lock order is
-	// shard -> seg.
+	// decompressed-page cache, the read-back buffers and the sticky I/O
+	// error. Readers holding a shard lock may take segMu (never the
+	// reverse), so lock order is shard -> seg.
 	segMu     sync.Mutex
 	segs      []*os.File
 	meta      []pageMeta
-	cache     map[int32]*cacheEnt[S]
+	cache     map[int32]cacheEnt[S]
 	cacheTick uint64
 	ioErr     error
+
+	// compBuf, rawBuf, compRd and flateR are the read-back buffers: one
+	// page's compressed bytes, its raw image, and the flate reader over
+	// them, reset for every cache miss. No decoded slot points into them
+	// (see decodePage).
+	compBuf []byte
+	rawBuf  []byte
+	compRd  bytes.Reader
+	flateR  io.ReadCloser
 
 	spilledStates int
 	bytesSpilled  int64
@@ -132,13 +143,15 @@ func newSpillStore[S comparable](cfg Config, shards int, fp func(S) uint64) (*sp
 	if cdc == nil {
 		return nil, fmt.Errorf("%w: %T", ErrNoCodec, *new(S))
 	}
+	_, isString := any(*new(S)).(string)
 	st := &spillStore[S]{
-		shards:   make([]spillShard, shards),
+		shards:   make([]memShard, shards),
 		mask:     uint64(shards - 1),
 		fp:       fp,
 		codec:    cdc,
+		isString: isString,
 		maxBytes: cfg.MaxBytes,
-		cache:    make(map[int32]*cacheEnt[S], pageCacheSize),
+		cache:    make(map[int32]cacheEnt[S], pageCacheSize),
 		crcTab:   crc32.MakeTable(crc32.Castagnoli),
 	}
 	bits := cfg.PageBits
@@ -174,6 +187,9 @@ func (st *spillStore[S]) Intern(s S) (int32, bool) {
 	i, id := st.lookup(sh, h, s)
 	fresh := id < 0
 	if fresh {
+		if st.isString {
+			s = any(sh.arena.addString(any(s).(string))).(S)
+		}
 		id = st.add(sh, i, h, s)
 	}
 	sh.mu.Unlock()
@@ -181,11 +197,9 @@ func (st *spillStore[S]) Intern(s S) (int32, bool) {
 }
 
 // InternBytes is the zero-copy intern path (see StateStore). A dedup hit
-// — the overwhelmingly common case on the hot path — allocates nothing,
-// including when the confirm reads a spilled page back (the comparison
-// against the decoded payload converts nothing). Only a fresh intern
-// materializes the state, which is unavoidable: the payload must outlive
-// the caller's scratch buffer.
+// — the overwhelmingly common case on the hot path — allocates nothing
+// (the comparison against the confirmed payload converts nothing); a
+// fresh intern copies b into the shard's slab, as the mem store does.
 func (st *spillStore[S]) InternBytes(h uint64, b []byte) (int32, bool) {
 	sh := &st.shards[h&st.mask]
 	sh.mu.Lock()
@@ -195,7 +209,7 @@ func (st *spillStore[S]) InternBytes(h uint64, b []byte) (int32, bool) {
 	}
 	fresh := id < 0
 	if fresh {
-		id = st.add(sh, i, h, any(string(b)).(S))
+		id = st.add(sh, i, h, any(sh.arena.addBytes(b)).(S))
 	}
 	sh.mu.Unlock()
 	return id, fresh
@@ -204,7 +218,7 @@ func (st *spillStore[S]) InternBytes(h uint64, b []byte) (int32, bool) {
 // lookup returns s's slot and id in sh, confirming every fingerprint
 // match against the resident or spilled payload, or the empty slot where
 // s belongs and -1. Caller holds sh.mu.
-func (st *spillStore[S]) lookup(sh *spillShard, h uint64, s S) (int, int32) {
+func (st *spillStore[S]) lookup(sh *memShard, h uint64, s S) (int, int32) {
 	i, id := sh.idx.first(h)
 	for id >= 0 && !st.equals(id, s) {
 		i, id = sh.idx.next(h, i)
@@ -214,7 +228,7 @@ func (st *spillStore[S]) lookup(sh *spillShard, h uint64, s S) (int, int32) {
 
 // add assigns the next id to payload s and records it in sh's empty slot
 // i. Caller holds sh.mu.
-func (st *spillStore[S]) add(sh *spillShard, i int, h uint64, s S) int32 {
+func (st *spillStore[S]) add(sh *memShard, i int, h uint64, s S) int32 {
 	id := int32(st.counter.Add(1) - 1)
 	st.pages.set(id, s)
 	st.resident.Add(sizeOf(s))
@@ -285,15 +299,16 @@ func (st *spillStore[S]) spilledState(id int32) (S, bool) {
 	st.cacheTick++
 	if ent, ok := st.cache[pno]; ok {
 		ent.lastUse = st.cacheTick
+		st.cache[pno] = ent
 		st.cacheHits.Add(1)
-		return ent.pg.slots[int(id)&st.pages.mask], true
+		return ent.slots[int(id)&st.pages.mask], true
 	}
 	var zero S
 	if st.ioErr != nil {
 		return zero, false
 	}
 	t := time.Now()
-	pg, err := st.readPage(pno)
+	slots, err := st.readPage(pno)
 	if err != nil {
 		st.ioErr = fmt.Errorf("store: spill read of page %d: %w", pno, err)
 		return zero, false
@@ -310,20 +325,27 @@ func (st *spillStore[S]) spilledState(id int32) (S, bool) {
 		}
 		delete(st.cache, victim)
 	}
-	st.cache[pno] = &cacheEnt[S]{pg: pg, lastUse: st.cacheTick}
-	return pg.slots[int(id)&st.pages.mask], true
+	st.cache[pno] = cacheEnt[S]{slots: slots, lastUse: st.cacheTick}
+	return slots[int(id)&st.pages.mask], true
 }
 
-// readPage decompresses and decodes one spilled page. Caller holds segMu.
-func (st *spillStore[S]) readPage(pno int32) (*page[S], error) {
+// readPage decompresses and decodes one spilled page through the reused
+// read-back buffers. Caller holds segMu.
+func (st *spillStore[S]) readPage(pno int32) ([]S, error) {
 	m := st.meta[pno]
-	comp := make([]byte, m.compLen)
-	if _, err := st.segs[m.seg].ReadAt(comp, m.off); err != nil {
+	st.compBuf = slices.Grow(st.compBuf[:0], int(m.compLen))[:m.compLen]
+	if _, err := st.segs[m.seg].ReadAt(st.compBuf, m.off); err != nil {
 		return nil, err
 	}
-	fr := flate.NewReader(bytes.NewReader(comp))
-	raw := make([]byte, m.rawLen)
-	if _, err := io.ReadFull(fr, raw); err != nil {
+	st.compRd.Reset(st.compBuf)
+	if st.flateR == nil {
+		st.flateR = flate.NewReader(&st.compRd)
+	} else if err := st.flateR.(flate.Resetter).Reset(&st.compRd, nil); err != nil {
+		return nil, err
+	}
+	st.rawBuf = slices.Grow(st.rawBuf[:0], int(m.rawLen))[:m.rawLen]
+	raw := st.rawBuf
+	if _, err := io.ReadFull(st.flateR, raw); err != nil {
 		return nil, fmt.Errorf("%w: page %d does not decompress: %v", ErrCorruptPage, pno, err)
 	}
 	if sum := crc32.Checksum(raw, st.crcTab); sum != m.crc {
@@ -332,10 +354,13 @@ func (st *spillStore[S]) readPage(pno int32) (*page[S], error) {
 	return st.decodePage(raw)
 }
 
-// decodePage parses one raw page image (layout above). The image is
-// untrusted input: a count, offset or fixed-width payload the layout cannot
-// hold fails with ErrCorruptPage, never a panic.
-func (st *spillStore[S]) decodePage(raw []byte) (*page[S], error) {
+// decodePage parses one raw page image (layout above) into a page's slots.
+// The image is untrusted input: a count, offset or fixed-width payload the
+// layout cannot hold fails with ErrCorruptPage, never a panic. The slots
+// never point into raw, which the next read-back overwrites: a string page
+// copies its payload section once, into one block, and its slots are
+// substrings of that block.
+func (st *spillStore[S]) decodePage(raw []byte) ([]S, error) {
 	if len(raw) < 4 {
 		return nil, fmt.Errorf("%w: %d-byte image", ErrCorruptPage, len(raw))
 	}
@@ -348,16 +373,24 @@ func (st *spillStore[S]) decodePage(raw []byte) (*page[S], error) {
 		return nil, fmt.Errorf("%w: %d-state offset table overruns a %d-byte image", ErrCorruptPage, count, len(raw))
 	}
 	offTab, payload := raw[4:base], raw[base:]
-	pg := &page[S]{slots: make([]S, st.pages.size)}
+	var block string
+	if st.isString {
+		block = string(payload)
+	}
+	slots := make([]S, st.pages.size)
 	for i := 0; i < count; i++ {
 		lo := binary.LittleEndian.Uint32(offTab[4*i:])
 		hi := binary.LittleEndian.Uint32(offTab[4*i+4:])
 		if lo > hi || int(hi) > len(payload) || (st.codec.width > 0 && int(hi-lo) != st.codec.width) {
 			return nil, fmt.Errorf("%w: state %d at offsets %d..%d", ErrCorruptPage, i, lo, hi)
 		}
-		pg.slots[i] = st.codec.dec(payload[lo:hi])
+		if st.isString {
+			*any(&slots[i]).(*string) = block[lo:hi]
+		} else {
+			slots[i] = st.codec.dec(payload[lo:hi])
+		}
 	}
-	return pg, nil
+	return slots, nil
 }
 
 // Maintain enforces the budget at a level barrier: while resident payload

@@ -525,6 +525,41 @@ func TestMemInternHitAllocsNothing(t *testing.T) {
 	}
 }
 
+// TestSpillInternAllocs: a fresh intern on the spill store copies its
+// payload into the shard's slab, as the mem store does, so interning
+// allocates only slab chunks, pages and index growth: well under one
+// allocation per state, through Intern or InternBytes.
+func TestSpillInternAllocs(t *testing.T) {
+	const n = 1 << 14
+	states := testStates(n)
+	bufs := make([][]byte, n)
+	for i, s := range states {
+		bufs[i] = []byte(s)
+	}
+	st, err := New[string](Config{Kind: Spill, Dir: t.TempDir()}, 4, stringFP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i, s := range states {
+		var fresh bool
+		if i%2 == 0 {
+			_, fresh = st.InternBytes(stringFP(s), bufs[i])
+		} else {
+			_, fresh = st.Intern(s)
+		}
+		if !fresh {
+			t.Fatalf("state %d interned as a hit", i)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := float64(after.Mallocs-before.Mallocs) / n; per > 0.05 {
+		t.Fatalf("fresh spill interns allocate %.3f times per state, want under 0.05", per)
+	}
+}
+
 // TestPagetabRampCoversIDsOnce: with a ramp, pages grow 16, 32, ... up to
 // full pages, and every id lands in its own slot of a page that holds it.
 func TestPagetabRampCoversIDsOnce(t *testing.T) {
