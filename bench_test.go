@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"strings"
 	"testing"
 
 	"repro/internal/async"
@@ -754,15 +753,12 @@ func BenchmarkGraphPasses(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	// A configuration is "crashed\x1dstate\x1e…\x1estate\x1dflight"; a
-	// process state decides through the protocol.
+	// A configuration is packed: one crash byte (n ≤ 8), then n process
+	// states of Init's width; a process state decides through the protocol.
+	w := len(p.Init(0, 0))
 	decide := func(c string) (int, bool) {
-		_, rest, _ := strings.Cut(c, "\x1d")
-		states, _, _ := strings.Cut(rest, "\x1d")
 		for q := 0; q < n; q++ {
-			var st string
-			st, states, _ = strings.Cut(states, "\x1e")
-			if v, ok := p.Decide(q, st); ok {
+			if v, ok := p.Decide(q, c[1+q*w:1+(q+1)*w]); ok {
 				return v, true
 			}
 		}

@@ -45,6 +45,9 @@ type Ctx[S comparable] struct {
 	// installed, the sampled soundness checks, and CollectCtx (where e
 	// and w stay nil).
 	sink func(to S, label string, actor int)
+	// bytesSink, when non-nil alongside sink, receives EmitBytes'
+	// successors as the raw bytes, unmaterialized (CollectBytesCtx).
+	bytesSink func(to []byte, label string, actor int)
 	// labels is the per-context label interner backing Label.
 	labels map[string]string
 }
@@ -83,6 +86,10 @@ func (x *Ctx[S]) Emit(to S, label string, actor int) {
 // canon cost rather than re-paying the pipeline.
 func (x *Ctx[S]) EmitBytes(to []byte, label string, actor int) {
 	if x.sink != nil || !x.e.bytesDirect {
+		if x.bytesSink != nil {
+			x.bytesSink(to, label, actor)
+			return
+		}
 		x.Emit(fromBytes[S](to), label, actor)
 		return
 	}
@@ -152,4 +159,16 @@ func (x *Ctx[S]) Label(b []byte) string {
 // single state's transitions.
 func CollectCtx[S comparable](sink func(to S, label string, actor int)) *Ctx[S] {
 	return &Ctx[S]{sink: sink}
+}
+
+// CollectBytesCtx is CollectCtx for string-typed states that hands
+// EmitBytes' successors to sink as the raw bytes, valid only until sink
+// returns, without materializing them (Emit's strings are converted). A
+// per-system ExpandInto microbenchmark expands through one, so its
+// allocation count is the system's own.
+func CollectBytesCtx(sink func(to []byte, label string, actor int)) *Ctx[string] {
+	return &Ctx[string]{
+		sink:      func(to, label string, actor int) { sink([]byte(to), label, actor) },
+		bytesSink: sink,
+	}
 }

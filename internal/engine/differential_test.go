@@ -198,6 +198,27 @@ func TestCollectCtx(t *testing.T) {
 	}
 }
 
+// TestCollectBytesCtx: the bytes-mode collect context hands EmitBytes'
+// successors over as the emitted bytes themselves, and Emit's as bytes of
+// the string, in emission order.
+func TestCollectBytesCtx(t *testing.T) {
+	var got []string
+	scratch := []byte("b")
+	handedOver := false
+	x := CollectBytesCtx(func(to []byte, label string, actor int) {
+		handedOver = handedOver || &to[0] == &scratch[0]
+		got = append(got, fmt.Sprintf("%s/%s/%d", to, label, actor))
+	})
+	x.Emit("a", "emit", 0)
+	x.EmitBytes(scratch, "bytes", 1)
+	if want := "a/emit/0 b/bytes/1"; strings.Join(got, " ") != want {
+		t.Fatalf("collected %v, want %s", got, want)
+	}
+	if !handedOver {
+		t.Fatal("EmitBytes' successor was copied, not handed over")
+	}
+}
+
 // TestOptionHookTypes: hooks of the wrong type, CanonBytes without Canon,
 // and CanonBytes on a non-string state type are errors rather than
 // silently ignored reductions.

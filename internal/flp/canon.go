@@ -3,7 +3,9 @@ package flp
 import (
 	"bytes"
 	"fmt"
-	"strconv"
+	"slices"
+	"sync"
+	"unsafe"
 
 	"repro/internal/engine"
 )
@@ -20,13 +22,14 @@ import (
 
 // ProcessSymmetric is implemented by protocols whose processes run
 // identical, identity-blind code, so that relabeling the processes by any
-// permutation is a symmetry of the transition relation. PermuteState must
-// rewrite every process index embedded in a local state (index j becomes
-// perm[j]); PermutePayload must do the same for message payloads (returning
-// the payload unchanged when payloads carry no process ids).
+// permutation is a symmetry of the transition relation.
+// AppendPermutedState appends state with every embedded process index j
+// rewritten to perm[j], at the same width; AppendPermutedPayload does the
+// same for a one-byte message payload (appending it unchanged when payloads
+// carry no process ids). Both read their input without retaining it.
 type ProcessSymmetric interface {
-	PermuteState(state string, perm []int) string
-	PermutePayload(payload string, perm []int) string
+	AppendPermutedState(dst, state []byte, perm []int) []byte
+	AppendPermutedPayload(dst, payload []byte, perm []int) []byte
 }
 
 // ValueSymmetric is implemented by protocols over binary inputs whose state
@@ -43,75 +46,41 @@ type ValueSymmetric interface {
 // PermutationCanon returns the process-permutation canonicalizer for p: the
 // representative of a configuration is the least encoding over all n!
 // relabelings of the processes (states, crash mask, and message endpoints
-// all permuted consistently). It errors when p does not declare
-// ProcessSymmetric.
+// all permuted consistently). It is the string form of
+// PermutationCanonBytes, safe for concurrent use, and errors when p does
+// not declare ProcessSymmetric.
 func PermutationCanon(p Protocol) (func(config) config, error) {
+	factory, err := PermutationCanonBytes(p)
+	if err != nil {
+		return nil, err
+	}
+	pool := sync.Pool{New: func() any { return factory() }}
+	return func(c config) config {
+		f := pool.Get().(engine.BytesCanonicalizer)
+		defer pool.Put(f)
+		return string(f(nil, []byte(c)))
+	}, nil
+}
+
+// PermutationCanonBytes returns a per-worker factory of byte-level
+// process-permutation canonicalizers, the one implementation behind
+// PermutationCanon (pass both to AnalyzeOptions / core.ExploreOptions:
+// Canon defines the quotient, CanonBytes keeps the hot path free of string
+// materialization). Each canonicalizer permutes the packed bytes directly
+// and owns its scratch buffers, so a factory instance must not be shared
+// across goroutines — the engine calls the factory once per worker. It
+// panics on a configuration the layout cannot hold, and errors when p does
+// not declare ProcessSymmetric or breaks the Protocol contract.
+func PermutationCanonBytes(p Protocol) (func() engine.BytesCanonicalizer, error) {
 	ps, ok := p.(ProcessSymmetric)
 	if !ok {
 		return nil, fmt.Errorf("flp: protocol %s does not implement ProcessSymmetric", p.Name())
 	}
-	n := p.NumProcs()
-	perms := permutations(n)
-	return func(c config) config {
-		crashed, states, flight := decodeConfig(c)
-		best := c
-		for _, pi := range perms[1:] { // perms[0] is the identity
-			newStates := make([]string, n)
-			newCrashed := 0
-			for q := 0; q < n; q++ {
-				newStates[pi[q]] = ps.PermuteState(states[q], pi)
-				if crashed&(1<<uint(q)) != 0 {
-					newCrashed |= 1 << uint(pi[q])
-				}
-			}
-			newFlight := make([]envelope, len(flight))
-			for i, env := range flight {
-				payload := env.payload
-				if payload != wakePayload {
-					payload = ps.PermutePayload(payload, pi)
-				}
-				newFlight[i] = envelope{from: pi[env.from], to: pi[env.to], payload: payload}
-			}
-			if enc := encodeConfig(newCrashed, newStates, newFlight); enc < best {
-				best = enc
-			}
-		}
-		return best
-	}, nil
-}
-
-// ProcessSymmetricAppend is the allocation-free extension of
-// ProcessSymmetric, for the engine's EmitBytes canonicalization path: the
-// Append forms must write exactly the bytes of the corresponding string
-// forms into dst and return the extended slice, reading state/payload from
-// the caller's buffers without retaining them.
-type ProcessSymmetricAppend interface {
-	ProcessSymmetric
-	AppendPermutedState(dst, state []byte, perm []int) []byte
-	AppendPermutedPayload(dst, payload []byte, perm []int) []byte
-}
-
-// PermutationCanonBytes returns a per-worker factory of byte-level
-// process-permutation canonicalizers agreeing exactly with
-// PermutationCanon (pass both to AnalyzeOptions / core.ExploreOptions:
-// Canon defines the quotient, CanonBytes keeps the hot path free of
-// string materialization). Each canonicalizer owns its scratch buffers, so
-// a factory instance must not be shared across goroutines — the engine
-// calls the factory once per worker. Configurations that violate
-// encodeConfig's invariants (non-canonical integer fields, unsorted or
-// malformed message section) are routed to the string canonicalizer, so
-// agreement is unconditional. It errors when p does not declare
-// ProcessSymmetricAppend.
-func PermutationCanonBytes(p Protocol) (func() engine.BytesCanonicalizer, error) {
-	ps, ok := p.(ProcessSymmetricAppend)
-	if !ok {
-		return nil, fmt.Errorf("flp: protocol %s does not implement ProcessSymmetricAppend", p.Name())
-	}
-	slow, err := PermutationCanon(p)
+	l, err := newLayout(p)
 	if err != nil {
 		return nil, err
 	}
-	n := p.NumProcs()
+	n := l.n
 	perms := permutations(n)
 	// invs[k][r] is the process whose state lands in slot r under perms[k].
 	invs := make([][]int, len(perms))
@@ -122,72 +91,77 @@ func PermutationCanonBytes(p Protocol) (func() engine.BytesCanonicalizer, error)
 		}
 		invs[k] = inv
 	}
-	wake := []byte(wakePayload)
 	return func() engine.BytesCanonicalizer {
-		var sc permCanonScratch
+		var cand, pay []byte
+		var recs []uint16
 		return func(dst, src []byte) []byte {
-			best := append(dst[:0], src...)
-			if !sc.parse(src, n) {
-				return append(dst[:0], slow(string(src))...)
+			// c views src for the checks below and is not kept.
+			c := unsafe.String(unsafe.SliceData(src), len(src))
+			if !l.valid(c) {
+				notProduced(string(src))
 			}
-			for k, pi := range perms[1:] {
+			best := append(dst[:0], src...)
+			crashed := l.crashMask(c)
+			for k, pi := range perms[1:] { // perms[0] is the identity
 				inv := invs[k+1]
 				newCrashed := 0
 				for q := 0; q < n; q++ {
-					if sc.crashed&(1<<uint(q)) != 0 {
-						newCrashed |= 1 << uint(pi[q])
+					if crashed&(1<<q) != 0 {
+						newCrashed |= 1 << pi[q]
 					}
 				}
-				cand := sc.cand[:0]
-				cand = strconv.AppendInt(cand, int64(newCrashed), 10)
-				cand = append(cand, '\x1d')
-				for r := 0; r < n; r++ {
-					if r > 0 {
-						cand = append(cand, '\x1e')
+				// Prefix gate: the crash field and every state sit at the
+				// same offsets in every candidate, so a candidate whose
+				// prefix sorts after best's has lost, and the rest of it is
+				// never rendered. Most of the n!-1 candidates die within
+				// the crash field or the first slots.
+				cand = l.appendCrash(cand[:0], newCrashed)
+				cmp := bytes.Compare(cand, best[:l.cw])
+				for r := 0; r < n && cmp <= 0; r++ {
+					o, start := l.cw+inv[r]*l.w, len(cand)
+					cand = ps.AppendPermutedState(cand, src[o:o+l.w], pi)
+					if len(cand) != start+l.w {
+						panic(fmt.Sprintf("flp: protocol %s: a permuted state of %q changed width", p.Name(), c))
 					}
-					cand = ps.AppendPermutedState(cand, sc.states[inv[r]], pi)
+					if cmp == 0 {
+						cmp = bytes.Compare(cand[start:], best[start:start+l.w])
+					}
 				}
-				cand = append(cand, '\x1d')
-				// Prefix gate: the crash mask and permuted states are cheap
-				// to render, the message section (per-envelope renders plus a
-				// sort) is not. Lexicographic comparison is positional, so if
-				// the prefix already exceeds best at some byte — or equals it
-				// with best exhausted, since any extension only grows cand —
-				// the candidate has lost and the message section is never
-				// rendered. Most of the n!-1 candidates die here.
-				m := len(cand)
-				if len(best) < m {
-					m = len(best)
-				}
-				if c := bytes.Compare(cand[:m], best[:m]); c > 0 || (c == 0 && len(best) <= len(cand)) {
-					sc.cand = cand
+				if cmp > 0 {
 					continue
 				}
-				sc.msgBuf = sc.msgBuf[:0]
-				sc.msgOff = sc.msgOff[:0]
-				for _, m := range sc.parsed {
-					start := len(sc.msgBuf)
-					sc.msgBuf = strconv.AppendInt(sc.msgBuf, int64(pi[m.from]), 10)
-					sc.msgBuf = append(sc.msgBuf, '>')
-					sc.msgBuf = strconv.AppendInt(sc.msgBuf, int64(pi[m.to]), 10)
-					sc.msgBuf = append(sc.msgBuf, ':')
-					if bytes.Equal(m.payload, wake) {
-						sc.msgBuf = append(sc.msgBuf, m.payload...)
-					} else {
-						sc.msgBuf = ps.AppendPermutedPayload(sc.msgBuf, m.payload, pi)
+				recs = recs[:0]
+				for i := l.hdr; i < len(src); i += 2 {
+					ft, py := src[i], src[i+1]
+					if py != 0 {
+						pay = ps.AppendPermutedPayload(pay[:0], src[i+1:i+2], pi)
+						if len(pay) != 1 || pay[0] == 0 {
+							panic(fmt.Sprintf("flp: protocol %s: permuted payload %q is not one non-zero byte", p.Name(), pay))
+						}
+						py = pay[0]
 					}
-					sc.msgOff = append(sc.msgOff, [2]int{start, len(sc.msgBuf)})
-				}
-				sortSpansBytes(sc.msgBuf, sc.msgOff)
-				for i, sp := range sc.msgOff {
-					if i > 0 {
-						cand = append(cand, '\x1f')
+					r := uint16(pi[ft>>4]<<4|pi[ft&15])<<8 | uint16(py)
+					j := len(recs)
+					recs = append(recs, r)
+					for ; j > 0 && recs[j-1] > r; j-- {
+						recs[j] = recs[j-1]
 					}
-					cand = append(cand, sc.msgBuf[sp[0]:sp[1]]...)
+					recs[j] = r
 				}
-				sc.cand = cand
-				if bytes.Compare(cand, best) < 0 {
+				for j := 0; cmp == 0 && j < len(recs); j++ {
+					b := uint16(best[l.hdr+2*j])<<8 | uint16(best[l.hdr+2*j+1])
+					switch {
+					case recs[j] < b:
+						cmp = -1
+					case recs[j] > b:
+						cmp = 1
+					}
+				}
+				if cmp < 0 {
 					best = append(best[:0], cand...)
+					for _, r := range recs {
+						best = append(best, byte(r>>8), byte(r))
+					}
 				}
 			}
 			return best
@@ -195,106 +169,9 @@ func PermutationCanonBytes(p Protocol) (func() engine.BytesCanonicalizer, error)
 	}, nil
 }
 
-// permMsg is one strictly parsed in-flight envelope; payload aliases the
-// source configuration.
-type permMsg struct {
-	from, to int
-	payload  []byte
-}
-
-// permCanonScratch is the reusable state of one byte-level permutation
-// canonicalizer.
-type permCanonScratch struct {
-	crashed int
-	states  [][]byte // subslices of src
-	parsed  []permMsg
-	msgBuf  []byte
-	msgOff  [][2]int
-	cand    []byte
-}
-
-// parse strictly decomposes src; false means fall back to the string
-// canonicalizer. It requires exactly n process states, canonical integer
-// fields, and msgs in sorted order (encodeConfig re-sorts, so an unsorted
-// input would not re-encode to itself).
-func (sc *permCanonScratch) parse(src []byte, n int) bool {
-	i1 := bytes.IndexByte(src, '\x1d')
-	if i1 < 0 {
-		return false
-	}
-	rest := src[i1+1:]
-	i2 := bytes.IndexByte(rest, '\x1d')
-	if i2 < 0 {
-		return false
-	}
-	crashed, ok := parseCanonInt(src[:i1])
-	if !ok {
-		return false
-	}
-	sc.crashed = crashed
-	sc.states = sc.states[:0]
-	statesSec := rest[:i2]
-	for {
-		j := bytes.IndexByte(statesSec, '\x1e')
-		if j < 0 {
-			sc.states = append(sc.states, statesSec)
-			break
-		}
-		sc.states = append(sc.states, statesSec[:j])
-		statesSec = statesSec[j+1:]
-	}
-	if len(sc.states) != n {
-		return false
-	}
-	sc.parsed = sc.parsed[:0]
-	msgsSec := rest[i2+1:]
-	if len(msgsSec) == 0 {
-		return true
-	}
-	var prev []byte
-	for {
-		j := bytes.IndexByte(msgsSec, '\x1f')
-		m := msgsSec
-		if j >= 0 {
-			m = msgsSec[:j]
-		}
-		if prev != nil && bytes.Compare(m, prev) < 0 {
-			return false
-		}
-		prev = m
-		gt := bytes.IndexByte(m, '>')
-		if gt <= 0 {
-			return false
-		}
-		colon := bytes.IndexByte(m[gt+1:], ':')
-		if colon < 0 {
-			return false
-		}
-		colon += gt + 1
-		from, okF := parseCanonInt(m[:gt])
-		to, okT := parseCanonInt(m[gt+1 : colon])
-		if !okF || !okT || from >= n || to >= n {
-			return false
-		}
-		sc.parsed = append(sc.parsed, permMsg{from: from, to: to, payload: m[colon+1:]})
-		if j < 0 {
-			return true
-		}
-		msgsSec = msgsSec[j+1:]
-	}
-}
-
-// sortSpansBytes is sortSpans for a bytes-only call site (kept separate so
-// canon.go does not depend on expand.go's string-comparison helper).
-func sortSpansBytes(buf []byte, offs [][2]int) {
-	for i := 1; i < len(offs); i++ {
-		for j := i; j > 0 && bytes.Compare(buf[offs[j][0]:offs[j][1]], buf[offs[j-1][0]:offs[j-1][1]]) < 0; j-- {
-			offs[j], offs[j-1] = offs[j-1], offs[j]
-		}
-	}
-}
-
-// AppendPermutedState implements ProcessSymmetricAppend; see PermuteState.
+// AppendPermutedState implements ProcessSymmetric: the collected-values
+// prefix is indexed by process, so slot j moves to slot perm[j]; the
+// decision suffix is index-free.
 func (w *waitProto) AppendPermutedState(dst, state []byte, perm []int) []byte {
 	off := len(dst)
 	dst = append(dst, state...)
@@ -304,8 +181,8 @@ func (w *waitProto) AppendPermutedState(dst, state []byte, perm []int) []byte {
 	return dst
 }
 
-// AppendPermutedPayload implements ProcessSymmetricAppend; payloads are
-// bare value characters.
+// AppendPermutedPayload implements ProcessSymmetric; payloads are bare
+// value characters.
 func (w *waitProto) AppendPermutedPayload(dst, payload []byte, _ []int) []byte {
 	return append(dst, payload...)
 }
@@ -331,22 +208,31 @@ func ValueSwapCanon(p Protocol) (func(config) config, error) {
 	if !ok {
 		return nil, fmt.Errorf("flp: protocol %s does not implement ValueSymmetric", p.Name())
 	}
-	n := p.NumProcs()
+	l, err := newLayout(p)
+	if err != nil {
+		return nil, err
+	}
 	return func(c config) config {
-		crashed, states, flight := decodeConfig(c)
-		newStates := make([]string, n)
-		for q := 0; q < n; q++ {
-			newStates[q] = vs.SwapValuesState(states[q])
+		if !l.valid(c) {
+			notProduced(c)
 		}
-		newFlight := make([]envelope, len(flight))
-		for i, env := range flight {
-			payload := env.payload
-			if payload != wakePayload {
-				payload = vs.SwapValuesPayload(payload)
+		buf := []byte(c[:l.cw])
+		for q := 0; q < l.n; q++ {
+			buf = append(buf, vs.SwapValuesState(l.state(c, q))...)
+		}
+		recs := make([]uint16, 0, (len(c)-l.hdr)/2)
+		for i := l.hdr; i < len(c); i += 2 {
+			py := c[i+1]
+			if py != 0 {
+				py = vs.SwapValuesPayload(c[i+1 : i+2])[0]
 			}
-			newFlight[i] = envelope{from: env.from, to: env.to, payload: payload}
+			recs = append(recs, uint16(c[i])<<8|uint16(py))
 		}
-		if enc := encodeConfig(crashed, newStates, newFlight); enc < c {
+		slices.Sort(recs)
+		for _, r := range recs {
+			buf = append(buf, byte(r>>8), byte(r))
+		}
+		if enc := string(buf); enc < c {
 			return enc
 		}
 		return c
@@ -376,21 +262,6 @@ func permutations(n int) [][]int {
 	rec(0)
 	return out
 }
-
-// PermuteState implements ProcessSymmetric: the collected-values prefix is
-// indexed by process, so slot j moves to slot perm[j]; the decision suffix
-// is index-free.
-func (w *waitProto) PermuteState(state string, perm []int) string {
-	out := []byte(state)
-	for j := 0; j < w.n; j++ {
-		out[perm[j]] = state[j]
-	}
-	return string(out)
-}
-
-// PermutePayload implements ProcessSymmetric: payloads are bare value
-// characters.
-func (w *waitProto) PermutePayload(payload string, _ []int) string { return payload }
 
 // SwapValuesState implements ValueSymmetric (see ValueSwapCanon for why the
 // resulting quotient is nonetheless unsound for the wait protocols).

@@ -14,7 +14,7 @@ import (
 // backend, with VerifyCanon and VerifyAliasing checking every state.
 func TestDifferentialWaitQuorum(t *testing.T) {
 	p := NewWaitQuorum(3)
-	s := &system{p: p, inputVectors: allBinaryVectors(3), resilience: 1}
+	s := newSys(p, 1)
 	canon, err := PermutationCanon(p)
 	if err != nil {
 		t.Fatal(err)
@@ -49,7 +49,7 @@ func TestDifferentialWaitQuorum(t *testing.T) {
 // VerifyPOR checking every state.
 func TestDifferentialWaitQuorumCrashFree(t *testing.T) {
 	p := NewWaitQuorum(3)
-	s := &system{p: p, inputVectors: allBinaryVectors(3), resilience: 0}
+	s := newSys(p, 0)
 	canon, err := PermutationCanon(p)
 	if err != nil {
 		t.Fatal(err)

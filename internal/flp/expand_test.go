@@ -22,24 +22,35 @@ func collectInto(s *system, c config) []core.Step[config] {
 	return out
 }
 
-// walkConfigs breadth-first walks the configuration graph from the
-// system's initials using Steps, applying f to every distinct
-// configuration, up to limit states.
-func walkConfigs(s *system, limit int, f func(config)) {
-	seen := map[config]bool{}
-	frontier := s.Init()
+// newSys returns p's configuration graph over all binary inputs.
+func newSys(p Protocol, resilience int) *system {
+	return NewSystem(p, nil, resilience).(*system)
+}
+
+// walkConfigs breadth-first walks the text reference graph of s's protocol
+// from its initials using Steps, applying f to every distinct
+// configuration, packed, and to its text form, up to limit states.
+func walkConfigs(t testing.TB, s *system, limit int, f func(c config, text string)) {
+	t.Helper()
+	ts := &textSystem{p: s.p, inputVectors: s.inputVectors, resilience: s.resilience}
+	seen := map[string]bool{}
+	frontier := ts.Init()
 	for len(frontier) > 0 && len(seen) < limit {
-		var next []config
-		for _, c := range frontier {
-			if seen[c] {
+		var next []string
+		for _, tc := range frontier {
+			if seen[tc] {
 				continue
 			}
-			seen[c] = true
-			f(c)
+			seen[tc] = true
+			c, ok := pack(s.lay, tc)
+			if !ok {
+				t.Fatalf("text configuration %q does not pack", tc)
+			}
+			f(c, tc)
 			if len(seen) >= limit {
 				return
 			}
-			for _, st := range s.Steps(c) {
+			for _, st := range ts.Steps(tc) {
 				next = append(next, st.To)
 			}
 		}
@@ -48,30 +59,34 @@ func walkConfigs(s *system, limit int, f func(config)) {
 }
 
 // TestExpandIntoMatchesSteps checks, configuration by configuration, that
-// the zero-allocation expansion emits exactly Steps' transitions — same
-// successors, labels, actors, same order — across all three protocol
-// families and both resilience settings.
+// ExpandInto emits exactly the text reference's transitions — same
+// successors (packed), labels, actors, same order — across all three
+// protocol families and three resilience settings.
 func TestExpandIntoMatchesSteps(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		sys  *system
 	}{
-		{"wait-all", &system{p: NewWaitAll(3), inputVectors: allBinaryVectors(3), resilience: 1}},
-		{"wait-quorum", &system{p: NewWaitQuorum(3), inputVectors: allBinaryVectors(3), resilience: 1}},
-		{"adopt-swap", &system{p: NewAdoptSwap(3), inputVectors: allBinaryVectors(3), resilience: 1}},
-		{"wait-all-r0", &system{p: NewWaitAll(3), inputVectors: allBinaryVectors(3), resilience: 0}},
-		{"wait-quorum-r2", &system{p: NewWaitQuorum(3), inputVectors: allBinaryVectors(3), resilience: 2}},
+		{"wait-all", newSys(NewWaitAll(3), 1)},
+		{"wait-quorum", newSys(NewWaitQuorum(3), 1)},
+		{"adopt-swap", newSys(NewAdoptSwap(3), 1)},
+		{"wait-all-r0", newSys(NewWaitAll(3), 0)},
+		{"wait-quorum-r2", newSys(NewWaitQuorum(3), 2)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			ts := &textSystem{p: tc.sys.p, inputVectors: tc.sys.inputVectors, resilience: tc.sys.resilience}
 			checked := 0
-			walkConfigs(tc.sys, 4000, func(c config) {
-				want := tc.sys.Steps(c)
+			walkConfigs(t, tc.sys, 4000, func(c config, text string) {
+				want := ts.Steps(text)
+				for i := range want {
+					want[i].To, _ = pack(tc.sys.lay, want[i].To)
+				}
 				got := collectInto(tc.sys, c)
 				if len(want) == 0 && len(got) == 0 {
 					return
 				}
 				if !reflect.DeepEqual(want, got) {
-					t.Fatalf("config %q:\nSteps      = %v\nExpandInto = %v", c, want, got)
+					t.Fatalf("config %q:\nSteps      = %q\nExpandInto = %q", text, want, got)
 				}
 				checked++
 			})
@@ -82,48 +97,108 @@ func TestExpandIntoMatchesSteps(t *testing.T) {
 	}
 }
 
-// TestExpandIntoPanicsOnAnomalies feeds encodings that encodeConfig never
-// produces: each one fails the strict parse, so ExpandInto must panic
-// naming it — before emitting anything — rather than mis-parse it.
+// mustPanicNaming runs f and requires it to panic with a message that
+// contains want.
+func mustPanicNaming(t *testing.T, what, want string, f func()) {
+	t.Helper()
+	defer func() {
+		t.Helper()
+		r := recover()
+		if r == nil {
+			t.Fatalf("%s: no panic", what)
+		}
+		if msg := fmt.Sprint(r); !strings.Contains(msg, want) {
+			t.Fatalf("%s: panic %q does not contain %q", what, msg, want)
+		}
+	}()
+	f()
+}
+
+// TestExpandIntoPanicsOnAnomalies feeds encodings the layout cannot hold:
+// each one fails validation, so ExpandInto must panic naming it — before
+// emitting anything — rather than misread it.
 func TestExpandIntoPanicsOnAnomalies(t *testing.T) {
-	s := &system{p: NewWaitQuorum(3), inputVectors: allBinaryVectors(3), resilience: 1}
-	for _, c := range []config{
-		"0-0--:-",                                        // no section separators
-		"0\x1d0--:-\x1e-0-:-\x1e--1:-",                   // no message section
-		"00\x1d0--:-\x1e-0-:-\x1e--1:-\x1d",              // non-canonical crash mask
-		"0\x1d0--:-\x1e-0-:-\x1d",                        // wrong process count
-		"0\x1d0--:-\x1e-0-:-\x1e--1:-\x1d1>0:1\x1f0>1:0", // unsorted messages
-		"0\x1d0--:-\x1e-0-:-\x1e--1:-\x1dx>0:1",          // malformed sender
-		"0\x1d0--:-\x1e-0-:-\x1e--1:-\x1d01>0:1",         // non-canonical sender
-		"0\x1d0--:-\x1e-0-:-\x1e--1:-\x1d0:1",            // no '>' separator
-		"0\x1d0--:-\x1e-0-:-\x1e--1:-\x1d0>3:1",          // receiver out of range
+	s := newSys(NewWaitQuorum(3), 1)
+	init := s.Init()[0] // crash, 3 states of 5 bytes, 3 wake records
+	hdr := s.lay.hdr
+	for _, tc := range []struct{ what, c string }{
+		{"empty", ""},
+		{"states cut short", init[:hdr-1]},
+		{"half a record", init[:hdr+1]},
+		{"crash rank past 2^n", "\x08" + init[1:]},
+		{"unsorted records", init[:hdr] + "\x11\x00\x00\x00"},
+		{"sender out of range", init[:hdr] + "\x30\x31"},
+		{"receiver out of range", init[:hdr] + "\x03\x31"},
+		{"wake on a non-self record", init[:hdr] + "\x01\x00"},
 	} {
 		emitted := 0
 		x := engine.CollectCtx(func(config, string, int) { emitted++ })
-		func() {
-			defer func() {
-				r := recover()
-				if r == nil {
-					t.Fatalf("anomalous config %q: ExpandInto did not panic", c)
-				}
-				if msg := fmt.Sprint(r); !strings.Contains(msg, strconv.Quote(c)) {
-					t.Fatalf("anomalous config %q: panic %q does not name it", c, msg)
-				}
-			}()
-			s.ExpandInto(c, x)
-		}()
+		mustPanicNaming(t, tc.what, strconv.Quote(tc.c), func() { s.ExpandInto(tc.c, x) })
 		if emitted != 0 {
-			t.Fatalf("anomalous config %q: %d transitions emitted before the panic", c, emitted)
+			t.Fatalf("%s: %d transitions emitted before the panic", tc.what, emitted)
 		}
 	}
 }
 
-// TestPermutationCanonBytesMatchesCanon checks the byte-level
-// canonicalizer against PermutationCanon on every reachable configuration
-// of a 3-process wait protocol, plus the dst-backing contract.
+// wideStep breaks the width contract: its first delivery grows the state.
+type wideStep struct{ constProto }
+
+func (wideStep) AppendStep(dst []byte, _ int, s string, _ int, _ string, sends []Send) ([]byte, []Send) {
+	return append(append(dst, s...), '+'), sends
+}
+func (wideStep) AppendInitialSends(p int, _ string, s []Send) []Send {
+	return append(s, Send{To: 1 - p, Payload: "v"})
+}
+
+// longPayload breaks the payload contract: its wake-up sends two bytes.
+type longPayload struct{ constProto }
+
+func (longPayload) AppendInitialSends(p int, _ string, s []Send) []Send {
+	return append(s, Send{To: 1 - p, Payload: "vv"})
+}
+
+// unevenInit breaks the width contract at Init.
+type unevenInit struct{ constProto }
+
+func (unevenInit) Init(p, _ int) string { return strings.Repeat("s", p+1) }
+
+// TestProtocolContractEnforced: a protocol whose states change width or
+// whose payloads are not one non-zero byte cannot be packed. Analyze
+// reports what it can see from Init as an error, NewSystem panics on it,
+// and an expansion that meets a violation panics naming the protocol.
+func TestProtocolContractEnforced(t *testing.T) {
+	for _, p := range []Protocol{unevenInit{constProto{n: 2}}, constProto{n: 17}, constProto{n: 0}} {
+		if _, err := Analyze(p, AnalyzeOptions{Resilience: intPtr(0)}); err == nil {
+			t.Errorf("%T n=%d: Analyze accepted it", p, p.NumProcs())
+		}
+		mustPanicNaming(t, "NewSystem", "flp: protocol", func() { NewSystem(p, nil, 0) })
+	}
+	for _, p := range []Protocol{wideStep{constProto{n: 2}}, longPayload{constProto{n: 2}}} {
+		s := newSys(p, 0)
+		mustPanicNaming(t, fmt.Sprintf("%T", p), "broke the Protocol contract", func() {
+			frontier := s.Init()
+			for depth := 0; depth < 3; depth++ {
+				var next []config
+				for _, c := range frontier {
+					for _, st := range collectInto(s, c) {
+						next = append(next, st.To)
+					}
+				}
+				frontier = next
+			}
+		})
+	}
+}
+
+// TestPermutationCanonBytesMatchesCanon holds the byte-level canonicalizer
+// to the text permutation canon on every reachable configuration of a
+// 3-process wait protocol: the packed representative must be the packed
+// text representative. It also checks the string wrapper, the dst-backing
+// contract and the panic on a configuration the layout cannot hold.
 func TestPermutationCanonBytesMatchesCanon(t *testing.T) {
 	p := NewWaitQuorum(3)
-	s := &system{p: p, inputVectors: allBinaryVectors(3), resilience: 1}
+	s := newSys(p, 1)
+	canonText := textPermutationCanon(p)
 	canonStr, err := PermutationCanon(p)
 	if err != nil {
 		t.Fatal(err)
@@ -134,43 +209,45 @@ func TestPermutationCanonBytesMatchesCanon(t *testing.T) {
 	}
 	canonB := factory()
 	var dst []byte
-	checked := 0
-	walkConfigs(s, 4000, func(c config) {
+	checked, moved := 0, 0
+	walkConfigs(t, s, 4000, func(c config, text string) {
+		want, ok := pack(s.lay, canonText(text))
+		if !ok {
+			t.Fatalf("text representative of %q does not pack", text)
+		}
 		dst = canonB(dst[:0], []byte(c))
-		if got, want := string(dst), canonStr(c); got != want {
-			t.Fatalf("config %q: bytes canon %q, string canon %q", c, got, want)
+		if got := string(dst); got != want {
+			t.Fatalf("config %q: bytes canon %q, text canon %q", text, render(s.lay, got), render(s.lay, want))
+		}
+		if got := canonStr(c); got != want {
+			t.Fatalf("config %q: string canon %q, text canon %q", text, render(s.lay, got), render(s.lay, want))
+		}
+		if want != c {
+			moved++
 		}
 		checked++
 	})
-	if checked < 100 {
-		t.Fatalf("walk checked only %d configs", checked)
-	}
-	// Anomalous (but decodable) encodings must agree too, via the string
-	// fallback.
-	for _, c := range []string{
-		"0\x1daaaa\x1ebbbb\x1ecccc\x1dbad msg",        // malformed envelope (decode drops it)
-		"0\x1daaaa\x1ebbbb\x1ecccc\x1d1>0:x\x1f0>1:y", // unsorted message section
-		"00\x1daaaa\x1ebbbb\x1ecccc\x1d0>1:x",         // non-canonical crash mask
-	} {
-		if got, want := string(canonB(nil, []byte(c))), canonStr(c); got != want {
-			t.Fatalf("anomalous %q: bytes canon %q, string canon %q", c, got, want)
-		}
+	if checked < 100 || moved == 0 {
+		t.Fatalf("walk checked %d configs, %d of them not their own representative", checked, moved)
 	}
 	// The result must be dst-backed, never aliasing src.
-	src := []byte("0\x1d-1-:-\x1e0--:-\x1e--1:-\x1d")
+	init := s.Init()[3] // inputs 1,1,0
+	src := []byte(init)
 	out := canonB(nil, src)
 	for i := range src {
 		src[i] = 0xEE
 	}
-	if got, want := string(out), canonStr("0\x1d-1-:-\x1e0--:-\x1e--1:-\x1d"); got != want {
+	if got, want := string(out), canonStr(init); got != want {
 		t.Fatalf("result aliases src: %q after poisoning, want %q", got, want)
 	}
+	bad := init[:len(init)-1]
+	mustPanicNaming(t, "half a record", strconv.Quote(bad), func() { canonB(nil, []byte(bad)) })
 }
 
 // TestPermutationCanonBytesRequiresAppend checks the interface gate.
 func TestPermutationCanonBytesRequiresAppend(t *testing.T) {
 	if _, err := PermutationCanonBytes(NewAdoptSwap(3)); err == nil {
-		t.Fatal("adopt-swap does not declare ProcessSymmetricAppend; want error")
+		t.Fatal("adopt-swap does not declare ProcessSymmetric; want error")
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 	"slices"
 	"sort"
 	"strconv"
-	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -36,8 +36,19 @@ type Send struct {
 // Protocol is a deterministic asynchronous message-passing protocol in the
 // FLP style: every step is the receipt of one in-flight message, which
 // updates the local state and emits messages. Initial messages are
-// declared by AppendInitialSends. Local states are canonical strings so
-// the explorer can deduplicate configurations.
+// declared by AppendInitialSends.
+//
+// Configurations are packed into a fixed byte layout (DESIGN.md, "flp
+// configuration encoding"), which puts three limits on a protocol:
+//
+//   - at most 16 processes;
+//   - a fixed state width: every local state has the length of Init(0, 0),
+//     for every process and input, and AppendStep keeps it;
+//   - one-byte payloads other than 0x00, which marks the wake message.
+//
+// Analyze returns an error, and NewSystem panics, for a protocol whose Init
+// breaks the first two; an expansion that meets a wrong width or payload
+// panics.
 //
 // The transition functions are append-style, so the explorer's expansion
 // allocates nothing per successor: AppendStep renders the successor local
@@ -62,55 +73,133 @@ type Protocol interface {
 	Decide(p int, state string) (int, bool)
 }
 
-// envelope is one in-flight message.
-type envelope struct {
-	from, to int
-	payload  string
-}
-
-func (e envelope) String() string {
-	return strconv.Itoa(e.from) + ">" + strconv.Itoa(e.to) + ":" + e.payload
-}
-
-// config is the canonical encoding of a configuration: crash mask, process
-// states joined by \x1e, then the sorted in-flight multiset joined by \x1f.
+// config is a packed configuration (see layout).
 type config = string
 
-func encodeConfig(crashed int, states []string, flight []envelope) config {
-	msgs := make([]string, len(flight))
-	for i, e := range flight {
-		msgs[i] = e.String()
-	}
-	sort.Strings(msgs)
-	return strconv.Itoa(crashed) + "\x1d" + strings.Join(states, "\x1e") + "\x1d" + strings.Join(msgs, "\x1f")
+// maxProcs bounds NumProcs: a message record holds both endpoints in one
+// byte.
+const maxProcs = 16
+
+// layout is the fixed byte layout of one protocol's configurations:
+//
+//	crash | state_0 … state_{n-1} | record_0 … record_{k-1}
+//
+// crash is the rank of the crash mask's decimal string among all 2^n masks
+// (one byte for n ≤ 8, two big-endian bytes above), every state is w bytes
+// wide, and each in-flight message is a two-byte record from<<4|to, payload
+// with payload 0x00 for the wake message. Records are sorted as big-endian
+// uint16s, and a multiset holds equal records side by side. For n ≤ 10 the
+// bytes sort exactly as the decimal text encoding the package used before
+// (DESIGN.md gives the argument), so explorations assign the same ids.
+type layout struct {
+	n, w int
+	cw   int // width of the crash field
+	hdr  int // cw + n*w: offset of the first message record
+	*crashTable
 }
 
-// configStates returns c's process-state section, the per-process states
-// still joined by \x1e, without parsing the in-flight multiset.
-func configStates(c config) string {
-	_, rest, _ := strings.Cut(c, "\x1d")
-	states, _, _ := strings.Cut(rest, "\x1d")
-	return states
+// crashTable maps crash masks to ranks and back for one process count.
+type crashTable struct {
+	rank []uint16 // mask -> rank of strconv.Itoa(mask) among all masks
+	mask []uint16 // rank -> mask
 }
 
-func decodeConfig(c config) (crashed int, states []string, flight []envelope) {
-	parts := strings.SplitN(c, "\x1d", 3)
-	crashed, _ = strconv.Atoi(parts[0])
-	states = strings.Split(parts[1], "\x1e")
-	if parts[2] == "" {
-		return crashed, states, nil
-	}
-	for _, m := range strings.Split(parts[2], "\x1f") {
-		gt := strings.IndexByte(m, '>')
-		colon := strings.IndexByte(m, ':')
-		if gt < 0 || colon < gt {
-			continue
+var crashTables [maxProcs + 1]struct {
+	once sync.Once
+	t    crashTable
+}
+
+// crashTableFor returns the shared crash table for n processes.
+func crashTableFor(n int) *crashTable {
+	e := &crashTables[n]
+	e.once.Do(func() {
+		dec := make([]string, 1<<n)
+		masks := make([]uint16, 1<<n)
+		for m := range masks {
+			masks[m], dec[m] = uint16(m), strconv.Itoa(m)
 		}
-		from, _ := strconv.Atoi(m[:gt])
-		to, _ := strconv.Atoi(m[gt+1 : colon])
-		flight = append(flight, envelope{from: from, to: to, payload: m[colon+1:]})
+		sort.Slice(masks, func(i, j int) bool { return dec[masks[i]] < dec[masks[j]] })
+		e.t.mask, e.t.rank = masks, make([]uint16, 1<<n)
+		for r, m := range masks {
+			e.t.rank[m] = uint16(r)
+		}
+	})
+	return &e.t
+}
+
+// newLayout derives p's layout, or says which part of the Protocol contract
+// p breaks.
+func newLayout(p Protocol) (*layout, error) {
+	n := p.NumProcs()
+	if n < 1 || n > maxProcs {
+		return nil, fmt.Errorf("flp: protocol %s has %d processes, outside 1..%d", p.Name(), n, maxProcs)
 	}
-	return crashed, states, flight
+	w := len(p.Init(0, 0))
+	for q := 0; q < n; q++ {
+		for in := 0; in <= 1; in++ {
+			if got := len(p.Init(q, in)); got != w {
+				return nil, fmt.Errorf("flp: protocol %s: Init(%d, %d) is %d bytes wide, Init(0, 0) %d", p.Name(), q, in, got, w)
+			}
+		}
+	}
+	cw := 1
+	if n > 8 {
+		cw = 2
+	}
+	return &layout{n: n, w: w, cw: cw, hdr: cw + n*w, crashTable: crashTableFor(n)}, nil
+}
+
+// mustLayout is newLayout for constructors without an error result.
+func mustLayout(p Protocol) *layout {
+	l, err := newLayout(p)
+	if err != nil {
+		panic(err.Error())
+	}
+	return l
+}
+
+// valid reports whether c is a configuration this layout can hold: a crash
+// rank below 2^n, whole records after the states, endpoints below n, the
+// wake payload only on a self-addressed record, records in sorted order.
+func (l *layout) valid(c config) bool {
+	if len(c) < l.hdr || (len(c)-l.hdr)%2 != 0 || l.crashRank(c) >= len(l.mask) {
+		return false
+	}
+	prev := -1
+	for i := l.hdr; i < len(c); i += 2 {
+		from, to, rec := int(c[i]>>4), int(c[i]&15), int(c[i])<<8|int(c[i+1])
+		if from >= l.n || to >= l.n || (c[i+1] == 0 && from != to) || rec < prev {
+			return false
+		}
+		prev = rec
+	}
+	return true
+}
+
+// crashRank reads c's crash field.
+func (l *layout) crashRank(c config) int {
+	if l.cw == 2 {
+		return int(c[0])<<8 | int(c[1])
+	}
+	return int(c[0])
+}
+
+// crashMask returns the crash mask of a valid configuration.
+func (l *layout) crashMask(c config) int { return int(l.mask[l.crashRank(c)]) }
+
+// appendCrash appends the crash field of mask.
+func (l *layout) appendCrash(dst []byte, mask int) []byte {
+	r := l.rank[mask]
+	if l.cw == 2 {
+		dst = append(dst, byte(r>>8))
+	}
+	return append(dst, byte(r))
+}
+
+// state returns process q's local state in c.
+func (l *layout) state(c config, q int) string {
+	o := l.cw + q*l.w
+	return c[o : o+l.w]
 }
 
 // system adapts a Protocol to core.System: events are message deliveries
@@ -119,28 +208,30 @@ func decodeConfig(c config) (crashed int, states []string, flight []envelope) {
 // further steps; messages addressed to it are silently absorbed.
 type system struct {
 	p            Protocol
+	lay          *layout
 	inputVectors [][]int
 	resilience   int
 }
 
 var _ core.System[config] = (*system)(nil)
 
-// wakePayload is the self-addressed message whose delivery constitutes a
-// process's first step (emitting its InitialSends). Crashing a process
-// before its wake-up suppresses those sends entirely — without this, the
-// adversary could never prevent a process's first broadcast, and the
-// crash-resilience analysis would be vacuous.
-const wakePayload = "\x00wake"
+// The wake message is the self-addressed message whose delivery
+// constitutes a process's first step (emitting its initial sends); its
+// record carries payload 0x00. Crashing a process before its wake-up
+// suppresses those sends entirely — without this, the adversary could never
+// prevent a process's first broadcast, and the crash-resilience analysis
+// would be vacuous.
 
 func (s *system) initialFor(inputs []int) config {
-	n := s.p.NumProcs()
-	states := make([]string, n)
-	flight := make([]envelope, 0, n)
-	for p := 0; p < n; p++ {
-		states[p] = s.p.Init(p, inputs[p])
-		flight = append(flight, envelope{from: p, to: p, payload: wakePayload})
+	l := s.lay
+	buf := l.appendCrash(make([]byte, 0, l.hdr+2*l.n), 0)
+	for p := 0; p < l.n; p++ {
+		buf = append(buf, s.p.Init(p, inputs[p])...)
 	}
-	return encodeConfig(0, states, flight)
+	for p := 0; p < l.n; p++ {
+		buf = append(buf, byte(p<<4|p), 0)
+	}
+	return string(buf)
 }
 
 // Init implements core.System.
@@ -276,24 +367,28 @@ type AnalyzeOptions struct {
 // configurations, crash events included when resilience > 0) as a
 // core.System, for direct exploration by the determinism tests and the
 // exploration benchmarks. A nil inputVectors means all binary input
-// assignments.
+// assignments. It panics for a protocol that breaks the Protocol contract.
 func NewSystem(p Protocol, inputVectors [][]int, resilience int) core.System[string] {
 	if len(inputVectors) == 0 {
 		inputVectors = allBinaryVectors(p.NumProcs())
 	}
-	return &system{p: p, inputVectors: inputVectors, resilience: resilience}
+	return &system{p: p, lay: mustLayout(p), inputVectors: inputVectors, resilience: resilience}
 }
 
 // Analyze explores the protocol's configuration graph once and runs the
 // full bivalence analysis on it: valence, agreement, validity and both
 // liveness horns all read one decision column of that graph.
 func Analyze(p Protocol, opts AnalyzeOptions) (Report, error) {
-	n := p.NumProcs()
+	l, err := newLayout(p)
+	if err != nil {
+		return Report{}, err
+	}
+	n := l.n
 	resilience := 1
 	if opts.Resilience != nil {
 		resilience = *opts.Resilience
 	}
-	sys := &system{p: p, inputVectors: allBinaryVectors(n), resilience: resilience}
+	sys := &system{p: p, lay: l, inputVectors: allBinaryVectors(n), resilience: resilience}
 	eopts := engine.Options{
 		MaxStates: opts.MaxStates, Parallelism: opts.Parallelism, Stats: opts.Stats,
 		VerifyCanon: opts.VerifyCanon, CanonBytes: opts.CanonBytes, Visible: opts.Visible,
@@ -313,17 +408,14 @@ func Analyze(p Protocol, opts AnalyzeOptions) (Report, error) {
 	}
 	rep := Report{Protocol: p.Name(), States: g.Len(), Edges: g.NumEdges(), Lossy: opts.Store.Lossy()}
 
-	// The decision column: each configuration decoded once, from its
-	// process-state section only (the in-flight multiset never bears on a
-	// decision).
+	// The decision column, read off each configuration's process states
+	// (the in-flight multiset never bears on a decision).
 	dec := make([]int8, g.Len())
 	for i := range dec {
 		dec[i] = undecided
-		states := configStates(g.State(i))
+		c := g.State(i)
 		for q := 0; q < n; q++ {
-			var st string
-			st, states, _ = strings.Cut(states, "\x1e")
-			v, ok := p.Decide(q, st)
+			v, ok := p.Decide(q, l.state(c, q))
 			switch {
 			case !ok:
 			case v != 0 && v != 1:

@@ -169,28 +169,44 @@ func TestAnalyzeRejectsNonBinaryDecisions(t *testing.T) {
 	}
 }
 
+// TestConfigCodecRoundTrip packs a text configuration with a crash mask,
+// a wake message and duplicate messages, and checks every field reads back
+// at its offset and the renderer writes the text again.
 func TestConfigCodecRoundTrip(t *testing.T) {
-	states := []string{"a", "b:x", "c"}
-	flight := []envelope{{from: 0, to: 2, payload: "mv"}, {from: 1, to: 0, payload: ""}}
-	c := encodeConfig(5, states, flight)
-	crashed, gotStates, gotFlight := decodeConfig(c)
-	if crashed != 5 {
-		t.Fatalf("crashed = %d, want 5", crashed)
+	l := mustLayout(NewWaitQuorum(3))
+	states := []string{"0-1:-", "-1-:-", "--1:-"}
+	flight := []envelope{{from: 2, to: 0, payload: "1"}, {from: 1, to: 1, payload: wakeText},
+		{from: 0, to: 2, payload: "0"}, {from: 2, to: 0, payload: "1"}}
+	text := encodeConfig(5, states, flight)
+	c, ok := pack(l, text)
+	if !ok {
+		t.Fatalf("%q does not pack", text)
 	}
-	for i := range states {
-		if gotStates[i] != states[i] {
-			t.Fatalf("state %d mismatch: %q", i, gotStates[i])
+	if want := 1 + 3*5 + 2*4; len(c) != want || !l.valid(c) {
+		t.Fatalf("packed %q: %d bytes, valid %v; want %d valid bytes", c, len(c), l.valid(c), want)
+	}
+	if got := l.crashMask(c); got != 5 {
+		t.Fatalf("crash mask = %d, want 5", got)
+	}
+	for q, want := range states {
+		if got := l.state(c, q); got != want {
+			t.Fatalf("state %d = %q, want %q", q, got, want)
 		}
 	}
-	if len(gotFlight) != 2 {
-		t.Fatalf("flight length = %d", len(gotFlight))
+	if got, want := c[l.hdr:], "\x02\x30\x11\x00\x20\x31\x20\x31"; got != want {
+		t.Fatalf("records = %q, want %q", got, want)
 	}
-	if gotFlight[0].payload != "mv" && gotFlight[1].payload != "mv" {
-		t.Fatal("payload lost in round trip")
+	if got := render(l, c); got != text {
+		t.Fatalf("render = %q, want %q", got, text)
 	}
-	for _, fl := range [][]envelope{flight, nil} {
-		if got := configStates(encodeConfig(5, states, fl)); got != strings.Join(states, "\x1e") {
-			t.Fatalf("configStates = %q, want the joined states", got)
+	// The crash field holds the rank of the mask's decimal string, so the
+	// packed bytes sort as the text does: "1" < "10" < "2" < ... < "9".
+	l4 := mustLayout(NewWaitQuorum(4))
+	for m := 1; m < 16; m++ {
+		a, b := strconv.Itoa(m-1), strconv.Itoa(m)
+		ra, rb := l4.appendCrash(nil, m-1)[0], l4.appendCrash(nil, m)[0]
+		if (a < b) != (ra < rb) {
+			t.Fatalf("masks %s, %s rank %d, %d", a, b, ra, rb)
 		}
 	}
 }

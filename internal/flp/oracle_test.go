@@ -3,7 +3,6 @@ package flp
 import (
 	"fmt"
 	"reflect"
-	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -33,13 +32,14 @@ func referenceAnalyze(p Protocol, opts AnalyzeOptions) (Report, error) {
 		eopts.Independent = opts.Independent
 	}
 	explore := func(vectors [][]int) (*core.Graph[config], error) {
-		return core.Explore[config](&system{p: p, inputVectors: vectors, resilience: resilience}, eopts)
+		return core.Explore[config](NewSystem(p, vectors, resilience), eopts)
 	}
+	l := mustLayout(p)
 	// decided returns every decided process's value, in process order.
 	decided := func(c config) []int {
 		var vals []int
-		for q, st := range strings.Split(configStates(c), "\x1e") {
-			if v, ok := p.Decide(q, st); ok {
+		for q := 0; q < n; q++ {
+			if v, ok := p.Decide(q, l.state(c, q)); ok {
 				vals = append(vals, v)
 			}
 		}

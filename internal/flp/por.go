@@ -70,6 +70,7 @@ import (
 // (resilience 0) interleaving spaces and composes with the symmetry
 // quotient everywhere.
 func DeliveryIndependence(p Protocol) func(string, engine.Action[string], engine.Action[string]) bool {
+	l := mustLayout(p)
 	return func(c string, a, b engine.Action[string]) bool {
 		aCrash := a.Actor == core.EnvironmentActor
 		bCrash := b.Actor == core.EnvironmentActor
@@ -94,16 +95,16 @@ func DeliveryIndependence(p Protocol) func(string, engine.Action[string], engine
 		// happens to be present, so its position in the queue is the whole
 		// point.
 		return sendFree(c, a) && sendFree(c, b) &&
-			preservesDecision(p, c, a) && preservesDecision(p, c, b) &&
+			preservesDecision(p, l, c, a) && preservesDecision(p, l, c, b) &&
 			sender(a.Label) != sender(b.Label)
 	}
 }
 
 // preservesDecision reports that delivery d leaves its receiver's decision
 // status and value unchanged.
-func preservesDecision(p Protocol, c string, d engine.Action[string]) bool {
-	before, bok := p.Decide(d.Actor, localState(c, d.Actor))
-	after, aok := p.Decide(d.Actor, localState(d.To, d.Actor))
+func preservesDecision(p Protocol, l *layout, c string, d engine.Action[string]) bool {
+	before, bok := p.Decide(d.Actor, l.state(c, d.Actor))
+	after, aok := p.Decide(d.Actor, l.state(d.To, d.Actor))
 	return bok == aok && before == after
 }
 
@@ -126,20 +127,21 @@ func sender(label string) string {
 // agreement, validity, non-deciding lasso) reads from a configuration.
 // Crashes change no predicate and are invisible.
 func DecisionVisibility(p Protocol) func(string, engine.Action[string]) bool {
+	l := mustLayout(p)
 	return func(c string, a engine.Action[string]) bool {
 		if a.Actor == core.EnvironmentActor {
 			return false
 		}
-		before, bok := p.Decide(a.Actor, localState(c, a.Actor))
-		after, aok := p.Decide(a.Actor, localState(a.To, a.Actor))
+		before, bok := p.Decide(a.Actor, l.state(c, a.Actor))
+		after, aok := p.Decide(a.Actor, l.state(a.To, a.Actor))
 		return bok != aok || before != after
 	}
 }
 
 // sendFree reports that delivery d consumed its message without emitting
-// new ones.
+// new ones: its successor is one two-byte message record shorter.
 func sendFree(c string, d engine.Action[string]) bool {
-	return msgCount(d.To) == msgCount(c)-1
+	return len(d.To) == len(c)-2
 }
 
 // crashTarget parses the crashed process out of a "crash pN" label, or -1.
@@ -153,27 +155,4 @@ func crashTarget(label string) int {
 		return -1
 	}
 	return n
-}
-
-// msgCount counts the in-flight messages of an encoded configuration.
-func msgCount(c config) int {
-	flight := c[strings.LastIndexByte(c, '\x1d')+1:]
-	if flight == "" {
-		return 0
-	}
-	return strings.Count(flight, "\x1f") + 1
-}
-
-// localState extracts process t's local state from an encoded configuration
-// without decoding the rest.
-func localState(c config, t int) string {
-	i := strings.IndexByte(c, '\x1d') + 1
-	part := c[i:strings.LastIndexByte(c, '\x1d')]
-	for ; t > 0; t-- {
-		part = part[strings.IndexByte(part, '\x1e')+1:]
-	}
-	if j := strings.IndexByte(part, '\x1e'); j >= 0 {
-		part = part[:j]
-	}
-	return part
 }

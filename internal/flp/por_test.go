@@ -103,7 +103,7 @@ func TestDeliveryIndependenceRules(t *testing.T) {
 	if !sendFree(after, d0) || !sendFree(after, d1) {
 		t.Error("value deliveries to a woken wait-all process are send-free")
 	}
-	if !preservesDecision(p, after, d0) {
+	if !preservesDecision(p, mustLayout(p), after, d0) {
 		t.Error("one of two missing values cannot decide wait-all(3)")
 	}
 	// Deliver d0; the remaining delivery crosses the threshold and decides,
@@ -112,7 +112,7 @@ func TestDeliveryIndependenceRules(t *testing.T) {
 	d1b := findAction(t, acts3, func(a engine.Action[string]) bool {
 		return a.Actor == 2 && sender(a.Label) == "1"
 	}, "threshold delivery 1>2")
-	if preservesDecision(p, d0.To, d1b) {
+	if preservesDecision(p, mustLayout(p), d0.To, d1b) {
 		t.Error("the threshold-crossing delivery changes p2's decision")
 	}
 }
@@ -139,18 +139,23 @@ func TestPORLabelHelpers(t *testing.T) {
 }
 
 func TestConfigFieldHelpers(t *testing.T) {
-	c := encodeConfig(0, []string{"aa", "b", "ccc"},
-		[]envelope{{from: 0, to: 1, payload: "x"}, {from: 2, to: 0, payload: "y"}})
-	if got := msgCount(c); got != 2 {
-		t.Errorf("msgCount = %d, want 2", got)
+	l := mustLayout(NewWaitAll(3))
+	c, ok := pack(l, encodeConfig(0, []string{"0--:-", "-1-:-", "--1:-"},
+		[]envelope{{from: 0, to: 1, payload: "0"}, {from: 2, to: 0, payload: "1"}}))
+	if !ok {
+		t.Fatal("configuration does not pack")
 	}
-	if got := msgCount(encodeConfig(0, []string{"a", "b"}, nil)); got != 0 {
-		t.Errorf("msgCount of empty flight = %d, want 0", got)
-	}
-	for i, want := range []string{"aa", "b", "ccc"} {
-		if got := localState(c, i); got != want {
-			t.Errorf("localState(%d) = %q, want %q", i, got, want)
+	for i, want := range []string{"0--:-", "-1-:-", "--1:-"} {
+		if got := l.state(c, i); got != want {
+			t.Errorf("state(%d) = %q, want %q", i, got, want)
 		}
+	}
+	quiet := engine.Action[string]{To: c[:len(c)-2], Actor: 1}
+	if !sendFree(c, quiet) {
+		t.Error("a successor one record shorter is send-free")
+	}
+	if sendFree(c, engine.Action[string]{To: c, Actor: 1}) {
+		t.Error("a successor as long as its source is not send-free")
 	}
 }
 
@@ -233,13 +238,9 @@ func TestPoisonedIndependenceCaught(t *testing.T) {
 // process-state vector one slot per application — sound-looking output,
 // but not idempotent — and requires ErrCanonUnsound at every worker count.
 func TestBrokenIdempotenceCanonCaught(t *testing.T) {
+	l := mustLayout(NewWaitAll(2))
 	rotate := func(c string) string {
-		crashed, states, flight := decodeConfig(c)
-		if len(states) < 2 {
-			return c
-		}
-		rotated := append(states[1:], states[0])
-		return encodeConfig(crashed, rotated, flight)
+		return c[:l.cw] + c[l.cw+l.w:l.hdr] + l.state(c, 0) + c[l.hdr:]
 	}
 	for _, workers := range []int{1, 2, 8} {
 		_, err := Analyze(NewWaitAll(2), AnalyzeOptions{

@@ -1,17 +1,23 @@
 package flp
 
 import (
+	"sort"
 	"strconv"
+	"strings"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 )
 
-// This file holds the reference form of the configuration graph's
-// transition relation: the protocols' transition functions written a
-// second, independent way (fresh strings and slices instead of the
-// append-style Protocol methods), and the allocating Steps that runs on
-// them. ExpandInto is the one production relation; these are what
-// TestExpandIntoMatchesSteps compares it against.
+// This file holds the text reference of the configuration graph: the
+// decimal text encoding flp used before the packed layout, a system that
+// explores it with the protocols' transition functions written a second,
+// independent way (fresh strings and slices instead of the append-style
+// Protocol methods), the text permutation canon and the text POR relation,
+// plus the renderer and packer between the two encodings. ExpandInto,
+// PermutationCanonBytes and DeliveryIndependence are the production forms;
+// these are what TestExpandIntoMatchesSteps, TestGraphsMatchTextReference
+// and TestPermutationCanonBytesMatchesCanon hold them to.
 
 // refProtocol is the string form of a Protocol's transition functions.
 // InitialSends returns the messages p emits before receiving anything;
@@ -21,15 +27,178 @@ type refProtocol interface {
 	Step(p int, state string, from int, payload string) (string, []Send)
 }
 
+// envelope is one in-flight message of the text encoding.
+type envelope struct {
+	from, to int
+	payload  string
+}
+
+func (e envelope) String() string {
+	return strconv.Itoa(e.from) + ">" + strconv.Itoa(e.to) + ":" + e.payload
+}
+
+// wakeText is the text encoding's wake payload.
+const wakeText = "\x00wake"
+
+// encodeConfig is the text encoding: the crash mask in decimal, the process
+// states joined by \x1e, then the sorted in-flight multiset joined by \x1f,
+// the three sections separated by \x1d.
+func encodeConfig(crashed int, states []string, flight []envelope) string {
+	msgs := make([]string, len(flight))
+	for i, e := range flight {
+		msgs[i] = e.String()
+	}
+	sort.Strings(msgs)
+	return strconv.Itoa(crashed) + "\x1d" + strings.Join(states, "\x1e") + "\x1d" + strings.Join(msgs, "\x1f")
+}
+
+func decodeConfig(c string) (crashed int, states []string, flight []envelope) {
+	parts := strings.SplitN(c, "\x1d", 3)
+	crashed, _ = strconv.Atoi(parts[0])
+	states = strings.Split(parts[1], "\x1e")
+	if parts[2] == "" {
+		return crashed, states, nil
+	}
+	for _, m := range strings.Split(parts[2], "\x1f") {
+		gt := strings.IndexByte(m, '>')
+		colon := strings.IndexByte(m, ':')
+		if gt < 0 || colon < gt {
+			continue
+		}
+		from, _ := strconv.Atoi(m[:gt])
+		to, _ := strconv.Atoi(m[gt+1 : colon])
+		flight = append(flight, envelope{from: from, to: to, payload: m[colon+1:]})
+	}
+	return crashed, states, flight
+}
+
+// render writes a packed configuration in the text encoding, messages in
+// record order (for n ≤ 10 that is the text encoding's sorted order).
+func render(l *layout, c config) string {
+	var b strings.Builder
+	b.WriteString(strconv.Itoa(l.crashMask(c)))
+	b.WriteByte('\x1d')
+	for q := 0; q < l.n; q++ {
+		if q > 0 {
+			b.WriteByte('\x1e')
+		}
+		b.WriteString(l.state(c, q))
+	}
+	b.WriteByte('\x1d')
+	for i := l.hdr; i < len(c); i += 2 {
+		if i > l.hdr {
+			b.WriteByte('\x1f')
+		}
+		payload := c[i+1 : i+2]
+		if payload[0] == 0 {
+			payload = wakeText
+		}
+		b.WriteString(envelope{from: int(c[i] >> 4), to: int(c[i] & 15), payload: payload}.String())
+	}
+	return b.String()
+}
+
+// pack is render's inverse: it reads the text encoding field by field,
+// states at the layout's width and messages in the order given, and
+// reports false for anything render cannot have written.
+func pack(l *layout, t string) (config, bool) {
+	num := func(s string) (int, bool) {
+		v, err := strconv.Atoi(s)
+		return v, err == nil && strconv.Itoa(v) == s
+	}
+	i := strings.IndexByte(t, '\x1d')
+	if i < 0 {
+		return "", false
+	}
+	mask, ok := num(t[:i])
+	if !ok || mask >= 1<<l.n {
+		return "", false
+	}
+	buf := l.appendCrash(nil, mask)
+	t = t[i+1:]
+	for q := 0; q < l.n; q++ {
+		sep := byte('\x1e')
+		if q == l.n-1 {
+			sep = '\x1d'
+		}
+		if len(t) < l.w+1 || t[l.w] != sep {
+			return "", false
+		}
+		buf = append(buf, t[:l.w]...)
+		t = t[l.w+1:]
+	}
+	for len(t) > 0 {
+		gt := strings.IndexByte(t, '>')
+		colon := strings.IndexByte(t, ':')
+		if gt < 0 || colon < gt {
+			return "", false
+		}
+		from, okF := num(t[:gt])
+		to, okT := num(t[gt+1 : colon])
+		if !okF || !okT || from >= l.n || to >= l.n {
+			return "", false
+		}
+		t = t[colon+1:]
+		var pay byte
+		switch {
+		case strings.HasPrefix(t, wakeText) && from == to:
+			t = t[len(wakeText):]
+		case len(t) > 0 && t[0] != 0:
+			pay, t = t[0], t[1:]
+		default:
+			return "", false
+		}
+		buf = append(buf, byte(from<<4|to), pay)
+		if len(t) > 0 {
+			if t[0] != '\x1f' || len(t) == 1 {
+				return "", false
+			}
+			t = t[1:]
+		}
+	}
+	return string(buf), true
+}
+
+// textSystem is the reference configuration graph over the text encoding.
+type textSystem struct {
+	p            Protocol
+	inputVectors [][]int
+	resilience   int
+}
+
+var _ core.System[string] = (*textSystem)(nil)
+
+// Init implements core.System.
+func (s *textSystem) Init() []string {
+	n := s.p.NumProcs()
+	out := make([]string, 0, len(s.inputVectors))
+	for _, in := range s.inputVectors {
+		states := make([]string, n)
+		flight := make([]envelope, 0, n)
+		for p := 0; p < n; p++ {
+			states[p] = s.p.Init(p, in[p])
+			flight = append(flight, envelope{from: p, to: p, payload: wakeText})
+		}
+		out = append(out, encodeConfig(0, states, flight))
+	}
+	return out
+}
+
+// ExpandInto implements core.System by emitting Steps.
+func (s *textSystem) ExpandInto(c string, x *engine.Ctx[string]) {
+	for _, st := range s.Steps(c) {
+		x.Emit(st.To, st.Label, st.Actor)
+	}
+}
+
 // Steps is the hand-written reference transition relation of the
 // configuration graph: decode, dedup with a map, re-encode every successor,
 // all over the protocol's string transition functions.
-// TestExpandIntoMatchesSteps holds ExpandInto to it.
-func (s *system) Steps(c config) []core.Step[config] {
+func (s *textSystem) Steps(c string) []core.Step[string] {
 	ref := s.p.(refProtocol)
 	n := s.p.NumProcs()
 	crashed, states, flight := decodeConfig(c)
-	steps := make([]core.Step[config], 0, len(flight)+n)
+	steps := make([]core.Step[string], 0, len(flight)+n)
 	seen := map[string]bool{}
 	for i, env := range flight {
 		if crashed&(1<<uint(env.to)) != 0 {
@@ -42,7 +211,7 @@ func (s *system) Steps(c config) []core.Step[config] {
 		seen[key] = true
 		var newState string
 		var sends []Send
-		if env.payload == wakePayload && env.from == env.to {
+		if env.payload == wakeText && env.from == env.to {
 			newState = states[env.to]
 			sends = ref.InitialSends(env.to, newState)
 		} else {
@@ -57,7 +226,7 @@ func (s *system) Steps(c config) []core.Step[config] {
 		for _, snd := range sends {
 			newFlight = append(newFlight, envelope{from: env.to, to: snd.To, payload: snd.Payload})
 		}
-		steps = append(steps, core.Step[config]{
+		steps = append(steps, core.Step[string]{
 			To:    encodeConfig(crashed, newStates, newFlight),
 			Label: "deliver " + key,
 			Actor: env.to,
@@ -68,7 +237,7 @@ func (s *system) Steps(c config) []core.Step[config] {
 			if crashed&(1<<uint(p)) != 0 {
 				continue
 			}
-			steps = append(steps, core.Step[config]{
+			steps = append(steps, core.Step[string]{
 				To:    encodeConfig(crashed|1<<uint(p), states, flight),
 				Label: "crash p" + strconv.Itoa(p),
 				Actor: core.EnvironmentActor,
@@ -76,6 +245,124 @@ func (s *system) Steps(c config) []core.Step[config] {
 		}
 	}
 	return steps
+}
+
+// textPermuter is the string form of ProcessSymmetric.
+type textPermuter interface {
+	PermuteState(state string, perm []int) string
+	PermutePayload(payload string, perm []int) string
+}
+
+// textPermutationCanon is the text encoding's process-permutation canon:
+// decode, relabel the processes, re-encode, keep the least encoding.
+func textPermutationCanon(p Protocol) func(string) string {
+	ps := p.(textPermuter)
+	n := p.NumProcs()
+	perms := permutations(n)
+	return func(c string) string {
+		crashed, states, flight := decodeConfig(c)
+		best := c
+		for _, pi := range perms[1:] {
+			newStates := make([]string, n)
+			newCrashed := 0
+			for q := 0; q < n; q++ {
+				newStates[pi[q]] = ps.PermuteState(states[q], pi)
+				if crashed&(1<<uint(q)) != 0 {
+					newCrashed |= 1 << uint(pi[q])
+				}
+			}
+			newFlight := make([]envelope, len(flight))
+			for i, env := range flight {
+				payload := env.payload
+				if payload != wakeText {
+					payload = ps.PermutePayload(payload, pi)
+				}
+				newFlight[i] = envelope{from: pi[env.from], to: pi[env.to], payload: payload}
+			}
+			if enc := encodeConfig(newCrashed, newStates, newFlight); enc < best {
+				best = enc
+			}
+		}
+		return best
+	}
+}
+
+// PermuteState implements textPermuter.
+func (w *waitProto) PermuteState(state string, perm []int) string {
+	out := []byte(state)
+	for j := 0; j < w.n; j++ {
+		out[perm[j]] = state[j]
+	}
+	return string(out)
+}
+
+// PermutePayload implements textPermuter.
+func (w *waitProto) PermutePayload(payload string, _ []int) string { return payload }
+
+// textLocalState extracts process t's local state from a text
+// configuration without decoding the rest.
+func textLocalState(c string, t int) string {
+	i := strings.IndexByte(c, '\x1d') + 1
+	part := c[i:strings.LastIndexByte(c, '\x1d')]
+	for ; t > 0; t-- {
+		part = part[strings.IndexByte(part, '\x1e')+1:]
+	}
+	if j := strings.IndexByte(part, '\x1e'); j >= 0 {
+		part = part[:j]
+	}
+	return part
+}
+
+// textMsgCount counts a text configuration's in-flight messages.
+func textMsgCount(c string) int {
+	flight := c[strings.LastIndexByte(c, '\x1d')+1:]
+	if flight == "" {
+		return 0
+	}
+	return strings.Count(flight, "\x1f") + 1
+}
+
+// textIndependence is DeliveryIndependence over the text encoding.
+func textIndependence(p Protocol) func(string, engine.Action[string], engine.Action[string]) bool {
+	preserves := func(c string, d engine.Action[string]) bool {
+		before, bok := p.Decide(d.Actor, textLocalState(c, d.Actor))
+		after, aok := p.Decide(d.Actor, textLocalState(d.To, d.Actor))
+		return bok == aok && before == after
+	}
+	quiet := func(c string, d engine.Action[string]) bool {
+		return textMsgCount(d.To) == textMsgCount(c)-1
+	}
+	return func(c string, a, b engine.Action[string]) bool {
+		aCrash := a.Actor == core.EnvironmentActor
+		bCrash := b.Actor == core.EnvironmentActor
+		if aCrash && bCrash {
+			return false
+		}
+		if aCrash || bCrash {
+			crash, del := a, b
+			if bCrash {
+				crash, del = b, a
+			}
+			return crashTarget(crash.Label) != del.Actor
+		}
+		if a.Actor != b.Actor {
+			return true
+		}
+		return quiet(c, a) && quiet(c, b) && preserves(c, a) && preserves(c, b) &&
+			sender(a.Label) != sender(b.Label)
+	}
+}
+
+// textVisibility is DecisionVisibility over the text encoding.
+func textVisibility(p Protocol) func(string, engine.Action[string]) bool {
+	return func(c string, a engine.Action[string]) bool {
+		if a.Actor == core.EnvironmentActor {
+			return false
+		}
+		before, bok := p.Decide(a.Actor, textLocalState(c, a.Actor))
+		after, aok := p.Decide(a.Actor, textLocalState(a.To, a.Actor))
+		return bok != aok || before != after
+	}
 }
 
 // InitialSends implements refProtocol: broadcast own value.
@@ -104,6 +391,18 @@ func (w *waitProto) Step(_ int, state string, from int, payload string) (string,
 	vals[from] = payload[0]
 	return w.maybeDecide(string(vals) + state[w.n:]), nil
 }
+
+// InitialSends implements refProtocol: the test protocols send nothing.
+func (constProto) InitialSends(int, string) []Send { return nil }
+
+// Step implements refProtocol: the test protocols absorb every delivery.
+func (constProto) Step(_ int, state string, _ int, _ string) (string, []Send) { return state, nil }
+
+// InitialSends implements refProtocol.
+func (flipProto) InitialSends(int, string) []Send { return nil }
+
+// Step implements refProtocol.
+func (flipProto) Step(_ int, state string, _ int, _ string) (string, []Send) { return state, nil }
 
 // InitialSends implements refProtocol: send own value to the ring successor.
 func (a *adoptSwap) InitialSends(p int, state string) []Send {

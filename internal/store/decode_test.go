@@ -166,7 +166,7 @@ func TestSpillReadBackAllocs(t *testing.T) {
 // 4-byte image used to slice the offset table out of range.
 func TestDecodePageOffsetTableOverrun(t *testing.T) {
 	st := spillStoreFor(t, stringFP)
-	if _, err := st.decodePage(pageImage(100, nil, nil)); !errors.Is(err, ErrCorruptPage) {
+	if _, err := st.decodePage(pageImage(100, nil, nil), nil); !errors.Is(err, ErrCorruptPage) {
 		t.Fatalf("err = %v, want ErrCorruptPage", err)
 	}
 }
@@ -175,7 +175,7 @@ func TestDecodePageOffsetTableOverrun(t *testing.T) {
 // integer codec used to index past the payload.
 func TestDecodePageShortFixedWidthPayload(t *testing.T) {
 	st := spillStoreFor(t, intFP)
-	if _, err := st.decodePage(pageImage(1, []uint32{0, 3}, []byte{1, 2, 3})); !errors.Is(err, ErrCorruptPage) {
+	if _, err := st.decodePage(pageImage(1, []uint32{0, 3}, []byte{1, 2, 3}), nil); !errors.Is(err, ErrCorruptPage) {
 		t.Fatalf("err = %v, want ErrCorruptPage", err)
 	}
 }
@@ -206,13 +206,13 @@ func FuzzDecodePage(f *testing.F) {
 				ss = append(ss, string(b))
 			}
 		}
-		roundTrip(t, strs, ss)
+		roundTrip(t, strs, ss, "junk")
 		is := []int{0}
 		for len(raw) >= 8 && len(is) < ints.pages.size {
 			is = append(is, int(binary.LittleEndian.Uint64(raw)))
 			raw = raw[8:]
 		}
-		roundTrip(t, ints, is)
+		roundTrip(t, ints, is, -1)
 	})
 }
 
@@ -221,7 +221,7 @@ func FuzzDecodePage(f *testing.F) {
 func decodeErr[S comparable](t *testing.T, st *spillStore[S], raw []byte) error {
 	t.Helper()
 	img := bytes.Clone(raw)
-	slots, err := st.decodePage(img)
+	slots, err := st.decodePage(img, nil)
 	if err != nil {
 		return err
 	}
@@ -250,20 +250,31 @@ func poison(b []byte) {
 
 // roundTrip encodes vals as one page and requires decodePage to return
 // them in the leading slots and zero values after, also once the encoded
-// image is overwritten.
-func roundTrip[S comparable](t *testing.T, st *spillStore[S], vals []S) {
+// image is overwritten, both into a fresh array and into a reused one full
+// of junk, as the read-back hands it an evicted page's array.
+func roundTrip[S comparable](t *testing.T, st *spillStore[S], vals []S, junk S) {
 	t.Helper()
 	pg := &page[S]{slots: make([]S, st.pages.size)}
 	copy(pg.slots, vals)
 	raw, _ := st.encodePage(pg, len(vals))
-	got, err := st.decodePage(raw)
-	if err != nil {
-		t.Fatalf("decode of an encoded %d-state page: %v", len(vals), err)
+	reused := make([]S, st.pages.size)
+	for i := range reused {
+		reused[i] = junk
+	}
+	var decoded [][]S
+	for _, into := range [][]S{nil, reused} {
+		got, err := st.decodePage(raw, into)
+		if err != nil {
+			t.Fatalf("decode of an encoded %d-state page: %v", len(vals), err)
+		}
+		decoded = append(decoded, got)
 	}
 	poison(raw)
-	for i, v := range got {
-		if v != pg.slots[i] {
-			t.Fatalf("slot %d = %v after the round trip, want %v", i, v, pg.slots[i])
+	for _, got := range decoded {
+		for i, v := range got {
+			if v != pg.slots[i] {
+				t.Fatalf("slot %d = %v after the round trip, want %v", i, v, pg.slots[i])
+			}
 		}
 	}
 }
@@ -303,7 +314,7 @@ func TestSpillPageChecksum(t *testing.T) {
 	// Flip the last payload byte: the final state's trailing letter becomes
 	// another letter, so the image stays well-formed.
 	raw[len(raw)-1] ^= 1
-	if _, err := st.decodePage(raw); err != nil {
+	if _, err := st.decodePage(raw, nil); err != nil {
 		t.Fatalf("tampered image no longer parses, so it does not test the checksum: %v", err)
 	}
 	var buf bytes.Buffer

@@ -307,14 +307,10 @@ func (st *spillStore[S]) spilledState(id int32) (S, bool) {
 	if st.ioErr != nil {
 		return zero, false
 	}
-	t := time.Now()
-	slots, err := st.readPage(pno)
-	if err != nil {
-		st.ioErr = fmt.Errorf("store: spill read of page %d: %w", pno, err)
-		return zero, false
-	}
-	st.readLat.Observe(int64(time.Since(t)))
-	st.segReads.Add(1)
+	// Evict before reading: the victim's slot array is dead once it leaves
+	// the cache (callers hold slot values, never the array), so the page
+	// read back overwrites it instead of allocating a fresh one.
+	var reuse []S
 	if len(st.cache) >= pageCacheSize {
 		var victim int32
 		oldest := uint64(1<<64 - 1)
@@ -323,15 +319,24 @@ func (st *spillStore[S]) spilledState(id int32) (S, bool) {
 				oldest, victim = ent.lastUse, p
 			}
 		}
+		reuse = st.cache[victim].slots
 		delete(st.cache, victim)
 	}
+	t := time.Now()
+	slots, err := st.readPage(pno, reuse)
+	if err != nil {
+		st.ioErr = fmt.Errorf("store: spill read of page %d: %w", pno, err)
+		return zero, false
+	}
+	st.readLat.Observe(int64(time.Since(t)))
+	st.segReads.Add(1)
 	st.cache[pno] = cacheEnt[S]{slots: slots, lastUse: st.cacheTick}
 	return slots[int(id)&st.pages.mask], true
 }
 
 // readPage decompresses and decodes one spilled page through the reused
-// read-back buffers. Caller holds segMu.
-func (st *spillStore[S]) readPage(pno int32) ([]S, error) {
+// read-back buffers, into slots when it is non-nil. Caller holds segMu.
+func (st *spillStore[S]) readPage(pno int32, slots []S) ([]S, error) {
 	m := st.meta[pno]
 	st.compBuf = slices.Grow(st.compBuf[:0], int(m.compLen))[:m.compLen]
 	if _, err := st.segs[m.seg].ReadAt(st.compBuf, m.off); err != nil {
@@ -351,7 +356,7 @@ func (st *spillStore[S]) readPage(pno int32) ([]S, error) {
 	if sum := crc32.Checksum(raw, st.crcTab); sum != m.crc {
 		return nil, fmt.Errorf("%w: page %d checksum %08x, written as %08x", ErrCorruptPage, pno, sum, m.crc)
 	}
-	return st.decodePage(raw)
+	return st.decodePage(raw, slots)
 }
 
 // decodePage parses one raw page image (layout above) into a page's slots.
@@ -359,8 +364,10 @@ func (st *spillStore[S]) readPage(pno int32) ([]S, error) {
 // layout cannot hold fails with ErrCorruptPage, never a panic. The slots
 // never point into raw, which the next read-back overwrites: a string page
 // copies its payload section once, into one block, and its slots are
-// substrings of that block.
-func (st *spillStore[S]) decodePage(raw []byte) ([]S, error) {
+// substrings of that block. The slots go into slots, a page-sized array
+// the caller no longer reads, when it is non-nil, and into a fresh array
+// otherwise.
+func (st *spillStore[S]) decodePage(raw []byte, slots []S) ([]S, error) {
 	if len(raw) < 4 {
 		return nil, fmt.Errorf("%w: %d-byte image", ErrCorruptPage, len(raw))
 	}
@@ -377,7 +384,11 @@ func (st *spillStore[S]) decodePage(raw []byte) ([]S, error) {
 	if st.isString {
 		block = string(payload)
 	}
-	slots := make([]S, st.pages.size)
+	if slots == nil {
+		slots = make([]S, st.pages.size)
+	} else {
+		clear(slots[count:])
+	}
 	for i := 0; i < count; i++ {
 		lo := binary.LittleEndian.Uint32(offTab[4*i:])
 		hi := binary.LittleEndian.Uint32(offTab[4*i+4:])
