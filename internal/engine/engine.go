@@ -343,11 +343,11 @@ const canonMemoCap = 1 << 18
 type explorer[S comparable] struct {
 	expand ExpandFunc[S]
 	// store is the visited set: the fingerprint-sharded id assignment and
-	// the id -> payload table, behind the pluggable-backend interface
-	// (RAM-resident map, disk-spilling, or lossy bitstate sweep). fp is
-	// the fingerprint the store shards by, kept here too for the sampled
+	// the id -> payload table, whose kind (RAM-resident, disk-spilling, or
+	// lossy bitstate sweep) is a policy of the one store.Store. fp is the
+	// fingerprint the store shards by, kept here too for the sampled
 	// soundness checks.
-	store store.StateStore[S]
+	store *store.Store[S]
 	fp    func(S) uint64
 
 	// canon, when non-nil, maps every generated state to its orbit

@@ -153,26 +153,11 @@ func (s Stats) Snapshot() obs.ProgressSnapshot {
 		WorkerSteps:     append([]uint64(nil), s.WorkerSteps...),
 		Truncated:       s.Truncated,
 		Final:           true,
-
-		StoreBytesInRAM:        s.Store.BytesInRAM,
-		StoreBytesSpilled:      s.Store.BytesSpilled,
-		StoreSegments:          s.Store.Segments,
-		StoreSegmentReads:      s.Store.SegmentReads,
-		StoreCollisionConfirms: s.Store.CollisionConfirms,
-		StorePageCacheHits:     s.Store.PageCacheHits,
-		StoreLossy:             s.Lossy,
-		PeakRSSBytes:           s.PeakRSSBytes,
-		GraphBytes:             s.GraphBytes,
-		ArenaBytes:             s.ArenaBytes,
+		PeakRSSBytes:    s.PeakRSSBytes,
+		GraphBytes:      s.GraphBytes,
+		ArenaBytes:      s.ArenaBytes,
 	}
-	if s.Store.ReadLat.Count > 0 {
-		rl := s.Store.ReadLat
-		snap.StoreReadLat = &rl
-	}
-	if s.Store.WriteLat.Count > 0 {
-		wl := s.Store.WriteLat
-		snap.StoreWriteLat = &wl
-	}
+	stampStore(&snap, s.Store)
 	if !s.Phases.Zero() {
 		ph := s.Phases
 		snap.Phases = &ph

@@ -104,7 +104,7 @@ func (t *telemetry) startMonitor(every time.Duration) {
 			case <-t.stop:
 				return
 			case <-tick.C:
-				snap := t.liveSnapshot()
+				snap := t.snapshot(t.states(), int(t.depth.Load()), int(t.frontier.Load()), int(t.peakFrontier.Load()))
 				t.sink.Publish(obs.Event{Kind: obs.KindSnapshot, Snapshot: &snap})
 			}
 		}
@@ -125,66 +125,15 @@ func (t *telemetry) stopMonitor() {
 	<-t.done
 }
 
-// liveSnapshot assembles a timer-driven snapshot from atomics only. The
-// per-edge counters (dedup, canon, POR) are barrier-fresh; States,
-// WorkerSteps and the store figures are live.
-func (t *telemetry) liveSnapshot() obs.ProgressSnapshot {
-	steps := t.workerSteps()
-	var exp uint64
-	for _, s := range steps {
-		exp += s
-	}
-	snap := obs.ProgressSnapshot{
-		Elapsed:         time.Since(t.start),
-		States:          t.states(),
-		Depth:           int(t.depth.Load()),
-		Frontier:        int(t.frontier.Load()),
-		PeakFrontier:    int(t.peakFrontier.Load()),
-		Expansions:      exp,
-		DedupHits:       t.dedup.Load(),
-		CanonHits:       t.canonHits.Load(),
-		AmpleStates:     t.ample.Load(),
-		DeferredActions: t.deferred.Load(),
-		WorkerSteps:     steps,
-		MaxStates:       t.maxStates,
-	}
-	t.stampStore(&snap)
-	return snap
-}
-
-// stampStore adds the store and peak-RSS figures to a snapshot. These are
-// observability-only: scheduling-dependent (page layout, process RSS) and
-// therefore excluded from trace digests, like Elapsed and WorkerSteps.
-func (t *telemetry) stampStore(snap *obs.ProgressSnapshot) {
-	ss := t.storeStats()
-	snap.StoreBytesInRAM = ss.BytesInRAM
-	snap.StoreBytesSpilled = ss.BytesSpilled
-	snap.StoreSegments = ss.Segments
-	snap.StoreSegmentReads = ss.SegmentReads
-	snap.StoreCollisionConfirms = ss.CollisionConfirms
-	snap.StorePageCacheHits = ss.PageCacheHits
-	if ss.ReadLat.Count > 0 {
-		rl := ss.ReadLat
-		snap.StoreReadLat = &rl
-	}
-	if ss.WriteLat.Count > 0 {
-		wl := ss.WriteLat
-		snap.StoreWriteLat = &wl
-	}
-	snap.StoreLossy = ss.Lossy
-	snap.PeakRSSBytes = obs.PeakRSS()
-	if t.phases != nil {
-		if ph, lat := t.phases(); !ph.Zero() {
-			snap.Phases = &ph
-			snap.ExpandLat = lat
-		}
-	}
-}
-
-// barrierSnapshot assembles a barrier-accurate snapshot after a level
-// completed: every counter is exact and worker-count-invariant except
-// WorkerSteps and Elapsed (which the digest layer ignores).
-func (t *telemetry) barrierSnapshot(states, depth, frontier, peak int) obs.ProgressSnapshot {
+// snapshot assembles a progress snapshot around the caller's States,
+// Depth, Frontier and PeakFrontier: the live counters for a timer-driven
+// snapshot, the barrier's exact figures for a level or truncated event.
+// Everything else comes from atomics. The per-edge counters (dedup, canon,
+// POR) are barrier-fresh; WorkerSteps, Elapsed and the store, peak-RSS and
+// phase figures are live and scheduling-dependent, so trace digests
+// exclude them, and at a barrier every digested counter is exact and
+// worker-count-invariant.
+func (t *telemetry) snapshot(states, depth, frontier, peak int) obs.ProgressSnapshot {
 	steps := t.workerSteps()
 	var exp uint64
 	for _, s := range steps {
@@ -204,8 +153,35 @@ func (t *telemetry) barrierSnapshot(states, depth, frontier, peak int) obs.Progr
 		WorkerSteps:     steps,
 		MaxStates:       t.maxStates,
 	}
-	t.stampStore(&snap)
+	stampStore(&snap, t.storeStats())
+	snap.PeakRSSBytes = obs.PeakRSS()
+	if t.phases != nil {
+		if ph, lat := t.phases(); !ph.Zero() {
+			snap.Phases = &ph
+			snap.ExpandLat = lat
+		}
+	}
 	return snap
+}
+
+// stampStore copies the store figures into a snapshot; telemetry snapshots
+// and Stats.Snapshot share it.
+func stampStore(snap *obs.ProgressSnapshot, ss store.Stats) {
+	snap.StoreBytesInRAM = ss.BytesInRAM
+	snap.StoreBytesSpilled = ss.BytesSpilled
+	snap.StoreSegments = ss.Segments
+	snap.StoreSegmentReads = ss.SegmentReads
+	snap.StoreCollisionConfirms = ss.CollisionConfirms
+	snap.StorePageCacheHits = ss.PageCacheHits
+	if ss.ReadLat.Count > 0 {
+		rl := ss.ReadLat
+		snap.StoreReadLat = &rl
+	}
+	if ss.WriteLat.Count > 0 {
+		wl := ss.WriteLat
+		snap.StoreWriteLat = &wl
+	}
+	snap.StoreLossy = ss.Lossy
 }
 
 // level is the coordinator's barrier hook: it refreshes the
@@ -226,13 +202,13 @@ func publishLevel[S comparable](t *telemetry, e *explorer[S], states, depth, fro
 	t.depth.Store(int64(depth))
 	t.frontier.Store(int64(frontier))
 	t.peakFrontier.Store(int64(peak))
-	snap := t.barrierSnapshot(states, depth, frontier, peak)
+	snap := t.snapshot(states, depth, frontier, peak)
 	t.sink.Publish(obs.Event{Kind: obs.KindLevel, Snapshot: &snap})
 }
 
 // truncated publishes the limit-trip event.
 func (t *telemetry) truncated(states, depth, peak int) {
-	snap := t.barrierSnapshot(states, depth, 0, peak)
+	snap := t.snapshot(states, depth, 0, peak)
 	snap.Truncated = true
 	t.sink.Publish(obs.Event{Kind: obs.KindTruncated, Snapshot: &snap})
 }

@@ -190,6 +190,16 @@ func TestProtocolContractEnforced(t *testing.T) {
 	}
 }
 
+// TestValuePayloadOneByte: valuePayload keeps the one-byte payload
+// contract on every byte value, those at or above 0x80 included.
+func TestValuePayloadOneByte(t *testing.T) {
+	for v := 0; v < 256; v++ {
+		if p := valuePayload(byte(v)); len(p) != 1 || p[0] != byte(v) {
+			t.Fatalf("valuePayload(%#x) = %q, want the one byte %#x", v, p, v)
+		}
+	}
+}
+
 // TestPermutationCanonBytesMatchesCanon holds the byte-level canonicalizer
 // to the text permutation canon on every reachable configuration of a
 // 3-process wait protocol: the packed representative must be the packed

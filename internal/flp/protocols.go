@@ -93,10 +93,12 @@ func (w *waitProto) AppendInitialSends(p int, state string, sends []Send) []Send
 	return sends
 }
 
-// valuePayload is string(b) with interned results for the value alphabet:
-// a variable string(byte) that escapes into a Send allocates, a constant
-// does not. Non-value bytes (unreachable on canonical states) fall through
-// to the allocating conversion so the function stays total.
+// valuePayload is the one-byte string holding b, with interned results
+// for the value alphabet: a variable one-byte string that escapes into a
+// Send allocates, a constant does not. Non-value bytes (unreachable on
+// canonical states) fall through to the allocating conversion so the
+// function stays total. It converts a byte slice, not b itself: string(b)
+// is a rune conversion, which UTF-8-encodes a byte >= 0x80 as two bytes.
 func valuePayload(b byte) string {
 	switch b {
 	case '0':
@@ -106,7 +108,7 @@ func valuePayload(b byte) string {
 	case '-':
 		return "-"
 	}
-	return string(b)
+	return string([]byte{b})
 }
 
 func (w *waitProto) maybeDecide(state string) string {

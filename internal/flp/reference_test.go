@@ -370,7 +370,7 @@ func (w *waitProto) InitialSends(p int, state string) []Send {
 	out := make([]Send, 0, w.n-1)
 	for q := 0; q < w.n; q++ {
 		if q != p {
-			out = append(out, Send{To: q, Payload: string(state[p])})
+			out = append(out, Send{To: q, Payload: string([]byte{state[p]})})
 		}
 	}
 	return out

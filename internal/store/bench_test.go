@@ -25,7 +25,7 @@ func BenchmarkIntern(b *testing.B) {
 		for _, mode := range []string{"hit", "fresh"} {
 			for _, path := range []string{"Intern", "InternBytes"} {
 				b.Run(string(kind)+"/"+mode+"/"+path, func(b *testing.B) {
-					fill := func() StateStore[string] {
+					fill := func() *Store[string] {
 						st, err := New[string](Config{Kind: kind, Dir: b.TempDir()}, 32, stringFP)
 						if err != nil {
 							b.Fatal(err)
@@ -68,7 +68,7 @@ func BenchmarkIntern(b *testing.B) {
 // make. The "naive" variant below is that first cut, kept as the
 // before/after baseline quoted in EXPERIMENTS.md.
 func BenchmarkPageEncode(b *testing.B) {
-	st, err := newSpillStore[string](Config{Dir: b.TempDir()}, 1, stringFP)
+	st, err := New[string](Config{Kind: Spill, Dir: b.TempDir()}, 1, stringFP)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func BenchmarkPageEncode(b *testing.B) {
 			var payload []byte
 			for j := range pg.slots {
 				enc := make([]byte, 0, len(pg.slots[j]))
-				enc = st.codec.enc(enc, &pg.slots[j])
+				enc = st.spill.codec.enc(enc, &pg.slots[j])
 				payload = append(payload, enc...)
 				offs = append(offs, uint32(len(payload)))
 			}
@@ -103,7 +103,7 @@ func BenchmarkPageEncode(b *testing.B) {
 	b.Run("scratch", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			raw, _ := st.encodePage(pg, pageSize)
+			raw, _ := st.spill.encodePage(pg, pageSize)
 			if len(raw) == 0 {
 				b.Fatal("empty page image")
 			}
@@ -119,19 +119,19 @@ func BenchmarkPageEncode(b *testing.B) {
 // decoder makes for every block whose codes are longer than 9 bits.
 func BenchmarkSpillReadBack(b *testing.B) {
 	st, _ := spilledStore(b, defaultPageBits, 4*pageCacheSize<<defaultPageBits)
-	pages := int(st.spilledTo.Load())
+	pages := int(st.spill.spilledTo.Load())
 	read := func(k int) { st.State(int32((k % pages) << defaultPageBits)) }
 	for k := 0; k < pages; k++ {
 		read(k)
 	}
-	reads := st.segReads.Load()
+	reads := st.spill.segReads.Load()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		read(i)
 	}
 	b.StopTimer()
-	if got := st.segReads.Load() - reads; got != uint64(b.N) {
+	if got := st.spill.segReads.Load() - reads; got != uint64(b.N) {
 		b.Fatalf("%d segment reads in %d ops, want one per op", got, b.N)
 	}
 	if err := st.Err(); err != nil {

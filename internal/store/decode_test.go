@@ -22,9 +22,9 @@ func pageImage(count uint32, offs []uint32, payload []byte) []byte {
 	return append(raw, payload...)
 }
 
-func spillStoreFor[S comparable](t testing.TB, fp func(S) uint64) *spillStore[S] {
+func spillStoreFor[S comparable](t testing.TB, fp func(S) uint64) *Store[S] {
 	t.Helper()
-	st, err := newSpillStore[S](Config{Dir: t.TempDir()}, 1, fp)
+	st, err := New[S](Config{Kind: Spill, Dir: t.TempDir()}, 1, fp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,10 +37,10 @@ func intFP(v int) uint64 { return uint64(v) * 0x9e3779b97f4a7c15 }
 // spilledStore interns n test states into a 4-shard spill store of
 // 2^pageBits-state pages and spills all but the last page or so of them,
 // so nearly every id reads back from a segment.
-func spilledStore(t testing.TB, pageBits, n int) (*spillStore[string], []string) {
+func spilledStore(t testing.TB, pageBits, n int) (*Store[string], []string) {
 	t.Helper()
 	states := testStates(n)
-	st, err := newSpillStore[string](Config{MaxBytes: 1 << 10, PageBits: pageBits, Dir: t.TempDir()}, 4, stringFP)
+	st, err := New[string](Config{Kind: Spill, MaxBytes: 1 << 10, PageBits: pageBits, Dir: t.TempDir()}, 4, stringFP)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func spilledStore(t testing.TB, pageBits, n int) (*spillStore[string], []string)
 	if err := st.Maintain(int32(n)); err != nil {
 		t.Fatal(err)
 	}
-	if pages := int(st.spilledTo.Load()); pages <= 2*pageCacheSize {
+	if pages := int(st.spill.spilledTo.Load()); pages <= 2*pageCacheSize {
 		t.Fatalf("%d pages spilled, want more than %d", pages, 2*pageCacheSize)
 	}
 	return st, states
@@ -63,7 +63,7 @@ func spilledStore(t testing.TB, pageBits, n int) (*spillStore[string], []string)
 // times. The kept strings must still be the states interned.
 func TestSpillReadBackDoesNotAlias(t *testing.T) {
 	st, states := spilledStore(t, 4, 4096)
-	per, pages := st.pages.size, int(st.spilledTo.Load())
+	per, pages := st.pages.size, int(st.spill.spilledTo.Load())
 	kept := make([]string, per)
 	for i := range kept {
 		kept[i] = st.State(int32(i))
@@ -71,10 +71,10 @@ func TestSpillReadBackDoesNotAlias(t *testing.T) {
 	for p := 1; p < pages; p++ {
 		st.State(int32(p * per))
 	}
-	if _, cached := st.cache[0]; cached {
+	if _, cached := st.spill.cache[0]; cached {
 		t.Fatalf("page 0 still cached after %d further read-backs", pages-1)
 	}
-	if reads := st.segReads.Load(); reads != uint64(pages) {
+	if reads := st.spill.segReads.Load(); reads != uint64(pages) {
 		t.Fatalf("%d segment reads, want one per spilled page (%d)", reads, pages)
 	}
 	for i, v := range kept {
@@ -94,7 +94,7 @@ func TestSpillReadBackDoesNotAlias(t *testing.T) {
 // only under the segment lock.
 func TestSpillReadBackDoesNotAliasConcurrent(t *testing.T) {
 	st, states := spilledStore(t, 4, 4096)
-	per, pages := st.pages.size, int(st.spilledTo.Load())
+	per, pages := st.pages.size, int(st.spill.spilledTo.Load())
 	const workers = 8
 	errs := make(chan error, workers)
 	var wg sync.WaitGroup
@@ -145,7 +145,7 @@ func TestSpillReadBackDoesNotAliasConcurrent(t *testing.T) {
 // tables per block (see BenchmarkSpillReadBack).
 func TestSpillReadBackAllocs(t *testing.T) {
 	st, _ := spilledStore(t, 4, 4096)
-	pages := int(st.spilledTo.Load())
+	pages := int(st.spill.spilledTo.Load())
 	k := 0
 	read := func() {
 		st.State(int32((k % pages) << st.pages.bits))
@@ -157,7 +157,7 @@ func TestSpillReadBackAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(2*pages, read); allocs > 2 {
 		t.Fatalf("a page read-back allocates %v times, want at most 2", allocs)
 	}
-	if hits := st.cacheHits.Load(); hits != 0 {
+	if hits := st.spill.cacheHits.Load(); hits != 0 {
 		t.Fatalf("%d cache hits cycling through %d pages, want every read to miss", hits, pages)
 	}
 }
@@ -166,7 +166,7 @@ func TestSpillReadBackAllocs(t *testing.T) {
 // 4-byte image used to slice the offset table out of range.
 func TestDecodePageOffsetTableOverrun(t *testing.T) {
 	st := spillStoreFor(t, stringFP)
-	if _, err := st.decodePage(pageImage(100, nil, nil), nil); !errors.Is(err, ErrCorruptPage) {
+	if _, err := st.spill.decodePage(pageImage(100, nil, nil), nil); !errors.Is(err, ErrCorruptPage) {
 		t.Fatalf("err = %v, want ErrCorruptPage", err)
 	}
 }
@@ -175,7 +175,7 @@ func TestDecodePageOffsetTableOverrun(t *testing.T) {
 // integer codec used to index past the payload.
 func TestDecodePageShortFixedWidthPayload(t *testing.T) {
 	st := spillStoreFor(t, intFP)
-	if _, err := st.decodePage(pageImage(1, []uint32{0, 3}, []byte{1, 2, 3}), nil); !errors.Is(err, ErrCorruptPage) {
+	if _, err := st.spill.decodePage(pageImage(1, []uint32{0, 3}, []byte{1, 2, 3}), nil); !errors.Is(err, ErrCorruptPage) {
 		t.Fatalf("err = %v, want ErrCorruptPage", err)
 	}
 }
@@ -218,10 +218,10 @@ func FuzzDecodePage(f *testing.F) {
 
 // decodeErr decodes a copy of raw and, when that succeeds, requires the
 // slots to survive the copy being poisoned.
-func decodeErr[S comparable](t *testing.T, st *spillStore[S], raw []byte) error {
+func decodeErr[S comparable](t *testing.T, st *Store[S], raw []byte) error {
 	t.Helper()
 	img := bytes.Clone(raw)
-	slots, err := st.decodePage(img, nil)
+	slots, err := st.spill.decodePage(img, nil)
 	if err != nil {
 		return err
 	}
@@ -252,18 +252,18 @@ func poison(b []byte) {
 // them in the leading slots and zero values after, also once the encoded
 // image is overwritten, both into a fresh array and into a reused one full
 // of junk, as the read-back hands it an evicted page's array.
-func roundTrip[S comparable](t *testing.T, st *spillStore[S], vals []S, junk S) {
+func roundTrip[S comparable](t *testing.T, st *Store[S], vals []S, junk S) {
 	t.Helper()
 	pg := &page[S]{slots: make([]S, st.pages.size)}
 	copy(pg.slots, vals)
-	raw, _ := st.encodePage(pg, len(vals))
+	raw, _ := st.spill.encodePage(pg, len(vals))
 	reused := make([]S, st.pages.size)
 	for i := range reused {
 		reused[i] = junk
 	}
 	var decoded [][]S
 	for _, into := range [][]S{nil, reused} {
-		got, err := st.decodePage(raw, into)
+		got, err := st.spill.decodePage(raw, into)
 		if err != nil {
 			t.Fatalf("decode of an encoded %d-state page: %v", len(vals), err)
 		}
@@ -297,7 +297,7 @@ func TestSpillPageChecksum(t *testing.T) {
 	if err := s.Maintain(int32(len(states))); err != nil {
 		t.Fatal(err)
 	}
-	st := s.(*spillStore[string])
+	st := s.spill
 	if len(st.meta) == 0 {
 		t.Fatal("nothing spilled")
 	}

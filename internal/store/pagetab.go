@@ -15,7 +15,7 @@ import (
 // allocates a page its size rather than a full one, while a large one
 // still allocates once per 2^maxBits states.
 //
-// Synchronization contract (matching StateStore's): the spine is an
+// Synchronization contract (matching Store's): the spine is an
 // append-only slice published through an atomic pointer. Growing it under
 // mu writes the new pages past every published length — in place when the
 // backing array has room — before publishing the longer slice, so no

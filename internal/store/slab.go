@@ -16,7 +16,7 @@ const (
 )
 
 // slab is an append-only byte arena handing out immutable string views of
-// the bytes copied into it. It exists so the mem backend can intern a
+// the bytes copied into it. It exists so the store can intern a
 // state payload with zero per-state allocations in steady state: the copy
 // lands in the current chunk and the returned string is an unsafe.String
 // view of those bytes — no per-string header allocation, no fragmentation.

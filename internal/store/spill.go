@@ -17,22 +17,20 @@ import (
 	"repro/internal/obs"
 )
 
-// The spill backend keeps the fingerprint index (the mem store's index:
-// fingerprints and ids only) in RAM, while state payloads live in the
-// paged table until the resident budget is exceeded, at which point
-// Maintain moves whole pages of the *oldest* payloads into
+// The spill part keeps the store's fingerprint index in RAM, while state
+// payloads live in the paged table until the resident budget is exceeded,
+// at which point Maintain moves whole pages of the *oldest* payloads into
 // flate-compressed, append-only segment files. Ids are assigned in
 // interning order, so "oldest" means the earliest BFS levels: exactly the
 // states the frontier's dedup hits target least, which keeps the
-// confirm-read rate low. A fingerprint hit on a spilled id is
-// confirmed by decompressing its page back (served through a small LRU
-// page cache), so the backend stays exact: no 64-bit collision is ever
-// trusted.
+// confirm-read rate low. A fingerprint hit on a spilled id is confirmed by
+// decompressing its page back (served through a small LRU page cache), so
+// the store stays exact: no 64-bit collision is ever trusted.
 //
-// Resident string payloads live in the shard's slab, as in the mem store.
-// Pages spill oldest-id first and each shard's slab fills in id order, so
-// a slab chunk is garbage once every page it backs has been dropped; at
-// most one chunk per shard straddles the watermark.
+// Resident string payloads live in the shard's slab, as under mem. Pages
+// spill oldest-id first and each shard's slab fills in id order, so a slab
+// chunk is garbage once every page it backs has been dropped; at most one
+// chunk per shard straddles the watermark.
 //
 // Layout of one spilled page (before compression):
 //
@@ -72,15 +70,16 @@ type cacheEnt[S comparable] struct {
 	lastUse uint64
 }
 
-type spillStore[S comparable] struct {
-	shards   []memShard
-	mask     uint64
-	fp       func(S) uint64
+// spill is the store's optional spill part: the byte budget, the segment
+// files and page metadata, the decompressed-page cache, the read-back and
+// encode buffers, and the I/O telemetry.
+type spill[S comparable] struct {
+	// pages is the store's page table, whose full pages Maintain encodes
+	// and drops.
+	pages    *pagetab[S]
 	codec    *codec[S]
 	isString bool
 	maxBytes int64
-	counter  atomic.Int64
-	pages    pagetab[S]
 
 	// resident is the payload bytes currently in RAM; spilledTo (a page
 	// count) is the watermark: ids below spilledTo<<pages.bits live on disk.
@@ -138,225 +137,115 @@ type spillStore[S comparable] struct {
 	crcTab *crc32.Table
 }
 
-func newSpillStore[S comparable](cfg Config, shards int, fp func(S) uint64) (*spillStore[S], error) {
+func newSpill[S comparable](cfg Config, pages *pagetab[S]) (*spill[S], error) {
 	cdc := codecFor[S]()
 	if cdc == nil {
 		return nil, fmt.Errorf("%w: %T", ErrNoCodec, *new(S))
 	}
 	_, isString := any(*new(S)).(string)
-	st := &spillStore[S]{
-		shards:   make([]memShard, shards),
-		mask:     uint64(shards - 1),
-		fp:       fp,
+	sp := &spill[S]{
+		pages:    pages,
 		codec:    cdc,
 		isString: isString,
 		maxBytes: cfg.MaxBytes,
 		cache:    make(map[int32]cacheEnt[S], pageCacheSize),
 		crcTab:   crc32.MakeTable(crc32.Castagnoli),
 	}
-	bits := cfg.PageBits
-	if bits <= 0 {
-		bits = defaultPageBits
+	if sp.maxBytes <= 0 {
+		sp.maxBytes = DefaultMaxBytes
 	}
-	st.pages.init(bits, bits)
-	if st.maxBytes <= 0 {
-		st.maxBytes = DefaultMaxBytes
-	}
-	for i := range st.shards {
-		st.shards[i].idx.grow()
-	}
-	st.dir = cfg.Dir
-	if st.dir == "" {
+	sp.dir = cfg.Dir
+	if sp.dir == "" {
 		dir, err := os.MkdirTemp("", "store-spill-*")
 		if err != nil {
 			return nil, fmt.Errorf("store: spill dir: %w", err)
 		}
-		st.dir, st.ownDir = dir, true
+		sp.dir, sp.ownDir = dir, true
 	}
 	var err error
-	if st.flateW, err = flate.NewWriter(io.Discard, flate.BestSpeed); err != nil {
+	if sp.flateW, err = flate.NewWriter(io.Discard, flate.BestSpeed); err != nil {
 		return nil, err
 	}
-	return st, nil
+	return sp, nil
 }
 
-func (st *spillStore[S]) Intern(s S) (int32, bool) {
-	h := st.fp(s)
-	sh := &st.shards[h&st.mask]
-	sh.mu.Lock()
-	i, id := st.lookup(sh, h, s)
-	fresh := id < 0
-	if fresh {
-		if st.isString {
-			s = any(sh.arena.addString(any(s).(string))).(S)
-		}
-		id = st.add(sh, i, h, s)
+// holds reports whether id's payload lives on disk.
+func (sp *spill[S]) holds(id int32) bool {
+	return int(id) < int(sp.spilledTo.Load())<<sp.pages.bits
+}
+
+// read fetches the payload of a spilled id through the page cache,
+// counting a collision confirm when confirming. On I/O or decode failure
+// it records the sticky error (surfaced at the next barrier's Maintain,
+// which aborts the run) and reports !ok.
+func (sp *spill[S]) read(id int32, confirming bool) (S, bool) {
+	if confirming {
+		sp.confirms.Add(1)
 	}
-	sh.mu.Unlock()
-	return id, fresh
-}
-
-// InternBytes is the zero-copy intern path (see StateStore). A dedup hit
-// — the overwhelmingly common case on the hot path — allocates nothing
-// (the comparison against the confirmed payload converts nothing); a
-// fresh intern copies b into the shard's slab, as the mem store does.
-func (st *spillStore[S]) InternBytes(h uint64, b []byte) (int32, bool) {
-	sh := &st.shards[h&st.mask]
-	sh.mu.Lock()
-	i, id := sh.idx.first(h)
-	for id >= 0 && !st.equalsBytes(id, b) {
-		i, id = sh.idx.next(h, i)
-	}
-	fresh := id < 0
-	if fresh {
-		id = st.add(sh, i, h, any(sh.arena.addBytes(b)).(S))
-	}
-	sh.mu.Unlock()
-	return id, fresh
-}
-
-// lookup returns s's slot and id in sh, confirming every fingerprint
-// match against the resident or spilled payload, or the empty slot where
-// s belongs and -1. Caller holds sh.mu.
-func (st *spillStore[S]) lookup(sh *memShard, h uint64, s S) (int, int32) {
-	i, id := sh.idx.first(h)
-	for id >= 0 && !st.equals(id, s) {
-		i, id = sh.idx.next(h, i)
-	}
-	return i, id
-}
-
-// add assigns the next id to payload s and records it in sh's empty slot
-// i. Caller holds sh.mu.
-func (st *spillStore[S]) add(sh *memShard, i int, h uint64, s S) int32 {
-	id := int32(st.counter.Add(1) - 1)
-	st.pages.set(id, s)
-	st.resident.Add(sizeOf(s))
-	sh.idx.insert(i, h, id)
-	return id
-}
-
-// confirmed returns the payload a fingerprint hit on id is confirmed
-// against, reading the segment back (and counting the confirm) when it was
-// spilled; !ok means the read failed. Called with the owning shard locked,
-// which orders it after the payload write of any id interned during the
-// current level (same state, same fingerprint, same shard); payloads from
-// earlier levels are ordered by the level barrier.
-func (st *spillStore[S]) confirmed(id int32) (S, bool) {
-	if st.spilled(id) {
-		st.confirms.Add(1)
-		return st.spilledState(id)
-	}
-	return st.pages.get(id), true
-}
-
-// equals confirms a fingerprint hit on id against s.
-func (st *spillStore[S]) equals(id int32, s S) bool {
-	v, ok := st.confirmed(id)
-	return ok && v == s
-}
-
-// equalsBytes is equals against raw payload bytes; the conversion in the
-// comparison does not allocate.
-func (st *spillStore[S]) equalsBytes(id int32, b []byte) bool {
-	v, ok := st.confirmed(id)
-	return ok && *any(&v).(*string) == string(b)
-}
-
-// spilled reports whether id's payload lives on disk.
-func (st *spillStore[S]) spilled(id int32) bool {
-	return int(id) < int(st.spilledTo.Load())<<st.pages.bits
-}
-
-func (st *spillStore[S]) State(id int32) S {
-	if st.spilled(id) {
-		v, _ := st.spilledState(id)
-		return v
-	}
-	return st.pages.get(id)
-}
-
-func (st *spillStore[S]) Probe(s S) (int32, bool) {
-	h := st.fp(s)
-	sh := &st.shards[h&st.mask]
-	sh.mu.Lock()
-	_, id := st.lookup(sh, h, s)
-	sh.mu.Unlock()
-	return id, id >= 0
-}
-
-func (st *spillStore[S]) Len() int { return int(st.counter.Load()) }
-
-// spilledState fetches the payload of a spilled id through the page cache.
-// On I/O or decode failure it records the sticky error (surfaced at the
-// next barrier's Maintain, which aborts the run) and reports !ok, which
-// the confirm path treats as a mismatch — wrong only in runs that are
-// already doomed.
-func (st *spillStore[S]) spilledState(id int32) (S, bool) {
-	pno := int32(int(id) >> st.pages.bits)
-	st.segMu.Lock()
-	defer st.segMu.Unlock()
-	st.cacheTick++
-	if ent, ok := st.cache[pno]; ok {
-		ent.lastUse = st.cacheTick
-		st.cache[pno] = ent
-		st.cacheHits.Add(1)
-		return ent.slots[int(id)&st.pages.mask], true
+	pno := int32(int(id) >> sp.pages.bits)
+	sp.segMu.Lock()
+	defer sp.segMu.Unlock()
+	sp.cacheTick++
+	if ent, ok := sp.cache[pno]; ok {
+		ent.lastUse = sp.cacheTick
+		sp.cache[pno] = ent
+		sp.cacheHits.Add(1)
+		return ent.slots[int(id)&sp.pages.mask], true
 	}
 	var zero S
-	if st.ioErr != nil {
+	if sp.ioErr != nil {
 		return zero, false
 	}
 	// Evict before reading: the victim's slot array is dead once it leaves
 	// the cache (callers hold slot values, never the array), so the page
 	// read back overwrites it instead of allocating a fresh one.
 	var reuse []S
-	if len(st.cache) >= pageCacheSize {
+	if len(sp.cache) >= pageCacheSize {
 		var victim int32
 		oldest := uint64(1<<64 - 1)
-		for p, ent := range st.cache {
+		for p, ent := range sp.cache {
 			if ent.lastUse < oldest {
 				oldest, victim = ent.lastUse, p
 			}
 		}
-		reuse = st.cache[victim].slots
-		delete(st.cache, victim)
+		reuse = sp.cache[victim].slots
+		delete(sp.cache, victim)
 	}
 	t := time.Now()
-	slots, err := st.readPage(pno, reuse)
+	slots, err := sp.readPage(pno, reuse)
 	if err != nil {
-		st.ioErr = fmt.Errorf("store: spill read of page %d: %w", pno, err)
+		sp.ioErr = fmt.Errorf("store: spill read of page %d: %w", pno, err)
 		return zero, false
 	}
-	st.readLat.Observe(int64(time.Since(t)))
-	st.segReads.Add(1)
-	st.cache[pno] = cacheEnt[S]{slots: slots, lastUse: st.cacheTick}
-	return slots[int(id)&st.pages.mask], true
+	sp.readLat.Observe(int64(time.Since(t)))
+	sp.segReads.Add(1)
+	sp.cache[pno] = cacheEnt[S]{slots: slots, lastUse: sp.cacheTick}
+	return slots[int(id)&sp.pages.mask], true
 }
 
 // readPage decompresses and decodes one spilled page through the reused
 // read-back buffers, into slots when it is non-nil. Caller holds segMu.
-func (st *spillStore[S]) readPage(pno int32, slots []S) ([]S, error) {
-	m := st.meta[pno]
-	st.compBuf = slices.Grow(st.compBuf[:0], int(m.compLen))[:m.compLen]
-	if _, err := st.segs[m.seg].ReadAt(st.compBuf, m.off); err != nil {
+func (sp *spill[S]) readPage(pno int32, slots []S) ([]S, error) {
+	m := sp.meta[pno]
+	sp.compBuf = slices.Grow(sp.compBuf[:0], int(m.compLen))[:m.compLen]
+	if _, err := sp.segs[m.seg].ReadAt(sp.compBuf, m.off); err != nil {
 		return nil, err
 	}
-	st.compRd.Reset(st.compBuf)
-	if st.flateR == nil {
-		st.flateR = flate.NewReader(&st.compRd)
-	} else if err := st.flateR.(flate.Resetter).Reset(&st.compRd, nil); err != nil {
+	sp.compRd.Reset(sp.compBuf)
+	if sp.flateR == nil {
+		sp.flateR = flate.NewReader(&sp.compRd)
+	} else if err := sp.flateR.(flate.Resetter).Reset(&sp.compRd, nil); err != nil {
 		return nil, err
 	}
-	st.rawBuf = slices.Grow(st.rawBuf[:0], int(m.rawLen))[:m.rawLen]
-	raw := st.rawBuf
-	if _, err := io.ReadFull(st.flateR, raw); err != nil {
+	sp.rawBuf = slices.Grow(sp.rawBuf[:0], int(m.rawLen))[:m.rawLen]
+	raw := sp.rawBuf
+	if _, err := io.ReadFull(sp.flateR, raw); err != nil {
 		return nil, fmt.Errorf("%w: page %d does not decompress: %v", ErrCorruptPage, pno, err)
 	}
-	if sum := crc32.Checksum(raw, st.crcTab); sum != m.crc {
+	if sum := crc32.Checksum(raw, sp.crcTab); sum != m.crc {
 		return nil, fmt.Errorf("%w: page %d checksum %08x, written as %08x", ErrCorruptPage, pno, sum, m.crc)
 	}
-	return st.decodePage(raw, slots)
+	return sp.decodePage(raw, slots)
 }
 
 // decodePage parses one raw page image (layout above) into a page's slots.
@@ -367,12 +256,12 @@ func (st *spillStore[S]) readPage(pno int32, slots []S) ([]S, error) {
 // substrings of that block. The slots go into slots, a page-sized array
 // the caller no longer reads, when it is non-nil, and into a fresh array
 // otherwise.
-func (st *spillStore[S]) decodePage(raw []byte, slots []S) ([]S, error) {
+func (sp *spill[S]) decodePage(raw []byte, slots []S) ([]S, error) {
 	if len(raw) < 4 {
 		return nil, fmt.Errorf("%w: %d-byte image", ErrCorruptPage, len(raw))
 	}
 	count := int(binary.LittleEndian.Uint32(raw))
-	if count < 1 || count > st.pages.size {
+	if count < 1 || count > sp.pages.size {
 		return nil, fmt.Errorf("%w: count %d", ErrCorruptPage, count)
 	}
 	base := 4 + 4*(count+1)
@@ -381,105 +270,103 @@ func (st *spillStore[S]) decodePage(raw []byte, slots []S) ([]S, error) {
 	}
 	offTab, payload := raw[4:base], raw[base:]
 	var block string
-	if st.isString {
+	if sp.isString {
 		block = string(payload)
 	}
 	if slots == nil {
-		slots = make([]S, st.pages.size)
+		slots = make([]S, sp.pages.size)
 	} else {
 		clear(slots[count:])
 	}
 	for i := 0; i < count; i++ {
 		lo := binary.LittleEndian.Uint32(offTab[4*i:])
 		hi := binary.LittleEndian.Uint32(offTab[4*i+4:])
-		if lo > hi || int(hi) > len(payload) || (st.codec.width > 0 && int(hi-lo) != st.codec.width) {
+		if lo > hi || int(hi) > len(payload) || (sp.codec.width > 0 && int(hi-lo) != sp.codec.width) {
 			return nil, fmt.Errorf("%w: state %d at offsets %d..%d", ErrCorruptPage, i, lo, hi)
 		}
-		if st.isString {
+		if sp.isString {
 			*any(&slots[i]).(*string) = block[lo:hi]
 		} else {
-			slots[i] = st.codec.dec(payload[lo:hi])
+			slots[i] = sp.codec.dec(payload[lo:hi])
 		}
 	}
 	return slots, nil
 }
 
-// Maintain enforces the budget at a level barrier: while resident payload
+// maintain enforces the budget at a level barrier: while resident payload
 // bytes exceed MaxBytes it spills the oldest still-resident full pages
-// whose every id is below keepFrom (the next frontier stays in RAM), all
-// into one fresh segment file, then drops the pages. Quiescence required.
-func (st *spillStore[S]) Maintain(keepFrom int32) error {
-	st.segMu.Lock()
-	defer st.segMu.Unlock()
-	if st.ioErr != nil {
-		return st.ioErr
+// whose every id is below keepFrom (the next frontier stays in RAM) of
+// the n interned, all into one fresh segment file, then drops the pages.
+// Quiescence required.
+func (sp *spill[S]) maintain(keepFrom, n int32) error {
+	sp.segMu.Lock()
+	defer sp.segMu.Unlock()
+	if sp.ioErr != nil {
+		return sp.ioErr
 	}
-	if st.resident.Load() <= st.maxBytes {
+	if sp.resident.Load() <= sp.maxBytes {
 		return nil
 	}
-	limit := int32(st.counter.Load())
-	if keepFrom < limit {
-		limit = keepFrom
-	}
-	spillable := int(limit) >> st.pages.bits // pages wholly below the keep line
-	from := int(st.spilledTo.Load())
+	spillable := int(min(keepFrom, n)) >> sp.pages.bits // pages wholly below the keep line
+	from := int(sp.spilledTo.Load())
 	if from >= spillable {
 		return nil // budget exceeded but nothing eligible; overshoot is bounded by the frontier
 	}
-	target := int64(float64(st.maxBytes) * spillLowWater)
-	if err := st.spillPages(from, spillable, target); err != nil {
-		st.ioErr = err
+	target := int64(float64(sp.maxBytes) * spillLowWater)
+	if err := sp.spillPages(from, spillable, int(n), target); err != nil {
+		sp.ioErr = err
 		return err
 	}
 	return nil
 }
 
-// spillPages writes pages [from, upTo) — stopping early once resident
-// drops to target — into one new segment file. Caller holds segMu.
-func (st *spillStore[S]) spillPages(from, upTo int, target int64) error {
-	segNo := len(st.segs)
-	f, err := os.Create(filepath.Join(st.dir, fmt.Sprintf("seg-%05d.dat", segNo)))
+// spillPages writes pages [from, upTo) of the n interned ids — stopping
+// early once resident drops to target — into one new segment file. Caller
+// holds segMu.
+func (sp *spill[S]) spillPages(from, upTo, n int, target int64) error {
+	segNo := len(sp.segs)
+	f, err := os.Create(filepath.Join(sp.dir, fmt.Sprintf("seg-%05d.dat", segNo)))
 	if err != nil {
 		return fmt.Errorf("store: segment create: %w", err)
 	}
-	st.segs = append(st.segs, f)
+	sp.segs = append(sp.segs, f)
 	var fileOff int64
 	p := from
-	for ; p < upTo && st.resident.Load() > target; p++ {
-		pg := st.pages.page(p)
-		count := st.pages.size
-		if end := int(st.counter.Load()) - p<<st.pages.bits; end < count {
+	for ; p < upTo && sp.resident.Load() > target; p++ {
+		pg := sp.pages.page(p)
+		count := sp.pages.size
+		if end := n - p<<sp.pages.bits; end < count {
 			count = end // only the last eligible page can be partial, and only on the final Maintain
 		}
-		raw, pageBytes := st.encodePage(pg, count)
+		raw, pageBytes := sp.encodePage(pg, count)
 		t := time.Now()
-		st.compScratch.Reset()
-		st.flateW.Reset(&st.compScratch)
-		if _, err := st.flateW.Write(raw); err != nil {
+		sp.compScratch.Reset()
+		sp.flateW.Reset(&sp.compScratch)
+		if _, err := sp.flateW.Write(raw); err != nil {
 			return fmt.Errorf("store: page compress: %w", err)
 		}
-		if err := st.flateW.Close(); err != nil {
+		if err := sp.flateW.Close(); err != nil {
 			return fmt.Errorf("store: page compress: %w", err)
 		}
-		comp := st.compScratch.Bytes()
+		comp := sp.compScratch.Bytes()
 		if _, err := f.WriteAt(comp, fileOff); err != nil {
 			return fmt.Errorf("store: segment write: %w", err)
 		}
-		st.writeLat.Observe(int64(time.Since(t)))
-		st.meta = append(st.meta, pageMeta{
+		sp.writeLat.Observe(int64(time.Since(t)))
+		sp.meta = append(sp.meta, pageMeta{
 			seg:     int32(segNo),
 			off:     fileOff,
 			compLen: int32(len(comp)),
 			rawLen:  int32(len(raw)),
-			crc:     crc32.Checksum(raw, st.crcTab),
+			crc:     crc32.Checksum(raw, sp.crcTab),
 		})
 		fileOff += int64(len(comp))
-		st.bytesSpilled += int64(len(raw))
-		st.compBytes += int64(len(comp))
-		st.spilledStates += count
-		st.resident.Add(-pageBytes)
-		st.pages.drop(p)
-		st.spilledTo.Store(int32(p + 1))
+		sp.bytesSpilled += int64(len(raw))
+		sp.compBytes += int64(len(comp))
+		sp.spilledStates += count
+		sp.resident.Add(-pageBytes)
+		sp.pages.drop(p)
+		sp.spilledTo.Store(int32(p + 1))
 	}
 	return nil
 }
@@ -488,8 +375,8 @@ func (st *spillStore[S]) spillPages(from, upTo int, target int64) error {
 // returns it together with the resident payload bytes it replaces. The
 // buffer is owned by Maintain (quiescent), so zero per-state allocations
 // survive steady state — see BenchmarkPageEncode for the before/after.
-func (st *spillStore[S]) encodePage(pg *page[S], count int) ([]byte, int64) {
-	raw := st.encScratch[:0]
+func (sp *spill[S]) encodePage(pg *page[S], count int) ([]byte, int64) {
+	raw := sp.encScratch[:0]
 	raw = binary.LittleEndian.AppendUint32(raw, uint32(count))
 	offPos := len(raw)
 	for i := 0; i <= count; i++ {
@@ -498,59 +385,54 @@ func (st *spillStore[S]) encodePage(pg *page[S], count int) ([]byte, int64) {
 	var pageBytes int64
 	base := len(raw)
 	for i := 0; i < count; i++ {
-		raw = st.codec.enc(raw, &pg.slots[i])
+		raw = sp.codec.enc(raw, &pg.slots[i])
 		binary.LittleEndian.PutUint32(raw[offPos+4*(i+1):], uint32(len(raw)-base))
 		pageBytes += sizeOf(pg.slots[i])
 	}
-	st.encScratch = raw
+	sp.encScratch = raw
 	return raw, pageBytes
 }
 
-func (st *spillStore[S]) Stats() Stats {
-	out := Stats{
-		Kind:              Spill,
-		States:            st.Len(),
-		MaxBytes:          st.maxBytes,
-		SegmentReads:      st.segReads.Load(),
-		CollisionConfirms: st.confirms.Load(),
-		PageCacheHits:     st.cacheHits.Load(),
-		ReadLat:           st.readLat.Snapshot(),
-		WriteLat:          st.writeLat.Snapshot(),
-	}
-	for i := range st.shards {
-		out.IndexBytes += st.shards[i].idx.bytes.Load()
-	}
-	out.BytesInRAM = st.resident.Load() + out.IndexBytes
-	st.segMu.Lock()
-	out.SpilledStates = st.spilledStates
-	out.BytesSpilled = st.bytesSpilled
-	out.CompressedBytes = st.compBytes
-	out.Segments = len(st.segs)
-	st.segMu.Unlock()
-	return out
+// stats adds the spill part's figures to a Stats whose IndexBytes is
+// filled in: the resident payload is the per-state estimate (see sizeOf).
+func (sp *spill[S]) stats(out *Stats) {
+	out.Kind = Spill
+	out.MaxBytes = sp.maxBytes
+	out.BytesInRAM = sp.resident.Load() + out.IndexBytes
+	out.SegmentReads = sp.segReads.Load()
+	out.CollisionConfirms = sp.confirms.Load()
+	out.PageCacheHits = sp.cacheHits.Load()
+	out.ReadLat = sp.readLat.Snapshot()
+	out.WriteLat = sp.writeLat.Snapshot()
+	sp.segMu.Lock()
+	out.SpilledStates = sp.spilledStates
+	out.BytesSpilled = sp.bytesSpilled
+	out.CompressedBytes = sp.compBytes
+	out.Segments = len(sp.segs)
+	sp.segMu.Unlock()
 }
 
-func (st *spillStore[S]) Err() error {
-	st.segMu.Lock()
-	defer st.segMu.Unlock()
-	return st.ioErr
+func (sp *spill[S]) err() error {
+	sp.segMu.Lock()
+	defer sp.segMu.Unlock()
+	return sp.ioErr
 }
 
-func (st *spillStore[S]) Close() error {
-	st.segMu.Lock()
-	defer st.segMu.Unlock()
+func (sp *spill[S]) close() error {
+	sp.segMu.Lock()
+	defer sp.segMu.Unlock()
 	var first error
-	for _, f := range st.segs {
+	for _, f := range sp.segs {
 		if err := f.Close(); err != nil && first == nil {
 			first = err
 		}
 	}
-	st.segs = nil
-	if st.ownDir && st.dir != "" {
-		if err := os.RemoveAll(st.dir); err != nil && first == nil {
+	sp.segs = nil
+	if sp.ownDir && sp.dir != "" {
+		if err := os.RemoveAll(sp.dir); err != nil && first == nil {
 			first = err
 		}
-		st.dir = ""
+		sp.dir = ""
 	}
 	return first
 }

@@ -1,42 +1,43 @@
-// Package store is the pluggable visited-set subsystem underneath the
-// exploration engine: the fingerprint-sharded state store that bounds how
-// large an instance of each impossibility proof's finite model the library
-// can certify. Every backend keys its shards on one index, a pointer-free
-// open-addressing fingerprint -> id table (12 bytes per slot, see index),
-// over a paged id -> payload table. The StateStore interface has three
-// backends:
+// Package store is the visited-set subsystem underneath the exploration
+// engine: the fingerprint-sharded state store that bounds how large an
+// instance of each impossibility proof's finite model the library can
+// certify. There is one store, Store, and one intern path through it: a
+// state's fingerprint picks a shard, the shard's index (a pointer-free
+// open-addressing fingerprint -> id table, 12 bytes per slot) hands out
+// the ids stored under that fingerprint, each is confirmed against its
+// payload, and a state no candidate confirms is slab-copied and given the
+// next dense id in a paged id -> payload table. The three kinds are
+// policies of that one store, and differ in two decisions only:
 //
-//   - mem: exact and RAM-resident, the default. Every fingerprint hit is
-//     confirmed against the stored payload.
-//   - spill: memory-budgeted. The index stays in RAM; full state payloads
-//     spill to compressed append-only segment files once a byte budget is
-//     exceeded, and fingerprint hits on spilled ids are confirmed by
-//     reading the segment back. Sound: no 64-bit collision is ever trusted.
-//   - bitstate: a lossy sweep (SPIN's bitstate-hashing analogue): the mem
-//     store with payload confirmation off and an optional fingerprint
-//     mask. It keeps the payloads of the states it keeps; colliding states
-//     are silently merged, so the explored graph may undercount the
-//     reachable set. Stats.Lossy flags every result so downstream verdicts
-//     are downgraded to "no violation found". Never an impossibility-proof
+//   - whether a fingerprint hit is confirmed. mem and spill confirm every
+//     hit, so no 64-bit collision is ever trusted. bitstate, a lossy
+//     sweep (SPIN's bitstate-hashing analogue), trusts the fingerprint,
+//     optionally masked to fewer bits: colliding states are silently
+//     merged, so the explored graph may undercount the reachable set.
+//     Stats.Lossy flags every result so downstream verdicts are
+//     downgraded to "no violation found". Never an impossibility-proof
 //     witness.
+//   - where a confirmed payload is read from. mem and bitstate keep every
+//     payload in RAM. spill adds a spill part: once a byte budget is
+//     exceeded, whole pages of the oldest payloads move to compressed
+//     append-only segment files, and a payload below the spilled
+//     watermark is read back from disk.
 //
 // The package is near-leaf: its only internal dependency is obs (itself a
 // leaf), for the shared latency-histogram type in Stats — so the engine,
-// core and the CLIs can all select backends without cycles. The
-// concurrency contract mirrors the engine's two-phase BFS: Intern/
-// InternBytes/Probe/State/Len/Stats may be called concurrently during a
-// level; Maintain and Close require quiescence (the engine calls them only
-// at level barriers and after replay).
+// core and the CLIs can all select a kind without cycles.
 package store
 
 import (
 	"errors"
 	"fmt"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/obs"
 )
 
-// Kind names a backend.
+// Kind names a store policy (see the package comment).
 type Kind string
 
 const (
@@ -69,7 +70,7 @@ var ErrNoCodec = errors.New("store: state type has no spill codec")
 // offset table or payload the page layout cannot hold).
 var ErrCorruptPage = errors.New("store: corrupt spill page")
 
-// Config selects and parameterizes a backend.
+// Config selects and parameterizes a store policy.
 type Config struct {
 	// Kind picks the backend; "" means Mem.
 	Kind Kind
@@ -160,65 +161,270 @@ type Stats struct {
 	FingerprintBits int
 }
 
-// StateStore is the visited set of one exploration run. Implementations
-// are safe for concurrent Intern/InternBytes/Probe/State/Len/Stats during
-// a level; Maintain and Close require all workers quiescent (the engine's
-// level barriers provide exactly that).
-type StateStore[S comparable] interface {
-	// Intern returns the provisional id of s, assigning a fresh dense id
-	// (in interning order, starting at 0) on first sight. Exact backends
-	// confirm every fingerprint hit against the stored payload; the
-	// bitstate backend trusts the fingerprint and may merge distinct
-	// states.
-	Intern(s S) (id int32, fresh bool)
-	// InternBytes is Intern for a string state handed over as its bytes,
-	// the expansion hot path's zero-copy route: a dedup hit materializes
-	// no string. It must be called only when S is string (it panics
-	// otherwise). b must be the exact payload (the state is string(b)),
-	// and h must equal what the fingerprint passed to New returns for
-	// string(b): the caller hashes, the store never re-derives h.
-	// InternBytes(h, b) and Intern(string(b)) are interchangeable — same
-	// id assignment, same dedup, same Stats — and b is fully consumed
-	// before InternBytes returns, so callers may reuse the buffer.
-	InternBytes(h uint64, b []byte) (id int32, fresh bool)
-	// State returns the payload interned under id. The id must have been
-	// returned by Intern, and the read must be ordered after the write
-	// (same-shard mutual exclusion during a level, or a level barrier).
-	State(id int32) S
-	// Probe reports whether s is already interned, and under which id,
-	// without interning it.
-	Probe(s S) (id int32, ok bool)
-	// Len is the number of states interned so far (live, atomic).
-	Len() int
-	// Stats snapshots the backend telemetry (safe during a level).
-	Stats() Stats
-	// Maintain is the level-barrier hook: the backend may enforce its byte
-	// budget (spilling payloads with id < keepFrom — the ids below the
-	// frontier about to be expanded). It returns the first I/O error the
-	// backend has encountered, sticky.
-	Maintain(keepFrom int32) error
-	// Err returns the sticky I/O error, if any, without maintenance.
-	Err() error
-	// Close releases files and temp directories. Idempotent.
-	Close() error
+// Store is the visited set of one exploration run. Intern, InternBytes,
+// Probe, State, Len and Stats are safe for concurrent use during a level;
+// Maintain and Close require all workers quiescent (the engine's level
+// barriers provide exactly that).
+//
+// String payloads are copied into per-shard slab arenas and stored as
+// zero-copy views, so the intern path allocates only on chunk turnover and
+// table growth, and a dedup hit allocates nothing.
+//
+// Under bitstate the surviving payload of a colliding pair is
+// first-intern-wins, which under parallel exploration can depend on
+// scheduling — part of the documented unsoundness, not a bug to fix. The
+// states it keeps still store their payloads (the engine must expand and
+// replay them), so bitstate bounds the index, not the payload bytes.
+// engine.Differential refuses it unless the caller opts into AllowLossy.
+type Store[S comparable] struct {
+	shards   []shard
+	mask     uint64
+	fp       func(S) uint64
+	isString bool
+	counter  atomic.Int64
+	pages    pagetab[S]
+	// lossy turns confirmation off (bitstate); fpMask truncates its
+	// fingerprints to fpBits bits (all ones, fpBits 0, otherwise).
+	lossy  bool
+	fpMask uint64
+	fpBits int
+	// spill, non-nil for the spill kind only, holds the payloads of the
+	// ids below its watermark on disk.
+	spill *spill[S]
 }
 
-// New builds the configured backend. shards is the stripe count (a power
-// of two, chosen by the caller from its worker count) and fp the state
-// fingerprint. The spill backend additionally needs a payload codec for S
-// and fails with ErrNoCodec when none exists.
-func New[S comparable](cfg Config, shards int, fp func(S) uint64) (StateStore[S], error) {
+// shard is one stripe of the visited set: its index and, for string
+// states, a slab arena holding the payload bytes.
+type shard struct {
+	mu    sync.Mutex
+	idx   index
+	arena slab
+}
+
+// New builds the configured store. shards is the stripe count (a power of
+// two, chosen by the caller from its worker count) and fp the state
+// fingerprint. The spill kind additionally needs a payload codec for S and
+// fails with ErrNoCodec when none exists.
+func New[S comparable](cfg Config, shards int, fp func(S) uint64) (*Store[S], error) {
 	if shards <= 0 || shards&(shards-1) != 0 {
 		return nil, fmt.Errorf("store: shard count %d is not a positive power of two", shards)
 	}
+	st := &Store[S]{
+		shards: make([]shard, shards),
+		mask:   uint64(shards - 1),
+		fp:     fp,
+		fpMask: ^uint64(0),
+	}
+	_, st.isString = any(*new(S)).(string)
 	switch cfg.ResolvedKind() {
-	case Mem, Bitstate:
-		return newMemStore[S](cfg, shards, fp), nil
+	case Mem:
+		st.pages.init(firstPageBits, defaultPageBits)
+	case Bitstate:
+		st.lossy = true
+		if cfg.FingerprintBits > 0 && cfg.FingerprintBits < 64 {
+			st.fpBits = cfg.FingerprintBits
+			st.fpMask = 1<<uint(cfg.FingerprintBits) - 1
+		}
+		st.pages.init(firstPageBits, defaultPageBits)
 	case Spill:
-		return newSpillStore[S](cfg, shards, fp)
+		// Spill moves whole pages, so its pages are all one size.
+		bits := cfg.PageBits
+		if bits <= 0 {
+			bits = defaultPageBits
+		}
+		st.pages.init(bits, bits)
+		var err error
+		if st.spill, err = newSpill(cfg, &st.pages); err != nil {
+			return nil, err
+		}
 	default:
 		return nil, fmt.Errorf("%w: %q", ErrUnknownKind, cfg.Kind)
 	}
+	for i := range st.shards {
+		st.shards[i].idx.grow()
+	}
+	return st, nil
+}
+
+// Intern returns the id of s, assigning a fresh dense id (in interning
+// order, starting at 0) on first sight. Every fingerprint hit is confirmed
+// against the stored payload, resident or read back from disk, except
+// under bitstate, which trusts the fingerprint and may merge distinct
+// states.
+func (st *Store[S]) Intern(s S) (id int32, fresh bool) {
+	h := st.fp(s) & st.fpMask
+	sh := &st.shards[h&st.mask]
+	sh.mu.Lock()
+	i, id := st.lookup(sh, h, s)
+	fresh = id < 0
+	if fresh {
+		if st.isString {
+			// Copy the payload into the shard's slab so the store owns dense,
+			// stable bytes regardless of where the caller's string came from.
+			s = any(sh.arena.addString(any(s).(string))).(S)
+		}
+		id = st.add(sh, i, h, s)
+	}
+	sh.mu.Unlock()
+	return id, fresh
+}
+
+// InternBytes is Intern for a string state handed over as its bytes, the
+// expansion hot path's zero-copy route: a dedup hit materializes no
+// string and allocates nothing. It must be called only when S is string
+// (it panics otherwise). b must be the exact payload (the state is
+// string(b)), and h must equal what the fingerprint passed to New returns
+// for string(b): the caller hashes, the store never re-derives h.
+// InternBytes(h, b) and Intern(string(b)) are interchangeable — same id
+// assignment, same dedup, same Stats — and b is fully consumed before
+// InternBytes returns, so callers may reuse the buffer.
+func (st *Store[S]) InternBytes(h uint64, b []byte) (id int32, fresh bool) {
+	h &= st.fpMask
+	sh := &st.shards[h&st.mask]
+	sh.mu.Lock()
+	i, id := sh.idx.first(h)
+	for id >= 0 && !st.lossy && !st.confirmBytes(id, b) {
+		i, id = sh.idx.next(h, i)
+	}
+	fresh = id < 0
+	if fresh {
+		id = st.add(sh, i, h, any(sh.arena.addBytes(b)).(S))
+	}
+	sh.mu.Unlock()
+	return id, fresh
+}
+
+// lookup returns s's slot and id in sh, or the empty slot where it belongs
+// and -1. Caller holds sh.mu.
+func (st *Store[S]) lookup(sh *shard, h uint64, s S) (int, int32) {
+	i, id := sh.idx.first(h)
+	for id >= 0 && !st.lossy && !st.confirm(id, s) {
+		i, id = sh.idx.next(h, i)
+	}
+	return i, id
+}
+
+// confirm reports whether the fingerprint hit on id is s. It runs with the
+// owning shard locked, which orders it after the payload write of any id
+// interned during the current level (same state, same fingerprint, same
+// shard); payloads from earlier levels are ordered by the level barrier.
+// A failed read-back is a mismatch — wrong only in runs that are already
+// doomed, since the sticky error aborts the run at the next barrier.
+func (st *Store[S]) confirm(id int32, s S) bool {
+	v, ok := st.payload(id, true)
+	return ok && v == s
+}
+
+// confirmBytes is confirm against raw payload bytes; the conversion in
+// the comparison does not allocate.
+func (st *Store[S]) confirmBytes(id int32, b []byte) bool {
+	v, ok := st.payload(id, true)
+	return ok && *any(&v).(*string) == string(b)
+}
+
+// payload returns the payload of id: the resident one, or, for an id below
+// the spill part's watermark, its page read back (counted as a collision
+// confirm when confirming). !ok means that read failed.
+func (st *Store[S]) payload(id int32, confirming bool) (S, bool) {
+	if sp := st.spill; sp != nil && sp.holds(id) {
+		return sp.read(id, confirming)
+	}
+	return st.pages.get(id), true
+}
+
+// add assigns the next id to payload s and records it in sh's empty slot
+// i. Caller holds sh.mu.
+func (st *Store[S]) add(sh *shard, i int, h uint64, s S) int32 {
+	id := int32(st.counter.Add(1) - 1)
+	st.pages.set(id, s)
+	if st.spill != nil {
+		st.spill.resident.Add(sizeOf(s))
+	}
+	sh.idx.insert(i, h, id)
+	return id
+}
+
+// State returns the payload interned under id. The id must have been
+// returned by Intern, and the read must be ordered after the write
+// (same-shard mutual exclusion during a level, or a level barrier).
+func (st *Store[S]) State(id int32) S {
+	v, _ := st.payload(id, false)
+	return v
+}
+
+// Probe reports whether s is already interned, and under which id,
+// without interning it.
+func (st *Store[S]) Probe(s S) (int32, bool) {
+	h := st.fp(s) & st.fpMask
+	sh := &st.shards[h&st.mask]
+	sh.mu.Lock()
+	_, id := st.lookup(sh, h, s)
+	sh.mu.Unlock()
+	return id, id >= 0
+}
+
+// Len is the number of states interned so far (live, atomic).
+func (st *Store[S]) Len() int { return int(st.counter.Load()) }
+
+// Stats snapshots the store's telemetry (safe during a level). mem and
+// bitstate measure their payload bytes; spill estimates them per resident
+// state and reports no ShardBytes.
+func (st *Store[S]) Stats() Stats {
+	out := Stats{
+		Kind:            Mem,
+		States:          st.Len(),
+		Lossy:           st.lossy,
+		FingerprintBits: st.fpBits,
+	}
+	if st.lossy {
+		out.Kind = Bitstate
+	}
+	measured := st.spill == nil
+	if measured {
+		out.ShardBytes = make([]int64, len(st.shards))
+		out.BytesInRAM = st.pages.bytes.Load()
+	}
+	for i := range st.shards {
+		sh := &st.shards[i]
+		idx := sh.idx.bytes.Load()
+		out.IndexBytes += idx
+		if measured {
+			out.ShardBytes[i] = sh.arena.bytes.Load() + idx
+			out.BytesInRAM += out.ShardBytes[i]
+		}
+	}
+	if !measured {
+		st.spill.stats(&out)
+	}
+	return out
+}
+
+// Maintain is the level-barrier hook: with a spill part it enforces the
+// byte budget, spilling payloads with id < keepFrom (the ids below the
+// frontier about to be expanded). It returns the first I/O error the
+// store has encountered, sticky. Quiescence required.
+func (st *Store[S]) Maintain(keepFrom int32) error {
+	if st.spill == nil {
+		return nil
+	}
+	return st.spill.maintain(keepFrom, int32(st.counter.Load()))
+}
+
+// Err returns the sticky I/O error, if any, without maintenance.
+func (st *Store[S]) Err() error {
+	if st.spill == nil {
+		return nil
+	}
+	return st.spill.err()
+}
+
+// Close releases segment files and the spill part's own temp directory.
+// Idempotent.
+func (st *Store[S]) Close() error {
+	if st.spill == nil {
+		return nil
+	}
+	return st.spill.close()
 }
 
 // ParseFlags assembles a Config from the CLIs' shared flag values

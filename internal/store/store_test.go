@@ -383,13 +383,12 @@ func TestStatsByteAccounting(t *testing.T) {
 			if len(ss.ShardBytes) != 4 {
 				t.Fatalf("ShardBytes has %d entries, want 4", len(ss.ShardBytes))
 			}
-			ms := st.(*memStore[string])
 			var pageBytes, slabBytes, sum int64
-			for _, pg := range ms.pages.pages() {
+			for _, pg := range st.pages.pages() {
 				pageBytes += int64(cap(pg.slots)) * int64(unsafe.Sizeof(""))
 			}
 			for i, b := range ss.ShardBytes {
-				slab := b - ms.shards[i].idx.bytes.Load()
+				slab := b - st.shards[i].idx.bytes.Load()
 				if slab <= 0 {
 					t.Fatalf("shard %d accounts %d slab bytes over %d well-spread states", i, slab, n)
 				}
@@ -512,7 +511,10 @@ func TestMemInternHitAllocsNothing(t *testing.T) {
 			}
 		})
 	}
-	ints := newMemStore[int](Config{}, 1, func(v int) uint64 { return uint64(v) * 0x9e3779b97f4a7c15 })
+	ints, err := New[int](Config{}, 1, intFP)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for v := 0; v < 100; v++ {
 		ints.Intern(v)
 	}
