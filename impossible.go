@@ -76,7 +76,8 @@ type (
 	ObsSnapshot = obs.ProgressSnapshot
 	// ObsMultiSink fans one event stream out to several sinks.
 	ObsMultiSink = obs.MultiSink
-	// TraceWriter streams events as a versioned JSONL run trace.
+	// TraceWriter streams events as a versioned JSONL run trace. It only
+	// writes; ValidateTrace recomputes a trace's digest from the file.
 	TraceWriter = obs.TraceWriter
 	// TraceManifest is the trace's first line (schema version, tool,
 	// seed, options, VCS revision).

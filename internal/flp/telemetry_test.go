@@ -43,11 +43,12 @@ func TestWaitQuorumTelemetryAcceptance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		dig := obs.NewDigest()
 		var st engine.Stats
 		traced, err := core.Explore[string](sys, core.ExploreOptions{
 			Parallelism: workers,
 			Stats:       &st,
-			Sink:        obs.MultiSink{tw, obs.NewLogger(&progress, "[obs] ")},
+			Sink:        obs.MultiSink{tw, dig, obs.NewLogger(&progress, "[obs] ")},
 			// Fast timer so a sub-second exploration still snapshots.
 			SnapshotEvery: time.Millisecond,
 		})
@@ -80,9 +81,9 @@ func TestWaitQuorumTelemetryAcceptance(t *testing.T) {
 			t.Fatalf("workers=%d: trace final states %v != returned stats %d",
 				workers, sum.FinalStates, st.States)
 		}
-		if sum.Digest != tw.Digest() {
-			t.Fatalf("workers=%d: validator digest %s != writer digest %s",
-				workers, sum.Digest, tw.Digest())
+		if sum.Digest != dig.Sum() {
+			t.Fatalf("workers=%d: validator digest %s != published digest %s",
+				workers, sum.Digest, dig.Sum())
 		}
 		if refDigest == "" {
 			refDigest = sum.Digest

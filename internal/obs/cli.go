@@ -43,6 +43,7 @@ func SetupCLI(cfg CLIConfig) (Sink, func(), error) {
 	var (
 		sinks    []Sink
 		tw       *TraceWriter
+		digest   *Digest
 		shutdown func()
 	)
 	cleanupPartial := func() {
@@ -74,6 +75,12 @@ func SetupCLI(cfg CLIConfig) (Sink, func(), error) {
 			return nil, nil, err
 		}
 		sinks = append(sinks, tw)
+		if cfg.TracePath != "-" {
+			// The bus hands every sink the same events in the same order,
+			// so this digest is the file's, as ValidateTrace recomputes it.
+			digest = NewDigest()
+			sinks = append(sinks, digest)
+		}
 	}
 	if cfg.ServeAddr != "" {
 		live := NewLive(nil)
@@ -93,11 +100,10 @@ func SetupCLI(cfg CLIConfig) (Sink, func(), error) {
 			fmt.Fprintf(logTo, "[obs] warning: %d telemetry events dropped (bus buffer full)\n", dropped)
 		}
 		if tw != nil {
-			digest := tw.Digest()
 			if err := tw.Close(); err != nil {
 				fmt.Fprintf(logTo, "[obs] trace write failed: %v\n", err)
-			} else if cfg.TracePath != "-" {
-				fmt.Fprintf(logTo, "[obs] trace written to %s (digest %s)\n", cfg.TracePath, digest)
+			} else if digest != nil {
+				fmt.Fprintf(logTo, "[obs] trace written to %s (digest %s)\n", cfg.TracePath, digest.Sum())
 			}
 		}
 		if shutdown != nil {

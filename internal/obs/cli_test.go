@@ -2,9 +2,11 @@ package obs
 
 import (
 	"bytes"
+	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -33,14 +35,19 @@ func TestSetupCLITraceAndProgress(t *testing.T) {
 	if sink == nil {
 		t.Fatal("flags set but sink is nil")
 	}
-	sink.Publish(Event{Kind: KindRTStart, RTConfig: &RuntimeConfig{
-		Workload: "toy", Procs: 1, MaxEvents: 1, Batch: 1}})
-	sink.Publish(Event{Kind: KindRTEnd, RTSummary: &RuntimeSummary{Quiesced: true}})
+	for seed := int64(1); seed <= 2; seed++ {
+		sink.Publish(Event{Kind: KindRTStart, RTConfig: &RuntimeConfig{
+			Workload: "toy", Procs: 1, Seed: seed, MaxEvents: 1, Batch: 1}})
+		sink.Publish(Event{Kind: KindRTEvent, RT: &RuntimeEvent{
+			Kind: RTLocal, Event: 1, Actor: 0, From: 0, To: 0, Label: fmt.Sprintf("step %d", seed)}})
+		sink.Publish(Event{Kind: KindRTEnd, RTSummary: &RuntimeSummary{Events: 1, LocalSteps: 1, Quiesced: true}})
+	}
 	cleanup()
 
-	if !strings.Contains(log.String(), "trace written to") ||
-		!strings.Contains(log.String(), "digest") {
-		t.Errorf("cleanup did not report the trace digest; log:\n%s", log.String())
+	// The reported digest is the file's, as the validator recomputes it.
+	m := regexp.MustCompile(`trace written to (\S+) \(digest ([0-9a-f]{16})\)`).FindStringSubmatch(log.String())
+	if m == nil || m[1] != path {
+		t.Fatalf("cleanup did not report the trace digest; log:\n%s", log.String())
 	}
 	f, err := os.Open(path)
 	if err != nil {
@@ -51,8 +58,11 @@ func TestSetupCLITraceAndProgress(t *testing.T) {
 	if err != nil {
 		t.Fatalf("trace file does not validate: %v", err)
 	}
-	if sum.RTRuns != 1 || sum.Tool != "cli-test" {
-		t.Errorf("summary = %+v, want rt_runs=1 tool=cli-test", sum)
+	if sum.RTRuns != 2 || sum.RTEvents != 2 || sum.Tool != "cli-test" {
+		t.Errorf("summary = %+v, want rt_runs=2 rt_events=2 tool=cli-test", sum)
+	}
+	if m[2] != sum.Digest {
+		t.Errorf("reported digest %s, file digest %s", m[2], sum.Digest)
 	}
 }
 

@@ -104,14 +104,15 @@ func TestRTEventPublishAllocs(t *testing.T) {
 }
 
 // TestRTEventPublishConcurrent publishes rt_events to one TraceWriter
-// from several goroutines at once: the reused line buffers are the
-// writer's and the digest's, so each line must still come out whole.
+// and one Digest from several goroutines at once: each reuses its own
+// line buffer under its lock, so each line must still come out whole.
 func TestRTEventPublishConcurrent(t *testing.T) {
 	var buf bytes.Buffer
 	tw, err := NewTraceWriter(&buf, Manifest{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	both := MultiSink{tw, NewDigest()}
 	const workers, each = 4, 200
 	var wg sync.WaitGroup
 	for g := 0; g < workers; g++ {
@@ -119,7 +120,7 @@ func TestRTEventPublishConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
-				tw.Publish(Event{Kind: KindRTEvent, RT: &RuntimeEvent{
+				both.Publish(Event{Kind: KindRTEvent, RT: &RuntimeEvent{
 					Kind: RTDeliver, Event: i + 1, Actor: g, To: g, From: -1, Label: rtLabels[g],
 				}})
 			}
@@ -142,7 +143,7 @@ func TestRTEventPublishConcurrent(t *testing.T) {
 }
 
 // BenchmarkTraceWriterRTEvent is one rt_event published to a TraceWriter
-// on io.Discard: the digest line, the JSON line and the buffered write.
+// on io.Discard: the JSON line and the buffered write.
 func BenchmarkTraceWriterRTEvent(b *testing.B) {
 	tw, err := NewTraceWriter(io.Discard, Manifest{})
 	if err != nil {

@@ -13,7 +13,7 @@ import (
 func traceSeeds(tb testing.TB) [][]byte {
 	tb.Helper()
 	var out [][]byte
-	for _, runs := range [][]func(*TraceWriter){
+	for _, runs := range [][]func(Sink){
 		{writeRun},
 		{writeRTRun},
 		{writeRTRun, writeRun, writeRun},

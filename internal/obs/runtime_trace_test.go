@@ -6,10 +6,10 @@ import (
 	"testing"
 )
 
-// writeRTRun publishes one complete synthetic runtime run through tw: an
+// writeRTRun publishes one complete synthetic runtime run to tw: an
 // rt_start, one rt_event of every kind (with consecutive 1-based
 // indices), and an rt_end whose totals tally exactly.
-func writeRTRun(tw *TraceWriter) {
+func writeRTRun(tw Sink) {
 	tw.Publish(Event{Kind: KindRTStart, RTConfig: &RuntimeConfig{
 		Workload: "toy", Procs: 3, Seed: 9, MaxEvents: 100, Batch: 4,
 		Drop: 0.5, Dup: 0.25, Delay: 2, Crash: 0.1, RestartAfter: 5,
@@ -38,9 +38,11 @@ func TestRTTraceRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	writeRTRun(tw)
-	writeRun(tw) // an exploration run after a runtime run in the same file
-	writeRTRun(tw)
+	dig := NewDigest()
+	both := MultiSink{tw, dig}
+	writeRTRun(both)
+	writeRun(both) // an exploration run after a runtime run in the same file
+	writeRTRun(both)
 	if err := tw.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -51,8 +53,8 @@ func TestRTTraceRoundTrip(t *testing.T) {
 	if sum.RTRuns != 2 || sum.RTEvents != 12 || sum.Runs != 1 {
 		t.Fatalf("summary = %+v, want rt_runs=2 rt_events=12 runs=1", sum)
 	}
-	if sum.Digest != tw.Digest() {
-		t.Fatalf("validator digest %s != writer digest %s", sum.Digest, tw.Digest())
+	if sum.Digest != dig.Sum() {
+		t.Fatalf("validator digest %s != published digest %s", sum.Digest, dig.Sum())
 	}
 }
 

@@ -48,9 +48,9 @@ func NewManifest(tool string) Manifest {
 // TraceWriter is a Sink that renders events as JSON Lines: the manifest
 // first, then one event object per line, stamped with a file-global
 // sequence number and a 1-based run number (incremented at every
-// run_start). It simultaneously folds the deterministic events into a
-// Digest, so a trace's replay-comparable fingerprint is available without
-// re-reading the file.
+// run_start). It only writes. A caller that wants the trace's digest
+// subscribes a Digest beside it, as SetupCLI does, or recomputes it from
+// the file with ValidateTrace.
 //
 // Writes are serialized under a mutex; the first write error sticks and
 // suppresses further output (check Err or Close).
@@ -61,7 +61,6 @@ type TraceWriter struct {
 	seq    uint64
 	run    int
 	start  time.Time
-	digest *Digest
 	line   []byte // Publish's reused rendering buffer
 	err    error
 }
@@ -73,7 +72,7 @@ func NewTraceWriter(w io.Writer, m Manifest) (*TraceWriter, error) {
 	if m.SchemaVersion == 0 {
 		m.SchemaVersion = SchemaVersion
 	}
-	t := &TraceWriter{bw: bufio.NewWriter(w), start: time.Now(), digest: NewDigest()}
+	t := &TraceWriter{bw: bufio.NewWriter(w), start: time.Now()}
 	if c, ok := w.(io.Closer); ok {
 		t.closer = c
 	}
@@ -107,7 +106,6 @@ func (t *TraceWriter) Publish(ev Event) {
 		t.run++
 	}
 	ev.Run = t.run
-	t.digest.Publish(ev)
 	line, ok := appendRTEventJSON(t.line[:0], ev)
 	if !ok {
 		b, err := json.Marshal(ev)
@@ -214,13 +212,6 @@ func appendJSONString(dst []byte, s string) []byte {
 	}
 	dst = append(dst, s[start:]...)
 	return append(dst, '"')
-}
-
-// Digest returns the trace's deterministic-event digest so far.
-func (t *TraceWriter) Digest() string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.digest.Sum()
 }
 
 // Err returns the first write error, if any.

@@ -10,10 +10,10 @@ import (
 	"time"
 )
 
-// writeRun publishes one complete synthetic run through tw: run_start, two
+// writeRun publishes one complete synthetic run to tw: run_start, two
 // levels, one timer snapshot, run_end. Counters are internally consistent
 // (Expansions equals the worker-step sum, States/Depth monotone).
-func writeRun(tw *TraceWriter) {
+func writeRun(tw Sink) {
 	tw.Publish(Event{Kind: KindRunStart, Config: &RunConfig{Workers: 2, MaxStates: 1000, Inits: 1}})
 	l1 := ProgressSnapshot{Elapsed: time.Millisecond, States: 3, Depth: 1, Frontier: 2,
 		PeakFrontier: 2, Expansions: 1, WorkerSteps: []uint64{1, 0}}
@@ -38,8 +38,10 @@ func TestTraceRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	writeRun(tw)
-	writeRun(tw) // a second run in the same file bumps the run number
+	dig := NewDigest()
+	both := MultiSink{tw, dig}
+	writeRun(both)
+	writeRun(both) // a second run in the same file bumps the run number
 	if err := tw.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -65,39 +67,61 @@ func TestTraceRoundTrip(t *testing.T) {
 	if len(sum.FinalStates) != 2 || sum.FinalStates[0] != 7 || sum.FinalStates[1] != 7 {
 		t.Fatalf("final states = %v, want [7 7]", sum.FinalStates)
 	}
-	// The validator's recomputed digest matches the writer's: the
-	// deterministic skeleton survives serialization.
-	if sum.Digest != tw.Digest() {
-		t.Fatalf("validator digest %s != writer digest %s", sum.Digest, tw.Digest())
+	// The validator's recomputed digest matches a Digest that saw the same
+	// events beside the writer: the deterministic skeleton survives
+	// serialization.
+	if sum.Digest != dig.Sum() {
+		t.Fatalf("validator digest %s != published digest %s", sum.Digest, dig.Sum())
 	}
+}
+
+// traceDigest publishes events to a TraceWriter and, through a MultiSink,
+// to a Digest beside it, then returns the digest after checking that
+// ValidateTrace recomputes the same value from the written file.
+func traceDigest(t *testing.T, events func(Sink)) string {
+	t.Helper()
+	var buf bytes.Buffer
+	tw, err := NewTraceWriter(&buf, NewManifest("t"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dig := NewDigest()
+	events(MultiSink{tw, dig})
+	if err := tw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sum, err := ValidateTrace(&buf)
+	if err != nil {
+		t.Fatalf("ValidateTrace rejected a well-formed trace: %v", err)
+	}
+	if sum.Digest != dig.Sum() {
+		t.Fatalf("validator digest %s != published digest %s", sum.Digest, dig.Sum())
+	}
+	return sum.Digest
 }
 
 func TestTraceDigestIgnoresTiming(t *testing.T) {
 	// Two traces of the same run differing only in Elapsed, WorkerSteps
 	// and timer snapshots digest identically.
 	write := func(elapsedScale time.Duration, timerSnaps int, steps []uint64) string {
-		var buf bytes.Buffer
-		tw, err := NewTraceWriter(&buf, NewManifest("t"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		tw.Publish(Event{Kind: KindRunStart, Config: &RunConfig{Workers: len(steps), MaxStates: 100, Inits: 1}})
-		var exp uint64
-		for _, s := range steps {
-			exp += s
-		}
-		lvl := ProgressSnapshot{Elapsed: elapsedScale, States: 5, Depth: 1, Frontier: 4,
-			PeakFrontier: 4, Expansions: exp, WorkerSteps: steps}
-		tw.Publish(Event{Kind: KindLevel, Snapshot: &lvl})
-		for i := 0; i < timerSnaps; i++ {
-			snap := lvl
-			snap.Elapsed += time.Duration(i) * time.Millisecond
-			tw.Publish(Event{Kind: KindSnapshot, Snapshot: &snap})
-		}
-		end := ProgressSnapshot{Elapsed: 2 * elapsedScale, States: 5, Edges: 4, Depth: 1,
-			PeakFrontier: 4, Expansions: exp, WorkerSteps: steps, Final: true}
-		tw.Publish(Event{Kind: KindRunEnd, Snapshot: &end})
-		return tw.Digest()
+		return traceDigest(t, func(tw Sink) {
+			tw.Publish(Event{Kind: KindRunStart, Config: &RunConfig{Workers: len(steps), MaxStates: 100, Inits: 1}})
+			var exp uint64
+			for _, s := range steps {
+				exp += s
+			}
+			lvl := ProgressSnapshot{Elapsed: elapsedScale, States: 5, Depth: 1, Frontier: 4,
+				PeakFrontier: 4, Expansions: exp, WorkerSteps: steps}
+			tw.Publish(Event{Kind: KindLevel, Snapshot: &lvl})
+			for i := 0; i < timerSnaps; i++ {
+				snap := lvl
+				snap.Elapsed += time.Duration(i) * time.Millisecond
+				tw.Publish(Event{Kind: KindSnapshot, Snapshot: &snap})
+			}
+			end := ProgressSnapshot{Elapsed: 2 * elapsedScale, States: 5, Edges: 4, Depth: 1,
+				PeakFrontier: 4, Expansions: exp, WorkerSteps: steps, Final: true}
+			tw.Publish(Event{Kind: KindRunEnd, Snapshot: &end})
+		})
 	}
 	a := write(time.Millisecond, 0, []uint64{5})
 	b := write(time.Hour, 7, []uint64{2, 2, 1})
@@ -105,14 +129,14 @@ func TestTraceDigestIgnoresTiming(t *testing.T) {
 		t.Fatalf("digests differ across timing/worker variations: %s vs %s", a, b)
 	}
 	// But a structural difference (one more state) changes it.
-	var buf bytes.Buffer
-	tw, _ := NewTraceWriter(&buf, NewManifest("t"))
-	tw.Publish(Event{Kind: KindRunStart, Config: &RunConfig{Workers: 1, MaxStates: 100, Inits: 1}})
-	lvl := ProgressSnapshot{States: 6, Depth: 1, Frontier: 4, PeakFrontier: 4, Expansions: 5, WorkerSteps: []uint64{5}}
-	tw.Publish(Event{Kind: KindLevel, Snapshot: &lvl})
-	end := ProgressSnapshot{States: 6, Edges: 4, Depth: 1, PeakFrontier: 4, Expansions: 5, WorkerSteps: []uint64{5}, Final: true}
-	tw.Publish(Event{Kind: KindRunEnd, Snapshot: &end})
-	if tw.Digest() == a {
+	c := traceDigest(t, func(tw Sink) {
+		tw.Publish(Event{Kind: KindRunStart, Config: &RunConfig{Workers: 1, MaxStates: 100, Inits: 1}})
+		lvl := ProgressSnapshot{States: 6, Depth: 1, Frontier: 4, PeakFrontier: 4, Expansions: 5, WorkerSteps: []uint64{5}}
+		tw.Publish(Event{Kind: KindLevel, Snapshot: &lvl})
+		end := ProgressSnapshot{States: 6, Edges: 4, Depth: 1, PeakFrontier: 4, Expansions: 5, WorkerSteps: []uint64{5}, Final: true}
+		tw.Publish(Event{Kind: KindRunEnd, Snapshot: &end})
+	})
+	if c == a {
 		t.Fatal("digest did not react to a structural difference")
 	}
 }

@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 )
@@ -28,7 +26,8 @@ type TraceSummary struct {
 	RTRuns   int
 	RTEvents int
 	// Digest is the deterministic-event digest recomputed from the file;
-	// it equals the producing TraceWriter's Digest.
+	// it equals a Digest subscribed beside the producing TraceWriter, such
+	// as the one SetupCLI reports.
 	Digest string
 }
 
@@ -55,31 +54,10 @@ type TraceSummary struct {
 // counters. It returns a summary, or the first violation with its line
 // number.
 func ValidateTrace(r io.Reader) (*TraceSummary, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
 	fail := func(line int, format string, args ...any) error {
 		return fmt.Errorf("trace line %d: %s", line, fmt.Sprintf(format, args...))
 	}
-
-	if !sc.Scan() {
-		if err := sc.Err(); err != nil {
-			return nil, err
-		}
-		return nil, fmt.Errorf("trace is empty (no manifest line)")
-	}
-	var m Manifest
-	if err := json.Unmarshal(sc.Bytes(), &m); err != nil || m.Kind != KindManifest {
-		return nil, fail(1, "first line is not a manifest: %s", firstOf(err, "kind %q", m.Kind))
-	}
-	if m.SchemaVersion <= 0 {
-		return nil, fail(1, "manifest has no schema_version")
-	}
-	if m.SchemaVersion > SchemaVersion {
-		return nil, fail(1, "schema_version %d is newer than this binary's %d; upgrade the binary",
-			m.SchemaVersion, SchemaVersion)
-	}
-
-	sum := &TraceSummary{SchemaVersion: m.SchemaVersion, Tool: m.Tool}
+	sum := &TraceSummary{}
 	digest := NewDigest()
 	var (
 		lastSeq             uint64
@@ -91,84 +69,78 @@ func ValidateTrace(r io.Reader) (*TraceSummary, error) {
 		rtCfg               RuntimeConfig
 		rtSeen              runtimeTally
 	)
-	line := 1
-	for sc.Scan() {
-		line++
-		var ev Event
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			return nil, fail(line, "not a JSON event: %v", err)
-		}
+	m, err := scanTrace(r, true, func(line int, ev Event) error {
 		sum.Events++
 		if ev.Seq <= lastSeq {
-			return nil, fail(line, "seq %d is not strictly increasing (previous %d)", ev.Seq, lastSeq)
+			return fail(line, "seq %d is not strictly increasing (previous %d)", ev.Seq, lastSeq)
 		}
 		lastSeq = ev.Seq
 		// elapsed_ns (schema v3) is stamped under the writer's lock from a
 		// monotonic clock, so within one file it never decreases. Traces
 		// from before the field carry zeros throughout, which pass trivially.
 		if ev.ElapsedNs < lastElapsed {
-			return nil, fail(line, "elapsed_ns regressed %d -> %d", lastElapsed, ev.ElapsedNs)
+			return fail(line, "elapsed_ns regressed %d -> %d", lastElapsed, ev.ElapsedNs)
 		}
 		lastElapsed = ev.ElapsedNs
 
 		switch ev.Kind {
 		case KindRunStart:
 			if inRun {
-				return nil, fail(line, "run_start inside an open run")
+				return fail(line, "run_start inside an open run")
 			}
 			if inRT {
-				return nil, fail(line, "run_start inside an open runtime run")
+				return fail(line, "run_start inside an open runtime run")
 			}
 			if ev.Config == nil {
-				return nil, fail(line, "run_start without a config payload")
+				return fail(line, "run_start without a config payload")
 			}
 			if ev.Config.Workers <= 0 || ev.Config.MaxStates <= 0 || ev.Config.Inits <= 0 {
-				return nil, fail(line, "run_start config has non-positive workers/max_states/inits: %+v", *ev.Config)
+				return fail(line, "run_start config has non-positive workers/max_states/inits: %+v", *ev.Config)
 			}
 			switch ev.Config.Store {
 			case "", "mem", "spill", "bitstate":
 			default:
-				return nil, fail(line, "run_start config names unknown store backend %q", ev.Config.Store)
+				return fail(line, "run_start config names unknown store backend %q", ev.Config.Store)
 			}
 			if ev.Config.MaxStoreBytes < 0 {
-				return nil, fail(line, "run_start config has negative max_store_bytes %d", ev.Config.MaxStoreBytes)
+				return fail(line, "run_start config has negative max_store_bytes %d", ev.Config.MaxStoreBytes)
 			}
 			inRun, runStates, runDepth, runCfg = true, 0, 0, *ev.Config
 		case KindLevel, KindSnapshot, KindTruncated, KindRunEnd:
 			if inRT {
-				return nil, fail(line, "%s event inside a runtime run", ev.Kind)
+				return fail(line, "%s event inside a runtime run", ev.Kind)
 			}
 			if !inRun {
-				return nil, fail(line, "%s event outside a run", ev.Kind)
+				return fail(line, "%s event outside a run", ev.Kind)
 			}
 			s := ev.Snapshot
 			if s == nil {
-				return nil, fail(line, "%s event without a snapshot payload", ev.Kind)
+				return fail(line, "%s event without a snapshot payload", ev.Kind)
 			}
 			if s.States < 0 || s.Depth < 0 || s.Frontier < 0 {
-				return nil, fail(line, "snapshot has negative counters: %+v", *s)
+				return fail(line, "snapshot has negative counters: %+v", *s)
 			}
 			if s.StoreBytesInRAM < 0 || s.StoreBytesSpilled < 0 || s.StoreSegments < 0 || s.PeakRSSBytes < 0 {
-				return nil, fail(line, "snapshot has negative store/RSS counters: %+v", *s)
+				return fail(line, "snapshot has negative store/RSS counters: %+v", *s)
 			}
 			if s.GraphBytes < 0 || s.ArenaBytes < 0 {
-				return nil, fail(line, "snapshot has negative graph/arena byte counts: %+v", *s)
+				return fail(line, "snapshot has negative graph/arena byte counts: %+v", *s)
 			}
 			if p := s.Phases; p != nil {
 				if p.ExpandNs < 0 || p.BarrierWaitNs < 0 || p.StoreIONs < 0 || p.ReplayNs < 0 ||
 					p.SampleExpandNs < 0 || p.SampleCanonNs < 0 || p.SampleInternNs < 0 {
-					return nil, fail(line, "snapshot phase profile has negative counters: %+v", *p)
+					return fail(line, "snapshot phase profile has negative counters: %+v", *p)
 				}
 			}
 			if (s.StoreBytesSpilled > 0) != (s.StoreSegments > 0) {
-				return nil, fail(line, "spill accounting disagrees: %d bytes across %d segments",
+				return fail(line, "spill accounting disagrees: %d bytes across %d segments",
 					s.StoreBytesSpilled, s.StoreSegments)
 			}
 			if s.StoreSegments > 0 && runCfg.Store != "spill" {
-				return nil, fail(line, "segments written under store backend %q", runCfg.Store)
+				return fail(line, "segments written under store backend %q", runCfg.Store)
 			}
 			if s.StoreLossy != (runCfg.Store == "bitstate") && ev.Kind == KindRunEnd {
-				return nil, fail(line, "run_end lossy flag %v under store backend %q", s.StoreLossy, runCfg.Store)
+				return fail(line, "run_end lossy flag %v under store backend %q", s.StoreLossy, runCfg.Store)
 			}
 			if len(s.WorkerSteps) > 0 {
 				var steps uint64
@@ -176,17 +148,17 @@ func ValidateTrace(r io.Reader) (*TraceSummary, error) {
 					steps += w
 				}
 				if steps != s.Expansions {
-					return nil, fail(line, "snapshot expansions %d != worker-step sum %d", s.Expansions, steps)
+					return fail(line, "snapshot expansions %d != worker-step sum %d", s.Expansions, steps)
 				}
 			}
 			// Timer-driven snapshots may race one barrier behind the live
 			// state counter; monotonicity is only promised barrier-to-barrier.
 			if ev.Kind != KindSnapshot {
 				if s.States < runStates {
-					return nil, fail(line, "states regressed %d -> %d within a run", runStates, s.States)
+					return fail(line, "states regressed %d -> %d within a run", runStates, s.States)
 				}
 				if s.Depth < runDepth {
-					return nil, fail(line, "depth regressed %d -> %d within a run", runDepth, s.Depth)
+					return fail(line, "depth regressed %d -> %d within a run", runDepth, s.Depth)
 				}
 				runStates, runDepth = s.States, s.Depth
 			}
@@ -197,7 +169,7 @@ func ValidateTrace(r io.Reader) (*TraceSummary, error) {
 				sum.Snapshots++
 			case KindRunEnd:
 				if !s.Final {
-					return nil, fail(line, "run_end snapshot is not marked final")
+					return fail(line, "run_end snapshot is not marked final")
 				}
 				sum.Runs++
 				sum.FinalStates = append(sum.FinalStates, s.States)
@@ -205,42 +177,42 @@ func ValidateTrace(r io.Reader) (*TraceSummary, error) {
 			}
 		case KindRTStart:
 			if inRun || inRT {
-				return nil, fail(line, "rt_start inside an open run")
+				return fail(line, "rt_start inside an open run")
 			}
 			c := ev.RTConfig
 			if c == nil {
-				return nil, fail(line, "rt_start without a config payload")
+				return fail(line, "rt_start without a config payload")
 			}
 			if c.Workload == "" {
-				return nil, fail(line, "rt_start config has no workload name")
+				return fail(line, "rt_start config has no workload name")
 			}
 			if c.Procs <= 0 || c.Batch <= 0 || c.MaxEvents <= 0 {
-				return nil, fail(line, "rt_start config has non-positive procs/batch/max_events: %+v", *c)
+				return fail(line, "rt_start config has non-positive procs/batch/max_events: %+v", *c)
 			}
 			if bad(c.Drop) || bad(c.Dup) || bad(c.Crash) {
-				return nil, fail(line, "rt_start config probability outside [0,1]: drop=%g dup=%g crash=%g",
+				return fail(line, "rt_start config probability outside [0,1]: drop=%g dup=%g crash=%g",
 					c.Drop, c.Dup, c.Crash)
 			}
 			if c.Delay < 0 || c.RestartAfter < 0 {
-				return nil, fail(line, "rt_start config has negative delay/restart_after: %+v", *c)
+				return fail(line, "rt_start config has negative delay/restart_after: %+v", *c)
 			}
 			inRT, rtCfg, rtSeen = true, *c, runtimeTally{}
 		case KindRTEvent:
 			if !inRT {
-				return nil, fail(line, "rt_event outside a runtime run")
+				return fail(line, "rt_event outside a runtime run")
 			}
 			e := ev.RT
 			if e == nil {
-				return nil, fail(line, "rt_event without a payload")
+				return fail(line, "rt_event without a payload")
 			}
 			if e.Event != rtSeen.events+1 {
-				return nil, fail(line, "rt_event index %d, want %d (consecutive 1-based)", e.Event, rtSeen.events+1)
+				return fail(line, "rt_event index %d, want %d (consecutive 1-based)", e.Event, rtSeen.events+1)
 			}
 			if e.To < 0 || e.To >= rtCfg.Procs {
-				return nil, fail(line, "rt_event targets process %d outside [0,%d)", e.To, rtCfg.Procs)
+				return fail(line, "rt_event targets process %d outside [0,%d)", e.To, rtCfg.Procs)
 			}
 			if e.From < -1 || e.From >= rtCfg.Procs || e.Actor < -1 {
-				return nil, fail(line, "rt_event has out-of-range from=%d actor=%d", e.From, e.Actor)
+				return fail(line, "rt_event has out-of-range from=%d actor=%d", e.From, e.Actor)
 			}
 			switch e.Kind {
 			case RTDeliver:
@@ -256,41 +228,43 @@ func ValidateTrace(r io.Reader) (*TraceSummary, error) {
 			case RTRestart:
 				rtSeen.restarts++
 			default:
-				return nil, fail(line, "unknown runtime event kind %q", e.Kind)
+				return fail(line, "unknown runtime event kind %q", e.Kind)
 			}
 			rtSeen.events++
 			sum.RTEvents++
 		case KindRTEnd:
 			if !inRT {
-				return nil, fail(line, "rt_end outside a runtime run")
+				return fail(line, "rt_end outside a runtime run")
 			}
 			s := ev.RTSummary
 			if s == nil {
-				return nil, fail(line, "rt_end without a summary payload")
+				return fail(line, "rt_end without a summary payload")
 			}
 			want := runtimeTally{
 				events: s.Events, deliveries: s.Deliveries, locals: s.LocalSteps,
 				drops: s.Drops, dups: s.Dups, crashes: s.Crashes, restarts: s.Restarts,
 			}
 			if want != rtSeen {
-				return nil, fail(line, "rt_end totals %+v disagree with observed events %+v", want, rtSeen)
+				return fail(line, "rt_end totals %+v disagree with observed events %+v", want, rtSeen)
 			}
 			if s.Pending < 0 || s.Halted < 0 || s.Halted > rtCfg.Procs {
-				return nil, fail(line, "rt_end has out-of-range pending=%d halted=%d", s.Pending, s.Halted)
+				return fail(line, "rt_end has out-of-range pending=%d halted=%d", s.Pending, s.Halted)
 			}
 			if s.Quiesced && s.Pending > 0 {
-				return nil, fail(line, "rt_end claims quiescence with %d actions pending", s.Pending)
+				return fail(line, "rt_end claims quiescence with %d actions pending", s.Pending)
 			}
 			sum.RTRuns++
 			inRT = false
 		default:
-			return nil, fail(line, "unknown event kind %q", ev.Kind)
+			return fail(line, "unknown event kind %q", ev.Kind)
 		}
 		digest.Publish(ev)
-	}
-	if err := sc.Err(); err != nil {
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
+	sum.SchemaVersion, sum.Tool = m.SchemaVersion, m.Tool
 	if inRun {
 		return nil, fmt.Errorf("trace ends inside an open run (missing run_end)")
 	}

@@ -290,12 +290,12 @@ func TestRunTraceWriterRoundTrip(t *testing.T) {
 	if err := tw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if tw.Digest() != res.Digest {
-		t.Errorf("trace digest %s != result digest %s", tw.Digest(), res.Digest)
-	}
 	sum, err := obs.ValidateTrace(&buf)
 	if err != nil {
 		t.Fatalf("emitted trace fails validation: %v", err)
+	}
+	if sum.Digest != res.Digest {
+		t.Errorf("trace digest %s != result digest %s", sum.Digest, res.Digest)
 	}
 	if sum.RTRuns != 1 || sum.RTEvents != res.Events {
 		t.Errorf("validator saw %d rt runs / %d rt events, want 1 / %d", sum.RTRuns, sum.RTEvents, res.Events)
