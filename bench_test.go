@@ -6,6 +6,7 @@ package impossible
 // `go test -bench=. -benchmem` reprints the whole evaluation.
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -551,19 +552,22 @@ func BenchmarkExplorePORAsyncLCR(b *testing.B) {
 
 // --- Ablation benches (DESIGN.md) ---
 
-// chainSys is a plain linear system used to weigh exploration costs.
+// chainSys is a plain linear system used to weigh exploration costs: its
+// states are the counter's fixed-width 8-byte encodings, emitted as bytes.
 type chainSys struct{ n int }
 
-func (c chainSys) Init() []int { return []int{0} }
+func (c chainSys) Init() []string { return []string{string(make([]byte, 8))} }
 
-func (c chainSys) ExpandInto(s int, x *engine.Ctx[int]) {
-	if s < c.n {
-		x.Emit(s+1, "inc", 0)
+func (c chainSys) ExpandInto(s string, x *engine.Ctx[string]) {
+	if i := binary.LittleEndian.Uint64([]byte(s)); i < uint64(c.n) {
+		x.Scratch = binary.LittleEndian.AppendUint64(x.Scratch[:0], i+1)
+		x.EmitBytes(x.Scratch, "inc", 0)
 	}
 }
 
-// stringChainSys is the same system over string-encoded states, to measure
-// the cost of string canonicalization in the explorer.
+// stringChainSys is the same system over states that grow by a byte a
+// step, materialized as strings, to measure the cost of long, allocated
+// state encodings in the explorer.
 type stringChainSys struct{ n int }
 
 func (c stringChainSys) Init() []string { return []string{string(make([]byte, 1))} }
@@ -576,7 +580,7 @@ func (c stringChainSys) ExpandInto(s string, x *engine.Ctx[string]) {
 
 func BenchmarkAblationCanonicalizationInt(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Explore[int](chainSys{n: 2000}, core.ExploreOptions{}); err != nil {
+		if _, err := core.Explore[string](chainSys{n: 2000}, core.ExploreOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}

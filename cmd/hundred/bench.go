@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -377,7 +378,8 @@ func benchWorkloads(base engine.Options, big bool) ([]benchWorkload, error) {
 				return 0, st, nil
 			}
 			opts := withStats(&st)
-			res, err := engine.Explore([]braidState{{lane: -1}}, braidExpand(braidLanes, braidDepth), opts)
+			root := string(appendBraidState(nil, -1, 0))
+			res, err := engine.Explore([]string{root}, braidExpand(braidLanes, braidDepth), opts)
 			if err != nil {
 				return 0, st, err
 			}
@@ -396,26 +398,34 @@ const (
 	braidDepth = 6_250
 )
 
-// braidState is one state of the braid workload: `braidLanes` disjoint
-// chains hanging off a shared root (lane -1).
-type braidState struct{ lane, pos int32 }
+// appendBraidState appends one state of the braid workload, `braidLanes`
+// disjoint chains hanging off a shared root (lane -1): 8 bytes, the lane
+// and the position as little-endian int32s.
+func appendBraidState(b []byte, lane, pos int32) []byte {
+	b = binary.LittleEndian.AppendUint32(b, uint32(lane))
+	return binary.LittleEndian.AppendUint32(b, uint32(pos))
+}
 
 // braidExpand expands the braid. Every expansion runs braidWork first so
 // the row measures a realistic per-state derivation cost rather than a
 // no-op successor function.
-func braidExpand(lanes, depth int32) engine.ExpandFunc[braidState] {
-	return func(s braidState, x *engine.Ctx[braidState]) {
-		if braidWork(s.lane, s.pos) == 0 {
+func braidExpand(lanes, depth int32) engine.ExpandFunc[string] {
+	return func(s string, x *engine.Ctx[string]) {
+		lane := int32(binary.LittleEndian.Uint32([]byte(s[:4])))
+		pos := int32(binary.LittleEndian.Uint32([]byte(s[4:])))
+		if braidWork(lane, pos) == 0 {
 			return // unreachable (braidWork is nonzero); anchors the work dose
 		}
-		if s.lane < 0 {
+		if lane < 0 {
 			for l := int32(0); l < lanes; l++ {
-				x.Emit(braidState{lane: l, pos: 1}, "start", int(l))
+				x.Scratch = appendBraidState(x.Scratch[:0], l, 1)
+				x.EmitBytes(x.Scratch, "start", int(l))
 			}
 			return
 		}
-		if s.pos < depth {
-			x.Emit(braidState{lane: s.lane, pos: s.pos + 1}, "step", int(s.lane))
+		if pos < depth {
+			x.Scratch = appendBraidState(x.Scratch[:0], lane, pos+1)
+			x.EmitBytes(x.Scratch, "step", int(lane))
 		}
 	}
 }

@@ -131,12 +131,12 @@ func TestCleanupWritesProfilesAndTrace(t *testing.T) {
 	if x.Base.Sink == nil {
 		t.Fatal("-trace left the sink nil")
 	}
-	count := func(s int, c *engine.Ctx[int]) {
-		if s < 3 {
-			c.Emit(s+1, "inc", 0)
+	count := func(s string, c *engine.Ctx[string]) {
+		if s < "3" {
+			c.Emit(string(s[0]+1), "inc", 0)
 		}
 	}
-	_, exploreErr := engine.Explore([]int{0}, count, x.Options())
+	_, exploreErr := engine.Explore([]string{"0"}, count, x.Options())
 	cleanup()
 	if exploreErr != nil {
 		t.Fatal(exploreErr)

@@ -12,6 +12,7 @@ package impossible
 // those ids.
 
 import (
+	"encoding/binary"
 	"errors"
 	"testing"
 
@@ -25,43 +26,42 @@ import (
 	"repro/internal/sharedmem"
 )
 
-// lockstepState is a synchronous-rounds configuration: the round counter,
-// the crash pattern, and an accumulated observation that makes distinct
-// histories reach distinct states until they genuinely reconverge.
-type lockstepState struct {
-	round   int
-	crashed [3]bool
-	sum     int
+// appendLockstepState appends a synchronous-rounds configuration, 4 bytes:
+// the round counter, the crash pattern as a bit mask, and an accumulated
+// observation (little-endian) that makes distinct histories reach distinct
+// states until they genuinely reconverge.
+func appendLockstepState(b []byte, round int, crashed byte, sum int) []byte {
+	return binary.LittleEndian.AppendUint16(append(b, byte(round), crashed), uint16(sum))
 }
 
 // lockstepSys is a 3-process lockstep system: in each round the adversary
 // may crash any live process, then the round advances and every live
-// process contributes to the shared sum. It exercises the engine's
-// struct-state fingerprint fallback and heavy diamond reconvergence.
+// process contributes to the shared sum. It exercises heavy diamond
+// reconvergence.
 type lockstepSys struct{ rounds int }
 
-func (l lockstepSys) Init() []lockstepState { return []lockstepState{{}} }
+func (l lockstepSys) Init() []string { return []string{string(appendLockstepState(nil, 0, 0, 0))} }
 
-func (l lockstepSys) ExpandInto(s lockstepState, x *engine.Ctx[lockstepState]) {
-	if s.round >= l.rounds {
+func (l lockstepSys) ExpandInto(s string, x *engine.Ctx[string]) {
+	round, crashed, sum := int(s[0]), s[1], int(binary.LittleEndian.Uint16([]byte(s[2:])))
+	if round >= l.rounds {
 		return
 	}
 	for p := 0; p < 3; p++ {
-		if s.crashed[p] {
+		if crashed&(1<<p) != 0 {
 			continue
 		}
-		ns := s
-		ns.crashed[p] = true
-		x.Emit(ns, "crash", p)
+		x.Scratch = appendLockstepState(x.Scratch[:0], round, crashed|1<<p, sum)
+		x.EmitBytes(x.Scratch, "crash", p)
 	}
-	adv := s
-	adv.round++
+	adv := sum
 	for p := 0; p < 3; p++ {
-		if !s.crashed[p] {
-			adv.sum += (p + 1) * (s.round + 1)
+		if crashed&(1<<p) == 0 {
+			adv += (p + 1) * (round + 1)
 		}
 	}
-	x.Emit(adv, "tick", core.EnvironmentActor)
+	x.Scratch = appendLockstepState(x.Scratch[:0], round+1, crashed, adv)
+	x.EmitBytes(x.Scratch, "tick", core.EnvironmentActor)
 }
 
 // checkDeterminism runs sys through engine.Differential: at 1, 2 and 8
@@ -69,7 +69,7 @@ func (l lockstepSys) ExpandInto(s lockstepState, x *engine.Ctx[lockstepState]) {
 // state for state and edge for edge. core.Explore, which adopts the
 // engine's result (internal/core's graphMatchesResult checks how), must
 // report the same size.
-func checkDeterminism[S comparable](t *testing.T, name string, sys core.System[S]) {
+func checkDeterminism[S ~string](t *testing.T, name string, sys core.System[S]) {
 	t.Helper()
 	rep, err := engine.Differential(engine.DiffSpec[S]{Name: name, Inits: sys.Init(), Expand: sys.ExpandInto})
 	if err != nil {

@@ -10,7 +10,7 @@
 // expressed once instead of re-deriving ad-hoc models per paper. This
 // package is that unified model: shared-memory systems, synchronous round
 // systems, asynchronous message-passing systems, and timed systems all
-// compile down to a System over canonical comparable states, and every
+// compile down to a System over canonical string-encoded states, and every
 // proof-technique engine (bivalence, scenario, chain, stretching, symmetry)
 // operates on the resulting Graph.
 package core
@@ -32,25 +32,25 @@ const EnvironmentActor = -1
 // Step is one labeled transition out of a state. Actor identifies the
 // process taking the step (or EnvironmentActor); Label is a human-readable
 // action name used in traces and counterexamples.
-type Step[S comparable] struct {
+type Step[S ~string] struct {
 	To    S
 	Label string
 	Actor int
 }
 
 // System is a (finitely explorable) labeled transition system over
-// canonical comparable states. Implementations must ensure that equal
+// canonical states encoded as strings. Implementations must ensure that equal
 // states (in the == sense) are behaviorally identical: the explorer
 // deduplicates by state equality, which is exactly the paper's "if a
 // process sees the same thing in two executions, it behaves the same in
 // both" — equality of canonical encodings is the mechanized form of
 // indistinguishability.
-type System[S comparable] interface {
+type System[S ~string] interface {
 	// Init returns the initial states.
 	Init() []S
 	// ExpandInto is the transition relation: it emits every enabled
-	// transition from s into x (Emit, or EmitBytes for string states
-	// rendered into x.Scratch), in a deterministic order. Emitting nothing
+	// transition from s into x (Emit, or EmitBytes for states rendered
+	// into x.Scratch), in a deterministic order. Emitting nothing
 	// marks s as terminal. It must be a pure function of s, safe for
 	// concurrent calls on distinct contexts, and follow engine.Ctx's
 	// buffer-ownership rules: emitted byte slices are consumed by the time
@@ -63,7 +63,7 @@ type System[S comparable] interface {
 // StepsOf returns the transitions sys.ExpandInto emits from s, in emission
 // order — the materialized form for one-off callers and tests. The
 // explorers never call it.
-func StepsOf[S comparable](sys System[S], s S) []Step[S] {
+func StepsOf[S ~string](sys System[S], s S) []Step[S] {
 	var out []Step[S]
 	sys.ExpandInto(s, engine.CollectCtx(func(to S, label string, actor int) {
 		out = append(out, Step[S]{To: to, Label: label, Actor: actor})
@@ -89,7 +89,7 @@ type edge = engine.Edge
 // i's transitions are edges[off[i]:off[i+1]], labels are ids into a label
 // table, and the passes walk ids, looking a label string up only when they
 // build a Trace.
-type Graph[S comparable] struct {
+type Graph[S ~string] struct {
 	states []S
 	// index and labelIndex are built lazily, under their sync.Once, on the
 	// first StateID and EmbedTrace call, so concurrent readers race neither
@@ -147,7 +147,7 @@ const DefaultMaxStates = engine.DefaultMaxStates
 // lossy store (bitstate) taints the exploration: the Graph may undercount
 // the reachable set, so callers must downgrade universally-quantified
 // verdicts — check Stats.Lossy.
-func Explore[S comparable](sys System[S], opts ExploreOptions) (*Graph[S], error) {
+func Explore[S ~string](sys System[S], opts ExploreOptions) (*Graph[S], error) {
 	if opts.MaxStates <= 0 {
 		opts.MaxStates = DefaultMaxStates
 	}
@@ -168,7 +168,7 @@ func Explore[S comparable](sys System[S], opts ExploreOptions) (*Graph[S], error
 // adoptResult wraps an engine result as a Graph, sharing its arrays rather
 // than copying them (see the edge alias). The index map is built lazily on
 // the first StateID call rather than eagerly re-interning every state.
-func adoptResult[S comparable](res *engine.Result[S]) *Graph[S] {
+func adoptResult[S ~string](res *engine.Result[S]) *Graph[S] {
 	return &Graph[S]{
 		states:     res.States,
 		off:        res.Off,

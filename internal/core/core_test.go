@@ -4,25 +4,42 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/engine"
 )
 
+// atoi reads back an integer-valued test state, which the systems below
+// encode as its decimal string.
+func atoi(s string) int {
+	n, err := strconv.Atoi(s)
+	if err != nil {
+		panic(err)
+	}
+	return n
+}
+
+// emitInt emits the integer-valued state n, built in x's scratch buffer.
+func emitInt(x *engine.Ctx[string], n int, label string, actor int) {
+	x.Scratch = strconv.AppendInt(x.Scratch[:0], int64(n), 10)
+	x.EmitBytes(x.Scratch, label, actor)
+}
+
 // chainSys is a linear system 0 -> 1 -> ... -> n, stepped by actor 0.
 type chainSys struct{ n int }
 
-func (c chainSys) Init() []int { return []int{0} }
+func (c chainSys) Init() []string { return []string{"0"} }
 
-func (c chainSys) ExpandInto(s int, x *engine.Ctx[int]) {
-	if s < c.n {
-		x.Emit(s+1, "inc", 0)
+func (c chainSys) ExpandInto(s string, x *engine.Ctx[string]) {
+	if i := atoi(s); i < c.n {
+		emitInt(x, i+1, "inc", 0)
 	}
 }
 
 func TestExploreChain(t *testing.T) {
-	g, err := Explore[int](chainSys{n: 10}, ExploreOptions{})
+	g, err := Explore[string](chainSys{n: 10}, ExploreOptions{})
 	if err != nil {
 		t.Fatalf("Explore: %v", err)
 	}
@@ -33,24 +50,24 @@ func TestExploreChain(t *testing.T) {
 		t.Fatalf("NumEdges = %d, want %d", got, want)
 	}
 	terms := g.Terminals()
-	if len(terms) != 1 || g.State(terms[0]) != 10 {
+	if len(terms) != 1 || g.State(terms[0]) != "10" {
 		t.Fatalf("Terminals = %v, want the single state 10", terms)
 	}
 }
 
 func TestExploreStateLimit(t *testing.T) {
-	_, err := Explore[int](chainSys{n: 100}, ExploreOptions{MaxStates: 5})
+	_, err := Explore[string](chainSys{n: 100}, ExploreOptions{MaxStates: 5})
 	if !errors.Is(err, ErrStateLimit) {
 		t.Fatalf("err = %v, want ErrStateLimit", err)
 	}
 }
 
 func TestPathToReconstructsShortestTrace(t *testing.T) {
-	g, err := Explore[int](chainSys{n: 5}, ExploreOptions{})
+	g, err := Explore[string](chainSys{n: 5}, ExploreOptions{})
 	if err != nil {
 		t.Fatalf("Explore: %v", err)
 	}
-	id, ok := g.FindState(func(s int) bool { return s == 3 })
+	id, ok := g.FindState(func(s string) bool { return s == "3" })
 	if !ok {
 		t.Fatal("state 3 not found")
 	}
@@ -66,19 +83,19 @@ func TestPathToReconstructsShortestTrace(t *testing.T) {
 }
 
 func TestCheckInvariant(t *testing.T) {
-	g, err := Explore[int](chainSys{n: 5}, ExploreOptions{})
+	g, err := Explore[string](chainSys{n: 5}, ExploreOptions{})
 	if err != nil {
 		t.Fatalf("Explore: %v", err)
 	}
-	if _, _, ok := g.CheckInvariant(func(s int) bool { return s <= 5 }); !ok {
+	if _, _, ok := g.CheckInvariant(func(s string) bool { return atoi(s) <= 5 }); !ok {
 		t.Fatal("invariant s<=5 should hold")
 	}
-	id, tr, ok := g.CheckInvariant(func(s int) bool { return s < 4 })
+	id, tr, ok := g.CheckInvariant(func(s string) bool { return atoi(s) < 4 })
 	if ok {
 		t.Fatal("invariant s<4 should fail")
 	}
-	if g.State(id) != 4 {
-		t.Fatalf("violating state = %d, want 4 (BFS-first)", g.State(id))
+	if g.State(id) != "4" {
+		t.Fatalf("violating state = %q, want 4 (BFS-first)", g.State(id))
 	}
 	if len(tr) != 4 {
 		t.Fatalf("witness length = %d, want 4", len(tr))
@@ -166,11 +183,11 @@ func TestValenceDiamond(t *testing.T) {
 }
 
 func TestValenceRejectsOutOfRange(t *testing.T) {
-	g, err := Explore[int](chainSys{n: 1}, ExploreOptions{})
+	g, err := Explore[string](chainSys{n: 1}, ExploreOptions{})
 	if err != nil {
 		t.Fatalf("Explore: %v", err)
 	}
-	if _, err := g.Valence(func(i int) (int, bool) { return 99, g.State(i) == 1 }); err == nil {
+	if _, err := g.Valence(func(i int) (int, bool) { return 99, g.State(i) == "1" }); err == nil {
 		t.Fatal("expected error for value >= MaxDecisionValues")
 	}
 }
@@ -318,7 +335,7 @@ func TestFairnessString(t *testing.T) {
 
 func TestNullvalent(t *testing.T) {
 	// Chain with no decided states: everything is nullvalent.
-	g, err := Explore[int](chainSys{n: 3}, ExploreOptions{})
+	g, err := Explore[string](chainSys{n: 3}, ExploreOptions{})
 	if err != nil {
 		t.Fatalf("Explore: %v", err)
 	}
@@ -336,7 +353,7 @@ func TestNullvalent(t *testing.T) {
 // graphMatchesResult checks that g exposes exactly the engine Result it
 // was built from: state numbering, initials, edge lists (with order),
 // parent tree and parent steps.
-func graphMatchesResult[S comparable](t *testing.T, label string, g *Graph[S], res *engine.Result[S]) {
+func graphMatchesResult[S ~string](t *testing.T, label string, g *Graph[S], res *engine.Result[S]) {
 	t.Helper()
 	if g.Len() != len(res.States) {
 		t.Fatalf("%s: Len %d, result has %d states", label, g.Len(), len(res.States))
@@ -376,7 +393,7 @@ func graphMatchesResult[S comparable](t *testing.T, label string, g *Graph[S], r
 func TestParallelExploreMatchesSequential(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		sys := newRandomSys(seed)
-		if _, err := engine.Differential(engine.DiffSpec[int]{
+		if _, err := engine.Differential(engine.DiffSpec[string]{
 			Name: fmt.Sprintf("seed %d", seed), Inits: sys.Init(), Expand: sys.ExpandInto,
 		}); err != nil {
 			t.Fatal(err)
@@ -386,7 +403,7 @@ func TestParallelExploreMatchesSequential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d par %d: engine: %v", seed, par, err)
 			}
-			got, err := Explore[int](sys, ExploreOptions{Parallelism: par})
+			got, err := Explore[string](sys, ExploreOptions{Parallelism: par})
 			if err != nil {
 				t.Fatalf("seed %d par %d: %v", seed, par, err)
 			}
@@ -399,14 +416,14 @@ func TestParallelExploreMatchesSequential(t *testing.T) {
 // alongside ErrStateLimit at every worker count, and equals the reference
 // breadth-first search's.
 func TestTruncationReturnsPartialGraph(t *testing.T) {
-	if _, err := engine.Differential(engine.DiffSpec[int]{
+	if _, err := engine.Differential(engine.DiffSpec[string]{
 		Name: "chain", Inits: chainSys{n: 100}.Init(), Expand: chainSys{n: 100}.ExpandInto, MaxStates: 5,
 	}); err != nil {
 		t.Fatal(err)
 	}
 	for _, par := range []int{1, 4} {
 		res, _ := engine.Explore(chainSys{n: 100}.Init(), chainSys{n: 100}.ExpandInto, engine.Options{MaxStates: 5, Parallelism: par})
-		g, err := Explore[int](chainSys{n: 100}, ExploreOptions{MaxStates: 5, Parallelism: par})
+		g, err := Explore[string](chainSys{n: 100}, ExploreOptions{MaxStates: 5, Parallelism: par})
 		if !errors.Is(err, ErrStateLimit) {
 			t.Fatalf("par %d: err = %v, want ErrStateLimit", par, err)
 		}
@@ -429,24 +446,25 @@ func TestTruncationReturnsPartialGraph(t *testing.T) {
 				t.Fatalf("par %d: successors of state %d = %v, expanded %v", par, i, succ, expanded)
 			}
 		}
-		if r := g.CheckLeadsTo(func(int) bool { return true }, func(int) bool { return false }, NoFairness, 1); r.Kind == "deadlock" {
+		if r := g.CheckLeadsTo(func(string) bool { return true }, func(string) bool { return false }, NoFairness, 1); r.Kind == "deadlock" {
 			t.Fatalf("par %d: cut-off state %d reported as a deadlock", par, r.StateID)
 		}
 	}
 }
 
 // gridSys is the n×n grid walked right (actor 0) and down (actor 1) from
-// the corner: n² int states, 2n(n-1) edges.
+// the corner: n² integer-valued states, 2n(n-1) edges.
 type gridSys struct{ n int }
 
-func (g gridSys) Init() []int { return []int{0} }
+func (g gridSys) Init() []string { return []string{"0"} }
 
-func (g gridSys) ExpandInto(s int, x *engine.Ctx[int]) {
+func (g gridSys) ExpandInto(state string, x *engine.Ctx[string]) {
+	s := atoi(state)
 	if s%g.n+1 < g.n {
-		x.Emit(s+1, "right", 0)
+		emitInt(x, s+1, "right", 0)
 	}
 	if s/g.n+1 < g.n {
-		x.Emit(s+g.n, "down", 1)
+		emitInt(x, s+g.n, "down", 1)
 	}
 }
 
@@ -456,7 +474,7 @@ func (g gridSys) ExpandInto(s int, x *engine.Ctx[int]) {
 // allocations the single-threaded explorer it replaced made on this grid.
 func TestExploreTinyGraphAllocs(t *testing.T) {
 	sys := gridSys{n: 6}
-	g, err := Explore[int](sys, ExploreOptions{Parallelism: 1})
+	g, err := Explore[string](sys, ExploreOptions{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -464,7 +482,7 @@ func TestExploreTinyGraphAllocs(t *testing.T) {
 		t.Fatalf("grid has %d states, %d edges; want 36, 60", g.Len(), g.NumEdges())
 	}
 	allocs := testing.AllocsPerRun(50, func() {
-		if _, err := Explore[int](sys, ExploreOptions{Parallelism: 1}); err != nil {
+		if _, err := Explore[string](sys, ExploreOptions{Parallelism: 1}); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"strconv"
 	"testing"
 	"testing/quick"
 
@@ -9,23 +10,23 @@ import (
 )
 
 // randomSys is a seeded random finite transition system over integer
-// states, used to property-test the analyses.
+// states, encoded as decimal strings, used to property-test the analyses.
 type randomSys struct {
 	n      int
 	actors int
-	edges  map[int][]Step[int]
+	edges  map[int][]Step[string]
 }
 
 func newRandomSys(seed int64) *randomSys {
 	rng := rand.New(rand.NewSource(seed))
 	n := rng.Intn(30) + 5
 	actors := rng.Intn(3) + 1
-	s := &randomSys{n: n, actors: actors, edges: make(map[int][]Step[int], n)}
+	s := &randomSys{n: n, actors: actors, edges: make(map[int][]Step[string], n)}
 	for v := 0; v < n; v++ {
 		deg := rng.Intn(3)
 		for e := 0; e < deg; e++ {
-			s.edges[v] = append(s.edges[v], Step[int]{
-				To:    rng.Intn(n),
+			s.edges[v] = append(s.edges[v], Step[string]{
+				To:    strconv.Itoa(rng.Intn(n)),
 				Label: "e",
 				Actor: rng.Intn(actors),
 			})
@@ -34,10 +35,10 @@ func newRandomSys(seed int64) *randomSys {
 	return s
 }
 
-func (s *randomSys) Init() []int { return []int{0} }
+func (s *randomSys) Init() []string { return []string{"0"} }
 
-func (s *randomSys) ExpandInto(v int, x *engine.Ctx[int]) {
-	for _, e := range s.edges[v] {
+func (s *randomSys) ExpandInto(v string, x *engine.Ctx[string]) {
+	for _, e := range s.edges[atoi(v)] {
 		x.Emit(e.To, e.Label, e.Actor)
 	}
 }
@@ -48,7 +49,7 @@ func (s *randomSys) ExpandInto(v int, x *engine.Ctx[int]) {
 func TestValenceMonotoneProperty(t *testing.T) {
 	prop := func(seed int64) bool {
 		sys := newRandomSys(seed)
-		g, err := Explore[int](sys, ExploreOptions{})
+		g, err := Explore[string](sys, ExploreOptions{})
 		if err != nil {
 			return false
 		}
@@ -98,7 +99,7 @@ func TestValenceMonotoneProperty(t *testing.T) {
 func TestPathToAlwaysReplays(t *testing.T) {
 	prop := func(seed int64) bool {
 		sys := newRandomSys(seed)
-		g, err := Explore[int](sys, ExploreOptions{})
+		g, err := Explore[string](sys, ExploreOptions{})
 		if err != nil {
 			return false
 		}
@@ -118,7 +119,7 @@ func TestPathToAlwaysReplays(t *testing.T) {
 	}
 }
 
-func bfsDistances[S comparable](g *Graph[S]) []int {
+func bfsDistances[S ~string](g *Graph[S]) []int {
 	dist := make([]int, g.Len())
 	for i := range dist {
 		dist[i] = -1
@@ -146,12 +147,12 @@ func bfsDistances[S comparable](g *Graph[S]) []int {
 func TestLeadsToConsistentWithNoFairness(t *testing.T) {
 	prop := func(seed int64) bool {
 		sys := newRandomSys(seed)
-		g, err := Explore[int](sys, ExploreOptions{})
+		g, err := Explore[string](sys, ExploreOptions{})
 		if err != nil {
 			return false
 		}
-		premise := func(s int) bool { return s%3 == 0 }
-		goal := func(s int) bool { return s%7 == 1 }
+		premise := func(s string) bool { return atoi(s)%3 == 0 }
+		goal := func(s string) bool { return atoi(s)%7 == 1 }
 		weak := g.CheckLeadsTo(premise, goal, WeakFairness, sys.actors)
 		none := g.CheckLeadsTo(premise, goal, NoFairness, sys.actors)
 		// none.Holds => weak.Holds (fewer admissible executions).
@@ -170,11 +171,11 @@ func TestLeadsToConsistentWithNoFairness(t *testing.T) {
 func TestFairLassoCycleStaysInAllowedSet(t *testing.T) {
 	prop := func(seed int64) bool {
 		sys := newRandomSys(seed)
-		g, err := Explore[int](sys, ExploreOptions{})
+		g, err := Explore[string](sys, ExploreOptions{})
 		if err != nil {
 			return false
 		}
-		allowed := func(i int) bool { return g.State(i)%5 != 2 }
+		allowed := func(i int) bool { return atoi(g.State(i))%5 != 2 }
 		lasso, ok := g.FairLassoWithin(allowed, NoFairness, sys.actors)
 		if !ok {
 			return true // nothing to check

@@ -22,7 +22,7 @@ const poisonByte = 0xDB
 // the engine-owned buffers can be poisoned here; the system's private
 // scratch (Ctx.Sys) is instead exercised by the re-expansion itself, which
 // must reproduce the original emissions while reusing it.
-func poisonScratch[S comparable](ws *worker[S]) {
+func poisonScratch[S ~string](ws *worker[S]) {
 	for i := range ws.ctx.Scratch {
 		ws.ctx.Scratch[i] = poisonByte
 	}
@@ -36,7 +36,7 @@ func poisonScratch[S comparable](ws *worker[S]) {
 // (id); under POR it is the collected action, with the raw successor
 // itself (to), because the arena holds only the ample subset and deferred
 // successors need not be interned.
-type aliasEdge[S comparable] struct {
+type aliasEdge[S ~string] struct {
 	id    int32
 	to    S
 	label string
@@ -78,7 +78,7 @@ func (e *explorer[S]) checkAliasing(s S, ws *worker[S], sp span) {
 				to = e.canon(to)
 			}
 			var ok bool
-			if a.id, ok = e.store.Probe(to); !ok {
+			if a.id, ok = e.store.Probe(string(to)); !ok {
 				missing = true
 				a.id = -1
 			}

@@ -8,23 +8,24 @@ import (
 	"testing"
 )
 
-// longRowExpand is a system over [0, n) whose rows are longer than a
-// worker's first edge chunk and of irregular length, so rows keep
-// crossing chunk ends; state 0's row is longer than the largest regular
-// chunk. Successors repeat within a row, so a row records duplicate edges
-// as well.
-func longRowExpand(n int) ExpandFunc[int] {
+// longRowExpand is a system over the decimal strings of [0, n) whose rows
+// are longer than a worker's first edge chunk and of irregular length, so
+// rows keep crossing chunk ends; state 0's row is longer than the largest
+// regular chunk. Successors repeat within a row, so a row records
+// duplicate edges as well.
+func longRowExpand(n int) ExpandFunc[string] {
 	labels := make([]string, 7)
 	for i := range labels {
 		labels[i] = "l" + strconv.Itoa(i)
 	}
-	return func(s int, x *Ctx[int]) {
+	return func(state string, x *Ctx[string]) {
+		s := atoi(state)
 		deg := firstChunkEdges + 1 + s*7919%(3*firstChunkEdges)
 		if s == 0 {
 			deg = maxChunkEdges + 100
 		}
 		for j := 0; j < deg; j++ {
-			x.Emit((s*13+j*31+1)%n, labels[j%len(labels)], j%3)
+			x.Emit(strconv.Itoa((s*13+j*31+1)%n), labels[j%len(labels)], j%3)
 		}
 	}
 }
@@ -35,9 +36,9 @@ func longRowExpand(n int) ExpandFunc[int] {
 // aliasing check.
 func TestLongRowsMatchReference(t *testing.T) {
 	const n = 2000
-	rep, err := Differential(DiffSpec[int]{
+	rep, err := Differential(DiffSpec[string]{
 		Name:           "long-rows",
-		Inits:          []int{0},
+		Inits:          []string{"0"},
 		Expand:         longRowExpand(n),
 		VerifyAliasing: 1,
 		Workers:        []int{1, 2, 8},
@@ -57,9 +58,9 @@ func TestLongRowsMatchReference(t *testing.T) {
 // span; rows that cross a chunk end must have moved, and the count of
 // recorded edges must exclude the moved prefixes.
 func TestEdgeArenaRows(t *testing.T) {
-	e := &explorer[int]{wbits: workerBits(3)}
+	e := &explorer[string]{wbits: workerBits(3)}
 	for range 3 {
-		e.workers = append(e.workers, &worker[int]{arena: edgeArena{lastChunk: math.MaxInt32 >> e.wbits}})
+		e.workers = append(e.workers, &worker[string]{arena: edgeArena{lastChunk: math.MaxInt32 >> e.wbits}})
 	}
 	const w = 2
 	a := &e.workers[w].arena

@@ -37,17 +37,17 @@ import (
 // protocols is the worked example, with the orbit loss demonstrated in its
 // tests). Establishing soundness outright remains a per-system argument
 // that the group generating Canon is an automorphism group.
-type Canonicalizer[S comparable] func(S) S
+type Canonicalizer[S ~string] func(S) S
 
 // ErrCanonUnsound is wrapped by the error Explore returns when the
 // VerifyCanon safety check catches a canonicalizer violating idempotence or
 // step-commutation on a reachable state.
 var ErrCanonUnsound = errors.New("engine: canonicalizer failed soundness check")
 
-// BytesCanonicalizer is the byte-level form of Canonicalizer for
-// string-typed states: it writes the canonical representative's encoding
-// into dst[:0] and returns the grown slice, so the engine can
-// canonicalize without materializing a string per generated state.
+// BytesCanonicalizer is the byte-level form of Canonicalizer: it writes
+// the canonical representative's encoding into dst[:0] and returns the
+// grown slice, so the engine can canonicalize without materializing a
+// string per generated state.
 //
 // Contract, in addition to the Canonicalizer soundness conditions:
 //
@@ -87,7 +87,7 @@ func canonBytesFor(v any) (func() BytesCanonicalizer, error) {
 // canonicalizer for the explored state type. Both the named Canonicalizer[S]
 // and a plain func(S) S are accepted; anything else is an error (a silent
 // nil would quietly explore the full space).
-func canonFor[S comparable](v any) (Canonicalizer[S], error) {
+func canonFor[S ~string](v any) (Canonicalizer[S], error) {
 	switch c := v.(type) {
 	case nil:
 		return nil, nil
@@ -119,8 +119,8 @@ func (e *explorer[S]) canonSuccessors(s S) map[S]int {
 // soundness check on the raw state. Errors land in verifyErr like every
 // sampled check.
 func (e *explorer[S]) checkCanonBytes(src, rep []byte) {
-	raw := fromBytes[S](src)
-	bytesRep := fromBytes[S](rep)
+	raw := S(src)
+	bytesRep := S(rep)
 	if stringRep := e.canon(raw); stringRep != bytesRep {
 		e.noteVerifyErr(fmt.Errorf("%w: CanonBytes disagrees with Canon at %v: bytes form gives %v, string form gives %v",
 			ErrCanonUnsound, raw, bytesRep, stringRep))

@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -129,9 +130,9 @@ func TestVerifyCanonCatchesNonCommuting(t *testing.T) {
 	// Rounding down to even is idempotent but does not commute with the
 	// chain step: succ(3) canonicalizes to {4} while succ(canon(3)) = succ(2)
 	// canonicalizes to {2}.
-	roundDown := func(s int) int { return s - s%2 }
+	roundDown := func(s string) string { return strconv.Itoa(atoi(s) - atoi(s)%2) }
 	for _, par := range []int{1, 4} {
-		_, err := Explore([]int{0}, chainExpand(10), Options{
+		_, err := Explore([]string{"0"}, chainExpand(10), Options{
 			Parallelism: par,
 			Canon:       roundDown,
 			VerifyCanon: 1,

@@ -22,7 +22,7 @@ package engine
 //     distinct label lands once in Result.Labels; edges refer to it by
 //     id), so systems must not build them over reused backing arrays via
 //     unsafe.
-type Ctx[S comparable] struct {
+type Ctx[S ~string] struct {
 	// Scratch is a reusable byte buffer owned by the expanding worker.
 	// Systems may slice, grow and overwrite it freely during one expansion
 	// (writing the grown slice back so capacity accumulates); its contents
@@ -68,17 +68,17 @@ func (x *Ctx[S]) Emit(to S, label string, actor int) {
 	e.intern(ws, to, label, actor)
 }
 
-// EmitBytes is Emit for string-typed states handed over as raw encoded
-// bytes: the successor state is string(to), but on the direct path the
-// engine fingerprints, canonicalizes and interns the bytes without ever
+// EmitBytes is Emit for a successor handed over as its raw encoded bytes:
+// the successor state is S(to), but on the direct path the engine
+// fingerprints, canonicalizes and interns the bytes without ever
 // materializing that string — a dedup hit (the common case) allocates
 // nothing at all. The bytes are fully consumed before EmitBytes returns.
 //
-// The direct path requires a string state type and — under a
-// canonicalizer — Options.CanonBytes; otherwise EmitBytes transparently
-// falls back to materializing the string and calling Emit, so systems can
-// use it unconditionally. Either way a canonicalizer runs in its byte form
-// when CanonBytes is set; only the direct path keeps the raw→id memo.
+// Under a canonicalizer the direct path requires Options.CanonBytes;
+// without it EmitBytes transparently falls back to materializing the
+// string and calling Emit, so systems can use it unconditionally. Either
+// way a canonicalizer runs in its byte form when CanonBytes is set; only
+// the direct path keeps the raw→id memo.
 //
 // On a fine-sampled state the canonicalization section (memo lookup, raw
 // fingerprint bookkeeping, representative render) and the hash+intern
@@ -90,13 +90,13 @@ func (x *Ctx[S]) EmitBytes(to []byte, label string, actor int) {
 			x.bytesSink(to, label, actor)
 			return
 		}
-		x.Emit(fromBytes[S](to), label, actor)
+		x.Emit(S(to), label, actor)
 		return
 	}
 	e, ws := x.e, x.w
 	t := ws.clock()
 	if e.canon == nil {
-		h := e.hashB(to)
+		h := e.fp(stringOf(to))
 		tid, fresh := e.store.InternBytes(h, to)
 		ws.lap(sampleIntern, t)
 		ws.record(tid, fresh, label, actor)
@@ -116,11 +116,11 @@ func (x *Ctx[S]) EmitBytes(to []byte, label string, actor int) {
 	}
 	// With the memo, the sampled check inside canonBytes runs on each
 	// worker's first emission of a given raw encoding.
-	h := e.hashB(to)
+	h := e.fp(stringOf(to))
 	rep, remapped := e.canonBytes(ws, to, h)
 	rawKey := string(to) // the one allocation per distinct raw encoding
 	if remapped {
-		h = e.hashB(rep)
+		h = e.fp(stringOf(rep))
 	}
 	t = ws.lap(sampleCanon, t)
 	tid, fresh := e.store.InternBytes(h, rep)
@@ -157,15 +157,15 @@ func (x *Ctx[S]) Label(b []byte) string {
 // Ctx itself. Differential's reference BFS expands every state through
 // one; core.StepsOf and the equivalence tests use it to materialize a
 // single state's transitions.
-func CollectCtx[S comparable](sink func(to S, label string, actor int)) *Ctx[S] {
+func CollectCtx[S ~string](sink func(to S, label string, actor int)) *Ctx[S] {
 	return &Ctx[S]{sink: sink}
 }
 
-// CollectBytesCtx is CollectCtx for string-typed states that hands
-// EmitBytes' successors to sink as the raw bytes, valid only until sink
-// returns, without materializing them (Emit's strings are converted). A
-// per-system ExpandInto microbenchmark expands through one, so its
-// allocation count is the system's own.
+// CollectBytesCtx is CollectCtx that hands EmitBytes' successors to sink
+// as the raw bytes, valid only until sink returns, without materializing
+// them (Emit's strings are converted). A per-system ExpandInto
+// microbenchmark expands through one, so its allocation count is the
+// system's own.
 func CollectBytesCtx(sink func(to []byte, label string, actor int)) *Ctx[string] {
 	return &Ctx[string]{
 		sink:      func(to, label string, actor int) { sink([]byte(to), label, actor) },

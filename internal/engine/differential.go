@@ -64,7 +64,7 @@ type DiffTruth struct {
 }
 
 // DiffSpec is one system under differential test.
-type DiffSpec[S comparable] struct {
+type DiffSpec[S ~string] struct {
 	// Name tags divergence reports.
 	Name string
 	// Inits and Expand define the system, as for Explore.
@@ -142,7 +142,7 @@ type DiffReport struct {
 // Differential runs spec under every applicable mode and worker count and
 // returns a report, or an error wrapping ErrDiverged on the first
 // violation.
-func Differential[S comparable](spec DiffSpec[S]) (*DiffReport, error) {
+func Differential[S ~string](spec DiffSpec[S]) (*DiffReport, error) {
 	workers := spec.Workers
 	if len(workers) == 0 {
 		workers = []int{1, 2, 8}
@@ -379,7 +379,7 @@ func Differential[S comparable](spec DiffSpec[S]) (*DiffReport, error) {
 // DefaultMaxStates). It shares nothing with the engine but the
 // collect-mode Ctx, so comparing against it checks the engine's levels,
 // store and replay together rather than the engine against itself.
-func referenceExplore[S comparable](inits []S, expand ExpandFunc[S], limit int) (*Result[S], error) {
+func referenceExplore[S ~string](inits []S, expand ExpandFunc[S], limit int) (*Result[S], error) {
 	if limit <= 0 {
 		limit = DefaultMaxStates
 	}
@@ -439,7 +439,7 @@ func referenceExplore[S comparable](inits []S, expand ExpandFunc[S], limit int) 
 
 // diffResults compares two Results field by field and describes the first
 // difference ("" when byte-identical). Empty and nil slices compare equal.
-func diffResults[S comparable](a, b *Result[S]) string {
+func diffResults[S ~string](a, b *Result[S]) string {
 	switch {
 	case !slices.Equal(a.States, b.States):
 		return fmt.Sprintf("state orderings differ (%d vs %d states)", len(a.States), len(b.States))
@@ -488,7 +488,7 @@ func diffStats(a, b Stats) string {
 
 // statsConsistency checks one run's telemetry against its Result and the
 // engine's internal accounting invariants.
-func statsConsistency[S comparable](res *Result[S]) string {
+func statsConsistency[S ~string](res *Result[S]) string {
 	st := res.Stats
 	if st.States != len(res.States) {
 		return fmt.Sprintf("Stats.States %d != len(States) %d", st.States, len(res.States))
@@ -546,7 +546,7 @@ func statsConsistency[S comparable](res *Result[S]) string {
 // porSoundVsFull checks the reduced graph against its unreduced
 // counterpart: a subgraph (state- and edge-wise) that preserves the exact
 // terminal state set.
-func porSoundVsFull[S comparable](por, full *Result[S], fullTerm map[S]bool) string {
+func porSoundVsFull[S ~string](por, full *Result[S], fullTerm map[S]bool) string {
 	if len(por.States) > len(full.States) {
 		return fmt.Sprintf("reduced states %d > unreduced %d", len(por.States), len(full.States))
 	}
@@ -576,7 +576,7 @@ func porSoundVsFull[S comparable](por, full *Result[S], fullTerm map[S]bool) str
 }
 
 // terminalSet collects the terminal states of a Result.
-func terminalSet[S comparable](res *Result[S]) map[S]bool {
+func terminalSet[S ~string](res *Result[S]) map[S]bool {
 	out := make(map[S]bool)
 	// Only expanded states have rows: on a truncated result the states
 	// past them were cut off, not terminal.
@@ -589,7 +589,7 @@ func terminalSet[S comparable](res *Result[S]) map[S]bool {
 }
 
 // countDecided counts the states in set satisfying pred.
-func countDecided[S comparable](set map[S]bool, pred func(S) bool) int {
+func countDecided[S ~string](set map[S]bool, pred func(S) bool) int {
 	n := 0
 	for s := range set {
 		if pred(s) {

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"strconv"
@@ -88,18 +89,18 @@ func TestDifferentialGrid(t *testing.T) {
 // diverge from the one-worker run.
 func TestDifferentialLabelTable(t *testing.T) {
 	const fanout = 1 << 16
-	expand := func(s int, x *Ctx[int]) {
-		switch {
+	expand := func(state string, x *Ctx[string]) {
+		switch s := atoi(state); {
 		case s == 0:
 			for c := 1; c <= fanout; c++ {
-				x.Emit(c, "fan", 0)
+				x.Emit(strconv.Itoa(c), "fan", 0)
 			}
 		case s <= fanout:
-			x.Emit(fanout+1, "l"+strconv.Itoa(s), s)
+			x.Emit(strconv.Itoa(fanout+1), "l"+state, s)
 		}
 	}
-	rep, err := Differential(DiffSpec[int]{
-		Name: "fan", Inits: []int{0}, Expand: expand, Workers: []int{1, 2},
+	rep, err := Differential(DiffSpec[string]{
+		Name: "fan", Inits: []string{"0"}, Expand: expand, Workers: []int{1, 2},
 		Truth: &DiffTruth{States: fanout + 2, Terminals: 1},
 	})
 	if err != nil {
@@ -112,17 +113,18 @@ func TestDifferentialLabelTable(t *testing.T) {
 
 func TestDifferentialCatchesImpureExpand(t *testing.T) {
 	runs := 0
-	spec := DiffSpec[int]{
+	spec := DiffSpec[string]{
 		Name:  "impure",
-		Inits: []int{0},
-		Expand: func(s int, x *Ctx[int]) {
+		Inits: []string{"0"},
+		Expand: func(state string, x *Ctx[string]) {
+			s := atoi(state)
 			if s == 0 {
 				runs++
 			}
 			if s < 20 {
-				x.Emit(s+1, "next", 0)
+				x.Emit(strconv.Itoa(s+1), "next", 0)
 				if runs == 1 && s%7 == 3 {
-					x.Emit(s+2, "skip", 0)
+					x.Emit(strconv.Itoa(s+2), "skip", 0)
 				}
 			}
 		},
@@ -219,17 +221,12 @@ func TestCollectBytesCtx(t *testing.T) {
 	}
 }
 
-// TestOptionHookTypes: hooks of the wrong type, CanonBytes without Canon,
-// and CanonBytes on a non-string state type are errors rather than
-// silently ignored reductions.
+// TestOptionHookTypes: hooks of the wrong type and CanonBytes without
+// Canon are errors rather than silently ignored reductions.
 func TestOptionHookTypes(t *testing.T) {
 	expand := gridExpandBytes(3)
 	explore := func(opts Options) error {
 		_, err := Explore([]string{"0,0"}, expand, opts)
-		return err
-	}
-	exploreInts := func(opts Options) error {
-		_, err := Explore([]int{0}, func(int, *Ctx[int]) {}, opts)
 		return err
 	}
 	for name, err := range map[string]error{
@@ -238,7 +235,6 @@ func TestOptionHookTypes(t *testing.T) {
 		"visible":           explore(Options{Visible: 42}),
 		"canon-bytes":       explore(Options{Canon: sortCanon, CanonBytes: "nope"}),
 		"canon-bytes-alone": explore(Options{CanonBytes: sortCanonBytes}),
-		"canon-bytes-ints":  exploreInts(Options{Canon: func(s int) int { return s }, CanonBytes: sortCanonBytes}),
 	} {
 		if err == nil {
 			t.Errorf("%s: mistyped hook accepted", name)
@@ -256,46 +252,25 @@ func TestOptionHookTypes(t *testing.T) {
 	}
 }
 
-// TestFingerprintTypes: every integer width fingerprints deterministically
-// and spreads neighbours apart, and other comparable types fall back to
-// their rendering.
+// TestFingerprintTypes: the one fingerprint is deterministic and spreads
+// neighbours apart on the fixed-width encoding of every integer width, as
+// integer-valued systems encode their states, and it hashes an EmitBytes
+// successor's bytes, viewed through stringOf, exactly as the string.
 func TestFingerprintTypes(t *testing.T) {
-	fp := func(v any) uint64 {
-		switch v := v.(type) {
-		case int8:
-			return fingerprint(v)
-		case int16:
-			return fingerprint(v)
-		case int32:
-			return fingerprint(v)
-		case int64:
-			return fingerprint(v)
-		case uint:
-			return fingerprint(v)
-		case uint8:
-			return fingerprint(v)
-		case uint16:
-			return fingerprint(v)
-		case uint32:
-			return fingerprint(v)
-		case uint64:
-			return fingerprint(v)
-		case uintptr:
-			return fingerprint(v)
-		case [2]int:
-			return fingerprint(v)
+	for _, width := range []int{1, 2, 4, 8} {
+		for _, pair := range [][2]uint64{{0, 1}, {1, 2}, {1 << (8*width - 1), 1<<(8*width-1) + 1}} {
+			a := string(binary.LittleEndian.AppendUint64(nil, pair[0])[:width])
+			b := string(binary.LittleEndian.AppendUint64(nil, pair[1])[:width])
+			fa, fa2, fb := fingerprint(a), fingerprint(strings.Clone(a)), fingerprint(b)
+			if fa != fa2 || fa == fb {
+				t.Errorf("width %d: fingerprints %x %x %x not deterministic and spread", width, fa, fa2, fb)
+			}
+			if fv := fingerprint(stringOf([]byte(a))); fv != fa {
+				t.Errorf("width %d: bytes view hashes to %x, the string to %x", width, fv, fa)
+			}
 		}
-		t.Fatalf("no case for %T", v)
-		return 0
 	}
-	for _, pair := range [][2]any{
-		{int8(1), int8(2)}, {int16(1), int16(2)}, {int32(1), int32(2)}, {int64(1), int64(2)},
-		{uint(1), uint(2)}, {uint8(1), uint8(2)}, {uint16(1), uint16(2)}, {uint32(1), uint32(2)},
-		{uint64(1), uint64(2)}, {uintptr(1), uintptr(2)}, {[2]int{1, 2}, [2]int{2, 1}},
-	} {
-		a, a2, b := fp(pair[0]), fp(pair[0]), fp(pair[1])
-		if a != a2 || a == b {
-			t.Errorf("%T: fingerprints %x %x %x not deterministic and spread", pair[0], a, a2, b)
-		}
+	if fingerprint(stringOf(nil)) != fingerprint("") {
+		t.Error("an empty bytes view hashes unlike the empty string")
 	}
 }

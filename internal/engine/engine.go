@@ -12,6 +12,11 @@
 // (valence, deciders, fair lassos, counterexample traces) is therefore
 // reproducible across runs and across machines.
 //
+// A state is a string (any type whose underlying type is string): every
+// system encodes its configurations as byte strings, so the engine
+// fingerprints, compares and stores a state as its bytes, and a successor
+// emitted as bytes (Ctx.EmitBytes) is never materialized on a dedup hit.
+//
 // The package deliberately does not import internal/core: core adapts its
 // System interface onto Explore's callback form and assembles the Result
 // into a core.Graph, so the engine stays independently testable (notably
@@ -65,7 +70,7 @@ const DefaultMaxStates = 2_000_000
 // "same state in, same transitions out". The Ctx (and its scratch
 // buffers) is valid only for the duration of the call; see Ctx for the
 // buffer-ownership contract.
-type ExpandFunc[S comparable] func(s S, x *Ctx[S])
+type ExpandFunc[S ~string] func(s S, x *Ctx[S])
 
 // Options configure an exploration.
 type Options struct {
@@ -116,16 +121,16 @@ type Options struct {
 	// which states are checked is independent of scheduling and worker
 	// count.
 	VerifyPOR int
-	// CanonBytes, when non-nil, is the byte-level twin of Canon for
-	// string-typed states: a BytesCanonicalizer (or a func()
-	// BytesCanonicalizer factory, called once per worker so stateful
-	// scratch canonicalizers stay single-threaded). With it installed, it
+	// CanonBytes, when non-nil, is the byte-level twin of Canon: a
+	// BytesCanonicalizer (or a func() BytesCanonicalizer factory, called
+	// once per worker so stateful scratch canonicalizers stay
+	// single-threaded). With it installed, it
 	// is the one canon step on every route — EmitBytes, Emit, the POR
 	// action collection and the initial states — and the string Canon
 	// runs only inside the sampled checks. It must agree with Canon
 	// exactly — see BytesCanonicalizer for the contract; VerifyCanon
-	// cross-checks the two on sampled states. Requires Canon and a string
-	// state type; any other type is an error.
+	// cross-checks the two on sampled states. Requires Canon; any other
+	// type is an error.
 	CanonBytes any
 	// VerifyAliasing enables the buffer-aliasing falsifier for the revised
 	// expand API: every expanded state whose fingerprint is ≡ 0 mod
@@ -183,7 +188,7 @@ type Edge struct {
 // sequential-BFS discovery order. The graph is stored once, in compressed
 // sparse rows: state i's outgoing transitions, in expansion order, are
 // Edges[Off[i]:Off[i+1]].
-type Result[S comparable] struct {
+type Result[S ~string] struct {
 	// States maps canonical id to state.
 	States []S
 	// Inits are the canonical ids of the (deduplicated) initial states, in
@@ -263,7 +268,7 @@ type span struct {
 // worker holds one worker's private exploration storage. arena is only
 // ever touched by its owner during a level and by the coordinator between
 // levels, so none of it needs locking.
-type worker[S comparable] struct {
+type worker[S ~string] struct {
 	// arena accumulates the rows of the states this worker expands.
 	arena edgeArena
 	// labels is the worker's label table, indexed by rawEdge.label, and
@@ -340,15 +345,16 @@ type canonMemoEntry struct {
 const canonMemoCap = 1 << 18
 
 // explorer is the shared state of one Explore run.
-type explorer[S comparable] struct {
+type explorer[S ~string] struct {
 	expand ExpandFunc[S]
 	// store is the visited set: the fingerprint-sharded id assignment and
 	// the id -> payload table, whose kind (RAM-resident, disk-spilling, or
 	// lossy bitstate sweep) is a policy of the one store.Store. fp is the
-	// fingerprint the store shards by, kept here too for the sampled
-	// soundness checks.
-	store *store.Store[S]
-	fp    func(S) uint64
+	// one state fingerprint: the store shards by it, EmitBytes hashes its
+	// successors' bytes with it, and the sampled soundness checks pick
+	// states by it.
+	store *store.Store
+	fp    func(string) uint64
 
 	// canon, when non-nil, maps every generated state to its orbit
 	// representative before interning. verifyMod != 0 samples raw states
@@ -356,12 +362,10 @@ type explorer[S comparable] struct {
 	canon     Canonicalizer[S]
 	verifyMod uint64
 
-	// The EmitBytes direct path: hashB is the byte-level fingerprint
-	// mirroring fp on string states, and bytesDirect gates the path on
-	// string states plus CanonBytes whenever a canonicalizer is installed,
-	// so the bytes and string paths can never disagree silently.
+	// bytesDirect gates the EmitBytes direct path on CanonBytes whenever
+	// a canonicalizer is installed, so the bytes and string paths can
+	// never disagree silently.
 	bytesDirect bool
-	hashB       func([]byte) uint64
 
 	// aliasMod != 0 samples expanded states (by fingerprint) for the
 	// buffer-aliasing falsifier.
@@ -410,12 +414,11 @@ type explorer[S comparable] struct {
 // when it differs from raw.
 func (e *explorer[S]) canonicalize(raw S, ws *worker[S]) S {
 	t := ws.clock()
-	h := e.fp(raw)
+	h := e.fp(string(raw))
 	if ws.canonB != nil {
-		str, _ := any(raw).(string)
-		ws.rawBuf = append(ws.rawBuf[:0], str...)
+		ws.rawBuf = append(ws.rawBuf[:0], raw...)
 		if rep, remapped := e.canonBytes(ws, ws.rawBuf, h); remapped {
-			raw = fromBytes[S](rep)
+			raw = S(rep)
 		}
 		ws.lap(sampleCanon, t)
 		return raw
@@ -436,7 +439,7 @@ func (e *explorer[S]) canonicalize(raw S, ws *worker[S]) S {
 	return raw
 }
 
-// canonBytes is the one byte canon step for string states, shared by
+// canonBytes is the one byte canon step, shared by
 // EmitBytes' direct path and canonicalize: it records raw's fingerprint h
 // in rawSeen, canonicalizes raw with the worker's byte canonicalizer and,
 // when that remaps it, counts the hit and runs the sampled check. It
@@ -464,7 +467,7 @@ func (e *explorer[S]) canonBytes(ws *worker[S], raw []byte, h uint64) (rep []byt
 // routes.
 func (e *explorer[S]) intern(ws *worker[S], to S, label string, actor int) {
 	t := ws.clock()
-	tid, fresh := e.store.Intern(to)
+	tid, fresh := e.store.Intern(string(to))
 	ws.lap(sampleIntern, t)
 	ws.record(tid, fresh, label, actor)
 }
@@ -531,7 +534,7 @@ func (e *explorer[S]) expandRange(w int32, cursor *atomic.Int64, hi int, chunk i
 		}
 		for id := lo; id < end; id++ {
 			ws.arena.beginRow()
-			s := e.store.State(int32(id))
+			s := S(e.store.State(int32(id)))
 			var t time.Time
 			if prof != nil && id&profSampleMask == 0 {
 				ws.profSampling = true
@@ -552,7 +555,7 @@ func (e *explorer[S]) expandRange(w int32, cursor *atomic.Int64, hi int, chunk i
 			sp := ws.arena.endRow(w, e.wbits)
 			*e.spans.at(int32(id)) = sp
 			ws.steps.Add(1)
-			if e.aliasMod != 0 && e.fp(s)%e.aliasMod == 0 {
+			if e.aliasMod != 0 && e.fp(string(s))%e.aliasMod == 0 {
 				e.checkAliasing(s, ws, sp)
 			}
 		}
@@ -574,7 +577,7 @@ func (e *explorer[S]) expandPOR(s S, ws *worker[S], collect func(S, string, int)
 	e.expand(s, x)
 	x.sink = nil
 	acts := ws.acts
-	if e.porVerifyMod != 0 && e.fp(s)%e.porVerifyMod == 0 {
+	if e.porVerifyMod != 0 && e.fp(string(s))%e.porVerifyMod == 0 {
 		if err := e.checkPOR(s, acts); err != nil {
 			e.noteVerifyErr(err)
 		}
@@ -612,7 +615,7 @@ func growTo[T any](s []T, n int) []T {
 // On success the Result is canonical: identical to a sequential BFS at any
 // Parallelism. When the state space exceeds Options.MaxStates, Explore
 // returns the canonical partial Result alongside ErrStateLimit (wrapped).
-func Explore[S comparable](inits []S, expand ExpandFunc[S], opts Options) (*Result[S], error) {
+func Explore[S ~string](inits []S, expand ExpandFunc[S], opts Options) (*Result[S], error) {
 	start := time.Now()
 	limit := opts.MaxStates
 	if limit <= 0 {
@@ -626,9 +629,9 @@ func Explore[S comparable](inits []S, expand ExpandFunc[S], opts Options) (*Resu
 		nw = runtime.GOMAXPROCS(0)
 	}
 
-	e := &explorer[S]{expand: expand, fp: fingerprint[S]}
+	e := &explorer[S]{expand: expand, fp: fingerprint}
 	if opts.degradeFingerprint {
-		e.fp = func(s S) uint64 { return fingerprint(s) & 3 }
+		e.fp = func(s string) uint64 { return fingerprint(s) & 3 }
 	}
 	canon, err := canonFor[S](opts.Canon)
 	if err != nil {
@@ -658,29 +661,17 @@ func Explore[S comparable](inits []S, expand ExpandFunc[S], opts Options) (*Resu
 	if canonBFactory != nil && e.canon == nil {
 		return nil, errors.New("engine: Options.CanonBytes requires Options.Canon (the string canonicalizer defines the quotient)")
 	}
-	if canonBFactory != nil && !isStringState[S]() {
-		var zero S
-		return nil, fmt.Errorf("engine: Options.CanonBytes requires string states, not %T", zero)
-	}
 	if opts.VerifyAliasing > 0 {
 		e.aliasMod = uint64(opts.VerifyAliasing)
 	}
-	e.store, err = store.New[S](opts.Store, shardCount(nw), e.fp)
+	e.store, err = store.New(opts.Store, shardCount(nw), e.fp)
 	if err != nil {
 		return nil, err
 	}
 	defer e.store.Close()
-
-	// Resolve the EmitBytes direct path: string states and (under a
-	// canonicalizer) a byte-level canonicalizer. Without them EmitBytes
-	// degrades to the materializing fallback, never to wrong behavior.
-	if isStringState[S]() {
-		e.hashB = hashBytes
-		if opts.degradeFingerprint {
-			e.hashB = func(b []byte) uint64 { return hashBytes(b) & 3 }
-		}
-		e.bytesDirect = e.canon == nil || canonBFactory != nil
-	}
+	// Under a canonicalizer without its byte form, EmitBytes degrades to
+	// the materializing fallback, never to wrong behavior.
+	e.bytesDirect = e.canon == nil || canonBFactory != nil
 
 	e.workers = make([]*worker[S], nw)
 	e.wbits = workerBits(nw)
@@ -713,7 +704,7 @@ func Explore[S comparable](inits []S, expand ExpandFunc[S], opts Options) (*Resu
 		if e.canon != nil {
 			s = e.canonicalize(s, e.workers[0])
 		}
-		if id, fresh := e.store.Intern(s); fresh {
+		if id, fresh := e.store.Intern(string(s)); fresh {
 			initIDs = append(initIDs, id)
 		}
 	}
@@ -938,7 +929,7 @@ func (e *explorer[S]) replay(initIDs []int32, limit, expanded, maxEdges int) (*R
 		}
 		c := int32(len(res.States))
 		canon[pid] = c
-		res.States = append(res.States, e.store.State(pid))
+		res.States = append(res.States, S(e.store.State(pid)))
 		res.Parents = append(res.Parents, -1)
 		res.ParentEdges = append(res.ParentEdges, -1)
 		return c, true

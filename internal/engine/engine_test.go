@@ -4,14 +4,25 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strconv"
 	"testing"
 )
 
-// chainExpand is a linear system 0 -> 1 -> ... -> n.
-func chainExpand(n int) ExpandFunc[int] {
-	return func(s int, x *Ctx[int]) {
-		if s < n {
-			x.Emit(s+1, "inc", 0)
+// atoi reads back an integer-valued test state, which the systems below
+// encode as its decimal string.
+func atoi(s string) int {
+	n, err := strconv.Atoi(s)
+	if err != nil {
+		panic(err)
+	}
+	return n
+}
+
+// chainExpand is a linear system "0" -> "1" -> ... -> "n".
+func chainExpand(n int) ExpandFunc[string] {
+	return func(s string, x *Ctx[string]) {
+		if i := atoi(s); i < n {
+			x.Emit(strconv.Itoa(i+1), "inc", 0)
 		}
 	}
 }
@@ -32,22 +43,23 @@ func gridExpand(n int) ExpandFunc[string] {
 	}
 }
 
-// randomExpand is a seeded random digraph over [0, n): each state's
-// successor list is derived deterministically from the seed and the state,
-// so the expansion is pure while the shape is irregular.
-func randomExpand(seed int64, n int) ExpandFunc[int] {
-	return func(s int, x *Ctx[int]) {
-		rng := rand.New(rand.NewSource(seed ^ int64(s)*0x9e3779b9))
+// randomExpand is a seeded random digraph over the decimal strings of
+// [0, n): each state's successor list is derived deterministically from
+// the seed and the state, so the expansion is pure while the shape is
+// irregular.
+func randomExpand(seed int64, n int) ExpandFunc[string] {
+	return func(s string, x *Ctx[string]) {
+		rng := rand.New(rand.NewSource(seed ^ int64(atoi(s))*0x9e3779b9))
 		deg := rng.Intn(4)
 		for i := 0; i < deg; i++ {
-			x.Emit(rng.Intn(n), fmt.Sprintf("e%d", i), rng.Intn(3))
+			x.Emit(strconv.Itoa(rng.Intn(n)), fmt.Sprintf("e%d", i), rng.Intn(3))
 		}
 	}
 }
 
 // mustEqualResults fails the test unless a and b are byte-identical in
 // every canonical field.
-func mustEqualResults[S comparable](t *testing.T, label string, a, b *Result[S]) {
+func mustEqualResults[S ~string](t *testing.T, label string, a, b *Result[S]) {
 	t.Helper()
 	if msg := diffResults(a, b); msg != "" {
 		t.Fatalf("%s: %s", label, msg)
@@ -55,7 +67,7 @@ func mustEqualResults[S comparable](t *testing.T, label string, a, b *Result[S])
 }
 
 func TestExploreChain(t *testing.T) {
-	res, err := Explore([]int{0}, chainExpand(10), Options{})
+	res, err := Explore([]string{"0"}, chainExpand(10), Options{})
 	if err != nil {
 		t.Fatalf("Explore: %v", err)
 	}
@@ -63,8 +75,8 @@ func TestExploreChain(t *testing.T) {
 		t.Fatalf("states = %d, want 11", len(res.States))
 	}
 	for i, s := range res.States {
-		if s != i {
-			t.Fatalf("state %d = %d, want BFS order", i, s)
+		if s != strconv.Itoa(i) {
+			t.Fatalf("state %d = %q, want BFS order", i, s)
 		}
 	}
 	if res.Stats.Depth != 11 {
@@ -78,45 +90,27 @@ func TestExploreChain(t *testing.T) {
 }
 
 func TestDeterminismAcrossWorkerCounts(t *testing.T) {
-	type tc struct {
-		name string
-		ref  func() (any, error)
-		run  func(par int) (any, error)
-	}
-	cases := []tc{
-		{"grid", func() (any, error) {
-			return referenceExplore([]string{"0,0"}, gridExpand(40), 0)
-		}, func(par int) (any, error) {
-			return Explore([]string{"0,0"}, gridExpand(40), Options{Parallelism: par})
-		}},
-		{"random", func() (any, error) {
-			return referenceExplore([]int{0, 1, 0}, randomExpand(42, 5000), 0)
-		}, func(par int) (any, error) {
-			return Explore([]int{0, 1, 0}, randomExpand(42, 5000), Options{Parallelism: par})
-		}},
-		{"chain", func() (any, error) {
-			return referenceExplore([]int{0}, chainExpand(300), 0)
-		}, func(par int) (any, error) {
-			return Explore([]int{0}, chainExpand(300), Options{Parallelism: par})
-		}},
+	cases := []struct {
+		name   string
+		inits  []string
+		expand ExpandFunc[string]
+	}{
+		{"grid", []string{"0,0"}, gridExpand(40)},
+		{"random", []string{"0", "1", "0"}, randomExpand(42, 5000)},
+		{"chain", []string{"0"}, chainExpand(300)},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			ref, err := c.ref()
+			ref, err := referenceExplore(c.inits, c.expand, 0)
 			if err != nil {
 				t.Fatalf("reference BFS: %v", err)
 			}
 			for _, par := range []int{1, 2, 3, 8} {
-				got, err := c.run(par)
+				got, err := Explore(c.inits, c.expand, Options{Parallelism: par})
 				if err != nil {
 					t.Fatalf("parallelism %d: %v", par, err)
 				}
-				switch r := ref.(type) {
-				case *Result[string]:
-					mustEqualResults(t, fmt.Sprintf("%s par=%d", c.name, par), r, got.(*Result[string]))
-				case *Result[int]:
-					mustEqualResults(t, fmt.Sprintf("%s par=%d", c.name, par), r, got.(*Result[int]))
-				}
+				mustEqualResults(t, fmt.Sprintf("%s par=%d", c.name, par), ref, got)
 			}
 		})
 	}
@@ -164,7 +158,7 @@ func TestNoInitialStates(t *testing.T) {
 }
 
 func TestDuplicateInitialStatesCollapse(t *testing.T) {
-	res, err := Explore([]int{7, 7, 7}, chainExpand(9), Options{Parallelism: 2})
+	res, err := Explore([]string{"7", "7", "7"}, chainExpand(9), Options{Parallelism: 2})
 	if err != nil {
 		t.Fatalf("Explore: %v", err)
 	}
@@ -214,17 +208,17 @@ func TestStatsTelemetry(t *testing.T) {
 func TestSelfLoopsAndReconvergence(t *testing.T) {
 	// A state that emits itself and a shared sink: exercises dedup of the
 	// expanding state itself.
-	expand := func(s int, x *Ctx[int]) {
+	expand := func(s string, x *Ctx[string]) {
 		switch s {
-		case 0:
-			x.Emit(0, "self", 0)
-			x.Emit(1, "a", 0)
-			x.Emit(2, "b", 1)
-		case 1, 2:
-			x.Emit(3, "sink", 0)
+		case "0":
+			x.Emit("0", "self", 0)
+			x.Emit("1", "a", 0)
+			x.Emit("2", "b", 1)
+		case "1", "2":
+			x.Emit("3", "sink", 0)
 		}
 	}
-	ref, err := referenceExplore([]int{0}, expand, 0)
+	ref, err := referenceExplore([]string{"0"}, expand, 0)
 	if err != nil {
 		t.Fatalf("reference BFS: %v", err)
 	}
@@ -235,7 +229,7 @@ func TestSelfLoopsAndReconvergence(t *testing.T) {
 		t.Fatalf("self loop edge = %+v", got)
 	}
 	for _, par := range []int{1, 2, 4} {
-		got, err := Explore([]int{0}, expand, Options{Parallelism: par})
+		got, err := Explore([]string{"0"}, expand, Options{Parallelism: par})
 		if err != nil {
 			t.Fatalf("par %d: %v", par, err)
 		}

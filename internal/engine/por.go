@@ -12,7 +12,7 @@ import (
 // Actions; To is the raw successor (pre-canonicalization), because
 // independence is a property of the system's transition relation, not of
 // the symmetry quotient layered on top of it.
-type Action[S comparable] struct {
+type Action[S ~string] struct {
 	To    S
 	Label string
 	Actor int
@@ -45,7 +45,7 @@ type Action[S comparable] struct {
 // Returning false is always sound — it only reduces the reduction. See
 // DESIGN.md's "Independence contract" for the per-system proof obligations
 // and for what the sampled VerifyPOR check does and does not catch.
-type Independence[S comparable] func(s S, a, b Action[S]) bool
+type Independence[S ~string] func(s S, a, b Action[S]) bool
 
 // ErrPORUnsound is wrapped by the error Explore returns when the VerifyPOR
 // safety check catches an independence relation declaring a non-commuting
@@ -64,13 +64,13 @@ var ErrPORUnsound = errors.New("engine: independence relation failed soundness c
 // the entire obligation on the independence relation (e.g. by declaring
 // visible actions dependent on everything, which forces full expansion
 // where they occur — sound, but coarser).
-type Visibility[S comparable] func(s S, a Action[S]) bool
+type Visibility[S ~string] func(s S, a Action[S]) bool
 
 // indepFor resolves the dynamically-typed Options.Independent into a typed
 // relation for the explored state type. Both the named Independence[S] and
 // the equivalent plain func type are accepted; anything else is an error (a
 // silent nil would quietly explore the full space).
-func indepFor[S comparable](v any) (Independence[S], error) {
+func indepFor[S ~string](v any) (Independence[S], error) {
 	switch r := v.(type) {
 	case nil:
 		return nil, nil
@@ -86,7 +86,7 @@ func indepFor[S comparable](v any) (Independence[S], error) {
 
 // visFor resolves the dynamically-typed Options.Visible into a typed
 // visibility predicate for the explored state type.
-func visFor[S comparable](v any) (Visibility[S], error) {
+func visFor[S ~string](v any) (Visibility[S], error) {
 	switch p := v.(type) {
 	case nil:
 		return nil, nil
@@ -103,7 +103,7 @@ func visFor[S comparable](v any) (Visibility[S], error) {
 // porAction is one collected transition during a POR expansion: the raw
 // action (for the independence relation and the falsifier) plus the
 // canonical successor actually interned.
-type porAction[S comparable] struct {
+type porAction[S ~string] struct {
 	act Action[S]
 	to  S // canonical successor; == act.To when no canonicalizer is set
 }
@@ -228,7 +228,7 @@ func (e *explorer[S]) ampleSet(s S, acts []porAction[S], uf []int32, hi int) []i
 // the current level always receive ids ≥ hi, so the answer is independent of
 // how this level's work is scheduled across workers.
 func (e *explorer[S]) probeOld(s S, hi int) bool {
-	id, ok := e.store.Probe(s)
+	id, ok := e.store.Probe(string(s))
 	return ok && id < int32(hi)
 }
 
@@ -291,7 +291,7 @@ func (e *explorer[S]) checkPOR(s S, acts []porAction[S]) error {
 
 // sameMultiset reports whether xs and ys contain the same states with the
 // same multiplicities.
-func sameMultiset[S comparable](xs, ys []S) bool {
+func sameMultiset[S ~string](xs, ys []S) bool {
 	if len(xs) != len(ys) {
 		return false
 	}

@@ -140,34 +140,34 @@ func TestPORCycleProvisoPreventsStarvation(t *testing.T) {
 // brokenDiamondExpand declares a 5-state system where actions "a" and "b"
 // are both enabled at 0 but do not commute: 0 -a-> 1 -b-> 3 versus
 // 0 -b-> 2 -a-> 4.
-func brokenDiamondExpand(s int, x *Ctx[int]) {
+func brokenDiamondExpand(s string, x *Ctx[string]) {
 	switch s {
-	case 0:
-		x.Emit(1, "a", 0)
-		x.Emit(2, "b", 1)
-	case 1:
-		x.Emit(3, "b", 1)
-	case 2:
-		x.Emit(4, "a", 0)
+	case "0":
+		x.Emit("1", "a", 0)
+		x.Emit("2", "b", 1)
+	case "1":
+		x.Emit("3", "b", 1)
+	case "2":
+		x.Emit("4", "a", 0)
 	}
 }
 
 // disablingExpand declares a system where "b" is enabled at 0 but "a"
 // disables it: 0 -a-> 1 has no "b" successor.
-func disablingExpand(s int, x *Ctx[int]) {
+func disablingExpand(s string, x *Ctx[string]) {
 	switch s {
-	case 0:
-		x.Emit(1, "a", 0)
-		x.Emit(2, "b", 1)
-	case 2:
-		x.Emit(3, "a", 0)
+	case "0":
+		x.Emit("1", "a", 0)
+		x.Emit("2", "b", 1)
+	case "2":
+		x.Emit("3", "a", 0)
 	}
 }
 
 func TestVerifyPORCatchesBrokenDiamond(t *testing.T) {
-	allIndep := func(_ int, _, _ Action[int]) bool { return true }
+	allIndep := func(_ string, _, _ Action[string]) bool { return true }
 	for _, par := range []int{1, 4} {
-		_, err := Explore([]int{0}, brokenDiamondExpand, Options{
+		_, err := Explore([]string{"0"}, brokenDiamondExpand, Options{
 			Parallelism: par,
 			Independent: allIndep,
 			VerifyPOR:   1,
@@ -178,7 +178,7 @@ func TestVerifyPORCatchesBrokenDiamond(t *testing.T) {
 		if !strings.Contains(err.Error(), "diamond does not close") {
 			t.Fatalf("par=%d: err = %v, want diamond complaint", par, err)
 		}
-		_, err = Explore([]int{0}, disablingExpand, Options{
+		_, err = Explore([]string{"0"}, disablingExpand, Options{
 			Parallelism: par,
 			Independent: allIndep,
 			VerifyPOR:   1,
@@ -197,8 +197,9 @@ func TestIndependentRejectsWrongType(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "Options.Independent") {
 		t.Fatalf("err = %v, want Independent type error", err)
 	}
+	type otherState string
 	_, err = Explore([]string{"0,0"}, gridExpand(4), Options{
-		Independent: func(_ int, _, _ Action[int]) bool { return true },
+		Independent: func(_ otherState, _, _ Action[otherState]) bool { return true },
 	})
 	if err == nil || !strings.Contains(err.Error(), "Options.Independent") {
 		t.Fatalf("err = %v, want Independent type error for mismatched state type", err)

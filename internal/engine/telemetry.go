@@ -187,7 +187,7 @@ func stampStore(snap *obs.ProgressSnapshot, ss store.Stats) {
 // level is the coordinator's barrier hook: it refreshes the
 // barrier-published aggregates from the (quiescent) workers and publishes
 // the level event. frontier is the size of the next level about to start.
-func publishLevel[S comparable](t *telemetry, e *explorer[S], states, depth, frontier, peak int) {
+func publishLevel[S ~string](t *telemetry, e *explorer[S], states, depth, frontier, peak int) {
 	var dedup, canon, ample, deferred uint64
 	for _, ws := range e.workers {
 		dedup += ws.dedup

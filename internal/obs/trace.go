@@ -65,6 +65,11 @@ type TraceWriter struct {
 	err    error
 }
 
+// traceBufferSize is the TraceWriter's write-block size: one write
+// system call per 64 KiB of trace, where bufio's 4 KiB default makes
+// sixteen.
+const traceBufferSize = 64 << 10
+
 // NewTraceWriter writes the manifest line to w and returns the writer. If
 // w is an io.Closer, Close closes it after flushing.
 func NewTraceWriter(w io.Writer, m Manifest) (*TraceWriter, error) {
@@ -72,7 +77,7 @@ func NewTraceWriter(w io.Writer, m Manifest) (*TraceWriter, error) {
 	if m.SchemaVersion == 0 {
 		m.SchemaVersion = SchemaVersion
 	}
-	t := &TraceWriter{bw: bufio.NewWriter(w), start: time.Now()}
+	t := &TraceWriter{bw: bufio.NewWriterSize(w, traceBufferSize), start: time.Now()}
 	if c, ok := w.(io.Closer); ok {
 		t.closer = c
 	}

@@ -12,33 +12,27 @@ import (
 )
 
 // pairSys is the 2-process configuration system for one table pair under
-// fixed inputs, encoded as core-explorable int states
-// (l0*L + l1)*values + v with L = locals + 2 (the two extra local states
-// are the decide-0/decide-1 pseudo-states). It is the oracle the dense
-// consChecker is held to: the same specification checked on a graph the
-// shared exploration engine builds.
+// fixed inputs, encoded as core-explorable 3-byte string states
+// (l0, l1, v), where a local state of locals or locals+1 is the
+// decide-0/decide-1 pseudo-state. It is the oracle the dense consChecker
+// is held to: the same specification checked on a graph the shared
+// exploration engine builds.
 type pairSys struct {
 	tables         [2]ConsTable
 	locals, values int
 	a, b           int
 }
 
-func (ps *pairSys) idx(l0, l1, v int) int {
-	L := ps.locals + 2
-	return (l0*L+l1)*ps.values + v
-}
+func appendPair(b []byte, l0, l1, v int) []byte { return append(b, byte(l0), byte(l1), byte(v)) }
 
-func (ps *pairSys) decode(s int) (l0, l1, v int) {
-	L := ps.locals + 2
-	return s / ps.values / L, (s / ps.values) % L, s % ps.values
-}
+func (ps *pairSys) decode(s string) (l0, l1, v int) { return int(s[0]), int(s[1]), int(s[2]) }
 
 // Init implements core.System.
-func (ps *pairSys) Init() []int { return []int{ps.idx(ps.a, ps.b, 0)} }
+func (ps *pairSys) Init() []string { return []string{string(appendPair(nil, ps.a, ps.b, 0))} }
 
 // ExpandInto implements core.System: each undecided process may take its
 // one atomic access next.
-func (ps *pairSys) ExpandInto(s int, x *engine.Ctx[int]) {
+func (ps *pairSys) ExpandInto(s string, x *engine.Ctx[string]) {
 	l0, l1, v := ps.decode(s)
 	ls := [2]int{l0, l1}
 	for p := 0; p < 2; p++ {
@@ -48,7 +42,8 @@ func (ps *pairSys) ExpandInto(s int, x *engine.Ctx[int]) {
 		c := ps.tables[p][ls[p]][v]
 		nl := ls
 		nl[p] = c.Next
-		x.Emit(ps.idx(nl[0], nl[1], c.NewVal), "access", p)
+		x.Scratch = appendPair(x.Scratch[:0], nl[0], nl[1], c.NewVal)
+		x.EmitBytes(x.Scratch, "access", p)
 	}
 }
 
@@ -69,7 +64,7 @@ func referenceCheckPair(t0, t1 ConsTable, locals, values, maxStates int) (bool, 
 
 func referenceCheckInputs(t0, t1 ConsTable, locals, values, a, b, maxStates int) (bool, error) {
 	sys := &pairSys{tables: [2]ConsTable{t0, t1}, locals: locals, values: values, a: a, b: b}
-	g, err := core.Explore[int](sys, core.ExploreOptions{MaxStates: maxStates, Parallelism: 1})
+	g, err := core.Explore[string](sys, core.ExploreOptions{MaxStates: maxStates, Parallelism: 1})
 	if err != nil {
 		return false, err
 	}

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"encoding/binary"
 	"errors"
 	"testing"
 )
@@ -9,11 +10,11 @@ import (
 // powers of two and the backend kind must be known.
 func TestNewValidation(t *testing.T) {
 	for _, shards := range []int{0, -1, 3, 6} {
-		if _, err := New[string](Config{}, shards, stringFP); err == nil {
+		if _, err := New(Config{}, shards, stringFP); err == nil {
 			t.Errorf("New accepted shard count %d", shards)
 		}
 	}
-	if _, err := New[string](Config{Kind: Kind("disk")}, 1, stringFP); !errors.Is(err, ErrUnknownKind) {
+	if _, err := New(Config{Kind: Kind("disk")}, 1, stringFP); !errors.Is(err, ErrUnknownKind) {
 		t.Errorf("New(kind=disk) = %v, want ErrUnknownKind", err)
 	}
 }
@@ -38,7 +39,7 @@ func TestConfigLossy(t *testing.T) {
 // backend that has only done in-memory or successful disk work.
 func TestErrNilOnHealthyBackends(t *testing.T) {
 	for name, cfg := range backendConfigs(t) {
-		st, err := New[string](cfg, 2, stringFP)
+		st, err := New(cfg, 2, stringFP)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -59,7 +60,7 @@ func TestErrNilOnHealthyBackends(t *testing.T) {
 // TestSpillDefaultDir: an empty Dir selects a temp directory that Close
 // cleans up, and an unset MaxBytes falls back to the default budget.
 func TestSpillDefaultDir(t *testing.T) {
-	st, err := New[string](Config{Kind: Spill}, 1, stringFP)
+	st, err := New(Config{Kind: Spill}, 1, stringFP)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,36 +73,58 @@ func TestSpillDefaultDir(t *testing.T) {
 	}
 }
 
-// TestIntCodecWidths round-trips every fixed-width integer state type
-// through the spill codec, including negative values whose sign must
-// survive the uint64 raw-bits transport.
+// TestIntCodecWidths round-trips the fixed-width little-endian encoding
+// of every integer type through a spill store, as an integer-valued system
+// encodes its states (the braid row's lane and position, for one): NUL and
+// 0xFF bytes, and the sign bytes of negative values, must come back from
+// the segments byte for byte.
 func TestIntCodecWidths(t *testing.T) {
-	t.Run("int8", func(t *testing.T) { codecRoundTrip(t, []int8{-128, -1, 0, 1, 127}) })
-	t.Run("int16", func(t *testing.T) { codecRoundTrip(t, []int16{-32768, -7, 0, 9, 32767}) })
-	t.Run("int32", func(t *testing.T) { codecRoundTrip(t, []int32{-1 << 31, -3, 0, 5, 1<<31 - 1}) })
-	t.Run("int64", func(t *testing.T) { codecRoundTrip(t, []int64{-1 << 62, -11, 0, 13, 1 << 62}) })
-	t.Run("uint", func(t *testing.T) { codecRoundTrip(t, []uint{0, 1, 1 << 40}) })
-	t.Run("uint8", func(t *testing.T) { codecRoundTrip(t, []uint8{0, 1, 255}) })
-	t.Run("uint16", func(t *testing.T) { codecRoundTrip(t, []uint16{0, 2, 65535}) })
-	t.Run("uint32", func(t *testing.T) { codecRoundTrip(t, []uint32{0, 4, 1<<32 - 1}) })
-	t.Run("uint64", func(t *testing.T) { codecRoundTrip(t, []uint64{0, 8, 1 << 63}) })
-	t.Run("uintptr", func(t *testing.T) { codecRoundTrip(t, []uintptr{0, 16, 1 << 30}) })
+	t.Run("int8", func(t *testing.T) { widthRoundTrip(t, 1, []int64{-128, -1, 0, 1, 127}) })
+	t.Run("int16", func(t *testing.T) { widthRoundTrip(t, 2, []int64{-32768, -7, 0, 9, 32767}) })
+	t.Run("int32", func(t *testing.T) { widthRoundTrip(t, 4, []int64{-1 << 31, -3, 0, 5, 1<<31 - 1}) })
+	t.Run("int64", func(t *testing.T) { widthRoundTrip(t, 8, []int64{-1 << 62, -11, 0, 13, 1 << 62}) })
+	t.Run("uint", func(t *testing.T) { widthRoundTrip(t, 8, []int64{0, 1, 1 << 40}) })
+	t.Run("uint8", func(t *testing.T) { widthRoundTrip(t, 1, []int64{0, 1, 255}) })
+	t.Run("uint16", func(t *testing.T) { widthRoundTrip(t, 2, []int64{0, 2, 65535}) })
+	t.Run("uint32", func(t *testing.T) { widthRoundTrip(t, 4, []int64{0, 4, 1<<32 - 1}) })
+	t.Run("uint64", func(t *testing.T) { widthRoundTrip(t, 8, []int64{0, 8, -1 << 63}) })
+	t.Run("uintptr", func(t *testing.T) { widthRoundTrip(t, 8, []int64{0, 16, 1 << 30}) })
 }
 
-func codecRoundTrip[S comparable](t *testing.T, vals []S) {
+// widthRoundTrip interns the width-byte encodings of vals into a spill
+// store of 16-state pages under a 1-byte budget, spills them and reads
+// each back.
+func widthRoundTrip(t *testing.T, width int, vals []int64) {
 	t.Helper()
-	cdc := codecFor[S]()
-	if cdc == nil {
-		t.Fatalf("codecFor[%T] = nil", vals[0])
+	st, err := New(Config{Kind: Spill, MaxBytes: 1, PageBits: 4, Dir: t.TempDir()}, 1, stringFP)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, v := range vals {
-		v := v
-		if sizeOf(v) <= 0 {
-			t.Fatalf("sizeOf(%v) not positive", v)
+	defer st.Close()
+	var states []string
+	for pad := 0; len(states) < 1<<4; pad++ {
+		for _, v := range vals {
+			enc := binary.LittleEndian.AppendUint64(nil, uint64(v))[:width]
+			states = append(states, string(append(enc, byte(pad))))
 		}
-		enc := cdc.enc(nil, &v)
-		if got := cdc.dec(enc); got != v {
-			t.Fatalf("codec round trip %v -> %v", v, got)
+	}
+	for i, s := range states {
+		if sizeOf(s) <= int64(width) {
+			t.Fatalf("sizeOf(%x) = %d, not above the payload width", s, sizeOf(s))
+		}
+		if id, fresh := st.Intern(s); !fresh || id != int32(i) {
+			t.Fatalf("Intern(%x) = (%d, %v), want (%d, true)", s, id, fresh, i)
+		}
+	}
+	if err := st.Maintain(int32(len(states))); err != nil {
+		t.Fatal(err)
+	}
+	if st.Stats().SpilledStates == 0 {
+		t.Fatal("nothing spilled under a 1-byte budget")
+	}
+	for i, s := range states {
+		if got := st.State(int32(i)); got != s {
+			t.Fatalf("State(%d) = %x after a spill round trip, want %x", i, got, s)
 		}
 	}
 }

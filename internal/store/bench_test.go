@@ -25,8 +25,8 @@ func BenchmarkIntern(b *testing.B) {
 		for _, mode := range []string{"hit", "fresh"} {
 			for _, path := range []string{"Intern", "InternBytes"} {
 				b.Run(string(kind)+"/"+mode+"/"+path, func(b *testing.B) {
-					fill := func() *Store[string] {
-						st, err := New[string](Config{Kind: kind, Dir: b.TempDir()}, 32, stringFP)
+					fill := func() *Store {
+						st, err := New(Config{Kind: kind, Dir: b.TempDir()}, 32, stringFP)
 						if err != nil {
 							b.Fatal(err)
 						}
@@ -68,13 +68,13 @@ func BenchmarkIntern(b *testing.B) {
 // make. The "naive" variant below is that first cut, kept as the
 // before/after baseline quoted in EXPERIMENTS.md.
 func BenchmarkPageEncode(b *testing.B) {
-	st, err := New[string](Config{Kind: Spill, Dir: b.TempDir()}, 1, stringFP)
+	st, err := New(Config{Kind: Spill, Dir: b.TempDir()}, 1, stringFP)
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer st.Close()
 	pageSize := st.pages.size
-	pg := &page[string]{slots: testStates(pageSize)}
+	pg := &page{slots: testStates(pageSize)}
 
 	b.Run("naive", func(b *testing.B) {
 		b.ReportAllocs()
@@ -86,7 +86,7 @@ func BenchmarkPageEncode(b *testing.B) {
 			var payload []byte
 			for j := range pg.slots {
 				enc := make([]byte, 0, len(pg.slots[j]))
-				enc = st.spill.codec.enc(enc, &pg.slots[j])
+				enc = append(enc, pg.slots[j]...)
 				payload = append(payload, enc...)
 				offs = append(offs, uint32(len(payload)))
 			}

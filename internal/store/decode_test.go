@@ -22,9 +22,9 @@ func pageImage(count uint32, offs []uint32, payload []byte) []byte {
 	return append(raw, payload...)
 }
 
-func spillStoreFor[S comparable](t testing.TB, fp func(S) uint64) *Store[S] {
+func spillStoreFor(t testing.TB) *Store {
 	t.Helper()
-	st, err := New[S](Config{Kind: Spill, Dir: t.TempDir()}, 1, fp)
+	st, err := New(Config{Kind: Spill, Dir: t.TempDir()}, 1, stringFP)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,15 +32,13 @@ func spillStoreFor[S comparable](t testing.TB, fp func(S) uint64) *Store[S] {
 	return st
 }
 
-func intFP(v int) uint64 { return uint64(v) * 0x9e3779b97f4a7c15 }
-
 // spilledStore interns n test states into a 4-shard spill store of
 // 2^pageBits-state pages and spills all but the last page or so of them,
 // so nearly every id reads back from a segment.
-func spilledStore(t testing.TB, pageBits, n int) (*Store[string], []string) {
+func spilledStore(t testing.TB, pageBits, n int) (*Store, []string) {
 	t.Helper()
 	states := testStates(n)
-	st, err := New[string](Config{Kind: Spill, MaxBytes: 1 << 10, PageBits: pageBits, Dir: t.TempDir()}, 4, stringFP)
+	st, err := New(Config{Kind: Spill, MaxBytes: 1 << 10, PageBits: pageBits, Dir: t.TempDir()}, 4, stringFP)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,40 +163,38 @@ func TestSpillReadBackAllocs(t *testing.T) {
 // TestDecodePageOffsetTableOverrun: a header claiming 100 states over a
 // 4-byte image used to slice the offset table out of range.
 func TestDecodePageOffsetTableOverrun(t *testing.T) {
-	st := spillStoreFor(t, stringFP)
+	st := spillStoreFor(t)
 	if _, err := st.spill.decodePage(pageImage(100, nil, nil), nil); !errors.Is(err, ErrCorruptPage) {
 		t.Fatalf("err = %v, want ErrCorruptPage", err)
 	}
 }
 
-// TestDecodePageShortFixedWidthPayload: a 3-byte payload for an 8-byte
-// integer codec used to index past the payload.
+// TestDecodePageShortFixedWidthPayload: an offset table claiming an
+// 8-byte state over a 3-byte payload must not slice past the payload.
 func TestDecodePageShortFixedWidthPayload(t *testing.T) {
-	st := spillStoreFor(t, intFP)
-	if _, err := st.spill.decodePage(pageImage(1, []uint32{0, 3}, []byte{1, 2, 3}), nil); !errors.Is(err, ErrCorruptPage) {
+	st := spillStoreFor(t)
+	if _, err := st.spill.decodePage(pageImage(1, []uint32{0, 8}, []byte{1, 2, 3}), nil); !errors.Is(err, ErrCorruptPage) {
 		t.Fatalf("err = %v, want ErrCorruptPage", err)
 	}
 }
 
-// FuzzDecodePage feeds arbitrary bytes to the page decoder of a string
-// and an int store, which must fail with ErrCorruptPage or succeed, never
-// panic. It then reads the same bytes as page contents — NUL-separated
-// strings, 8-byte integers — and checks encodePage then decodePage gives
-// the slots back. Every decoded page is checked again after its image is
-// overwritten, as the read-back path overwrites its buffer: a decoded
-// string that aliases the image fails.
+// FuzzDecodePage feeds arbitrary bytes to the page decoder, which must
+// fail with ErrCorruptPage or succeed, never panic. It then reads the same
+// bytes as page contents — NUL-separated strings — and checks encodePage
+// then decodePage gives the slots back. Every decoded page is checked
+// again after its image is overwritten, as the read-back path overwrites
+// its buffer: a decoded string that aliases the image fails.
 func FuzzDecodePage(f *testing.F) {
 	f.Add(pageImage(100, nil, nil))
 	f.Add(pageImage(1, []uint32{0, 3}, []byte{1, 2, 3}))
 	f.Add(pageImage(2, []uint32{0, 1, 3}, []byte("abc")))
 	f.Add(pageImage(1, []uint32{0, 8}, []byte{7, 0, 0, 0, 0, 0, 0, 0}))
-	strs := spillStoreFor(f, stringFP)
-	ints := spillStoreFor(f, intFP)
+	f.Add([]byte{1, 2})
+	f.Add(pageImage(0, []uint32{0}, nil))
+	strs := spillStoreFor(f)
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		for _, err := range []error{decodeErr(t, strs, raw), decodeErr(t, ints, raw)} {
-			if err != nil && !errors.Is(err, ErrCorruptPage) {
-				t.Fatalf("decode error %v does not wrap ErrCorruptPage", err)
-			}
+		if err := decodeErr(t, strs, raw); err != nil && !errors.Is(err, ErrCorruptPage) {
+			t.Fatalf("decode error %v does not wrap ErrCorruptPage", err)
 		}
 		var ss []string
 		for _, b := range bytes.Split(raw, []byte{0}) {
@@ -206,37 +202,27 @@ func FuzzDecodePage(f *testing.F) {
 				ss = append(ss, string(b))
 			}
 		}
-		roundTrip(t, strs, ss, "junk")
-		is := []int{0}
-		for len(raw) >= 8 && len(is) < ints.pages.size {
-			is = append(is, int(binary.LittleEndian.Uint64(raw)))
-			raw = raw[8:]
-		}
-		roundTrip(t, ints, is, -1)
+		roundTrip(t, strs, ss)
 	})
 }
 
 // decodeErr decodes a copy of raw and, when that succeeds, requires the
 // slots to survive the copy being poisoned.
-func decodeErr[S comparable](t *testing.T, st *Store[S], raw []byte) error {
+func decodeErr(t *testing.T, st *Store, raw []byte) error {
 	t.Helper()
 	img := bytes.Clone(raw)
 	slots, err := st.spill.decodePage(img, nil)
 	if err != nil {
 		return err
 	}
-	want := make([]S, len(slots))
+	want := make([]string, len(slots))
 	for i, v := range slots {
-		if s, ok := any(v).(string); ok {
-			*any(&want[i]).(*string) = strings.Clone(s)
-		} else {
-			want[i] = v
-		}
+		want[i] = strings.Clone(v)
 	}
 	poison(img)
 	for i, v := range slots {
 		if v != want[i] {
-			t.Fatalf("slot %d = %v after the image was overwritten, decoded as %v", i, v, want[i])
+			t.Fatalf("slot %d = %q after the image was overwritten, decoded as %q", i, v, want[i])
 		}
 	}
 	return nil
@@ -252,17 +238,17 @@ func poison(b []byte) {
 // them in the leading slots and zero values after, also once the encoded
 // image is overwritten, both into a fresh array and into a reused one full
 // of junk, as the read-back hands it an evicted page's array.
-func roundTrip[S comparable](t *testing.T, st *Store[S], vals []S, junk S) {
+func roundTrip(t *testing.T, st *Store, vals []string) {
 	t.Helper()
-	pg := &page[S]{slots: make([]S, st.pages.size)}
+	pg := &page{slots: make([]string, st.pages.size)}
 	copy(pg.slots, vals)
 	raw, _ := st.spill.encodePage(pg, len(vals))
-	reused := make([]S, st.pages.size)
+	reused := make([]string, st.pages.size)
 	for i := range reused {
-		reused[i] = junk
+		reused[i] = "junk"
 	}
-	var decoded [][]S
-	for _, into := range [][]S{nil, reused} {
+	var decoded [][]string
+	for _, into := range [][]string{nil, reused} {
 		got, err := st.spill.decodePage(raw, into)
 		if err != nil {
 			t.Fatalf("decode of an encoded %d-state page: %v", len(vals), err)
@@ -273,7 +259,7 @@ func roundTrip[S comparable](t *testing.T, st *Store[S], vals []S, junk S) {
 	for _, got := range decoded {
 		for i, v := range got {
 			if v != pg.slots[i] {
-				t.Fatalf("slot %d = %v after the round trip, want %v", i, v, pg.slots[i])
+				t.Fatalf("slot %d = %q after the round trip, want %q", i, v, pg.slots[i])
 			}
 		}
 	}
@@ -286,7 +272,7 @@ func roundTrip[S comparable](t *testing.T, st *Store[S], vals []S, junk S) {
 // a wrong payload to the collision confirm.
 func TestSpillPageChecksum(t *testing.T) {
 	states := testStates(4096)
-	s, err := New[string](Config{Kind: Spill, MaxBytes: 4 << 10, Dir: t.TempDir()}, 4, stringFP)
+	s, err := New(Config{Kind: Spill, MaxBytes: 4 << 10, Dir: t.TempDir()}, 4, stringFP)
 	if err != nil {
 		t.Fatal(err)
 	}

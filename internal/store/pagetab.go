@@ -4,7 +4,6 @@ import (
 	"math/bits"
 	"sync"
 	"sync/atomic"
-	"unsafe"
 )
 
 // pagetab is the id -> payload table shared by every backend: a spine of
@@ -35,9 +34,9 @@ const (
 )
 
 // page holds the payloads of one aligned block of consecutive ids.
-type page[S any] struct{ slots []S }
+type page struct{ slots []string }
 
-type pagetab[S any] struct {
+type pagetab struct {
 	// bits, size and mask describe the full pages; the ramp before them
 	// starts at 2^minBits states.
 	bits    uint
@@ -45,7 +44,7 @@ type pagetab[S any] struct {
 	mask    int
 	minBits uint
 	mu      sync.Mutex // serializes spine growth
-	spine   atomic.Pointer[[]page[S]]
+	spine   atomic.Pointer[[]page]
 	// bytes is the slot bytes of every page grow allocated, read lock-free
 	// by Stats. It counts dropped pages too; only mem and bitstate, which
 	// never drop a page, report it.
@@ -54,7 +53,7 @@ type pagetab[S any] struct {
 
 // init sets full pages to 2^maxBits states, ramping up from 2^minBits.
 // Must be called before any other method.
-func (t *pagetab[S]) init(minBits, maxBits int) {
+func (t *pagetab) init(minBits, maxBits int) {
 	t.bits = uint(maxBits)
 	t.size = 1 << maxBits
 	t.mask = t.size - 1
@@ -62,7 +61,7 @@ func (t *pagetab[S]) init(minBits, maxBits int) {
 }
 
 // locate returns the page holding id and id's slot in it.
-func (t *pagetab[S]) locate(id int32) (pno, slot int) {
+func (t *pagetab) locate(id int32) (pno, slot int) {
 	// Shifted up by 2^minBits, the ids of page k (2^(minBits+k) states)
 	// are those of bit length minBits+k+1, up to the first full page;
 	// full pages after it follow at a fixed stride.
@@ -76,7 +75,7 @@ func (t *pagetab[S]) locate(id int32) (pno, slot int) {
 }
 
 // pages returns the published spine.
-func (t *pagetab[S]) pages() []page[S] {
+func (t *pagetab) pages() []page {
 	if p := t.spine.Load(); p != nil {
 		return *p
 	}
@@ -85,7 +84,7 @@ func (t *pagetab[S]) pages() []page[S] {
 
 // set records the payload of id. Safe concurrently with other set/get
 // calls on distinct ids (see the synchronization contract above).
-func (t *pagetab[S]) set(id int32, s S) {
+func (t *pagetab) set(id int32, s string) {
 	pno, slot := t.locate(id)
 	pages := t.pages()
 	if pno >= len(pages) {
@@ -95,30 +94,29 @@ func (t *pagetab[S]) set(id int32, s S) {
 }
 
 // get returns the payload of id. The page must be resident (not dropped).
-func (t *pagetab[S]) get(id int32) S {
+func (t *pagetab) get(id int32) string {
 	pno, slot := t.locate(id)
 	return t.pages()[pno].slots[slot]
 }
 
 // page returns the full page pno for bulk encoding (quiescent use).
-func (t *pagetab[S]) page(pno int) *page[S] { return &t.pages()[pno] }
+func (t *pagetab) page(pno int) *page { return &t.pages()[pno] }
 
 // drop releases page pno after its payloads were spilled (quiescent use).
-func (t *pagetab[S]) drop(pno int) { t.pages()[pno] = page[S]{} }
+func (t *pagetab) drop(pno int) { t.pages()[pno] = page{} }
 
 // grow extends the spine to cover page pno and returns it.
-func (t *pagetab[S]) grow(pno int) []page[S] {
+func (t *pagetab) grow(pno int) []page {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	pages := t.pages()
-	var zero S
 	for len(pages) <= pno {
 		size := t.size
 		if k := uint(len(pages)); k < t.bits-t.minBits {
 			size = 1 << (t.minBits + k)
 		}
-		pages = append(pages, page[S]{slots: make([]S, size)})
-		t.bytes.Add(int64(size) * int64(unsafe.Sizeof(zero)))
+		pages = append(pages, page{slots: make([]string, size)})
+		t.bytes.Add(int64(size) * stringHeaderBytes)
 	}
 	t.spine.Store(&pages)
 	return pages

@@ -49,19 +49,6 @@ func (a *slab) addBytes(b []byte) string {
 	return unsafe.String(&a.cur[off], len(b))
 }
 
-// addString is addBytes for a string source (no intermediate conversion).
-func (a *slab) addString(s string) string {
-	if len(s) == 0 {
-		return ""
-	}
-	if cap(a.cur)-len(a.cur) < len(s) {
-		a.grow(len(s))
-	}
-	off := len(a.cur)
-	a.cur = append(a.cur, s...)
-	return unsafe.String(&a.cur[off], len(s))
-}
-
 // grow starts a fresh chunk with room for at least n bytes. The old chunk
 // is abandoned to whatever views still reference it.
 func (a *slab) grow(n int) {

@@ -27,7 +27,7 @@ import (
 // decompressing its page back (served through a small LRU page cache), so
 // the store stays exact: no 64-bit collision is ever trusted.
 //
-// Resident string payloads live in the shard's slab, as under mem. Pages
+// Resident payloads live in the shard's slab, as under mem. Pages
 // spill oldest-id first and each shard's slab fills in id order, so a slab
 // chunk is garbage once every page it backs has been dropped; at most one
 // chunk per shard straddles the watermark.
@@ -36,7 +36,7 @@ import (
 //
 //	u32 count                      number of states in the page
 //	u32 off[count+1]               payload-section offsets, off[0] = 0
-//	payload bytes                  count encoded states, back to back
+//	payload bytes                  count payloads' bytes, back to back
 //
 // Each page is an independent flate stream at a recorded (segment, offset,
 // length), so a single confirm decompresses one page, never a segment.
@@ -65,20 +65,18 @@ type pageMeta struct {
 	crc     uint32
 }
 
-type cacheEnt[S comparable] struct {
-	slots   []S
+type cacheEnt struct {
+	slots   []string
 	lastUse uint64
 }
 
 // spill is the store's optional spill part: the byte budget, the segment
 // files and page metadata, the decompressed-page cache, the read-back and
 // encode buffers, and the I/O telemetry.
-type spill[S comparable] struct {
+type spill struct {
 	// pages is the store's page table, whose full pages Maintain encodes
 	// and drops.
-	pages    *pagetab[S]
-	codec    *codec[S]
-	isString bool
+	pages    *pagetab
 	maxBytes int64
 
 	// resident is the payload bytes currently in RAM; spilledTo (a page
@@ -96,7 +94,7 @@ type spill[S comparable] struct {
 	segMu     sync.Mutex
 	segs      []*os.File
 	meta      []pageMeta
-	cache     map[int32]cacheEnt[S]
+	cache     map[int32]cacheEnt
 	cacheTick uint64
 	ioErr     error
 
@@ -137,18 +135,11 @@ type spill[S comparable] struct {
 	crcTab *crc32.Table
 }
 
-func newSpill[S comparable](cfg Config, pages *pagetab[S]) (*spill[S], error) {
-	cdc := codecFor[S]()
-	if cdc == nil {
-		return nil, fmt.Errorf("%w: %T", ErrNoCodec, *new(S))
-	}
-	_, isString := any(*new(S)).(string)
-	sp := &spill[S]{
+func newSpill(cfg Config, pages *pagetab) (*spill, error) {
+	sp := &spill{
 		pages:    pages,
-		codec:    cdc,
-		isString: isString,
 		maxBytes: cfg.MaxBytes,
-		cache:    make(map[int32]cacheEnt[S], pageCacheSize),
+		cache:    make(map[int32]cacheEnt, pageCacheSize),
 		crcTab:   crc32.MakeTable(crc32.Castagnoli),
 	}
 	if sp.maxBytes <= 0 {
@@ -170,7 +161,7 @@ func newSpill[S comparable](cfg Config, pages *pagetab[S]) (*spill[S], error) {
 }
 
 // holds reports whether id's payload lives on disk.
-func (sp *spill[S]) holds(id int32) bool {
+func (sp *spill) holds(id int32) bool {
 	return int(id) < int(sp.spilledTo.Load())<<sp.pages.bits
 }
 
@@ -178,7 +169,7 @@ func (sp *spill[S]) holds(id int32) bool {
 // counting a collision confirm when confirming. On I/O or decode failure
 // it records the sticky error (surfaced at the next barrier's Maintain,
 // which aborts the run) and reports !ok.
-func (sp *spill[S]) read(id int32, confirming bool) (S, bool) {
+func (sp *spill) read(id int32, confirming bool) (string, bool) {
 	if confirming {
 		sp.confirms.Add(1)
 	}
@@ -192,14 +183,13 @@ func (sp *spill[S]) read(id int32, confirming bool) (S, bool) {
 		sp.cacheHits.Add(1)
 		return ent.slots[int(id)&sp.pages.mask], true
 	}
-	var zero S
 	if sp.ioErr != nil {
-		return zero, false
+		return "", false
 	}
 	// Evict before reading: the victim's slot array is dead once it leaves
 	// the cache (callers hold slot values, never the array), so the page
 	// read back overwrites it instead of allocating a fresh one.
-	var reuse []S
+	var reuse []string
 	if len(sp.cache) >= pageCacheSize {
 		var victim int32
 		oldest := uint64(1<<64 - 1)
@@ -215,17 +205,17 @@ func (sp *spill[S]) read(id int32, confirming bool) (S, bool) {
 	slots, err := sp.readPage(pno, reuse)
 	if err != nil {
 		sp.ioErr = fmt.Errorf("store: spill read of page %d: %w", pno, err)
-		return zero, false
+		return "", false
 	}
 	sp.readLat.Observe(int64(time.Since(t)))
 	sp.segReads.Add(1)
-	sp.cache[pno] = cacheEnt[S]{slots: slots, lastUse: sp.cacheTick}
+	sp.cache[pno] = cacheEnt{slots: slots, lastUse: sp.cacheTick}
 	return slots[int(id)&sp.pages.mask], true
 }
 
 // readPage decompresses and decodes one spilled page through the reused
 // read-back buffers, into slots when it is non-nil. Caller holds segMu.
-func (sp *spill[S]) readPage(pno int32, slots []S) ([]S, error) {
+func (sp *spill) readPage(pno int32, slots []string) ([]string, error) {
 	m := sp.meta[pno]
 	sp.compBuf = slices.Grow(sp.compBuf[:0], int(m.compLen))[:m.compLen]
 	if _, err := sp.segs[m.seg].ReadAt(sp.compBuf, m.off); err != nil {
@@ -249,14 +239,13 @@ func (sp *spill[S]) readPage(pno int32, slots []S) ([]S, error) {
 }
 
 // decodePage parses one raw page image (layout above) into a page's slots.
-// The image is untrusted input: a count, offset or fixed-width payload the
-// layout cannot hold fails with ErrCorruptPage, never a panic. The slots
-// never point into raw, which the next read-back overwrites: a string page
-// copies its payload section once, into one block, and its slots are
-// substrings of that block. The slots go into slots, a page-sized array
-// the caller no longer reads, when it is non-nil, and into a fresh array
-// otherwise.
-func (sp *spill[S]) decodePage(raw []byte, slots []S) ([]S, error) {
+// The image is untrusted input: a count or offset the layout cannot hold
+// fails with ErrCorruptPage, never a panic. The slots never point into
+// raw, which the next read-back overwrites: the payload section is copied
+// once, into one block, and the slots are substrings of that block. The
+// slots go into slots, a page-sized array the caller no longer reads, when
+// it is non-nil, and into a fresh array otherwise.
+func (sp *spill) decodePage(raw []byte, slots []string) ([]string, error) {
 	if len(raw) < 4 {
 		return nil, fmt.Errorf("%w: %d-byte image", ErrCorruptPage, len(raw))
 	}
@@ -269,26 +258,19 @@ func (sp *spill[S]) decodePage(raw []byte, slots []S) ([]S, error) {
 		return nil, fmt.Errorf("%w: %d-state offset table overruns a %d-byte image", ErrCorruptPage, count, len(raw))
 	}
 	offTab, payload := raw[4:base], raw[base:]
-	var block string
-	if sp.isString {
-		block = string(payload)
-	}
+	block := string(payload)
 	if slots == nil {
-		slots = make([]S, sp.pages.size)
+		slots = make([]string, sp.pages.size)
 	} else {
 		clear(slots[count:])
 	}
 	for i := 0; i < count; i++ {
 		lo := binary.LittleEndian.Uint32(offTab[4*i:])
 		hi := binary.LittleEndian.Uint32(offTab[4*i+4:])
-		if lo > hi || int(hi) > len(payload) || (sp.codec.width > 0 && int(hi-lo) != sp.codec.width) {
+		if lo > hi || int(hi) > len(payload) {
 			return nil, fmt.Errorf("%w: state %d at offsets %d..%d", ErrCorruptPage, i, lo, hi)
 		}
-		if sp.isString {
-			*any(&slots[i]).(*string) = block[lo:hi]
-		} else {
-			slots[i] = sp.codec.dec(payload[lo:hi])
-		}
+		slots[i] = block[lo:hi]
 	}
 	return slots, nil
 }
@@ -298,7 +280,7 @@ func (sp *spill[S]) decodePage(raw []byte, slots []S) ([]S, error) {
 // whose every id is below keepFrom (the next frontier stays in RAM) of
 // the n interned, all into one fresh segment file, then drops the pages.
 // Quiescence required.
-func (sp *spill[S]) maintain(keepFrom, n int32) error {
+func (sp *spill) maintain(keepFrom, n int32) error {
 	sp.segMu.Lock()
 	defer sp.segMu.Unlock()
 	if sp.ioErr != nil {
@@ -323,7 +305,7 @@ func (sp *spill[S]) maintain(keepFrom, n int32) error {
 // spillPages writes pages [from, upTo) of the n interned ids — stopping
 // early once resident drops to target — into one new segment file. Caller
 // holds segMu.
-func (sp *spill[S]) spillPages(from, upTo, n int, target int64) error {
+func (sp *spill) spillPages(from, upTo, n int, target int64) error {
 	segNo := len(sp.segs)
 	f, err := os.Create(filepath.Join(sp.dir, fmt.Sprintf("seg-%05d.dat", segNo)))
 	if err != nil {
@@ -375,7 +357,7 @@ func (sp *spill[S]) spillPages(from, upTo, n int, target int64) error {
 // returns it together with the resident payload bytes it replaces. The
 // buffer is owned by Maintain (quiescent), so zero per-state allocations
 // survive steady state — see BenchmarkPageEncode for the before/after.
-func (sp *spill[S]) encodePage(pg *page[S], count int) ([]byte, int64) {
+func (sp *spill) encodePage(pg *page, count int) ([]byte, int64) {
 	raw := sp.encScratch[:0]
 	raw = binary.LittleEndian.AppendUint32(raw, uint32(count))
 	offPos := len(raw)
@@ -385,7 +367,7 @@ func (sp *spill[S]) encodePage(pg *page[S], count int) ([]byte, int64) {
 	var pageBytes int64
 	base := len(raw)
 	for i := 0; i < count; i++ {
-		raw = sp.codec.enc(raw, &pg.slots[i])
+		raw = append(raw, pg.slots[i]...)
 		binary.LittleEndian.PutUint32(raw[offPos+4*(i+1):], uint32(len(raw)-base))
 		pageBytes += sizeOf(pg.slots[i])
 	}
@@ -395,7 +377,7 @@ func (sp *spill[S]) encodePage(pg *page[S], count int) ([]byte, int64) {
 
 // stats adds the spill part's figures to a Stats whose IndexBytes is
 // filled in: the resident payload is the per-state estimate (see sizeOf).
-func (sp *spill[S]) stats(out *Stats) {
+func (sp *spill) stats(out *Stats) {
 	out.Kind = Spill
 	out.MaxBytes = sp.maxBytes
 	out.BytesInRAM = sp.resident.Load() + out.IndexBytes
@@ -412,13 +394,13 @@ func (sp *spill[S]) stats(out *Stats) {
 	sp.segMu.Unlock()
 }
 
-func (sp *spill[S]) err() error {
+func (sp *spill) err() error {
 	sp.segMu.Lock()
 	defer sp.segMu.Unlock()
 	return sp.ioErr
 }
 
-func (sp *spill[S]) close() error {
+func (sp *spill) close() error {
 	sp.segMu.Lock()
 	defer sp.segMu.Unlock()
 	var first error

@@ -33,6 +33,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/obs"
 )
@@ -58,10 +59,6 @@ const DefaultMaxBytes = 256 << 20
 // ErrUnknownKind is returned by New and ParseFlags for an unrecognized
 // backend name.
 var ErrUnknownKind = errors.New("store: unknown backend kind")
-
-// ErrNoCodec is returned by New when the spill backend is requested for a
-// state type it cannot serialize (see codecFor).
-var ErrNoCodec = errors.New("store: state type has no spill codec")
 
 // ErrCorruptPage is wrapped by the spill backend's read error when a page
 // read back from a segment file is not the page written: a flate stream
@@ -161,14 +158,16 @@ type Stats struct {
 	FingerprintBits int
 }
 
-// Store is the visited set of one exploration run. Intern, InternBytes,
+// Store is the visited set of one exploration run. A state is a string:
+// every system explores its configurations as byte strings, so payloads
+// are compared, stored and spilled as their bytes. Intern, InternBytes,
 // Probe, State, Len and Stats are safe for concurrent use during a level;
 // Maintain and Close require all workers quiescent (the engine's level
 // barriers provide exactly that).
 //
-// String payloads are copied into per-shard slab arenas and stored as
-// zero-copy views, so the intern path allocates only on chunk turnover and
-// table growth, and a dedup hit allocates nothing.
+// Payloads are copied into per-shard slab arenas and stored as zero-copy
+// views, so the intern path allocates only on chunk turnover and table
+// growth, and a dedup hit allocates nothing.
 //
 // Under bitstate the surviving payload of a colliding pair is
 // first-intern-wins, which under parallel exploration can depend on
@@ -176,13 +175,12 @@ type Stats struct {
 // states it keeps still store their payloads (the engine must expand and
 // replay them), so bitstate bounds the index, not the payload bytes.
 // engine.Differential refuses it unless the caller opts into AllowLossy.
-type Store[S comparable] struct {
-	shards   []shard
-	mask     uint64
-	fp       func(S) uint64
-	isString bool
-	counter  atomic.Int64
-	pages    pagetab[S]
+type Store struct {
+	shards  []shard
+	mask    uint64
+	fp      func(string) uint64
+	counter atomic.Int64
+	pages   pagetab
 	// lossy turns confirmation off (bitstate); fpMask truncates its
 	// fingerprints to fpBits bits (all ones, fpBits 0, otherwise).
 	lossy  bool
@@ -190,11 +188,11 @@ type Store[S comparable] struct {
 	fpBits int
 	// spill, non-nil for the spill kind only, holds the payloads of the
 	// ids below its watermark on disk.
-	spill *spill[S]
+	spill *spill
 }
 
-// shard is one stripe of the visited set: its index and, for string
-// states, a slab arena holding the payload bytes.
+// shard is one stripe of the visited set: its index and a slab arena
+// holding the payload bytes.
 type shard struct {
 	mu    sync.Mutex
 	idx   index
@@ -203,19 +201,17 @@ type shard struct {
 
 // New builds the configured store. shards is the stripe count (a power of
 // two, chosen by the caller from its worker count) and fp the state
-// fingerprint. The spill kind additionally needs a payload codec for S and
-// fails with ErrNoCodec when none exists.
-func New[S comparable](cfg Config, shards int, fp func(S) uint64) (*Store[S], error) {
+// fingerprint.
+func New(cfg Config, shards int, fp func(string) uint64) (*Store, error) {
 	if shards <= 0 || shards&(shards-1) != 0 {
 		return nil, fmt.Errorf("store: shard count %d is not a positive power of two", shards)
 	}
-	st := &Store[S]{
+	st := &Store{
 		shards: make([]shard, shards),
 		mask:   uint64(shards - 1),
 		fp:     fp,
 		fpMask: ^uint64(0),
 	}
-	_, st.isString = any(*new(S)).(string)
 	switch cfg.ResolvedKind() {
 	case Mem:
 		st.pages.init(firstPageBits, defaultPageBits)
@@ -250,82 +246,61 @@ func New[S comparable](cfg Config, shards int, fp func(S) uint64) (*Store[S], er
 // order, starting at 0) on first sight. Every fingerprint hit is confirmed
 // against the stored payload, resident or read back from disk, except
 // under bitstate, which trusts the fingerprint and may merge distinct
-// states.
-func (st *Store[S]) Intern(s S) (id int32, fresh bool) {
-	h := st.fp(s) & st.fpMask
-	sh := &st.shards[h&st.mask]
-	sh.mu.Lock()
-	i, id := st.lookup(sh, h, s)
-	fresh = id < 0
-	if fresh {
-		if st.isString {
-			// Copy the payload into the shard's slab so the store owns dense,
-			// stable bytes regardless of where the caller's string came from.
-			s = any(sh.arena.addString(any(s).(string))).(S)
-		}
-		id = st.add(sh, i, h, s)
-	}
-	sh.mu.Unlock()
-	return id, fresh
+// states. It is InternBytes over s's bytes, hashed with the fingerprint
+// passed to New.
+func (st *Store) Intern(s string) (id int32, fresh bool) {
+	return st.InternBytes(st.fp(s), bytesOf(s))
 }
 
-// InternBytes is Intern for a string state handed over as its bytes, the
-// expansion hot path's zero-copy route: a dedup hit materializes no
-// string and allocates nothing. It must be called only when S is string
-// (it panics otherwise). b must be the exact payload (the state is
-// string(b)), and h must equal what the fingerprint passed to New returns
-// for string(b): the caller hashes, the store never re-derives h.
-// InternBytes(h, b) and Intern(string(b)) are interchangeable — same id
-// assignment, same dedup, same Stats — and b is fully consumed before
-// InternBytes returns, so callers may reuse the buffer.
-func (st *Store[S]) InternBytes(h uint64, b []byte) (id int32, fresh bool) {
+// InternBytes is the one intern path: the state is string(b), handed over
+// as its bytes so that the expansion hot path materializes no string and a
+// dedup hit allocates nothing. h must equal what the fingerprint passed to
+// New returns for string(b): the caller hashes, the store never re-derives
+// h. b is fully consumed before InternBytes returns (a fresh payload is
+// copied into the shard's slab), so callers may reuse the buffer.
+func (st *Store) InternBytes(h uint64, b []byte) (id int32, fresh bool) {
 	h &= st.fpMask
 	sh := &st.shards[h&st.mask]
 	sh.mu.Lock()
-	i, id := sh.idx.first(h)
-	for id >= 0 && !st.lossy && !st.confirmBytes(id, b) {
-		i, id = sh.idx.next(h, i)
-	}
+	i, id := st.lookup(sh, h, b)
 	fresh = id < 0
 	if fresh {
-		id = st.add(sh, i, h, any(sh.arena.addBytes(b)).(S))
+		id = st.add(sh, i, h, sh.arena.addBytes(b))
 	}
 	sh.mu.Unlock()
 	return id, fresh
 }
 
-// lookup returns s's slot and id in sh, or the empty slot where it belongs
+// bytesOf views s's bytes without copying them; the store only reads
+// them.
+func bytesOf(s string) []byte { return unsafe.Slice(unsafe.StringData(s), len(s)) }
+
+// lookup returns b's slot and id in sh, or the empty slot where it belongs
 // and -1. Caller holds sh.mu.
-func (st *Store[S]) lookup(sh *shard, h uint64, s S) (int, int32) {
+func (st *Store) lookup(sh *shard, h uint64, b []byte) (int, int32) {
 	i, id := sh.idx.first(h)
-	for id >= 0 && !st.lossy && !st.confirm(id, s) {
+	for id >= 0 && !st.lossy && !st.confirm(id, b) {
 		i, id = sh.idx.next(h, i)
 	}
 	return i, id
 }
 
-// confirm reports whether the fingerprint hit on id is s. It runs with the
-// owning shard locked, which orders it after the payload write of any id
-// interned during the current level (same state, same fingerprint, same
-// shard); payloads from earlier levels are ordered by the level barrier.
-// A failed read-back is a mismatch — wrong only in runs that are already
-// doomed, since the sticky error aborts the run at the next barrier.
-func (st *Store[S]) confirm(id int32, s S) bool {
+// confirm reports whether the fingerprint hit on id is the state b. It
+// runs with the owning shard locked, which orders it after the payload
+// write of any id interned during the current level (same state, same
+// fingerprint, same shard); payloads from earlier levels are ordered by
+// the level barrier. A failed read-back is a mismatch — wrong only in runs
+// that are already doomed, since the sticky error aborts the run at the
+// next barrier. The conversion in the comparison does not allocate.
+func (st *Store) confirm(id int32, b []byte) bool {
 	v, ok := st.payload(id, true)
-	return ok && v == s
-}
-
-// confirmBytes is confirm against raw payload bytes; the conversion in
-// the comparison does not allocate.
-func (st *Store[S]) confirmBytes(id int32, b []byte) bool {
-	v, ok := st.payload(id, true)
-	return ok && *any(&v).(*string) == string(b)
+	return ok && v == string(b)
 }
 
 // payload returns the payload of id: the resident one, or, for an id below
 // the spill part's watermark, its page read back (counted as a collision
 // confirm when confirming). !ok means that read failed.
-func (st *Store[S]) payload(id int32, confirming bool) (S, bool) {
+func (st *Store) payload(id int32, confirming bool) (string, bool) {
 	if sp := st.spill; sp != nil && sp.holds(id) {
 		return sp.read(id, confirming)
 	}
@@ -334,7 +309,7 @@ func (st *Store[S]) payload(id int32, confirming bool) (S, bool) {
 
 // add assigns the next id to payload s and records it in sh's empty slot
 // i. Caller holds sh.mu.
-func (st *Store[S]) add(sh *shard, i int, h uint64, s S) int32 {
+func (st *Store) add(sh *shard, i int, h uint64, s string) int32 {
 	id := int32(st.counter.Add(1) - 1)
 	st.pages.set(id, s)
 	if st.spill != nil {
@@ -347,29 +322,29 @@ func (st *Store[S]) add(sh *shard, i int, h uint64, s S) int32 {
 // State returns the payload interned under id. The id must have been
 // returned by Intern, and the read must be ordered after the write
 // (same-shard mutual exclusion during a level, or a level barrier).
-func (st *Store[S]) State(id int32) S {
+func (st *Store) State(id int32) string {
 	v, _ := st.payload(id, false)
 	return v
 }
 
 // Probe reports whether s is already interned, and under which id,
 // without interning it.
-func (st *Store[S]) Probe(s S) (int32, bool) {
+func (st *Store) Probe(s string) (int32, bool) {
 	h := st.fp(s) & st.fpMask
 	sh := &st.shards[h&st.mask]
 	sh.mu.Lock()
-	_, id := st.lookup(sh, h, s)
+	_, id := st.lookup(sh, h, bytesOf(s))
 	sh.mu.Unlock()
 	return id, id >= 0
 }
 
 // Len is the number of states interned so far (live, atomic).
-func (st *Store[S]) Len() int { return int(st.counter.Load()) }
+func (st *Store) Len() int { return int(st.counter.Load()) }
 
 // Stats snapshots the store's telemetry (safe during a level). mem and
 // bitstate measure their payload bytes; spill estimates them per resident
 // state and reports no ShardBytes.
-func (st *Store[S]) Stats() Stats {
+func (st *Store) Stats() Stats {
 	out := Stats{
 		Kind:            Mem,
 		States:          st.Len(),
@@ -403,7 +378,7 @@ func (st *Store[S]) Stats() Stats {
 // byte budget, spilling payloads with id < keepFrom (the ids below the
 // frontier about to be expanded). It returns the first I/O error the
 // store has encountered, sticky. Quiescence required.
-func (st *Store[S]) Maintain(keepFrom int32) error {
+func (st *Store) Maintain(keepFrom int32) error {
 	if st.spill == nil {
 		return nil
 	}
@@ -411,7 +386,7 @@ func (st *Store[S]) Maintain(keepFrom int32) error {
 }
 
 // Err returns the sticky I/O error, if any, without maintenance.
-func (st *Store[S]) Err() error {
+func (st *Store) Err() error {
 	if st.spill == nil {
 		return nil
 	}
@@ -420,7 +395,7 @@ func (st *Store[S]) Err() error {
 
 // Close releases segment files and the spill part's own temp directory.
 // Idempotent.
-func (st *Store[S]) Close() error {
+func (st *Store) Close() error {
 	if st.spill == nil {
 		return nil
 	}
