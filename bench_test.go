@@ -376,7 +376,7 @@ func BenchmarkExploreParallelFLP(b *testing.B) {
 // under their symmetry canonicalizers. Comparing states and wall time
 // against the full-graph pair reads off the orbit reduction directly.
 
-func benchExploreQuotient(b *testing.B, sys core.System[string], canon func(string) string, canonBytes any) {
+func benchExploreQuotient(b *testing.B, sys core.System[string], canon engine.Canonicalizer, canonBytes func() engine.BytesCanonicalizer) {
 	b.Helper()
 	var st engine.Stats
 	for i := 0; i < b.N; i++ {
@@ -509,6 +509,64 @@ func BenchmarkExploreBytes(b *testing.B) {
 	runtime.ReadMemStats(&after)
 	b.ReportMetric(float64(states), "states")
 	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N)/float64(states), "B/state")
+}
+
+// ExpandInto microbenchmarks, one per system beside internal/flp's
+// BenchmarkFLPExpandInto: one warmed expansion per op over a fixed sample
+// of reachable states, about 1024 spread evenly over the first 64k the
+// exploration reaches. Run with -benchmem; allocs/op is the system's own
+// allocation per expansion.
+
+func benchExpandInto(b *testing.B, sys core.System[string]) {
+	b.Helper()
+	res, err := engine.Explore(sys.Init(), sys.ExpandInto, engine.Options{Parallelism: 1, MaxStates: 1 << 16})
+	if err != nil && res == nil {
+		b.Fatal(err)
+	}
+	var sample []string
+	for i := 0; i < len(res.States); i += max(1, len(res.States)/1024) {
+		sample = append(sample, res.States[i])
+	}
+	edges := 0
+	x := engine.CollectBytesCtx(func([]byte, string, int) { edges++ })
+	for _, s := range sample { // warm the scratch
+		sys.ExpandInto(s, x)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sys.ExpandInto(sample[i%len(sample)], x)
+	}
+	b.ReportMetric(float64(edges)/float64(b.N+len(sample)), "edges/op")
+	b.ReportMetric(float64(len(sample)), "sample")
+}
+
+func BenchmarkExpandIntoTicketLock(b *testing.B) {
+	benchExpandInto(b, sharedmem.NewSystem(sharedmem.NewTicketLock(4)))
+}
+
+func BenchmarkExpandIntoAsyncLCR(b *testing.B) {
+	a, err := ring.NewAsyncLCR(ring.DescendingIDs(6))
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchExpandInto(b, a.System())
+}
+
+func BenchmarkExpandIntoCrashSpace(b *testing.B) {
+	sys, err := rounds.CrashSpace{Procs: 8, MaxFaults: 4, Rounds: 8}.System()
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchExpandInto(b, sys)
+}
+
+func BenchmarkExpandIntoAsyncABP(b *testing.B) {
+	a, err := datalink.NewAsyncABP(8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchExpandInto(b, a.System())
 }
 
 func BenchmarkExploreFullFLPCrashFree(b *testing.B) {

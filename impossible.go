@@ -193,8 +193,8 @@ type (
 	// FLPReport is the bivalence analyzer's verdict.
 	FLPReport = flp.Report
 	// FLPAnalyzeOptions parameterizes AnalyzeFLP (parallelism, telemetry,
-	// symmetry quotient via Canon/VerifyCanon, partial-order reduction via
-	// Independent/Visible/VerifyPOR).
+	// symmetry quotient via Canon/CanonBytes/VerifyCanon, partial-order
+	// reduction via Independent/Visible/VerifyPOR, all typed over string).
 	FLPAnalyzeOptions = flp.AnalyzeOptions
 )
 

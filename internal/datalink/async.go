@@ -184,14 +184,14 @@ func (s asyncABPSystem) ExpandInto(st string, x *engine.Ctx[string]) {
 // ample sets (the C2 obligation); the send/drop cycles are then the C3
 // proviso's problem, and the proviso is exactly what stops the reduced
 // graph from spinning a retransmission loop while an ack waits forever.
-func (a *AsyncABP) Independence() engine.Independence[string] {
+func (a *AsyncABP) Independence() engine.Independence {
 	var dep [numKinds][numKinds]bool
 	conflict := func(x, y int) { dep[x][y], dep[y][x] = true, true }
 	conflict(kindDeliverData, kindDropData)
 	conflict(kindDeliverAck, kindDropAck)
 	conflict(kindDeliverData, kindSendAck)
 	conflict(kindSendData, kindDeliverAck)
-	return func(_ string, x, y engine.Action[string]) bool {
+	return func(_ string, x, y engine.Action) bool {
 		if a.Done(x.To) || a.Done(y.To) {
 			return false // completing the transfer disables everything
 		}
@@ -207,8 +207,8 @@ func (a *AsyncABP) Independence() engine.Independence[string] {
 // Independence (engine.Visibility, for core.ExploreOptions.Visible): an
 // action is visible iff it changes a progress counter CheckDelivery reads —
 // the receiver's delivered count or the sender's acknowledged count.
-func (a *AsyncABP) ProgressVisibility() engine.Visibility[string] {
-	return func(s string, x engine.Action[string]) bool {
+func (a *AsyncABP) ProgressVisibility() engine.Visibility {
+	return func(s string, x engine.Action) bool {
 		return x.To[offDelivered] != s[offDelivered] || x.To[offNext] != s[offNext]
 	}
 }

@@ -83,13 +83,13 @@ func TestAsyncABPIndependenceContract(t *testing.T) {
 		t.Fatal(err)
 	}
 	indep := a.Independence()
-	act := func(label string, done bool) engine.Action[string] {
+	act := func(label string, done bool) engine.Action {
 		st := make([]byte, stateLen)
 		st[offDataSlot], st[offOwed], st[offAckSlot] = slotEmpty, slotEmpty, slotEmpty
 		if done {
 			st[offNext] = 2
 		}
-		return engine.Action[string]{To: string(st), Label: label}
+		return engine.Action{To: string(st), Label: label}
 	}
 	cases := []struct {
 		x, y string

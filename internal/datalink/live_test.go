@@ -132,7 +132,7 @@ func TestProgressVisibility(t *testing.T) {
 	for i := 0; i < g.Len(); i++ {
 		st := g.State(i)
 		for _, e := range g.Successors(i) {
-			if vis(st, engine.Action[string]{To: e.To, Label: e.Label, Actor: e.Actor}) {
+			if vis(st, engine.Action{To: e.To, Label: e.Label, Actor: e.Actor}) {
 				visible++
 			} else {
 				hidden++

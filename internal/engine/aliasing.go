@@ -56,7 +56,7 @@ func (e *explorer[S]) checkAliasing(s S, ws *worker[S], sp span) {
 	want := ws.aliasWant[:0]
 	if por {
 		for _, pa := range ws.acts {
-			want = append(want, aliasEdge[S]{to: pa.act.To, label: pa.act.Label, actor: int32(pa.act.Actor)})
+			want = append(want, aliasEdge[S]{to: S(pa.act.To), label: pa.act.Label, actor: int32(pa.act.Actor)})
 		}
 	} else {
 		_, row := e.row(sp)
@@ -75,7 +75,7 @@ func (e *explorer[S]) checkAliasing(s S, ws *worker[S], sp span) {
 			a.to = to
 		} else {
 			if e.canon != nil {
-				to = e.canon(to)
+				to = S(e.canon(string(to)))
 			}
 			var ok bool
 			if a.id, ok = e.store.Probe(string(to)); !ok {

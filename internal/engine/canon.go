@@ -37,7 +37,7 @@ import (
 // protocols is the worked example, with the orbit loss demonstrated in its
 // tests). Establishing soundness outright remains a per-system argument
 // that the group generating Canon is an automorphism group.
-type Canonicalizer[S ~string] func(S) S
+type Canonicalizer func(string) string
 
 // ErrCanonUnsound is wrapped by the error Explore returns when the
 // VerifyCanon safety check catches a canonicalizer violating idempotence or
@@ -59,56 +59,19 @@ var ErrCanonUnsound = errors.New("engine: canonicalizer failed soundness check")
 //     against src and then reuse src's buffer.
 //   - src must not be modified.
 //
-// Stateful implementations (scratch parsers) are per-worker: pass a
-// func() BytesCanonicalizer factory as Options.CanonBytes and the engine
-// instantiates one per worker.
+// Options.CanonBytes takes a func() BytesCanonicalizer factory, which the
+// engine calls once per worker, so a stateful implementation (a scratch
+// parser) stays single-threaded; a stateless one returns itself.
 type BytesCanonicalizer func(dst, src []byte) []byte
-
-// canonBytesFor resolves the dynamically-typed Options.CanonBytes into a
-// per-worker factory. A bare BytesCanonicalizer (or its underlying func
-// type) must be stateless and is shared; a factory is called once per
-// worker.
-func canonBytesFor(v any) (func() BytesCanonicalizer, error) {
-	switch c := v.(type) {
-	case nil:
-		return nil, nil
-	case BytesCanonicalizer:
-		return func() BytesCanonicalizer { return c }, nil
-	case func(dst, src []byte) []byte:
-		return func() BytesCanonicalizer { return c }, nil
-	case func() BytesCanonicalizer:
-		return c, nil
-	default:
-		return nil, fmt.Errorf("engine: Options.CanonBytes has type %T, want BytesCanonicalizer or func() BytesCanonicalizer", v)
-	}
-}
-
-// canonFor resolves the dynamically-typed Options.Canon into a typed
-// canonicalizer for the explored state type. Both the named Canonicalizer[S]
-// and a plain func(S) S are accepted; anything else is an error (a silent
-// nil would quietly explore the full space).
-func canonFor[S ~string](v any) (Canonicalizer[S], error) {
-	switch c := v.(type) {
-	case nil:
-		return nil, nil
-	case Canonicalizer[S]:
-		return c, nil
-	case func(S) S:
-		return c, nil
-	default:
-		var zero S
-		return nil, fmt.Errorf("engine: Options.Canon has type %T, want func(%T) %T", v, zero, zero)
-	}
-}
 
 // canonSuccessors returns the canonicalized successor multiset of s, sorted
 // into a deterministic order via each state's fingerprint so two multisets
 // can be compared positionally. Used only by the safety check; the hot
 // exploration path never materializes successor slices.
-func (e *explorer[S]) canonSuccessors(s S) map[S]int {
-	out := make(map[S]int)
+func (e *explorer[S]) canonSuccessors(s S) map[string]int {
+	out := make(map[string]int)
 	e.expand(s, CollectCtx(func(to S, _ string, _ int) {
-		out[e.canon(to)]++
+		out[e.canon(string(to))]++
 	}))
 	return out
 }
@@ -119,14 +82,14 @@ func (e *explorer[S]) canonSuccessors(s S) map[S]int {
 // soundness check on the raw state. Errors land in verifyErr like every
 // sampled check.
 func (e *explorer[S]) checkCanonBytes(src, rep []byte) {
-	raw := S(src)
-	bytesRep := S(rep)
+	raw := string(src)
+	bytesRep := string(rep)
 	if stringRep := e.canon(raw); stringRep != bytesRep {
 		e.noteVerifyErr(fmt.Errorf("%w: CanonBytes disagrees with Canon at %v: bytes form gives %v, string form gives %v",
 			ErrCanonUnsound, raw, bytesRep, stringRep))
 		return
 	}
-	if err := e.checkCanon(raw); err != nil {
+	if err := e.checkCanon(S(raw)); err != nil {
 		e.noteVerifyErr(err)
 	}
 }
@@ -137,13 +100,13 @@ func (e *explorer[S]) checkCanonBytes(src, rep []byte) {
 // trivially sound (both conditions degenerate to identities), so callers
 // skip them.
 func (e *explorer[S]) checkCanon(raw S) error {
-	rep := e.canon(raw)
+	rep := e.canon(string(raw))
 	if again := e.canon(rep); again != rep {
 		return fmt.Errorf("%w: not idempotent at %v: Canon(s)=%v but Canon(Canon(s))=%v",
 			ErrCanonUnsound, raw, rep, again)
 	}
 	succRaw := e.canonSuccessors(raw)
-	succRep := e.canonSuccessors(rep)
+	succRep := e.canonSuccessors(S(rep))
 	if len(succRaw) != len(succRep) {
 		return fmt.Errorf("%w: not step-commuting at %v (rep %v): %d distinct canonical successors vs %d",
 			ErrCanonUnsound, raw, rep, len(succRaw), len(succRep))

@@ -96,6 +96,10 @@ func sortCanonBytes(dst, src []byte) []byte {
 	return append(dst, src[:comma]...)
 }
 
+// newSortCanonBytes is the Options.CanonBytes factory of sortCanonBytes,
+// which is stateless, so every worker shares it.
+func newSortCanonBytes() BytesCanonicalizer { return sortCanonBytes }
+
 // TestCanonBytesMatchesCanon checks the byte-level quotient against the
 // string canonicalizer on every route (Emit, EmitBytes, each with and
 // without POR): identical quotient Results and telemetry, with
@@ -105,14 +109,14 @@ func TestCanonBytesMatchesCanon(t *testing.T) {
 	inits := []string{"0,0"}
 	expands := map[string]ExpandFunc[string]{"emit": gridExpand(n), "emit-bytes": gridExpandBytes(n)}
 	for _, par := range []int{1, 2, 8} {
-		for _, indep := range []any{nil, Independence[string](gridIndep)} {
+		for _, indep := range []Independence{nil, gridIndep} {
 			strOpts := Options{Parallelism: par, Canon: sortCanon, VerifyCanon: 1, VerifyAliasing: 1, Independent: indep}
 			want, err := Explore(inits, gridExpand(n), strOpts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			bytesOpts := strOpts
-			bytesOpts.CanonBytes = sortCanonBytes
+			bytesOpts.CanonBytes = newSortCanonBytes
 			for name, expand := range expands {
 				got, err := Explore(inits, expand, bytesOpts)
 				if err != nil {
@@ -147,18 +151,18 @@ func TestCanonBytesCoversEveryRoute(t *testing.T) {
 		name   string
 		inits  []string
 		expand ExpandFunc[string]
-		indep  any
+		indep  Independence
 	}{
 		{"emit", []string{"0,0"}, gridExpand(n), nil},
 		{"emit-bytes", []string{"0,0"}, gridExpandBytes(n), nil},
-		{"emit-bytes+por", []string{"0,0"}, gridExpandBytes(n), Independence[string](gridIndep)},
+		{"emit-bytes+por", []string{"0,0"}, gridExpandBytes(n), gridIndep},
 		{"inits", []string{"3,1", "1,3", "2,0"}, noSuccessors, nil},
 	} {
 		for _, par := range []int{1, 2} {
 			for _, verify := range []int{0, 1} {
 				calls.Store(0)
 				if _, err := Explore(route.inits, route.expand, Options{
-					Parallelism: par, Canon: counted, CanonBytes: sortCanonBytes,
+					Parallelism: par, Canon: counted, CanonBytes: newSortCanonBytes,
 					VerifyCanon: verify, Independent: route.indep,
 				}); err != nil {
 					t.Fatalf("%s workers=%d verify=%d: %v", route.name, par, verify, err)
@@ -192,10 +196,10 @@ func TestCanonBytesDisagreementCaught(t *testing.T) {
 		dst = append(dst, ',')
 		return append(dst, src[:comma]...)
 	}
-	for _, indep := range []any{nil, Independence[string](gridIndep)} {
+	for _, indep := range []Independence{nil, gridIndep} {
 		_, err := Explore([]string{"0,0"}, gridExpandBytes(8), Options{
 			Canon:       sortCanon,
-			CanonBytes:  broken,
+			CanonBytes:  func() BytesCanonicalizer { return broken },
 			VerifyCanon: 1,
 			Independent: indep,
 		})
@@ -207,7 +211,7 @@ func TestCanonBytesDisagreementCaught(t *testing.T) {
 
 // TestCanonBytesRequiresCanon checks the option-validation coupling.
 func TestCanonBytesRequiresCanon(t *testing.T) {
-	_, err := Explore([]string{"0,0"}, gridExpandBytes(4), Options{CanonBytes: sortCanonBytes})
+	_, err := Explore([]string{"0,0"}, gridExpandBytes(4), Options{CanonBytes: newSortCanonBytes})
 	if err == nil {
 		t.Fatal("CanonBytes without Canon accepted")
 	}
@@ -245,7 +249,7 @@ func TestVerifyAliasingCatchesRetainedBuffer(t *testing.T) {
 	// One worker so the stashed slice aliases the scratch buffer of the
 	// worker whose re-expansion reads it back. The POR arm checks the
 	// collected actions instead of the arena.
-	for name, indep := range map[string]any{"full": nil, "por": Independence[string](gridIndep)} {
+	for name, indep := range map[string]Independence{"full": nil, "por": gridIndep} {
 		r := &retainingExpand{}
 		_, err := Explore([]string{"a"}, r.expand, Options{Parallelism: 1, VerifyAliasing: 1, MaxStates: 100, Independent: indep})
 		if !errors.Is(err, ErrAliasUnsound) {
@@ -260,7 +264,7 @@ func TestVerifyAliasingCatchesRetainedBuffer(t *testing.T) {
 // must be a pure observer.
 func TestVerifyAliasingCleanSystems(t *testing.T) {
 	inits := []string{"0,0"}
-	indep := func(s string, a, b Action[string]) bool { return a.Actor != b.Actor }
+	indep := func(s string, a, b Action) bool { return a.Actor != b.Actor }
 	for _, tc := range []struct {
 		name string
 		opts Options

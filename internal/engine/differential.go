@@ -74,22 +74,22 @@ type DiffSpec[S ~string] struct {
 	// (Differential runs it under VerifyCanon=1, so an unsound canon fails
 	// the run — by design: the oracle's planted hooks are correct by
 	// construction, and the falsifier tripping on them is a divergence).
-	Canon func(S) S
+	Canon Canonicalizer
 	// CanonBytes, when non-nil, is threaded as Options.CanonBytes into
 	// every quotient arm, so the byte-level canonicalizer is held to the
 	// same cross-mode/cross-worker byte-identity bar (and to VerifyCanon's
 	// agreement check) as everything else.
-	CanonBytes any
+	CanonBytes func() BytesCanonicalizer
 	// VerifyAliasing is threaded as Options.VerifyAliasing into every arm:
 	// 1 re-expands every state with poisoned scratch, so a system that
 	// retains emitted buffers fails the oracle loudly.
 	VerifyAliasing int
 	// Independent, when non-nil, enables the POR modes (run under
 	// VerifyPOR=1, same reasoning).
-	Independent func(S, Action[S], Action[S]) bool
+	Independent Independence
 	// Visible, when non-nil, is threaded as Options.Visible into the POR
 	// modes.
-	Visible func(S, Action[S]) bool
+	Visible Visibility
 	// Decided, when non-nil, classifies terminal states for the decided
 	// counts.
 	Decided func(S) bool
@@ -338,9 +338,7 @@ func Differential[S ~string](spec DiffSpec[S]) (*DiffReport, error) {
 	if spec.Independent != nil {
 		opts := base
 		opts.Independent = spec.Independent
-		if spec.Visible != nil { // a nil func stored in an any is not nil
-			opts.Visible = spec.Visible
-		}
+		opts.Visible = spec.Visible
 		opts.VerifyPOR = 1
 		por, err := run("por", opts)
 		if err != nil {
@@ -405,9 +403,9 @@ func referenceExplore[S ~string](inits []S, expand ExpandFunc[S], limit int) (*R
 		return nil, ErrNoInitialStates
 	}
 	labelIDs := make(map[string]uint32)
-	var acts []Action[S]
+	var acts []Action
 	x := CollectCtx(func(to S, label string, actor int) {
-		acts = append(acts, Action[S]{To: to, Label: label, Actor: actor})
+		acts = append(acts, Action{To: string(to), Label: label, Actor: actor})
 	})
 	// Ids are assigned in discovery order, so walking them in order is the
 	// BFS queue.
@@ -415,7 +413,7 @@ func referenceExplore[S ~string](inits []S, expand ExpandFunc[S], limit int) (*R
 		acts = acts[:0]
 		expand(res.States[id], x)
 		for _, a := range acts {
-			to, fresh := intern(a.To)
+			to, fresh := intern(S(a.To))
 			if fresh {
 				if len(res.States) > limit {
 					res.Truncated = true

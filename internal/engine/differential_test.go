@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -24,7 +25,7 @@ func TestDifferentialGrid(t *testing.T) {
 		Inits:          []string{"0,0"},
 		Expand:         gridExpandBytes(n),
 		Canon:          sortCanon,
-		CanonBytes:     sortCanonBytes,
+		CanonBytes:     newSortCanonBytes,
 		VerifyAliasing: 1,
 		Independent:    gridIndep,
 		Decided:        func(s string) bool { return s == last },
@@ -141,7 +142,7 @@ func TestDifferentialCatchesImpureExpand(t *testing.T) {
 func TestStatsReportLines(t *testing.T) {
 	var st Stats
 	if _, err := Explore([]string{"0,0"}, gridExpandBytes(12), Options{
-		Parallelism: 2, Stats: &st, Canon: sortCanon, CanonBytes: sortCanonBytes, Independent: gridIndep,
+		Parallelism: 2, Stats: &st, Canon: sortCanon, CanonBytes: newSortCanonBytes, Independent: gridIndep,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -221,32 +222,95 @@ func TestCollectBytesCtx(t *testing.T) {
 	}
 }
 
-// TestOptionHookTypes: hooks of the wrong type and CanonBytes without
-// Canon are errors rather than silently ignored reductions.
-func TestOptionHookTypes(t *testing.T) {
-	expand := gridExpandBytes(3)
-	explore := func(opts Options) error {
-		_, err := Explore([]string{"0,0"}, expand, opts)
-		return err
+// TestComparatorsNameEachField breaks one field at a time of a real
+// Result and checks that the oracle's comparators report it: diffResults
+// names every compared Result field, and statsConsistency every telemetry
+// invariant it holds a run to.
+func TestComparatorsNameEachField(t *testing.T) {
+	res, err := Explore([]string{"0,0"}, gridExpand(4), Options{Parallelism: 2})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for name, err := range map[string]error{
-		"canon":             explore(Options{Canon: func(int) int { return 0 }}),
-		"independent":       explore(Options{Independent: func(int) bool { return true }}),
-		"visible":           explore(Options{Visible: 42}),
-		"canon-bytes":       explore(Options{Canon: sortCanon, CanonBytes: "nope"}),
-		"canon-bytes-alone": explore(Options{CanonBytes: sortCanonBytes}),
+	clone := func() *Result[string] {
+		c := *res
+		c.States, c.Inits, c.Off = slices.Clone(res.States), slices.Clone(res.Inits), slices.Clone(res.Off)
+		c.Edges, c.Labels = slices.Clone(res.Edges), slices.Clone(res.Labels)
+		c.Parents, c.ParentEdges = slices.Clone(res.Parents), slices.Clone(res.ParentEdges)
+		c.Stats.WorkerSteps = slices.Clone(res.Stats.WorkerSteps)
+		return &c
+	}
+	if msg := diffResults(res, clone()); msg != "" {
+		t.Fatalf("diffResults on an unchanged copy: %s", msg)
+	}
+	if msg := statsConsistency(res); msg != "" {
+		t.Fatalf("statsConsistency on a real run: %s", msg)
+	}
+	for _, tc := range []struct {
+		field  string
+		want   string
+		mutate func(r *Result[string])
+	}{
+		{"States", "state orderings", func(r *Result[string]) { r.States[0], r.States[1] = r.States[1], r.States[0] }},
+		{"Inits", "initial ids", func(r *Result[string]) { r.Inits = append(r.Inits, 1) }},
+		{"Off", "row offsets", func(r *Result[string]) { r.Off[1]++ }},
+		{"Edges", "edge lists", func(r *Result[string]) { r.Edges[0].Actor ^= 1 }},
+		{"Labels", "label tables", func(r *Result[string]) { r.Labels[0] += "'" }},
+		{"Parents", "parent trees", func(r *Result[string]) { r.Parents[1]++ }},
+		{"ParentEdges", "parent edges", func(r *Result[string]) { r.ParentEdges[1]++ }},
+		{"Truncated", "truncation flags", func(r *Result[string]) { r.Truncated = !r.Truncated }},
 	} {
-		if err == nil {
-			t.Errorf("%s: mistyped hook accepted", name)
+		r := clone()
+		tc.mutate(r)
+		if msg := diffResults(res, r); !strings.Contains(msg, tc.want) {
+			t.Errorf("diffResults with %s changed = %q, want it to name %q", tc.field, msg, tc.want)
 		}
 	}
-	// The named types and a per-worker factory are all accepted.
+	for _, tc := range []struct {
+		broken string
+		want   string
+		mutate func(r *Result[string])
+	}{
+		{"States", "Stats.States", func(r *Result[string]) { r.Stats.States++ }},
+		{"Edges", "Stats.Edges", func(r *Result[string]) { r.Stats.Edges++ }},
+		{"WorkerSteps length", "len(WorkerSteps)", func(r *Result[string]) { r.Stats.WorkerSteps = r.Stats.WorkerSteps[:1] }},
+		{"WorkerSteps sum", "sum(WorkerSteps)", func(r *Result[string]) { r.Stats.WorkerSteps[0]++ }},
+		{"Expansions", "Expansions", func(r *Result[string]) { r.Stats.WorkerSteps[0]++; r.Stats.Expansions++ }},
+		{"Truncated", "Stats.Truncated", func(r *Result[string]) { r.Stats.Truncated = true }},
+		{"AmpleStates", "> Expansions", func(r *Result[string]) { r.Stats.AmpleStates = r.Stats.Expansions + 1 }},
+		{"DeferredActions alone", "zero AmpleStates", func(r *Result[string]) { r.Stats.DeferredActions = 1 }},
+		{"DeferredActions", "DeferredActions 1 < AmpleStates 2", func(r *Result[string]) {
+			r.Stats.AmpleStates, r.Stats.DeferredActions = 2, 1
+		}},
+		{"CanonHits", "canon telemetry", func(r *Result[string]) { r.Stats.CanonHits = 1 }},
+		{"Store.States", "Store.States", func(r *Result[string]) { r.Stats.Store.States++ }},
+		{"truncated Store.States", "< replayed States", func(r *Result[string]) {
+			r.Truncated, r.Stats.Truncated = true, true
+			r.Stats.Store.States = r.Stats.States - 1
+		}},
+		{"Lossy", "Stats.Lossy", func(r *Result[string]) { r.Stats.Lossy = true }},
+		{"POR counters", "POR telemetry", func(r *Result[string]) { r.Stats.AmpleStates, r.Stats.DeferredActions = 1, 1 }},
+	} {
+		r := clone()
+		tc.mutate(r)
+		if msg := statsConsistency(r); !strings.Contains(msg, tc.want) {
+			t.Errorf("statsConsistency with %s broken = %q, want it to name %q", tc.broken, msg, tc.want)
+		}
+	}
+}
+
+// TestOptionHookTypes: CanonBytes without Canon is an error rather than a
+// silently ignored byte canon, and all four hooks together are accepted.
+func TestOptionHookTypes(t *testing.T) {
+	expand := gridExpandBytes(3)
+	if _, err := Explore([]string{"0,0"}, expand, Options{CanonBytes: newSortCanonBytes}); err == nil {
+		t.Error("canon-bytes-alone: CanonBytes without Canon accepted")
+	}
 	if _, err := Explore([]string{"0,0"}, expand, Options{
 		Parallelism: 2,
-		Canon:       Canonicalizer[string](sortCanon),
-		CanonBytes:  func() BytesCanonicalizer { return sortCanonBytes },
-		Independent: Independence[string](gridIndep),
-		Visible:     Visibility[string](func(string, Action[string]) bool { return false }),
+		Canon:       sortCanon,
+		CanonBytes:  newSortCanonBytes,
+		Independent: gridIndep,
+		Visible:     func(string, Action) bool { return false },
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -84,13 +84,11 @@ type Options struct {
 	// Stats, when non-nil, receives a copy of the exploration telemetry
 	// (also available as Result.Stats).
 	Stats *Stats
-	// Canon, when non-nil, must be a Canonicalizer[S] (or plain func(S) S)
-	// for the explored state type: every generated state is mapped to its
-	// orbit representative before fingerprinting/interning, so the engine
+	// Canon, when non-nil, maps every generated state to its orbit
+	// representative before fingerprinting/interning, so the engine
 	// explores the symmetry quotient instead of the full space. See
-	// Canonicalizer for the soundness contract. A value of any other type is
-	// an error.
-	Canon any
+	// Canonicalizer for the soundness contract.
+	Canon Canonicalizer
 	// VerifyCanon enables the canonicalizer safety check: every raw
 	// (pre-canonicalization) state whose fingerprint is ≡ 0 mod VerifyCanon
 	// is checked for idempotence and step-commutation, and Explore fails
@@ -98,20 +96,17 @@ type Options struct {
 	// the check. Sampling is by state fingerprint, so which states are
 	// checked is independent of scheduling and worker count.
 	VerifyCanon int
-	// Independent, when non-nil, must be an Independence[S] (or the
-	// equivalent plain func type) for the explored state type: the engine
-	// then performs ample-set partial-order reduction, expanding at each
-	// state only a dependence-closed proper subset of the enabled actions
-	// when one exists and the cycle proviso permits it. See Independence for
-	// the soundness contract. A value of any other type is an error.
-	// Composes with Canon: the ample set is selected among the
-	// canonicalized successors of each orbit representative.
-	Independent any
-	// Visible, when non-nil, must be a Visibility[S] (or the equivalent
-	// plain func type): actions it marks visible are never placed in a
+	// Independent, when non-nil, makes the engine perform ample-set
+	// partial-order reduction, expanding at each state only a
+	// dependence-closed proper subset of the enabled actions when one
+	// exists and the cycle proviso permits it. See Independence for the
+	// soundness contract. Composes with Canon: the ample set is selected
+	// among the canonicalized successors of each orbit representative.
+	Independent Independence
+	// Visible, when non-nil, marks actions that are never placed in a
 	// proper ample set (they may still be deferred). Only meaningful
 	// together with Independent. See Visibility for the contract.
-	Visible any
+	Visible Visibility
 	// VerifyPOR enables the independence safety check: at every expanded
 	// state whose fingerprint is ≡ 0 mod VerifyPOR, each pair of enabled
 	// actions the relation declares independent is re-executed in both
@@ -121,17 +116,15 @@ type Options struct {
 	// which states are checked is independent of scheduling and worker
 	// count.
 	VerifyPOR int
-	// CanonBytes, when non-nil, is the byte-level twin of Canon: a
-	// BytesCanonicalizer (or a func() BytesCanonicalizer factory, called
-	// once per worker so stateful scratch canonicalizers stay
-	// single-threaded). With it installed, it
-	// is the one canon step on every route — EmitBytes, Emit, the POR
-	// action collection and the initial states — and the string Canon
-	// runs only inside the sampled checks. It must agree with Canon
-	// exactly — see BytesCanonicalizer for the contract; VerifyCanon
-	// cross-checks the two on sampled states. Requires Canon; any other
-	// type is an error.
-	CanonBytes any
+	// CanonBytes, when non-nil, makes the byte-level twin of Canon: a
+	// factory called once per worker, so stateful scratch canonicalizers
+	// stay single-threaded. The BytesCanonicalizer it returns is the one
+	// canon step on every route — EmitBytes, Emit, the POR action
+	// collection and the initial states — and the string Canon runs only
+	// inside the sampled checks. It must agree with Canon exactly — see
+	// BytesCanonicalizer for the contract; VerifyCanon cross-checks the
+	// two on sampled states. Requires Canon.
+	CanonBytes func() BytesCanonicalizer
 	// VerifyAliasing enables the buffer-aliasing falsifier for the revised
 	// expand API: every expanded state whose fingerprint is ≡ 0 mod
 	// VerifyAliasing is re-expanded after the engine poisons the reusable
@@ -359,7 +352,7 @@ type explorer[S ~string] struct {
 	// canon, when non-nil, maps every generated state to its orbit
 	// representative before interning. verifyMod != 0 samples raw states
 	// (by fingerprint) for the soundness check.
-	canon     Canonicalizer[S]
+	canon     Canonicalizer
 	verifyMod uint64
 
 	// bytesDirect gates the EmitBytes direct path on CanonBytes whenever
@@ -374,8 +367,8 @@ type explorer[S ~string] struct {
 	// indep, when non-nil, switches expansion to the partial-order-reduced
 	// path. porVerifyMod != 0 samples expanded states (by fingerprint) for
 	// the commuting-diamond check.
-	indep        Independence[S]
-	visible      Visibility[S]
+	indep        Independence
+	visible      Visibility
 	porVerifyMod uint64
 
 	// tel, when non-nil, is the run's streaming-telemetry state (see
@@ -426,7 +419,7 @@ func (e *explorer[S]) canonicalize(raw S, ws *worker[S]) S {
 	ws.rawSeen[h] = struct{}{}
 	// Fixed points are trivially idempotent and step-commuting, so the
 	// soundness check has nothing to test there.
-	if rep := e.canon(raw); rep != raw {
+	if rep := S(e.canon(string(raw))); rep != raw {
 		ws.canonHits++
 		if e.verifyMod != 0 && h%e.verifyMod == 0 {
 			if err := e.checkCanon(raw); err != nil {
@@ -509,7 +502,7 @@ func (e *explorer[S]) expandRange(w int32, cursor *atomic.Int64, hi int, chunk i
 	var collect func(to S, label string, actor int)
 	if e.indep != nil {
 		collect = func(to S, label string, actor int) {
-			pa := porAction[S]{act: Action[S]{To: to, Label: label, Actor: actor}, to: to}
+			pa := porAction[S]{act: Action{To: string(to), Label: label, Actor: actor}, to: to}
 			if e.canon != nil {
 				pa.to = e.canonicalize(to, ws)
 			}
@@ -633,37 +626,22 @@ func Explore[S ~string](inits []S, expand ExpandFunc[S], opts Options) (*Result[
 	if opts.degradeFingerprint {
 		e.fp = func(s string) uint64 { return fingerprint(s) & 3 }
 	}
-	canon, err := canonFor[S](opts.Canon)
-	if err != nil {
-		return nil, err
-	}
-	e.canon = canon
+	e.canon = opts.Canon
 	if e.canon != nil && opts.VerifyCanon > 0 {
 		e.verifyMod = uint64(opts.VerifyCanon)
 	}
-	indep, err := indepFor[S](opts.Independent)
-	if err != nil {
-		return nil, err
-	}
-	e.indep = indep
+	e.indep = opts.Independent
 	if e.indep != nil && opts.VerifyPOR > 0 {
 		e.porVerifyMod = uint64(opts.VerifyPOR)
 	}
-	vis, err := visFor[S](opts.Visible)
-	if err != nil {
-		return nil, err
-	}
-	e.visible = vis
-	canonBFactory, err := canonBytesFor(opts.CanonBytes)
-	if err != nil {
-		return nil, err
-	}
-	if canonBFactory != nil && e.canon == nil {
+	e.visible = opts.Visible
+	if opts.CanonBytes != nil && e.canon == nil {
 		return nil, errors.New("engine: Options.CanonBytes requires Options.Canon (the string canonicalizer defines the quotient)")
 	}
 	if opts.VerifyAliasing > 0 {
 		e.aliasMod = uint64(opts.VerifyAliasing)
 	}
+	var err error
 	e.store, err = store.New(opts.Store, shardCount(nw), e.fp)
 	if err != nil {
 		return nil, err
@@ -671,7 +649,7 @@ func Explore[S ~string](inits []S, expand ExpandFunc[S], opts Options) (*Result[
 	defer e.store.Close()
 	// Under a canonicalizer without its byte form, EmitBytes degrades to
 	// the materializing fallback, never to wrong behavior.
-	e.bytesDirect = e.canon == nil || canonBFactory != nil
+	e.bytesDirect = e.canon == nil || opts.CanonBytes != nil
 
 	e.workers = make([]*worker[S], nw)
 	e.wbits = workerBits(nw)
@@ -680,8 +658,8 @@ func Explore[S ~string](inits []S, expand ExpandFunc[S], opts Options) (*Result[
 		if e.canon != nil {
 			ws.rawSeen = make(map[uint64]struct{})
 		}
-		if canonBFactory != nil {
-			ws.canonB = canonBFactory()
+		if opts.CanonBytes != nil {
+			ws.canonB = opts.CanonBytes()
 		}
 		ws.ctx = Ctx[S]{e: e, w: ws}
 		e.workers[i] = ws

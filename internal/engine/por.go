@@ -12,8 +12,8 @@ import (
 // Actions; To is the raw successor (pre-canonicalization), because
 // independence is a property of the system's transition relation, not of
 // the symmetry quotient layered on top of it.
-type Action[S ~string] struct {
-	To    S
+type Action struct {
+	To    string
 	Label string
 	Actor int
 }
@@ -45,7 +45,7 @@ type Action[S ~string] struct {
 // Returning false is always sound — it only reduces the reduction. See
 // DESIGN.md's "Independence contract" for the per-system proof obligations
 // and for what the sampled VerifyPOR check does and does not catch.
-type Independence[S ~string] func(s S, a, b Action[S]) bool
+type Independence func(s string, a, b Action) bool
 
 // ErrPORUnsound is wrapped by the error Explore returns when the VerifyPOR
 // safety check catches an independence relation declaring a non-commuting
@@ -64,47 +64,13 @@ var ErrPORUnsound = errors.New("engine: independence relation failed soundness c
 // the entire obligation on the independence relation (e.g. by declaring
 // visible actions dependent on everything, which forces full expansion
 // where they occur — sound, but coarser).
-type Visibility[S ~string] func(s S, a Action[S]) bool
-
-// indepFor resolves the dynamically-typed Options.Independent into a typed
-// relation for the explored state type. Both the named Independence[S] and
-// the equivalent plain func type are accepted; anything else is an error (a
-// silent nil would quietly explore the full space).
-func indepFor[S ~string](v any) (Independence[S], error) {
-	switch r := v.(type) {
-	case nil:
-		return nil, nil
-	case Independence[S]:
-		return r, nil
-	case func(S, Action[S], Action[S]) bool:
-		return r, nil
-	default:
-		var zero S
-		return nil, fmt.Errorf("engine: Options.Independent has type %T, want func(%T, Action, Action) bool", v, zero)
-	}
-}
-
-// visFor resolves the dynamically-typed Options.Visible into a typed
-// visibility predicate for the explored state type.
-func visFor[S ~string](v any) (Visibility[S], error) {
-	switch p := v.(type) {
-	case nil:
-		return nil, nil
-	case Visibility[S]:
-		return p, nil
-	case func(S, Action[S]) bool:
-		return p, nil
-	default:
-		var zero S
-		return nil, fmt.Errorf("engine: Options.Visible has type %T, want func(%T, Action) bool", v, zero)
-	}
-}
+type Visibility func(s string, a Action) bool
 
 // porAction is one collected transition during a POR expansion: the raw
 // action (for the independence relation and the falsifier) plus the
 // canonical successor actually interned.
 type porAction[S ~string] struct {
-	act Action[S]
+	act Action
 	to  S // canonical successor; == act.To when no canonicalizer is set
 }
 
@@ -153,7 +119,7 @@ func (e *explorer[S]) ampleSet(s S, acts []porAction[S], uf []int32, hi int) []i
 			if ri == rj {
 				continue
 			}
-			if !e.indep(s, acts[i].act, acts[j].act) {
+			if !e.indep(string(s), acts[i].act, acts[j].act) {
 				// Union by smaller root so a component's root is always its
 				// first-occurring member.
 				if ri < rj {
@@ -211,7 +177,7 @@ func (e *explorer[S]) ampleSet(s S, acts []porAction[S], uf []int32, hi int) []i
 		for _, m := range members {
 			// C2: a proper ample set must be invisible. C3: it must not
 			// close a cycle back into an already-discovered level.
-			if (e.visible != nil && e.visible(s, acts[m].act)) || e.probeOld(acts[m].to, hi) {
+			if (e.visible != nil && e.visible(string(s), acts[m].act)) || e.probeOld(acts[m].to, hi) {
 				ok = false
 				break
 			}
@@ -258,9 +224,9 @@ func (e *explorer[S]) checkPOR(s S, acts []porAction[S]) error {
 	succ := func(i int) map[key][]S {
 		if cache[i] == nil {
 			m := make(map[key][]S)
-			e.expand(acts[i].act.To, CollectCtx(func(to S, label string, actor int) {
+			e.expand(S(acts[i].act.To), CollectCtx(func(to S, label string, actor int) {
 				if e.canon != nil {
-					to = e.canon(to)
+					to = S(e.canon(string(to)))
 				}
 				m[key{label, actor}] = append(m[key{label, actor}], to)
 			}))
@@ -271,7 +237,7 @@ func (e *explorer[S]) checkPOR(s S, acts []porAction[S]) error {
 	for i := 0; i < len(acts); i++ {
 		for j := i + 1; j < len(acts); j++ {
 			a, b := acts[i].act, acts[j].act
-			if !e.indep(s, a, b) {
+			if !e.indep(string(s), a, b) {
 				continue
 			}
 			ab := succ(i)[key{b.Label, b.Actor}] // a first, then b's event

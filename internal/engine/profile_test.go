@@ -40,8 +40,8 @@ func TestPhaseAttributionReachesEveryEmitRoute(t *testing.T) {
 	}{
 		{"emit", gridExpand(n), Options{}, false},
 		{"emit-bytes", gridExpandBytes(n), Options{}, false},
-		{"emit-bytes+canon", gridExpandBytes(n), Options{Canon: sortCanon, CanonBytes: sortCanonBytes}, true},
-		{"emit-bytes+canon-memo", twiceExpand(gridExpandBytes(n)), Options{Canon: sortCanon, CanonBytes: sortCanonBytes}, true},
+		{"emit-bytes+canon", gridExpandBytes(n), Options{Canon: sortCanon, CanonBytes: newSortCanonBytes}, true},
+		{"emit-bytes+canon-memo", twiceExpand(gridExpandBytes(n)), Options{Canon: sortCanon, CanonBytes: newSortCanonBytes}, true},
 		{"emit+canon", gridExpand(n), Options{Canon: sortCanon}, true},
 		{"por", gridExpand(n), Options{Independent: gridIndep}, false},
 		{"canon+por", gridExpand(n), Options{Canon: mirrorGridCanon, Independent: gridIndep}, true},

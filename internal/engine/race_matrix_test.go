@@ -23,9 +23,9 @@ func TestRaceMatrix(t *testing.T) {
 		opts Options
 	}{
 		{"full", Options{}},
-		{"canon", Options{Canon: sortCanon, CanonBytes: sortCanonBytes, VerifyCanon: 4}},
+		{"canon", Options{Canon: sortCanon, CanonBytes: newSortCanonBytes, VerifyCanon: 4}},
 		{"por", Options{Independent: gridIndep}},
-		{"canon+por", Options{Canon: sortCanon, CanonBytes: sortCanonBytes, VerifyCanon: 4, Independent: gridIndep}},
+		{"canon+por", Options{Canon: sortCanon, CanonBytes: newSortCanonBytes, VerifyCanon: 4, Independent: gridIndep}},
 	}
 	stores := []struct {
 		name string

@@ -32,7 +32,7 @@ func sortTwoBytes(s string) string {
 	return s
 }
 
-func twoChainIndep(_ string, a, b Action[string]) bool { return a.Actor != b.Actor }
+func twoChainIndep(_ string, a, b Action) bool { return a.Actor != b.Actor }
 
 // statsExpect is the hand-derived subset of Stats pinned by these tests.
 type statsExpect struct {

@@ -34,11 +34,11 @@ func (c *collectSink) events() []obs.Event {
 func telemetryModes() map[string]Options {
 	return map[string]Options{
 		"full":  {},
-		"canon": {Canon: Canonicalizer[string](mirrorGridCanon)},
-		"por":   {Independent: Independence[string](gridIndep)},
+		"canon": {Canon: mirrorGridCanon},
+		"por":   {Independent: gridIndep},
 		"canon+por": {
-			Canon:       Canonicalizer[string](mirrorGridCanon),
-			Independent: Independence[string](gridIndep),
+			Canon:       mirrorGridCanon,
+			Independent: gridIndep,
 		},
 	}
 }

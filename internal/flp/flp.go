@@ -314,18 +314,19 @@ type AnalyzeOptions struct {
 	// canon would corrupt the verdicts even where it is sound. Counts in the
 	// Report (States, Edges, BivalentConfigs) then describe the quotient
 	// graph; the boolean verdicts are unchanged.
-	Canon func(string) string
+	Canon engine.Canonicalizer
 	// VerifyCanon, when > 0, samples raw configurations (every one whose
 	// fingerprint is ≡ 0 mod VerifyCanon; 1 = all) and fails the analysis
 	// with engine.ErrCanonUnsound if Canon is not idempotent and
 	// step-commuting on them.
 	VerifyCanon int
-	// CanonBytes, when non-nil, is the byte-level twin of Canon, and the
-	// engine then canonicalizes with it on every route, POR included —
-	// see PermutationCanonBytes and engine.Options.CanonBytes. Requires
-	// Canon (Analyze fails without it); VerifyCanon additionally
-	// cross-checks the two on sampled configurations.
-	CanonBytes any
+	// CanonBytes, when non-nil, makes the byte-level twin of Canon, one
+	// per worker, and the engine then canonicalizes with it on every
+	// route, POR included — see PermutationCanonBytes and
+	// engine.Options.CanonBytes. Requires Canon (Analyze fails without
+	// it); VerifyCanon additionally cross-checks the two on sampled
+	// configurations.
+	CanonBytes func() engine.BytesCanonicalizer
 	// VerifyAliasing, when > 0, enables the engine's buffer-aliasing
 	// falsifier on the exploration (every configuration whose
 	// fingerprint is ≡ 0 mod VerifyAliasing is re-expanded over poisoned
@@ -339,11 +340,11 @@ type AnalyzeOptions struct {
 	// per-interleaving structure: States, Edges and BivalentConfigs then
 	// describe the reduced graph, and DeciderFound — a property of the full
 	// branching — is not meaningful under reduction.
-	Independent func(string, engine.Action[string], engine.Action[string]) bool
+	Independent engine.Independence
 	// Visible marks the deliveries whose ordering the analyzer's predicates
 	// observe, keeping them out of proper ample sets — see
 	// DecisionVisibility. Only meaningful together with Independent.
-	Visible func(string, engine.Action[string]) bool
+	Visible engine.Visibility
 	// VerifyPOR, when > 0, samples expanded configurations (every one whose
 	// fingerprint is ≡ 0 mod VerifyPOR; 1 = all) and fails the analysis
 	// with engine.ErrPORUnsound if a declared-independent pair of events
@@ -389,20 +390,13 @@ func Analyze(p Protocol, opts AnalyzeOptions) (Report, error) {
 		resilience = *opts.Resilience
 	}
 	sys := &system{p: p, lay: l, inputVectors: allBinaryVectors(n), resilience: resilience}
-	eopts := engine.Options{
+	g, err := core.Explore[config](sys, engine.Options{
 		MaxStates: opts.MaxStates, Parallelism: opts.Parallelism, Stats: opts.Stats,
-		VerifyCanon: opts.VerifyCanon, CanonBytes: opts.CanonBytes, Visible: opts.Visible,
-		VerifyPOR: opts.VerifyPOR, VerifyAliasing: opts.VerifyAliasing,
-		Sink: opts.Sink, SnapshotEvery: opts.SnapshotEvery, Store: opts.Store,
-	}
-	// A nil func stored in an interface field is not a nil interface.
-	if opts.Canon != nil {
-		eopts.Canon = opts.Canon
-	}
-	if opts.Independent != nil {
-		eopts.Independent = opts.Independent
-	}
-	g, err := core.Explore[config](sys, eopts)
+		Canon: opts.Canon, VerifyCanon: opts.VerifyCanon, CanonBytes: opts.CanonBytes,
+		Independent: opts.Independent, Visible: opts.Visible, VerifyPOR: opts.VerifyPOR,
+		VerifyAliasing: opts.VerifyAliasing, Sink: opts.Sink,
+		SnapshotEvery: opts.SnapshotEvery, Store: opts.Store,
+	})
 	if err != nil {
 		return Report{}, fmt.Errorf("flp: exploring %s: %w", p.Name(), err)
 	}

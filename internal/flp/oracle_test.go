@@ -23,13 +23,8 @@ func referenceAnalyze(p Protocol, opts AnalyzeOptions) (Report, error) {
 	}
 	eopts := engine.Options{
 		MaxStates: opts.MaxStates, Parallelism: opts.Parallelism,
-		CanonBytes: opts.CanonBytes, Visible: opts.Visible, Store: opts.Store,
-	}
-	if opts.Canon != nil {
-		eopts.Canon = opts.Canon
-	}
-	if opts.Independent != nil {
-		eopts.Independent = opts.Independent
+		Canon: opts.Canon, CanonBytes: opts.CanonBytes,
+		Independent: opts.Independent, Visible: opts.Visible, Store: opts.Store,
 	}
 	explore := func(vectors [][]int) (*core.Graph[config], error) {
 		return core.Explore[config](NewSystem(p, vectors, resilience), eopts)

@@ -69,9 +69,9 @@ import (
 // miniature. The reduction therefore pays off on the crash-free
 // (resilience 0) interleaving spaces and composes with the symmetry
 // quotient everywhere.
-func DeliveryIndependence(p Protocol) func(string, engine.Action[string], engine.Action[string]) bool {
+func DeliveryIndependence(p Protocol) engine.Independence {
 	l := mustLayout(p)
-	return func(c string, a, b engine.Action[string]) bool {
+	return func(c string, a, b engine.Action) bool {
 		aCrash := a.Actor == core.EnvironmentActor
 		bCrash := b.Actor == core.EnvironmentActor
 		if aCrash && bCrash {
@@ -102,7 +102,7 @@ func DeliveryIndependence(p Protocol) func(string, engine.Action[string], engine
 
 // preservesDecision reports that delivery d leaves its receiver's decision
 // status and value unchanged.
-func preservesDecision(p Protocol, l *layout, c string, d engine.Action[string]) bool {
+func preservesDecision(p Protocol, l *layout, c string, d engine.Action) bool {
 	before, bok := p.Decide(d.Actor, l.state(c, d.Actor))
 	after, aok := p.Decide(d.Actor, l.state(d.To, d.Actor))
 	return bok == aok && before == after
@@ -126,9 +126,9 @@ func sender(label string) string {
 // value, which is the only thing any analyzer predicate (valence,
 // agreement, validity, non-deciding lasso) reads from a configuration.
 // Crashes change no predicate and are invisible.
-func DecisionVisibility(p Protocol) func(string, engine.Action[string]) bool {
+func DecisionVisibility(p Protocol) engine.Visibility {
 	l := mustLayout(p)
-	return func(c string, a engine.Action[string]) bool {
+	return func(c string, a engine.Action) bool {
 		if a.Actor == core.EnvironmentActor {
 			return false
 		}
@@ -140,7 +140,7 @@ func DecisionVisibility(p Protocol) func(string, engine.Action[string]) bool {
 
 // sendFree reports that delivery d consumed its message without emitting
 // new ones: its successor is one two-byte message record shorter.
-func sendFree(c string, d engine.Action[string]) bool {
+func sendFree(c string, d engine.Action) bool {
 	return len(d.To) == len(c)-2
 }
 

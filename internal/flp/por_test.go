@@ -10,15 +10,15 @@ import (
 
 // stepActions materializes a configuration's outgoing steps as engine
 // actions, so the independence relation can be probed directly.
-func stepActions(sys core.System[config], c config) []engine.Action[string] {
-	var out []engine.Action[string]
+func stepActions(sys core.System[config], c config) []engine.Action {
+	var out []engine.Action
 	for _, st := range core.StepsOf(sys, c) {
-		out = append(out, engine.Action[string]{To: st.To, Label: st.Label, Actor: st.Actor})
+		out = append(out, engine.Action{To: st.To, Label: st.Label, Actor: st.Actor})
 	}
 	return out
 }
 
-func findAction(t *testing.T, acts []engine.Action[string], pred func(engine.Action[string]) bool, what string) engine.Action[string] {
+func findAction(t *testing.T, acts []engine.Action, pred func(engine.Action) bool, what string) engine.Action {
 	t.Helper()
 	for _, a := range acts {
 		if pred(a) {
@@ -26,7 +26,7 @@ func findAction(t *testing.T, acts []engine.Action[string], pred func(engine.Act
 		}
 	}
 	t.Fatalf("no action matching %s among %d actions", what, len(acts))
-	return engine.Action[string]{}
+	return engine.Action{}
 }
 
 // TestDeliveryIndependenceRules walks the relation's decision table on real
@@ -38,16 +38,16 @@ func TestDeliveryIndependenceRules(t *testing.T) {
 	init := sys.Init()[0]
 	acts := stepActions(sys, init)
 
-	crash0 := findAction(t, acts, func(a engine.Action[string]) bool {
+	crash0 := findAction(t, acts, func(a engine.Action) bool {
 		return a.Label == "crash p0"
 	}, "crash p0")
-	crash1 := findAction(t, acts, func(a engine.Action[string]) bool {
+	crash1 := findAction(t, acts, func(a engine.Action) bool {
 		return a.Label == "crash p1"
 	}, "crash p1")
-	wake0 := findAction(t, acts, func(a engine.Action[string]) bool {
+	wake0 := findAction(t, acts, func(a engine.Action) bool {
 		return a.Actor == 0 && a.Label != "crash p0"
 	}, "p0's wake-up delivery")
-	wake1 := findAction(t, acts, func(a engine.Action[string]) bool {
+	wake1 := findAction(t, acts, func(a engine.Action) bool {
 		return a.Actor == 1 && a.Label != "crash p1"
 	}, "p1's wake-up delivery")
 
@@ -68,10 +68,10 @@ func TestDeliveryIndependenceRules(t *testing.T) {
 	// configuration where p0's wake and a value delivery to p0 coexist.
 	after1 := wake1.To
 	acts1 := stepActions(sys, after1)
-	wake0b := findAction(t, acts1, func(a engine.Action[string]) bool {
+	wake0b := findAction(t, acts1, func(a engine.Action) bool {
 		return a.Actor == 0 && sender(a.Label) == "0"
 	}, "p0 wake after p1 woke")
-	val10 := findAction(t, acts1, func(a engine.Action[string]) bool {
+	val10 := findAction(t, acts1, func(a engine.Action) bool {
 		return a.Actor == 0 && sender(a.Label) == "1"
 	}, "delivery 1>0 after p1 woke")
 	if indep(after1, wake0b, val10) {
@@ -84,17 +84,17 @@ func TestDeliveryIndependenceRules(t *testing.T) {
 	after := wake0.To
 	for _, actor := range []int{1, 2} {
 		actor := actor
-		a := findAction(t, stepActions(sys, after), func(a engine.Action[string]) bool {
+		a := findAction(t, stepActions(sys, after), func(a engine.Action) bool {
 			// The wake-up is the unique self-addressed delivery.
 			return a.Actor == actor && sender(a.Label) == string(rune('0'+actor))
 		}, "wake")
 		after = a.To
 	}
 	acts2 := stepActions(sys, after)
-	d0 := findAction(t, acts2, func(a engine.Action[string]) bool {
+	d0 := findAction(t, acts2, func(a engine.Action) bool {
 		return a.Actor == 2 && sender(a.Label) == "0"
 	}, "delivery 0>2")
-	d1 := findAction(t, acts2, func(a engine.Action[string]) bool {
+	d1 := findAction(t, acts2, func(a engine.Action) bool {
 		return a.Actor == 2 && sender(a.Label) == "1"
 	}, "delivery 1>2")
 	if !indep(after, d0, d1) {
@@ -109,7 +109,7 @@ func TestDeliveryIndependenceRules(t *testing.T) {
 	// Deliver d0; the remaining delivery crosses the threshold and decides,
 	// so preservesDecision must reject it.
 	acts3 := stepActions(sys, d0.To)
-	d1b := findAction(t, acts3, func(a engine.Action[string]) bool {
+	d1b := findAction(t, acts3, func(a engine.Action) bool {
 		return a.Actor == 2 && sender(a.Label) == "1"
 	}, "threshold delivery 1>2")
 	if preservesDecision(p, mustLayout(p), d0.To, d1b) {
@@ -150,11 +150,11 @@ func TestConfigFieldHelpers(t *testing.T) {
 			t.Errorf("state(%d) = %q, want %q", i, got, want)
 		}
 	}
-	quiet := engine.Action[string]{To: c[:len(c)-2], Actor: 1}
+	quiet := engine.Action{To: c[:len(c)-2], Actor: 1}
 	if !sendFree(c, quiet) {
 		t.Error("a successor one record shorter is send-free")
 	}
-	if sendFree(c, engine.Action[string]{To: c, Actor: 1}) {
+	if sendFree(c, engine.Action{To: c, Actor: 1}) {
 		t.Error("a successor as long as its source is not send-free")
 	}
 }
@@ -205,7 +205,7 @@ func TestAnalyzePORVerdictsMatch(t *testing.T) {
 // to reject the analysis deterministically at every worker count.
 func TestPoisonedIndependenceCaught(t *testing.T) {
 	p := NewAdoptSwap(2)
-	poisoned := func(c string, a, b engine.Action[string]) bool {
+	poisoned := func(c string, a, b engine.Action) bool {
 		if a.Actor == core.EnvironmentActor || b.Actor == core.EnvironmentActor {
 			return false
 		}

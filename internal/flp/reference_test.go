@@ -323,16 +323,16 @@ func textMsgCount(c string) int {
 }
 
 // textIndependence is DeliveryIndependence over the text encoding.
-func textIndependence(p Protocol) func(string, engine.Action[string], engine.Action[string]) bool {
-	preserves := func(c string, d engine.Action[string]) bool {
+func textIndependence(p Protocol) func(string, engine.Action, engine.Action) bool {
+	preserves := func(c string, d engine.Action) bool {
 		before, bok := p.Decide(d.Actor, textLocalState(c, d.Actor))
 		after, aok := p.Decide(d.Actor, textLocalState(d.To, d.Actor))
 		return bok == aok && before == after
 	}
-	quiet := func(c string, d engine.Action[string]) bool {
+	quiet := func(c string, d engine.Action) bool {
 		return textMsgCount(d.To) == textMsgCount(c)-1
 	}
-	return func(c string, a, b engine.Action[string]) bool {
+	return func(c string, a, b engine.Action) bool {
 		aCrash := a.Actor == core.EnvironmentActor
 		bCrash := b.Actor == core.EnvironmentActor
 		if aCrash && bCrash {
@@ -354,8 +354,8 @@ func textIndependence(p Protocol) func(string, engine.Action[string], engine.Act
 }
 
 // textVisibility is DecisionVisibility over the text encoding.
-func textVisibility(p Protocol) func(string, engine.Action[string]) bool {
-	return func(c string, a engine.Action[string]) bool {
+func textVisibility(p Protocol) func(string, engine.Action) bool {
+	return func(c string, a engine.Action) bool {
 		if a.Actor == core.EnvironmentActor {
 			return false
 		}

@@ -137,9 +137,9 @@ func (s asyncLCRSystem) ExpandInto(st string, x *engine.Ctx[string]) {
 // survives the reduction because every ample set still delivers some token
 // and tokens make monotone progress toward the max-id home; CheckElection
 // pins that end to end.
-func (a *AsyncLCR) Independence() engine.Independence[string] {
+func (a *AsyncLCR) Independence() engine.Independence {
 	n := len(a.ids)
-	return func(_ string, x, y engine.Action[string]) bool {
+	return func(_ string, x, y engine.Action) bool {
 		return x.Actor != y.Actor && x.To[n] == noLeader && y.To[n] == noLeader
 	}
 }

@@ -44,8 +44,8 @@ func (sp *Space) Spec() engine.DiffSpec[string] {
 // AdaptIndependence lifts an actor-level independence relation into the
 // engine's action-level form (the generator's relations depend only on the
 // acting components).
-func AdaptIndependence(f func(s string, aActor, bActor int) bool) func(string, engine.Action[string], engine.Action[string]) bool {
-	return func(s string, a, b engine.Action[string]) bool {
+func AdaptIndependence(f func(s string, aActor, bActor int) bool) engine.Independence {
+	return func(s string, a, b engine.Action) bool {
 		return f(s, a.Actor, b.Actor)
 	}
 }

@@ -81,6 +81,9 @@ func FuzzStoreBackends(f *testing.F) {
 			t.Skip("space too large for one fuzz iteration")
 		}
 		spec := sp.Spec()
+		// Differential runs Stores in full mode only; the canon and POR
+		// arms are FuzzDifferential's, on the same generator.
+		spec.Canon, spec.Independent = nil, nil
 		spec.Stores = []store.Config{{Kind: store.Spill, MaxBytes: 1 << 9, PageBits: 4}}
 		if _, err := engine.Differential(spec); err != nil {
 			t.Fatalf("mem vs spill diverged on %s:\n  %v\n  replay: %s",

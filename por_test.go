@@ -104,8 +104,8 @@ func TestPORExplorationIsDeterministic(t *testing.T) {
 	cases := []struct {
 		name        string
 		sys         core.System[string]
-		independent func(string, engine.Action[string], engine.Action[string]) bool
-		visible     func(string, engine.Action[string]) bool
+		independent func(string, engine.Action, engine.Action) bool
+		visible     func(string, engine.Action) bool
 	}{
 		{"flp-wait-quorum", flp.NewSystem(wq, nil, 0), flp.DeliveryIndependence(wq), flp.DecisionVisibility(wq)},
 		{"async-abp", abp.System(), abp.Independence(), abp.ProgressVisibility()},
@@ -269,7 +269,7 @@ func TestAsyncABPDeliveryUnderPOR(t *testing.T) {
 func TestVerifyPORCatchesUnsoundRelation(t *testing.T) {
 	p := flp.NewWaitQuorum(3)
 	_, err := flp.Analyze(p, flp.AnalyzeOptions{
-		Independent: func(string, engine.Action[string], engine.Action[string]) bool { return true },
+		Independent: func(string, engine.Action, engine.Action) bool { return true },
 		VerifyPOR:   1,
 	})
 	if !errors.Is(err, engine.ErrPORUnsound) {
