@@ -83,14 +83,14 @@ func run() int {
 	fmt.Printf("decider config:      %v\n", rep.DeciderFound)
 	fmt.Printf("verdict:             %s\n", flp.DescribeHorn(rep))
 	if rep.AgreementViolated {
-		fmt.Printf("\ndisagreement witness:\n%s\n", rep.AgreementWitness)
+		fmt.Printf("\ndisagreement witness:\n%s\n", cli.PrintableTrace(rep.AgreementWitness))
 	}
 	if rep.HasDeadlock {
-		fmt.Printf("\nundecided deadlock witness:\n%s\n", rep.UndecidedDeadlock)
+		fmt.Printf("\nundecided deadlock witness:\n%s\n", cli.PrintableTrace(rep.UndecidedDeadlock))
 	}
 	if rep.NondecidingLasso != nil {
 		fmt.Printf("\nnon-deciding fair execution: prefix %d steps, then repeat forever:\n%s\n",
-			len(rep.NondecidingLasso.Prefix), rep.NondecidingLasso.Cycle)
+			len(rep.NondecidingLasso.Prefix), cli.PrintableTrace(rep.NondecidingLasso.Cycle))
 	}
 	return 0
 }

@@ -162,6 +162,8 @@ type liveBenOrProc struct {
 	got [2][]byte
 
 	outbox []runtime.Action // broadcasts accumulated by send()
+	coins  []byte           // the coin outcomes of the step in Handle
+	labels runtime.Labels
 }
 
 func (pr *liveBenOrProc) header() (byte, byte, byte, byte) {
@@ -226,14 +228,15 @@ func (pr *liveBenOrProc) Handle(a runtime.Action) runtime.Outcome {
 		*slot = msg.val
 	}
 	pr.outbox = nil
-	var coins []byte
+	pr.coins = pr.coins[:0]
 	benOrAdvance(pr, pr.w.Procs, pr.w.MaxFaults, pr.w.Phases, func() byte {
 		c := byte(pr.rng.Intn(2))
-		coins = append(coins, c)
+		pr.coins = append(pr.coins, c)
 		return c
 	})
+	lbl := appendBenOrLabel(pr.labels.Buf(), int(msg.kind), int(msg.ph), msg.val, int(msg.from), pr.p, pr.coins)
 	out := runtime.Outcome{
-		Label:   benOrLabel(int(msg.kind), int(msg.ph), msg.val, int(msg.from), pr.p, coins),
+		Label:   pr.labels.Intern(lbl),
 		Actor:   pr.p,
 		Effects: pr.outbox,
 		Halt:    int(pr.phase) > pr.w.Phases,

@@ -2,6 +2,8 @@ package consensus
 
 import (
 	"fmt"
+	"strconv"
+	"unicode/utf8"
 
 	"repro/internal/core"
 	"repro/internal/engine"
@@ -201,26 +203,34 @@ func benOrAdvance(v benOrView, n, t, phases int, flip func() byte) {
 	}
 }
 
-// benOrLabel renders the delivery edge label shared by model and live
-// runs: wave, phase, value, route, and the receiver's coin outcomes.
-func benOrLabel(kind, ph int, val byte, from, to int, coins []byte) string {
-	k := byte('R')
+// appendBenOrLabel appends the delivery edge label shared by model and
+// live runs: wave, phase, value, route, and the receiver's coin outcomes,
+// "deliver <R|P><ph> v<val|?> p<from>->p<to>[ coins=<bits>]".
+func appendBenOrLabel(dst []byte, kind, ph int, val byte, from, to int, coins []byte) []byte {
+	dst = append(dst, "deliver "...)
 	if kind == benOrKindP {
-		k = 'P'
+		dst = append(dst, 'P')
+	} else {
+		dst = append(dst, 'R')
 	}
-	v := "?"
-	if val != benOrBot {
-		v = string('0' + val)
+	dst = strconv.AppendInt(dst, int64(ph), 10)
+	dst = append(dst, " v"...)
+	if val == benOrBot {
+		dst = append(dst, '?')
+	} else {
+		dst = utf8.AppendRune(dst, rune('0'+val))
 	}
-	lbl := fmt.Sprintf("deliver %c%d v%s p%d->p%d", k, ph, v, from, to)
+	dst = append(dst, " p"...)
+	dst = strconv.AppendInt(dst, int64(from), 10)
+	dst = append(dst, "->p"...)
+	dst = strconv.AppendInt(dst, int64(to), 10)
 	if len(coins) > 0 {
-		buf := make([]byte, len(coins))
-		for i, c := range coins {
-			buf[i] = '0' + c
+		dst = append(dst, " coins="...)
+		for _, c := range coins {
+			dst = append(dst, '0'+c)
 		}
-		lbl += " coins=" + string(buf)
 	}
-	return lbl
+	return dst
 }
 
 // benOrSystem adapts BenOrSpace to core.System.
@@ -288,7 +298,8 @@ func (b *BenOrSpace) deliveries(st string, snd, ph, kind int, val byte, q int, x
 			expand(append(append([]byte(nil), tape...), 1))
 			return
 		}
-		x.Emit(string(next), benOrLabel(kind, ph, val, snd, q, tape), q)
+		x.Scratch = appendBenOrLabel(x.Scratch[:0], kind, ph, val, snd, q, tape)
+		x.Emit(string(next), x.Label(x.Scratch), q)
 	}
 	expand(nil)
 }

@@ -2,6 +2,7 @@ package datalink
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/core"
 	"repro/internal/engine"
@@ -110,19 +111,26 @@ func (s asyncABPSystem) ExpandInto(st string, x *engine.Ctx[string]) {
 	if s.a.Done(st) {
 		return // all acknowledged: terminal
 	}
-	emit := func(next []byte, kind, actor int, detail string) {
-		x.Emit(string(next), kindLabels[kind]+detail, actor)
+	var lbl [24]byte
+	// Each successor is st with a few bytes patched, built in the worker's
+	// scratch buffer, which EmitBytes consumes before the next one.
+	scratch := func() []byte {
+		x.Scratch = append(x.Scratch[:0], st...)
+		return x.Scratch
+	}
+	emit := func(next []byte, kind, actor int, bit, idx byte) {
+		x.EmitBytes(next, x.Label(appendLabel(lbl[:0], kind, bit, idx)), actor)
 	}
 	if st[offDataSlot] == slotEmpty {
 		// The sender (re)transmits its current packet into the empty
 		// channel. This is the retransmission cycle: drop data returns here.
-		next := []byte(st)
+		next := scratch()
 		next[offDataSlot] = st[offSenderBit]<<4 | st[offNext]
-		emit(next, kindSendData, 0, fmt.Sprintf(" b%d m%d", st[offSenderBit], st[offNext]))
+		emit(next, kindSendData, 0, st[offSenderBit], st[offNext])
 	} else {
 		pkt := st[offDataSlot]
 		bit, idx := pkt>>4, pkt&0x0F
-		next := []byte(st)
+		next := scratch()
 		next[offDataSlot] = slotEmpty
 		if bit == st[offExpected] {
 			next[offDelivered]++
@@ -132,32 +140,50 @@ func (s asyncABPSystem) ExpandInto(st string, x *engine.Ctx[string]) {
 		// unsent older ack is overwritten (equivalent to the channel
 		// losing it).
 		next[offOwed] = bit
-		emit(next, kindDeliverData, 1, fmt.Sprintf(" b%d m%d", bit, idx))
+		emit(next, kindDeliverData, 1, bit, idx)
 
-		drop := []byte(st)
+		drop := scratch()
 		drop[offDataSlot] = slotEmpty
-		emit(drop, kindDropData, core.EnvironmentActor, "")
+		emit(drop, kindDropData, core.EnvironmentActor, 0, 0)
 	}
 	if st[offOwed] != slotEmpty && st[offAckSlot] == slotEmpty {
-		next := []byte(st)
+		next := scratch()
 		next[offAckSlot] = st[offOwed]
 		next[offOwed] = slotEmpty
-		emit(next, kindSendAck, 1, fmt.Sprintf(" b%d", st[offOwed]))
+		emit(next, kindSendAck, 1, st[offOwed], 0)
 	}
 	if st[offAckSlot] != slotEmpty {
 		bit := st[offAckSlot]
-		next := []byte(st)
+		next := scratch()
 		next[offAckSlot] = slotEmpty
 		if bit == st[offSenderBit] {
 			next[offNext]++
 			next[offSenderBit] ^= 1
 		}
-		emit(next, kindDeliverAck, 0, fmt.Sprintf(" b%d", bit))
+		emit(next, kindDeliverAck, 0, bit, 0)
 
-		drop := []byte(st)
+		drop := scratch()
 		drop[offAckSlot] = slotEmpty
-		emit(drop, kindDropAck, core.EnvironmentActor, "")
+		emit(drop, kindDropAck, core.EnvironmentActor, 0, 0)
 	}
+}
+
+// appendLabel appends the label of an action of kind: the kind's name,
+// then " b<bit>" for every kind but the drops, then " m<idx>" for sending
+// and delivering data. The explored system and LiveABP both label through
+// it.
+func appendLabel(dst []byte, kind int, bit, idx byte) []byte {
+	dst = append(dst, kindLabels[kind]...)
+	if kind == kindDropData || kind == kindDropAck {
+		return dst
+	}
+	dst = append(dst, " b"...)
+	dst = strconv.AppendUint(dst, uint64(bit), 10)
+	if kind == kindSendData || kind == kindDeliverData {
+		dst = append(dst, " m"...)
+		dst = strconv.AppendUint(dst, uint64(idx), 10)
+	}
+	return dst
 }
 
 // Independence returns the ample-set independence relation of the async

@@ -115,3 +115,21 @@ func TestAsyncABPIndependenceContract(t *testing.T) {
 		t.Error("transfer-completing ack declared independent")
 	}
 }
+
+// TestAsyncABPAliasingClean runs the exploration through
+// engine.Differential with the aliasing falsifier checking every state:
+// ExpandInto builds each successor in the worker's scratch buffer, so a
+// retained emitted slice would show as a graph mismatch at 1 or 2 workers.
+func TestAsyncABPAliasingClean(t *testing.T) {
+	a, err := NewAsyncABP(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := a.System()
+	if _, err := engine.Differential(engine.DiffSpec[string]{
+		Name: "async-abp", Inits: sys.Init(), Expand: sys.ExpandInto,
+		VerifyAliasing: 1, Workers: []int{1, 2},
+	}); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -150,10 +150,11 @@ func (l *LiveABP) Check(_ *runtime.Result, g *core.Graph[string], ends []int) er
 
 // liveABPSender is process 0.
 type liveABPSender struct {
-	w    *LiveABP
-	next byte // index of the message being sent
-	bit  byte
-	done bool
+	w      *LiveABP
+	next   byte // index of the message being sent
+	bit    byte
+	done   bool
+	labels runtime.Labels
 }
 
 // Start implements runtime.Proc: arm the (guarded) transmission action.
@@ -168,7 +169,7 @@ func (s *liveABPSender) Handle(a runtime.Action) runtime.Outcome {
 			return runtime.Outcome{Actor: 0} // stale timer after completion
 		}
 		out := runtime.Outcome{
-			Label: fmt.Sprintf("%s b%d m%d", kindLabels[kindSendData], s.bit, s.next),
+			Label: liveLabel(&s.labels, kindSendData, s.bit, s.next),
 			Actor: 0,
 			Effects: []runtime.Action{{
 				Kind: runtime.ActDeliver, From: 0, To: 1,
@@ -185,7 +186,7 @@ func (s *liveABPSender) Handle(a runtime.Action) runtime.Outcome {
 	}
 	ack := a.Payload.(abpAck)
 	out := runtime.Outcome{
-		Label: fmt.Sprintf("%s b%d", kindLabels[kindDeliverAck], ack.bit),
+		Label: liveLabel(&s.labels, kindDeliverAck, ack.bit, 0),
 		Actor: 0,
 	}
 	if ack.bit == s.bit {
@@ -210,6 +211,7 @@ type liveABPReceiver struct {
 	owed         byte
 	owedSet      bool
 	deliveredSeq []byte // message indexes handed to the client, in order
+	labels       runtime.Labels
 }
 
 // Start implements runtime.Proc.
@@ -224,7 +226,7 @@ func (r *liveABPReceiver) Handle(a runtime.Action) runtime.Outcome {
 		bit := r.owed
 		r.owedSet = false
 		return runtime.Outcome{
-			Label: fmt.Sprintf("%s b%d", kindLabels[kindSendAck], bit),
+			Label: liveLabel(&r.labels, kindSendAck, bit, 0),
 			Actor: 1,
 			Effects: []runtime.Action{{
 				Kind: runtime.ActDeliver, From: 1, To: 0,
@@ -234,7 +236,7 @@ func (r *liveABPReceiver) Handle(a runtime.Action) runtime.Outcome {
 	}
 	data := a.Payload.(abpData)
 	out := runtime.Outcome{
-		Label: fmt.Sprintf("%s b%d m%d", kindLabels[kindDeliverData], data.bit, data.idx),
+		Label: liveLabel(&r.labels, kindDeliverData, data.bit, data.idx),
 		Actor: 1,
 	}
 	if data.bit == r.expected {
@@ -246,4 +248,10 @@ func (r *liveABPReceiver) Handle(a runtime.Action) runtime.Outcome {
 	r.owed, r.owedSet = data.bit, true
 	out.Effects = []runtime.Action{{Kind: runtime.ActLocal, To: 1, Key: abpKeySendAck}}
 	return out
+}
+
+// liveLabel interns the label of an action of kind through a process's
+// labels.
+func liveLabel(l *runtime.Labels, kind int, bit, idx byte) string {
+	return l.Intern(appendLabel(l.Buf(), kind, bit, idx))
 }

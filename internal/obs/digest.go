@@ -22,11 +22,18 @@ import (
 // diff, and a digest mismatch across worker counts within one mode is
 // itself a determinism violation.
 type Digest struct {
-	mu   sync.Mutex
-	h    hash.Hash
-	n    int
-	line []byte // Publish's reused rendering buffer
+	mu sync.Mutex
+	h  hash.Hash
+	n  int
+	// block holds the rendered lines not yet hashed. Publish appends to
+	// it and hands it to h once it reaches digestBlock bytes, so sha256
+	// gets few large writes rather than one per event; Sum flushes it.
+	block []byte
 }
+
+// digestBlock is the size at which Publish hands its pending lines to
+// the hash.
+const digestBlock = 8 << 10
 
 // NewDigest returns an empty digest; it implements Sink and can be
 // attached directly to an exploration or subscribed to a Bus.
@@ -88,7 +95,7 @@ func AppendDigestLine(dst []byte, ev Event) ([]byte, bool) {
 			dst = append(dst, " to="...)
 			dst = strconv.AppendInt(dst, int64(e.To), 10)
 			dst = append(dst, " label="...)
-			dst = strconv.AppendQuote(dst, e.Label)
+			dst = appendQuote(dst, e.Label)
 			return append(dst, '\n'), true
 		}
 	case KindRTEnd:
@@ -102,18 +109,41 @@ func AppendDigestLine(dst []byte, ev Event) ([]byte, bool) {
 	return dst, false
 }
 
+// appendQuote appends s quoted as %q writes it. A label of printable
+// ASCII with no '"' or '\', which is every label the live workloads
+// produce, needs no escape, so it is copied between quotes without
+// strconv.AppendQuote's per-rune scan.
+func appendQuote(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if b := s[i]; b < ' ' || b > '~' || b == '"' || b == '\\' {
+			return strconv.AppendQuote(dst, s)
+		}
+	}
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"')
+}
+
 // Publish implements Sink, folding in the deterministic events. The line
-// is rendered into a buffer the digest reuses, under its lock.
+// is rendered onto the pending block, under the digest's lock.
 func (d *Digest) Publish(ev Event) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	line, ok := AppendDigestLine(d.line[:0], ev)
-	d.line = line
+	block, ok := AppendDigestLine(d.block, ev)
 	if !ok {
 		return
 	}
-	d.h.Write(line)
 	d.n++
+	d.block = block
+	if len(block) >= digestBlock {
+		d.flush()
+	}
+}
+
+// flush hashes the pending block. The caller holds d.mu.
+func (d *Digest) flush() {
+	d.h.Write(d.block)
+	d.block = d.block[:0]
 }
 
 // Events reports how many events have been folded in.
@@ -127,6 +157,7 @@ func (d *Digest) Events() int {
 func (d *Digest) Sum() string {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	d.flush()
 	sum := d.h.Sum(nil)
 	return hex.EncodeToString(sum[:8])
 }

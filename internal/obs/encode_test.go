@@ -31,6 +31,12 @@ func FuzzRTEventEncoding(f *testing.F) {
 	f.Add(RTLocal, "", 0, 0, 0, 0, 0, uint64(0), int64(0))
 	f.Add("<&>", "a\x00\b\f\n\r\t\x1f\x7f\"\\", -7, -1, -2, -3, -4, ^uint64(0), int64(-5))
 	f.Add("\u2028\u2029", "\xff\xfe \u00e9 e\u0301 \U0001F600 \xed\xa0\x80", 1<<40, 3, 4, 5, 6, uint64(1)<<63, int64(1)<<62)
+	// The edges of the digest's unescaped label path, printable ASCII
+	// without '"' or '\': '~' and ' ' are inside it, DEL, '"' and '\'
+	// outside, and "->" is inside for the digest but escaped by JSON.
+	for i, label := range []string{"~", "p0~", "\x7f", "p0\x7f", " ", " a b ", `"`, `a"b`, `\`, `a\b`, "->", "p0->p1"} {
+		f.Add(RTDeliver, label, i+1, 0, 1, 0, 1, uint64(i+1), int64(i))
+	}
 	f.Fuzz(func(t *testing.T, kind, label string, event, actor, to, from, run int, seq uint64, elapsed int64) {
 		ev := Event{Kind: KindRTEvent, Run: run, Seq: seq, ElapsedNs: elapsed, RT: &RuntimeEvent{
 			Kind: kind, Event: event, Actor: actor, To: to, From: from, Label: label,
@@ -161,5 +167,24 @@ func BenchmarkTraceWriterRTEvent(b *testing.B) {
 	}
 	if err := tw.Close(); err != nil {
 		b.Fatal(err)
+	}
+}
+
+// BenchmarkDigestRTEvent is one rt_event folded into a Digest, the other
+// sink every live run publishes to. It must read 0 allocs/op.
+func BenchmarkDigestRTEvent(b *testing.B) {
+	d := NewDigest()
+	ev := Event{Kind: KindRTEvent, RT: &RuntimeEvent{
+		Kind: RTLocal, Event: 1, Actor: 0, To: 0, From: 0, Label: "p0: v1 0->1",
+	}}
+	d.Publish(ev) // warm the line buffer
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ev.RT.Event = i + 1
+		d.Publish(ev)
+	}
+	if d.Sum() == "" {
+		b.Fatal("empty digest")
 	}
 }

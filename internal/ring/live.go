@@ -127,8 +127,9 @@ func (l *LiveLCR) Check(_ *runtime.Result, g *core.Graph[string], ends []int) er
 
 // liveLCRProc is one live ring position.
 type liveLCRProc struct {
-	w   *LiveLCR
-	pos int
+	w      *LiveLCR
+	pos    int
+	labels runtime.Labels
 }
 
 // Start implements runtime.Proc: launch the own id clockwise. The model's
@@ -148,7 +149,7 @@ func (p *liveLCRProc) Handle(a runtime.Action) runtime.Outcome {
 	id := a.Payload.(int)
 	own := p.w.ids[p.pos]
 	out := runtime.Outcome{
-		Label: fmt.Sprintf("deliver id %d to p%d", id, p.pos),
+		Label: p.labels.Intern(appendDeliverLabel(p.labels.Buf(), id, p.pos)),
 		Actor: p.pos,
 	}
 	forward := func() {

@@ -115,14 +115,24 @@ func (s asyncLCRSystem) ExpandInto(st string, x *engine.Ctx[string]) {
 			}
 			// Smaller ids are swallowed: the token just disappears.
 			x.Scratch = buf
-			lbl := append(sc.lbl[:0], "deliver id "...)
-			lbl = append(lbl, byte('0'+id)) // ids are < 8 by construction
-			lbl = append(lbl, " to p"...)
-			lbl = strconv.AppendInt(lbl, int64(dst), 10)
-			sc.lbl = lbl
-			x.EmitBytes(buf, x.Label(lbl), dst)
+			sc.lbl = appendDeliverLabel(sc.lbl[:0], id, dst)
+			x.EmitBytes(buf, x.Label(sc.lbl), dst)
 		}
 	}
+}
+
+// appendDeliverLabel appends "deliver id <id> to p<to>", the label of
+// delivering id to position to. The explored system and LiveLCR both
+// label through it.
+func appendDeliverLabel(dst []byte, id, to int) []byte {
+	dst = append(dst, "deliver id "...)
+	if uint(id) < 10 {
+		dst = append(dst, byte('0'+id)) // the explored system's ids are < 8
+	} else {
+		dst = strconv.AppendInt(dst, int64(id), 10)
+	}
+	dst = append(dst, " to p"...)
+	return strconv.AppendInt(dst, int64(to), 10)
 }
 
 // Independence returns the ample-set independence relation of the async

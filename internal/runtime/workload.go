@@ -84,14 +84,17 @@ type Outcome struct {
 	// Label is the model edge this step corresponds to — it must match a
 	// Graph edge label byte for byte, or be empty for an internal stutter
 	// that is not a model step (stutters are recorded in the rt trace but
-	// skipped by refinement).
+	// skipped by refinement). Handle builds it through its process's
+	// Labels, so that a warmed step allocates no label.
 	Label string
 	// Actor is the model edge's actor (usually the process itself;
 	// core.EnvironmentActor for environment-attributed steps).
 	Actor int
 	// Effects are the actions this step causes: messages to send, local
 	// actions to (re-)arm. They are enqueued in order under the adversary's
-	// delay knob.
+	// delay knob. Run copies them into its queue before it next calls
+	// Handle on the same process, so a process may return the same backing
+	// array from every step and overwrite it on the next.
 	Effects []Action
 	// Halt reports that this process reached a terminal protocol state: its
 	// armed local actions (including any just re-armed by Effects) are
@@ -120,6 +123,43 @@ type Proc interface {
 	// called from the process's own goroutine; concurrent calls never
 	// target the same process.
 	Handle(a Action) Outcome
+}
+
+// Labels is a process's label interner: Handle builds a step's label with
+// strconv appends into the buffer Buf returns and passes the result to
+// Intern, which returns it as a string. The first step to produce a given
+// label pays one string allocation; every later one is an allocation-free
+// map hit, as with engine.Ctx.Label. Labels are model edge labels, a small
+// alphabet, so the map stays small; past maxLabels entries it starts over,
+// which bounds it for a workload whose labels never repeat. A process owns
+// its Labels and uses it from its own goroutine only. The zero value is
+// ready to use.
+type Labels struct {
+	buf []byte
+	m   map[string]string
+}
+
+// maxLabels bounds a Labels map: no model here has this many distinct
+// labels per process.
+const maxLabels = 1 << 12
+
+// Buf returns the reused label buffer, emptied.
+func (l *Labels) Buf() []byte { return l.buf[:0] }
+
+// Intern returns b as a string and keeps b's backing array for the next
+// Buf. The string is immutable and shared by every step that produced the
+// same bytes.
+func (l *Labels) Intern(b []byte) string {
+	l.buf = b
+	if s, ok := l.m[string(b)]; ok {
+		return s
+	}
+	if l.m == nil || len(l.m) >= maxLabels {
+		l.m = make(map[string]string)
+	}
+	s := string(b)
+	l.m[s] = s
+	return s
 }
 
 // Workload binds a live implementation to its reference model. One

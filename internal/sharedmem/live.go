@@ -115,8 +115,12 @@ func (l *LiveMutex) Check(_ *runtime.Result, g *core.Graph[string], ends []int) 
 // liveMutexProc is one live process: its entire behavior is the armed
 // "step" action performing the algorithm's next atomic access.
 type liveMutexProc struct {
-	w *LiveMutex
-	p int
+	w      *LiveMutex
+	p      int
+	labels runtime.Labels
+	// eff is the one re-arm effect every step returns (see
+	// runtime.Outcome.Effects on reusing it).
+	eff [1]runtime.Action
 }
 
 // Start implements runtime.Proc.
@@ -135,14 +139,12 @@ func (pr *liveMutexProc) Handle(runtime.Action) runtime.Outcome {
 	old := w.vars[v]
 	nl, nv := alg.Step(p, l, old)
 
-	var label string
 	actor := p
-	if alg.Region(p, l) == spec.Remainder {
-		label = fmt.Sprintf("p%d requests", p)
+	request := alg.Region(p, l) == spec.Remainder
+	if request {
 		actor = core.EnvironmentActor
-	} else {
-		label = fmt.Sprintf("p%d: v%d %d->%d", p, v, old, nv)
 	}
+	label := pr.labels.Intern(appendStepLabel(pr.labels.Buf(), p, v, old, nv, request))
 
 	preCrit := alg.Region(p, l) == spec.Critical
 	postCrit := alg.Region(p, nl) == spec.Critical
@@ -157,9 +159,6 @@ func (pr *liveMutexProc) Handle(runtime.Action) runtime.Outcome {
 		w.critCount--
 	}
 
-	return runtime.Outcome{
-		Label:   label,
-		Actor:   actor,
-		Effects: []runtime.Action{{Kind: runtime.ActLocal, To: p, Key: "step"}},
-	}
+	pr.eff[0] = runtime.Action{Kind: runtime.ActLocal, To: p, Key: "step"}
+	return runtime.Outcome{Label: label, Actor: actor, Effects: pr.eff[:]}
 }

@@ -47,7 +47,7 @@ func (sys system) Steps(s state) []core.Step[state] {
 func TestExpandIntoMatchesSteps(t *testing.T) {
 	for _, alg := range []Algorithm{NewPeterson2(), NewTicketLock(4), NewTournament4()} {
 		t.Run(alg.Name(), func(t *testing.T) {
-			sys := system{alg: alg}
+			sys := newSystem(alg)
 			seen := map[state]bool{}
 			frontier := sys.Init()
 			checked := 0
@@ -99,7 +99,7 @@ func TestExpandIntoAliasingClean(t *testing.T) {
 // it was not produced by the system, so ExpandInto must panic naming it
 // rather than mis-parse it.
 func TestMutexExpandIntoPanicsOnForeignState(t *testing.T) {
-	sys := system{alg: NewPeterson2()}
+	sys := newSystem(NewPeterson2())
 	const bad = "\x07\x07\x07\x07\x07\x07\x07\x07\x07\x07\x07"
 	defer func() {
 		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), fmt.Sprintf("%q", bad)) {

@@ -114,7 +114,11 @@ func decode(s state, n, nv int) (locals, vars []int) {
 // subject to weak fairness.
 type system struct {
 	alg Algorithm
+	// nvars is len(alg.Vars()), held once: Vars builds a fresh slice.
+	nvars int
 }
+
+func newSystem(alg Algorithm) system { return system{alg: alg, nvars: len(alg.Vars())} }
 
 var _ core.System[state] = system{}
 
@@ -143,8 +147,7 @@ type smScratch struct {
 // patched bytes over the current encoding.
 func (sys system) ExpandInto(s state, x *engine.Ctx[state]) {
 	n := sys.alg.NumProcs()
-	vs := sys.alg.Vars()
-	if len(s) != n+len(vs) {
+	if len(s) != n+sys.nvars {
 		panic(fmt.Sprintf("sharedmem: %s state %q was not produced by this system", sys.alg.Name(), s))
 	}
 	sc, _ := x.Sys.(*smScratch)
@@ -162,32 +165,38 @@ func (sys system) ExpandInto(s state, x *engine.Ctx[state]) {
 		buf[n+v] = byte(nv)
 		x.Scratch = buf
 		actor := p
-		lbl := sc.lbl[:0]
-		if sys.alg.Region(p, l) == spec.Remainder {
+		request := sys.alg.Region(p, l) == spec.Remainder
+		if request {
 			actor = core.EnvironmentActor
-			lbl = append(lbl, 'p')
-			lbl = strconv.AppendInt(lbl, int64(p), 10)
-			lbl = append(lbl, " requests"...)
-		} else {
-			lbl = append(lbl, 'p')
-			lbl = strconv.AppendInt(lbl, int64(p), 10)
-			lbl = append(lbl, ": v"...)
-			lbl = strconv.AppendInt(lbl, int64(v), 10)
-			lbl = append(lbl, ' ')
-			lbl = strconv.AppendInt(lbl, int64(old), 10)
-			lbl = append(lbl, "->"...)
-			lbl = strconv.AppendInt(lbl, int64(nv), 10)
 		}
-		sc.lbl = lbl
-		x.EmitBytes(buf, x.Label(lbl), actor)
+		sc.lbl = appendStepLabel(sc.lbl[:0], p, v, old, nv, request)
+		x.EmitBytes(buf, x.Label(sc.lbl), actor)
 	}
+}
+
+// appendStepLabel appends the label of process p's step that accesses
+// variable v, changing it from old to nv: "p<p> requests" for a request
+// (a remainder-region step, the environment's), "p<p>: v<v> <old>-><nv>"
+// otherwise. The explored system and LiveMutex both label through it.
+func appendStepLabel(dst []byte, p, v, old, nv int, request bool) []byte {
+	dst = append(dst, 'p')
+	dst = strconv.AppendInt(dst, int64(p), 10)
+	if request {
+		return append(dst, " requests"...)
+	}
+	dst = append(dst, ": v"...)
+	dst = strconv.AppendInt(dst, int64(v), 10)
+	dst = append(dst, ' ')
+	dst = strconv.AppendInt(dst, int64(old), 10)
+	dst = append(dst, "->"...)
+	return strconv.AppendInt(dst, int64(nv), 10)
 }
 
 // NewSystem exposes the algorithm's transition system (canonical encoded
 // global states) for direct exploration — used by the determinism tests and
 // the exploration benchmarks.
 func NewSystem(alg Algorithm) core.System[string] {
-	return system{alg: alg}
+	return newSystem(alg)
 }
 
 // Explore builds the reachable state graph of the algorithm.
@@ -198,7 +207,7 @@ func Explore(alg Algorithm, maxStates int) (*core.Graph[state], error) {
 // ExploreWith builds the reachable state graph with full exploration
 // options (worker count, telemetry).
 func ExploreWith(alg Algorithm, opts core.ExploreOptions) (*core.Graph[state], error) {
-	g, err := core.Explore[state](system{alg: alg}, opts)
+	g, err := core.Explore[state](newSystem(alg), opts)
 	if err != nil {
 		return nil, fmt.Errorf("sharedmem: exploring %s: %w", alg.Name(), err)
 	}
@@ -463,7 +472,7 @@ func (b bypassSystem) ExpandInto(s state, x *engine.Ctx[state]) {
 // "bounded waiting" condition of Burns et al., §2.1). It returns a witness
 // trace on violation.
 func CheckBoundedBypass(alg Algorithm, bound, maxStates int) (ok bool, witness core.Trace, err error) {
-	sys := bypassSystem{inner: system{alg: alg}, bound: bound}
+	sys := bypassSystem{inner: newSystem(alg), bound: bound}
 	g, err := core.Explore[state](sys, core.ExploreOptions{MaxStates: maxStates})
 	if err != nil {
 		return false, nil, fmt.Errorf("sharedmem: bounded-bypass exploration of %s: %w", alg.Name(), err)
