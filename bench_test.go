@@ -338,7 +338,7 @@ func BenchmarkE21DataLink(b *testing.B) {
 // and stay because EXPERIMENTS.md history cites them), the Parallel
 // variant at GOMAXPROCS workers. Both report throughput via states/sec.
 
-func benchExplore(b *testing.B, sys core.System[string], parallel bool) {
+func benchExplore(b *testing.B, sys core.System, parallel bool) {
 	b.Helper()
 	var states int
 	for i := 0; i < b.N; i++ {
@@ -376,7 +376,7 @@ func BenchmarkExploreParallelFLP(b *testing.B) {
 // under their symmetry canonicalizers. Comparing states and wall time
 // against the full-graph pair reads off the orbit reduction directly.
 
-func benchExploreQuotient(b *testing.B, sys core.System[string], canon engine.Canonicalizer, canonBytes func() engine.BytesCanonicalizer) {
+func benchExploreQuotient(b *testing.B, sys core.System, canon engine.Canonicalizer, canonBytes func() engine.BytesCanonicalizer) {
 	b.Helper()
 	var st engine.Stats
 	for i := 0; i < b.N; i++ {
@@ -417,7 +417,7 @@ func BenchmarkExploreQuotientFLP(b *testing.B) {
 // POR+quotient stack. Comparing states against the Full bench reads off
 // the reduction; por-branch is the engine's per-state branch factor saving.
 
-func benchExplorePOR(b *testing.B, sys core.System[string], opts core.ExploreOptions) {
+func benchExplorePOR(b *testing.B, sys core.System, opts core.ExploreOptions) {
 	b.Helper()
 	var st engine.Stats
 	opts.Stats = &st
@@ -448,7 +448,7 @@ func benchExplorePOR(b *testing.B, sys core.System[string], opts core.ExploreOpt
 func BenchmarkExploreWorkers(b *testing.B) {
 	type sized struct {
 		name string
-		sys  core.System[string]
+		sys  core.System
 	}
 	var systems []sized
 	for _, r := range []int{8, 16} {
@@ -517,7 +517,7 @@ func BenchmarkExploreBytes(b *testing.B) {
 // exploration reaches. Run with -benchmem; allocs/op is the system's own
 // allocation per expansion.
 
-func benchExpandInto(b *testing.B, sys core.System[string]) {
+func benchExpandInto(b *testing.B, sys core.System) {
 	b.Helper()
 	res, err := engine.Explore(sys.Init(), sys.ExpandInto, engine.Options{Parallelism: 1, MaxStates: 1 << 16})
 	if err != nil && res == nil {
@@ -569,6 +569,14 @@ func BenchmarkExpandIntoAsyncABP(b *testing.B) {
 	benchExpandInto(b, a.System())
 }
 
+func BenchmarkExpandIntoBenOr(b *testing.B) {
+	bo, err := consensus.NewBenOrSpace(3, 1, 1, []int{0, 1, 0})
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchExpandInto(b, bo.System())
+}
+
 func BenchmarkExploreFullFLPCrashFree(b *testing.B) {
 	p := flp.NewWaitQuorum(4)
 	benchExplorePOR(b, flp.NewSystem(p, nil, 0), core.ExploreOptions{})
@@ -616,7 +624,7 @@ type chainSys struct{ n int }
 
 func (c chainSys) Init() []string { return []string{string(make([]byte, 8))} }
 
-func (c chainSys) ExpandInto(s string, x *engine.Ctx[string]) {
+func (c chainSys) ExpandInto(s string, x *engine.Ctx) {
 	if i := binary.LittleEndian.Uint64([]byte(s)); i < uint64(c.n) {
 		x.Scratch = binary.LittleEndian.AppendUint64(x.Scratch[:0], i+1)
 		x.EmitBytes(x.Scratch, "inc", 0)
@@ -630,7 +638,7 @@ type stringChainSys struct{ n int }
 
 func (c stringChainSys) Init() []string { return []string{string(make([]byte, 1))} }
 
-func (c stringChainSys) ExpandInto(s string, x *engine.Ctx[string]) {
+func (c stringChainSys) ExpandInto(s string, x *engine.Ctx) {
 	if len(s) < c.n {
 		x.Emit(s+"x", "inc", 0)
 	}

@@ -409,8 +409,8 @@ func appendBraidState(b []byte, lane, pos int32) []byte {
 // braidExpand expands the braid. Every expansion runs braidWork first so
 // the row measures a realistic per-state derivation cost rather than a
 // no-op successor function.
-func braidExpand(lanes, depth int32) engine.ExpandFunc[string] {
-	return func(s string, x *engine.Ctx[string]) {
+func braidExpand(lanes, depth int32) engine.ExpandFunc {
+	return func(s string, x *engine.Ctx) {
 		lane := int32(binary.LittleEndian.Uint32([]byte(s[:4])))
 		pos := int32(binary.LittleEndian.Uint32([]byte(s[4:])))
 		if braidWork(lane, pos) == 0 {

@@ -131,7 +131,7 @@ func TestCleanupWritesProfilesAndTrace(t *testing.T) {
 	if x.Base.Sink == nil {
 		t.Fatal("-trace left the sink nil")
 	}
-	count := func(s string, c *engine.Ctx[string]) {
+	count := func(s string, c *engine.Ctx) {
 		if s < "3" {
 			c.Emit(string(s[0]+1), "inc", 0)
 		}

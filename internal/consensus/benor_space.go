@@ -86,7 +86,7 @@ func (b *BenOrSpace) msgOff(s, ph, kind int) int {
 func (b *BenOrSpace) stateLen() int { return 4*b.Procs + 4*b.Procs*b.Phases }
 
 // System returns the exploration system over packed configurations.
-func (b *BenOrSpace) System() core.System[string] { return benOrSystem{b} }
+func (b *BenOrSpace) System() core.System { return benOrSystem{b} }
 
 // Decision decodes process p's decision from a state (-1 if undecided).
 func (b *BenOrSpace) Decision(st string, p int) int {
@@ -251,8 +251,20 @@ func (s benOrSystem) Init() []string {
 	return []string{string(st)}
 }
 
-func (s benOrSystem) ExpandInto(st string, x *engine.Ctx[string]) {
+// benOrScratch is benOrSystem's per-worker scratch (engine.Ctx.Sys): the
+// one model view every branch runs in, and the coin tape.
+type benOrScratch struct {
+	view benOrModelView
+	tape []byte
+}
+
+func (s benOrSystem) ExpandInto(st string, x *engine.Ctx) {
 	b := s.b
+	sc, _ := x.Sys.(*benOrScratch)
+	if sc == nil {
+		sc = &benOrScratch{}
+		x.Sys = sc
+	}
 	for snd := 0; snd < b.Procs; snd++ {
 		for ph := 1; ph <= b.Phases; ph++ {
 			for kind := 0; kind < 2; kind++ {
@@ -268,7 +280,7 @@ func (s benOrSystem) ExpandInto(st string, x *engine.Ctx[string]) {
 					if int(st[b.procOff(q)+1]) > b.Phases {
 						continue // halted receivers no longer consume
 					}
-					b.deliveries(st, snd, ph, kind, val, q, x)
+					b.deliveries(st, snd, ph, kind, val, q, sc, x)
 				}
 			}
 		}
@@ -276,32 +288,42 @@ func (s benOrSystem) ExpandInto(st string, x *engine.Ctx[string]) {
 }
 
 // deliveries emits the branches of delivering (snd, ph, kind, val) to q:
-// one successor per coin-outcome sequence of q's advance cascade.
-func (b *BenOrSpace) deliveries(st string, snd, ph, kind int, val byte, q int, x *engine.Ctx[string]) {
-	var expand func(tape []byte)
-	expand = func(tape []byte) {
-		next := []byte(st)
-		next[b.msgOff(snd, ph, kind)+1] |= 1 << uint(q)
-		v := &benOrModelView{b: b, st: next, p: q}
-		pos, starved := 0, false
+// one successor per coin-outcome sequence of q's advance cascade, in
+// lexicographic order of the sequences (0 before 1). Each branch runs the
+// cascade on a copy of st in x.Scratch with the coins on sc.tape, a flip
+// past the tape's end appending a 0, and is emitted with its label built
+// after the state in the same buffer. The tape then advances like an
+// odometer: trailing 1s drop off and the last 0 turns into a 1, which is
+// the next leaf of a depth-first walk over the coin tree.
+func (b *BenOrSpace) deliveries(st string, snd, ph, kind int, val byte, q int, sc *benOrScratch, x *engine.Ctx) {
+	n := len(st)
+	v := &sc.view
+	v.b, v.p = b, q
+	tape := sc.tape[:0]
+	for {
+		buf := append(x.Scratch[:0], st...)
+		buf[b.msgOff(snd, ph, kind)+1] |= 1 << uint(q)
+		v.st = buf
+		pos := 0
 		benOrAdvance(v, b.Procs, b.MaxFaults, b.Phases, func() byte {
-			if pos < len(tape) {
-				c := tape[pos]
-				pos++
-				return c
+			if pos == len(tape) {
+				tape = append(tape, 0)
 			}
-			starved = true
-			return 0
+			pos++
+			return tape[pos-1]
 		})
-		if starved {
-			expand(append(append([]byte(nil), tape...), 0))
-			expand(append(append([]byte(nil), tape...), 1))
-			return
+		buf = appendBenOrLabel(buf, kind, ph, val, snd, q, tape)
+		x.Scratch = buf
+		x.EmitBytes(buf[:n], x.Label(buf[n:]), q)
+		for len(tape) > 0 && tape[len(tape)-1] == 1 {
+			tape = tape[:len(tape)-1]
 		}
-		x.Scratch = appendBenOrLabel(x.Scratch[:0], kind, ph, val, snd, q, tape)
-		x.Emit(string(next), x.Label(x.Scratch), q)
+		if len(tape) == 0 {
+			break
+		}
+		tape[len(tape)-1] = 1
 	}
-	expand(nil)
+	sc.tape = tape
 }
 
 // benOrModelView implements benOrView over the packed global state.

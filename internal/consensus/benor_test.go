@@ -1,10 +1,14 @@
 package consensus
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 )
 
 func TestNewBenOrSpaceValidation(t *testing.T) {
@@ -115,7 +119,7 @@ func TestBenOrSpaceUnanimous(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		g, err := core.Explore(b.System(), core.ExploreOptions{})
+		g, err := core.Explore[string](b.System(), core.ExploreOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,7 +151,7 @@ func TestBenOrSpaceSplit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := core.Explore(b.System(), core.ExploreOptions{})
+	g, err := core.Explore[string](b.System(), core.ExploreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,5 +174,89 @@ func TestBenOrSpaceSplit(t *testing.T) {
 	}
 	if !sawDecided {
 		t.Fatal("no schedule decided within one phase; majority schedules should")
+	}
+}
+
+// benOrLive is the model live-refine explores: n=3, t=1, one phase, split
+// inputs.
+func benOrLive(t testing.TB) *BenOrSpace {
+	t.Helper()
+	b, err := NewBenOrSpace(3, 1, 1, []int{0, 1, 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// graphHash hashes a graph's initials and, per state in id order, its
+// bytes and its row: each step's successor, label and actor.
+func graphHash(g *core.Graph[string]) string {
+	h := fnv.New64a()
+	var buf []byte
+	for _, id := range g.Initials() {
+		buf = binary.AppendUvarint(buf[:0], uint64(id))
+		h.Write(buf)
+	}
+	for i := 0; i < g.Len(); i++ {
+		buf = binary.AppendUvarint(buf[:0], uint64(len(g.State(i))))
+		buf = append(buf, g.State(i)...)
+		for _, st := range g.Successors(i) {
+			buf = binary.AppendUvarint(buf, uint64(len(st.To)))
+			buf = append(buf, st.To...)
+			buf = binary.AppendUvarint(buf, uint64(len(st.Label)))
+			buf = append(buf, st.Label...)
+			buf = binary.AppendVarint(buf, int64(st.Actor))
+		}
+		buf = append(buf, 0xff)
+		h.Write(buf)
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// TestBenOrSpaceGraphPinned pins the live-refine model's graph: state and
+// edge counts and a hash over states, rows and labels, so a change to the
+// expansion (successor order, coin branches, labels) shows here. The
+// differential oracle holds the same expansion to the reference BFS at
+// every worker count, re-expanding each state over poisoned scratch.
+func TestBenOrSpaceGraphPinned(t *testing.T) {
+	sys := benOrLive(t).System()
+	if _, err := engine.Differential(engine.DiffSpec{
+		Name: "benor", Inits: sys.Init(), Expand: sys.ExpandInto, VerifyAliasing: 1,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	g, err := core.Explore[string](sys, core.ExploreOptions{Parallelism: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fmt.Sprintf("%d states, %d edges, hash %s", g.Len(), g.NumEdges(), graphHash(g)),
+		"5689 states, 16396 edges, hash efcb3754a16eac20"; got != want {
+		t.Fatalf("ben-or graph: %s, want %s", got, want)
+	}
+}
+
+// TestBenOrExpandIntoAllocs pins a warmed ExpandInto of the live-refine
+// model at zero allocations: every branch is built in the worker's
+// scratch and emitted as bytes, with its label interned.
+func TestBenOrExpandIntoAllocs(t *testing.T) {
+	sys := benOrLive(t).System()
+	g, err := core.Explore[string](sys, core.ExploreOptions{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sample []string
+	for i := 0; i < g.Len(); i += 7 {
+		sample = append(sample, g.State(i))
+	}
+	x := engine.CollectBytesCtx(func([]byte, string, int) {})
+	for _, s := range sample { // warm the scratch and the label interner
+		sys.ExpandInto(s, x)
+	}
+	i := 0
+	if n := testing.AllocsPerRun(1000, func() {
+		sys.ExpandInto(sample[i%len(sample)], x)
+		i++
+	}); n != 0 {
+		t.Fatalf("a warmed expansion allocates %v times, want 0", n)
 	}
 }

@@ -202,8 +202,8 @@ func (g *Graph[S]) CheckLeadsTo(premise, goal func(S) bool, fair Fairness, numAc
 	goalSet := make([]bool, len(g.states))
 	var premised []int
 	for i, s := range g.states {
-		goalSet[i] = goal(s)
-		if premise(s) {
+		goalSet[i] = goal(S(s))
+		if premise(S(s)) {
 			premised = append(premised, i)
 		}
 	}

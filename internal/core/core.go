@@ -29,14 +29,11 @@ import (
 // fairness requirements.
 const EnvironmentActor = -1
 
-// Step is one labeled transition out of a state. Actor identifies the
-// process taking the step (or EnvironmentActor); Label is a human-readable
-// action name used in traces and counterexamples.
-type Step[S ~string] struct {
-	To    S
-	Label string
-	Actor int
-}
+// Step is one labeled transition out of a state, the engine's Action: To
+// is the successor, Actor the process taking the step (or
+// EnvironmentActor), and Label a human-readable action name used in traces
+// and counterexamples.
+type Step = engine.Action
 
 // System is a (finitely explorable) labeled transition system over
 // canonical states encoded as strings. Implementations must ensure that equal
@@ -45,9 +42,9 @@ type Step[S ~string] struct {
 // process sees the same thing in two executions, it behaves the same in
 // both" — equality of canonical encodings is the mechanized form of
 // indistinguishability.
-type System[S ~string] interface {
+type System interface {
 	// Init returns the initial states.
-	Init() []S
+	Init() []string
 	// ExpandInto is the transition relation: it emits every enabled
 	// transition from s into x (Emit, or EmitBytes for states rendered
 	// into x.Scratch), in a deterministic order. Emitting nothing
@@ -56,17 +53,18 @@ type System[S ~string] interface {
 	// buffer-ownership rules: emitted byte slices are consumed by the time
 	// the emit call returns and must not be retained across expansions.
 	// engine.Differential and Options.VerifyAliasing hold implementations
-	// to these rules; StepsOf materializes one state's transitions.
-	ExpandInto(s S, x *engine.Ctx[S])
+	// to these rules; StepsOf materializes one state's transitions. It is
+	// the engine.ExpandFunc that Explore hands to the engine.
+	ExpandInto(s string, x *engine.Ctx)
 }
 
 // StepsOf returns the transitions sys.ExpandInto emits from s, in emission
 // order — the materialized form for one-off callers and tests. The
 // explorers never call it.
-func StepsOf[S ~string](sys System[S], s S) []Step[S] {
-	var out []Step[S]
-	sys.ExpandInto(s, engine.CollectCtx(func(to S, label string, actor int) {
-		out = append(out, Step[S]{To: to, Label: label, Actor: actor})
+func StepsOf(sys System, s string) []Step {
+	var out []Step
+	sys.ExpandInto(s, engine.CollectCtx(func(to, label string, actor int) {
+		out = append(out, Step{To: to, Label: label, Actor: actor})
 	}))
 	return out
 }
@@ -89,12 +87,17 @@ type edge = engine.Edge
 // i's transitions are edges[off[i]:off[i+1]], labels are ids into a label
 // table, and the passes walk ids, looking a label string up only when they
 // build a Trace.
+//
+// S is always string or an alias of it: the parameter stays only because
+// bench/ names core.Graph[string] and core.Explore[string], and Go 1.22
+// has no generic aliases. The states are the engine's []string, converted
+// to S only at the accessors.
 type Graph[S ~string] struct {
-	states []S
+	states []string
 	// index and labelIndex are built lazily, under their sync.Once, on the
 	// first StateID and EmbedTrace call, so concurrent readers race neither
 	// on construction nor on lookup.
-	index          map[S]int
+	index          map[string]int
 	indexOnce      sync.Once
 	labelIndex     map[string]uint32
 	labelIndexOnce sync.Once
@@ -147,28 +150,24 @@ const DefaultMaxStates = engine.DefaultMaxStates
 // lossy store (bitstate) taints the exploration: the Graph may undercount
 // the reachable set, so callers must downgrade universally-quantified
 // verdicts — check Stats.Lossy.
-func Explore[S ~string](sys System[S], opts ExploreOptions) (*Graph[S], error) {
+//
+// The Graph shares the engine result's arrays rather than copying them
+// (see the edge alias); its index map is built on the first StateID call.
+// S names only the Graph's state type; see Graph for why it stays.
+func Explore[S ~string](sys System, opts ExploreOptions) (*Graph[S], error) {
 	if opts.MaxStates <= 0 {
 		opts.MaxStates = DefaultMaxStates
 	}
 	res, err := engine.Explore(sys.Init(), sys.ExpandInto, opts)
-	if err != nil {
-		switch {
-		case errors.Is(err, engine.ErrNoInitialStates):
-			return nil, errors.New("core: system has no initial states")
-		case errors.Is(err, engine.ErrStateLimit):
-			return adoptResult(res), fmt.Errorf("%w: limit %d", ErrStateLimit, opts.MaxStates)
-		default:
-			return nil, err
-		}
+	switch {
+	case err == nil:
+	case errors.Is(err, engine.ErrNoInitialStates):
+		return nil, errors.New("core: system has no initial states")
+	case errors.Is(err, engine.ErrStateLimit):
+		err = fmt.Errorf("%w: limit %d", ErrStateLimit, opts.MaxStates)
+	default:
+		return nil, err
 	}
-	return adoptResult(res), nil
-}
-
-// adoptResult wraps an engine result as a Graph, sharing its arrays rather
-// than copying them (see the edge alias). The index map is built lazily on
-// the first StateID call rather than eagerly re-interning every state.
-func adoptResult[S ~string](res *engine.Result[S]) *Graph[S] {
 	return &Graph[S]{
 		states:     res.States,
 		off:        res.Off,
@@ -177,7 +176,7 @@ func adoptResult[S ~string](res *engine.Result[S]) *Graph[S] {
 		parent:     res.Parents,
 		parentEdge: res.ParentEdges,
 		inits:      res.Inits,
-	}
+	}, err
 }
 
 // Len returns the number of reachable states.
@@ -188,7 +187,7 @@ func (g *Graph[S]) NumEdges() int { return int(g.off[len(g.off)-1]) }
 
 // State returns the state with internal id i. Ids are stable for the life
 // of the graph and densely numbered from 0.
-func (g *Graph[S]) State(i int) S { return g.states[i] }
+func (g *Graph[S]) State(i int) S { return S(g.states[i]) }
 
 // StateID returns the id of state s, if it is reachable. The state index
 // is materialized on the first call, under a sync.Once so that concurrent
@@ -196,13 +195,13 @@ func (g *Graph[S]) State(i int) S { return g.states[i] }
 // may be called from multiple goroutines.
 func (g *Graph[S]) StateID(s S) (int, bool) {
 	g.indexOnce.Do(func() {
-		idx := make(map[S]int, len(g.states))
+		idx := make(map[string]int, len(g.states))
 		for i, st := range g.states {
 			idx[st] = i
 		}
 		g.index = idx
 	})
-	id, ok := g.index[s]
+	id, ok := g.index[string(s)]
 	return id, ok
 }
 
@@ -218,18 +217,18 @@ func (g *Graph[S]) Initials() []int {
 func (g *Graph[S]) expanded(i int) bool { return i+1 < len(g.off) }
 
 // step renders e as a Step.
-func (g *Graph[S]) step(e edge) Step[S] {
-	return Step[S]{To: g.states[e.To], Label: g.labels[e.Label], Actor: int(e.Actor)}
+func (g *Graph[S]) step(e edge) Step {
+	return Step{To: g.states[e.To], Label: g.labels[e.Label], Actor: int(e.Actor)}
 }
 
 // Successors returns the steps out of state id i; nil for a state whose
 // expansion a truncated exploration cut off.
-func (g *Graph[S]) Successors(i int) []Step[S] {
+func (g *Graph[S]) Successors(i int) []Step {
 	if !g.expanded(i) {
 		return nil
 	}
 	es := g.out(i)
-	out := make([]Step[S], len(es))
+	out := make([]Step, len(es))
 	for k, e := range es {
 		out[k] = g.step(e)
 	}
@@ -247,9 +246,9 @@ func (g *Graph[S]) Parent(i int) int { return int(g.parent[i]) }
 
 // ParentStep returns the step by which Parent(i) first reached state i.
 // For initial states it returns the zero Step.
-func (g *Graph[S]) ParentStep(i int) Step[S] {
+func (g *Graph[S]) ParentStep(i int) Step {
 	if g.parent[i] < 0 {
-		return Step[S]{}
+		return Step{}
 	}
 	return g.step(g.edges[g.parentEdge[i]])
 }
@@ -299,7 +298,7 @@ func (g *Graph[S]) PathTo(i int) Trace {
 // or ok=false if none exists.
 func (g *Graph[S]) FindState(pred func(S) bool) (int, bool) {
 	for i, s := range g.states {
-		if pred(s) {
+		if pred(S(s)) {
 			return i, true
 		}
 	}
@@ -310,7 +309,7 @@ func (g *Graph[S]) FindState(pred func(S) bool) (int, bool) {
 // violation it returns the violating state id and a witness trace.
 func (g *Graph[S]) CheckInvariant(inv func(S) bool) (violation int, trace Trace, ok bool) {
 	for i, s := range g.states {
-		if !inv(s) {
+		if !inv(S(s)) {
 			return i, g.PathTo(i), false
 		}
 	}

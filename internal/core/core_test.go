@@ -22,7 +22,7 @@ func atoi(s string) int {
 }
 
 // emitInt emits the integer-valued state n, built in x's scratch buffer.
-func emitInt(x *engine.Ctx[string], n int, label string, actor int) {
+func emitInt(x *engine.Ctx, n int, label string, actor int) {
 	x.Scratch = strconv.AppendInt(x.Scratch[:0], int64(n), 10)
 	x.EmitBytes(x.Scratch, label, actor)
 }
@@ -32,7 +32,7 @@ type chainSys struct{ n int }
 
 func (c chainSys) Init() []string { return []string{"0"} }
 
-func (c chainSys) ExpandInto(s string, x *engine.Ctx[string]) {
+func (c chainSys) ExpandInto(s string, x *engine.Ctx) {
 	if i := atoi(s); i < c.n {
 		emitInt(x, i+1, "inc", 0)
 	}
@@ -105,12 +105,12 @@ func TestCheckInvariant(t *testing.T) {
 // TestStepsOf checks the materialized form of ExpandInto: every emitted
 // transition in emission order, and nothing for a terminal state.
 func TestStepsOf(t *testing.T) {
-	got := StepsOf[string](diamondSys{}, "root")
-	want := []Step[string]{{To: "d0", Label: "left", Actor: 0}, {To: "mid", Label: "right", Actor: 1}}
+	got := StepsOf(diamondSys{}, "root")
+	want := []Step{{To: "d0", Label: "left", Actor: 0}, {To: "mid", Label: "right", Actor: 1}}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("StepsOf(root) = %v, want %v", got, want)
 	}
-	if got := StepsOf[string](diamondSys{}, "d1"); len(got) != 0 {
+	if got := StepsOf(diamondSys{}, "d1"); len(got) != 0 {
 		t.Fatalf("StepsOf(d1) = %v, want none", got)
 	}
 }
@@ -121,7 +121,7 @@ type diamondSys struct{}
 
 func (diamondSys) Init() []string { return []string{"root"} }
 
-func (diamondSys) ExpandInto(s string, x *engine.Ctx[string]) {
+func (diamondSys) ExpandInto(s string, x *engine.Ctx) {
 	switch s {
 	case "root":
 		x.Emit("d0", "left", 0)
@@ -200,7 +200,7 @@ type loopSys struct{}
 
 func (loopSys) Init() []string { return []string{"spin"} }
 
-func (loopSys) ExpandInto(s string, x *engine.Ctx[string]) {
+func (loopSys) ExpandInto(s string, x *engine.Ctx) {
 	switch s {
 	case "spin":
 		x.Emit("spin", "spin", 0)
@@ -240,7 +240,7 @@ type stuckSys struct{}
 
 func (stuckSys) Init() []string { return []string{"a"} }
 
-func (stuckSys) ExpandInto(s string, x *engine.Ctx[string]) {
+func (stuckSys) ExpandInto(s string, x *engine.Ctx) {
 	if s == "a" {
 		x.Emit("dead", "step", 0)
 	}
@@ -272,7 +272,7 @@ type pingpong struct{}
 
 func (pingpong) Init() []string { return []string{"ping"} }
 
-func (pingpong) ExpandInto(s string, x *engine.Ctx[string]) {
+func (pingpong) ExpandInto(s string, x *engine.Ctx) {
 	if s == "ping" {
 		x.Emit("pong", "p0", 0)
 		return
@@ -353,7 +353,7 @@ func TestNullvalent(t *testing.T) {
 // graphMatchesResult checks that g exposes exactly the engine Result it
 // was built from: state numbering, initials, edge lists (with order),
 // parent tree and parent steps.
-func graphMatchesResult[S ~string](t *testing.T, label string, g *Graph[S], res *engine.Result[S]) {
+func graphMatchesResult(t *testing.T, label string, g *Graph[string], res *engine.Result) {
 	t.Helper()
 	if g.Len() != len(res.States) {
 		t.Fatalf("%s: Len %d, result has %d states", label, g.Len(), len(res.States))
@@ -370,7 +370,7 @@ func graphMatchesResult[S ~string](t *testing.T, label string, g *Graph[S], res 
 		}
 		if g.Parent(i) >= 0 {
 			pe := res.Edges[res.ParentEdges[i]]
-			if g.ParentStep(i) != (Step[S]{To: res.States[pe.To], Label: res.Labels[pe.Label], Actor: int(pe.Actor)}) {
+			if g.ParentStep(i) != (Step{To: res.States[pe.To], Label: res.Labels[pe.Label], Actor: int(pe.Actor)}) {
 				t.Fatalf("%s: parent step %d differs", label, i)
 			}
 		}
@@ -380,7 +380,7 @@ func graphMatchesResult[S ~string](t *testing.T, label string, g *Graph[S], res 
 			t.Fatalf("%s: successors of %d: %d, result has %d", label, i, len(succ), len(row))
 		}
 		for k, e := range row {
-			if want := (Step[S]{To: res.States[e.To], Label: res.Labels[e.Label], Actor: int(e.Actor)}); succ[k] != want {
+			if want := (Step{To: res.States[e.To], Label: res.Labels[e.Label], Actor: int(e.Actor)}); succ[k] != want {
 				t.Fatalf("%s: successor %d/%d differs: %+v vs %+v", label, i, k, succ[k], want)
 			}
 		}
@@ -393,7 +393,7 @@ func graphMatchesResult[S ~string](t *testing.T, label string, g *Graph[S], res 
 func TestParallelExploreMatchesSequential(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		sys := newRandomSys(seed)
-		if _, err := engine.Differential(engine.DiffSpec[string]{
+		if _, err := engine.Differential(engine.DiffSpec{
 			Name: fmt.Sprintf("seed %d", seed), Inits: sys.Init(), Expand: sys.ExpandInto,
 		}); err != nil {
 			t.Fatal(err)
@@ -416,7 +416,7 @@ func TestParallelExploreMatchesSequential(t *testing.T) {
 // alongside ErrStateLimit at every worker count, and equals the reference
 // breadth-first search's.
 func TestTruncationReturnsPartialGraph(t *testing.T) {
-	if _, err := engine.Differential(engine.DiffSpec[string]{
+	if _, err := engine.Differential(engine.DiffSpec{
 		Name: "chain", Inits: chainSys{n: 100}.Init(), Expand: chainSys{n: 100}.ExpandInto, MaxStates: 5,
 	}); err != nil {
 		t.Fatal(err)
@@ -458,7 +458,7 @@ type gridSys struct{ n int }
 
 func (g gridSys) Init() []string { return []string{"0"} }
 
-func (g gridSys) ExpandInto(state string, x *engine.Ctx[string]) {
+func (g gridSys) ExpandInto(state string, x *engine.Ctx) {
 	s := atoi(state)
 	if s%g.n+1 < g.n {
 		emitInt(x, s+1, "right", 0)

@@ -18,7 +18,7 @@ import (
 type embedSys struct{}
 
 func (embedSys) Init() []string { return []string{"A"} }
-func (embedSys) ExpandInto(s string, x *engine.Ctx[string]) {
+func (embedSys) ExpandInto(s string, x *engine.Ctx) {
 	switch s {
 	case "A":
 		x.Emit("B", "a", 0)

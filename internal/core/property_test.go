@@ -14,18 +14,18 @@ import (
 type randomSys struct {
 	n      int
 	actors int
-	edges  map[int][]Step[string]
+	edges  map[int][]Step
 }
 
 func newRandomSys(seed int64) *randomSys {
 	rng := rand.New(rand.NewSource(seed))
 	n := rng.Intn(30) + 5
 	actors := rng.Intn(3) + 1
-	s := &randomSys{n: n, actors: actors, edges: make(map[int][]Step[string], n)}
+	s := &randomSys{n: n, actors: actors, edges: make(map[int][]Step, n)}
 	for v := 0; v < n; v++ {
 		deg := rng.Intn(3)
 		for e := 0; e < deg; e++ {
-			s.edges[v] = append(s.edges[v], Step[string]{
+			s.edges[v] = append(s.edges[v], Step{
 				To:    strconv.Itoa(rng.Intn(n)),
 				Label: "e",
 				Actor: rng.Intn(actors),
@@ -37,7 +37,7 @@ func newRandomSys(seed int64) *randomSys {
 
 func (s *randomSys) Init() []string { return []string{"0"} }
 
-func (s *randomSys) ExpandInto(v string, x *engine.Ctx[string]) {
+func (s *randomSys) ExpandInto(v string, x *engine.Ctx) {
 	for _, e := range s.edges[atoi(v)] {
 		x.Emit(e.To, e.Label, e.Actor)
 	}
@@ -119,7 +119,7 @@ func TestPathToAlwaysReplays(t *testing.T) {
 	}
 }
 
-func bfsDistances[S ~string](g *Graph[S]) []int {
+func bfsDistances(g *Graph[string]) []int {
 	dist := make([]int, g.Len())
 	for i := range dist {
 		dist[i] = -1

@@ -15,7 +15,7 @@ type twinSys struct{ max byte }
 
 func (c twinSys) Init() []string { return []string{"00"} }
 
-func (c twinSys) ExpandInto(s string, x *engine.Ctx[string]) {
+func (c twinSys) ExpandInto(s string, x *engine.Ctx) {
 	if s[0] < c.max {
 		x.Emit(string([]byte{s[0] + 1, s[1]}), "inc0", 0)
 	}

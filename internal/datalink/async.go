@@ -91,7 +91,7 @@ func kindOf(label string) int {
 }
 
 // System returns the exploration system over packed configurations.
-func (a *AsyncABP) System() core.System[string] { return asyncABPSystem{a} }
+func (a *AsyncABP) System() core.System { return asyncABPSystem{a} }
 
 type asyncABPSystem struct{ a *AsyncABP }
 
@@ -107,7 +107,7 @@ func (a *AsyncABP) Done(st string) bool { return int(st[offNext]) == a.Messages 
 // Delivered reports how many messages the receiver has handed up in st.
 func (a *AsyncABP) Delivered(st string) int { return int(st[offDelivered]) }
 
-func (s asyncABPSystem) ExpandInto(st string, x *engine.Ctx[string]) {
+func (s asyncABPSystem) ExpandInto(st string, x *engine.Ctx) {
 	if s.a.Done(st) {
 		return // all acknowledged: terminal
 	}

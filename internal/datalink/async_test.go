@@ -126,7 +126,7 @@ func TestAsyncABPAliasingClean(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys := a.System()
-	if _, err := engine.Differential(engine.DiffSpec[string]{
+	if _, err := engine.Differential(engine.DiffSpec{
 		Name: "async-abp", Inits: sys.Init(), Expand: sys.ExpandInto,
 		VerifyAliasing: 1, Workers: []int{1, 2},
 	}); err != nil {

@@ -22,7 +22,7 @@ const poisonByte = 0xDB
 // the engine-owned buffers can be poisoned here; the system's private
 // scratch (Ctx.Sys) is instead exercised by the re-expansion itself, which
 // must reproduce the original emissions while reusing it.
-func poisonScratch[S ~string](ws *worker[S]) {
+func poisonScratch(ws *worker) {
 	for i := range ws.ctx.Scratch {
 		ws.ctx.Scratch[i] = poisonByte
 	}
@@ -36,9 +36,9 @@ func poisonScratch[S ~string](ws *worker[S]) {
 // (id); under POR it is the collected action, with the raw successor
 // itself (to), because the arena holds only the ample subset and deferred
 // successors need not be interned.
-type aliasEdge[S ~string] struct {
+type aliasEdge struct {
 	id    int32
-	to    S
+	to    string
 	label string
 	actor int32
 }
@@ -51,17 +51,17 @@ type aliasEdge[S ~string] struct {
 // action set ws.acts under POR. Runs on the worker's own Ctx so the
 // system's retained scratch (Ctx.Sys) is reused, exactly as it will be on
 // the next real expansion.
-func (e *explorer[S]) checkAliasing(s S, ws *worker[S], sp span) {
+func (e *explorer) checkAliasing(s string, ws *worker, sp span) {
 	por := e.indep != nil
 	want := ws.aliasWant[:0]
 	if por {
 		for _, pa := range ws.acts {
-			want = append(want, aliasEdge[S]{to: S(pa.act.To), label: pa.act.Label, actor: int32(pa.act.Actor)})
+			want = append(want, aliasEdge{to: pa.act.To, label: pa.act.Label, actor: int32(pa.act.Actor)})
 		}
 	} else {
 		_, row := e.row(sp)
 		for _, r := range row {
-			want = append(want, aliasEdge[S]{id: r.to, label: ws.labels[r.label], actor: r.actor})
+			want = append(want, aliasEdge{id: r.to, label: ws.labels[r.label], actor: r.actor})
 		}
 	}
 	ws.aliasWant = want
@@ -69,16 +69,16 @@ func (e *explorer[S]) checkAliasing(s S, ws *worker[S], sp span) {
 	got := ws.aliasGot[:0]
 	missing := false
 	x := &ws.ctx
-	x.sink = func(to S, label string, actor int) {
-		a := aliasEdge[S]{label: label, actor: int32(actor)}
+	x.sink = func(to, label string, actor int) {
+		a := aliasEdge{label: label, actor: int32(actor)}
 		if por {
 			a.to = to
 		} else {
 			if e.canon != nil {
-				to = S(e.canon(string(to)))
+				to = e.canon(to)
 			}
 			var ok bool
-			if a.id, ok = e.store.Probe(string(to)); !ok {
+			if a.id, ok = e.store.Probe(to); !ok {
 				missing = true
 				a.id = -1
 			}
@@ -104,7 +104,7 @@ func (e *explorer[S]) checkAliasing(s S, ws *worker[S], sp span) {
 
 // describe renders a for a divergence report: the successor as its store
 // id on the full path, as the raw state under POR.
-func (a aliasEdge[S]) describe(por bool) string {
+func (a aliasEdge) describe(por bool) string {
 	if por {
 		return fmt.Sprintf("(to=%v label=%q actor=%d)", a.to, a.label, a.actor)
 	}

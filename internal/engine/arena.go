@@ -105,7 +105,7 @@ func workerBits(nw int) uint { return uint(bits.Len(uint(nw - 1))) }
 
 // row returns the recording worker of the row sp locates, and the row. An
 // empty row reads as worker 0's, with no edges.
-func (e *explorer[S]) row(sp span) (w int32, edges []rawEdge) {
+func (e *explorer) row(sp span) (w int32, edges []rawEdge) {
 	if sp.n == 0 {
 		return 0, nil
 	}

@@ -13,12 +13,12 @@ import (
 // rows keep crossing chunk ends; state 0's row is longer than the largest
 // regular chunk. Successors repeat within a row, so a row records
 // duplicate edges as well.
-func longRowExpand(n int) ExpandFunc[string] {
+func longRowExpand(n int) ExpandFunc {
 	labels := make([]string, 7)
 	for i := range labels {
 		labels[i] = "l" + strconv.Itoa(i)
 	}
-	return func(state string, x *Ctx[string]) {
+	return func(state string, x *Ctx) {
 		s := atoi(state)
 		deg := firstChunkEdges + 1 + s*7919%(3*firstChunkEdges)
 		if s == 0 {
@@ -36,7 +36,7 @@ func longRowExpand(n int) ExpandFunc[string] {
 // aliasing check.
 func TestLongRowsMatchReference(t *testing.T) {
 	const n = 2000
-	rep, err := Differential(DiffSpec[string]{
+	rep, err := Differential(DiffSpec{
 		Name:           "long-rows",
 		Inits:          []string{"0"},
 		Expand:         longRowExpand(n),
@@ -58,9 +58,9 @@ func TestLongRowsMatchReference(t *testing.T) {
 // span; rows that cross a chunk end must have moved, and the count of
 // recorded edges must exclude the moved prefixes.
 func TestEdgeArenaRows(t *testing.T) {
-	e := &explorer[string]{wbits: workerBits(3)}
+	e := &explorer{wbits: workerBits(3)}
 	for range 3 {
-		e.workers = append(e.workers, &worker[string]{arena: edgeArena{lastChunk: math.MaxInt32 >> e.wbits}})
+		e.workers = append(e.workers, &worker{arena: edgeArena{lastChunk: math.MaxInt32 >> e.wbits}})
 	}
 	const w = 2
 	a := &e.workers[w].arena

@@ -68,10 +68,10 @@ type BytesCanonicalizer func(dst, src []byte) []byte
 // into a deterministic order via each state's fingerprint so two multisets
 // can be compared positionally. Used only by the safety check; the hot
 // exploration path never materializes successor slices.
-func (e *explorer[S]) canonSuccessors(s S) map[string]int {
+func (e *explorer) canonSuccessors(s string) map[string]int {
 	out := make(map[string]int)
-	e.expand(s, CollectCtx(func(to S, _ string, _ int) {
-		out[e.canon(string(to))]++
+	e.expand(s, CollectCtx(func(to, _ string, _ int) {
+		out[e.canon(to)]++
 	}))
 	return out
 }
@@ -81,7 +81,7 @@ func (e *explorer[S]) canonSuccessors(s S) map[string]int {
 // the byte and string canonicalizers agree, and then runs the regular
 // soundness check on the raw state. Errors land in verifyErr like every
 // sampled check.
-func (e *explorer[S]) checkCanonBytes(src, rep []byte) {
+func (e *explorer) checkCanonBytes(src, rep []byte) {
 	raw := string(src)
 	bytesRep := string(rep)
 	if stringRep := e.canon(raw); stringRep != bytesRep {
@@ -89,7 +89,7 @@ func (e *explorer[S]) checkCanonBytes(src, rep []byte) {
 			ErrCanonUnsound, raw, bytesRep, stringRep))
 		return
 	}
-	if err := e.checkCanon(S(raw)); err != nil {
+	if err := e.checkCanon(raw); err != nil {
 		e.noteVerifyErr(err)
 	}
 }
@@ -99,14 +99,14 @@ func (e *explorer[S]) checkCanonBytes(src, rep []byte) {
 // representative. raw states already equal to their representative are
 // trivially sound (both conditions degenerate to identities), so callers
 // skip them.
-func (e *explorer[S]) checkCanon(raw S) error {
-	rep := e.canon(string(raw))
+func (e *explorer) checkCanon(raw string) error {
+	rep := e.canon(raw)
 	if again := e.canon(rep); again != rep {
 		return fmt.Errorf("%w: not idempotent at %v: Canon(s)=%v but Canon(Canon(s))=%v",
 			ErrCanonUnsound, raw, rep, again)
 	}
 	succRaw := e.canonSuccessors(raw)
-	succRep := e.canonSuccessors(S(rep))
+	succRep := e.canonSuccessors(rep)
 	if len(succRaw) != len(succRep) {
 		return fmt.Errorf("%w: not step-commuting at %v (rep %v): %d distinct canonical successors vs %d",
 			ErrCanonUnsound, raw, rep, len(succRaw), len(succRep))
@@ -125,7 +125,7 @@ func (e *explorer[S]) checkCanon(raw S) error {
 // error, so the *occurrence* of a failure by a given BFS depth is
 // deterministic even though which offending state is reported first may
 // vary with scheduling.
-func (e *explorer[S]) noteVerifyErr(err error) {
+func (e *explorer) noteVerifyErr(err error) {
 	e.verifyMu.Lock()
 	if e.verifyErr == nil {
 		e.verifyErr = err
@@ -134,7 +134,7 @@ func (e *explorer[S]) noteVerifyErr(err error) {
 }
 
 // takeVerifyErr reads the sticky verify error under its lock.
-func (e *explorer[S]) takeVerifyErr() error {
+func (e *explorer) takeVerifyErr() error {
 	e.verifyMu.Lock()
 	defer e.verifyMu.Unlock()
 	return e.verifyErr

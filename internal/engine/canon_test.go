@@ -64,7 +64,7 @@ func TestQuotientGrid(t *testing.T) {
 }
 
 func TestQuotientDeterminismAcrossWorkerCounts(t *testing.T) {
-	run := func(par, maxStates int) (*Result[string], error) {
+	run := func(par, maxStates int) (*Result, error) {
 		return Explore([]string{"0,0"}, gridExpand(40), Options{
 			Parallelism: par,
 			MaxStates:   maxStates,

@@ -22,7 +22,7 @@ package engine
 //     distinct label lands once in Result.Labels; edges refer to it by
 //     id), so systems must not build them over reused backing arrays via
 //     unsafe.
-type Ctx[S ~string] struct {
+type Ctx struct {
 	// Scratch is a reusable byte buffer owned by the expanding worker.
 	// Systems may slice, grow and overwrite it freely during one expansion
 	// (writing the grown slice back so capacity accumulates); its contents
@@ -35,8 +35,8 @@ type Ctx[S ~string] struct {
 	// later expansion by the same worker. The engine never touches it.
 	Sys any
 
-	e *explorer[S]
-	w *worker[S]
+	e *explorer
+	w *worker
 	// sink, when non-nil, switches the context to collect mode: Emit
 	// routes transitions to it instead of interning, and EmitBytes
 	// materializes the raw successor for it (the POR relations read
@@ -44,7 +44,7 @@ type Ctx[S ~string] struct {
 	// canonicalizes through the worker's byte canonicalizer when one is
 	// installed, the sampled soundness checks, and CollectCtx (where e
 	// and w stay nil).
-	sink func(to S, label string, actor int)
+	sink func(to, label string, actor int)
 	// bytesSink, when non-nil alongside sink, receives EmitBytes'
 	// successors as the raw bytes, unmaterialized (CollectBytesCtx).
 	bytesSink func(to []byte, label string, actor int)
@@ -56,7 +56,7 @@ type Ctx[S ~string] struct {
 // string is retained by the engine (its first occurrence becomes an entry
 // of Result.Labels, which the edge then refers to by id); use Label to
 // build it allocation-free from scratch bytes.
-func (x *Ctx[S]) Emit(to S, label string, actor int) {
+func (x *Ctx) Emit(to, label string, actor int) {
 	if x.sink != nil {
 		x.sink(to, label, actor)
 		return
@@ -69,7 +69,7 @@ func (x *Ctx[S]) Emit(to S, label string, actor int) {
 }
 
 // EmitBytes is Emit for a successor handed over as its raw encoded bytes:
-// the successor state is S(to), but on the direct path the engine
+// the successor state is string(to), but on the direct path the engine
 // fingerprints, canonicalizes and interns the bytes without ever
 // materializing that string — a dedup hit (the common case) allocates
 // nothing at all. The bytes are fully consumed before EmitBytes returns.
@@ -84,13 +84,13 @@ func (x *Ctx[S]) Emit(to S, label string, actor int) {
 // fingerprint bookkeeping, representative render) and the hash+intern
 // section are timed separately; a memo hit records its true near-zero
 // canon cost rather than re-paying the pipeline.
-func (x *Ctx[S]) EmitBytes(to []byte, label string, actor int) {
+func (x *Ctx) EmitBytes(to []byte, label string, actor int) {
 	if x.sink != nil || !x.e.bytesDirect {
 		if x.bytesSink != nil {
 			x.bytesSink(to, label, actor)
 			return
 		}
-		x.Emit(S(to), label, actor)
+		x.Emit(string(to), label, actor)
 		return
 	}
 	e, ws := x.e, x.w
@@ -137,7 +137,7 @@ func (x *Ctx[S]) EmitBytes(to []byte, label string, actor int) {
 // every later occurrence is an allocation-free map hit. State spaces have
 // a tiny label alphabet relative to their edge count, so the map stays
 // small while the hot path stops concatenating label strings per edge.
-func (x *Ctx[S]) Label(b []byte) string {
+func (x *Ctx) Label(b []byte) string {
 	if s, ok := x.labels[string(b)]; ok {
 		return s
 	}
@@ -157,8 +157,8 @@ func (x *Ctx[S]) Label(b []byte) string {
 // Ctx itself. Differential's reference BFS expands every state through
 // one; core.StepsOf and the equivalence tests use it to materialize a
 // single state's transitions.
-func CollectCtx[S ~string](sink func(to S, label string, actor int)) *Ctx[S] {
-	return &Ctx[S]{sink: sink}
+func CollectCtx(sink func(to, label string, actor int)) *Ctx {
+	return &Ctx{sink: sink}
 }
 
 // CollectBytesCtx is CollectCtx that hands EmitBytes' successors to sink
@@ -166,8 +166,8 @@ func CollectCtx[S ~string](sink func(to S, label string, actor int)) *Ctx[S] {
 // them (Emit's strings are converted). A per-system ExpandInto
 // microbenchmark expands through one, so its allocation count is the
 // system's own.
-func CollectBytesCtx(sink func(to []byte, label string, actor int)) *Ctx[string] {
-	return &Ctx[string]{
+func CollectBytesCtx(sink func(to []byte, label string, actor int)) *Ctx {
+	return &Ctx{
 		sink:      func(to, label string, actor int) { sink([]byte(to), label, actor) },
 		bytesSink: sink,
 	}

@@ -15,8 +15,8 @@ import (
 // successors are rendered into Ctx.Scratch and emitted as raw bytes, and
 // labels go through the Ctx label interner. It must explore byte-identically
 // to gridExpand.
-func gridExpandBytes(n int) ExpandFunc[string] {
-	return func(s string, ex *Ctx[string]) {
+func gridExpandBytes(n int) ExpandFunc {
+	return func(s string, ex *Ctx) {
 		comma := strings.IndexByte(s, ',')
 		x, _ := strconv.Atoi(s[:comma])
 		y, _ := strconv.Atoi(s[comma+1:])
@@ -107,7 +107,7 @@ func newSortCanonBytes() BytesCanonicalizer { return sortCanonBytes }
 func TestCanonBytesMatchesCanon(t *testing.T) {
 	const n = 10
 	inits := []string{"0,0"}
-	expands := map[string]ExpandFunc[string]{"emit": gridExpand(n), "emit-bytes": gridExpandBytes(n)}
+	expands := map[string]ExpandFunc{"emit": gridExpand(n), "emit-bytes": gridExpandBytes(n)}
 	for _, par := range []int{1, 2, 8} {
 		for _, indep := range []Independence{nil, gridIndep} {
 			strOpts := Options{Parallelism: par, Canon: sortCanon, VerifyCanon: 1, VerifyAliasing: 1, Independent: indep}
@@ -146,11 +146,11 @@ func TestCanonBytesCoversEveryRoute(t *testing.T) {
 		calls.Add(1)
 		return sortCanon(s)
 	}
-	noSuccessors := func(string, *Ctx[string]) {}
+	noSuccessors := func(string, *Ctx) {}
 	for _, route := range []struct {
 		name   string
 		inits  []string
-		expand ExpandFunc[string]
+		expand ExpandFunc
 		indep  Independence
 	}{
 		{"emit", []string{"0,0"}, gridExpand(n), nil},
@@ -225,7 +225,7 @@ type retainingExpand struct {
 	stash [][]byte
 }
 
-func (r *retainingExpand) expand(s string, x *Ctx[string]) {
+func (r *retainingExpand) expand(s string, x *Ctx) {
 	if len(x.Scratch) < 8 {
 		x.Scratch = make([]byte, 8)
 	}
@@ -273,7 +273,7 @@ func TestVerifyAliasingCleanSystems(t *testing.T) {
 		{"canon", Options{Canon: sortCanon, VerifyCanon: 1}},
 		{"por", Options{Independent: indep, VerifyPOR: 1}},
 	} {
-		for _, expand := range []ExpandFunc[string]{gridExpand(9), gridExpandBytes(9)} {
+		for _, expand := range []ExpandFunc{gridExpand(9), gridExpandBytes(9)} {
 			want, err := Explore(inits, expand, tc.opts)
 			if err != nil {
 				t.Fatal(err)
@@ -291,7 +291,7 @@ func TestVerifyAliasingCleanSystems(t *testing.T) {
 
 // TestLabelInterner checks Label returns stable, value-equal strings.
 func TestLabelInterner(t *testing.T) {
-	x := &Ctx[string]{}
+	x := &Ctx{}
 	a := x.Label([]byte("deliver 0>1:m"))
 	b := x.Label([]byte("deliver 0>1:m"))
 	if a != b {

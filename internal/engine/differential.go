@@ -64,12 +64,12 @@ type DiffTruth struct {
 }
 
 // DiffSpec is one system under differential test.
-type DiffSpec[S ~string] struct {
+type DiffSpec struct {
 	// Name tags divergence reports.
 	Name string
 	// Inits and Expand define the system, as for Explore.
-	Inits  []S
-	Expand ExpandFunc[S]
+	Inits  []string
+	Expand ExpandFunc
 	// Canon, when non-nil, enables the quotient modes. It must be sound
 	// (Differential runs it under VerifyCanon=1, so an unsound canon fails
 	// the run — by design: the oracle's planted hooks are correct by
@@ -92,7 +92,7 @@ type DiffSpec[S ~string] struct {
 	Visible Visibility
 	// Decided, when non-nil, classifies terminal states for the decided
 	// counts.
-	Decided func(S) bool
+	Decided func(string) bool
 	// Truth, when non-nil, is checked against every mode's outcome.
 	Truth *DiffTruth
 	// Workers are the worker counts every mode runs at (default 1, 2, 8).
@@ -142,7 +142,7 @@ type DiffReport struct {
 // Differential runs spec under every applicable mode and worker count and
 // returns a report, or an error wrapping ErrDiverged on the first
 // violation.
-func Differential[S ~string](spec DiffSpec[S]) (*DiffReport, error) {
+func Differential(spec DiffSpec) (*DiffReport, error) {
 	workers := spec.Workers
 	if len(workers) == 0 {
 		workers = []int{1, 2, 8}
@@ -153,7 +153,7 @@ func Differential[S ~string](spec DiffSpec[S]) (*DiffReport, error) {
 			ErrDiverged, spec.Name, mode, par, fmt.Sprintf(format, args...))
 	}
 
-	run := func(mode string, opts Options) (*Result[S], error) {
+	run := func(mode string, opts Options) (*Result, error) {
 		// Every exploration runs with a trace-digest sink attached: the
 		// deterministic event skeleton (level barriers, final totals) must
 		// be worker-count invariant too, and a divergence report names the
@@ -298,7 +298,7 @@ func Differential[S ~string](spec DiffSpec[S]) (*DiffReport, error) {
 		}
 	}
 
-	var quo *Result[S]
+	var quo *Result
 	if spec.Canon != nil {
 		opts := base
 		opts.Canon = spec.Canon
@@ -377,13 +377,13 @@ func Differential[S ~string](spec DiffSpec[S]) (*DiffReport, error) {
 // DefaultMaxStates). It shares nothing with the engine but the
 // collect-mode Ctx, so comparing against it checks the engine's levels,
 // store and replay together rather than the engine against itself.
-func referenceExplore[S ~string](inits []S, expand ExpandFunc[S], limit int) (*Result[S], error) {
+func referenceExplore(inits []string, expand ExpandFunc, limit int) (*Result, error) {
 	if limit <= 0 {
 		limit = DefaultMaxStates
 	}
-	res := &Result[S]{Off: []uint32{0}}
-	index := make(map[S]int32)
-	intern := func(s S) (int32, bool) {
+	res := &Result{Off: []uint32{0}}
+	index := make(map[string]int32)
+	intern := func(s string) (int32, bool) {
 		if id, ok := index[s]; ok {
 			return id, false
 		}
@@ -404,8 +404,8 @@ func referenceExplore[S ~string](inits []S, expand ExpandFunc[S], limit int) (*R
 	}
 	labelIDs := make(map[string]uint32)
 	var acts []Action
-	x := CollectCtx(func(to S, label string, actor int) {
-		acts = append(acts, Action{To: string(to), Label: label, Actor: actor})
+	x := CollectCtx(func(to, label string, actor int) {
+		acts = append(acts, Action{To: to, Label: label, Actor: actor})
 	})
 	// Ids are assigned in discovery order, so walking them in order is the
 	// BFS queue.
@@ -413,7 +413,7 @@ func referenceExplore[S ~string](inits []S, expand ExpandFunc[S], limit int) (*R
 		acts = acts[:0]
 		expand(res.States[id], x)
 		for _, a := range acts {
-			to, fresh := intern(S(a.To))
+			to, fresh := intern(a.To)
 			if fresh {
 				if len(res.States) > limit {
 					res.Truncated = true
@@ -437,7 +437,7 @@ func referenceExplore[S ~string](inits []S, expand ExpandFunc[S], limit int) (*R
 
 // diffResults compares two Results field by field and describes the first
 // difference ("" when byte-identical). Empty and nil slices compare equal.
-func diffResults[S ~string](a, b *Result[S]) string {
+func diffResults(a, b *Result) string {
 	switch {
 	case !slices.Equal(a.States, b.States):
 		return fmt.Sprintf("state orderings differ (%d vs %d states)", len(a.States), len(b.States))
@@ -486,7 +486,7 @@ func diffStats(a, b Stats) string {
 
 // statsConsistency checks one run's telemetry against its Result and the
 // engine's internal accounting invariants.
-func statsConsistency[S ~string](res *Result[S]) string {
+func statsConsistency(res *Result) string {
 	st := res.Stats
 	if st.States != len(res.States) {
 		return fmt.Sprintf("Stats.States %d != len(States) %d", st.States, len(res.States))
@@ -544,14 +544,14 @@ func statsConsistency[S ~string](res *Result[S]) string {
 // porSoundVsFull checks the reduced graph against its unreduced
 // counterpart: a subgraph (state- and edge-wise) that preserves the exact
 // terminal state set.
-func porSoundVsFull[S ~string](por, full *Result[S], fullTerm map[S]bool) string {
+func porSoundVsFull(por, full *Result, fullTerm map[string]bool) string {
 	if len(por.States) > len(full.States) {
 		return fmt.Sprintf("reduced states %d > unreduced %d", len(por.States), len(full.States))
 	}
 	if st := por.Stats; st.Edges > full.Stats.Edges {
 		return fmt.Sprintf("reduced edges %d > unreduced %d", st.Edges, full.Stats.Edges)
 	}
-	unreduced := make(map[S]bool, len(full.States))
+	unreduced := make(map[string]bool, len(full.States))
 	for _, s := range full.States {
 		unreduced[s] = true
 	}
@@ -574,8 +574,8 @@ func porSoundVsFull[S ~string](por, full *Result[S], fullTerm map[S]bool) string
 }
 
 // terminalSet collects the terminal states of a Result.
-func terminalSet[S ~string](res *Result[S]) map[S]bool {
-	out := make(map[S]bool)
+func terminalSet(res *Result) map[string]bool {
+	out := make(map[string]bool)
 	// Only expanded states have rows: on a truncated result the states
 	// past them were cut off, not terminal.
 	for i := 0; i+1 < len(res.Off); i++ {
@@ -587,7 +587,7 @@ func terminalSet[S ~string](res *Result[S]) map[S]bool {
 }
 
 // countDecided counts the states in set satisfying pred.
-func countDecided[S ~string](set map[S]bool, pred func(S) bool) int {
+func countDecided(set map[string]bool, pred func(string) bool) int {
 	n := 0
 	for s := range set {
 		if pred(s) {

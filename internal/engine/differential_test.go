@@ -20,7 +20,7 @@ import (
 func TestDifferentialGrid(t *testing.T) {
 	const n = 12
 	last := fmt.Sprintf("%d,%d", n-1, n-1)
-	spec := DiffSpec[string]{
+	spec := DiffSpec{
 		Name:           "grid",
 		Inits:          []string{"0,0"},
 		Expand:         gridExpandBytes(n),
@@ -90,7 +90,7 @@ func TestDifferentialGrid(t *testing.T) {
 // diverge from the one-worker run.
 func TestDifferentialLabelTable(t *testing.T) {
 	const fanout = 1 << 16
-	expand := func(state string, x *Ctx[string]) {
+	expand := func(state string, x *Ctx) {
 		switch s := atoi(state); {
 		case s == 0:
 			for c := 1; c <= fanout; c++ {
@@ -100,7 +100,7 @@ func TestDifferentialLabelTable(t *testing.T) {
 			x.Emit(strconv.Itoa(fanout+1), "l"+state, s)
 		}
 	}
-	rep, err := Differential(DiffSpec[string]{
+	rep, err := Differential(DiffSpec{
 		Name: "fan", Inits: []string{"0"}, Expand: expand, Workers: []int{1, 2},
 		Truth: &DiffTruth{States: fanout + 2, Terminals: 1},
 	})
@@ -114,10 +114,10 @@ func TestDifferentialLabelTable(t *testing.T) {
 
 func TestDifferentialCatchesImpureExpand(t *testing.T) {
 	runs := 0
-	spec := DiffSpec[string]{
+	spec := DiffSpec{
 		Name:  "impure",
 		Inits: []string{"0"},
-		Expand: func(state string, x *Ctx[string]) {
+		Expand: func(state string, x *Ctx) {
 			s := atoi(state)
 			if s == 0 {
 				runs++
@@ -231,7 +231,7 @@ func TestComparatorsNameEachField(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clone := func() *Result[string] {
+	clone := func() *Result {
 		c := *res
 		c.States, c.Inits, c.Off = slices.Clone(res.States), slices.Clone(res.Inits), slices.Clone(res.Off)
 		c.Edges, c.Labels = slices.Clone(res.Edges), slices.Clone(res.Labels)
@@ -248,16 +248,16 @@ func TestComparatorsNameEachField(t *testing.T) {
 	for _, tc := range []struct {
 		field  string
 		want   string
-		mutate func(r *Result[string])
+		mutate func(r *Result)
 	}{
-		{"States", "state orderings", func(r *Result[string]) { r.States[0], r.States[1] = r.States[1], r.States[0] }},
-		{"Inits", "initial ids", func(r *Result[string]) { r.Inits = append(r.Inits, 1) }},
-		{"Off", "row offsets", func(r *Result[string]) { r.Off[1]++ }},
-		{"Edges", "edge lists", func(r *Result[string]) { r.Edges[0].Actor ^= 1 }},
-		{"Labels", "label tables", func(r *Result[string]) { r.Labels[0] += "'" }},
-		{"Parents", "parent trees", func(r *Result[string]) { r.Parents[1]++ }},
-		{"ParentEdges", "parent edges", func(r *Result[string]) { r.ParentEdges[1]++ }},
-		{"Truncated", "truncation flags", func(r *Result[string]) { r.Truncated = !r.Truncated }},
+		{"States", "state orderings", func(r *Result) { r.States[0], r.States[1] = r.States[1], r.States[0] }},
+		{"Inits", "initial ids", func(r *Result) { r.Inits = append(r.Inits, 1) }},
+		{"Off", "row offsets", func(r *Result) { r.Off[1]++ }},
+		{"Edges", "edge lists", func(r *Result) { r.Edges[0].Actor ^= 1 }},
+		{"Labels", "label tables", func(r *Result) { r.Labels[0] += "'" }},
+		{"Parents", "parent trees", func(r *Result) { r.Parents[1]++ }},
+		{"ParentEdges", "parent edges", func(r *Result) { r.ParentEdges[1]++ }},
+		{"Truncated", "truncation flags", func(r *Result) { r.Truncated = !r.Truncated }},
 	} {
 		r := clone()
 		tc.mutate(r)
@@ -268,27 +268,27 @@ func TestComparatorsNameEachField(t *testing.T) {
 	for _, tc := range []struct {
 		broken string
 		want   string
-		mutate func(r *Result[string])
+		mutate func(r *Result)
 	}{
-		{"States", "Stats.States", func(r *Result[string]) { r.Stats.States++ }},
-		{"Edges", "Stats.Edges", func(r *Result[string]) { r.Stats.Edges++ }},
-		{"WorkerSteps length", "len(WorkerSteps)", func(r *Result[string]) { r.Stats.WorkerSteps = r.Stats.WorkerSteps[:1] }},
-		{"WorkerSteps sum", "sum(WorkerSteps)", func(r *Result[string]) { r.Stats.WorkerSteps[0]++ }},
-		{"Expansions", "Expansions", func(r *Result[string]) { r.Stats.WorkerSteps[0]++; r.Stats.Expansions++ }},
-		{"Truncated", "Stats.Truncated", func(r *Result[string]) { r.Stats.Truncated = true }},
-		{"AmpleStates", "> Expansions", func(r *Result[string]) { r.Stats.AmpleStates = r.Stats.Expansions + 1 }},
-		{"DeferredActions alone", "zero AmpleStates", func(r *Result[string]) { r.Stats.DeferredActions = 1 }},
-		{"DeferredActions", "DeferredActions 1 < AmpleStates 2", func(r *Result[string]) {
+		{"States", "Stats.States", func(r *Result) { r.Stats.States++ }},
+		{"Edges", "Stats.Edges", func(r *Result) { r.Stats.Edges++ }},
+		{"WorkerSteps length", "len(WorkerSteps)", func(r *Result) { r.Stats.WorkerSteps = r.Stats.WorkerSteps[:1] }},
+		{"WorkerSteps sum", "sum(WorkerSteps)", func(r *Result) { r.Stats.WorkerSteps[0]++ }},
+		{"Expansions", "Expansions", func(r *Result) { r.Stats.WorkerSteps[0]++; r.Stats.Expansions++ }},
+		{"Truncated", "Stats.Truncated", func(r *Result) { r.Stats.Truncated = true }},
+		{"AmpleStates", "> Expansions", func(r *Result) { r.Stats.AmpleStates = r.Stats.Expansions + 1 }},
+		{"DeferredActions alone", "zero AmpleStates", func(r *Result) { r.Stats.DeferredActions = 1 }},
+		{"DeferredActions", "DeferredActions 1 < AmpleStates 2", func(r *Result) {
 			r.Stats.AmpleStates, r.Stats.DeferredActions = 2, 1
 		}},
-		{"CanonHits", "canon telemetry", func(r *Result[string]) { r.Stats.CanonHits = 1 }},
-		{"Store.States", "Store.States", func(r *Result[string]) { r.Stats.Store.States++ }},
-		{"truncated Store.States", "< replayed States", func(r *Result[string]) {
+		{"CanonHits", "canon telemetry", func(r *Result) { r.Stats.CanonHits = 1 }},
+		{"Store.States", "Store.States", func(r *Result) { r.Stats.Store.States++ }},
+		{"truncated Store.States", "< replayed States", func(r *Result) {
 			r.Truncated, r.Stats.Truncated = true, true
 			r.Stats.Store.States = r.Stats.States - 1
 		}},
-		{"Lossy", "Stats.Lossy", func(r *Result[string]) { r.Stats.Lossy = true }},
-		{"POR counters", "POR telemetry", func(r *Result[string]) { r.Stats.AmpleStates, r.Stats.DeferredActions = 1, 1 }},
+		{"Lossy", "Stats.Lossy", func(r *Result) { r.Stats.Lossy = true }},
+		{"POR counters", "POR telemetry", func(r *Result) { r.Stats.AmpleStates, r.Stats.DeferredActions = 1, 1 }},
 	} {
 		r := clone()
 		tc.mutate(r)

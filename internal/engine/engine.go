@@ -12,13 +12,13 @@
 // (valence, deciders, fair lassos, counterexample traces) is therefore
 // reproducible across runs and across machines.
 //
-// A state is a string (any type whose underlying type is string): every
-// system encodes its configurations as byte strings, so the engine
-// fingerprints, compares and stores a state as its bytes, and a successor
-// emitted as bytes (Ctx.EmitBytes) is never materialized on a dedup hit.
+// A state is a string: every system encodes its configurations as byte
+// strings, so the engine fingerprints, compares and stores a state as its
+// bytes, and a successor emitted as bytes (Ctx.EmitBytes) is never
+// materialized on a dedup hit.
 //
-// The package deliberately does not import internal/core: core adapts its
-// System interface onto Explore's callback form and assembles the Result
+// The package deliberately does not import internal/core: core hands its
+// System's ExpandInto to Explore as the ExpandFunc and adopts the Result
 // into a core.Graph, so the engine stays independently testable (notably
 // under -race) and free of import cycles.
 //
@@ -37,6 +37,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -70,7 +71,7 @@ const DefaultMaxStates = 2_000_000
 // "same state in, same transitions out". The Ctx (and its scratch
 // buffers) is valid only for the duration of the call; see Ctx for the
 // buffer-ownership contract.
-type ExpandFunc[S ~string] func(s S, x *Ctx[S])
+type ExpandFunc func(s string, x *Ctx)
 
 // Options configure an exploration.
 type Options struct {
@@ -181,9 +182,9 @@ type Edge struct {
 // sequential-BFS discovery order. The graph is stored once, in compressed
 // sparse rows: state i's outgoing transitions, in expansion order, are
 // Edges[Off[i]:Off[i+1]].
-type Result[S ~string] struct {
+type Result struct {
 	// States maps canonical id to state.
-	States []S
+	States []string
 	// Inits are the canonical ids of the (deduplicated) initial states, in
 	// declaration order.
 	Inits []int
@@ -215,7 +216,7 @@ type Result[S ~string] struct {
 
 // Row returns the outgoing transitions of state i, or nil when i has no
 // row (its expansion was cut off on a truncated Result).
-func (r *Result[S]) Row(i int) []Edge {
+func (r *Result) Row(i int) []Edge {
 	if i+1 >= len(r.Off) {
 		return nil
 	}
@@ -223,12 +224,12 @@ func (r *Result[S]) Row(i int) []Edge {
 }
 
 // NumEdges returns the number of transitions in the expanded rows.
-func (r *Result[S]) NumEdges() int { return int(r.Off[len(r.Off)-1]) }
+func (r *Result) NumEdges() int { return int(r.Off[len(r.Off)-1]) }
 
 // graphBytes is the memory the graph layout holds: the row offsets, the
 // edge array, the label table and the parent tree. State payloads are
 // excluded.
-func (r *Result[S]) graphBytes() int64 {
+func (r *Result) graphBytes() int64 {
 	b := int64(cap(r.Off))*4 + int64(cap(r.Edges))*int64(unsafe.Sizeof(Edge{})) +
 		int64(cap(r.Parents))*4 + int64(cap(r.ParentEdges))*4 +
 		int64(cap(r.Labels))*int64(unsafe.Sizeof(""))
@@ -261,7 +262,7 @@ type span struct {
 // worker holds one worker's private exploration storage. arena is only
 // ever touched by its owner during a level and by the coordinator between
 // levels, so none of it needs locking.
-type worker[S ~string] struct {
+type worker struct {
 	// arena accumulates the rows of the states this worker expands.
 	arena edgeArena
 	// labels is the worker's label table, indexed by rawEdge.label, and
@@ -285,7 +286,7 @@ type worker[S ~string] struct {
 	// acts and uf are scratch buffers for the POR path: the collected
 	// actions of the state being expanded and the union-find array over
 	// them.
-	acts []porAction[S]
+	acts []porAction
 	uf   []int32
 	// ampleStates counts expansions where a proper ample subset was taken;
 	// deferred counts the enabled actions those expansions skipped.
@@ -293,7 +294,7 @@ type worker[S ~string] struct {
 	deferred    uint64
 	// ctx is the worker's reusable expansion context; the same pointer is
 	// handed to every ExpandFunc call this worker makes.
-	ctx Ctx[S]
+	ctx Ctx
 	// canonB and canonBuf are the worker's byte-level canonicalizer
 	// instance and its output buffer, and rawBuf the input buffer
 	// canonicalize copies a string successor into; nil without CanonBytes.
@@ -314,7 +315,7 @@ type worker[S ~string] struct {
 	// at canonMemoCap entries and cleared when full.
 	canonMemo map[string]canonMemoEntry
 	// aliasGot and aliasWant are the VerifyAliasing comparison buffers.
-	aliasGot, aliasWant []aliasEdge[S]
+	aliasGot, aliasWant []aliasEdge
 	// prof is the worker's phase-attribution profile; nil when profiling
 	// is off (no Stats out-param and no Sink). profSampling marks the
 	// current expansion as fine-sampled: the timed sections (canonicalize,
@@ -338,8 +339,8 @@ type canonMemoEntry struct {
 const canonMemoCap = 1 << 18
 
 // explorer is the shared state of one Explore run.
-type explorer[S ~string] struct {
-	expand ExpandFunc[S]
+type explorer struct {
+	expand ExpandFunc
 	// store is the visited set: the fingerprint-sharded id assignment and
 	// the id -> payload table, whose kind (RAM-resident, disk-spilling, or
 	// lossy bitstate sweep) is a policy of the one store.Store. fp is the
@@ -394,7 +395,7 @@ type explorer[S ~string] struct {
 	profStoreIO atomic.Int64
 	profReplay  atomic.Int64
 
-	workers []*worker[S]
+	workers []*worker
 }
 
 // canonicalize maps raw to its orbit representative, recording the raw
@@ -405,13 +406,13 @@ type explorer[S ~string] struct {
 // worker's rawBuf and goes through canonBytes, so the string form runs
 // only inside sampled checks; the representative is materialized only
 // when it differs from raw.
-func (e *explorer[S]) canonicalize(raw S, ws *worker[S]) S {
+func (e *explorer) canonicalize(raw string, ws *worker) string {
 	t := ws.clock()
-	h := e.fp(string(raw))
+	h := e.fp(raw)
 	if ws.canonB != nil {
 		ws.rawBuf = append(ws.rawBuf[:0], raw...)
 		if rep, remapped := e.canonBytes(ws, ws.rawBuf, h); remapped {
-			raw = S(rep)
+			raw = string(rep)
 		}
 		ws.lap(sampleCanon, t)
 		return raw
@@ -419,7 +420,7 @@ func (e *explorer[S]) canonicalize(raw S, ws *worker[S]) S {
 	ws.rawSeen[h] = struct{}{}
 	// Fixed points are trivially idempotent and step-commuting, so the
 	// soundness check has nothing to test there.
-	if rep := S(e.canon(string(raw))); rep != raw {
+	if rep := e.canon(raw); rep != raw {
 		ws.canonHits++
 		if e.verifyMod != 0 && h%e.verifyMod == 0 {
 			if err := e.checkCanon(raw); err != nil {
@@ -438,7 +439,7 @@ func (e *explorer[S]) canonicalize(raw S, ws *worker[S]) S {
 // when that remaps it, counts the hit and runs the sampled check. It
 // returns raw itself when raw is its own representative, else the
 // representative in ws.canonBuf (valid until the worker's next call).
-func (e *explorer[S]) canonBytes(ws *worker[S], raw []byte, h uint64) (rep []byte, remapped bool) {
+func (e *explorer) canonBytes(ws *worker, raw []byte, h uint64) (rep []byte, remapped bool) {
 	ws.rawSeen[h] = struct{}{}
 	rep = ws.canonB(ws.canonBuf[:0], raw)
 	ws.canonBuf = rep
@@ -458,16 +459,16 @@ func (e *explorer[S]) canonBytes(ws *worker[S], raw []byte, h uint64) (rep []byt
 // intern interns one canonical successor and records its edge in the
 // worker's arena: the timed hash+intern section of the Emit and POR
 // routes.
-func (e *explorer[S]) intern(ws *worker[S], to S, label string, actor int) {
+func (e *explorer) intern(ws *worker, to, label string, actor int) {
 	t := ws.clock()
-	tid, fresh := e.store.Intern(string(to))
+	tid, fresh := e.store.Intern(to)
 	ws.lap(sampleIntern, t)
 	ws.record(tid, fresh, label, actor)
 }
 
 // record appends one interned successor's edge to the worker's arena,
 // counting a dedup hit when the successor was already known.
-func (ws *worker[S]) record(tid int32, fresh bool, label string, actor int) {
+func (ws *worker) record(tid int32, fresh bool, label string, actor int) {
 	if !fresh {
 		ws.dedup++
 	}
@@ -476,7 +477,7 @@ func (ws *worker[S]) record(tid int32, fresh bool, label string, actor int) {
 
 // labelID returns label's index in the worker's label table, adding it on
 // first sight.
-func (ws *worker[S]) labelID(label string) uint32 {
+func (ws *worker) labelID(label string) uint32 {
 	if id, ok := ws.labelIDs[label]; ok {
 		return id
 	}
@@ -496,13 +497,13 @@ func (ws *worker[S]) labelID(label string) uint32 {
 // aliasing check live here, and each state goes through one per-state
 // step — e.expand straight into the arena, or expandPOR when an
 // independence relation is installed.
-func (e *explorer[S]) expandRange(w int32, cursor *atomic.Int64, hi int, chunk int) {
+func (e *explorer) expandRange(w int32, cursor *atomic.Int64, hi int, chunk int) {
 	ws := e.workers[w]
 	x := &ws.ctx
-	var collect func(to S, label string, actor int)
+	var collect func(to, label string, actor int)
 	if e.indep != nil {
-		collect = func(to S, label string, actor int) {
-			pa := porAction[S]{act: Action{To: string(to), Label: label, Actor: actor}, to: to}
+		collect = func(to, label string, actor int) {
+			pa := porAction{act: Action{To: to, Label: label, Actor: actor}, to: to}
 			if e.canon != nil {
 				pa.to = e.canonicalize(to, ws)
 			}
@@ -527,7 +528,7 @@ func (e *explorer[S]) expandRange(w int32, cursor *atomic.Int64, hi int, chunk i
 		}
 		for id := lo; id < end; id++ {
 			ws.arena.beginRow()
-			s := S(e.store.State(int32(id)))
+			s := e.store.State(int32(id))
 			var t time.Time
 			if prof != nil && id&profSampleMask == 0 {
 				ws.profSampling = true
@@ -548,7 +549,7 @@ func (e *explorer[S]) expandRange(w int32, cursor *atomic.Int64, hi int, chunk i
 			sp := ws.arena.endRow(w, e.wbits)
 			*e.spans.at(int32(id)) = sp
 			ws.steps.Add(1)
-			if e.aliasMod != 0 && e.fp(string(s))%e.aliasMod == 0 {
+			if e.aliasMod != 0 && e.fp(s)%e.aliasMod == 0 {
 				e.checkAliasing(s, ws, sp)
 			}
 		}
@@ -563,21 +564,21 @@ func (e *explorer[S]) expandRange(w int32, cursor *atomic.Int64, hi int, chunk i
 // as deterministic as the full one). States where no proper ample set
 // exists — or where the cycle proviso vetoes every candidate — are
 // expanded fully.
-func (e *explorer[S]) expandPOR(s S, ws *worker[S], collect func(S, string, int), hi int) {
+func (e *explorer) expandPOR(s string, ws *worker, collect func(string, string, int), hi int) {
 	x := &ws.ctx
 	ws.acts = ws.acts[:0]
 	x.sink = collect
 	e.expand(s, x)
 	x.sink = nil
 	acts := ws.acts
-	if e.porVerifyMod != 0 && e.fp(string(s))%e.porVerifyMod == 0 {
+	if e.porVerifyMod != 0 && e.fp(s)%e.porVerifyMod == 0 {
 		if err := e.checkPOR(s, acts); err != nil {
 			e.noteVerifyErr(err)
 		}
 	}
 	var ample []int32
 	if len(acts) > 1 {
-		ws.uf = growTo(ws.uf[:0], len(acts))
+		ws.uf = slices.Grow(ws.uf[:0], len(acts))[:len(acts)]
 		ample = e.ampleSet(s, acts, ws.uf, hi)
 	}
 	if ample == nil {
@@ -593,14 +594,6 @@ func (e *explorer[S]) expandPOR(s S, ws *worker[S], collect func(S, string, int)
 	}
 }
 
-// growTo appends zero values until s has length n.
-func growTo[T any](s []T, n int) []T {
-	if len(s) >= n {
-		return s
-	}
-	return append(s, make([]T, n-len(s))...)
-}
-
 // Explore runs the two-phase parallel BFS: inits are the initial states (in
 // declaration order, duplicates tolerated) and expand enumerates
 // successors. See ExpandFunc for the purity and concurrency requirements.
@@ -608,7 +601,7 @@ func growTo[T any](s []T, n int) []T {
 // On success the Result is canonical: identical to a sequential BFS at any
 // Parallelism. When the state space exceeds Options.MaxStates, Explore
 // returns the canonical partial Result alongside ErrStateLimit (wrapped).
-func Explore[S ~string](inits []S, expand ExpandFunc[S], opts Options) (*Result[S], error) {
+func Explore(inits []string, expand ExpandFunc, opts Options) (*Result, error) {
 	start := time.Now()
 	limit := opts.MaxStates
 	if limit <= 0 {
@@ -622,7 +615,7 @@ func Explore[S ~string](inits []S, expand ExpandFunc[S], opts Options) (*Result[
 		nw = runtime.GOMAXPROCS(0)
 	}
 
-	e := &explorer[S]{expand: expand, fp: fingerprint}
+	e := &explorer{expand: expand, fp: fingerprint}
 	if opts.degradeFingerprint {
 		e.fp = func(s string) uint64 { return fingerprint(s) & 3 }
 	}
@@ -651,17 +644,17 @@ func Explore[S ~string](inits []S, expand ExpandFunc[S], opts Options) (*Result[
 	// the materializing fallback, never to wrong behavior.
 	e.bytesDirect = e.canon == nil || opts.CanonBytes != nil
 
-	e.workers = make([]*worker[S], nw)
+	e.workers = make([]*worker, nw)
 	e.wbits = workerBits(nw)
 	for i := range e.workers {
-		ws := &worker[S]{arena: edgeArena{lastChunk: math.MaxInt32 >> e.wbits}}
+		ws := &worker{arena: edgeArena{lastChunk: math.MaxInt32 >> e.wbits}}
 		if e.canon != nil {
 			ws.rawSeen = make(map[uint64]struct{})
 		}
 		if opts.CanonBytes != nil {
 			ws.canonB = opts.CanonBytes()
 		}
-		ws.ctx = Ctx[S]{e: e, w: ws}
+		ws.ctx = Ctx{e: e, w: ws}
 		e.workers[i] = ws
 	}
 	// Phase profiling is on whenever the caller can observe the result.
@@ -682,7 +675,7 @@ func Explore[S ~string](inits []S, expand ExpandFunc[S], opts Options) (*Result[
 		if e.canon != nil {
 			s = e.canonicalize(s, e.workers[0])
 		}
-		if id, fresh := e.store.Intern(string(s)); fresh {
+		if id, fresh := e.store.Intern(s); fresh {
 			initIDs = append(initIDs, id)
 		}
 	}
@@ -782,7 +775,7 @@ func Explore[S ~string](inits []S, expand ExpandFunc[S], opts Options) (*Result[
 			// The workers are quiescent between barriers, so the level
 			// event's counters are exact — and worker-count-invariant, per
 			// the determinism contract (the trace digest relies on this).
-			publishLevel(e.tel, e, total, st.Depth, hi-lo, st.PeakFrontier)
+			e.tel.level(e, total, st.Depth, hi-lo, st.PeakFrontier)
 		}
 		if total > limit {
 			if e.tel != nil {
@@ -862,7 +855,7 @@ func Explore[S ~string](inits []S, expand ExpandFunc[S], opts Options) (*Result[
 // byte-identical to a truncated single-threaded exploration. Ids below
 // expanded are the ones with recorded successors. More than maxEdges
 // recorded edges is ErrEdgeOverflow.
-func (e *explorer[S]) replay(initIDs []int32, limit, expanded, maxEdges int) (*Result[S], error) {
+func (e *explorer) replay(initIDs []int32, limit, expanded, maxEdges int) (*Result, error) {
 	n := e.store.Len()
 	canon := make([]int32, n)
 	for i := range canon {
@@ -882,8 +875,8 @@ func (e *explorer[S]) replay(initIDs []int32, limit, expanded, maxEdges int) (*R
 	if rawTotal > maxEdges {
 		return nil, fmt.Errorf("%w: %d recorded edges, at most %d", ErrEdgeOverflow, rawTotal, maxEdges)
 	}
-	res := &Result[S]{
-		States:      make([]S, 0, n),
+	res := &Result{
+		States:      make([]string, 0, n),
 		Off:         make([]uint32, 1, n+1),
 		Edges:       make([]Edge, 0, rawTotal),
 		Parents:     make([]int32, 0, n),
@@ -907,7 +900,7 @@ func (e *explorer[S]) replay(initIDs []int32, limit, expanded, maxEdges int) (*R
 		}
 		c := int32(len(res.States))
 		canon[pid] = c
-		res.States = append(res.States, S(e.store.State(pid)))
+		res.States = append(res.States, e.store.State(pid))
 		res.Parents = append(res.Parents, -1)
 		res.ParentEdges = append(res.ParentEdges, -1)
 		return c, true

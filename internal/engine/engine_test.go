@@ -19,8 +19,8 @@ func atoi(s string) int {
 }
 
 // chainExpand is a linear system "0" -> "1" -> ... -> "n".
-func chainExpand(n int) ExpandFunc[string] {
-	return func(s string, x *Ctx[string]) {
+func chainExpand(n int) ExpandFunc {
+	return func(s string, x *Ctx) {
 		if i := atoi(s); i < n {
 			x.Emit(strconv.Itoa(i+1), "inc", 0)
 		}
@@ -30,8 +30,8 @@ func chainExpand(n int) ExpandFunc[string] {
 // gridExpand is a 2-D lattice walk over string states "x,y" with
 // 0 <= x,y < n: two successors per interior state, lots of diamond-shaped
 // dedup, frontier width up to n.
-func gridExpand(n int) ExpandFunc[string] {
-	return func(s string, ex *Ctx[string]) {
+func gridExpand(n int) ExpandFunc {
+	return func(s string, ex *Ctx) {
 		var x, y int
 		fmt.Sscanf(s, "%d,%d", &x, &y)
 		if x+1 < n {
@@ -47,8 +47,8 @@ func gridExpand(n int) ExpandFunc[string] {
 // [0, n): each state's successor list is derived deterministically from
 // the seed and the state, so the expansion is pure while the shape is
 // irregular.
-func randomExpand(seed int64, n int) ExpandFunc[string] {
-	return func(s string, x *Ctx[string]) {
+func randomExpand(seed int64, n int) ExpandFunc {
+	return func(s string, x *Ctx) {
 		rng := rand.New(rand.NewSource(seed ^ int64(atoi(s))*0x9e3779b9))
 		deg := rng.Intn(4)
 		for i := 0; i < deg; i++ {
@@ -59,7 +59,7 @@ func randomExpand(seed int64, n int) ExpandFunc[string] {
 
 // mustEqualResults fails the test unless a and b are byte-identical in
 // every canonical field.
-func mustEqualResults[S ~string](t *testing.T, label string, a, b *Result[S]) {
+func mustEqualResults(t *testing.T, label string, a, b *Result) {
 	t.Helper()
 	if msg := diffResults(a, b); msg != "" {
 		t.Fatalf("%s: %s", label, msg)
@@ -93,7 +93,7 @@ func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 	cases := []struct {
 		name   string
 		inits  []string
-		expand ExpandFunc[string]
+		expand ExpandFunc
 	}{
 		{"grid", []string{"0,0"}, gridExpand(40)},
 		{"random", []string{"0", "1", "0"}, randomExpand(42, 5000)},
@@ -208,7 +208,7 @@ func TestStatsTelemetry(t *testing.T) {
 func TestSelfLoopsAndReconvergence(t *testing.T) {
 	// A state that emits itself and a shared sink: exercises dedup of the
 	// expanding state itself.
-	expand := func(s string, x *Ctx[string]) {
+	expand := func(s string, x *Ctx) {
 		switch s {
 		case "0":
 			x.Emit("0", "self", 0)

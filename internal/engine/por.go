@@ -69,9 +69,9 @@ type Visibility func(s string, a Action) bool
 // porAction is one collected transition during a POR expansion: the raw
 // action (for the independence relation and the falsifier) plus the
 // canonical successor actually interned.
-type porAction[S ~string] struct {
+type porAction struct {
 	act Action
-	to  S // canonical successor; == act.To when no canonicalizer is set
+	to  string // canonical successor; == act.To when no canonicalizer is set
 }
 
 // ampleSet partitions the actions enabled at s into dependence-connected
@@ -100,7 +100,7 @@ type porAction[S ~string] struct {
 // around a cycle. The predicate "interned with id < hi" depends only on
 // which states exist at the previous level barrier — a schedule-independent
 // set — so the reduced graph stays byte-identical at any worker count.
-func (e *explorer[S]) ampleSet(s S, acts []porAction[S], uf []int32, hi int) []int32 {
+func (e *explorer) ampleSet(s string, acts []porAction, uf []int32, hi int) []int32 {
 	k := len(acts)
 	for i := range uf {
 		uf[i] = int32(i)
@@ -119,7 +119,7 @@ func (e *explorer[S]) ampleSet(s S, acts []porAction[S], uf []int32, hi int) []i
 			if ri == rj {
 				continue
 			}
-			if !e.indep(string(s), acts[i].act, acts[j].act) {
+			if !e.indep(s, acts[i].act, acts[j].act) {
 				// Union by smaller root so a component's root is always its
 				// first-occurring member.
 				if ri < rj {
@@ -177,7 +177,7 @@ func (e *explorer[S]) ampleSet(s S, acts []porAction[S], uf []int32, hi int) []i
 		for _, m := range members {
 			// C2: a proper ample set must be invisible. C3: it must not
 			// close a cycle back into an already-discovered level.
-			if (e.visible != nil && e.visible(string(s), acts[m].act)) || e.probeOld(acts[m].to, hi) {
+			if (e.visible != nil && e.visible(s, acts[m].act)) || e.probeOld(acts[m].to, hi) {
 				ok = false
 				break
 			}
@@ -193,8 +193,8 @@ func (e *explorer[S]) ampleSet(s S, acts []porAction[S], uf []int32, hi int) []i
 // assigned before the current level began (id < hi). States interned during
 // the current level always receive ids ≥ hi, so the answer is independent of
 // how this level's work is scheduled across workers.
-func (e *explorer[S]) probeOld(s S, hi int) bool {
-	id, ok := e.store.Probe(string(s))
+func (e *explorer) probeOld(s string, hi int) bool {
+	id, ok := e.store.Probe(s)
 	return ok && id < int32(hi)
 }
 
@@ -211,7 +211,7 @@ func (e *explorer[S]) probeOld(s S, hi int) bool {
 // diamonds on sampled reachable states, but the persistence and visibility
 // obligations quantify over futures and predicates it cannot see. Those
 // remain per-system arguments (see DESIGN.md).
-func (e *explorer[S]) checkPOR(s S, acts []porAction[S]) error {
+func (e *explorer) checkPOR(s string, acts []porAction) error {
 	type key struct {
 		label string
 		actor int
@@ -220,13 +220,13 @@ func (e *explorer[S]) checkPOR(s S, acts []porAction[S]) error {
 	// that state's own successors by event key. Canonicalization (when
 	// installed) is applied directly, bypassing worker telemetry: these are
 	// probe expansions, not exploration.
-	cache := make([]map[key][]S, len(acts))
-	succ := func(i int) map[key][]S {
+	cache := make([]map[key][]string, len(acts))
+	succ := func(i int) map[key][]string {
 		if cache[i] == nil {
-			m := make(map[key][]S)
-			e.expand(S(acts[i].act.To), CollectCtx(func(to S, label string, actor int) {
+			m := make(map[key][]string)
+			e.expand(acts[i].act.To, CollectCtx(func(to, label string, actor int) {
 				if e.canon != nil {
-					to = S(e.canon(string(to)))
+					to = e.canon(to)
 				}
 				m[key{label, actor}] = append(m[key{label, actor}], to)
 			}))
@@ -237,7 +237,7 @@ func (e *explorer[S]) checkPOR(s S, acts []porAction[S]) error {
 	for i := 0; i < len(acts); i++ {
 		for j := i + 1; j < len(acts); j++ {
 			a, b := acts[i].act, acts[j].act
-			if !e.indep(string(s), a, b) {
+			if !e.indep(s, a, b) {
 				continue
 			}
 			ab := succ(i)[key{b.Label, b.Actor}] // a first, then b's event
@@ -257,11 +257,11 @@ func (e *explorer[S]) checkPOR(s S, acts []porAction[S]) error {
 
 // sameMultiset reports whether xs and ys contain the same states with the
 // same multiplicities.
-func sameMultiset[S ~string](xs, ys []S) bool {
+func sameMultiset(xs, ys []string) bool {
 	if len(xs) != len(ys) {
 		return false
 	}
-	counts := make(map[S]int, len(xs))
+	counts := make(map[string]int, len(xs))
 	for _, x := range xs {
 		counts[x]++
 	}

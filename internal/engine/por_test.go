@@ -47,7 +47,7 @@ func TestPORGridStaircase(t *testing.T) {
 }
 
 func TestPORDeterminismAcrossWorkerCounts(t *testing.T) {
-	run := func(par, maxStates int) (*Result[string], error) {
+	run := func(par, maxStates int) (*Result, error) {
 		return Explore([]string{"0,0"}, gridExpand(40), Options{
 			Parallelism: par,
 			MaxStates:   maxStates,
@@ -86,8 +86,8 @@ func TestPORDeterminismAcrossWorkerCounts(t *testing.T) {
 // closes at ((k+1) mod m, 1)), so a proviso-free reduction could chase
 // "step" around the ring forever and starve "set", never discovering the
 // flag=1 half of the space.
-func ringFlagExpand(m int) ExpandFunc[string] {
-	return func(s string, x *Ctx[string]) {
+func ringFlagExpand(m int) ExpandFunc {
+	return func(s string, x *Ctx) {
 		var k, flag int
 		fmt.Sscanf(s, "%d,%d", &k, &flag)
 		x.Emit(fmt.Sprintf("%d,%d", (k+1)%m, flag), "step", 0)
@@ -140,7 +140,7 @@ func TestPORCycleProvisoPreventsStarvation(t *testing.T) {
 // brokenDiamondExpand declares a 5-state system where actions "a" and "b"
 // are both enabled at 0 but do not commute: 0 -a-> 1 -b-> 3 versus
 // 0 -b-> 2 -a-> 4.
-func brokenDiamondExpand(s string, x *Ctx[string]) {
+func brokenDiamondExpand(s string, x *Ctx) {
 	switch s {
 	case "0":
 		x.Emit("1", "a", 0)
@@ -154,7 +154,7 @@ func brokenDiamondExpand(s string, x *Ctx[string]) {
 
 // disablingExpand declares a system where "b" is enabled at 0 but "a"
 // disables it: 0 -a-> 1 has no "b" successor.
-func disablingExpand(s string, x *Ctx[string]) {
+func disablingExpand(s string, x *Ctx) {
 	switch s {
 	case "0":
 		x.Emit("1", "a", 0)
@@ -196,7 +196,7 @@ func TestPORComposesWithCanon(t *testing.T) {
 	// POR and the mirror quotient stack on the grid: the quotient halves the
 	// space, the ample sets thin the branching, and the composed run is
 	// still deterministic at any worker count with both checks enabled.
-	run := func(par int) (*Result[string], error) {
+	run := func(par int) (*Result, error) {
 		return Explore([]string{"0,0"}, gridExpand(16), Options{
 			Parallelism: par,
 			Canon:       mirrorGridCanon,

@@ -84,7 +84,7 @@ func (p *phaseProf) noteSample(d time.Duration) {
 // clock reads the sample clock: the current time while the worker's
 // current expansion is fine-sampled, the zero Time (and no clock read)
 // otherwise. Safe on unprofiled workers, which never sample.
-func (ws *worker[S]) clock() time.Time {
+func (ws *worker) clock() time.Time {
 	if !ws.profSampling {
 		return time.Time{}
 	}
@@ -95,7 +95,7 @@ func (ws *worker[S]) clock() time.Time {
 // its duration to the worker's sample counter for section, and returns
 // the reading that starts the next section. Outside a fine-sampled
 // expansion it reads no clock and records nothing.
-func (ws *worker[S]) lap(section int, t time.Time) time.Time {
+func (ws *worker) lap(section int, t time.Time) time.Time {
 	if !ws.profSampling {
 		return t
 	}
@@ -110,7 +110,7 @@ func (p *phaseProf) lap(section int, t time.Time) time.Time {
 }
 
 // snapshot renders the worker's counters as an obs.Phases (coordinator
-// phases excluded; collectPhases adds those to the aggregate only).
+// phases excluded; phases adds those to the aggregate only).
 func (p *phaseProf) snapshot() obs.Phases {
 	return obs.Phases{
 		ExpandNs:       p.counters[phExpand].Load(),
@@ -135,10 +135,10 @@ func waitBarrier(p *phaseProf, wg *sync.WaitGroup) {
 }
 
 // profiled reports whether this run records phases.
-func (e *explorer[S]) profiled() bool { return e.workers[0].prof != nil }
+func (e *explorer) profiled() bool { return e.workers[0].prof != nil }
 
 // maintainStore wraps store.Maintain with store-I/O attribution.
-func (e *explorer[S]) maintainStore(keepFrom int32) error {
+func (e *explorer) maintainStore(keepFrom int32) error {
 	if !e.profiled() {
 		return e.store.Maintain(keepFrom)
 	}
@@ -149,7 +149,7 @@ func (e *explorer[S]) maintainStore(keepFrom int32) error {
 }
 
 // replayTimed wraps the sequential replay pass with its attribution.
-func (e *explorer[S]) replayTimed(initIDs []int32, limit, expanded, maxEdges int) (*Result[S], error) {
+func (e *explorer) replayTimed(initIDs []int32, limit, expanded, maxEdges int) (*Result, error) {
 	if !e.profiled() {
 		return e.replay(initIDs, limit, expanded, maxEdges)
 	}
@@ -159,23 +159,27 @@ func (e *explorer[S]) replayTimed(initIDs []int32, limit, expanded, maxEdges int
 	return res, err
 }
 
-// livePhases is the telemetry monitor's mid-run aggregate view: worker
-// counters summed, coordinator phases added, plus the merged sampled
-// expansion-latency histogram (nil while empty). Reads only atomics, so it
-// is safe against running workers; in-flight phase intervals are simply
-// not yet folded in.
-func (e *explorer[S]) livePhases() (obs.Phases, *obs.HistSnap) {
-	var agg obs.Phases
-	var lat obs.HistSnap
-	if !e.profiled() {
-		return agg, nil
-	}
+// phases is the run-wide aggregate: the workers' counters summed, the
+// coordinator phases added, and the workers' sampled expansion-latency
+// histograms merged. It reads only atomics, so it is safe against running
+// workers; in-flight phase intervals are simply not yet folded in.
+func (e *explorer) phases() (agg obs.Phases, lat obs.HistSnap) {
 	for _, ws := range e.workers {
 		agg.Add(ws.prof.snapshot())
 		lat.Add(ws.prof.expandLat.Snapshot())
 	}
 	agg.StoreIONs = e.profStoreIO.Load()
 	agg.ReplayNs = e.profReplay.Load()
+	return agg, lat
+}
+
+// livePhases is the telemetry monitor's mid-run view of phases, with a
+// nil histogram while it is empty.
+func (e *explorer) livePhases() (obs.Phases, *obs.HistSnap) {
+	if !e.profiled() {
+		return obs.Phases{}, nil
+	}
+	agg, lat := e.phases()
 	if lat.Count == 0 {
 		return agg, nil
 	}
@@ -184,20 +188,12 @@ func (e *explorer[S]) livePhases() (obs.Phases, *obs.HistSnap) {
 
 // collectPhases fills st's final phase profile: per-worker breakdowns,
 // the run-wide aggregate, and the merged sampled-latency histogram.
-func (e *explorer[S]) collectPhases(st *Stats) {
+func (e *explorer) collectPhases(st *Stats) {
 	if !e.profiled() {
 		return
 	}
-	var agg obs.Phases
-	var lat obs.HistSnap
 	for _, ws := range e.workers {
-		p := ws.prof.snapshot()
-		st.WorkerPhases = append(st.WorkerPhases, p)
-		agg.Add(p)
-		lat.Add(ws.prof.expandLat.Snapshot())
+		st.WorkerPhases = append(st.WorkerPhases, ws.prof.snapshot())
 	}
-	agg.StoreIONs = e.profStoreIO.Load()
-	agg.ReplayNs = e.profReplay.Load()
-	st.Phases = agg
-	st.ExpandLat = lat
+	st.Phases, st.ExpandLat = e.phases()
 }

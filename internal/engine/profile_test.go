@@ -7,12 +7,12 @@ import (
 
 // twiceExpand emits every successor of inner twice, so on the EmitBytes
 // canon path the second emission of each raw encoding is a canon-memo hit.
-func twiceExpand(inner ExpandFunc[string]) ExpandFunc[string] {
-	return func(s string, x *Ctx[string]) {
+func twiceExpand(inner ExpandFunc) ExpandFunc {
+	return func(s string, x *Ctx) {
 		var outs [][]byte
 		var labels []string
 		var actors []int
-		inner(s, CollectCtx(func(to string, label string, actor int) {
+		inner(s, CollectCtx(func(to, label string, actor int) {
 			outs = append(outs, []byte(to))
 			labels = append(labels, label)
 			actors = append(actors, actor)
@@ -34,7 +34,7 @@ func TestPhaseAttributionReachesEveryEmitRoute(t *testing.T) {
 	const n = 40
 	routes := []struct {
 		name   string
-		expand ExpandFunc[string]
+		expand ExpandFunc
 		opts   Options
 		canon  bool
 	}{

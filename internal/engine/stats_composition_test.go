@@ -15,7 +15,7 @@ import "testing"
 // Every number must be identical at workers 1, 2 and 8 — the counters are
 // part of the deterministic Result, not best-effort diagnostics.
 
-func twoChainExpand(s string, x *Ctx[string]) {
+func twoChainExpand(s string, x *Ctx) {
 	for i := 0; i < len(s); i++ {
 		if s[i] == 'A' {
 			b := []byte(s)

@@ -144,7 +144,7 @@ func TestBitstateUndercounts(t *testing.T) {
 // vs spill byte-identical, bitstate rejected without AllowLossy and
 // bounded with it.
 func TestDifferentialStoreBackends(t *testing.T) {
-	spec := DiffSpec[string]{
+	spec := DiffSpec{
 		Name:   "grid-30",
 		Inits:  []string{"0,0"},
 		Expand: gridExpand(30),
@@ -205,7 +205,7 @@ func TestTamperedSpillPageFailsTheRun(t *testing.T) {
 	seg := filepath.Join(dir, "seg-00000.dat")
 	grid := gridExpand(40)
 	tampered := false
-	expand := func(s string, x *Ctx[string]) {
+	expand := func(s string, x *Ctx) {
 		// One worker: expansions run one at a time, so the first one
 		// after the spill barrier tampers before any read-back.
 		if !tampered {

@@ -23,10 +23,10 @@ func TestDifferentialWaitQuorum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := engine.DiffSpec[config]{
+	spec := engine.DiffSpec{
 		Name:  "flp-wait-quorum-n3",
 		Inits: s.Init(),
-		Expand: func(c config, x *engine.Ctx[config]) {
+		Expand: func(c config, x *engine.Ctx) {
 			s.ExpandInto(c, x)
 		},
 		Canon:          canon,
@@ -58,10 +58,10 @@ func TestDifferentialWaitQuorumCrashFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := engine.Differential(engine.DiffSpec[config]{
+	rep, err := engine.Differential(engine.DiffSpec{
 		Name:  "flp-wait-quorum-n3-crash-free",
 		Inits: s.Init(),
-		Expand: func(c config, x *engine.Ctx[config]) {
+		Expand: func(c config, x *engine.Ctx) {
 			s.ExpandInto(c, x)
 		},
 		Canon:          canon,

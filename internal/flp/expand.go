@@ -35,12 +35,12 @@ type expandScratch struct {
 	crash   [maxProcs]string
 }
 
-var _ core.System[config] = (*system)(nil)
+var _ core.System = (*system)(nil)
 
 // ExpandInto implements core.System: deliveries in record order (one per
 // distinct record whose receiver is alive), then — while the crash budget
 // lasts — crashes p0..pn-1.
-func (s *system) ExpandInto(c config, x *engine.Ctx[config]) {
+func (s *system) ExpandInto(c config, x *engine.Ctx) {
 	sc, _ := x.Sys.(*expandScratch)
 	if sc == nil {
 		sc = &expandScratch{}

@@ -13,10 +13,10 @@ import (
 
 // collectInto runs ExpandInto with a collecting sink, returning the
 // emitted transitions as core.Steps for comparison against Steps.
-func collectInto(s *system, c config) []core.Step[config] {
-	var out []core.Step[config]
+func collectInto(s *system, c config) []core.Step {
+	var out []core.Step
 	x := engine.CollectCtx(func(to config, label string, actor int) {
-		out = append(out, core.Step[config]{To: to, Label: label, Actor: actor})
+		out = append(out, core.Step{To: to, Label: label, Actor: actor})
 	})
 	s.ExpandInto(c, x)
 	return out

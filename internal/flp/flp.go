@@ -213,7 +213,7 @@ type system struct {
 	resilience   int
 }
 
-var _ core.System[config] = (*system)(nil)
+var _ core.System = (*system)(nil)
 
 // The wake message is the self-addressed message whose delivery
 // constitutes a process's first step (emitting its initial sends); its
@@ -369,7 +369,7 @@ type AnalyzeOptions struct {
 // core.System, for direct exploration by the determinism tests and the
 // exploration benchmarks. A nil inputVectors means all binary input
 // assignments. It panics for a protocol that breaks the Protocol contract.
-func NewSystem(p Protocol, inputVectors [][]int, resilience int) core.System[string] {
+func NewSystem(p Protocol, inputVectors [][]int, resilience int) core.System {
 	if len(inputVectors) == 0 {
 		inputVectors = allBinaryVectors(p.NumProcs())
 	}

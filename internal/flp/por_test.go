@@ -10,7 +10,7 @@ import (
 
 // stepActions materializes a configuration's outgoing steps as engine
 // actions, so the independence relation can be probed directly.
-func stepActions(sys core.System[config], c config) []engine.Action {
+func stepActions(sys core.System, c config) []engine.Action {
 	var out []engine.Action
 	for _, st := range core.StepsOf(sys, c) {
 		out = append(out, engine.Action{To: st.To, Label: st.Label, Actor: st.Actor})

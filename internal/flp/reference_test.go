@@ -166,7 +166,7 @@ type textSystem struct {
 	resilience   int
 }
 
-var _ core.System[string] = (*textSystem)(nil)
+var _ core.System = (*textSystem)(nil)
 
 // Init implements core.System.
 func (s *textSystem) Init() []string {
@@ -185,7 +185,7 @@ func (s *textSystem) Init() []string {
 }
 
 // ExpandInto implements core.System by emitting Steps.
-func (s *textSystem) ExpandInto(c string, x *engine.Ctx[string]) {
+func (s *textSystem) ExpandInto(c string, x *engine.Ctx) {
 	for _, st := range s.Steps(c) {
 		x.Emit(st.To, st.Label, st.Actor)
 	}
@@ -194,11 +194,11 @@ func (s *textSystem) ExpandInto(c string, x *engine.Ctx[string]) {
 // Steps is the hand-written reference transition relation of the
 // configuration graph: decode, dedup with a map, re-encode every successor,
 // all over the protocol's string transition functions.
-func (s *textSystem) Steps(c string) []core.Step[string] {
+func (s *textSystem) Steps(c string) []core.Step {
 	ref := s.p.(refProtocol)
 	n := s.p.NumProcs()
 	crashed, states, flight := decodeConfig(c)
-	steps := make([]core.Step[string], 0, len(flight)+n)
+	steps := make([]core.Step, 0, len(flight)+n)
 	seen := map[string]bool{}
 	for i, env := range flight {
 		if crashed&(1<<uint(env.to)) != 0 {
@@ -226,7 +226,7 @@ func (s *textSystem) Steps(c string) []core.Step[string] {
 		for _, snd := range sends {
 			newFlight = append(newFlight, envelope{from: env.to, to: snd.To, payload: snd.Payload})
 		}
-		steps = append(steps, core.Step[string]{
+		steps = append(steps, core.Step{
 			To:    encodeConfig(crashed, newStates, newFlight),
 			Label: "deliver " + key,
 			Actor: env.to,
@@ -237,7 +237,7 @@ func (s *textSystem) Steps(c string) []core.Step[string] {
 			if crashed&(1<<uint(p)) != 0 {
 				continue
 			}
-			steps = append(steps, core.Step[string]{
+			steps = append(steps, core.Step{
 				To:    encodeConfig(crashed|1<<uint(p), states, flight),
 				Label: "crash p" + strconv.Itoa(p),
 				Actor: core.EnvironmentActor,

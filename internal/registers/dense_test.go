@@ -32,7 +32,7 @@ func (ps *pairSys) Init() []string { return []string{string(appendPair(nil, ps.a
 
 // ExpandInto implements core.System: each undecided process may take its
 // one atomic access next.
-func (ps *pairSys) ExpandInto(s string, x *engine.Ctx[string]) {
+func (ps *pairSys) ExpandInto(s string, x *engine.Ctx) {
 	l0, l1, v := ps.decode(s)
 	ls := [2]int{l0, l1}
 	for p := 0; p < 2; p++ {

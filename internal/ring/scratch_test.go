@@ -13,12 +13,12 @@ import (
 // Steps is the hand-written reference transition relation of the async
 // election space: every successor materialized as a fresh string, labels
 // built with fmt. TestAsyncLCRExpandIntoMatchesSteps holds ExpandInto to it.
-func (s asyncLCRSystem) Steps(st string) []core.Step[string] {
+func (s asyncLCRSystem) Steps(st string) []core.Step {
 	n := len(s.a.ids)
 	if st[n] != noLeader {
 		return nil // election decided; the space is a DAG to the leaders
 	}
-	var out []core.Step[string]
+	var out []core.Step
 	for link := 0; link < n; link++ {
 		mask := st[link]
 		for id := 0; id < 8; id++ {
@@ -35,7 +35,7 @@ func (s asyncLCRSystem) Steps(st string) []core.Step[string] {
 				next[dst] |= 1 << uint(id) // forward
 			}
 			// Smaller ids are swallowed: the token just disappears.
-			out = append(out, core.Step[string]{
+			out = append(out, core.Step{
 				To:    string(next),
 				Label: fmt.Sprintf("deliver id %d to p%d", id, dst),
 				Actor: dst,
@@ -65,9 +65,9 @@ func TestAsyncLCRExpandIntoMatchesSteps(t *testing.T) {
 			}
 			seen[s] = true
 			want := sys.Steps(s)
-			var got []core.Step[string]
+			var got []core.Step
 			x := engine.CollectCtx(func(to string, label string, actor int) {
-				got = append(got, core.Step[string]{To: to, Label: label, Actor: actor})
+				got = append(got, core.Step{To: to, Label: label, Actor: actor})
 			})
 			sys.ExpandInto(s, x)
 			if len(want) == 0 && len(got) == 0 {
@@ -97,7 +97,7 @@ func TestAsyncLCRAliasingClean(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys := a.System()
-	if _, err := engine.Differential(engine.DiffSpec[string]{
+	if _, err := engine.Differential(engine.DiffSpec{
 		Name: "async-lcr", Inits: sys.Init(), Expand: sys.ExpandInto,
 		VerifyAliasing: 1, Workers: []int{1, 2},
 	}); err != nil {

@@ -44,7 +44,7 @@ const noLeader = 0xFF
 
 // System returns the exploration system: states are the packed
 // configurations, steps deliver one pending token across one link.
-func (a *AsyncLCR) System() core.System[string] { return asyncLCRSystem{a} }
+func (a *AsyncLCR) System() core.System { return asyncLCRSystem{a} }
 
 // Leader decodes the elected position from a state, or -1 while open.
 func (a *AsyncLCR) Leader(s string) int {
@@ -85,7 +85,7 @@ type lcrScratch struct {
 
 // ExpandInto implements core.System: one delivery per in-flight token, in
 // link-then-id order, each rendered into the worker's scratch buffer.
-func (s asyncLCRSystem) ExpandInto(st string, x *engine.Ctx[string]) {
+func (s asyncLCRSystem) ExpandInto(st string, x *engine.Ctx) {
 	n := len(s.a.ids)
 	if len(st) != n+1 {
 		panic(fmt.Sprintf("ring: AsyncLCR state %q was not produced by this system", st))

@@ -47,7 +47,7 @@ func (c CrashSpace) validate() error {
 
 type crashSpaceSystem struct{ c CrashSpace }
 
-var _ core.System[string] = crashSpaceSystem{}
+var _ core.System = crashSpaceSystem{}
 
 func (s crashSpaceSystem) Init() []string { return []string{crashSpaceState(0, 0)} }
 
@@ -59,7 +59,7 @@ type csScratch struct {
 // ExpandInto implements core.System: the adversary's crash choices (p0
 // upward, while the fault budget lasts), then the round advance (below the
 // horizon), each rendered into the worker's scratch buffer.
-func (s crashSpaceSystem) ExpandInto(st string, x *engine.Ctx[string]) {
+func (s crashSpaceSystem) ExpandInto(st string, x *engine.Ctx) {
 	if len(st) != 2 {
 		panic(fmt.Sprintf("rounds: CrashSpace state %q was not produced by this system", st))
 	}
@@ -95,7 +95,7 @@ func (s crashSpaceSystem) ExpandInto(st string, x *engine.Ctx[string]) {
 // System returns the crash-pattern space as a core.System over encoded
 // (round, crashed-set) states. Configurations at the horizon with no crash
 // budget left are terminal.
-func (c CrashSpace) System() (core.System[string], error) {
+func (c CrashSpace) System() (core.System, error) {
 	if err := c.validate(); err != nil {
 		return nil, err
 	}

@@ -14,15 +14,15 @@ import (
 // Steps is the hand-written reference transition relation of the crash
 // space: every transition materialized, labels built with fmt.
 // TestCrashSpaceExpandIntoMatchesSteps holds ExpandInto to it.
-func (s crashSpaceSystem) Steps(st string) []core.Step[string] {
+func (s crashSpaceSystem) Steps(st string) []core.Step {
 	round, mask := int(st[0]), st[1]
-	var out []core.Step[string]
+	var out []core.Step
 	if bits.OnesCount8(mask) < s.c.MaxFaults {
 		for p := 0; p < s.c.Procs; p++ {
 			if mask&(1<<p) != 0 {
 				continue
 			}
-			out = append(out, core.Step[string]{
+			out = append(out, core.Step{
 				To:    crashSpaceState(round, mask|1<<p),
 				Label: fmt.Sprintf("crash p%d", p),
 				Actor: core.EnvironmentActor,
@@ -30,7 +30,7 @@ func (s crashSpaceSystem) Steps(st string) []core.Step[string] {
 		}
 	}
 	if round < s.c.Rounds {
-		out = append(out, core.Step[string]{
+		out = append(out, core.Step{
 			To:    crashSpaceState(round+1, mask),
 			Label: fmt.Sprintf("round %d", round+1),
 			Actor: core.EnvironmentActor,
@@ -60,9 +60,9 @@ func TestCrashSpaceExpandIntoMatchesSteps(t *testing.T) {
 			}
 			seen[s] = true
 			want := sys.Steps(s)
-			var got []core.Step[string]
+			var got []core.Step
 			x := engine.CollectCtx(func(to string, label string, actor int) {
-				got = append(got, core.Step[string]{To: to, Label: label, Actor: actor})
+				got = append(got, core.Step{To: to, Label: label, Actor: actor})
 			})
 			sys.ExpandInto(s, x)
 			if len(want) == 0 && len(got) == 0 {

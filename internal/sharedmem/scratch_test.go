@@ -14,11 +14,11 @@ import (
 // Steps is the hand-written reference transition relation of an
 // algorithm's state space: decoded int slices, a fresh encoding per
 // successor, fmt labels. TestExpandIntoMatchesSteps holds ExpandInto to it.
-func (sys system) Steps(s state) []core.Step[state] {
+func (sys system) Steps(s state) []core.Step {
 	n := sys.alg.NumProcs()
 	vs := sys.alg.Vars()
 	locals, vars := decode(s, n, len(vs))
-	steps := make([]core.Step[state], 0, n)
+	steps := make([]core.Step, 0, n)
 	for p := 0; p < n; p++ {
 		l := locals[p]
 		v := sys.alg.Access(p, l)
@@ -35,7 +35,7 @@ func (sys system) Steps(s state) []core.Step[state] {
 			actor = core.EnvironmentActor
 			label = fmt.Sprintf("p%d requests", p)
 		}
-		steps = append(steps, core.Step[state]{To: encode(newLocals, newVars), Label: label, Actor: actor})
+		steps = append(steps, core.Step{To: encode(newLocals, newVars), Label: label, Actor: actor})
 	}
 	return steps
 }
@@ -59,9 +59,9 @@ func TestExpandIntoMatchesSteps(t *testing.T) {
 					}
 					seen[s] = true
 					want := sys.Steps(s)
-					var got []core.Step[state]
+					var got []core.Step
 					x := engine.CollectCtx(func(to state, label string, actor int) {
-						got = append(got, core.Step[state]{To: to, Label: label, Actor: actor})
+						got = append(got, core.Step{To: to, Label: label, Actor: actor})
 					})
 					sys.ExpandInto(s, x)
 					if !reflect.DeepEqual(want, got) {
@@ -87,7 +87,7 @@ func TestExpandIntoMatchesSteps(t *testing.T) {
 // match the reference breadth-first search at 1 and 2 workers.
 func TestExpandIntoAliasingClean(t *testing.T) {
 	sys := NewSystem(NewTicketLock(3))
-	if _, err := engine.Differential(engine.DiffSpec[state]{
+	if _, err := engine.Differential(engine.DiffSpec{
 		Name: "ticket-lock", Inits: sys.Init(), Expand: sys.ExpandInto,
 		VerifyAliasing: 1, Workers: []int{1, 2},
 	}); err != nil {

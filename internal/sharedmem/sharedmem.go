@@ -120,7 +120,7 @@ type system struct {
 
 func newSystem(alg Algorithm) system { return system{alg: alg, nvars: len(alg.Vars())} }
 
-var _ core.System[state] = system{}
+var _ core.System = system{}
 
 func (sys system) Init() []state {
 	n := sys.alg.NumProcs()
@@ -145,7 +145,7 @@ type smScratch struct {
 // ExpandInto implements core.System: one atomic access per process, p0
 // upward, each successor rendered into the worker's scratch buffer as two
 // patched bytes over the current encoding.
-func (sys system) ExpandInto(s state, x *engine.Ctx[state]) {
+func (sys system) ExpandInto(s state, x *engine.Ctx) {
 	n := sys.alg.NumProcs()
 	if len(s) != n+sys.nvars {
 		panic(fmt.Sprintf("sharedmem: %s state %q was not produced by this system", sys.alg.Name(), s))
@@ -195,7 +195,7 @@ func appendStepLabel(dst []byte, p, v, old, nv int, request bool) []byte {
 // NewSystem exposes the algorithm's transition system (canonical encoded
 // global states) for direct exploration — used by the determinism tests and
 // the exploration benchmarks.
-func NewSystem(alg Algorithm) core.System[string] {
+func NewSystem(alg Algorithm) core.System {
 	return newSystem(alg)
 }
 
@@ -418,7 +418,7 @@ type bypassSystem struct {
 	bound int
 }
 
-var _ core.System[state] = bypassSystem{}
+var _ core.System = bypassSystem{}
 
 func (b bypassSystem) Init() []state {
 	base := b.inner.Init()
@@ -433,14 +433,14 @@ func (b bypassSystem) Init() []state {
 // ExpandInto implements core.System: the inner system's transitions, each
 // with the bypass counters updated. Bounded-bypass checking is a one-off
 // exploration, so it materializes the inner steps with core.StepsOf.
-func (b bypassSystem) ExpandInto(s state, x *engine.Ctx[state]) {
+func (b bypassSystem) ExpandInto(s state, x *engine.Ctx) {
 	alg := b.inner.alg
 	n := alg.NumProcs()
 	nv := len(alg.Vars())
 	baseLen := n + nv
 	base := s[:baseLen]
 	counters := []byte(s[baseLen:])
-	for _, st := range core.StepsOf[state](b.inner, base) {
+	for _, st := range core.StepsOf(b.inner, base) {
 		preRegions := regionsOf(alg, base)
 		postRegions := regionsOf(alg, st.To)
 		next := make([]byte, n)

@@ -8,8 +8,8 @@ import "repro/internal/engine"
 // about — and reused — without reference to the system under test.
 
 // ExpandFunc returns sp.Expand in the engine's expansion-context form.
-func (sp *Space) ExpandFunc() engine.ExpandFunc[string] {
-	return func(s string, x *engine.Ctx[string]) {
+func (sp *Space) ExpandFunc() engine.ExpandFunc {
+	return func(s string, x *engine.Ctx) {
 		sp.Expand(s, func(to, label string, actor int) { x.Emit(to, label, actor) })
 	}
 }
@@ -17,7 +17,7 @@ func (sp *Space) ExpandFunc() engine.ExpandFunc[string] {
 // Spec wires the space, its sound reduction hooks and its planted truth
 // into a differential-oracle spec. Callers may override Workers or
 // MaxStates on the returned value.
-func (sp *Space) Spec() engine.DiffSpec[string] {
+func (sp *Space) Spec() engine.DiffSpec {
 	truth := engine.DiffTruth{
 		States:            sp.Truth.States,
 		Terminals:         sp.Truth.Terminals,
@@ -26,7 +26,7 @@ func (sp *Space) Spec() engine.DiffSpec[string] {
 		QuotientTerminals: sp.Truth.QuotientTerminals,
 		QuotientDecided:   sp.Truth.QuotientDecided,
 	}
-	return engine.DiffSpec[string]{
+	return engine.DiffSpec{
 		Name:        sp.Describe(),
 		Inits:       []string{sp.Init()},
 		Expand:      sp.ExpandFunc(),

@@ -103,7 +103,7 @@ func TestPORExplorationIsDeterministic(t *testing.T) {
 	wq := flp.NewWaitQuorum(3)
 	cases := []struct {
 		name        string
-		sys         core.System[string]
+		sys         core.System
 		independent func(string, engine.Action, engine.Action) bool
 		visible     func(string, engine.Action) bool
 	}{
@@ -112,7 +112,7 @@ func TestPORExplorationIsDeterministic(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			rep, err := engine.Differential(engine.DiffSpec[string]{
+			rep, err := engine.Differential(engine.DiffSpec{
 				Name: c.name, Inits: c.sys.Init(), Expand: c.sys.ExpandInto,
 				Independent: c.independent, Visible: c.visible,
 			})
@@ -133,12 +133,12 @@ func TestPORExplorationIsDeterministic(t *testing.T) {
 	// reduced graph to cross-worker identity.
 	t.Run("async-lcr", func(t *testing.T) {
 		sys := lcr.System()
-		if _, err := engine.Differential(engine.DiffSpec[string]{
+		if _, err := engine.Differential(engine.DiffSpec{
 			Name: "async-lcr", Inits: sys.Init(), Expand: sys.ExpandInto,
 		}); err != nil {
 			t.Fatal(err)
 		}
-		var want *engine.Result[string]
+		var want *engine.Result
 		for _, par := range []int{1, 2, 8} {
 			res, err := engine.Explore(sys.Init(), sys.ExpandInto, engine.Options{
 				Parallelism: par, Independent: lcr.Independence(), VerifyPOR: 2,

@@ -22,7 +22,7 @@ import (
 // quotientWorkload pairs a system with its symmetry canonicalizer.
 type quotientWorkload struct {
 	name  string
-	sys   core.System[string]
+	sys   core.System
 	canon func(string) string
 }
 
@@ -55,7 +55,7 @@ func quotientWorkloads(t *testing.T) []quotientWorkload {
 func TestQuotientExplorationIsDeterministic(t *testing.T) {
 	for _, w := range quotientWorkloads(t) {
 		t.Run(w.name, func(t *testing.T) {
-			if _, err := engine.Differential(engine.DiffSpec[string]{
+			if _, err := engine.Differential(engine.DiffSpec{
 				Name: w.name, Inits: w.sys.Init(), Expand: w.sys.ExpandInto, Canon: w.canon,
 			}); err != nil {
 				t.Fatal(err)
@@ -76,7 +76,7 @@ func TestQuotientTruncationIsDeterministic(t *testing.T) {
 		t.Fatalf("PermutationCanon: %v", err)
 	}
 	sys := flp.NewSystem(wq, nil, 1)
-	if _, err := engine.Differential(engine.DiffSpec[string]{
+	if _, err := engine.Differential(engine.DiffSpec{
 		Name: "truncated quotient", Inits: sys.Init(), Expand: sys.ExpandInto, Canon: canon, MaxStates: 300,
 	}); err != nil {
 		t.Fatal(err)
