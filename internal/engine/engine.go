@@ -145,7 +145,7 @@ type Options struct {
 	// and without a sink, at any worker count — and a nil Sink costs one
 	// branch (no telemetry code runs at all). Publish is called from the
 	// coordinator and from one monitor goroutine; see obs.Sink for the
-	// concurrency contract.
+	// concurrency and ownership contract.
 	Sink obs.Sink
 	// SnapshotEvery is the period of the timer-driven snapshots (only
 	// meaningful with a Sink). Zero selects DefaultSnapshotEvery;
@@ -687,18 +687,7 @@ func Explore(inits []string, expand ExpandFunc, opts Options) (*Result, error) {
 	}
 
 	if opts.Sink != nil {
-		e.tel = newTelemetry(opts.Sink, start, limit, nw, len(initIDs),
-			e.canon != nil, e.indep != nil, opts.Store,
-			func() int { return e.store.Len() },
-			func() []uint64 {
-				steps := make([]uint64, len(e.workers))
-				for i, ws := range e.workers {
-					steps[i] = ws.steps.Load()
-				}
-				return steps
-			},
-			e.store.Stats,
-			e.livePhases)
+		e.tel = newTelemetry(e, opts.Sink, start, limit, len(initIDs), opts.Store)
 		every := opts.SnapshotEvery
 		if every == 0 {
 			every = DefaultSnapshotEvery
@@ -775,7 +764,7 @@ func Explore(inits []string, expand ExpandFunc, opts Options) (*Result, error) {
 			// The workers are quiescent between barriers, so the level
 			// event's counters are exact — and worker-count-invariant, per
 			// the determinism contract (the trace digest relies on this).
-			e.tel.level(e, total, st.Depth, hi-lo, st.PeakFrontier)
+			e.tel.level(total, st.Depth, hi-lo, st.PeakFrontier)
 		}
 		if total > limit {
 			if e.tel != nil {

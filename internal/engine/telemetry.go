@@ -15,29 +15,17 @@ const DefaultSnapshotEvery = time.Second
 // telemetry is the engine side of the observability layer: the
 // coordinator publishes deterministic events (run_start, one level event
 // per barrier, truncated, run_end) synchronously, and a monitor goroutine
-// publishes timer-driven snapshots built purely from atomic reads — the
-// interned-state counter, the per-worker step counters, and the
-// barrier-published aggregates below. The monitor never touches worker
-// state, so attaching a sink cannot perturb the exploration; the
-// determinism tests assert byte-identical Results with and without one.
-//
-// The struct is deliberately non-generic: Explore hands it closures over
-// the explorer's atomics instead of the explorer itself.
+// publishes timer-driven snapshots built purely from concurrency-safe
+// reads of the explorer — the store's length and stats, the per-worker
+// step counters, the live phase aggregate — and the barrier-published
+// aggregates below. The monitor reads nothing else of the explorer, so
+// attaching a sink cannot perturb the exploration; the determinism tests
+// assert byte-identical Results with and without one.
 type telemetry struct {
+	e         *explorer
 	sink      obs.Sink
 	start     time.Time
 	maxStates int
-	workers   int
-
-	// states and workerSteps read the explorer's live atomic counters;
-	// storeStats snapshots the visited-set backend (also concurrency-safe).
-	states      func() int
-	workerSteps func() []uint64
-	storeStats  func() store.Stats
-	// phases reads the live phase-attribution aggregate (and the sampled
-	// expansion-latency histogram, nil while empty). Pure timing — always
-	// digest-excluded, stamped into every snapshot.
-	phases func() (obs.Phases, *obs.HistSnap)
 
 	// Barrier-published live values: written by the coordinator between
 	// levels, read by the monitor goroutine.
@@ -53,28 +41,16 @@ type telemetry struct {
 	done chan struct{}
 }
 
-// newTelemetry wires a telemetry for one Explore run and publishes its
-// run_start event.
-func newTelemetry(sink obs.Sink, start time.Time, maxStates, workers, inits int,
-	canonOn, porOn bool, storeCfg store.Config,
-	states func() int, workerSteps func() []uint64, storeStats func() store.Stats,
-	phases func() (obs.Phases, *obs.HistSnap)) *telemetry {
-	t := &telemetry{
-		sink:        sink,
-		start:       start,
-		maxStates:   maxStates,
-		workers:     workers,
-		states:      states,
-		workerSteps: workerSteps,
-		storeStats:  storeStats,
-		phases:      phases,
-	}
+// newTelemetry wires a telemetry for one Explore run of e and publishes
+// its run_start event.
+func newTelemetry(e *explorer, sink obs.Sink, start time.Time, maxStates, inits int, storeCfg store.Config) *telemetry {
+	t := &telemetry{e: e, sink: sink, start: start, maxStates: maxStates}
 	cfg := &obs.RunConfig{
-		Workers:   workers,
+		Workers:   len(e.workers),
 		MaxStates: maxStates,
 		Inits:     inits,
-		Canon:     canonOn,
-		POR:       porOn,
+		Canon:     e.canon != nil,
+		POR:       e.indep != nil,
 		Store:     string(storeCfg.ResolvedKind()),
 	}
 	if storeCfg.ResolvedKind() == store.Spill {
@@ -104,7 +80,7 @@ func (t *telemetry) startMonitor(every time.Duration) {
 			case <-t.stop:
 				return
 			case <-tick.C:
-				snap := t.snapshot(t.states(), int(t.depth.Load()), int(t.frontier.Load()), int(t.peakFrontier.Load()))
+				snap := t.snapshot(t.e.store.Len(), int(t.depth.Load()), int(t.frontier.Load()), int(t.peakFrontier.Load()))
 				t.sink.Publish(obs.Event{Kind: obs.KindSnapshot, Snapshot: &snap})
 			}
 		}
@@ -134,10 +110,11 @@ func (t *telemetry) stopMonitor() {
 // exclude them, and at a barrier every digested counter is exact and
 // worker-count-invariant.
 func (t *telemetry) snapshot(states, depth, frontier, peak int) obs.ProgressSnapshot {
-	steps := t.workerSteps()
+	steps := make([]uint64, len(t.e.workers))
 	var exp uint64
-	for _, s := range steps {
-		exp += s
+	for i, ws := range t.e.workers {
+		steps[i] = ws.steps.Load()
+		exp += steps[i]
 	}
 	snap := obs.ProgressSnapshot{
 		Elapsed:         time.Since(t.start),
@@ -153,13 +130,11 @@ func (t *telemetry) snapshot(states, depth, frontier, peak int) obs.ProgressSnap
 		WorkerSteps:     steps,
 		MaxStates:       t.maxStates,
 	}
-	stampStore(&snap, t.storeStats())
+	stampStore(&snap, t.e.store.Stats())
 	snap.PeakRSSBytes = obs.PeakRSS()
-	if t.phases != nil {
-		if ph, lat := t.phases(); !ph.Zero() {
-			snap.Phases = &ph
-			snap.ExpandLat = lat
-		}
+	if ph, lat := t.e.livePhases(); !ph.Zero() {
+		snap.Phases = &ph
+		snap.ExpandLat = lat
 	}
 	return snap
 }
@@ -187,9 +162,9 @@ func stampStore(snap *obs.ProgressSnapshot, ss store.Stats) {
 // level is the coordinator's barrier hook: it refreshes the
 // barrier-published aggregates from the (quiescent) workers and publishes
 // the level event. frontier is the size of the next level about to start.
-func (t *telemetry) level(e *explorer, states, depth, frontier, peak int) {
+func (t *telemetry) level(states, depth, frontier, peak int) {
 	var dedup, canon, ample, deferred uint64
-	for _, ws := range e.workers {
+	for _, ws := range t.e.workers {
 		dedup += ws.dedup
 		canon += ws.canonHits
 		ample += ws.ampleStates

@@ -27,11 +27,11 @@ type CLIConfig struct {
 	Options map[string]string
 }
 
-// SetupCLI assembles the sink stack a command asked for and returns it
-// behind a bounded Bus, plus a cleanup function that drains the bus,
-// flushes the trace (reporting its digest and any drops on LogTo), and
-// stops the metrics server. When no observability flag is set it returns
-// a nil Sink and a no-op cleanup, preserving the engine's nil fast path.
+// SetupCLI assembles the sink stack a command asked for and returns it as
+// one MultiSink, plus a cleanup function that flushes the trace (reporting
+// its digest on LogTo) and stops the metrics server. When no observability
+// flag is set it returns a nil Sink and a no-op cleanup, preserving the
+// engine's nil fast path.
 func SetupCLI(cfg CLIConfig) (Sink, func(), error) {
 	if !cfg.Progress && cfg.TracePath == "" && cfg.ServeAddr == "" {
 		return nil, func() {}, nil
@@ -76,8 +76,11 @@ func SetupCLI(cfg CLIConfig) (Sink, func(), error) {
 		}
 		sinks = append(sinks, tw)
 		if cfg.TracePath != "-" {
-			// The bus hands every sink the same events in the same order,
-			// so this digest is the file's, as ValidateTrace recomputes it.
+			// MultiSink hands the writer and this digest every event in
+			// the order each producer publishes it. Only the engine's
+			// snapshot monitor publishes concurrently with another
+			// producer, and the digest ignores timer snapshots, so this
+			// digest is the file's, as ValidateTrace recomputes it.
 			digest = NewDigest()
 			sinks = append(sinks, digest)
 		}
@@ -93,12 +96,7 @@ func SetupCLI(cfg CLIConfig) (Sink, func(), error) {
 		fmt.Fprintf(logTo, "[obs] serving live metrics on http://%s/metrics (pprof under /debug/pprof/)\n", addr)
 		sinks = append(sinks, live)
 	}
-	bus := NewBus(0, sinks...)
 	cleanup := func() {
-		bus.Close()
-		if dropped := bus.Dropped(); dropped > 0 {
-			fmt.Fprintf(logTo, "[obs] warning: %d telemetry events dropped (bus buffer full)\n", dropped)
-		}
 		if tw != nil {
 			if err := tw.Close(); err != nil {
 				fmt.Fprintf(logTo, "[obs] trace write failed: %v\n", err)
@@ -110,5 +108,5 @@ func SetupCLI(cfg CLIConfig) (Sink, func(), error) {
 			shutdown()
 		}
 	}
-	return bus, cleanup, nil
+	return MultiSink(sinks), cleanup, nil
 }

@@ -35,8 +35,7 @@ type Digest struct {
 // the hash.
 const digestBlock = 8 << 10
 
-// NewDigest returns an empty digest; it implements Sink and can be
-// attached directly to an exploration or subscribed to a Bus.
+// NewDigest returns an empty digest; it implements Sink.
 func NewDigest() *Digest {
 	return &Digest{h: sha256.New()}
 }

@@ -6,6 +6,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -14,8 +15,8 @@ import (
 // Live is a Sink that retains the latest state of the event stream for
 // the -serve debug endpoint: the current run's config, the most recent
 // snapshot, and expvar-style event counters. It is the read model behind
-// /metrics; Publish only swaps pointers under a short lock, so it is safe
-// to subscribe directly (no Bus needed) even on hot runs.
+// /metrics. Publish copies the payloads it keeps under a short lock; an
+// rt_event only bumps a counter.
 type Live struct {
 	mu        sync.RWMutex
 	manifest  *Manifest
@@ -45,15 +46,16 @@ func (l *Live) Publish(ev Event) {
 	switch ev.Kind {
 	case KindRunStart:
 		l.runs++
-		l.config = ev.Config
+		l.config = clone(ev.Config)
 		l.last, l.final = nil, nil
 	case KindSnapshot:
 		l.snapshots++
-		l.last = ev.Snapshot
+		l.last = cloneSnapshot(ev.Snapshot)
 	case KindLevel, KindTruncated:
-		l.last = ev.Snapshot
+		l.last = cloneSnapshot(ev.Snapshot)
 	case KindRunEnd:
-		l.last, l.final = ev.Snapshot, ev.Snapshot
+		l.last = cloneSnapshot(ev.Snapshot)
+		l.final = l.last
 	case KindRTStart:
 		l.rtRuns++
 	case KindRTEvent:
@@ -64,8 +66,41 @@ func (l *Live) Publish(ev Event) {
 			l.rtEvents[ev.RT.Kind]++
 		}
 	case KindRTEnd:
-		l.rtFinal = ev.RTSummary
+		if l.rtFinal = clone(ev.RTSummary); l.rtFinal != nil {
+			l.rtFinal.BatchLat = cloneHist(l.rtFinal.BatchLat)
+		}
 	}
+}
+
+// clone returns a copy of *p, or nil. Live keeps payloads past Publish,
+// when they belong to the producer again (see Sink).
+func clone[T any](p *T) *T {
+	if p == nil {
+		return nil
+	}
+	c := *p
+	return &c
+}
+
+// cloneHist copies h and its bucket counts.
+func cloneHist(h *HistSnap) *HistSnap {
+	if h = clone(h); h != nil {
+		h.Counts = slices.Clone(h.Counts)
+	}
+	return h
+}
+
+// cloneSnapshot copies s and everything it points to.
+func cloneSnapshot(s *ProgressSnapshot) *ProgressSnapshot {
+	if s = clone(s); s != nil {
+		s.WorkerSteps = slices.Clone(s.WorkerSteps)
+		s.WorkerPhases = slices.Clone(s.WorkerPhases)
+		s.StoreReadLat = cloneHist(s.StoreReadLat)
+		s.StoreWriteLat = cloneHist(s.StoreWriteLat)
+		s.Phases = clone(s.Phases)
+		s.ExpandLat = cloneHist(s.ExpandLat)
+	}
+	return s
 }
 
 // liveMetrics is the /metrics JSON document.

@@ -154,3 +154,37 @@ func TestLiveConcurrentScrape(t *testing.T) {
 	close(stop)
 	producer.Wait()
 }
+
+// TestLiveCopiesPayloads holds Live to the Sink contract: the payloads it
+// keeps are its own copies, so a producer may reuse or overwrite its
+// events once Publish returns.
+func TestLiveCopiesPayloads(t *testing.T) {
+	live := NewLive(nil)
+	cfg := &RunConfig{Workers: 2, MaxStates: 1000, Inits: 1}
+	snap := profiledSnapshot()
+	snap.WorkerPhases = []Phases{{ExpandNs: 5}, {ExpandNs: 6}}
+	lat := *snap.ExpandLat
+	summary := &RuntimeSummary{Events: 9, LocalSteps: 9, Quiesced: true, BatchLat: &lat}
+	live.Publish(Event{Kind: KindRunStart, Config: cfg})
+	live.Publish(Event{Kind: KindRunEnd, Snapshot: snap})
+	live.Publish(Event{Kind: KindRTEnd, RTSummary: summary})
+	kept := func() string {
+		m := live.metrics()
+		b, err := json.Marshal([]any{m.Config, m.Snapshot, m.Final, m.RTFinal})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	before := kept()
+
+	*cfg = RunConfig{}
+	snap.WorkerSteps[0], snap.WorkerPhases[0].ExpandNs, snap.Phases.ExpandNs = 0, 0, 0
+	snap.ExpandLat.Counts[len(snap.ExpandLat.Counts)-1] = 99
+	*snap = ProgressSnapshot{}
+	summary.BatchLat.Count = 0
+	*summary = RuntimeSummary{}
+	if after := kept(); after != before {
+		t.Errorf("Live's view changed with the producer's payloads:\nbefore %s\nafter  %s", before, after)
+	}
+}

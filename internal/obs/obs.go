@@ -1,7 +1,7 @@
 // Package obs is the streaming observability layer of the exploration
-// engine: typed telemetry events, a lock-light bounded fan-out bus, JSONL
-// run traces with a versioned schema, live progress snapshots, and an
-// opt-in HTTP metrics endpoint.
+// engine: typed telemetry events, synchronous fan-out to sinks, JSONL run
+// traces with a versioned schema, live progress snapshots, and an opt-in
+// HTTP metrics endpoint.
 //
 // The engine (internal/engine) is the producer: with a Sink installed in
 // its Options it publishes a run_start event, one level event per BFS
@@ -432,9 +432,10 @@ func (p ProgressSnapshot) String() string {
 
 // Sink consumes telemetry events. Publish must be safe for concurrent
 // calls (the engine publishes from the coordinator and from a monitor
-// goroutine) and must not block the caller for long: sinks that fan out to
-// slow consumers should buffer and drop (see Bus), never stall the
-// exploration.
+// goroutine). It is synchronous and lossless: a slow sink slows its
+// producer and never loses an event. Once Publish returns, the event and
+// everything it points to belong to the caller again, so a sink that
+// keeps a payload must copy it.
 type Sink interface {
 	Publish(ev Event)
 }

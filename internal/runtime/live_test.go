@@ -92,6 +92,30 @@ func TestLiveDigestsPinned(t *testing.T) {
 	}
 }
 
+// TestRunAllocsFlat holds a run's allocations to a constant plus the
+// doublings of its growing slices: a run sixteen times as long may make
+// a few dozen more, never one more per event.
+func TestRunAllocsFlat(t *testing.T) {
+	c := liveCases[3]
+	w, err := c.build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(events int) float64 {
+		opts := c.opts
+		opts.Seed, opts.MaxEvents = 1, events
+		return testing.AllocsPerRun(3, func() {
+			if _, err := runtime.Run(w, opts); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	short, long := allocs(1024), allocs(16384)
+	if long-short > 32 {
+		t.Errorf("a 1024-event run makes %.0f allocations, a 16384-event run %.0f", short, long)
+	}
+}
+
 // BenchmarkRunTicketMutex is one live run of the ticket-lock mutex case
 // of live-refine: 16384 single-access rounds, each published as one
 // rt_event to the run's own digest. The nosink case attaches nothing

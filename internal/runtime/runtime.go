@@ -218,11 +218,13 @@ func Run(w Workload, opts Options) (*Result, error) {
 
 	crashed := make([]bool, n)
 	halted := make([]bool, n)
+	// One RuntimeEvent serves the whole run: a sink is done with an event
+	// when Publish returns (see obs.Sink).
+	var rte obs.RuntimeEvent
 	record := func(kind string, actor, from, to int, label string) {
 		res.Events++
-		sink.Publish(obs.Event{Kind: obs.KindRTEvent, RT: &obs.RuntimeEvent{
-			Kind: kind, Event: res.Events, Actor: actor, From: from, To: to, Label: label,
-		}})
+		rte = obs.RuntimeEvent{Kind: kind, Event: res.Events, Actor: actor, From: from, To: to, Label: label}
+		sink.Publish(obs.Event{Kind: obs.KindRTEvent, RT: &rte})
 		if label != "" {
 			res.Trace = append(res.Trace, core.TraceEvent{Label: label, Actor: actor})
 		}
