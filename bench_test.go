@@ -722,9 +722,10 @@ func BenchmarkE08KnowledgeLevels(b *testing.B) {
 // Layer benchmarks for the verdict path. BenchmarkVerdictFull is the
 // whole FLP verdict on wait-quorum n=4 at resilience 1 (one exploration
 // and the analysis passes over its graph); BenchmarkGraphPasses
-// times the analysis passes alone on one prebuilt graph of the same
-// system. Both report allocations, so `-benchmem` reads off B/op for the
-// graph layout and the passes that index it.
+// times the analysis passes alone, one sub-benchmark each, on one
+// prebuilt graph of the same system. Both report allocations, so
+// `-benchmem` reads off B/op for the graph layout and for each pass that
+// indexes it.
 
 func BenchmarkVerdictFull(b *testing.B) {
 	b.ReportAllocs()
@@ -842,16 +843,36 @@ func BenchmarkGraphPasses(b *testing.B) {
 	// The deepest state's BFS path is the trace to embed, as Refine
 	// embeds an observed run.
 	tr := g.PathTo(g.Len() - 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := g.Valence(func(i int) (int, bool) { return decide(g.State(i)) }); err != nil {
-			b.Fatal(err)
-		}
-		g.FairLassoWithin(func(i int) bool { return undecided[i] }, core.WeakFairness, n)
-		if emb := g.EmbedTrace(tr); !emb.Ok {
-			b.Fatalf("the graph's own path fails to embed at event %d", emb.FailAt)
-		}
+	val, err := g.Valence(func(i int) (int, bool) { return decide(g.State(i)) })
+	if err != nil {
+		b.Fatal(err)
 	}
-	b.ReportMetric(float64(g.Len()), "states")
+	isUndecided := func(i int) bool { return undecided[i] }
+	passes := []struct {
+		name string
+		run  func(b *testing.B)
+	}{
+		{"valence", func(b *testing.B) {
+			if _, err := g.Valence(func(i int) (int, bool) { return decide(g.State(i)) }); err != nil {
+				b.Fatal(err)
+			}
+		}},
+		{"lasso", func(b *testing.B) { g.FairLassoWithin(isUndecided, core.WeakFairness, n) }},
+		{"decider", func(b *testing.B) { g.Decider(val) }},
+		{"reach", func(b *testing.B) { g.ReachableWithin(g.Initials(), isUndecided) }},
+		{"embed", func(b *testing.B) {
+			if emb := g.EmbedTrace(tr); !emb.Ok {
+				b.Fatalf("the graph's own path fails to embed at event %d", emb.FailAt)
+			}
+		}},
+	}
+	for _, p := range passes {
+		b.Run(p.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				p.run(b)
+			}
+			b.ReportMetric(float64(g.Len()), "states")
+		})
+	}
 }

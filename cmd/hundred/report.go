@@ -147,8 +147,8 @@ func reportExploreRun(w io.Writer, n int, run []obs.Event) {
 	}
 
 	if final.GraphBytes > 0 {
-		fmt.Fprintf(w, "**Graph memory:** %s in the graph layout (%.0f B/state: row offsets, edges, "+
-			"labels, parent tree; state payloads excluded), %s of raw-edge arenas at replay.\n\n",
+		fmt.Fprintf(w, "**Graph memory:** %s in the graph layout (%.0f B/state: edge chunks, row spans, "+
+			"labels, parent tree; state payloads excluded), %s of it the workers' edge chunks.\n\n",
 			fmtBytes(final.GraphBytes), float64(final.GraphBytes)/float64(max(final.States, 1)), fmtBytes(final.ArenaBytes))
 	}
 

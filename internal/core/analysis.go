@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -54,55 +55,37 @@ type ValenceInfo struct {
 // value (0 ≤ value < MaxDecisionValues). Decidedness is usually a property
 // of terminal states, but intermediate decided states are handled too:
 // their own value is included along with everything reachable beyond them.
+//
+// It is one Tarjan pass over the forward rows. Tarjan finishes a strongly
+// connected component only after every component it has an edge into, so
+// when a component is finished the masks of the targets outside it are
+// final, and the component's mask — the one value all its states share,
+// as they reach each other — is the OR of its states' decisions and of
+// the masks of their out-edges' targets. A target inside the component
+// holds only its own decision then, which the OR already includes.
 func (g *Graph[S]) Valence(decide func(i int) (int, bool)) (*ValenceInfo, error) {
-	n := len(g.states)
-	masks := make([]uint64, n)
-	// Reverse adjacency for backward propagation, in compressed sparse
-	// rows built by counting sort: state t's predecessors are
-	// preds[predOff[t]:predOff[t+1]], in ascending id order.
-	predOff := make([]uint32, n+1)
-	for i := 0; g.expanded(i); i++ {
-		for _, e := range g.out(i) {
-			predOff[e.To+1]++
-		}
-	}
-	for t := 0; t < n; t++ {
-		predOff[t+1] += predOff[t]
-	}
-	preds := make([]int32, predOff[n])
-	next := append([]uint32(nil), predOff[:n]...)
-	for i := 0; g.expanded(i); i++ {
-		for _, e := range g.out(i) {
-			preds[next[e.To]] = int32(i)
-			next[e.To]++
-		}
-	}
-	queue := make([]int, 0, n)
-	inQueue := make([]bool, n)
-	for i := range g.states {
+	masks := make([]uint64, len(g.states))
+	for i := range masks {
 		if v, ok := decide(i); ok {
 			if v < 0 || v >= MaxDecisionValues {
 				return nil, fmt.Errorf("core: decision value %d out of range [0,%d)", v, MaxDecisionValues)
 			}
-			masks[i] |= 1 << uint(v)
-			queue = append(queue, i)
-			inQueue[i] = true
+			masks[i] = 1 << uint(v)
 		}
 	}
-	for head := 0; head < len(queue); head++ {
-		i := queue[head]
-		inQueue[i] = false
-		m := masks[i]
-		for _, p := range preds[predOff[i]:predOff[i+1]] {
-			if masks[p]|m != masks[p] {
-				masks[p] |= m
-				if !inQueue[p] {
-					queue = append(queue, int(p))
-					inQueue[p] = true
-				}
+	g.tarjan(newSCCPass(len(masks)), nil, func(comp []int32) bool {
+		var m uint64
+		for _, i := range comp {
+			m |= masks[i]
+			for _, e := range g.out(int(i)) {
+				m |= masks[e.To]
 			}
 		}
-	}
+		for _, i := range comp {
+			masks[i] = m
+		}
+		return true
+	})
 	return &ValenceInfo{masks: masks}, nil
 }
 
@@ -149,8 +132,11 @@ func (g *Graph[S]) BivalentInitial(v *ValenceInfo) (int, bool) {
 // case analyses.
 func (g *Graph[S]) Decider(v *ValenceInfo) (int, bool) {
 	for i := 0; g.expanded(i); i++ {
+		if !v.IsBivalent(i) {
+			continue
+		}
 		es := g.out(i)
-		if !v.IsBivalent(i) || len(es) == 0 {
+		if len(es) == 0 {
 			continue
 		}
 		all := true
@@ -259,141 +245,164 @@ func (g *Graph[S]) ReachableWithin(starts []int, allowed func(int) bool) []bool 
 // fairCycleWithin finds a fair cycle entirely inside the state set inH.
 // Weak fairness for an actor a is discharged within a strongly connected
 // component if either a takes some edge of the component or a is disabled
-// (in the whole graph) at some state of the component.
+// (in the whole graph) at some state of the component. The first component
+// Tarjan finishes that has an internal edge and, under weak fairness, is
+// weakly fair, carries the cycle.
 func (g *Graph[S]) fairCycleWithin(inH []bool, fair Fairness, numActors int) (Lasso, bool) {
-	comps := g.sccsWithin(inH)
-	for _, comp := range comps {
-		if !g.sccHasInternalEdge(comp, inH) {
-			continue
-		}
-		if fair == WeakFairness && !g.sccIsWeaklyFair(comp, inH, numActors) {
-			continue
-		}
-		cycle, entry := g.buildFairCycle(comp, inH, fair, numActors)
-		return Lasso{Prefix: g.PathTo(entry), Cycle: cycle, Entry: entry}, true
-	}
-	return Lasso{}, false
-}
-
-// sccsWithin computes strongly connected components of the subgraph
-// induced by inH, using an iterative Tarjan algorithm.
-func (g *Graph[S]) sccsWithin(inH []bool) [][]int {
-	n := len(g.states)
-	const unvisited = -1
-	index := make([]int32, n)
-	low := make([]int32, n)
-	onStack := make([]bool, n)
-	for i := range index {
-		index[i] = unvisited
-	}
+	p := newSCCPass(len(g.states))
 	var (
-		counter  int32
-		stack    []int
-		comps    [][]int
-		callFrom []int // DFS stack of states
-		callEdge []int // per-frame next-edge cursor
+		lasso Lasso
+		found bool
 	)
-	for root := 0; root < n; root++ {
-		if !inH[root] || index[root] != unvisited {
-			continue
+	g.tarjan(p, inH, func(comp []int32) bool {
+		if len(comp) == 1 && !g.hasSelfLoop(int(comp[0])) {
+			return true
 		}
-		callFrom = append(callFrom[:0], root)
-		callEdge = append(callEdge[:0], 0)
-		index[root] = counter
-		low[root] = counter
-		counter++
-		stack = append(stack, root)
-		onStack[root] = true
-		for len(callFrom) > 0 {
-			v := callFrom[len(callFrom)-1]
-			ei := callEdge[len(callEdge)-1]
-			advanced := false
-			es := g.out(v)
-			for ; ei < len(es); ei++ {
-				w := int(es[ei].To)
-				if !inH[w] {
-					continue
-				}
-				if index[w] == unvisited {
-					callEdge[len(callEdge)-1] = ei + 1
-					index[w] = counter
-					low[w] = counter
-					counter++
-					stack = append(stack, w)
-					onStack[w] = true
-					callFrom = append(callFrom, w)
-					callEdge = append(callEdge, 0)
-					advanced = true
-					break
-				} else if onStack[w] && index[w] < low[v] {
-					low[v] = index[w]
-				}
-			}
-			if advanced {
-				continue
-			}
-			// v finished.
-			callFrom = callFrom[:len(callFrom)-1]
-			callEdge = callEdge[:len(callEdge)-1]
-			if len(callFrom) > 0 {
-				parent := callFrom[len(callFrom)-1]
-				if low[v] < low[parent] {
-					low[parent] = low[v]
-				}
-			}
-			if low[v] == index[v] {
-				var comp []int
-				for {
-					w := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[w] = false
-					comp = append(comp, w)
-					if w == v {
-						break
-					}
-				}
-				comps = append(comps, comp)
-			}
+		stamp := p.nodes[comp[0]].low
+		if fair == WeakFairness && !g.sccIsWeaklyFair(comp, p, stamp, numActors) {
+			return true
 		}
-	}
-	return comps
+		cycle, entry := g.buildFairCycle(comp, p, stamp, fair, numActors)
+		lasso, found = Lasso{Prefix: g.PathTo(entry), Cycle: cycle, Entry: entry}, true
+		return false
+	})
+	return lasso, found
 }
 
-// sccHasInternalEdge reports whether comp contains at least one edge
-// (so that a cycle exists; single states without self-loops do not count).
-func (g *Graph[S]) sccHasInternalEdge(comp []int, inH []bool) bool {
-	inComp := make(map[int]bool, len(comp))
-	for _, i := range comp {
-		inComp[i] = true
-	}
-	for _, i := range comp {
-		for _, e := range g.out(i) {
-			if inH[e.To] && inComp[int(e.To)] {
-				return true
-			}
+// hasSelfLoop reports whether state i has an edge to itself.
+func (g *Graph[S]) hasSelfLoop(i int) bool {
+	for _, e := range g.out(i) {
+		if int(e.To) == i {
+			return true
 		}
 	}
 	return false
 }
 
+// sccPass is one Tarjan pass's column, indexed by state id, and its
+// reused stacks.
+type sccPass struct {
+	nodes  []sccNode
+	stack  []int32
+	frames []sccFrame
+}
+
+// sccNode is one state's Tarjan entry. The two numbers share a cache line,
+// as the pass reads both for every edge.
+type sccNode struct {
+	// index is the state's DFS number, unvisited before the pass reaches
+	// it.
+	index int32
+	// low is the state's low-link while it is on the stack and, once its
+	// component is finished, the component's stamp: the bitwise complement
+	// of the component's root's DFS number, so negative and shared by no
+	// other component. A state is on the stack exactly when it is visited
+	// and its low is not negative, and w is in a finished component comp
+	// exactly when its low equals comp[0]'s.
+	low int32
+}
+
+// sccFrame is one DFS call: the state, its row, read once when the call
+// starts, and the cursor into the row.
+type sccFrame struct {
+	v, next int32
+	es      []edge
+}
+
+// unvisited marks an index entry the pass has not reached.
+const unvisited = -1
+
+func newSCCPass(n int) *sccPass {
+	p := &sccPass{nodes: make([]sccNode, n)}
+	for i := range p.nodes {
+		p.nodes[i].index = unvisited
+	}
+	return p
+}
+
+// tarjan runs one iterative Tarjan pass over the subgraph inH induces
+// (every state when inH is nil), rooting DFS trees in id order, and hands
+// each strongly connected component to visit as soon as it is finished,
+// so a component comes after every component it has an edge into. comp is
+// a slice of the pass's stack, valid during the call only, in the order
+// its states leave the stack (the component's root last), with every
+// state's low already set to the component's stamp. visit returns false
+// to stop the pass.
+func (g *Graph[S]) tarjan(p *sccPass, inH []bool, visit func(comp []int32) bool) {
+	nodes := p.nodes
+	var counter int32
+	for root := range nodes {
+		if (inH != nil && !inH[root]) || nodes[root].index != unvisited {
+			continue
+		}
+		nodes[root] = sccNode{counter, counter}
+		counter++
+		p.stack = append(p.stack, int32(root))
+		p.frames = append(p.frames[:0], sccFrame{v: int32(root), es: g.out(root)})
+		for len(p.frames) > 0 {
+			f := &p.frames[len(p.frames)-1]
+			v, es := f.v, f.es
+			descended := false
+			for !descended && f.next < int32(len(es)) {
+				w := es[f.next].To
+				f.next++
+				switch {
+				case inH != nil && !inH[w]:
+				case nodes[w].index == unvisited:
+					nodes[w] = sccNode{counter, counter}
+					counter++
+					p.stack = append(p.stack, w)
+					p.frames = append(p.frames, sccFrame{v: w, es: g.out(int(w))})
+					descended = true
+				case nodes[w].low >= 0 && nodes[w].index < nodes[v].low:
+					nodes[v].low = nodes[w].index
+				}
+			}
+			if descended {
+				continue
+			}
+			// v is finished.
+			p.frames = p.frames[:len(p.frames)-1]
+			if len(p.frames) > 0 {
+				if parent := p.frames[len(p.frames)-1].v; nodes[v].low < nodes[parent].low {
+					nodes[parent].low = nodes[v].low
+				}
+			}
+			if nodes[v].low != nodes[v].index {
+				continue
+			}
+			k := len(p.stack) - 1
+			for p.stack[k] != v {
+				k--
+			}
+			comp := p.stack[k:]
+			slices.Reverse(comp)
+			for _, w := range comp {
+				nodes[w].low = ^nodes[v].index
+			}
+			if !visit(comp) {
+				return
+			}
+			p.stack = p.stack[:k]
+		}
+	}
+}
+
 // sccIsWeaklyFair reports whether an infinite execution confined to comp
 // can satisfy weak fairness for actors 0..numActors-1: each actor either
-// takes an internal edge of comp or is disabled somewhere in comp.
-func (g *Graph[S]) sccIsWeaklyFair(comp []int, inH []bool, numActors int) bool {
-	inComp := make(map[int]bool, len(comp))
-	for _, i := range comp {
-		inComp[i] = true
-	}
+// takes an internal edge of comp or is disabled somewhere in comp. A
+// state w is in comp exactly when p.nodes[w].low == stamp.
+func (g *Graph[S]) sccIsWeaklyFair(comp []int32, p *sccPass, stamp int32, numActors int) bool {
 	for a := 0; a < numActors; a++ {
 		satisfied := false
 		for _, i := range comp {
 			enabledHere := false
-			for _, e := range g.out(i) {
+			for _, e := range g.out(int(i)) {
 				if int(e.Actor) != a {
 					continue
 				}
 				enabledHere = true
-				if inH[e.To] && inComp[int(e.To)] {
+				if p.nodes[e.To].low == stamp {
 					satisfied = true // actor a takes a step inside the SCC
 					break
 				}
@@ -413,16 +422,14 @@ func (g *Graph[S]) sccIsWeaklyFair(comp []int, inH []bool, numActors int) bool {
 	return true
 }
 
-// buildFairCycle constructs an explicit cycle within comp that, under weak
-// fairness, discharges every actor's obligation: for each actor that is
-// enabled throughout the component, the cycle includes one of its steps.
-func (g *Graph[S]) buildFairCycle(comp []int, inH []bool, fair Fairness, numActors int) (Trace, int) {
-	inComp := make(map[int]bool, len(comp))
-	for _, i := range comp {
-		inComp[i] = true
-	}
-	internal := func(e edge) bool { return inH[e.To] && inComp[int(e.To)] }
-
+// buildFairCycle constructs an explicit cycle within comp, the component
+// of p's stamp, that, under weak fairness, discharges every actor's
+// obligation: for each actor that is enabled throughout the component,
+// the cycle includes one of its steps. It ends p's pass: the paths it
+// searches reuse the index of comp's states, and p.stack past comp, for
+// their BFS.
+func (g *Graph[S]) buildFairCycle(comp []int32, p *sccPass, stamp int32, fair Fairness, numActors int) (Trace, int) {
+	b := &cycleSearch[S]{g: g, nodes: p.nodes, stamp: stamp, comp: comp, queue: p.stack[len(p.stack):]}
 	// Choose must-visit edges: one internal edge per actor that takes
 	// internal steps in the component (under weak fairness only).
 	type mustEdge struct {
@@ -434,9 +441,9 @@ func (g *Graph[S]) buildFairCycle(comp []int, inH []bool, fair Fairness, numActo
 		for a := 0; a < numActors; a++ {
 			found := false
 			for _, i := range comp {
-				for _, e := range g.out(i) {
-					if int(e.Actor) == a && internal(e) {
-						musts = append(musts, mustEdge{from: i, e: e})
+				for _, e := range g.out(int(i)) {
+					if int(e.Actor) == a && b.internal(e.To) {
+						musts = append(musts, mustEdge{from: int(i), e: e})
 						found = true
 						break
 					}
@@ -448,21 +455,16 @@ func (g *Graph[S]) buildFairCycle(comp []int, inH []bool, fair Fairness, numActo
 		}
 	}
 	// Pick a deterministic entry.
-	entry := comp[0]
-	for _, i := range comp {
-		if i < entry {
-			entry = i
-		}
-	}
+	entry := int(slices.Min(comp))
 	if len(musts) == 0 {
 		// Any simple cycle through entry.
-		if path, ok := g.pathWithin(entry, entry, inComp, inH, true); ok {
+		if path, ok := b.path(entry, entry, true); ok {
 			return path, entry
 		}
 		// entry may not be on a cycle itself; fall back to first edge-bearing state.
 		for _, i := range comp {
-			if path, ok := g.pathWithin(i, i, inComp, inH, true); ok {
-				return path, i
+			if path, ok := b.path(int(i), int(i), true); ok {
+				return path, int(i)
 			}
 		}
 		return nil, entry
@@ -472,7 +474,7 @@ func (g *Graph[S]) buildFairCycle(comp []int, inH []bool, fair Fairness, numActo
 	var cycle Trace
 	cur := entry
 	for _, m := range musts {
-		seg, ok := g.pathWithin(cur, m.from, inComp, inH, false)
+		seg, ok := b.path(cur, m.from, false)
 		if !ok {
 			continue
 		}
@@ -480,65 +482,87 @@ func (g *Graph[S]) buildFairCycle(comp []int, inH []bool, fair Fairness, numActo
 		cycle = append(cycle, g.event(m.e))
 		cur = int(m.e.To)
 	}
-	seg, ok := g.pathWithin(cur, entry, inComp, inH, cur == entry)
+	seg, ok := b.path(cur, entry, cur == entry)
 	if ok {
 		cycle = append(cycle, seg...)
 	}
 	return cycle, entry
 }
 
-// pathWithin finds a path from src to dst confined to the component. When
-// src == dst and forceMove is true it finds a nonempty cycle.
-func (g *Graph[S]) pathWithin(src, dst int, inComp map[int]bool, inH []bool, forceMove bool) (Trace, bool) {
+// cycleSearch is the breadth-first path search inside one finished
+// component: w is in it exactly when nodes[w].low == stamp. The search
+// reuses the index of the component's states as its prev column, the
+// state it reached w from, or notReached, and queue's storage.
+type cycleSearch[S ~string] struct {
+	g     *Graph[S]
+	nodes []sccNode
+	stamp int32
+	comp  []int32
+	queue []int32
+}
+
+// notReached marks a prev entry the search has not reached.
+const notReached = -2
+
+func (b *cycleSearch[S]) internal(w int32) bool { return b.nodes[w].low == b.stamp }
+
+func (b *cycleSearch[S]) prev(w int32) *int32 { return &b.nodes[w].index }
+
+// path finds a path from src to dst confined to the component. When
+// src == dst and forceMove is true it finds a nonempty cycle. A state is
+// reached by the first edge, in breadth-first order, that leads to it, so
+// walking back takes, from each state's prev, the first edge of its row
+// to the state.
+func (b *cycleSearch[S]) path(src, dst int, forceMove bool) (Trace, bool) {
 	if src == dst && !forceMove {
 		return nil, true
 	}
-	type pv struct {
-		prev int
-		e    edge
+	for _, w := range b.comp {
+		*b.prev(w) = notReached
 	}
-	visited := map[int]pv{}
-	queue := []int{}
+	b.queue = b.queue[:0]
 	// Seed with successors of src so that cycles of length >= 1 are found.
-	for _, e := range g.out(src) {
-		to := int(e.To)
-		if inH[to] && inComp[to] {
-			if to == dst {
-				return Trace{g.event(e)}, true
-			}
-			if _, seen := visited[to]; !seen {
-				visited[to] = pv{prev: src, e: e}
-				queue = append(queue, to)
-			}
+	for _, e := range b.g.out(src) {
+		if !b.internal(e.To) {
+			continue
+		}
+		if int(e.To) == dst {
+			return Trace{b.g.event(e)}, true
+		}
+		if *b.prev(e.To) == notReached {
+			*b.prev(e.To) = int32(src)
+			b.queue = append(b.queue, e.To)
 		}
 	}
-	for head := 0; head < len(queue); head++ {
-		i := queue[head]
-		for _, e := range g.out(i) {
-			to := int(e.To)
-			if !inH[to] || !inComp[to] {
+	for head := 0; head < len(b.queue); head++ {
+		i := b.queue[head]
+		for _, e := range b.g.out(int(i)) {
+			if !b.internal(e.To) {
 				continue
 			}
-			if to == dst {
-				var rev []TraceEvent
-				rev = append(rev, g.event(e))
-				cur := i
-				for cur != src {
-					p := visited[cur]
-					rev = append(rev, g.event(p.e))
-					cur = p.prev
+			if int(e.To) == dst {
+				rev := Trace{b.g.event(e)}
+				for cur := i; int(cur) != src; cur = *b.prev(cur) {
+					rev = append(rev, b.g.event(b.firstEdge(*b.prev(cur), cur)))
 				}
-				out := make(Trace, len(rev))
-				for k := range rev {
-					out[k] = rev[len(rev)-1-k]
-				}
-				return out, true
+				slices.Reverse(rev)
+				return rev, true
 			}
-			if _, seen := visited[to]; !seen {
-				visited[to] = pv{prev: i, e: e}
-				queue = append(queue, to)
+			if *b.prev(e.To) == notReached {
+				*b.prev(e.To) = i
+				b.queue = append(b.queue, e.To)
 			}
 		}
 	}
 	return nil, false
+}
+
+// firstEdge returns the first edge of from's row that leads to to.
+func (b *cycleSearch[S]) firstEdge(from, to int32) edge {
+	for _, e := range b.g.out(int(from)) {
+		if e.To == to {
+			return e
+		}
+	}
+	panic("core: cycle search lost an edge")
 }

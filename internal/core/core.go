@@ -83,10 +83,10 @@ type edge = engine.Edge
 // counterexample paths, terminal/deadlock detection, valence computation,
 // and fair-cycle (livelock) detection.
 //
-// The graph is the engine's compressed sparse rows, adopted as is: state
-// i's transitions are edges[off[i]:off[i+1]], labels are ids into a label
-// table, and the passes walk ids, looking a label string up only when they
-// build a Trace.
+// The graph is the engine's Result, adopted as is: state i's transitions
+// are the row res.Row(i), still in the arena chunk the exploring worker
+// recorded it in, labels are ids into a label table, and the passes walk
+// ids, looking a label string up only when they build a Trace.
 //
 // S is always string or an alias of it: the parameter stays only because
 // bench/ names core.Graph[string] and core.Explore[string], and Go 1.22
@@ -101,27 +101,18 @@ type Graph[S ~string] struct {
 	indexOnce      sync.Once
 	labelIndex     map[string]uint32
 	labelIndexOnce sync.Once
-	// off has one entry per expanded state plus the end offset; states
-	// from len(off)-1 on (a truncated graph's cut-off frontier) have no
-	// row.
-	off    []uint32
-	edges  []edge
+	// res holds the rows: states from res.Expanded() on (a truncated
+	// graph's cut-off frontier) have none.
+	res    *engine.Result
 	labels []string
 	// parent[i] is the state that first reached state i during BFS, used
 	// to reconstruct shortest witness paths; -1 for initial states.
-	// parentEdge[i] indexes the edge it took; -1 for initial states.
-	parent     []int32
-	parentEdge []int32
-	inits      []int
+	parent []int32
+	inits  []int
 }
 
 // out returns the stored transitions of state i: nil when i has no row.
-func (g *Graph[S]) out(i int) []edge {
-	if i+1 >= len(g.off) {
-		return nil
-	}
-	return g.edges[g.off[i]:g.off[i+1]]
-}
+func (g *Graph[S]) out(i int) []edge { return g.res.Row(i) }
 
 // event renders e as a trace event, looking up its label.
 func (g *Graph[S]) event(e edge) TraceEvent {
@@ -151,7 +142,7 @@ const DefaultMaxStates = engine.DefaultMaxStates
 // the reachable set, so callers must downgrade universally-quantified
 // verdicts — check Stats.Lossy.
 //
-// The Graph shares the engine result's arrays rather than copying them
+// The Graph shares the engine result's storage rather than copying it
 // (see the edge alias); its index map is built on the first StateID call.
 // S names only the Graph's state type; see Graph for why it stays.
 func Explore[S ~string](sys System, opts ExploreOptions) (*Graph[S], error) {
@@ -169,13 +160,11 @@ func Explore[S ~string](sys System, opts ExploreOptions) (*Graph[S], error) {
 		return nil, err
 	}
 	return &Graph[S]{
-		states:     res.States,
-		off:        res.Off,
-		edges:      res.Edges,
-		labels:     res.Labels,
-		parent:     res.Parents,
-		parentEdge: res.ParentEdges,
-		inits:      res.Inits,
+		states: res.States,
+		res:    res,
+		labels: res.Labels,
+		parent: res.Parents,
+		inits:  res.Inits,
 	}, err
 }
 
@@ -183,7 +172,7 @@ func Explore[S ~string](sys System, opts ExploreOptions) (*Graph[S], error) {
 func (g *Graph[S]) Len() int { return len(g.states) }
 
 // NumEdges returns the number of transitions in the reachable graph.
-func (g *Graph[S]) NumEdges() int { return int(g.off[len(g.off)-1]) }
+func (g *Graph[S]) NumEdges() int { return g.res.NumEdges() }
 
 // State returns the state with internal id i. Ids are stable for the life
 // of the graph and densely numbered from 0.
@@ -214,7 +203,7 @@ func (g *Graph[S]) Initials() []int {
 
 // expanded reports whether state id i has a row: always, except on a
 // truncated graph, whose cut-off states were never expanded.
-func (g *Graph[S]) expanded(i int) bool { return i+1 < len(g.off) }
+func (g *Graph[S]) expanded(i int) bool { return i < g.res.Expanded() }
 
 // step renders e as a Step.
 func (g *Graph[S]) step(e edge) Step {
@@ -238,7 +227,7 @@ func (g *Graph[S]) Successors(i int) []Step {
 // IsTerminal reports whether state id i was expanded and has no outgoing
 // transitions. A state whose expansion a truncated exploration cut off is
 // not terminal: its successors are unknown.
-func (g *Graph[S]) IsTerminal(i int) bool { return g.expanded(i) && g.off[i] == g.off[i+1] }
+func (g *Graph[S]) IsTerminal(i int) bool { return g.expanded(i) && len(g.out(i)) == 0 }
 
 // Parent returns the id of the state that first reached state i during
 // BFS, or -1 for initial states.
@@ -250,7 +239,7 @@ func (g *Graph[S]) ParentStep(i int) Step {
 	if g.parent[i] < 0 {
 		return Step{}
 	}
-	return g.step(g.edges[g.parentEdge[i]])
+	return g.step(g.res.ParentEdge(i))
 }
 
 // TraceEvent is one step of a witness execution.
@@ -285,7 +274,7 @@ func (t Trace) String() string {
 func (g *Graph[S]) PathTo(i int) Trace {
 	var rev []TraceEvent
 	for cur := i; g.parent[cur] != -1; cur = int(g.parent[cur]) {
-		rev = append(rev, g.event(g.edges[g.parentEdge[cur]]))
+		rev = append(rev, g.event(g.res.ParentEdge(cur)))
 	}
 	out := make(Trace, len(rev))
 	for k := range rev {
@@ -321,7 +310,7 @@ func (g *Graph[S]) CheckInvariant(inv func(S) bool) (violation int, trace Trace,
 func (g *Graph[S]) Terminals() []int {
 	var out []int
 	for i := 0; g.expanded(i); i++ {
-		if g.off[i] == g.off[i+1] {
+		if len(g.out(i)) == 0 {
 			out = append(out, i)
 		}
 	}

@@ -369,7 +369,7 @@ func graphMatchesResult(t *testing.T, label string, g *Graph[string], res *engin
 			t.Fatalf("%s: parent[%d] = %d, result has %d", label, i, g.Parent(i), res.Parents[i])
 		}
 		if g.Parent(i) >= 0 {
-			pe := res.Edges[res.ParentEdges[i]]
+			pe := res.ParentEdge(i)
 			if g.ParentStep(i) != (Step{To: res.States[pe.To], Label: res.Labels[pe.Label], Actor: int(pe.Actor)}) {
 				t.Fatalf("%s: parent step %d differs", label, i)
 			}

@@ -61,7 +61,7 @@ func (e *explorer) checkAliasing(s string, ws *worker, sp span) {
 	} else {
 		_, row := e.row(sp)
 		for _, r := range row {
-			want = append(want, aliasEdge{id: r.to, label: ws.labels[r.label], actor: r.actor})
+			want = append(want, aliasEdge{id: r.To, label: ws.labels[r.Label], actor: r.Actor})
 		}
 	}
 	ws.aliasWant = want

@@ -7,8 +7,8 @@ import (
 	"unsafe"
 )
 
-// rawEdgeBytes is one recorded edge's footprint.
-const rawEdgeBytes = int64(unsafe.Sizeof(rawEdge{}))
+// edgeBytes is one recorded edge's footprint.
+const edgeBytes = int64(unsafe.Sizeof(Edge{}))
 
 // A worker's first edge chunk holds firstChunkEdges edges and each later
 // chunk twice its predecessor, up to maxChunkEdges (768 KiB), the way slab
@@ -19,7 +19,7 @@ const (
 	maxChunkEdges   = 64 << 10
 )
 
-// edgeArena is one worker's raw-edge storage: a list of chunks, each filled
+// edgeArena is one worker's edge storage: a list of chunks, each filled
 // in place up to its fixed capacity and never grown, so no recorded edge is
 // ever copied by growth. A row never straddles two chunks: when a chunk
 // fills in the middle of a row, only that row's prefix moves into the next
@@ -29,10 +29,10 @@ type edgeArena struct {
 	// chunks is every chunk in allocation order; the last is cur's backing
 	// array. Rows are read by slicing a chunk up to its capacity, so the
 	// lengths stored here are not kept current.
-	chunks [][]rawEdge
+	chunks [][]Edge
 	// cur is the chunk being filled and row the offset in it where the row
 	// being recorded starts.
-	cur []rawEdge
+	cur []Edge
 	row int
 	// sealed counts the recorded edges in the chunks before cur; a moved
 	// row prefix counts only in the chunk it moved to.
@@ -49,7 +49,7 @@ type edgeArena struct {
 func (a *edgeArena) beginRow() { a.row = len(a.cur) }
 
 // add records one edge of the current row.
-func (a *edgeArena) add(r rawEdge) {
+func (a *edgeArena) add(r Edge) {
 	if len(a.cur) == cap(a.cur) {
 		a.newChunk()
 	}
@@ -68,7 +68,7 @@ func (a *edgeArena) newChunk() {
 		a.cur = a.cur[:a.row]
 		return
 	}
-	next := make([]rawEdge, len(prefix), size)
+	next := make([]Edge, len(prefix), size)
 	copy(next, prefix)
 	a.sealed += a.row
 	a.chunks = append(a.chunks, next)
@@ -93,7 +93,7 @@ func (a *edgeArena) edges() int { return a.sealed + len(a.cur) }
 func (a *edgeArena) bytes() int64 {
 	var b int64
 	for _, c := range a.chunks {
-		b += int64(cap(c)) * rawEdgeBytes
+		b += int64(cap(c)) * edgeBytes
 	}
 	return b
 }
@@ -105,13 +105,52 @@ func workerBits(nw int) uint { return uint(bits.Len(uint(nw - 1))) }
 
 // row returns the recording worker of the row sp locates, and the row. An
 // empty row reads as worker 0's, with no edges.
-func (e *explorer) row(sp span) (w int32, edges []rawEdge) {
+func (e *explorer) row(sp span) (w int32, edges []Edge) {
 	if sp.n == 0 {
 		return 0, nil
 	}
 	w = sp.loc & (1<<e.wbits - 1)
 	c := e.workers[w].arena.chunks[sp.loc>>e.wbits]
 	return w, c[sp.off : sp.off+sp.n]
+}
+
+// rowTable is a Result's edge storage, the arenas of the run that recorded
+// it: chunks[w] is worker w's chunk list, and spans, renumbered by replay,
+// locates every dequeued state's row by canonical id (wbits wide worker
+// field, as in explorer.row). Replay rewrites each dequeued row in place,
+// so the rows spans reaches hold canonical edges (on a truncated Result,
+// the last one only up to the transition the limit stopped at); the stale
+// row prefixes a chunk rollover left behind and the rows no replay reached
+// are not reachable from it.
+type rowTable struct {
+	chunks [][][]Edge
+	spans  spanTable
+	wbits  uint
+}
+
+// row returns the row of canonical state i, which replay must have
+// dequeued.
+func (t *rowTable) row(i int) []Edge {
+	sp := *t.spans.at(int32(i))
+	if sp.n == 0 {
+		return nil
+	}
+	c := t.chunks[sp.loc&(1<<t.wbits-1)][sp.loc>>t.wbits]
+	return c[sp.off : sp.off+sp.n : sp.off+sp.n]
+}
+
+// bytes is the capacity of every chunk and span page.
+func (t *rowTable) bytes() int64 {
+	var b int64
+	for _, cs := range t.chunks {
+		for _, c := range cs {
+			b += int64(cap(c)) * edgeBytes
+		}
+	}
+	for _, p := range t.spans.pages {
+		b += int64(cap(p)) * int64(unsafe.Sizeof(span{}))
+	}
+	return b
 }
 
 // The span table ramps like the mem store's page table: page 0 holds
@@ -155,4 +194,26 @@ func (t *spanTable) at(id int32) *span {
 	}
 	x -= 2 << spanPageBits
 	return &t.pages[spanPageBits-firstSpanBits+1+x>>spanPageBits][x&(1<<spanPageBits-1)]
+}
+
+// renumber moves the span of every id p with to[p] >= 0 to slot to[p], in
+// place, following each chain of moves from its start; to must be
+// injective where it is not negative. The spans of the ids to maps nowhere
+// are lost, and to is consumed: every entry is -1 afterwards.
+func (t *spanTable) renumber(to []int32) {
+	for p := range to {
+		if to[p] < 0 {
+			continue
+		}
+		// x is the span in hand, the one id q held; a chain ends at a slot
+		// whose span has moved on already or belongs nowhere.
+		x := *t.at(int32(p))
+		for q := int32(p); to[q] >= 0; {
+			d := to[q]
+			to[q] = -1
+			slot := t.at(d)
+			x, *slot = *slot, x
+			q = d
+		}
+	}
 }

@@ -12,7 +12,8 @@ import (
 // are longer than a worker's first edge chunk and of irregular length, so
 // rows keep crossing chunk ends; state 0's row is longer than the largest
 // regular chunk. Successors repeat within a row, so a row records
-// duplicate edges as well.
+// duplicate edges as well. They are emitted as bytes from the scratch
+// buffer, so the system allocates nothing per edge.
 func longRowExpand(n int) ExpandFunc {
 	labels := make([]string, 7)
 	for i := range labels {
@@ -25,7 +26,8 @@ func longRowExpand(n int) ExpandFunc {
 			deg = maxChunkEdges + 100
 		}
 		for j := 0; j < deg; j++ {
-			x.Emit(strconv.Itoa((s*13+j*31+1)%n), labels[j%len(labels)], j%3)
+			x.Scratch = strconv.AppendInt(x.Scratch[:0], int64((s*13+j*31+1)%n), 10)
+			x.EmitBytes(x.Scratch, labels[j%len(labels)], j%3)
 		}
 	}
 }
@@ -48,7 +50,7 @@ func TestLongRowsMatchReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := rep.Modes[0].Stats
-	if st.Edges < 100*n || st.ArenaBytes < int64(st.Edges)*rawEdgeBytes {
+	if st.Edges < 100*n || st.ArenaBytes < int64(st.Edges)*edgeBytes {
 		t.Fatalf("%d edges in %d arena bytes: want long rows, all held by the arena", st.Edges, st.ArenaBytes)
 	}
 }
@@ -64,7 +66,7 @@ func TestEdgeArenaRows(t *testing.T) {
 	}
 	const w = 2
 	a := &e.workers[w].arena
-	var rows [][]rawEdge
+	var rows [][]Edge
 	var spans []span
 	total := 0
 	for i := 0; i < 600; i++ {
@@ -72,10 +74,10 @@ func TestEdgeArenaRows(t *testing.T) {
 		if i == 300 {
 			n = maxChunkEdges + 5
 		}
-		row := make([]rawEdge, n)
+		row := make([]Edge, n)
 		a.beginRow()
 		for j := range row {
-			row[j] = rawEdge{to: int32(i), actor: int32(j), label: uint32(n)}
+			row[j] = Edge{To: int32(i), Actor: int32(j), Label: uint32(n)}
 			a.add(row[j])
 		}
 		rows = append(rows, row)
@@ -101,7 +103,7 @@ func TestEdgeArenaRows(t *testing.T) {
 	if moved < 5 || len(a.chunks) < 8 {
 		t.Fatalf("%d rows started a chunk across %d chunks; want rows crossing chunk ends", moved, len(a.chunks))
 	}
-	if a.bytes() < int64(total)*rawEdgeBytes {
+	if a.bytes() < int64(total)*edgeBytes {
 		t.Fatalf("arena accounts %d bytes for %d edges", a.bytes(), total)
 	}
 }
@@ -112,7 +114,7 @@ func TestEdgeArenaOverflowIsAnError(t *testing.T) {
 	a := edgeArena{lastChunk: 1}
 	a.beginRow()
 	for i := 0; i < 3*firstChunkEdges; i++ {
-		a.add(rawEdge{to: int32(i)})
+		a.add(Edge{To: int32(i)})
 	}
 	if !errors.Is(a.err, ErrEdgeOverflow) || len(a.chunks) != 2 {
 		t.Fatalf("err = %v with %d chunks, want ErrEdgeOverflow at 2", a.err, len(a.chunks))

@@ -20,8 +20,9 @@ import (
 //   - byte-identical Results and telemetry at every worker count per mode,
 //     and between the profiled reference run and an unprofiled one;
 //   - full-mode Results (no canon, no POR, every exact store) equal to
-//     referenceExplore's: states, initials, row offsets, edges, label
-//     table, parents, parent edges and truncation;
+//     referenceExplore's: states, initials, each expanded state's row,
+//     label table, parents, parent edges (as indices and as the
+//     transitions they name) and truncation;
 //   - planted state/terminal/decided counts for the full graph and the
 //     quotient;
 //   - POR reduction soundness: the reduced graph is a subgraph of the full
@@ -375,13 +376,16 @@ func Differential(spec DiffSpec) (*DiffReport, error) {
 // sight in that edge order, and stops — leaving the expanding state
 // without a row — on discovering the state past limit (0 means
 // DefaultMaxStates). It shares nothing with the engine but the
-// collect-mode Ctx, so comparing against it checks the engine's levels,
-// store and replay together rather than the engine against itself.
+// collect-mode Ctx and the Result's row form, which it fills with one
+// chunk, so comparing against it checks the engine's levels, store and
+// replay together rather than the engine against itself.
 func referenceExplore(inits []string, expand ExpandFunc, limit int) (*Result, error) {
 	if limit <= 0 {
 		limit = DefaultMaxStates
 	}
-	res := &Result{Off: []uint32{0}}
+	res := &Result{}
+	var edges []Edge
+	off := []int32{0}
 	index := make(map[string]int32)
 	intern := func(s string) (int32, bool) {
 		if id, ok := index[s]; ok {
@@ -412,15 +416,18 @@ func referenceExplore(inits []string, expand ExpandFunc, limit int) (*Result, er
 	for id := 0; id < len(res.States); id++ {
 		acts = acts[:0]
 		expand(res.States[id], x)
-		for _, a := range acts {
+		for k, a := range acts {
 			to, fresh := intern(a.To)
 			if fresh {
 				if len(res.States) > limit {
+					// The cut-off row's prefix stays, for the
+					// ParentEdges into it.
 					res.Truncated = true
+					res.flatRows(edges, append(off, int32(len(edges))), id)
 					return res, fmt.Errorf("%w: limit %d", ErrStateLimit, limit)
 				}
 				res.Parents[to] = int32(id)
-				res.ParentEdges[to] = int32(len(res.Edges))
+				res.ParentEdges[to] = int32(k)
 			}
 			l, ok := labelIDs[a.Label]
 			if !ok {
@@ -428,25 +435,41 @@ func referenceExplore(inits []string, expand ExpandFunc, limit int) (*Result, er
 				labelIDs[a.Label] = l
 				res.Labels = append(res.Labels, a.Label)
 			}
-			res.Edges = append(res.Edges, Edge{To: to, Actor: int32(a.Actor), Label: l})
+			edges = append(edges, Edge{To: to, Actor: int32(a.Actor), Label: l})
 		}
-		res.Off = append(res.Off, uint32(len(res.Edges)))
+		off = append(off, int32(len(edges)))
 	}
+	res.flatRows(edges, off, len(res.States))
 	return res, nil
+}
+
+// flatRows gives r one chunk of row storage: state i's row is
+// edges[off[i]:off[i+1]] for every i below len(off)-1, the first expanded
+// of them whole rows and any after them a cut-off row's prefix.
+func (r *Result) flatRows(edges []Edge, off []int32, expanded int) {
+	n := len(off) - 1
+	r.rows = rowTable{chunks: [][][]Edge{{edges}}}
+	r.rows.spans.grow(n)
+	for i := 0; i < n; i++ {
+		*r.rows.spans.at(int32(i)) = span{off: off[i], n: off[i+1] - off[i]}
+	}
+	r.expanded, r.numEdges = expanded, int(off[expanded])
 }
 
 // diffResults compares two Results field by field and describes the first
 // difference ("" when byte-identical). Empty and nil slices compare equal.
+// Rows compare state by state, and every parent edge also as the
+// transition it names, which reaches a truncated Result's cut-off row.
 func diffResults(a, b *Result) string {
 	switch {
 	case !slices.Equal(a.States, b.States):
 		return fmt.Sprintf("state orderings differ (%d vs %d states)", len(a.States), len(b.States))
 	case !slices.Equal(a.Inits, b.Inits):
 		return fmt.Sprintf("initial ids differ: %v vs %v", a.Inits, b.Inits)
-	case !slices.Equal(a.Off, b.Off):
-		return fmt.Sprintf("row offsets differ (%d vs %d rows)", len(a.Off)-1, len(b.Off)-1)
-	case !slices.Equal(a.Edges, b.Edges):
-		return "edge lists differ"
+	case a.Expanded() != b.Expanded():
+		return fmt.Sprintf("expanded states differ (%d vs %d rows)", a.Expanded(), b.Expanded())
+	case a.NumEdges() != b.NumEdges():
+		return fmt.Sprintf("edge counts differ (%d vs %d)", a.NumEdges(), b.NumEdges())
 	case !slices.Equal(a.Labels, b.Labels):
 		return fmt.Sprintf("label tables differ: %q vs %q", a.Labels, b.Labels)
 	case !slices.Equal(a.Parents, b.Parents):
@@ -455,6 +478,16 @@ func diffResults(a, b *Result) string {
 		return "parent edges differ"
 	case a.Truncated != b.Truncated:
 		return fmt.Sprintf("truncation flags differ: %v vs %v", a.Truncated, b.Truncated)
+	}
+	for i := 0; i < a.Expanded(); i++ {
+		if !slices.Equal(a.Row(i), b.Row(i)) {
+			return fmt.Sprintf("edge lists differ at state %d", i)
+		}
+	}
+	for i, p := range a.Parents {
+		if p >= 0 && a.ParentEdge(i) != b.ParentEdge(i) {
+			return fmt.Sprintf("parent edges differ at state %d", i)
+		}
 	}
 	return ""
 }
@@ -578,8 +611,8 @@ func terminalSet(res *Result) map[string]bool {
 	out := make(map[string]bool)
 	// Only expanded states have rows: on a truncated result the states
 	// past them were cut off, not terminal.
-	for i := 0; i+1 < len(res.Off); i++ {
-		if res.Off[i] == res.Off[i+1] {
+	for i := 0; i < res.Expanded(); i++ {
+		if len(res.Row(i)) == 0 {
 			out[res.States[i]] = true
 		}
 	}

@@ -231,14 +231,7 @@ func TestComparatorsNameEachField(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clone := func() *Result {
-		c := *res
-		c.States, c.Inits, c.Off = slices.Clone(res.States), slices.Clone(res.Inits), slices.Clone(res.Off)
-		c.Edges, c.Labels = slices.Clone(res.Edges), slices.Clone(res.Labels)
-		c.Parents, c.ParentEdges = slices.Clone(res.Parents), slices.Clone(res.ParentEdges)
-		c.Stats.WorkerSteps = slices.Clone(res.Stats.WorkerSteps)
-		return &c
-	}
+	clone := func() *Result { return cloneResult(res) }
 	if msg := diffResults(res, clone()); msg != "" {
 		t.Fatalf("diffResults on an unchanged copy: %s", msg)
 	}
@@ -252,11 +245,17 @@ func TestComparatorsNameEachField(t *testing.T) {
 	}{
 		{"States", "state orderings", func(r *Result) { r.States[0], r.States[1] = r.States[1], r.States[0] }},
 		{"Inits", "initial ids", func(r *Result) { r.Inits = append(r.Inits, 1) }},
-		{"Off", "row offsets", func(r *Result) { r.Off[1]++ }},
-		{"Edges", "edge lists", func(r *Result) { r.Edges[0].Actor ^= 1 }},
+		{"expanded", "expanded states", func(r *Result) { r.expanded-- }},
+		{"edge count", "edge counts", func(r *Result) { r.numEdges++ }},
+		{"edge actor", "edge lists differ at state 0", func(r *Result) { r.Row(0)[0].Actor ^= 1 }},
+		{"swapped label", "edge lists differ at state 0", func(r *Result) {
+			row := r.Row(0)
+			row[0].Label, row[1].Label = row[1].Label, row[0].Label
+		}},
 		{"Labels", "label tables", func(r *Result) { r.Labels[0] += "'" }},
 		{"Parents", "parent trees", func(r *Result) { r.Parents[1]++ }},
 		{"ParentEdges", "parent edges", func(r *Result) { r.ParentEdges[1]++ }},
+		{"off-by-one ParentEdges", "parent edges", func(r *Result) { r.ParentEdges[2]-- }},
 		{"Truncated", "truncation flags", func(r *Result) { r.Truncated = !r.Truncated }},
 	} {
 		r := clone()
@@ -296,6 +295,51 @@ func TestComparatorsNameEachField(t *testing.T) {
 			t.Errorf("statsConsistency with %s broken = %q, want it to name %q", tc.broken, msg, tc.want)
 		}
 	}
+}
+
+// TestComparatorsReachTheCutOffRow: on a truncated Result the parent edges
+// of the states the cut-off state discovered point into its row prefix,
+// which has no Row; diffResults must still compare those transitions.
+func TestComparatorsReachTheCutOffRow(t *testing.T) {
+	res, err := Explore([]string{"0,0"}, gridExpand(4), Options{Parallelism: 2, MaxStates: 7})
+	if !errors.Is(err, ErrStateLimit) {
+		t.Fatalf("err = %v, want ErrStateLimit", err)
+	}
+	cut := res.Expanded()
+	child := slices.Index(res.Parents, int32(cut))
+	if child < 0 || res.Row(cut) != nil {
+		t.Fatalf("no state discovered by the cut-off state %d, or it has a row", cut)
+	}
+	if msg := diffResults(res, cloneResult(res)); msg != "" {
+		t.Fatalf("diffResults on an unchanged copy: %s", msg)
+	}
+	c := cloneResult(res)
+	c.rows.row(cut)[c.ParentEdges[child]].Label ^= 1
+	if msg := diffResults(res, c); !strings.Contains(msg, "parent edges differ at state") {
+		t.Fatalf("diffResults with the cut-off row's label changed = %q", msg)
+	}
+}
+
+// cloneResult deep-copies res, its rows into one chunk as referenceExplore
+// lays them out, so that mutating the copy leaves res as it was.
+func cloneResult(res *Result) *Result {
+	c := *res
+	c.States, c.Inits = slices.Clone(res.States), slices.Clone(res.Inits)
+	c.Labels = slices.Clone(res.Labels)
+	c.Parents, c.ParentEdges = slices.Clone(res.Parents), slices.Clone(res.ParentEdges)
+	c.Stats.WorkerSteps = slices.Clone(res.Stats.WorkerSteps)
+	var edges []Edge
+	off := []int32{0}
+	rows := res.Expanded()
+	if res.Truncated {
+		rows++ // the cut-off row's prefix
+	}
+	for i := 0; i < rows; i++ {
+		edges = append(edges, res.rows.row(i)...)
+		off = append(off, int32(len(edges)))
+	}
+	c.flatRows(edges, off, res.Expanded())
+	return &c
 }
 
 // TestOptionHookTypes: CanonBytes without Canon is an error rather than a

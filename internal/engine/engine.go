@@ -57,7 +57,8 @@ var ErrStateLimit = errors.New("engine: state limit exceeded during exploration"
 var ErrNoInitialStates = errors.New("engine: system has no initial states")
 
 // ErrEdgeOverflow is returned when the explored graph has more transitions
-// than its edge indices can address (ParentEdges is int32, Off uint32).
+// than the engine's 32-bit layout addresses: a worker arena past the chunks
+// a span can locate, or more than math.MaxInt32 edges in all.
 var ErrEdgeOverflow = errors.New("engine: edge count overflows the graph's 32-bit edge indices")
 
 // DefaultMaxStates bounds exploration when Options.MaxStates is zero.
@@ -169,35 +170,27 @@ type Options struct {
 	maxEdges int
 }
 
-// Edge is one canonical transition out of the state whose row holds it:
-// To is the canonical id of the successor, Actor the acting process, and
-// Label an index into Result.Labels. It holds no pointers, so the
-// garbage collector never scans the edge array.
+// Edge is one transition out of the state whose row holds it: To is the
+// successor's id, Actor the acting process, and Label a label id. A worker
+// records it with provisional ids, To from the store and Label from its own
+// label table (worker.labels); replay rewrites each row in place, once, to
+// the canonical To and the Result.Labels index. It holds no pointers, so
+// the garbage collector never scans an edge chunk.
 type Edge struct {
 	To, Actor int32
 	Label     uint32
 }
 
 // Result is the canonicalized exploration outcome. Ids are dense from 0 in
-// sequential-BFS discovery order. The graph is stored once, in compressed
-// sparse rows: state i's outgoing transitions, in expansion order, are
-// Edges[Off[i]:Off[i+1]].
+// sequential-BFS discovery order. The graph is stored once: every row stays
+// in the arena chunk its worker recorded it in, rewritten in place by
+// replay, and Row(i) locates state i's transitions, in expansion order.
 type Result struct {
 	// States maps canonical id to state.
 	States []string
 	// Inits are the canonical ids of the (deduplicated) initial states, in
 	// declaration order.
 	Inits []int
-	// Off holds one row offset per expanded state plus the end offset, so
-	// the expanded states are ids [0, len(Off)-1). On a complete Result that
-	// is every state; on a truncated one the states from len(Off)-1 on had
-	// their expansion cut off by the state limit and have no row.
-	Off []uint32
-	// Edges are the rows of every expanded state, back to back. On a
-	// truncated Result Edges may run past Off[len(Off)-1]: that tail is the
-	// cut-off state's partial row, kept only so the ParentEdges of the
-	// states it discovered stay valid.
-	Edges []Edge
 	// Labels is the label table Edge.Label indexes. Ids are assigned on
 	// first sight in canonical edge order, so the table is the same at any
 	// worker count.
@@ -205,33 +198,53 @@ type Result struct {
 	// Parents[i] is the canonical id of the state that first reached state
 	// i in BFS order; -1 for initial states.
 	Parents []int32
-	// ParentEdges[i] is the index in Edges of the transition by which
-	// Parents[i] first reached i; -1 for initial states.
+	// ParentEdges[i] is the index, within the row of Parents[i], of the
+	// transition by which it first reached i; -1 for initial states.
 	ParentEdges []int32
 	// Truncated reports that the state limit cut the exploration short.
 	Truncated bool
 	// Stats is the exploration telemetry.
 	Stats Stats
+
+	// rows locates every row; expanded counts the states that have one (on
+	// a complete Result every state, on a truncated one the states before
+	// the one whose expansion the limit cut off) and numEdges their edges.
+	rows     rowTable
+	expanded int
+	numEdges int
 }
 
 // Row returns the outgoing transitions of state i, or nil when i has no
-// row (its expansion was cut off on a truncated Result).
+// row (its expansion was cut off on a truncated Result). The slice aliases
+// the Result's storage and must not be modified.
 func (r *Result) Row(i int) []Edge {
-	if i+1 >= len(r.Off) {
+	if i >= r.expanded {
 		return nil
 	}
-	return r.Edges[r.Off[i]:r.Off[i+1]:r.Off[i+1]]
+	return r.rows.row(i)
 }
 
-// NumEdges returns the number of transitions in the expanded rows.
-func (r *Result) NumEdges() int { return int(r.Off[len(r.Off)-1]) }
+// Expanded returns the number of states with a row: ids [0, Expanded())
+// were expanded, and on a truncated Result the ones from Expanded() on had
+// their expansion cut off by the state limit.
+func (r *Result) Expanded() int { return r.expanded }
 
-// graphBytes is the memory the graph layout holds: the row offsets, the
-// edge array, the label table and the parent tree. State payloads are
+// NumEdges returns the number of transitions in the expanded rows.
+func (r *Result) NumEdges() int { return r.numEdges }
+
+// ParentEdge returns the transition by which Parents[i] first reached
+// state i; i must not be an initial state. On a truncated Result the
+// parent may be the state whose expansion was cut off: its row is kept up
+// to the transition that discovered the state past the limit.
+func (r *Result) ParentEdge(i int) Edge {
+	return r.rows.row(int(r.Parents[i]))[r.ParentEdges[i]]
+}
+
+// graphBytes is the memory the graph layout holds: the edge chunks, the
+// row table, the label table and the parent tree. State payloads are
 // excluded.
 func (r *Result) graphBytes() int64 {
-	b := int64(cap(r.Off))*4 + int64(cap(r.Edges))*int64(unsafe.Sizeof(Edge{})) +
-		int64(cap(r.Parents))*4 + int64(cap(r.ParentEdges))*4 +
+	b := r.rows.bytes() + int64(cap(r.Parents))*4 + int64(cap(r.ParentEdges))*4 +
 		int64(cap(r.Labels))*int64(unsafe.Sizeof(""))
 	for _, l := range r.Labels {
 		b += int64(len(l))
@@ -239,19 +252,10 @@ func (r *Result) graphBytes() int64 {
 	return b
 }
 
-// rawEdge is the provisional-id form of a transition, recorded by workers
-// during the parallel phase and rewritten by the canonicalization replay.
-// label indexes the recording worker's label table (worker.labels). Like
-// Edge it holds no pointers.
-type rawEdge struct {
-	to, actor int32
-	label     uint32
-}
-
 // span locates one state's recorded successors inside its expanding
 // worker's arena: loc packs the chunk index above the worker (the low
 // explorer.wbits bits), and the row is n edges from off in that chunk.
-// Like rawEdge it holds no pointers; the arena checks the packed limits
+// Like Edge it holds no pointers; the arena checks the packed limits
 // (ErrEdgeOverflow), so loc never wraps.
 type span struct {
 	loc int32
@@ -265,8 +269,8 @@ type span struct {
 type worker struct {
 	// arena accumulates the rows of the states this worker expands.
 	arena edgeArena
-	// labels is the worker's label table, indexed by rawEdge.label, and
-	// labelIDs its inverse. Replay maps these worker-local ids onto the
+	// labels is the worker's label table, which the Label of every edge it
+	// records indexes, and labelIDs its inverse. Replay maps these worker-local ids onto the
 	// canonical Result.Labels.
 	labels   []string
 	labelIDs map[string]uint32
@@ -472,7 +476,7 @@ func (ws *worker) record(tid int32, fresh bool, label string, actor int) {
 	if !fresh {
 		ws.dedup++
 	}
-	ws.arena.add(rawEdge{to: tid, actor: int32(actor), label: ws.labelID(label)})
+	ws.arena.add(Edge{To: tid, Actor: int32(actor), Label: ws.labelID(label)})
 }
 
 // labelID returns label's index in the worker's label table, adding it on
@@ -838,24 +842,28 @@ func Explore(inits []string, expand ExpandFunc, opts Options) (*Result, error) {
 // replay is the canonicalization pass: a sequential BFS over the recorded
 // successor lists, renumbering provisional ids into canonical (discovery
 // order) ids and worker-local label ids into canonical ones (first sight in
-// canonical edge order). It mirrors referenceExplore's loop exactly —
-// including where the state limit fires — so its output is byte-identical
-// to a single-threaded exploration, and its truncated output is
-// byte-identical to a truncated single-threaded exploration. Ids below
-// expanded are the ones with recorded successors. More than maxEdges
-// recorded edges is ErrEdgeOverflow.
+// canonical edge order). Each row is dequeued once and rewritten in place
+// in its worker's arena, and the span table is renumbered to canonical ids
+// at the end, so the arenas and the span pages become the Result's edge
+// storage without a copy.
+// It mirrors referenceExplore's loop exactly — including where the state
+// limit fires — so its output is byte-identical to a single-threaded
+// exploration, and its truncated output is byte-identical to a truncated
+// single-threaded exploration. Ids below expanded are the ones with
+// recorded successors. More than maxEdges recorded edges is
+// ErrEdgeOverflow.
 func (e *explorer) replay(initIDs []int32, limit, expanded, maxEdges int) (*Result, error) {
 	n := e.store.Len()
 	canon := make([]int32, n)
 	for i := range canon {
 		canon[i] = -1
 	}
-	// Every recorded rawEdge is replayed at most once, so the arena total
-	// bounds the edge count and is the edge array's exact capacity.
 	var rawTotal int
 	labelMap := make([][]uint32, len(e.workers))
+	chunks := make([][][]Edge, len(e.workers))
 	for w, ws := range e.workers {
 		rawTotal += ws.arena.edges()
+		chunks[w] = ws.arena.chunks
 		labelMap[w] = make([]uint32, len(ws.labels))
 		for i := range labelMap[w] {
 			labelMap[w][i] = noLabel
@@ -866,8 +874,6 @@ func (e *explorer) replay(initIDs []int32, limit, expanded, maxEdges int) (*Resu
 	}
 	res := &Result{
 		States:      make([]string, 0, n),
-		Off:         make([]uint32, 1, n+1),
-		Edges:       make([]Edge, 0, rawTotal),
 		Parents:     make([]int32, 0, n),
 		ParentEdges: make([]int32, 0, n),
 	}
@@ -894,6 +900,12 @@ func (e *explorer) replay(initIDs []int32, limit, expanded, maxEdges int) (*Resu
 		res.ParentEdges = append(res.ParentEdges, -1)
 		return c, true
 	}
+	// finish hands the rows over to res, by canonical id, whether replay
+	// ends or the limit cuts it off.
+	finish := func() {
+		e.spans.renumber(canon)
+		res.rows = rowTable{chunks: chunks, spans: e.spans, wbits: e.wbits}
+	}
 	queue := make([]int32, 0, n)
 	for _, pid := range initIDs {
 		c, _ := intern(pid)
@@ -906,32 +918,36 @@ func (e *explorer) replay(initIDs []int32, limit, expanded, maxEdges int) (*Resu
 		if int(pid) >= expanded {
 			// Unreachable: the level-granular cutoff guarantees the limit
 			// fires (below) before any unexpanded state is dequeued.
+			finish()
 			return res, fmt.Errorf("engine: internal error: state %d dequeued without recorded successors", cid)
 		}
 		w, row := e.row(*e.spans.at(pid))
 		ws, labels := e.workers[w], labelMap[w]
-		for _, r := range row {
-			tc, fresh := intern(r.to)
+		for k, r := range row {
+			tc, fresh := intern(r.To)
 			if fresh {
 				if len(res.States) > limit {
-					// The row stays without an Off entry: cid counts as
-					// unexpanded.
+					// cid stays unexpanded; its row is rewritten up to
+					// here, which the ParentEdges into it need.
 					res.Truncated = true
+					finish()
 					return res, fmt.Errorf("%w: limit %d", ErrStateLimit, limit)
 				}
 				res.Parents[tc] = cid
-				res.ParentEdges[tc] = int32(len(res.Edges))
-				queue = append(queue, r.to)
+				res.ParentEdges[tc] = int32(k)
+				queue = append(queue, r.To)
 			}
-			l := labels[r.label]
+			l := labels[r.Label]
 			if l == noLabel {
-				l = globalLabel(ws.labels[r.label])
-				labels[r.label] = l
+				l = globalLabel(ws.labels[r.Label])
+				labels[r.Label] = l
 			}
-			res.Edges = append(res.Edges, Edge{To: tc, Actor: r.actor, Label: l})
+			row[k] = Edge{To: tc, Actor: r.Actor, Label: l}
 		}
-		res.Off = append(res.Off, uint32(len(res.Edges)))
+		res.expanded++
+		res.numEdges += len(row)
 	}
+	finish()
 	return res, nil
 }
 

@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -29,13 +30,13 @@ func pointerFree(t reflect.Type, path string) string {
 	return path + " (" + t.Kind().String() + ")"
 }
 
-// TestEdgeLayoutIsPointerFree: every edge is stored twice during a run,
-// once in a worker arena and once in Result.Edges, and every state has a
-// span locating its row, so a pointer in any of the three types (a label
-// string, say, or a chunk pointer) makes the garbage collector scan every
-// edge or state of the graph on every cycle.
+// TestEdgeLayoutIsPointerFree: every edge is stored once, in a worker
+// arena that becomes the Result's storage, and every state has a span
+// locating its row, so a pointer in either type (a label string, say, or a
+// chunk pointer) makes the garbage collector scan every edge or state of
+// the graph on every cycle.
 func TestEdgeLayoutIsPointerFree(t *testing.T) {
-	for _, typ := range []reflect.Type{reflect.TypeOf(rawEdge{}), reflect.TypeOf(Edge{}), reflect.TypeOf(span{})} {
+	for _, typ := range []reflect.Type{reflect.TypeOf(Edge{}), reflect.TypeOf(span{})} {
 		if bad := pointerFree(typ, typ.Name()); bad != "" {
 			t.Errorf("%s holds a GC-scanned field: %s", typ.Name(), bad)
 		}
@@ -77,5 +78,36 @@ func TestGraphBytes(t *testing.T) {
 	}
 	if snap := st.Snapshot(); snap.GraphBytes != st.GraphBytes || snap.ArenaBytes != st.ArenaBytes {
 		t.Fatalf("snapshot bytes %d/%d, stats %d/%d", snap.GraphBytes, snap.ArenaBytes, st.GraphBytes, st.ArenaBytes)
+	}
+}
+
+// TestReplayKeepsOneCopyOfTheEdges bounds what an exploration whose bytes
+// are nearly all edges allocates per edge: the long-row system over 2,000
+// states, which allocates nothing per edge, records about 390,000 edges.
+// Each edge is 12 B in its worker's arena, and replay rewrites it there
+// instead of copying it into a second array; chunk slack, the row
+// prefixes chunk ends moved and the span pages take about 5 B more. The
+// measured 17.2 B/edge, with 10% headroom, is the bound; a replay that
+// copies the edges into a second array measured 29.2.
+func TestReplayKeepsOneCopyOfTheEdges(t *testing.T) {
+	const n = 2000
+	var least float64
+	for k := range 3 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		res, err := Explore([]string{"0"}, longRowExpand(n), Options{Parallelism: 2})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := float64(after.TotalAlloc-before.TotalAlloc) / float64(res.NumEdges())
+		if k == 0 || b < least {
+			least = b
+		}
+	}
+	t.Logf("%.1f B/edge", least)
+	if bound := 1.1 * 17.2; least > bound {
+		t.Fatalf("exploration allocates %.1f B/edge, want at most %.1f", least, bound)
 	}
 }

@@ -79,12 +79,12 @@ type Stats struct {
 	// neither Options.Stats nor Options.Sink is set: getrusage would cost
 	// a tiny exploration more than its search).
 	PeakRSSBytes int64
-	// GraphBytes is the memory the Result's graph layout holds: row
-	// offsets, edge array, label table and parent tree (state payloads
-	// excluded). ArenaBytes is the capacity of every raw-edge chunk the
-	// workers allocated, summed, taken before replay. Both are byte
-	// accounting, not part of the determinism comparisons or trace
-	// digests.
+	// GraphBytes is the memory the Result's graph layout holds: edge
+	// chunks, span table, label table and parent tree (state payloads
+	// excluded). ArenaBytes is the part of it in edge chunks: the capacity
+	// of every chunk the workers allocated, which replay rewrites in place
+	// and the Result keeps. Both are byte accounting, not part of the
+	// determinism comparisons or trace digests.
 	GraphBytes int64
 	ArenaBytes int64
 	// Phases is the run's aggregate phase-attribution profile (expand,

@@ -226,10 +226,10 @@ type ProgressSnapshot struct {
 	// publish time. Process-wide and monotone, so it bounds every run in a
 	// multi-run trace from above; zero on platforms without rusage.
 	PeakRSSBytes int64 `json:"peak_rss_bytes,omitempty"`
-	// GraphBytes is the memory the explored graph's layout holds (row
-	// offsets, edge array, label table, parent tree; state payloads
-	// excluded), and ArenaBytes the workers' raw-edge arena capacity at
-	// replay. Final snapshots only; byte accounting, excluded from trace
+	// GraphBytes is the memory the explored graph's layout holds (edge
+	// chunks, row spans, label table, parent tree; state payloads
+	// excluded), and ArenaBytes the part of it in the workers' edge
+	// chunks. Final snapshots only; byte accounting, excluded from trace
 	// digests.
 	GraphBytes int64 `json:"graph_bytes,omitempty"`
 	ArenaBytes int64 `json:"arena_bytes,omitempty"`

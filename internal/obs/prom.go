@@ -80,8 +80,8 @@ func (l *Live) WritePrometheus(w io.Writer) {
 			p.histogram("explore_store_write_latency_seconds", "Spill segment per-page write latency.", *s.StoreWriteLat)
 		}
 		p.gauge("explore_peak_rss_bytes", "Process peak resident set size.", float64(s.PeakRSSBytes))
-		p.gauge("explore_graph_bytes", "Bytes held by the explored graph's offsets, edges, labels and parent tree.", float64(s.GraphBytes))
-		p.gauge("explore_arena_bytes", "Raw-edge arena capacity at replay, summed over workers.", float64(s.ArenaBytes))
+		p.gauge("explore_graph_bytes", "Bytes held by the explored graph's edge chunks, row spans, labels and parent tree.", float64(s.GraphBytes))
+		p.gauge("explore_arena_bytes", "Edge chunk capacity, summed over workers; part of the graph bytes.", float64(s.ArenaBytes))
 	}
 
 	p.counter("rt_runs_total", "Live runtime runs started.", float64(m.RTRuns))

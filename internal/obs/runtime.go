@@ -92,8 +92,10 @@ type RuntimeSummary struct {
 	Stalled  bool `json:"stalled,omitempty"`
 	Budget   bool `json:"budget,omitempty"`
 	// BatchLat is the wall-clock latency histogram of concurrent batch
-	// dispatches (schema v3). The one timing field in the summary: it is
-	// excluded from Digest (see DigestLine), because wall time varies while
-	// the scheduled stream does not.
+	// dispatches (schema v3): one observation per scheduler round that
+	// dispatched two or more actions, absent when no round did. The one
+	// timing field in the summary: it is excluded from Digest (see
+	// DigestLine), because wall time varies while the scheduled stream
+	// does not.
 	BatchLat *HistSnap `json:"batch_lat,omitempty"`
 }

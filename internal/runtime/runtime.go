@@ -84,8 +84,10 @@ type Result struct {
 	// stream): identical seeds yield identical digests at any GOMAXPROCS.
 	Digest string
 	// BatchLat is the concurrent-dispatch latency histogram: one
-	// observation per scheduler round, dispatch fan-out to last reply.
-	// Pure timing (machine-dependent), excluded from Digest.
+	// observation per scheduler round that dispatches two or more actions,
+	// fan-out to last reply; a round of one action is not timed, so a run
+	// with MaxBatch 1 has an empty histogram. Pure timing
+	// (machine-dependent), excluded from Digest.
 	BatchLat obs.HistSnap
 }
 
@@ -380,10 +382,16 @@ loop:
 		}
 
 		// Concurrent dispatch: every surviving pick targets a distinct
-		// process, so the batch really runs in parallel. Round latency
-		// (fan-out to last reply) feeds the BatchLat histogram — two clock
-		// reads per round, never per action.
-		batchT := time.Now()
+		// process, so the batch really runs in parallel. The latency of a
+		// concurrent batch, two or more actions from fan-out to last reply,
+		// feeds the BatchLat histogram: two clock reads per such round,
+		// none on a round of one action, the only kind a MaxBatch of 1
+		// schedules.
+		timed := len(exec) >= 2
+		var batchT time.Time
+		if timed {
+			batchT = time.Now()
+		}
 		for _, c := range exec {
 			reqs[queue[c].a.To] <- queue[c].a
 		}
@@ -391,7 +399,7 @@ loop:
 		for _, c := range exec {
 			outs = append(outs, <-replies[queue[c].a.To])
 		}
-		if len(exec) > 0 {
+		if timed {
 			batchLat.Observe(int64(time.Since(batchT)))
 		}
 
