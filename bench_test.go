@@ -768,53 +768,56 @@ func BenchmarkVerdictReduced(b *testing.B) {
 }
 
 // BenchmarkPermutationCanon times one canonicalization in each form of the
-// wait-quorum n=5 permutation canon. The inputs are the raw successors of
-// the first representatives of the reduced crash-free exploration, so
-// most of them are remapped, as on the exploration path; ns/op is per
+// wait-quorum permutation canon at n = 4, 5 and 6 (24, 120 and 720
+// relabelings a configuration). The inputs are the raw successors of the
+// first representatives of each reduced crash-free exploration, so most of
+// them are remapped, as on the exploration path; ns/op is per
 // configuration.
 func BenchmarkPermutationCanon(b *testing.B) {
-	const n, inputs = 5, 4096
-	p := flp.NewWaitQuorum(n)
-	canon, err := flp.PermutationCanon(p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	canonB, err := flp.PermutationCanonBytes(p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sys := flp.NewSystem(p, nil, 0)
-	g, err := core.Explore[string](sys, core.ExploreOptions{
-		Canon: canon, CanonBytes: canonB,
-		Independent: flp.DeliveryIndependence(p), Visible: flp.DecisionVisibility(p),
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	var raw []string
-	for i := 0; i < g.Len() && len(raw) < inputs; i++ {
-		for _, st := range core.StepsOf(sys, g.State(i)) {
-			raw = append(raw, st.To)
+	const inputs = 4096
+	for _, n := range []int{4, 5, 6} {
+		p := flp.NewWaitQuorum(n)
+		canon, err := flp.PermutationCanon(p)
+		if err != nil {
+			b.Fatal(err)
 		}
+		canonB, err := flp.PermutationCanonBytes(p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sys := flp.NewSystem(p, nil, 0)
+		g, err := core.Explore[string](sys, core.ExploreOptions{
+			Canon: canon, CanonBytes: canonB,
+			Independent: flp.DeliveryIndependence(p), Visible: flp.DecisionVisibility(p),
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		var raw []string
+		for i := 0; i < g.Len() && len(raw) < inputs; i++ {
+			for _, st := range core.StepsOf(sys, g.State(i)) {
+				raw = append(raw, st.To)
+			}
+		}
+		b.Run(fmt.Sprintf("n=%d/string", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				canon(raw[i%len(raw)])
+			}
+		})
+		b.Run(fmt.Sprintf("n=%d/bytes", n), func(b *testing.B) {
+			rawB := make([][]byte, len(raw))
+			for i, s := range raw {
+				rawB[i] = []byte(s)
+			}
+			f := canonB()
+			var dst []byte
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				dst = f(dst[:0], rawB[i%len(rawB)])
+			}
+		})
 	}
-	b.Run("string", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			canon(raw[i%len(raw)])
-		}
-	})
-	b.Run("bytes", func(b *testing.B) {
-		rawB := make([][]byte, len(raw))
-		for i, s := range raw {
-			rawB[i] = []byte(s)
-		}
-		f := canonB()
-		var dst []byte
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			dst = f(dst[:0], rawB[i%len(rawB)])
-		}
-	})
 }
 
 func BenchmarkGraphPasses(b *testing.B) {

@@ -199,7 +199,10 @@ type (
 )
 
 // FLPPermutationCanon builds the process-permutation canonicalizer for a
-// ProcessSymmetric protocol, for use as FLPAnalyzeOptions.Canon.
+// ProcessSymmetric protocol, for use as FLPAnalyzeOptions.Canon: each
+// configuration maps to its least encoding over all n! relabelings of the
+// processes, found by individualization and refinement rather than by
+// trying every relabeling.
 var FLPPermutationCanon = flp.PermutationCanon
 
 // Visited-set store backends (FLPAnalyzeOptions.Store / MutexOptions.Store):

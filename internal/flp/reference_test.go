@@ -1,6 +1,8 @@
 package flp
 
 import (
+	"bytes"
+	"fmt"
 	"sort"
 	"strconv"
 	"strings"
@@ -17,7 +19,10 @@ import (
 // plus the renderer and packer between the two encodings. ExpandInto,
 // PermutationCanonBytes and DeliveryIndependence are the production forms;
 // these are what TestExpandIntoMatchesSteps, TestGraphsMatchTextReference
-// and TestPermutationCanonBytesMatchesCanon hold them to.
+// and TestPermutationCanonBytesMatchesCanon hold them to. It also holds the
+// packed n! permutation search that PermutationCanonBytes's refinement
+// replaced, which TestPermutationCanonMatchesSearch and
+// FuzzPermutationCanon hold it to.
 
 // refProtocol is the string form of a Protocol's transition functions.
 // InitialSends returns the messages p emits before receiving anything;
@@ -419,4 +424,186 @@ func (a *adoptSwap) Step(p int, state string, _ int, payload string) (string, []
 	}
 	// Mismatch: adopt and forward around the ring.
 	return payload + "-", []Send{{To: (p + 1) % a.n, Payload: payload}}
+}
+
+// bytePermuter is the opaque, per-state form of ProcessSymmetric that the
+// n! search relabels through: AppendPermutedState appends state with every
+// embedded process index j rewritten to perm[j], at the same width;
+// AppendPermutedPayload does the same for a one-byte message payload.
+type bytePermuter interface {
+	AppendPermutedState(dst, state []byte, perm []int) []byte
+	AppendPermutedPayload(dst, payload []byte, perm []int) []byte
+}
+
+// AppendPermutedState implements bytePermuter: the collected-values prefix
+// is indexed by process, so slot j moves to slot perm[j]; the decision
+// suffix is index-free.
+func (w *waitProto) AppendPermutedState(dst, state []byte, perm []int) []byte {
+	off := len(dst)
+	dst = append(dst, state...)
+	for j := 0; j < w.n; j++ {
+		dst[off+perm[j]] = state[j]
+	}
+	return dst
+}
+
+// AppendPermutedPayload implements bytePermuter; payloads are bare value
+// characters.
+func (w *waitProto) AppendPermutedPayload(dst, payload []byte, _ []int) []byte {
+	return append(dst, payload...)
+}
+
+// permutations returns all permutations of [0, n) in a deterministic
+// order, identity first.
+func permutations(n int) [][]int {
+	cur := make([]int, n)
+	for i := range cur {
+		cur[i] = i
+	}
+	var out [][]int
+	var rec func(k int)
+	rec = func(k int) {
+		if k == n {
+			out = append(out, append([]int(nil), cur...))
+			return
+		}
+		for i := k; i < n; i++ {
+			cur[k], cur[i] = cur[i], cur[k]
+			rec(k + 1)
+			cur[k], cur[i] = cur[i], cur[k]
+		}
+	}
+	rec(0)
+	return out
+}
+
+// relabel appends the packed configuration c relabeled by pi: process q
+// becomes pi[q] in the crash mask, its state moves to slot pi[q] and is
+// rewritten by bytePermuter, and every message record is rewritten and
+// the records re-sorted.
+func relabel(dst []byte, l *layout, ps bytePermuter, c config, pi []int) []byte {
+	crashed, newCrashed := l.crashMask(c), 0
+	inv := make([]int, l.n)
+	for q, r := range pi {
+		inv[r] = q
+		if crashed&(1<<q) != 0 {
+			newCrashed |= 1 << r
+		}
+	}
+	dst = l.appendCrash(dst, newCrashed)
+	for r := 0; r < l.n; r++ {
+		start := len(dst)
+		dst = ps.AppendPermutedState(dst, []byte(l.state(c, inv[r])), pi)
+		if len(dst) != start+l.w {
+			panic(fmt.Sprintf("a permuted state of %q changed width", c))
+		}
+	}
+	recs := make([]uint16, 0, (len(c)-l.hdr)/2)
+	for i := l.hdr; i < len(c); i += 2 {
+		ft, py := c[i], c[i+1]
+		if py != 0 {
+			pay := ps.AppendPermutedPayload(nil, []byte{py}, pi)
+			if len(pay) != 1 || pay[0] == 0 {
+				panic(fmt.Sprintf("permuted payload %q is not one non-zero byte", pay))
+			}
+			py = pay[0]
+		}
+		recs = append(recs, uint16(pi[ft>>4]<<4|pi[ft&15])<<8|uint16(py))
+	}
+	sort.Slice(recs, func(i, j int) bool { return recs[i] < recs[j] })
+	for _, r := range recs {
+		dst = append(dst, byte(r>>8), byte(r))
+	}
+	return dst
+}
+
+// searchPermutationCanonBytes is the n! search, a per-worker factory of
+// byte canonicalizers: every relabeling of the processes is rendered
+// through bytePermuter and the least is kept. A candidate whose crash
+// field and states already sort after the best's is dropped before its
+// records are rendered.
+func searchPermutationCanonBytes(p Protocol) func() engine.BytesCanonicalizer {
+	ps := p.(bytePermuter)
+	l := mustLayout(p)
+	n := l.n
+	perms := permutations(n)
+	// invs[k][r] is the process whose state lands in slot r under perms[k].
+	invs := make([][]int, len(perms))
+	for k, pi := range perms {
+		inv := make([]int, n)
+		for q, r := range pi {
+			inv[r] = q
+		}
+		invs[k] = inv
+	}
+	return func() engine.BytesCanonicalizer {
+		var cand, pay []byte
+		var recs []uint16
+		return func(dst, src []byte) []byte {
+			c := string(src)
+			if !l.valid(c) {
+				panic(fmt.Sprintf("%q is not a valid configuration", c))
+			}
+			best := append(dst[:0], src...)
+			crashed := l.crashMask(c)
+			for k, pi := range perms[1:] { // perms[0] is the identity
+				inv := invs[k+1]
+				newCrashed := 0
+				for q := 0; q < n; q++ {
+					if crashed&(1<<q) != 0 {
+						newCrashed |= 1 << pi[q]
+					}
+				}
+				cand = l.appendCrash(cand[:0], newCrashed)
+				cmp := bytes.Compare(cand, best[:l.cw])
+				for r := 0; r < n && cmp <= 0; r++ {
+					o, start := l.cw+inv[r]*l.w, len(cand)
+					cand = ps.AppendPermutedState(cand, src[o:o+l.w], pi)
+					if len(cand) != start+l.w {
+						panic(fmt.Sprintf("a permuted state of %q changed width", c))
+					}
+					if cmp == 0 {
+						cmp = bytes.Compare(cand[start:], best[start:start+l.w])
+					}
+				}
+				if cmp > 0 {
+					continue
+				}
+				recs = recs[:0]
+				for i := l.hdr; i < len(src); i += 2 {
+					ft, py := src[i], src[i+1]
+					if py != 0 {
+						pay = ps.AppendPermutedPayload(pay[:0], src[i+1:i+2], pi)
+						if len(pay) != 1 || pay[0] == 0 {
+							panic(fmt.Sprintf("permuted payload %q is not one non-zero byte", pay))
+						}
+						py = pay[0]
+					}
+					r := uint16(pi[ft>>4]<<4|pi[ft&15])<<8 | uint16(py)
+					j := len(recs)
+					recs = append(recs, r)
+					for ; j > 0 && recs[j-1] > r; j-- {
+						recs[j] = recs[j-1]
+					}
+					recs[j] = r
+				}
+				for j := 0; cmp == 0 && j < len(recs); j++ {
+					b := uint16(best[l.hdr+2*j])<<8 | uint16(best[l.hdr+2*j+1])
+					switch {
+					case recs[j] < b:
+						cmp = -1
+					case recs[j] > b:
+						cmp = 1
+					}
+				}
+				if cmp < 0 {
+					best = append(best[:0], cand...)
+					for _, r := range recs {
+						best = append(best, byte(r>>8), byte(r))
+					}
+				}
+			}
+			return best
+		}
+	}
 }
